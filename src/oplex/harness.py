@@ -30,7 +30,6 @@ from .stochastic import (
     consensus_value,
     is_primitive,
     stationary_from_degrees,
-    stationary_general,
     transition_matrix,
 )
 from .switching import analyze, schedule_matrix, switching_model
@@ -275,9 +274,9 @@ class ExperimentResult:
     out_dir: Path | None
 
 
-def _simulate_point(schedule, x0, config, period, target, pi, n):
+def _simulate_point(schedule, x0, config, period, target, pi):
     record = config.record_opinions and "trajectories" in config.outputs
-    trajectory = simulate(
+    return simulate(
         schedule,
         x0,
         t_max=config.t_max,
@@ -287,7 +286,6 @@ def _simulate_point(schedule, x0, config, period, target, pi, n):
         pi=pi,
         record_states=record or target is not None,
     )
-    return trajectory
 
 
 def _trajectory_rows(trajectory, config, n) -> list[list[str]]:
@@ -344,7 +342,7 @@ def _merged_point(layers, alpha, x0, interval, config) -> GridPointResult:
             lo - _INTERVAL_SLACK <= consensus <= hi + _INTERVAL_SLACK
         )
     trajectory = _simulate_point(
-        constant_schedule(model.transition), x0, config, 1, consensus, pi, model.merged_layer.n
+        constant_schedule(model.transition), x0, config, 1, consensus, pi
     )
     empirical = _fit_or_none(trajectory.errors_pi)
     if trajectory.converged and empirical is not None:
@@ -385,13 +383,7 @@ def _switching_point(layers, k, x0, config) -> GridPointResult:
     if outcome.status != "consensus":
         note = f"cycle not primitive ({outcome.status})"
     trajectory = _simulate_point(
-        lambda t: schedule_matrix(model, t),
-        x0,
-        config,
-        k + 1,
-        consensus,
-        pi,
-        model.layer1.n,
+        lambda t: schedule_matrix(model, t), x0, config, k + 1, consensus, pi
     )
     empirical = None
     if trajectory.errors_max is not None:
@@ -435,9 +427,7 @@ def _single_point(layer, x0, config) -> GridPointResult:
         consensus = consensus_value(pi, x0)
     else:
         note = "layer transition not primitive"
-    trajectory = _simulate_point(
-        constant_schedule(matrix), x0, config, 1, consensus, pi, layer.n
-    )
+    trajectory = _simulate_point(constant_schedule(matrix), x0, config, 1, consensus, pi)
     empirical = _fit_or_none(trajectory.errors_pi)
     if trajectory.converged and empirical is not None:
         assertions["empirical-rate"] = bool(empirical <= slem + _RATE_SLACK)

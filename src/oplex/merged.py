@@ -18,7 +18,7 @@ import numpy as np
 
 from .netcore import LayerGraph
 from .perturb import ShiftFamilyFit, fit_shift_family
-from .spectral import eig_moduli_nonsymmetric, slem_reversible
+from .spectral import layer_spectrum, slem_reversible
 from .stochastic import (
     NotPrimitiveError,
     PrimitivityReport,
@@ -147,16 +147,15 @@ def degrees_matched(layer1: LayerGraph, layer2: LayerGraph, rtol: float = _DEGRE
 
 
 def slem_bounds(model: MergedModel, x0: np.ndarray | None = None) -> MergedBoundsReport:
-    """SLEM of C, 1/(N-1) lower bound, and the degree-matched upper bound."""
-    matched = degrees_matched(model.layer1, model.layer2)
-    if matched:
-        slem_c = slem_reversible(model.merged_layer).slem
-    else:
-        slem_c = eig_moduli_nonsymmetric(model.transition).slem
+    """SLEM of C, 1/(N-1) lower bound, and the degree-matched upper bound.
+
+    C = D^-1 W_m with W_m symmetric, so C is similar to D^-1/2 W_m D^-1/2
+    whatever the layer degrees: its spectrum always comes from the symmetric
+    solver. The layer SLEMs are cached on the layers across a sweep.
+    """
+    slem_c = slem_reversible(model.merged_layer).slem
     try:
-        upper = max(
-            slem_reversible(model.layer1).slem, slem_reversible(model.layer2).slem
-        )
+        upper = max(layer_spectrum(model.layer1).slem, layer_spectrum(model.layer2).slem)
     except ValueError:
         # a node isolated in one layer: that layer has no SLEM, and the
         # degree sequences cannot match, so the upper bound stays unarmed
@@ -168,7 +167,7 @@ def slem_bounds(model: MergedModel, x0: np.ndarray | None = None) -> MergedBound
         slem_c=slem_c,
         lower_bound=1.0 / (model.merged_layer.n - 1),
         upper_bound=upper,
-        degrees_matched=matched,
+        degrees_matched=degrees_matched(model.layer1, model.layer2),
         consensus_interval=interval,
     )
 

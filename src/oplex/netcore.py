@@ -8,12 +8,15 @@ two-layer models combine layers by weight blending or by time switching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    from .spectral import SpectralSummary
 
 _DEGREE_TOL = 1e-12
 
@@ -28,12 +31,14 @@ class LayerGraph:
 
     weights is symmetric with zero diagonal; degrees[i] is the weighted
     degree (row sum) and total_edge_weight is half the sum of degrees.
+    _spectrum caches the layer's SpectralSummary (see spectral.layer_spectrum).
     """
 
     n: int
     weights: np.ndarray
     degrees: np.ndarray
     total_edge_weight: float
+    _spectrum: SpectralSummary | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = self.weights
@@ -62,10 +67,6 @@ class LayerGraph:
             degrees=degrees,
             total_edge_weight=0.5 * float(degrees.sum()),
         )
-
-    def neighbors(self, i: int) -> np.ndarray:
-        """Indices j with a positive weight on edge (i, j)."""
-        return np.nonzero(self.weights[i])[0]
 
 
 def build_layer(n: int, edges: Iterable[tuple[int, int, float]]) -> LayerGraph:

@@ -1,10 +1,13 @@
 """Eigenvalue moduli and SLEM for the averaging operators.
 
-Two paths: matrices of undirected layers are similar to a symmetric matrix
-(D^-1/2 W D^-1/2) and use a symmetric solver; switching products are
-genuinely nonreversible and go through the general dense solver. The SLEM
-(second largest eigenvalue modulus) governs the geometric convergence rate;
-ties at modulus 1 mean the chain is not primitive and the SLEM is 1.
+Two paths. Every matrix read off an undirected layer, D^-1 W, is similar to
+the symmetric D^-1/2 W D^-1/2 and uses a symmetric solver. That includes
+the merged operator C = D^-1 W_m: its blended weights W_m = alpha W_1 +
+(1 - alpha) W_2 are symmetric whatever the two degree sequences are, so C
+always takes this path. Switching products B A^k are genuinely
+nonreversible and go through the general dense solver. The SLEM (second
+largest eigenvalue modulus) governs the geometric convergence rate; ties at
+modulus 1 mean the chain is not primitive and the SLEM is 1.
 """
 
 from __future__ import annotations
@@ -52,6 +55,17 @@ def slem_reversible(layer: LayerGraph) -> SpectralSummary:
     """Spectrum of a layer's transition matrix via its symmetrization."""
     eigenvalues = np.linalg.eigvalsh(symmetrize(layer))
     return _summarize(np.abs(eigenvalues), method="symmetric")
+
+
+def layer_spectrum(layer: LayerGraph) -> SpectralSummary:
+    """slem_reversible(layer), computed on first use and cached on the layer.
+
+    Sweeps reuse the same two layers at every grid point; the cache lives
+    and dies with the layer object.
+    """
+    if layer._spectrum is None:
+        object.__setattr__(layer, "_spectrum", slem_reversible(layer))
+    return layer._spectrum
 
 
 def eig_moduli_nonsymmetric(m: TransitionMatrix) -> SpectralSummary:

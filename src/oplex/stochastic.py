@@ -11,7 +11,7 @@ and get a generic solver instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -23,16 +23,23 @@ _STATIONARY_RESIDUAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PrimitivityReport:
-    """Outcome of the exact primitivity decision.
+    """Outcome of the exact primitivity decision (graph test in is_primitive).
 
-    witness_exponent is the smallest verified power with all entries
-    positive (None when not primitive); bound_used is the Wielandt bound
-    (n-1)^2 + 1 that caps the search.
+    witness_exponent, the smallest power with all entries positive (None if
+    not primitive), and bound_used, the Wielandt bound (n-1)^2 + 1 capping
+    its search, are computed by boolean squaring when first read.
     """
 
     primitive: bool
-    witness_exponent: int | None
-    bound_used: int
+    _entries: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def bound_used(self) -> int:
+        return wielandt_bound(self._entries.shape[0])
+
+    @cached_property
+    def witness_exponent(self) -> int | None:
+        return _witness_exponent(self._entries > 0.0) if self.primitive else None
 
 
 class NotPrimitiveError(ValueError):
@@ -117,52 +124,65 @@ def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float64) @ b.astype(np.float64)) > 0.0
 
 
-def _support_power(exponent: int, squarings: list[np.ndarray]) -> np.ndarray:
-    """Support of M^exponent from cached supports of M^(2^j)."""
-    result: np.ndarray | None = None
-    bit = 0
-    e = exponent
-    while e:
-        if e & 1:
-            s = squarings[bit]
-            result = s.copy() if result is None else _bool_product(result, s)
-        e >>= 1
-        bit += 1
-    assert result is not None
-    return result
+def _witness_exponent(support: np.ndarray) -> int:
+    """Smallest k with support^k all positive, for a primitive support.
+
+    Squares the support until some power is all positive (within the
+    Wielandt bound), then finds the largest power that is not by binary
+    lifting over the squarings. Rows of a stochastic matrix are never zero,
+    so positivity is monotone in k.
+    """
+    squarings = [support]
+    while not squarings[-1].all():
+        squarings.append(_bool_product(squarings[-1], squarings[-1]))
+    exponent, power = 0, np.eye(support.shape[0], dtype=bool)
+    for j in range(len(squarings) - 2, -1, -1):
+        candidate = _bool_product(power, squarings[j])
+        if not candidate.all():
+            exponent, power = exponent + 2**j, candidate
+    return exponent + 1
+
+
+def _bfs_levels(adjacency: np.ndarray) -> np.ndarray:
+    """Breadth-first distance from node 0 along the rows; -1 where unreached."""
+    level = np.full(adjacency.shape[0], -1)
+    level[0] = 0
+    frontier = np.zeros(1, dtype=np.intp)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        reached = np.logical_or.reduce(adjacency[frontier])
+        reached &= level < 0
+        frontier = np.flatnonzero(reached)
+        level[frontier] = depth
+    return level
 
 
 def is_primitive(m: TransitionMatrix) -> PrimitivityReport:
-    """Exact primitivity test on the boolean support.
+    """Exact primitivity test on the support graph (edge i -> j iff m_ij > 0).
 
-    Squares the support until some power within the Wielandt bound is all
-    positive, then refines the smallest witness exponent by binary search
-    over intermediate products. Row-stochastic matrices have no zero rows,
-    so entrywise positivity is monotone in the exponent and the refinement
-    is sound. The report is cached on the matrix.
+    Primitive iff that graph is strongly connected and aperiodic. Strongly
+    connected: a breadth-first search from node 0 reaches every node along
+    the edges and against them (for a symmetric support, as in layer
+    matrices and C, the first search suffices). Period: with L the BFS
+    levels, the gcd over all edges (u, v) of L[u] + 1 - L[v]. Each search
+    reads every row of the dense support once, so the test costs
+    O(n^2 + n diam) for layer matrices, C and products B A^k alike. The
+    report is cached on the matrix.
     """
     if m._primitivity is not None:
         return m._primitivity
-    n = m.n
-    bound = wielandt_bound(n)
-    squarings = [m.entries > 0.0]
-    # Support of M^(2^j) until positive or the doubling passes the bound.
-    while not squarings[-1].all() and 2 ** (len(squarings) - 1) < bound:
-        squarings.append(_bool_product(squarings[-1], squarings[-1]))
-    if not squarings[-1].all():
-        report = PrimitivityReport(primitive=False, witness_exponent=None, bound_used=bound)
-        m._primitivity = report
-        return report
-    lo, hi = 1, 2 ** (len(squarings) - 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _support_power(mid, squarings).all():
-            hi = mid
-        else:
-            lo = mid + 1
-    report = PrimitivityReport(primitive=True, witness_exponent=lo, bound_used=bound)
-    m._primitivity = report
-    return report
+    support = m.entries > 0.0
+    level = _bfs_levels(support)
+    primitive = bool(
+        (level >= 0).all()
+        and (np.array_equal(support, support.T) or (_bfs_levels(support.T) >= 0).all())
+    )
+    if primitive:
+        rows, cols = np.divmod(np.flatnonzero(support), m.n)
+        primitive = bool(np.gcd.reduce(level[rows] + 1 - level[cols]) == 1)
+    m._primitivity = PrimitivityReport(primitive, _entries=m.entries)
+    return m._primitivity
 
 
 def stationary_from_degrees(layer: LayerGraph) -> StationaryDistribution:
@@ -173,17 +193,12 @@ def stationary_from_degrees(layer: LayerGraph) -> StationaryDistribution:
     return StationaryDistribution(pi=layer.degrees / (2.0 * layer.total_edge_weight))
 
 
-def stationary_general(
-    m: TransitionMatrix,
-    tol: float = 1e-13,
-    max_iter: int = 10**6,
-) -> StationaryDistribution:
+def stationary_general(m: TransitionMatrix) -> StationaryDistribution:
     """Left fixed vector of a primitive matrix, normalized to sum 1.
 
-    Left power iteration until successive iterates agree to tol, with a
-    dense linear-solve fallback so near-periodic spectra still terminate.
-    Intended for nonreversible products where the degree formula does not
-    apply; rejects non-primitive input.
+    Dense linear solve of pi (M - I) = 0 with one equation replaced by
+    sum(pi) = 1, then a residual check. Intended for nonreversible products
+    where the degree formula does not apply; rejects non-primitive input.
     """
     report = is_primitive(m)
     if not report.primitive:
@@ -193,39 +208,18 @@ def stationary_general(
         )
     p = m.entries
     n = m.n
-    v = np.full(n, 1.0 / n)
-    converged = False
-    for _ in range(max_iter):
-        nxt = v @ p
-        nxt /= nxt.sum()
-        if np.abs(nxt - v).max() < tol:
-            v = nxt
-            converged = True
-            break
-        v = nxt
-    if not converged:
-        v = _stationary_dense_solve(p)
-    v = v / v.sum()
-    residual = np.abs(v @ p - v).max()
-    if residual > _STATIONARY_RESIDUAL_TOL:
-        v = _stationary_dense_solve(p)
-        v = v / v.sum()
-        residual = np.abs(v @ p - v).max()
-        if residual > _STATIONARY_RESIDUAL_TOL:
-            raise RuntimeError(
-                f"stationary solve residual {residual:.3e} exceeds "
-                f"{_STATIONARY_RESIDUAL_TOL}"
-            )
-    return StationaryDistribution(pi=np.abs(v))
-
-
-def _stationary_dense_solve(p: np.ndarray) -> np.ndarray:
-    n = p.shape[0]
     a = p.T - np.eye(n)
     a[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
-    return np.linalg.solve(a, b)
+    v = np.linalg.solve(a, b)
+    v = v / v.sum()
+    residual = np.abs(v @ p - v).max()
+    if residual > _STATIONARY_RESIDUAL_TOL:
+        raise RuntimeError(
+            f"stationary solve residual {residual:.3e} exceeds {_STATIONARY_RESIDUAL_TOL}"
+        )
+    return StationaryDistribution(pi=np.abs(v))
 
 
 def pi_norm(v: np.ndarray, pi: StationaryDistribution | np.ndarray) -> float:

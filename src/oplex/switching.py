@@ -18,7 +18,7 @@ import numpy as np
 
 from .netcore import LayerGraph
 from .perturb import ShiftFamilyFit, fit_shift_family
-from .spectral import eig_moduli_nonsymmetric, slem_reversible
+from .spectral import eig_moduli_nonsymmetric, layer_spectrum
 from .stochastic import (
     NotPrimitiveError,
     StationaryDistribution,
@@ -102,8 +102,8 @@ def rho_star(model: SwitchingModel) -> float:
     d1, d2 = model.layer1.degrees, model.layer2.degrees
     if (d1 <= 0).any() or (d2 <= 0).any():
         raise ValueError("degree-ratio factors require positive degrees in both layers")
-    rho_a = slem_reversible(model.layer1).slem
-    rho_b = slem_reversible(model.layer2).slem
+    rho_a = layer_spectrum(model.layer1).slem
+    rho_b = layer_spectrum(model.layer2).slem
     return float(rho_b * rho_a**model.k * (d1 / d2).max() * (d2 / d1).max())
 
 
@@ -193,7 +193,7 @@ def k_stability_sweep(
         raise NotPrimitiveError("layer1 transition matrix is not primitive", report)
     x = check_opinions(x0, layer1.n)
     x1 = consensus_value(stationary_from_degrees(layer1), x)
-    rho_a = slem_reversible(layer1).slem
+    rho_a = layer_spectrum(layer1).slem
     grid = np.asarray(list(ks), dtype=int)
     deviations = np.full(grid.shape, np.nan)
     converged = np.zeros(grid.shape, dtype=bool)

@@ -182,6 +182,29 @@ class TestRunExperiment:
         assert not (tmp_path / "sweep.csv").exists()
         assert (tmp_path / "summary.json").exists()
 
+    def test_merged_sweep_uses_symmetric_solver_only(self, monkeypatch):
+        # Clashing degree sequences: C still takes the symmetric path, and
+        # each layer spectrum is solved once for the whole alpha grid.
+        calls = {"eigvalsh": 0, "eigvals": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        raw = merged_config(
+            model={"kind": "merged", "alphas": [0.25, 0.5, 0.75]},
+            layers=[
+                {"kind": "barabasi-albert", "n": 30, "m": 2, "seed": 3},
+                {"kind": "erdos-renyi", "n": 30, "p": 0.3, "seed": 4},
+            ],
+        )
+        result = run_experiment(raw)
+        assert result.all_passed
+        assert calls == {"eigvalsh": 5, "eigvals": 0}
+
     def test_byte_identical_reruns(self, tmp_path):
         out1 = tmp_path / "run1"
         out2 = tmp_path / "run2"

@@ -16,6 +16,7 @@ from oplex.merged import (
     slem_bounds,
 )
 from oplex.netcore import GeneratorSpec, build_layer, generate
+from oplex.spectral import eig_moduli_nonsymmetric
 from oplex.stochastic import NotPrimitiveError, transition_matrix
 from oplex.verify import degree_matched_pair, random_layer, reweight_edge
 
@@ -228,6 +229,17 @@ class TestSlemBounds:
         assert report.slem_c > report.upper_bound
         assert report.slem_c == pytest.approx(0.6928, abs=1e-3)
         assert report.upper_bound == pytest.approx(0.6839, abs=1e-3)
+
+    def test_misaligned_slem_matches_general_solver(self):
+        # C = D^-1 W_m is similar to a symmetric matrix even when the layer
+        # degrees clash, so the symmetric path must agree with eigvals on C.
+        layer1, layer2 = misaligned_degree_pair()
+        for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
+            model = merge(layer1, layer2, alpha)
+            general = eig_moduli_nonsymmetric(model.transition).slem
+            assert slem_bounds(model).slem_c == pytest.approx(general, abs=1e-12)
+        report = slem_bounds(merge(layer1, layer2, 0.5))
+        assert report.slem_c == pytest.approx(0.692752599154890, abs=1e-12)
 
     def test_identical_regular_layers(self):
         layer = generate(GeneratorSpec(kind="k-regular", n=40, k=6, seed=5))

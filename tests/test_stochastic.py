@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplex.fixtures import oscillating_pair, triangle_pair
-from oplex.netcore import build_layer
+from oplex.netcore import GeneratorSpec, LayerGraph, build_layer, generate
 from oplex.stochastic import (
     NotPrimitiveError,
     StationaryDistribution,
@@ -114,6 +114,18 @@ class TestPrimitivity:
             transition_matrix(layer2).entries @ transition_matrix(layer1).entries
         )
         assert not is_primitive(cycle).primitive
+
+    def test_odd_ring_primitive_even_ring_not(self):
+        odd = generate(GeneratorSpec(kind="circulant", n=2001, offsets=(1,)))
+        even = generate(GeneratorSpec(kind="circulant", n=2000, offsets=(1,)))
+        assert is_primitive(transition_matrix(odd)).primitive
+        assert not is_primitive(transition_matrix(even)).primitive
+
+    def test_disjoint_union_not_primitive(self):
+        triangle = (np.ones((3, 3)) - np.eye(3)) / 2
+        w = np.zeros((6, 6))
+        w[:3, :3] = w[3:, 3:] = triangle
+        assert not is_primitive(transition_matrix(LayerGraph.from_weights(w))).primitive
 
     def test_report_is_cached(self):
         layer1, _ = triangle_pair()
