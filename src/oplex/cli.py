@@ -11,8 +11,8 @@ import numpy as np
 
 from .harness import ConfigError, load_config, run_experiment
 from .merged import merge, merged_consensus, slem_bounds
-from .netcore import load_edge_list
-from .stochastic import NotPrimitiveError, transition_matrix
+from .netcore import EdgeListError, load_edge_list
+from .stochastic import NotPrimitiveError, check_opinions, transition_matrix
 from .switching import analyze as analyze_switching
 from .switching import switching_model
 from .verify import SUITES
@@ -58,14 +58,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def _cmd_simulate(args) -> int:
     try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        result = run_experiment(load_config(args.config), args.out)
+    except (ConfigError, EdgeListError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        print(f"simulate: bad input: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 2
-    result = run_experiment(config, args.out)
     print(json.dumps(result.summary, indent=2, sort_keys=True))
     return 0 if result.all_passed else 1
 
@@ -77,7 +73,7 @@ def _infer_n(paths: list[str], indexing: str) -> int:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            i, j = int(line.split()[0]), int(line.split()[1])
+            i, j = (int(v) for v in line.split()[:2])
             top = max(top, i, j)
     return top + (0 if indexing == "1-based" else 1)
 
@@ -98,24 +94,29 @@ def _cmd_analyze(args) -> int:
     if args.mode == "switching" and args.k is None:
         print("analyze: switching mode requires --k", file=sys.stderr)
         return 2
-    n = args.n if args.n is not None else _infer_n([args.layer1, args.layer2], args.indexing)
-    layer1 = load_edge_list(args.layer1, n, args.indexing)
-    layer2 = load_edge_list(args.layer2, n, args.indexing)
-    x0 = _load_x0(args.x0, n)
+    # Bad files, x0, alpha or k, and isolated nodes all surface as exit 2 here.
+    try:
+        n = args.n if args.n is not None else _infer_n([args.layer1, args.layer2], args.indexing)
+        layer1 = load_edge_list(args.layer1, n, args.indexing)
+        layer2 = load_edge_list(args.layer2, n, args.indexing)
+        x0 = check_opinions(_load_x0(args.x0, n), n)
+        if args.mode == "merged":
+            model = merge(layer1, layer2, args.alpha)
+        else:
+            model = switching_model(layer1, layer2, args.k)
+    except (OSError, ValueError) as exc:
+        print(f"analyze: bad input: {exc}", file=sys.stderr)
+        return 2
 
     report: dict = {"mode": args.mode, "n": n}
-    ok = True
     if args.mode == "merged":
-        model = merge(layer1, layer2, args.alpha)
         bounds = slem_bounds(model)
         report["alpha"] = args.alpha
         report["slem"] = bounds.slem_c
         report["slem_lower_bound"] = bounds.lower_bound
         report["slem_upper_bound"] = bounds.upper_bound
         report["degrees_matched"] = bounds.degrees_matched
-        ok &= bounds.slem_c >= bounds.lower_bound - 1e-9
-        if bounds.degrees_matched:
-            ok &= bounds.slem_c <= bounds.upper_bound + 1e-9
+        checks = bounds.checks()
         try:
             report["consensus"] = merged_consensus(model, x0)
         except NotPrimitiveError:
@@ -124,14 +125,13 @@ def _cmd_analyze(args) -> int:
         if args.dump:
             report["transition"] = model.transition.to_jsonable()
     else:
-        model = switching_model(layer1, layer2, args.k)
         outcome = analyze_switching(model, x0)
         report["k"] = args.k
         report["status"] = outcome.status
         report["slem_cycle"] = outcome.slem_cycle
         report["rho_star"] = outcome.rho_star
         report["consensus"] = outcome.value
-        ok &= outcome.slem_cycle <= outcome.rho_star + 1e-9
+        checks = outcome.checks()
         if outcome.evidence is not None:
             report["oscillation_gap"] = outcome.evidence.gap
         if args.dump:
@@ -139,7 +139,7 @@ def _cmd_analyze(args) -> int:
             report["layer1_transition"] = transition_matrix(layer1).to_jsonable()
             report["layer2_transition"] = transition_matrix(layer2).to_jsonable()
     print(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if ok else 1
+    return 0 if all(checks.values()) else 1
 
 
 def _cmd_verify(args) -> int:

@@ -5,9 +5,10 @@ switching over a k grid), how to obtain the two layers (generators or a
 two-layer dataset), the initial opinions, and stopping parameters. Each
 grid point gets the relevant spectral bounds, the predicted consensus, a
 simulated trajectory, and a set of armed theory assertions; grid points
-where a required matrix is not primitive are recorded and skipped, not
-fatal. All output is deterministic for a fixed config (17-significant-digit
-floats, no timestamps), so reruns are byte-identical.
+where a required matrix is not primitive, or where a node is isolated, are
+recorded with a note, not fatal. All output is deterministic for a fixed
+config (17-significant-digit floats, no timestamps), so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -16,17 +17,19 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .merged import consensus_interval, merge, merged_consensus, slem_bounds
-from .netcore import GeneratorSpec, LayerGraph, generate, load_two_layer_dataset
-from .simlab import constant_schedule, decay_check, fit_rate, simulate
+from .merged import consensus_interval, interval_checks, merge, merged_consensus, slem_bounds
+from .netcore import GeneratorSpec, IsolatedNodeError, LayerGraph, generate, load_two_layer_dataset
+from .simlab import OpinionTrajectory, Schedule, constant_schedule, decay_check, fit_rate, simulate
 from .spectral import slem_reversible
 from .stochastic import (
     NotPrimitiveError,
+    StationaryDistribution,
     consensus_value,
     is_primitive,
     stationary_from_degrees,
@@ -51,8 +54,6 @@ SWEEP_COLUMNS = [
 ]
 
 _RATE_SLACK = 1e-6
-_INTERVAL_SLACK = 1e-10
-_SLEM_SLACK = 1e-9
 _AGREEMENT_TOL = 1e-7
 _FIT_FLOOR = 1e-13
 
@@ -136,6 +137,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 specs.append(GeneratorSpec.from_dict(entry))
             except (TypeError, ValueError) as exc:
                 _fail(f"layers[{i}]", str(exc))
+        if len({spec.n for spec in specs}) > 1:
+            _fail("layers", "both layers must have the same node count n")
         layer_specs = tuple(specs)
     elif isinstance(layers, dict) and layers.get("kind") == "two-layer-dataset":
         if kind == "single":
@@ -143,6 +146,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         for need in ("path_a", "path_b", "n"):
             if need not in layers:
                 _fail(f"layers.{need}", "required for two-layer-dataset")
+        if not isinstance(layers["n"], int) or layers["n"] < 1:
+            _fail("layers.n", "must be an integer >= 1")
         indexing = layers.get("indexing", "0-based")
         if indexing not in ("0-based", "1-based"):
             _fail("layers.indexing", "must be '0-based' or '1-based'")
@@ -167,6 +172,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         values = x0_raw.get("values")
         if not isinstance(values, list) or not values:
             _fail("x0.values", "must be a nonempty list")
+        for i, v in enumerate(values):
+            if not isinstance(v, (int, float)) or not (0 <= v <= 1):
+                _fail(f"x0.values[{i}]", "must be a number in [0, 1]")
         x0 = XZeroSpec(kind="explicit", values=tuple(float(v) for v in values))
     elif x0_kind == "uniform-with-overrides":
         if not isinstance(x0_raw.get("seed"), int):
@@ -174,13 +182,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         nodes = x0_raw.get("nodes")
         if not isinstance(nodes, list) or not all(isinstance(v, int) for v in nodes):
             _fail("x0.nodes", "must be a list of node indices")
-        if not isinstance(x0_raw.get("value"), (int, float)):
-            _fail("x0.value", "override value must be a number")
+        value = x0_raw.get("value")
+        if not isinstance(value, (int, float)) or not (0 <= value <= 1):
+            _fail("x0.value", "override value must be a number in [0, 1]")
         x0 = XZeroSpec(
             kind="uniform-with-overrides",
             seed=int(x0_raw["seed"]),
             nodes=tuple(int(v) for v in nodes),
-            value=float(x0_raw["value"]),
+            value=float(value),
         )
     else:
         _fail("x0.kind", f"unknown initial-opinion kind {x0_kind!r}")
@@ -263,7 +272,7 @@ def resolve_x0(config: ExperimentConfig, n: int) -> np.ndarray:
 class GridPointResult:
     row: dict
     assertions: dict[str, bool]
-    trajectory_rows: list[list[str]] | None
+    trajectory: OpinionTrajectory | None
 
 
 @dataclass
@@ -274,186 +283,140 @@ class ExperimentResult:
     out_dir: Path | None
 
 
-def _simulate_point(schedule, x0, config, period, target, pi):
-    record = config.record_opinions and "trajectories" in config.outputs
-    return simulate(
-        schedule,
-        x0,
-        t_max=config.t_max,
-        tol=config.tol,
-        period=period,
-        target=target,
-        pi=pi,
-        record_states=record or target is not None,
-    )
+@dataclass
+class _GridModel:
+    """What one model kind supplies for a grid point; _grid_point does the rest.
+
+    columns fills the model's sweep columns (slem, bounds, consensus,
+    interval, note) and assertions holds its own armed checks. The error
+    series rate_errors(trajectory), transients already dropped, is fitted to
+    a rate that must stay under rate_bound. decay_rho arms the decay law.
+    """
+
+    columns: dict
+    assertions: dict[str, bool]
+    schedule: Schedule
+    pi: StationaryDistribution | None
+    rate_bound: float
+    period: int = 1
+    rate_errors: Callable[[OpinionTrajectory], np.ndarray] = lambda traj: traj.errors_pi[5:]
+    decay_rho: float | None = None
 
 
-def _trajectory_rows(trajectory, config, n) -> list[list[str]]:
-    header = ["t", "err_pi", "err_max"]
-    include_states = config.record_opinions and trajectory.states is not None
-    if include_states:
-        header += [f"x_{i}" for i in range(n)]
-    rows = [header]
-    length = (
-        trajectory.errors_pi.shape[0]
-        if trajectory.errors_pi is not None
-        else (trajectory.states.shape[0] if trajectory.states is not None else 0)
-    )
-    for t in range(length):
-        row = [str(t)]
-        if trajectory.errors_pi is not None:
-            row += [_fmt(trajectory.errors_pi[t]), _fmt(trajectory.errors_max[t])]
-        else:
-            row += ["", ""]
-        if include_states:
-            row += [_fmt(v) for v in trajectory.states[t]]
-        rows.append(row)
-    return rows
-
-
-def _fit_or_none(errors, floor=_FIT_FLOOR, burn_in=5):
-    if errors is None:
-        return None
-    try:
-        return fit_rate(errors, floor=floor, burn_in=burn_in)
-    except ValueError:
-        return None
-
-
-def _merged_point(layers, alpha, x0, interval, config) -> GridPointResult:
-    note = ""
-    assertions: dict[str, bool] = {}
+def _merged_model(layers, alpha, x0, interval) -> _GridModel:
     model = merge(layers[0], layers[1], alpha)
     bounds = slem_bounds(model)
-    slem = bounds.slem_c
-    assertions["slem-lower-bound"] = bool(slem >= bounds.lower_bound - _SLEM_SLACK)
-    if bounds.degrees_matched:
-        assertions["slem-upper-bound"] = bool(slem <= bounds.upper_bound + _SLEM_SLACK)
-    consensus = None
-    pi = None
+    assertions = bounds.checks()
+    consensus = pi = None
+    note = ""
     try:
         consensus = merged_consensus(model, x0)
         pi = stationary_from_degrees(model.merged_layer)
     except NotPrimitiveError:
         note = "merged transition not primitive"
     if consensus is not None and interval is not None:
-        lo, hi = interval
-        assertions["consensus-in-interval"] = bool(
-            lo - _INTERVAL_SLACK <= consensus <= hi + _INTERVAL_SLACK
-        )
-    trajectory = _simulate_point(
-        constant_schedule(model.transition), x0, config, 1, consensus, pi
+        assertions.update(interval_checks(consensus, interval))
+    lo, hi = interval or (None, None)
+    columns = dict(
+        slem=bounds.slem_c,
+        bound_lower=bounds.lower_bound,
+        bound_upper=bounds.upper_bound,
+        bound_armed=bounds.degrees_matched,
+        consensus=consensus,
+        interval_lo=lo,
+        interval_hi=hi,
+        note=note,
     )
-    empirical = _fit_or_none(trajectory.errors_pi)
-    if trajectory.converged and empirical is not None:
-        assertions["empirical-rate"] = bool(empirical <= slem + _RATE_SLACK)
-    if trajectory.converged and consensus is not None and trajectory.states is not None:
-        assertions["simulation-agrees"] = bool(
-            np.abs(trajectory.final_state - consensus).max() <= _AGREEMENT_TOL
-        )
-    row = {
-        "grid_kind": "alpha",
-        "grid_value": alpha,
-        "slem": slem,
-        "bound_lower": bounds.lower_bound,
-        "bound_upper": bounds.upper_bound,
-        "bound_armed": bounds.degrees_matched,
-        "consensus": consensus,
-        "interval_lo": interval[0] if interval else None,
-        "interval_hi": interval[1] if interval else None,
-        "empirical_rate": empirical,
-        "converged": trajectory.converged,
-        "assertions_pass": all(assertions.values()),
-        "note": note,
-    }
-    rows = _trajectory_rows(trajectory, config, model.merged_layer.n)
-    return GridPointResult(row=row, assertions=assertions, trajectory_rows=rows)
+    schedule = constant_schedule(model.transition)
+    return _GridModel(columns, assertions, schedule, pi=pi, rate_bound=bounds.slem_c)
 
 
-def _switching_point(layers, k, x0, config) -> GridPointResult:
-    note = ""
-    assertions: dict[str, bool] = {}
+def _switching_model(layers, k, x0) -> _GridModel:
     model = switching_model(layers[0], layers[1], k)
     outcome = analyze(model, x0)
-    assertions["slem-under-rho-star"] = bool(
-        outcome.slem_cycle <= outcome.rho_star + _SLEM_SLACK
+    note = "" if outcome.status == "consensus" else f"cycle not primitive ({outcome.status})"
+    columns = dict(
+        slem=outcome.slem_cycle,
+        bound_upper=outcome.rho_star,
+        bound_armed=True,
+        consensus=outcome.value,
+        note=note,
     )
-    consensus = outcome.value
-    pi = outcome.pi
-    if outcome.status != "consensus":
-        note = f"cycle not primitive ({outcome.status})"
-    trajectory = _simulate_point(
-        lambda t: schedule_matrix(model, t), x0, config, k + 1, consensus, pi
-    )
-    empirical = None
-    if trajectory.errors_max is not None:
-        empirical = _fit_or_none(trajectory.errors_max[:: k + 1], burn_in=2)
-    if trajectory.converged and empirical is not None:
+    return _GridModel(
+        columns,
+        outcome.checks(),
+        lambda t: schedule_matrix(model, t),
+        pi=outcome.pi,
         # The proved per-cycle decay bound is rho_star; the cycle SLEM is the
         # asymptotic rate but a finite-window fit may land slightly above it.
-        assertions["empirical-rate"] = bool(empirical <= outcome.rho_star + _RATE_SLACK)
-    if trajectory.converged and consensus is not None and trajectory.states is not None:
-        assertions["simulation-agrees"] = bool(
-            np.abs(trajectory.final_state - consensus).max() <= _AGREEMENT_TOL
-        )
-    row = {
-        "grid_kind": "k",
-        "grid_value": k,
-        "slem": outcome.slem_cycle,
-        "bound_lower": None,
-        "bound_upper": outcome.rho_star,
-        "bound_armed": True,
-        "consensus": consensus,
-        "interval_lo": None,
-        "interval_hi": None,
-        "empirical_rate": empirical,
-        "converged": trajectory.converged,
-        "assertions_pass": all(assertions.values()),
-        "note": note,
-    }
-    rows = _trajectory_rows(trajectory, config, model.layer1.n)
-    return GridPointResult(row=row, assertions=assertions, trajectory_rows=rows)
+        rate_bound=outcome.rho_star,
+        period=k + 1,
+        rate_errors=lambda traj: traj.errors_max[:: k + 1][2:],
+    )
 
 
-def _single_point(layer, x0, config) -> GridPointResult:
-    note = ""
-    assertions: dict[str, bool] = {}
+def _single_model(layer, x0) -> _GridModel:
     matrix = transition_matrix(layer)
     slem = slem_reversible(layer).slem
-    consensus = None
-    pi = None
+    consensus = pi = decay_rho = None
+    note = ""
     if is_primitive(matrix).primitive:
         pi = stationary_from_degrees(layer)
         consensus = consensus_value(pi, x0)
+        decay_rho = slem if 0.0 < slem < 1.0 else None
     else:
         note = "layer transition not primitive"
-    trajectory = _simulate_point(constant_schedule(matrix), x0, config, 1, consensus, pi)
-    empirical = _fit_or_none(trajectory.errors_pi)
+    columns = dict(slem=slem, bound_armed=False, consensus=consensus, note=note)
+    schedule = constant_schedule(matrix)
+    return _GridModel(columns, {}, schedule, pi=pi, rate_bound=slem, decay_rho=decay_rho)
+
+
+def _grid_point(grid_kind, grid_value, build, x0, config) -> GridPointResult:
+    """Build one grid point's model, simulate it, and check it.
+
+    A node isolated where the model needs a neighborhood makes a degenerate
+    grid point: its row carries the error as the note and arms no assertion.
+    """
+    row = dict.fromkeys(SWEEP_COLUMNS)
+    row.update(grid_kind=grid_kind, grid_value=grid_value)
+    try:
+        point = build()
+    except IsolatedNodeError as exc:
+        row.update(converged=False, assertions_pass=True, note=str(exc))
+        return GridPointResult(row=row, assertions={}, trajectory=None)
+    row.update(point.columns)
+    consensus = row["consensus"]
+    trajectory = simulate(
+        point.schedule,
+        x0,
+        t_max=config.t_max,
+        tol=config.tol,
+        period=point.period,
+        target=consensus,
+        pi=point.pi,
+        record_states=config.record_opinions and "trajectories" in config.outputs,
+    )
+    assertions = point.assertions
+    empirical = None
+    if consensus is not None:
+        try:
+            empirical = fit_rate(point.rate_errors(trajectory), floor=_FIT_FLOOR)
+        except ValueError:
+            pass  # too few errors above the floor to fit a rate
     if trajectory.converged and empirical is not None:
-        assertions["empirical-rate"] = bool(empirical <= slem + _RATE_SLACK)
-    if consensus is not None and 0.0 < slem < 1.0:
-        assertions["decay-law"] = decay_check(trajectory, slem).passed
-    if trajectory.converged and consensus is not None and trajectory.states is not None:
+        assertions["empirical-rate"] = bool(empirical <= point.rate_bound + _RATE_SLACK)
+    if point.decay_rho is not None:
+        assertions["decay-law"] = decay_check(trajectory, point.decay_rho).passed
+    if trajectory.converged and consensus is not None:
         assertions["simulation-agrees"] = bool(
             np.abs(trajectory.final_state - consensus).max() <= _AGREEMENT_TOL
         )
-    row = {
-        "grid_kind": "single",
-        "grid_value": 0,
-        "slem": slem,
-        "bound_lower": None,
-        "bound_upper": None,
-        "bound_armed": False,
-        "consensus": consensus,
-        "interval_lo": None,
-        "interval_hi": None,
-        "empirical_rate": empirical,
-        "converged": trajectory.converged,
-        "assertions_pass": all(assertions.values()),
-        "note": note,
-    }
-    rows = _trajectory_rows(trajectory, config, layer.n)
-    return GridPointResult(row=row, assertions=assertions, trajectory_rows=rows)
+    row.update(
+        empirical_rate=empirical,
+        converged=trajectory.converged,
+        assertions_pass=all(assertions.values()),
+    )
+    return GridPointResult(row=row, assertions=assertions, trajectory=trajectory)
 
 
 def run_experiment(
@@ -465,23 +428,20 @@ def run_experiment(
     n = layers[0].n
     x0 = resolve_x0(config, n)
 
-    # The interval endpoints depend only on the layers and x0, not on alpha.
-    interval = None
     if config.model_kind == "merged":
+        # The interval endpoints depend only on the layers and x0, not on alpha.
         try:
             interval = consensus_interval(merge(layers[0], layers[1], 0.5), x0)
         except (NotPrimitiveError, ValueError):
             interval = None
-
-    points: list[GridPointResult] = []
-    if config.model_kind == "merged":
-        for alpha in config.alphas:
-            points.append(_merged_point(layers, alpha, x0, interval, config))
+        grid = [
+            ("alpha", a, partial(_merged_model, layers, a, x0, interval)) for a in config.alphas
+        ]
     elif config.model_kind == "switching":
-        for k in config.ks:
-            points.append(_switching_point(layers, k, x0, config))
+        grid = [("k", k, partial(_switching_model, layers, k, x0)) for k in config.ks]
     else:
-        points.append(_single_point(layers[0], x0, config))
+        grid = [("single", 0, partial(_single_model, layers[0], x0))]
+    points = [_grid_point(kind, value, build, x0, config) for kind, value, build in grid]
 
     all_passed = all(
         all(p.assertions.values()) for p in points
@@ -512,8 +472,9 @@ def run_experiment(
             _write_sweep_csv(out_path / "sweep.csv", points)
         if "trajectories" in config.outputs:
             for p in points:
-                name = f"trajectory_{p.row['grid_kind']}_{p.row['grid_value']}.csv"
-                _write_csv(out_path / name, p.trajectory_rows)
+                if p.trajectory is not None:
+                    name = f"trajectory_{p.row['grid_kind']}_{p.row['grid_value']}.csv"
+                    _write_csv(out_path / name, _trajectory_rows(p.trajectory, n))
         if "summary" in config.outputs:
             (out_path / "summary.json").write_text(
                 json.dumps(summary, indent=2, sort_keys=True) + "\n"
@@ -533,6 +494,25 @@ def _collect_seeds(config: ExperimentConfig) -> dict:
     return seeds
 
 
+def _trajectory_rows(trajectory: OpinionTrajectory, n: int) -> Iterator[list[str]]:
+    """CSV rows of one trajectory, produced while the file is written."""
+    header = ["t", "err_pi", "err_max"]
+    if trajectory.states is not None:
+        header += [f"x_{i}" for i in range(n)]
+    yield header
+    if trajectory.errors_pi is None and trajectory.states is None:
+        return
+    for t in range(trajectory.steps + 1):
+        row = [str(t)]
+        if trajectory.errors_pi is not None:
+            row += [_fmt(trajectory.errors_pi[t]), _fmt(trajectory.errors_max[t])]
+        else:
+            row += ["", ""]
+        if trajectory.states is not None:
+            row += [_fmt(v) for v in trajectory.states[t]]
+        yield row
+
+
 def _write_sweep_csv(path: Path, points: Sequence[GridPointResult]) -> None:
     rows = [SWEEP_COLUMNS]
     for p in points:
@@ -540,7 +520,7 @@ def _write_sweep_csv(path: Path, points: Sequence[GridPointResult]) -> None:
     _write_csv(path, rows)
 
 
-def _write_csv(path: Path, rows: Sequence[Sequence[str]]) -> None:
+def _write_csv(path: Path, rows: Iterable[Sequence[str]]) -> None:
     with path.open("w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerows(rows)

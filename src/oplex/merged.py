@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .netcore import LayerGraph
+from .netcore import IsolatedNodeError, LayerGraph
 from .perturb import ShiftFamilyFit, fit_shift_family
-from .spectral import layer_spectrum, slem_reversible
+from .spectral import SLEM_SLACK, layer_spectrum, slem_reversible
 from .stochastic import (
     NotPrimitiveError,
     PrimitivityReport,
@@ -31,6 +31,7 @@ from .stochastic import (
 )
 
 _DEGREE_MATCH_RTOL = 1e-9
+_INTERVAL_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -56,9 +57,9 @@ def merge(layer1: LayerGraph, layer2: LayerGraph, alpha: float) -> MergedModel:
     merged_layer = LayerGraph.from_weights(merged_weights)
     if (merged_layer.degrees <= 0).any():
         node = int(np.argmin(merged_layer.degrees))
-        raise ValueError(f"node {node} is isolated in the merged graph")
+        raise IsolatedNodeError(f"node {node} is isolated in the merged graph")
     transition = TransitionMatrix.from_entries(
-        merged_layer.weights / merged_layer.degrees[:, None], provenance="merged"
+        merged_layer.weights / merged_layer.degrees[:, None]
     )
     return MergedModel(
         alpha=float(alpha),
@@ -124,6 +125,13 @@ def consensus_interval(model: MergedModel, x0: np.ndarray) -> tuple[float, float
     return min(endpoints), max(endpoints)
 
 
+def interval_checks(consensus: float, interval: tuple[float, float]) -> dict[str, bool]:
+    """The merged consensus lies in the layer-consensus interval."""
+    lo, hi = interval
+    inside = lo - _INTERVAL_SLACK <= consensus <= hi + _INTERVAL_SLACK
+    return {"consensus-in-interval": bool(inside)}
+
+
 @dataclass(frozen=True)
 class MergedBoundsReport:
     """SLEM of C with the universal lower and conditional upper bound.
@@ -138,6 +146,13 @@ class MergedBoundsReport:
     upper_bound: float
     degrees_matched: bool
     consensus_interval: tuple[float, float] | None = None
+
+    def checks(self) -> dict[str, bool]:
+        """Armed SLEM bounds: the lower always, the upper only for matched degrees."""
+        out = {"slem-lower-bound": bool(self.slem_c >= self.lower_bound - SLEM_SLACK)}
+        if self.degrees_matched:
+            out["slem-upper-bound"] = bool(self.slem_c <= self.upper_bound + SLEM_SLACK)
+        return out
 
 
 def degrees_matched(layer1: LayerGraph, layer2: LayerGraph, rtol: float = _DEGREE_MATCH_RTOL) -> bool:

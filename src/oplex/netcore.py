@@ -25,6 +25,10 @@ class EdgeListError(ValueError):
     """Malformed edge-list input, with file/line context in the message."""
 
 
+class IsolatedNodeError(ValueError):
+    """A node has zero weighted degree, so it has no neighbors to average over."""
+
+
 @dataclass(frozen=True)
 class LayerGraph:
     """One undirected weighted layer on nodes 0..n-1.

@@ -35,25 +35,21 @@ def constant_schedule(m: TransitionMatrix) -> Schedule:
 
 @dataclass(frozen=True)
 class OpinionTrajectory:
-    """Time-indexed opinion states with error series against a target.
+    """Last opinion state and error series against a target.
 
-    states has shape (steps+1, n) when recorded. errors_pi / errors_max are
-    None when no consensus target was supplied (non-convergent runs).
+    states has shape (steps+1, n) and is kept only when recorded; the last
+    state is kept always. errors_pi / errors_max are None when no consensus
+    target was supplied (non-convergent runs).
     """
 
     states: np.ndarray | None
+    final_state: np.ndarray
     errors_pi: np.ndarray | None
     errors_max: np.ndarray | None
     consensus_target: float | None
     pi: np.ndarray | None
     converged: bool
     steps: int
-
-    @property
-    def final_state(self) -> np.ndarray:
-        if self.states is None:
-            raise ValueError("trajectory was run without state recording")
-        return self.states[-1]
 
 
 def simulate(
@@ -70,7 +66,8 @@ def simulate(
 
     Stops once the successive-difference max norm stays below tol for one
     full schedule period. When target (a predicted consensus value) and pi
-    are given, both error norms are recorded at every step.
+    are given, both error norms are recorded at every step. The full state
+    history is kept only with record_states.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
@@ -104,7 +101,7 @@ def simulate(
         nxt = schedule(t).entries @ x
         steps = t
         if record_states:
-            states.append(nxt.copy())
+            states.append(nxt)
         if track_errors:
             record_error(nxt)
         if np.abs(nxt - x).max() < tol:
@@ -117,6 +114,7 @@ def simulate(
             break
     return OpinionTrajectory(
         states=np.array(states) if record_states else None,
+        final_state=x,
         errors_pi=np.array(errors_pi) if track_errors else None,
         errors_max=np.array(errors_max) if track_errors else None,
         consensus_target=target,

@@ -17,10 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import LayerGraph
+from .netcore import IsolatedNodeError, LayerGraph
 from .stochastic import TransitionMatrix
 
 _PERRON_TOL = 1e-10
+
+# Absolute slack when a computed SLEM is compared with a proved bound on it.
+SLEM_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -36,7 +39,7 @@ def symmetrize(layer: LayerGraph) -> np.ndarray:
     """S = D^-1/2 W D^-1/2, exactly symmetric and similar to the transition matrix."""
     if (layer.degrees <= 0).any():
         node = int(np.argmin(layer.degrees))
-        raise ValueError(f"node {node} is isolated (zero weighted degree)")
+        raise IsolatedNodeError(f"node {node} is isolated (zero weighted degree)")
     inv_sqrt = 1.0 / np.sqrt(layer.degrees)
     return layer.weights * np.outer(inv_sqrt, inv_sqrt)
 

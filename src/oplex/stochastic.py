@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .netcore import LayerGraph
+from .netcore import IsolatedNodeError, LayerGraph
 
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_RESIDUAL_TOL = 1e-12
@@ -52,15 +52,13 @@ class NotPrimitiveError(ValueError):
 
 @dataclass(eq=False)
 class TransitionMatrix:
-    """N x N row-stochastic matrix with a provenance tag.
+    """N x N row-stochastic matrix.
 
-    provenance is one of "from-layer", "merged", "product", "raw". Entries
-    are renormalized at construction; a row sum off by more than 1e-12
-    signals an upstream bug and is rejected rather than rescaled.
+    Entries are renormalized at construction; a row sum off by more than
+    1e-12 signals an upstream bug and is rejected rather than rescaled.
     """
 
     entries: np.ndarray
-    provenance: str = "raw"
     _primitivity: PrimitivityReport | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -68,7 +66,7 @@ class TransitionMatrix:
         return self.entries.shape[0]
 
     @classmethod
-    def from_entries(cls, entries: np.ndarray, provenance: str = "raw") -> "TransitionMatrix":
+    def from_entries(cls, entries: np.ndarray) -> "TransitionMatrix":
         m = np.array(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"transition matrix must be square, got shape {m.shape}")
@@ -81,7 +79,7 @@ class TransitionMatrix:
             raise ValueError(
                 f"row {bad} sums to {sums[bad]!r}, more than {_ROW_SUM_TOL} away from 1"
             )
-        return cls(entries=m / sums[:, None], provenance=provenance)
+        return cls(entries=m / sums[:, None])
 
     def to_jsonable(self) -> list[list[float]]:
         """Row-major nested lists, for the CLI's --dump output."""
@@ -110,10 +108,8 @@ def transition_matrix(layer: LayerGraph) -> TransitionMatrix:
     """Degree-normalize a layer: entry (i, j) is w_ij / d_i."""
     if (layer.degrees <= 0).any():
         node = int(np.argmin(layer.degrees))
-        raise ValueError(f"node {node} is isolated (zero weighted degree)")
-    return TransitionMatrix.from_entries(
-        layer.weights / layer.degrees[:, None], provenance="from-layer"
-    )
+        raise IsolatedNodeError(f"node {node} is isolated (zero weighted degree)")
+    return TransitionMatrix.from_entries(layer.weights / layer.degrees[:, None])
 
 
 def wielandt_bound(n: int) -> int:
@@ -189,7 +185,7 @@ def stationary_from_degrees(layer: LayerGraph) -> StationaryDistribution:
     """Stationary distribution of an undirected layer: pi_i = d_i / (2|E|)."""
     if (layer.degrees <= 0).any():
         node = int(np.argmin(layer.degrees))
-        raise ValueError(f"node {node} is isolated (zero weighted degree)")
+        raise IsolatedNodeError(f"node {node} is isolated (zero weighted degree)")
     return StationaryDistribution(pi=layer.degrees / (2.0 * layer.total_edge_weight))
 
 
@@ -254,9 +250,7 @@ def consensus_value(pi: StationaryDistribution, x0: np.ndarray) -> float:
 
 
 def matrix_power(m: TransitionMatrix, exponent: int) -> TransitionMatrix:
-    """M^exponent as a transition matrix with "product" provenance."""
+    """M^exponent as a transition matrix."""
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
-    return TransitionMatrix.from_entries(
-        np.linalg.matrix_power(m.entries, exponent), provenance="product"
-    )
+    return TransitionMatrix.from_entries(np.linalg.matrix_power(m.entries, exponent))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .netcore import LayerGraph
 from .perturb import ShiftFamilyFit, fit_shift_family
-from .spectral import eig_moduli_nonsymmetric, layer_spectrum
+from .spectral import SLEM_SLACK, eig_moduli_nonsymmetric, layer_spectrum
 from .stochastic import (
     NotPrimitiveError,
     StationaryDistribution,
@@ -54,9 +54,7 @@ def switching_model(layer1: LayerGraph, layer2: LayerGraph, k: int) -> Switching
         raise ValueError(f"steps per cycle k must be >= 0, got {k}")
     a = transition_matrix(layer1)
     b = transition_matrix(layer2)
-    cycle = TransitionMatrix.from_entries(
-        b.entries @ np.linalg.matrix_power(a.entries, k), provenance="product"
-    )
+    cycle = TransitionMatrix.from_entries(b.entries @ np.linalg.matrix_power(a.entries, k))
     return SwitchingModel(layer1=layer1, layer2=layer2, a=a, b=b, k=k, cycle=cycle)
 
 
@@ -65,10 +63,6 @@ def schedule_matrix(model: SwitchingModel, t: int) -> TransitionMatrix:
     if t < 1:
         raise ValueError(f"schedule steps start at 1, got {t}")
     return model.b if t % (model.k + 1) == 0 else model.a
-
-
-def cycle_matrix(model: SwitchingModel) -> TransitionMatrix:
-    return model.cycle
 
 
 @dataclass(frozen=True)
@@ -95,6 +89,14 @@ class SwitchingOutcome:
     evidence: OscillationEvidence | None
     slem_cycle: float
     rho_star: float
+
+    def checks(self) -> dict[str, bool]:
+        return product_rate_checks(self.slem_cycle, self.rho_star)
+
+
+def product_rate_checks(slem_cycle: float, star: float) -> dict[str, bool]:
+    """The cycle SLEM stays under the proved rate bound rho_star."""
+    return {"slem-under-rho-star": bool(slem_cycle <= star + SLEM_SLACK)}
 
 
 def rho_star(model: SwitchingModel) -> float:

@@ -17,6 +17,7 @@ from . import fixtures
 from .merged import (
     alpha_stability_sweep,
     consensus_interval,
+    interval_checks,
     merge,
     merged_consensus,
     merged_perturbation_check,
@@ -36,6 +37,7 @@ from .stochastic import (
 from .switching import (
     analyze,
     k_stability_sweep,
+    product_rate_checks,
     rho_star,
     switching_model,
     switching_perturbation_check,
@@ -289,12 +291,12 @@ def run_bounds_suite(n_instances: int = 200, seed: int = BOUNDS_SUITE_SEED) -> l
 
         lo, hi = consensus_interval(model, x0)
         value = merged_consensus(model, x0)
-        if not (lo - 1e-10 <= value <= hi + 1e-10):
+        if not interval_checks(value, (lo, hi))["consensus-in-interval"]:
             interval_ok = False
             detail = f"instance {idx}: consensus {value} outside [{lo}, {hi}]"
 
         report = slem_bounds(model)
-        if report.slem_c < report.lower_bound - 1e-9:
+        if not report.checks()["slem-lower-bound"]:
             slem_lower_ok = False
             detail = f"instance {idx}: slem {report.slem_c} below 1/(N-1)"
 
@@ -303,7 +305,7 @@ def run_bounds_suite(n_instances: int = 200, seed: int = BOUNDS_SUITE_SEED) -> l
         if not matched_report.degrees_matched:
             slem_upper_ok = False
             detail = f"instance {idx}: constructed pair not degree-matched"
-        elif matched_report.slem_c > matched_report.upper_bound + 1e-9:
+        elif not matched_report.checks()["slem-upper-bound"]:
             slem_upper_ok = False
             detail = (
                 f"instance {idx}: matched slem {matched_report.slem_c} above "
@@ -314,7 +316,7 @@ def run_bounds_suite(n_instances: int = 200, seed: int = BOUNDS_SUITE_SEED) -> l
             s_model = switching_model(layer1, layer2, k)
             star = rho_star(s_model)
             slem_cycle = eig_moduli_nonsymmetric(s_model.cycle).slem
-            if slem_cycle > star + 1e-9:
+            if not product_rate_checks(slem_cycle, star)["slem-under-rho-star"]:
                 product_ok = False
                 detail = f"instance {idx}: k={k} slem {slem_cycle} above rho* {star}"
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from oplex.cli import main
+from oplex.harness import run_experiment
+from oplex.merged import MergedBoundsReport
 
 DATA = Path(__file__).parent / "data"
 
@@ -28,6 +30,16 @@ SMALL_MERGED = {
 }
 
 
+def assert_bad_input(capsys, argv):
+    """Exit 2 with a one-line message, never a traceback."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
 class TestSimulateCommand:
     def test_successful_run_exits_zero(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL_MERGED)
@@ -49,6 +61,68 @@ class TestSimulateCommand:
             ["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]
         )
         assert code == 2
+
+
+    def test_explicit_x0_of_wrong_length_exits_two(self, tmp_path, capsys):
+        raw = dict(SMALL_MERGED, x0={"kind": "explicit", "values": [0.1, 0.2, 0.3]})
+        config = write_config(tmp_path, raw)
+        err = assert_bad_input(
+            capsys, ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+        )
+        assert "x0.values" in err
+
+    @pytest.mark.parametrize(
+        "x0, path",
+        [
+            ({"kind": "explicit", "values": [0.1, 1.5, 0.3, 0.4, 0.5]}, "x0.values[1]"),
+            ({"kind": "uniform-with-overrides", "seed": 1, "nodes": [0], "value": -0.5}, "x0.value"),
+        ],
+    )
+    def test_x0_outside_unit_interval_exits_two(self, tmp_path, capsys, x0, path):
+        config = write_config(tmp_path, dict(SMALL_MERGED, x0=x0))
+        err = assert_bad_input(
+            capsys, ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+        )
+        assert path in err
+
+    def test_undecodable_config_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xff\xfe not utf-8")
+        assert_bad_input(capsys, ["simulate", "--config", str(config), "--out", str(tmp_path)])
+
+    def test_missing_dataset_file_exits_two(self, tmp_path, capsys):
+        raw = dict(
+            SMALL_MERGED,
+            layers={
+                "kind": "two-layer-dataset",
+                "path_a": str(tmp_path / "missing_a.txt"),
+                "path_b": str(DATA / "contact_layer_b.txt"),
+                "n": 8,
+            },
+        )
+        config = write_config(tmp_path, raw)
+        err = assert_bad_input(
+            capsys, ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+        )
+        assert "missing_a.txt" in err
+
+    def test_failed_merged_check_exits_one(self, tmp_path, capsys, monkeypatch):
+        # The sweep and `oplex analyze` read the same check definition.
+        monkeypatch.setattr(MergedBoundsReport, "checks", lambda self: {"slem-lower-bound": False})
+        assert not run_experiment(SMALL_MERGED).all_passed
+        config = write_config(tmp_path, SMALL_MERGED)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        code = main(
+            [
+                "analyze",
+                "--layer1", str(DATA / "contact_layer_a.txt"),
+                "--layer2", str(DATA / "contact_layer_b.txt"),
+                "--mode", "merged",
+                "--alpha", "0.5",
+                "--x0", "3",
+            ]
+        )
+        assert code == 1
 
 
 class TestAnalyzeCommand:
@@ -150,6 +224,20 @@ class TestAnalyzeCommand:
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["n"] == 8
+
+
+    @pytest.mark.parametrize("n_args", [[], ["--n", "8"]])
+    def test_malformed_edge_list_exits_two(self, tmp_path, capsys, n_args):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1 1\n1 x 1\n")
+        argv = [
+            "analyze",
+            "--layer1", str(bad),
+            "--layer2", str(DATA / "contact_layer_b.txt"),
+            "--mode", "merged",
+            "--alpha", "0.5",
+        ]
+        assert_bad_input(capsys, argv + n_args)
 
 
 class TestVerifyCommand:

@@ -94,6 +94,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"x0\.kind"):
             parse_config(merged_config(x0={"kind": "gaussian", "seed": 1}))
 
+    def test_non_integer_dataset_n_rejected(self):
+        raw = dataset_config({"kind": "merged", "alphas": [0.5]})
+        raw["layers"]["n"] = "eight"
+        with pytest.raises(ConfigError, match=r"layers\.n"):
+            parse_config(raw)
+
+    def test_layers_with_different_n_rejected(self):
+        raw = merged_config(
+            layers=[
+                {"kind": "circulant", "n": 5, "offsets": [1], "weight": 1.0},
+                {"kind": "circulant", "n": 6, "offsets": [1], "weight": 1.0},
+            ]
+        )
+        with pytest.raises(ConfigError, match="^layers:"):
+            parse_config(raw)
+
     def test_single_model_needs_one_layer(self):
         raw = merged_config(model={"kind": "single"})
         with pytest.raises(ConfigError, match="exactly 1"):
@@ -159,6 +175,34 @@ class TestRunExperiment:
         by_k = {row["grid_value"]: row for row in result.rows}
         assert not by_k[0]["converged"]  # bipartite contact layer oscillates
         assert by_k[3]["converged"] and by_k[5]["converged"]
+        assert result.all_passed
+
+    def test_isolated_node_gives_noted_row(self, tmp_path):
+        # Layer B leaves nodes 3 and 4 isolated: merged alpha = 0 and every
+        # switching k have no averaging neighborhood there; alpha = 0.5 does.
+        (tmp_path / "a.txt").write_text("0 1 1\n1 2 1\n2 3 1\n3 4 1\n4 0 1\n")
+        (tmp_path / "b.txt").write_text("0 1 1\n1 2 2\n0 2 3\n")
+        layers = {
+            "kind": "two-layer-dataset",
+            "path_a": str(tmp_path / "a.txt"),
+            "path_b": str(tmp_path / "b.txt"),
+            "n": 5,
+        }
+        merged = merged_config(model={"kind": "merged", "alphas": [0.0, 0.5]}, layers=layers)
+        result = run_experiment(merged, tmp_path / "merged")
+        noted, mixed = result.rows
+        assert "isolated" in noted["note"]
+        assert noted["consensus"] is None and not noted["converged"]
+        assert result.summary["grid"][0]["assertions"] == {}
+        assert mixed["converged"] and mixed["note"] == ""
+        assert result.all_passed
+        sweep = (tmp_path / "merged" / "sweep.csv").read_text().splitlines()
+        assert sweep[1] == "alpha,0,,,,,,,,,false,true,node 3 is isolated in the merged graph"
+
+        switching = merged_config(model={"kind": "switching", "ks": [1, 2]}, layers=layers)
+        result = run_experiment(switching, tmp_path / "switching")
+        assert all("isolated" in row["note"] for row in result.rows)
+        assert not any(row["converged"] for row in result.rows)
         assert result.all_passed
 
     def test_single_layer_model(self, tmp_path):

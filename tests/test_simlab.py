@@ -68,6 +68,12 @@ class TestSimulate:
         assert traj.converged
         assert np.abs(traj.final_state - 3 / 10).max() <= 1e-9
 
+    def test_final_state_kept_without_recording(self):
+        matrix, pi, target = triangle_setup()
+        traj = simulate(constant_schedule(matrix), X0, target=target, pi=pi, record_states=False)
+        assert traj.states is None
+        assert np.abs(traj.final_state - 1 / 3).max() <= 1e-9
+
     def test_errors_need_pi(self):
         matrix, _, target = triangle_setup()
         with pytest.raises(ValueError, match="requires the stationary"):

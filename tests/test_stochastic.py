@@ -28,7 +28,6 @@ class TestTransitionMatrix:
             [[0, 2 / 3, 1 / 3], [2 / 3, 0, 1 / 3], [1 / 2, 1 / 2, 0]]
         )
         assert np.abs(b.entries - expected).max() <= 1e-15
-        assert b.provenance == "from-layer"
 
     def test_equal_weight_triangle(self):
         layer1, _ = triangle_pair()

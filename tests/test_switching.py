@@ -12,7 +12,6 @@ from oplex.stochastic import (
 )
 from oplex.switching import (
     analyze,
-    cycle_matrix,
     k_stability_sweep,
     rho_star,
     schedule_matrix,
@@ -56,18 +55,18 @@ class TestSchedule:
 class TestCycleMatrix:
     def test_triangle_pair_k1(self):
         model = switching_model(*triangle_pair(), k=1)
-        assert np.abs(cycle_matrix(model).entries - TRIANGLE_CYCLE).max() <= 1e-15
+        assert np.abs(model.cycle.entries - TRIANGLE_CYCLE).max() <= 1e-15
 
     def test_k0_is_layer2_matrix(self):
         layer1, layer2 = triangle_pair()
         model = switching_model(layer1, layer2, k=0)
         assert np.abs(
-            cycle_matrix(model).entries - transition_matrix(layer2).entries
+            model.cycle.entries - transition_matrix(layer2).entries
         ).max() <= 1e-15
 
     def test_oscillating_pair_first_row(self):
         model = switching_model(*oscillating_pair(), k=1)
-        assert np.array_equal(cycle_matrix(model).entries[0], [0, 0, 0, 1, 0])
+        assert np.array_equal(model.cycle.entries[0], [0, 0, 0, 1, 0])
 
     def test_cycle_is_product(self):
         layer1, layer2 = triangle_pair()
