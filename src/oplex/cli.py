@@ -12,7 +12,7 @@ import numpy as np
 from .harness import ConfigError, load_config, run_experiment
 from .merged import merge, merged_consensus, slem_bounds
 from .netcore import EdgeListError, load_edge_list
-from .stochastic import NotPrimitiveError, check_opinions, transition_matrix
+from .stochastic import NotPrimitiveError, check_opinions
 from .switching import analyze as analyze_switching
 from .switching import switching_model
 from .verify import SUITES
@@ -123,7 +123,7 @@ def _cmd_analyze(args) -> int:
             report["consensus"] = None
             report["note"] = "merged transition not primitive"
         if args.dump:
-            report["transition"] = model.transition.to_jsonable()
+            report["transition"] = model.transition.entries.tolist()
     else:
         outcome = analyze_switching(model, x0)
         report["k"] = args.k
@@ -135,9 +135,9 @@ def _cmd_analyze(args) -> int:
         if outcome.evidence is not None:
             report["oscillation_gap"] = outcome.evidence.gap
         if args.dump:
-            report["cycle"] = model.cycle.to_jsonable()
-            report["layer1_transition"] = transition_matrix(layer1).to_jsonable()
-            report["layer2_transition"] = transition_matrix(layer2).to_jsonable()
+            report["cycle"] = model.cycle.entries.tolist()
+            report["layer1_transition"] = model.a.entries.tolist()
+            report["layer2_transition"] = model.b.entries.tolist()
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if all(checks.values()) else 1
 

@@ -24,7 +24,14 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .merged import consensus_interval, interval_checks, merge, merged_consensus, slem_bounds
-from .netcore import GeneratorSpec, IsolatedNodeError, LayerGraph, generate, load_two_layer_dataset
+from .netcore import (
+    GeneratorSpec,
+    IsolatedNodeError,
+    LayerGraph,
+    generate,
+    is_integer,
+    load_two_layer_dataset,
+)
 from .simlab import OpinionTrajectory, Schedule, constant_schedule, decay_check, fit_rate, simulate
 from .spectral import slem_reversible
 from .stochastic import (
@@ -98,6 +105,11 @@ def _fail(path: str, message: str) -> None:
     raise ConfigError(f"{path}: {message}")
 
 
+def _is_number(v: Any) -> bool:
+    """A JSON number; true and false are not numbers here."""
+    return isinstance(v, float) or is_integer(v)
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         _fail("<root>", "config must be a JSON object")
@@ -111,7 +123,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if not isinstance(grid, list) or not grid:
             _fail("model.alphas", "must be a nonempty list")
         for i, a in enumerate(grid):
-            if not isinstance(a, (int, float)) or not (0 <= a <= 1):
+            if not _is_number(a) or not (0 <= a <= 1):
                 _fail(f"model.alphas[{i}]", "must be a number in [0, 1]")
         alphas = tuple(float(a) for a in grid)
     elif kind == "switching":
@@ -119,7 +131,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if not isinstance(grid, list) or not grid:
             _fail("model.ks", "must be a nonempty list")
         for i, k in enumerate(grid):
-            if not isinstance(k, int) or k < 0:
+            if not is_integer(k) or k < 0:
                 _fail(f"model.ks[{i}]", "must be an integer >= 0")
         ks = tuple(int(k) for k in grid)
     elif kind != "single":
@@ -146,7 +158,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         for need in ("path_a", "path_b", "n"):
             if need not in layers:
                 _fail(f"layers.{need}", "required for two-layer-dataset")
-        if not isinstance(layers["n"], int) or layers["n"] < 1:
+        if not is_integer(layers["n"]) or layers["n"] < 1:
             _fail("layers.n", "must be an integer >= 1")
         indexing = layers.get("indexing", "0-based")
         if indexing not in ("0-based", "1-based"):
@@ -164,30 +176,30 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(x0_raw, dict) or "kind" not in x0_raw:
         _fail("x0", "must be an object with a 'kind' field")
     x0_kind = x0_raw["kind"]
+    if x0_kind in ("uniform", "uniform-with-overrides"):
+        seed = x0_raw.get("seed")
+        if not is_integer(seed) or seed < 0:
+            _fail("x0.seed", "uniform initial opinions require an integer seed >= 0")
     if x0_kind == "uniform":
-        if not isinstance(x0_raw.get("seed"), int):
-            _fail("x0.seed", "uniform initial opinions require an integer seed")
-        x0 = XZeroSpec(kind="uniform", seed=int(x0_raw["seed"]))
+        x0 = XZeroSpec(kind="uniform", seed=seed)
     elif x0_kind == "explicit":
         values = x0_raw.get("values")
         if not isinstance(values, list) or not values:
             _fail("x0.values", "must be a nonempty list")
         for i, v in enumerate(values):
-            if not isinstance(v, (int, float)) or not (0 <= v <= 1):
+            if not _is_number(v) or not (0 <= v <= 1):
                 _fail(f"x0.values[{i}]", "must be a number in [0, 1]")
         x0 = XZeroSpec(kind="explicit", values=tuple(float(v) for v in values))
     elif x0_kind == "uniform-with-overrides":
-        if not isinstance(x0_raw.get("seed"), int):
-            _fail("x0.seed", "uniform initial opinions require an integer seed")
         nodes = x0_raw.get("nodes")
-        if not isinstance(nodes, list) or not all(isinstance(v, int) for v in nodes):
+        if not isinstance(nodes, list) or not all(is_integer(v) for v in nodes):
             _fail("x0.nodes", "must be a list of node indices")
         value = x0_raw.get("value")
-        if not isinstance(value, (int, float)) or not (0 <= value <= 1):
+        if not _is_number(value) or not (0 <= value <= 1):
             _fail("x0.value", "override value must be a number in [0, 1]")
         x0 = XZeroSpec(
             kind="uniform-with-overrides",
-            seed=int(x0_raw["seed"]),
+            seed=seed,
             nodes=tuple(int(v) for v in nodes),
             value=float(value),
         )
@@ -195,10 +207,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _fail("x0.kind", f"unknown initial-opinion kind {x0_kind!r}")
 
     t_max = raw.get("t_max", 10**6)
-    if not isinstance(t_max, int) or t_max < 1:
+    if not is_integer(t_max) or t_max < 1:
         _fail("t_max", "must be an integer >= 1")
     tol = raw.get("tol", 1e-12)
-    if not isinstance(tol, (int, float)) or tol <= 0:
+    if not _is_number(tol) or tol <= 0:
         _fail("tol", "must be a positive number")
     outputs = raw.get("outputs", ["sweep", "trajectories", "summary"])
     if not isinstance(outputs, list) or not outputs:
@@ -432,7 +444,7 @@ def run_experiment(
         # The interval endpoints depend only on the layers and x0, not on alpha.
         try:
             interval = consensus_interval(merge(layers[0], layers[1], 0.5), x0)
-        except (NotPrimitiveError, ValueError):
+        except (NotPrimitiveError, IsolatedNodeError):
             interval = None
         grid = [
             ("alpha", a, partial(_merged_model, layers, a, x0, interval)) for a in config.alphas

@@ -20,12 +20,12 @@ from .netcore import IsolatedNodeError, LayerGraph
 from .perturb import ShiftFamilyFit, fit_shift_family
 from .spectral import SLEM_SLACK, layer_spectrum, slem_reversible
 from .stochastic import (
-    NotPrimitiveError,
     PrimitivityReport,
     TransitionMatrix,
-    check_opinions,
     consensus_value,
     is_primitive,
+    layer_consensus,
+    require_primitive,
     stationary_from_degrees,
     transition_matrix,
 )
@@ -58,15 +58,12 @@ def merge(layer1: LayerGraph, layer2: LayerGraph, alpha: float) -> MergedModel:
     if (merged_layer.degrees <= 0).any():
         node = int(np.argmin(merged_layer.degrees))
         raise IsolatedNodeError(f"node {node} is isolated in the merged graph")
-    transition = TransitionMatrix.from_entries(
-        merged_layer.weights / merged_layer.degrees[:, None]
-    )
     return MergedModel(
         alpha=float(alpha),
         layer1=layer1,
         layer2=layer2,
         merged_layer=merged_layer,
-        transition=transition,
+        transition=transition_matrix(merged_layer),
     )
 
 
@@ -87,7 +84,7 @@ def primitivity_guarantee(model: MergedModel) -> PrimitivityGuarantee:
                 if is_primitive(transition_matrix(layer)).primitive:
                     guaranteed = True
                     break
-            except ValueError:
+            except IsolatedNodeError:
                 continue  # isolated node in that layer: not primitive
     return PrimitivityGuarantee(
         guaranteed=guaranteed, c_report=is_primitive(model.transition)
@@ -101,27 +98,16 @@ def merged_consensus(model: MergedModel, x0: np.ndarray) -> float:
     (1-alpha)|E2|) through the blended degrees, which stays defined when a
     node is isolated in one layer only. Requires C primitive.
     """
-    report = is_primitive(model.transition)
-    if not report.primitive:
-        raise NotPrimitiveError("merged transition matrix is not primitive", report)
-    x = check_opinions(x0, model.merged_layer.n)
-    return consensus_value(stationary_from_degrees(model.merged_layer), x)
+    require_primitive(model.transition, "merged transition matrix")
+    return consensus_value(stationary_from_degrees(model.merged_layer), x0)
 
 
 def consensus_interval(model: MergedModel, x0: np.ndarray) -> tuple[float, float]:
     """[min, max] of the two single-layer consensuses; contains the merged one."""
-    x = check_opinions(x0, model.layer1.n)
-    endpoints = []
-    for name, layer in (("layer1", model.layer1), ("layer2", model.layer2)):
-        matrix = transition_matrix(layer)
-        report = is_primitive(matrix)
-        if not report.primitive:
-            raise NotPrimitiveError(
-                f"{name} transition matrix is not primitive; its consensus endpoint "
-                "is unavailable",
-                report,
-            )
-        endpoints.append(consensus_value(stationary_from_degrees(layer), x))
+    endpoints = [
+        layer_consensus(model.layer1, x0, "layer1"),
+        layer_consensus(model.layer2, x0, "layer2"),
+    ]
     return min(endpoints), max(endpoints)
 
 
@@ -137,15 +123,13 @@ class MergedBoundsReport:
     """SLEM of C with the universal lower and conditional upper bound.
 
     upper_bound is max of the layer SLEMs and is only a proved bound when
-    degrees_matched; consensus_interval is filled when x0 was supplied and
-    both layers are primitive.
+    degrees_matched.
     """
 
     slem_c: float
     lower_bound: float
     upper_bound: float
     degrees_matched: bool
-    consensus_interval: tuple[float, float] | None = None
 
     def checks(self) -> dict[str, bool]:
         """Armed SLEM bounds: the lower always, the upper only for matched degrees."""
@@ -155,13 +139,13 @@ class MergedBoundsReport:
         return out
 
 
-def degrees_matched(layer1: LayerGraph, layer2: LayerGraph, rtol: float = _DEGREE_MATCH_RTOL) -> bool:
+def degrees_matched(layer1: LayerGraph, layer2: LayerGraph) -> bool:
     d1, d2 = layer1.degrees, layer2.degrees
     scale = np.maximum(np.abs(d1), np.abs(d2))
-    return bool((np.abs(d1 - d2) <= rtol * np.maximum(scale, 1e-300)).all())
+    return bool((np.abs(d1 - d2) <= _DEGREE_MATCH_RTOL * np.maximum(scale, 1e-300)).all())
 
 
-def slem_bounds(model: MergedModel, x0: np.ndarray | None = None) -> MergedBoundsReport:
+def slem_bounds(model: MergedModel) -> MergedBoundsReport:
     """SLEM of C, 1/(N-1) lower bound, and the degree-matched upper bound.
 
     C = D^-1 W_m with W_m symmetric, so C is similar to D^-1/2 W_m D^-1/2
@@ -175,15 +159,11 @@ def slem_bounds(model: MergedModel, x0: np.ndarray | None = None) -> MergedBound
         # a node isolated in one layer: that layer has no SLEM, and the
         # degree sequences cannot match, so the upper bound stays unarmed
         upper = float("nan")
-    interval = None
-    if x0 is not None:
-        interval = consensus_interval(model, x0)
     return MergedBoundsReport(
         slem_c=slem_c,
         lower_bound=1.0 / (model.merged_layer.n - 1),
         upper_bound=upper,
         degrees_matched=degrees_matched(model.layer1, model.layer2),
-        consensus_interval=interval,
     )
 
 
@@ -191,14 +171,12 @@ def slem_bounds(model: MergedModel, x0: np.ndarray | None = None) -> MergedBound
 class AlphaStabilityResult:
     """Deviations |x_m(inf) - x_1(inf)| across an alpha grid.
 
-    fitted_constant is the least-squares coefficient of (1 - alpha);
-    bound_constant is |E2| / min(|E1|, |E2|) * |x2(inf) - x1(inf)|, which the
-    deviations must stay under pointwise.
+    bound_constant is |E2| / min(|E1|, |E2|) * |x2(inf) - x1(inf)|; the
+    deviations must stay under bound_constant * (1 - alpha) pointwise.
     """
 
     alphas: np.ndarray
     deviations: np.ndarray
-    fitted_constant: float
     bound_constant: float
     within_bound: bool
 
@@ -210,29 +188,20 @@ def alpha_stability_sweep(
     alphas: Sequence[float],
 ) -> AlphaStabilityResult:
     """How fast the merged consensus approaches layer 1's as alpha -> 1."""
-    a_matrix = transition_matrix(layer1)
-    report = is_primitive(a_matrix)
-    if not report.primitive:
-        raise NotPrimitiveError("layer1 transition matrix is not primitive", report)
-    x = check_opinions(x0, layer1.n)
-    x1 = consensus_value(stationary_from_degrees(layer1), x)
-    x2 = consensus_value(stationary_from_degrees(layer2), x)
+    x1 = layer_consensus(layer1, x0, "layer1")
+    x2 = consensus_value(stationary_from_degrees(layer2), x0)
     e1, e2 = layer1.total_edge_weight, layer2.total_edge_weight
     grid = np.asarray(list(alphas), dtype=float)
     if ((grid < 0) | (grid > 1)).any():
         raise ValueError("alpha grid entries must lie in [0, 1]")
     deviations = np.array(
-        [abs(merged_consensus(merge(layer1, layer2, a), x) - x1) for a in grid]
+        [abs(merged_consensus(merge(layer1, layer2, a), x0) - x1) for a in grid]
     )
-    one_minus = 1.0 - grid
-    denom = float(np.sum(one_minus * one_minus))
-    fitted = float(np.sum(deviations * one_minus) / denom) if denom > 0 else 0.0
     bound_constant = e2 / min(e1, e2) * abs(x2 - x1)
-    within = bool((deviations <= bound_constant * one_minus + 1e-12).all())
+    within = bool((deviations <= bound_constant * (1.0 - grid) + 1e-12).all())
     return AlphaStabilityResult(
         alphas=grid,
         deviations=deviations,
-        fitted_constant=fitted,
         bound_constant=bound_constant,
         within_bound=within,
     )
@@ -250,21 +219,13 @@ def merged_perturbation_check(
     arming and the proportional-decay fit follow fit_shift_family.
     """
     family = [perturbed] if isinstance(perturbed, LayerGraph) else list(perturbed)
+    x1 = layer_consensus(layer1, x0, "layer1")
     a_matrix = transition_matrix(layer1)
-    report = is_primitive(a_matrix)
-    if not report.primitive:
-        raise NotPrimitiveError("layer1 transition matrix is not primitive", report)
-    x = check_opinions(x0, layer1.n)
-    x1 = consensus_value(stationary_from_degrees(layer1), x)
     e_norms = []
     deviations = []
     for b_layer in family:
         b_matrix = transition_matrix(b_layer)
-        b_report = is_primitive(b_matrix)
-        if not b_report.primitive:
-            raise NotPrimitiveError(
-                "perturbed layer's transition matrix is not primitive", b_report
-            )
+        require_primitive(b_matrix, "perturbed layer's transition matrix")
         e_norms.append(float(np.abs(a_matrix.entries - b_matrix.entries).max()))
-        deviations.append(abs(merged_consensus(merge(layer1, b_layer, alpha), x) - x1))
+        deviations.append(abs(merged_consensus(merge(layer1, b_layer, alpha), x0) - x1))
     return fit_shift_family(e_norms, deviations)

@@ -29,6 +29,11 @@ class IsolatedNodeError(ValueError):
     """A node has zero weighted degree, so it has no neighbors to average over."""
 
 
+def is_integer(value: object) -> bool:
+    """An integer value; bools are not counted as integers."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LayerGraph:
     """One undirected weighted layer on nodes 0..n-1.
@@ -117,8 +122,16 @@ class GeneratorSpec:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("n", "seed", "m", "k"):
+            value = getattr(self, name)
+            if not is_integer(value) and not (value is None and name in ("m", "k")):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.offsets is not None and not all(is_integer(o) for o in self.offsets):
+            raise ValueError(f"offsets must be integers, got {list(self.offsets)!r}")
         if self.n <= 0:
             raise ValueError("node count must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.kind == "erdos-renyi":
             if self.p is None or not (0 < self.p <= 1):
                 raise ValueError("erdos-renyi requires edge probability 0 < p <= 1")
@@ -148,7 +161,7 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator fields {sorted(extra)}")
         d = dict(d)
         if "offsets" in d and d["offsets"] is not None:
-            d["offsets"] = tuple(int(o) for o in d["offsets"])
+            d["offsets"] = tuple(d["offsets"])
         return cls(**d)
 
     def to_dict(self) -> dict:

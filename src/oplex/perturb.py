@@ -27,12 +27,14 @@ from .stochastic import (
 _Z_RESIDUAL_TOL = 1e-10
 _PI_RESIDUAL_TOL = 1e-10
 _ZERO_FAMILY_TOL = 1e-13
+_FIT_SLACK = 2.0
+_SLOPE_TOL = 0.1
+_REGIME_MAX = 0.1
+_SPAN_MIN = 10.0
 
 
 @dataclass(frozen=True)
 class PerturbationReport:
-    e_matrix: np.ndarray
-    z_matrix: np.ndarray
     delta_predicted: np.ndarray
     delta_actual: np.ndarray
     max_norm_e: float
@@ -69,8 +71,6 @@ def stationary_shift(p: TransitionMatrix, p_tilde: TransitionMatrix) -> Perturba
     e = p_tilde.entries - p.entries
     z = fundamental_matrix(p, pi)
     return PerturbationReport(
-        e_matrix=e,
-        z_matrix=z,
         delta_predicted=pi_tilde.pi @ e @ z,
         delta_actual=pi_tilde.pi - pi.pi,
         max_norm_e=float(np.abs(e).max()),
@@ -91,8 +91,8 @@ class ShiftFamilyFit:
 
     armed is False outside the small-perturbation regime (sizes too large or
     not spanning a decade), in which case the family is report-only. When
-    armed, passed requires slope within slope_tol of 1 and every deviation
-    under slack times the fitted proportionality constant.
+    armed, passed requires slope within _SLOPE_TOL of 1 and every deviation
+    under _FIT_SLACK times the fitted proportionality constant.
     """
 
     e_norms: np.ndarray
@@ -106,10 +106,6 @@ class ShiftFamilyFit:
 def fit_shift_family(
     e_norms: Sequence[float],
     deviations: Sequence[float],
-    slack: float = 2.0,
-    slope_tol: float = 0.1,
-    regime_max: float = 0.1,
-    span_min: float = 10.0,
 ) -> ShiftFamilyFit:
     e = np.asarray(e_norms, dtype=float)
     d = np.asarray(deviations, dtype=float)
@@ -121,8 +117,8 @@ def fit_shift_family(
     armed = (
         e.shape[0] >= 2
         and (e > 0).all()
-        and float(e.max()) < regime_max
-        and float(e.max()) / float(e.min()) >= span_min
+        and float(e.max()) < _REGIME_MAX
+        and float(e.max()) / float(e.min()) >= _SPAN_MIN
         and (d > 0).all()
     )
     if not armed:
@@ -130,8 +126,8 @@ def fit_shift_family(
     slope, intercept = np.polyfit(np.log(e), np.log(d), 1)
     constant = float(np.exp(intercept))
     proportional = float(np.sum(d * e) / np.sum(e * e))
-    within = bool((d <= slack * proportional * e + 1e-15).all())
-    passed = bool(abs(slope - 1.0) <= slope_tol) and within
+    within = bool((d <= _FIT_SLACK * proportional * e + 1e-15).all())
+    passed = bool(abs(slope - 1.0) <= _SLOPE_TOL) and within
     return ShiftFamilyFit(
         e, d, slope=float(slope), constant=constant, armed=True, passed=passed
     )

@@ -152,21 +152,14 @@ def decay_check(trajectory: OpinionTrajectory, rho: float) -> DecayCheckResult:
     return DecayCheckResult(passed=bool(margin >= 0.0), margin=margin)
 
 
-def fit_rate(
-    errors: Sequence[float],
-    floor: float = 0.0,
-    burn_in: int = 0,
-) -> float:
+def fit_rate(errors: Sequence[float], floor: float = 0.0) -> float:
     """Least-squares geometric rate of a decaying error series.
 
-    Fits log e(t) against t over the entries above floor, after dropping
-    burn_in leading entries (transients). Requires at least 5 usable
-    entries. For per-cycle rates pass the series subsampled at cycle
-    boundaries.
+    Fits log e(t) against t over the entries above floor. Requires at least
+    5 usable entries. Drop transients before calling; for per-cycle rates
+    pass the series subsampled at cycle boundaries.
     """
     series = np.asarray(errors, dtype=float)
-    if burn_in:
-        series = series[burn_in:]
     index = np.arange(series.shape[0])
     keep = series > max(floor, 0.0)
     if keep.sum() < 5:

@@ -81,10 +81,6 @@ class TransitionMatrix:
             )
         return cls(entries=m / sums[:, None])
 
-    def to_jsonable(self) -> list[list[float]]:
-        """Row-major nested lists, for the CLI's --dump output."""
-        return self.entries.tolist()
-
 
 @dataclass(frozen=True)
 class StationaryDistribution:
@@ -181,6 +177,13 @@ def is_primitive(m: TransitionMatrix) -> PrimitivityReport:
     return m._primitivity
 
 
+def require_primitive(m: TransitionMatrix, what: str) -> None:
+    """Raise NotPrimitiveError naming `what` unless m is primitive."""
+    report = is_primitive(m)
+    if not report.primitive:
+        raise NotPrimitiveError(f"{what} is not primitive", report)
+
+
 def stationary_from_degrees(layer: LayerGraph) -> StationaryDistribution:
     """Stationary distribution of an undirected layer: pi_i = d_i / (2|E|)."""
     if (layer.degrees <= 0).any():
@@ -196,12 +199,7 @@ def stationary_general(m: TransitionMatrix) -> StationaryDistribution:
     sum(pi) = 1, then a residual check. Intended for nonreversible products
     where the degree formula does not apply; rejects non-primitive input.
     """
-    report = is_primitive(m)
-    if not report.primitive:
-        raise NotPrimitiveError(
-            "matrix is not primitive; no unique attracting stationary distribution",
-            report,
-        )
+    require_primitive(m, "matrix")
     p = m.entries
     n = m.n
     a = p.T - np.eye(n)
@@ -247,6 +245,12 @@ def consensus_value(pi: StationaryDistribution, x0: np.ndarray) -> float:
     """Consensus opinion pi . x(0); always inside [min x0, max x0]."""
     x = check_opinions(x0, pi.n)
     return float(np.dot(pi.pi, x))
+
+
+def layer_consensus(layer: LayerGraph, x0: np.ndarray, name: str) -> float:
+    """Where one layer's dynamics settles from x0; the layer must be primitive."""
+    require_primitive(transition_matrix(layer), f"{name} transition matrix")
+    return consensus_value(stationary_from_degrees(layer), x0)
 
 
 def matrix_power(m: TransitionMatrix, exponent: int) -> TransitionMatrix:

@@ -20,13 +20,13 @@ from .netcore import LayerGraph
 from .perturb import ShiftFamilyFit, fit_shift_family
 from .spectral import SLEM_SLACK, eig_moduli_nonsymmetric, layer_spectrum
 from .stochastic import (
-    NotPrimitiveError,
     StationaryDistribution,
     TransitionMatrix,
     check_opinions,
     consensus_value,
     is_primitive,
-    stationary_from_degrees,
+    layer_consensus,
+    require_primitive,
     stationary_general,
     transition_matrix,
 )
@@ -34,6 +34,7 @@ from .stochastic import (
 _OSCILLATION_DOUBLINGS = 7  # compares Q^128 / Q^129 against one more doubling
 _LIMIT_CONVERGED_TOL = 1e-9
 _LIMIT_GAP_TOL = 1e-6
+_K_RATIO_SLACK = 1.05
 
 
 @dataclass(frozen=True)
@@ -186,15 +187,9 @@ def k_stability_sweep(
     layer2: LayerGraph,
     ks: Sequence[int],
     x0: np.ndarray,
-    ratio_slack: float = 1.05,
 ) -> KStabilityResult:
     """How fast the switching consensus approaches layer 1's as k grows."""
-    a_matrix = transition_matrix(layer1)
-    report = is_primitive(a_matrix)
-    if not report.primitive:
-        raise NotPrimitiveError("layer1 transition matrix is not primitive", report)
-    x = check_opinions(x0, layer1.n)
-    x1 = consensus_value(stationary_from_degrees(layer1), x)
+    x1 = layer_consensus(layer1, x0, "layer1")
     rho_a = layer_spectrum(layer1).slem
     grid = np.asarray(list(ks), dtype=int)
     deviations = np.full(grid.shape, np.nan)
@@ -204,14 +199,14 @@ def k_stability_sweep(
         if not is_primitive(model.cycle).primitive:
             continue
         pi_k = stationary_general(model.cycle)
-        deviations[idx] = abs(consensus_value(pi_k, x) - x1)
+        deviations[idx] = abs(consensus_value(pi_k, x0) - x1)
         converged[idx] = True
     usable = converged & (deviations > 1e-13)
     if usable.sum() >= 2:
         slope, intercept = np.polyfit(grid[usable], np.log(deviations[usable]), 1)
         fitted_ratio = float(np.exp(slope))
         envelope = float(np.max(deviations[usable] / rho_a ** grid[usable]))
-        passed = fitted_ratio <= rho_a * ratio_slack
+        passed = fitted_ratio <= rho_a * _K_RATIO_SLACK
     else:
         # All deviations at the numerical floor (e.g. identical layers).
         fitted_ratio = None
@@ -236,22 +231,13 @@ def switching_perturbation_check(
 ) -> ShiftFamilyFit:
     """Switching-consensus response when layer 2 is a perturbation of layer 1."""
     family = [perturbed] if isinstance(perturbed, LayerGraph) else list(perturbed)
-    a_matrix = transition_matrix(layer1)
-    report = is_primitive(a_matrix)
-    if not report.primitive:
-        raise NotPrimitiveError("layer1 transition matrix is not primitive", report)
-    x = check_opinions(x0, layer1.n)
-    x1 = consensus_value(stationary_from_degrees(layer1), x)
+    x1 = layer_consensus(layer1, x0, "layer1")
     e_norms = []
     deviations = []
     for b_layer in family:
         model = switching_model(layer1, b_layer, k)
-        cycle_report = is_primitive(model.cycle)
-        if not cycle_report.primitive:
-            raise NotPrimitiveError(
-                f"cycle matrix for k={k} is not primitive", cycle_report
-            )
-        e_norms.append(float(np.abs(a_matrix.entries - model.b.entries).max()))
+        require_primitive(model.cycle, f"cycle matrix for k={k}")
+        e_norms.append(float(np.abs(model.a.entries - model.b.entries).max()))
         pi_k = stationary_general(model.cycle)
-        deviations.append(abs(consensus_value(pi_k, x) - x1))
+        deviations.append(abs(consensus_value(pi_k, x0) - x1))
     return fit_shift_family(e_norms, deviations)

@@ -85,6 +85,39 @@ class TestSimulateCommand:
         )
         assert path in err
 
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            pytest.param(
+                {"layers": [{"kind": "erdos-renyi", "n": 10.5, "p": 0.5}] * 2},
+                "layers[0]",
+                id="float-n",
+            ),
+            pytest.param(
+                {"layers": [{"kind": "barabasi-albert", "n": 10, "m": 2.5}] * 2},
+                "layers[0]",
+                id="float-m",
+            ),
+            pytest.param(
+                {"layers": [{"kind": "erdos-renyi", "n": 10, "p": 0.5, "seed": "x"}] * 2},
+                "layers[0]",
+                id="string-seed",
+            ),
+            pytest.param(
+                {"layers": [{"kind": "erdos-renyi", "n": 10, "p": 0.5, "seed": -3}] * 2},
+                "layers[0]",
+                id="negative-seed",
+            ),
+            pytest.param({"x0": {"kind": "uniform", "seed": -1}}, "x0.seed", id="negative-x0-seed"),
+        ],
+    )
+    def test_mistyped_spec_or_seed_exits_two(self, tmp_path, capsys, overrides, path):
+        config = write_config(tmp_path, dict(SMALL_MERGED, **overrides))
+        err = assert_bad_input(
+            capsys, ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+        )
+        assert path in err
+
     def test_undecodable_config_exits_two(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_bytes(b"\xff\xfe not utf-8")

@@ -115,6 +115,57 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="exactly 1"):
             parse_config(raw)
 
+    @pytest.mark.parametrize(
+        "raw, path",
+        [
+            pytest.param(
+                merged_config(model={"kind": "merged", "alphas": [0.5, True]}),
+                r"model\.alphas\[1\]",
+                id="alphas",
+            ),
+            pytest.param(
+                merged_config(model={"kind": "switching", "ks": [True]}),
+                r"model\.ks\[0\]",
+                id="ks",
+            ),
+            pytest.param(
+                merged_config(x0={"kind": "uniform", "seed": True}), r"x0\.seed", id="x0-seed"
+            ),
+            pytest.param(
+                merged_config(x0={"kind": "explicit", "values": [0.1, True, 0.3, 0.4, 0.5]}),
+                r"x0\.values\[1\]",
+                id="x0-values",
+            ),
+            pytest.param(
+                merged_config(
+                    x0={"kind": "uniform-with-overrides", "seed": 1, "nodes": [True], "value": 0.0}
+                ),
+                r"x0\.nodes",
+                id="x0-nodes",
+            ),
+            pytest.param(
+                merged_config(
+                    x0={"kind": "uniform-with-overrides", "seed": 1, "nodes": [0], "value": False}
+                ),
+                r"x0\.value",
+                id="x0-value",
+            ),
+            pytest.param(merged_config(t_max=True), "^t_max", id="t_max"),
+            pytest.param(merged_config(tol=True), "^tol", id="tol"),
+            pytest.param(
+                dict(
+                    dataset_config({"kind": "merged", "alphas": [0.5]}),
+                    layers=dict(dataset_config(None)["layers"], n=True),
+                ),
+                r"layers\.n",
+                id="dataset-n",
+            ),
+        ],
+    )
+    def test_json_boolean_is_not_a_number(self, raw, path):
+        with pytest.raises(ConfigError, match=path):
+            parse_config(raw)
+
 
 class TestX0Resolution:
     def test_uniform_deterministic(self):

@@ -201,6 +201,12 @@ class TestConsensusInterval:
         with pytest.raises(NotPrimitiveError):
             consensus_interval(merge(path, tri, 0.5), X0_TRIANGLE)
 
+    def test_rejects_when_second_layer_periodic(self):
+        tri = build_layer(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+        path = build_layer(3, [(0, 1, 1), (1, 2, 1)])  # bipartite, periodic
+        with pytest.raises(NotPrimitiveError, match="layer2"):
+            consensus_interval(merge(tri, path, 0.5), X0_TRIANGLE)
+
     def test_convexity_on_random_instances(self):
         for seed in range(25):
             rng = np.random.default_rng(1000 + seed)
@@ -264,11 +270,6 @@ class TestSlemBounds:
             model = merge(random_layer(rng, n), random_layer(rng, n), rng.uniform(0.1, 0.9))
             report = slem_bounds(model)
             assert report.slem_c >= report.lower_bound - 1e-9
-
-    def test_interval_included_when_x0_given(self):
-        layer1, layer2 = triangle_pair()
-        report = slem_bounds(merge(layer1, layer2, 0.5), X0_TRIANGLE)
-        assert report.consensus_interval == pytest.approx((1 / 3, 3 / 8))
 
     def test_layer_with_isolated_node_leaves_upper_bound_unarmed(self):
         sparse = build_layer(3, [(0, 1, 1)])

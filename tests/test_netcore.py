@@ -122,6 +122,22 @@ class TestGenerators:
         with pytest.raises(ValueError):
             GeneratorSpec(kind="mystery", n=5)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"kind": "erdos-renyi", "n": 10.5, "p": 0.5}, "n must be an integer"),
+            ({"kind": "barabasi-albert", "n": 10, "m": 2.5}, "m must be an integer"),
+            ({"kind": "k-regular", "n": 10, "k": True}, "k must be an integer"),
+            ({"kind": "erdos-renyi", "n": 10, "p": 0.5, "seed": "x"}, "seed must be an integer"),
+            ({"kind": "erdos-renyi", "n": 10, "p": 0.5, "seed": -3}, "seed must be >= 0"),
+            ({"kind": "circulant", "n": 5, "offsets": [1.5]}, "offsets must be integers"),
+        ],
+        ids=["float-n", "float-m", "bool-k", "string-seed", "negative-seed", "float-offset"],
+    )
+    def test_non_integer_or_negative_fields_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            GeneratorSpec.from_dict(fields)
+
     def test_spec_dict_round_trip(self):
         spec = GeneratorSpec(kind="circulant", n=5, offsets=(2, 3), weight=0.5)
         assert GeneratorSpec.from_dict(spec.to_dict()) == spec

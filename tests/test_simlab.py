@@ -157,7 +157,7 @@ class TestFitRate:
             pi=outcome.pi,
         )
         per_cycle = traj.errors_max[::2]
-        rate = fit_rate(per_cycle, floor=1e-13, burn_in=2)
+        rate = fit_rate(per_cycle[2:], floor=1e-13)
         slem = eig_moduli_nonsymmetric(model.cycle).slem
         assert rate <= slem + 1e-6
 

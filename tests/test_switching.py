@@ -239,3 +239,8 @@ class TestSwitchingPerturbation:
         path = build_layer(3, [(0, 1, 1), (1, 2, 1)])
         with pytest.raises(NotPrimitiveError):
             switching_perturbation_check(path, path, 1, X0_TRIANGLE)
+
+    def test_rejects_non_primitive_cycle_of_primitive_layers(self):
+        # Both layers are primitive; their k=1 cycle has period 2.
+        with pytest.raises(NotPrimitiveError, match="k=1"):
+            switching_perturbation_check(*oscillating_pair(), 1, X0_FIVE)
