@@ -35,12 +35,10 @@ def profile(layer_a: LayerGraph, layer_b: LayerGraph, ks) -> dict | None:
         return None
     a = transition_matrix(layer_a)
     b = transition_matrix(layer_b)
-    cycles_ok = all(
-        is_primitive(switching_model(layer_a, layer_b, k).cycle).primitive for k in ks
-    )
+    cycles_ok = all(is_primitive(switching_model(layer_a, layer_b, k).cycle) for k in ks)
     return {
-        "a_primitive": is_primitive(a).primitive,
-        "b_primitive": is_primitive(b).primitive,
+        "a_primitive": is_primitive(a),
+        "b_primitive": is_primitive(b),
         "cycles_primitive": cycles_ok,
         "b_slem": eig_moduli_nonsymmetric(b).slem,
     }

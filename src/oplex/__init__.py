@@ -17,7 +17,6 @@ from .netcore import (
 )
 from .stochastic import (
     NotPrimitiveError,
-    PrimitivityReport,
     StationaryDistribution,
     TransitionMatrix,
     consensus_value,
@@ -28,7 +27,6 @@ from .stochastic import (
     stationary_from_degrees,
     stationary_general,
     transition_matrix,
-    wielandt_bound,
 )
 from .spectral import (
     SpectralSummary,
@@ -57,7 +55,6 @@ from .switching import (
     analyze,
     k_stability_sweep,
     rho_star,
-    schedule_matrix,
     switching_model,
     switching_perturbation_check,
 )
@@ -72,7 +69,6 @@ from .perturb import (
 from .simlab import (
     DecayCheckResult,
     OpinionTrajectory,
-    constant_schedule,
     decay_check,
     fit_rate,
     simulate,
@@ -97,7 +93,6 @@ __all__ = [
     "load_edge_list",
     "load_two_layer_dataset",
     "NotPrimitiveError",
-    "PrimitivityReport",
     "StationaryDistribution",
     "TransitionMatrix",
     "consensus_value",
@@ -108,7 +103,6 @@ __all__ = [
     "stationary_from_degrees",
     "stationary_general",
     "transition_matrix",
-    "wielandt_bound",
     "SpectralSummary",
     "eig_moduli_nonsymmetric",
     "layer_spectrum",
@@ -131,7 +125,6 @@ __all__ = [
     "analyze",
     "k_stability_sweep",
     "rho_star",
-    "schedule_matrix",
     "switching_model",
     "switching_perturbation_check",
     "PerturbationReport",
@@ -142,7 +135,6 @@ __all__ = [
     "stationary_shift",
     "DecayCheckResult",
     "OpinionTrajectory",
-    "constant_schedule",
     "decay_check",
     "fit_rate",
     "simulate",

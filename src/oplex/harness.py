@@ -30,19 +30,21 @@ from .netcore import (
     LayerGraph,
     generate,
     is_integer,
+    is_number,
     load_two_layer_dataset,
 )
-from .simlab import OpinionTrajectory, Schedule, constant_schedule, decay_check, fit_rate, simulate
+from .simlab import OpinionTrajectory, decay_check, fit_rate, simulate
 from .spectral import slem_reversible
 from .stochastic import (
     NotPrimitiveError,
     StationaryDistribution,
+    TransitionMatrix,
     consensus_value,
     is_primitive,
     stationary_from_degrees,
     transition_matrix,
 )
-from .switching import analyze, schedule_matrix, switching_model
+from .switching import analyze, switching_model
 
 SWEEP_COLUMNS = [
     "grid_kind",
@@ -105,11 +107,6 @@ def _fail(path: str, message: str) -> None:
     raise ConfigError(f"{path}: {message}")
 
 
-def _is_number(v: Any) -> bool:
-    """A JSON number; true and false are not numbers here."""
-    return isinstance(v, float) or is_integer(v)
-
-
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         _fail("<root>", "config must be a JSON object")
@@ -123,7 +120,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if not isinstance(grid, list) or not grid:
             _fail("model.alphas", "must be a nonempty list")
         for i, a in enumerate(grid):
-            if not _is_number(a) or not (0 <= a <= 1):
+            if not is_number(a) or not (0 <= a <= 1):
                 _fail(f"model.alphas[{i}]", "must be a number in [0, 1]")
         alphas = tuple(float(a) for a in grid)
     elif kind == "switching":
@@ -187,7 +184,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if not isinstance(values, list) or not values:
             _fail("x0.values", "must be a nonempty list")
         for i, v in enumerate(values):
-            if not _is_number(v) or not (0 <= v <= 1):
+            if not is_number(v) or not (0 <= v <= 1):
                 _fail(f"x0.values[{i}]", "must be a number in [0, 1]")
         x0 = XZeroSpec(kind="explicit", values=tuple(float(v) for v in values))
     elif x0_kind == "uniform-with-overrides":
@@ -195,7 +192,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if not isinstance(nodes, list) or not all(is_integer(v) for v in nodes):
             _fail("x0.nodes", "must be a list of node indices")
         value = x0_raw.get("value")
-        if not _is_number(value) or not (0 <= value <= 1):
+        if not is_number(value) or not (0 <= value <= 1):
             _fail("x0.value", "override value must be a number in [0, 1]")
         x0 = XZeroSpec(
             kind="uniform-with-overrides",
@@ -210,7 +207,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not is_integer(t_max) or t_max < 1:
         _fail("t_max", "must be an integer >= 1")
     tol = raw.get("tol", 1e-12)
-    if not _is_number(tol) or tol <= 0:
+    if not is_number(tol) or tol <= 0:
         _fail("tol", "must be a positive number")
     outputs = raw.get("outputs", ["sweep", "trajectories", "summary"])
     if not isinstance(outputs, list) or not outputs:
@@ -307,10 +304,9 @@ class _GridModel:
 
     columns: dict
     assertions: dict[str, bool]
-    schedule: Schedule
+    schedule: tuple[TransitionMatrix, ...]
     pi: StationaryDistribution | None
     rate_bound: float
-    period: int = 1
     rate_errors: Callable[[OpinionTrajectory], np.ndarray] = lambda traj: traj.errors_pi[5:]
     decay_rho: float | None = None
 
@@ -339,8 +335,7 @@ def _merged_model(layers, alpha, x0, interval) -> _GridModel:
         interval_hi=hi,
         note=note,
     )
-    schedule = constant_schedule(model.transition)
-    return _GridModel(columns, assertions, schedule, pi=pi, rate_bound=bounds.slem_c)
+    return _GridModel(columns, assertions, (model.transition,), pi=pi, rate_bound=bounds.slem_c)
 
 
 def _switching_model(layers, k, x0) -> _GridModel:
@@ -357,13 +352,12 @@ def _switching_model(layers, k, x0) -> _GridModel:
     return _GridModel(
         columns,
         outcome.checks(),
-        lambda t: schedule_matrix(model, t),
+        model.schedule,
         pi=outcome.pi,
         # The proved per-cycle decay bound is rho_star; the cycle SLEM is the
         # asymptotic rate but a finite-window fit may land slightly above it.
         rate_bound=outcome.rho_star,
-        period=k + 1,
-        rate_errors=lambda traj: traj.errors_max[:: k + 1][2:],
+        rate_errors=lambda traj: traj.errors_max[:: len(model.schedule)][2:],
     )
 
 
@@ -372,15 +366,14 @@ def _single_model(layer, x0) -> _GridModel:
     slem = slem_reversible(layer).slem
     consensus = pi = decay_rho = None
     note = ""
-    if is_primitive(matrix).primitive:
+    if is_primitive(matrix):
         pi = stationary_from_degrees(layer)
         consensus = consensus_value(pi, x0)
         decay_rho = slem if 0.0 < slem < 1.0 else None
     else:
         note = "layer transition not primitive"
     columns = dict(slem=slem, bound_armed=False, consensus=consensus, note=note)
-    schedule = constant_schedule(matrix)
-    return _GridModel(columns, {}, schedule, pi=pi, rate_bound=slem, decay_rho=decay_rho)
+    return _GridModel(columns, {}, (matrix,), pi=pi, rate_bound=slem, decay_rho=decay_rho)
 
 
 def _grid_point(grid_kind, grid_value, build, x0, config) -> GridPointResult:
@@ -403,7 +396,6 @@ def _grid_point(grid_kind, grid_value, build, x0, config) -> GridPointResult:
         x0,
         t_max=config.t_max,
         tol=config.tol,
-        period=point.period,
         target=consensus,
         pi=point.pi,
         record_states=config.record_opinions and "trajectories" in config.outputs,
@@ -443,7 +435,7 @@ def run_experiment(
     if config.model_kind == "merged":
         # The interval endpoints depend only on the layers and x0, not on alpha.
         try:
-            interval = consensus_interval(merge(layers[0], layers[1], 0.5), x0)
+            interval = consensus_interval(layers[0], layers[1], x0)
         except (NotPrimitiveError, IsolatedNodeError):
             interval = None
         grid = [

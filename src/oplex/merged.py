@@ -20,7 +20,6 @@ from .netcore import IsolatedNodeError, LayerGraph
 from .perturb import ShiftFamilyFit, fit_shift_family
 from .spectral import SLEM_SLACK, layer_spectrum, slem_reversible
 from .stochastic import (
-    PrimitivityReport,
     TransitionMatrix,
     consensus_value,
     is_primitive,
@@ -72,7 +71,7 @@ class PrimitivityGuarantee:
     """Sufficient-condition verdict next to the direct primitivity check of C."""
 
     guaranteed: bool
-    c_report: PrimitivityReport
+    c_primitive: bool
 
 
 def primitivity_guarantee(model: MergedModel) -> PrimitivityGuarantee:
@@ -81,13 +80,13 @@ def primitivity_guarantee(model: MergedModel) -> PrimitivityGuarantee:
     if 0.0 < model.alpha < 1.0:
         for layer in (model.layer1, model.layer2):
             try:
-                if is_primitive(transition_matrix(layer)).primitive:
+                if is_primitive(transition_matrix(layer)):
                     guaranteed = True
                     break
             except IsolatedNodeError:
                 continue  # isolated node in that layer: not primitive
     return PrimitivityGuarantee(
-        guaranteed=guaranteed, c_report=is_primitive(model.transition)
+        guaranteed=guaranteed, c_primitive=is_primitive(model.transition)
     )
 
 
@@ -102,12 +101,11 @@ def merged_consensus(model: MergedModel, x0: np.ndarray) -> float:
     return consensus_value(stationary_from_degrees(model.merged_layer), x0)
 
 
-def consensus_interval(model: MergedModel, x0: np.ndarray) -> tuple[float, float]:
+def consensus_interval(
+    layer1: LayerGraph, layer2: LayerGraph, x0: np.ndarray
+) -> tuple[float, float]:
     """[min, max] of the two single-layer consensuses; contains the merged one."""
-    endpoints = [
-        layer_consensus(model.layer1, x0, "layer1"),
-        layer_consensus(model.layer2, x0, "layer2"),
-    ]
+    endpoints = [layer_consensus(layer1, x0, "layer1"), layer_consensus(layer2, x0, "layer2")]
     return min(endpoints), max(endpoints)
 
 
@@ -155,7 +153,7 @@ def slem_bounds(model: MergedModel) -> MergedBoundsReport:
     slem_c = slem_reversible(model.merged_layer).slem
     try:
         upper = max(layer_spectrum(model.layer1).slem, layer_spectrum(model.layer2).slem)
-    except ValueError:
+    except IsolatedNodeError:
         # a node isolated in one layer: that layer has no SLEM, and the
         # degree sequences cannot match, so the upper bound stays unarmed
         upper = float("nan")

@@ -34,6 +34,11 @@ def is_integer(value: object) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_number(value: object) -> bool:
+    """A number; bools are not counted as numbers."""
+    return isinstance(value, float) or is_integer(value)
+
+
 @dataclass(frozen=True)
 class LayerGraph:
     """One undirected weighted layer on nodes 0..n-1.
@@ -126,6 +131,10 @@ class GeneratorSpec:
             value = getattr(self, name)
             if not is_integer(value) and not (value is None and name in ("m", "k")):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("p", "weight"):
+            value = getattr(self, name)
+            if not is_number(value) and not (value is None and name == "p"):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.offsets is not None and not all(is_integer(o) for o in self.offsets):
             raise ValueError(f"offsets must be integers, got {list(self.offsets)!r}")
         if self.n <= 0:

@@ -1,7 +1,7 @@
 """Trajectory simulation and error-series analysis.
 
-simulate() iterates x(t+1) = M(t+1) x(t) under an arbitrary step schedule
-and records the error against a predicted consensus in both the
+simulate() iterates x(t+1) = M(t+1) x(t) over a periodic schedule of
+matrices and records the error against a predicted consensus in both the
 pi-weighted and max norms. decay_check() pins those series against the
 geometric bound rho^t (pi-norm) and its max-norm corollary with the
 explicit constant 1/sqrt(pi_min). fit_rate() recovers the empirical
@@ -11,7 +11,7 @@ geometric rate of a positive error series by least squares on the logs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,13 +25,6 @@ from .stochastic import (
 
 DEFAULT_TOL = 1e-12
 DEFAULT_T_MAX = 10**6
-
-Schedule = Callable[[int], TransitionMatrix]
-
-
-def constant_schedule(m: TransitionMatrix) -> Schedule:
-    return lambda t: m
-
 
 @dataclass(frozen=True)
 class OpinionTrajectory:
@@ -53,35 +46,34 @@ class OpinionTrajectory:
 
 
 def simulate(
-    schedule: Schedule,
+    schedule: Sequence[TransitionMatrix],
     x0: np.ndarray,
     t_max: int = DEFAULT_T_MAX,
     tol: float = DEFAULT_TOL,
-    period: int = 1,
     target: float | None = None,
-    pi: StationaryDistribution | np.ndarray | None = None,
+    pi: StationaryDistribution | None = None,
     record_states: bool = True,
 ) -> OpinionTrajectory:
     """Run the dynamics until t_max or until the update stalls.
 
-    Stops once the successive-difference max norm stays below tol for one
-    full schedule period. When target (a predicted consensus value) and pi
-    are given, both error norms are recorded at every step. The full state
-    history is kept only with record_states.
+    schedule holds the matrices of one period: step t applies
+    schedule[(t - 1) % len(schedule)]. Stops once the successive-difference
+    max norm stays below tol for one full period. When target (a predicted
+    consensus value) and pi are given, both error norms are recorded at
+    every step. The full state history is kept only with record_states.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if period < 1:
-        raise ValueError("period must be at least 1")
+    if not schedule:
+        raise ValueError("schedule must hold at least one matrix")
+    period = len(schedule)
+    entries = [m.entries for m in schedule]
     x = check_opinions(x0).copy()
     track_errors = target is not None
     if track_errors and pi is None:
         raise ValueError("recording error norms requires the stationary distribution pi")
-    weights = None
-    if pi is not None:
-        weights = pi.pi if isinstance(pi, StationaryDistribution) else np.asarray(pi, float)
 
     states = [x.copy()] if record_states else None
     errors_pi: list[float] | None = [] if track_errors else None
@@ -89,7 +81,7 @@ def simulate(
 
     def record_error(vec: np.ndarray) -> None:
         e = vec - target
-        errors_pi.append(pi_norm(e, weights))
+        errors_pi.append(pi_norm(e, pi))
         errors_max.append(max_norm(e))
 
     if track_errors:
@@ -98,7 +90,7 @@ def simulate(
     quiet_run = 0
     steps = 0
     for t in range(1, t_max + 1):
-        nxt = schedule(t).entries @ x
+        nxt = entries[(t - 1) % period] @ x
         steps = t
         if record_states:
             states.append(nxt)
@@ -118,7 +110,7 @@ def simulate(
         errors_pi=np.array(errors_pi) if track_errors else None,
         errors_max=np.array(errors_max) if track_errors else None,
         consensus_target=target,
-        pi=weights,
+        pi=None if pi is None else pi.pi,
         converged=converged,
         steps=steps,
     )

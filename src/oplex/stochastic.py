@@ -11,7 +11,6 @@ and get a generic solver instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -21,33 +20,8 @@ _ROW_SUM_TOL = 1e-12
 _STATIONARY_RESIDUAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PrimitivityReport:
-    """Outcome of the exact primitivity decision (graph test in is_primitive).
-
-    witness_exponent, the smallest power with all entries positive (None if
-    not primitive), and bound_used, the Wielandt bound (n-1)^2 + 1 capping
-    its search, are computed by boolean squaring when first read.
-    """
-
-    primitive: bool
-    _entries: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def bound_used(self) -> int:
-        return wielandt_bound(self._entries.shape[0])
-
-    @cached_property
-    def witness_exponent(self) -> int | None:
-        return _witness_exponent(self._entries > 0.0) if self.primitive else None
-
-
 class NotPrimitiveError(ValueError):
     """An operation requiring a primitive matrix got a non-primitive one."""
-
-    def __init__(self, message: str, report: PrimitivityReport):
-        super().__init__(message)
-        self.report = report
 
 
 @dataclass(eq=False)
@@ -59,7 +33,7 @@ class TransitionMatrix:
     """
 
     entries: np.ndarray
-    _primitivity: PrimitivityReport | None = field(default=None, repr=False, compare=False)
+    _primitivity: bool | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -108,33 +82,6 @@ def transition_matrix(layer: LayerGraph) -> TransitionMatrix:
     return TransitionMatrix.from_entries(layer.weights / layer.degrees[:, None])
 
 
-def wielandt_bound(n: int) -> int:
-    return (n - 1) ** 2 + 1
-
-
-def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a.astype(np.float64) @ b.astype(np.float64)) > 0.0
-
-
-def _witness_exponent(support: np.ndarray) -> int:
-    """Smallest k with support^k all positive, for a primitive support.
-
-    Squares the support until some power is all positive (within the
-    Wielandt bound), then finds the largest power that is not by binary
-    lifting over the squarings. Rows of a stochastic matrix are never zero,
-    so positivity is monotone in k.
-    """
-    squarings = [support]
-    while not squarings[-1].all():
-        squarings.append(_bool_product(squarings[-1], squarings[-1]))
-    exponent, power = 0, np.eye(support.shape[0], dtype=bool)
-    for j in range(len(squarings) - 2, -1, -1):
-        candidate = _bool_product(power, squarings[j])
-        if not candidate.all():
-            exponent, power = exponent + 2**j, candidate
-    return exponent + 1
-
-
 def _bfs_levels(adjacency: np.ndarray) -> np.ndarray:
     """Breadth-first distance from node 0 along the rows; -1 where unreached."""
     level = np.full(adjacency.shape[0], -1)
@@ -150,7 +97,7 @@ def _bfs_levels(adjacency: np.ndarray) -> np.ndarray:
     return level
 
 
-def is_primitive(m: TransitionMatrix) -> PrimitivityReport:
+def is_primitive(m: TransitionMatrix) -> bool:
     """Exact primitivity test on the support graph (edge i -> j iff m_ij > 0).
 
     Primitive iff that graph is strongly connected and aperiodic. Strongly
@@ -160,7 +107,7 @@ def is_primitive(m: TransitionMatrix) -> PrimitivityReport:
     levels, the gcd over all edges (u, v) of L[u] + 1 - L[v]. Each search
     reads every row of the dense support once, so the test costs
     O(n^2 + n diam) for layer matrices, C and products B A^k alike. The
-    report is cached on the matrix.
+    verdict is cached on the matrix.
     """
     if m._primitivity is not None:
         return m._primitivity
@@ -173,15 +120,14 @@ def is_primitive(m: TransitionMatrix) -> PrimitivityReport:
     if primitive:
         rows, cols = np.divmod(np.flatnonzero(support), m.n)
         primitive = bool(np.gcd.reduce(level[rows] + 1 - level[cols]) == 1)
-    m._primitivity = PrimitivityReport(primitive, _entries=m.entries)
-    return m._primitivity
+    m._primitivity = primitive
+    return primitive
 
 
 def require_primitive(m: TransitionMatrix, what: str) -> None:
     """Raise NotPrimitiveError naming `what` unless m is primitive."""
-    report = is_primitive(m)
-    if not report.primitive:
-        raise NotPrimitiveError(f"{what} is not primitive", report)
+    if not is_primitive(m):
+        raise NotPrimitiveError(f"{what} is not primitive")
 
 
 def stationary_from_degrees(layer: LayerGraph) -> StationaryDistribution:
@@ -216,13 +162,12 @@ def stationary_general(m: TransitionMatrix) -> StationaryDistribution:
     return StationaryDistribution(pi=np.abs(v))
 
 
-def pi_norm(v: np.ndarray, pi: StationaryDistribution | np.ndarray) -> float:
+def pi_norm(v: np.ndarray, pi: StationaryDistribution) -> float:
     """Weighted Euclidean norm (sum_i v_i^2 pi_i)^(1/2)."""
-    weights = pi.pi if isinstance(pi, StationaryDistribution) else np.asarray(pi, dtype=float)
     vec = np.asarray(v, dtype=float)
-    if vec.shape != weights.shape:
-        raise ValueError(f"vector length {vec.shape} does not match pi length {weights.shape}")
-    return float(np.sqrt(np.sum(vec * vec * weights)))
+    if vec.shape != pi.pi.shape:
+        raise ValueError(f"vector length {vec.shape} does not match pi length {pi.pi.shape}")
+    return float(np.sqrt(np.sum(vec * vec * pi.pi)))
 
 
 def max_norm(v: np.ndarray) -> float:

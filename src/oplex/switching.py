@@ -45,10 +45,11 @@ class SwitchingModel:
     b: TransitionMatrix
     k: int
     cycle: TransitionMatrix
+    schedule: tuple[TransitionMatrix, ...]
 
 
 def switching_model(layer1: LayerGraph, layer2: LayerGraph, k: int) -> SwitchingModel:
-    """Build the period-(k+1) schedule; k = 0 degenerates to pure layer-2 dynamics."""
+    """One schedule period is k steps on A, then one on B; k = 0 is pure layer-2 dynamics."""
     if layer1.n != layer2.n:
         raise ValueError(f"layers have different node counts: {layer1.n} vs {layer2.n}")
     if k < 0:
@@ -56,14 +57,9 @@ def switching_model(layer1: LayerGraph, layer2: LayerGraph, k: int) -> Switching
     a = transition_matrix(layer1)
     b = transition_matrix(layer2)
     cycle = TransitionMatrix.from_entries(b.entries @ np.linalg.matrix_power(a.entries, k))
-    return SwitchingModel(layer1=layer1, layer2=layer2, a=a, b=b, k=k, cycle=cycle)
-
-
-def schedule_matrix(model: SwitchingModel, t: int) -> TransitionMatrix:
-    """Matrix applied at step t >= 1: B when t is a multiple of k+1, else A."""
-    if t < 1:
-        raise ValueError(f"schedule steps start at 1, got {t}")
-    return model.b if t % (model.k + 1) == 0 else model.a
+    return SwitchingModel(
+        layer1=layer1, layer2=layer2, a=a, b=b, k=k, cycle=cycle, schedule=(a,) * k + (b,)
+    )
 
 
 @dataclass(frozen=True)
@@ -133,7 +129,7 @@ def analyze(model: SwitchingModel, x0: np.ndarray) -> SwitchingOutcome:
     x = check_opinions(x0, model.layer1.n)
     slem_cycle = eig_moduli_nonsymmetric(model.cycle).slem
     star = rho_star(model)
-    if is_primitive(model.cycle).primitive:
+    if is_primitive(model.cycle):
         pi = stationary_general(model.cycle)
         return SwitchingOutcome(
             status="consensus",
@@ -196,7 +192,7 @@ def k_stability_sweep(
     converged = np.zeros(grid.shape, dtype=bool)
     for idx, k in enumerate(grid):
         model = switching_model(layer1, layer2, int(k))
-        if not is_primitive(model.cycle).primitive:
+        if not is_primitive(model.cycle):
             continue
         pi_k = stationary_general(model.cycle)
         deviations[idx] = abs(consensus_value(pi_k, x0) - x1)

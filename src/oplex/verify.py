@@ -25,7 +25,7 @@ from .merged import (
 )
 from .netcore import LayerGraph
 from .perturb import shift_bound_check, stationary_shift
-from .simlab import constant_schedule, decay_check, simulate
+from .simlab import decay_check, simulate
 from .spectral import eig_moduli_nonsymmetric, layer_spectrum, slem_reversible
 from .stochastic import (
     TransitionMatrix,
@@ -277,9 +277,21 @@ def reweight_edge(layer: LayerGraph, i: int, j: int, factor: float) -> LayerGrap
 
 
 def run_bounds_suite(n_instances: int = 200, seed: int = BOUNDS_SUITE_SEED) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    interval_ok = slem_lower_ok = slem_upper_ok = product_ok = decay_ok = True
-    detail = ""
+    # each check keeps the detail of its first failing instance; "" = passed
+    details = dict.fromkeys(
+        (
+            "bounds/consensus-interval",
+            "bounds/slem-lower",
+            "bounds/slem-upper-degree-matched",
+            "bounds/product-rate",
+            "bounds/geometric-decay",
+        ),
+        "",
+    )
+
+    def fail(name: str, detail: str) -> None:
+        details[name] = details[name] or detail
+
     for idx in range(n_instances):
         rng = np.random.default_rng(seed + idx)
         n = int(rng.integers(4, 21))
@@ -289,27 +301,30 @@ def run_bounds_suite(n_instances: int = 200, seed: int = BOUNDS_SUITE_SEED) -> l
         x0 = rng.random(n)
         model = merge(layer1, layer2, alpha)
 
-        lo, hi = consensus_interval(model, x0)
+        lo, hi = consensus_interval(layer1, layer2, x0)
         value = merged_consensus(model, x0)
         if not interval_checks(value, (lo, hi))["consensus-in-interval"]:
-            interval_ok = False
-            detail = f"instance {idx}: consensus {value} outside [{lo}, {hi}]"
+            fail(
+                "bounds/consensus-interval",
+                f"instance {idx}: consensus {value} outside [{lo}, {hi}]",
+            )
 
         report = slem_bounds(model)
         if not report.checks()["slem-lower-bound"]:
-            slem_lower_ok = False
-            detail = f"instance {idx}: slem {report.slem_c} below 1/(N-1)"
+            fail("bounds/slem-lower", f"instance {idx}: slem {report.slem_c} below 1/(N-1)")
 
         matched1, matched2 = degree_matched_pair(rng, n)
         matched_report = slem_bounds(merge(matched1, matched2, alpha))
         if not matched_report.degrees_matched:
-            slem_upper_ok = False
-            detail = f"instance {idx}: constructed pair not degree-matched"
+            fail(
+                "bounds/slem-upper-degree-matched",
+                f"instance {idx}: constructed pair not degree-matched",
+            )
         elif not matched_report.checks()["slem-upper-bound"]:
-            slem_upper_ok = False
-            detail = (
+            fail(
+                "bounds/slem-upper-degree-matched",
                 f"instance {idx}: matched slem {matched_report.slem_c} above "
-                f"{matched_report.upper_bound}"
+                f"{matched_report.upper_bound}",
             )
 
         for k in range(6):
@@ -317,14 +332,16 @@ def run_bounds_suite(n_instances: int = 200, seed: int = BOUNDS_SUITE_SEED) -> l
             star = rho_star(s_model)
             slem_cycle = eig_moduli_nonsymmetric(s_model.cycle).slem
             if not product_rate_checks(slem_cycle, star)["slem-under-rho-star"]:
-                product_ok = False
-                detail = f"instance {idx}: k={k} slem {slem_cycle} above rho* {star}"
+                fail(
+                    "bounds/product-rate",
+                    f"instance {idx}: k={k} slem {slem_cycle} above rho* {star}",
+                )
 
         a_matrix = transition_matrix(layer1)
         pi = stationary_from_degrees(layer1)
         target = consensus_value(pi, x0)
         trajectory = simulate(
-            constant_schedule(a_matrix),
+            (a_matrix,),
             x0,
             t_max=20000,
             tol=1e-13,
@@ -336,15 +353,9 @@ def run_bounds_suite(n_instances: int = 200, seed: int = BOUNDS_SUITE_SEED) -> l
         if rho_a < 1.0:
             check = decay_check(trajectory, max(rho_a, 1e-12))
             if not check.passed:
-                decay_ok = False
-                detail = f"instance {idx}: decay margin {check.margin}"
+                fail("bounds/geometric-decay", f"instance {idx}: decay margin {check.margin}")
 
-    results.append(_check("bounds/consensus-interval", interval_ok, detail))
-    results.append(_check("bounds/slem-lower", slem_lower_ok, detail))
-    results.append(_check("bounds/slem-upper-degree-matched", slem_upper_ok, detail))
-    results.append(_check("bounds/product-rate", product_ok, detail))
-    results.append(_check("bounds/geometric-decay", decay_ok, detail))
-    return results
+    return [_check(name, not detail, detail) for name, detail in details.items()]
 
 
 # ---------------------------------------------------------------------------

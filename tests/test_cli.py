@@ -109,6 +109,11 @@ class TestSimulateCommand:
                 id="negative-seed",
             ),
             pytest.param({"x0": {"kind": "uniform", "seed": -1}}, "x0.seed", id="negative-x0-seed"),
+            pytest.param(
+                {"layers": [{"kind": "erdos-renyi", "n": 10, "p": True}] * 2},
+                "layers[0]: p must be a number",
+                id="boolean-p",
+            ),
         ],
     )
     def test_mistyped_spec_or_seed_exits_two(self, tmp_path, capsys, overrides, path):

@@ -150,6 +150,26 @@ class TestConfigValidation:
                 r"x0\.value",
                 id="x0-value",
             ),
+            pytest.param(
+                merged_config(
+                    layers=[
+                        {"kind": "erdos-renyi", "n": 5, "p": True},
+                        {"kind": "circulant", "n": 5, "offsets": [1], "weight": 1.0},
+                    ]
+                ),
+                r"^layers\[0\]: p must be a number",
+                id="generator-p",
+            ),
+            pytest.param(
+                merged_config(
+                    layers=[
+                        {"kind": "circulant", "n": 5, "offsets": [1, 4], "weight": 0.5},
+                        {"kind": "circulant", "n": 5, "offsets": [2, 3], "weight": True},
+                    ]
+                ),
+                r"^layers\[1\]: weight must be a number",
+                id="generator-weight",
+            ),
             pytest.param(merged_config(t_max=True), "^t_max", id="t_max"),
             pytest.param(merged_config(tol=True), "^tol", id="tol"),
             pytest.param(

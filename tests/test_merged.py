@@ -79,28 +79,27 @@ class TestPrimitivityGuarantee:
         layer1, layer2 = complementary_cycles_pair()
         verdict = primitivity_guarantee(merge(layer1, layer2, 0.5))
         assert verdict.guaranteed
-        assert verdict.c_report.primitive
-        assert verdict.c_report.witness_exponent == 2
+        assert verdict.c_primitive
 
     def test_one_primitive_layer_suffices(self):
         primitive_layer = build_layer(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
         periodic_layer = build_layer(3, [(0, 1, 1), (1, 2, 1)])
         verdict = primitivity_guarantee(merge(primitive_layer, periodic_layer, 0.3))
         assert verdict.guaranteed
-        assert verdict.c_report.primitive
+        assert verdict.c_primitive
 
     def test_shared_single_edge_not_guaranteed(self):
         a = build_layer(2, [(0, 1, 1)])
         b = build_layer(2, [(0, 1, 2)])
         verdict = primitivity_guarantee(merge(a, b, 0.5))
         assert not verdict.guaranteed
-        assert not verdict.c_report.primitive
+        assert not verdict.c_primitive
 
     def test_endpoint_alpha_not_guaranteed_by_condition(self):
         layer1, layer2 = complementary_cycles_pair()
         verdict = primitivity_guarantee(merge(layer1, layer2, 1.0))
         assert not verdict.guaranteed  # condition needs interior alpha
-        assert verdict.c_report.primitive  # though C = A happens to be primitive
+        assert verdict.c_primitive  # though C = A happens to be primitive
 
 
 class TestMergedConsensus:
@@ -174,7 +173,7 @@ class TestMergedConsensus:
 class TestConsensusInterval:
     def test_triangle_pair_interval(self):
         layer1, layer2 = triangle_pair()
-        lo, hi = consensus_interval(merge(layer1, layer2, 0.5), X0_TRIANGLE)
+        lo, hi = consensus_interval(layer1, layer2, X0_TRIANGLE)
         assert lo == pytest.approx(1 / 3, abs=1e-14)
         assert hi == pytest.approx(3 / 8, abs=1e-14)
         value = merged_consensus(merge(layer1, layer2, 0.5), X0_TRIANGLE)
@@ -182,13 +181,13 @@ class TestConsensusInterval:
 
     def test_identical_layers_degenerate_interval(self):
         layer1, _ = triangle_pair()
-        lo, hi = consensus_interval(merge(layer1, layer1, 0.5), X0_TRIANGLE)
+        lo, hi = consensus_interval(layer1, layer1, X0_TRIANGLE)
         assert lo == pytest.approx(hi)
 
     def test_indicator_of_heavier_node_raises_endpoint(self):
         layer1, layer2 = triangle_pair()
         # node 0 carries more stationary weight in layer 2 (3/8 vs 1/3)
-        lo, hi = consensus_interval(merge(layer1, layer2, 0.5), X0_TRIANGLE)
+        lo, hi = consensus_interval(layer1, layer2, X0_TRIANGLE)
         from oplex.stochastic import consensus_value, stationary_from_degrees
 
         assert hi == pytest.approx(
@@ -199,13 +198,13 @@ class TestConsensusInterval:
         path = build_layer(3, [(0, 1, 1), (1, 2, 1)])  # bipartite, periodic
         tri = build_layer(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
         with pytest.raises(NotPrimitiveError):
-            consensus_interval(merge(path, tri, 0.5), X0_TRIANGLE)
+            consensus_interval(path, tri, X0_TRIANGLE)
 
     def test_rejects_when_second_layer_periodic(self):
         tri = build_layer(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
         path = build_layer(3, [(0, 1, 1), (1, 2, 1)])  # bipartite, periodic
         with pytest.raises(NotPrimitiveError, match="layer2"):
-            consensus_interval(merge(tri, path, 0.5), X0_TRIANGLE)
+            consensus_interval(tri, path, X0_TRIANGLE)
 
     def test_convexity_on_random_instances(self):
         for seed in range(25):
@@ -216,7 +215,7 @@ class TestConsensusInterval:
             alpha = float(rng.uniform(0.05, 0.95))
             x0 = rng.random(n)
             model = merge(layer1, layer2, alpha)
-            lo, hi = consensus_interval(model, x0)
+            lo, hi = consensus_interval(layer1, layer2, x0)
             value = merged_consensus(model, x0)
             assert lo - 1e-10 <= value <= hi + 1e-10
 
@@ -278,6 +277,17 @@ class TestSlemBounds:
         assert not report.degrees_matched
         assert np.isnan(report.upper_bound)
         assert report.slem_c >= report.lower_bound - 1e-9
+
+    def test_layer_eigensolver_failure_surfaces(self, monkeypatch):
+        import oplex.merged as merged
+
+        def fail(layer):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(merged, "layer_spectrum", fail)
+        layer1, layer2 = triangle_pair()
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            slem_bounds(merge(layer1, layer2, 0.5))
 
 
 class TestAlphaStability:

@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 
 from oplex.fixtures import oscillating_pair, triangle_pair
 from oplex.merged import merge, merged_consensus
-from oplex.simlab import constant_schedule, decay_check, fit_rate, simulate
+from oplex.simlab import decay_check, fit_rate, simulate
 from oplex.spectral import eig_moduli_nonsymmetric
 from oplex.stochastic import (
     consensus_value,
     stationary_from_degrees,
     transition_matrix,
 )
-from oplex.switching import analyze, schedule_matrix, switching_model
+from oplex.switching import analyze, switching_model
 
 X0 = np.array([1.0, 0.0, 0.0])
 
@@ -29,7 +29,7 @@ class TestSimulate:
     def test_constant_opinions_already_fixed(self):
         matrix, pi, _ = triangle_setup()
         x0 = np.full(3, 0.5)
-        traj = simulate(constant_schedule(matrix), x0, target=0.5, pi=pi)
+        traj = simulate((matrix,), x0, target=0.5, pi=pi)
         assert traj.converged
         assert traj.steps == 1
         assert np.array_equal(traj.final_state, x0)
@@ -40,16 +40,14 @@ class TestSimulate:
         model = merge(layer1, layer2, 0.5)
         value = merged_consensus(model, X0)
         pi = stationary_from_degrees(model.merged_layer)
-        traj = simulate(constant_schedule(model.transition), X0, target=value, pi=pi)
+        traj = simulate((model.transition,), X0, target=value, pi=pi)
         assert traj.converged
         assert np.abs(traj.final_state - 4 / 11).max() <= 1e-8
 
     def test_oscillating_switching_never_converges(self):
         model = switching_model(*oscillating_pair(), k=1)
         x0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-        traj = simulate(
-            lambda t: schedule_matrix(model, t), x0, t_max=2000, period=2
-        )
+        traj = simulate(model.schedule, x0, t_max=2000)
         assert not traj.converged
         assert traj.steps == 2000
         assert analyze(model, x0).status == "oscillation"
@@ -58,31 +56,34 @@ class TestSimulate:
         layer1, layer2 = triangle_pair()
         model = switching_model(layer1, layer2, 1)
         outcome = analyze(model, X0)
-        traj = simulate(
-            lambda t: schedule_matrix(model, t),
-            X0,
-            period=2,
-            target=outcome.value,
-            pi=outcome.pi,
-        )
+        traj = simulate(model.schedule, X0, target=outcome.value, pi=outcome.pi)
         assert traj.converged
         assert np.abs(traj.final_state - 3 / 10).max() <= 1e-9
 
+    def test_switching_period_composes_to_cycle(self):
+        model = switching_model(*triangle_pair(), k=3)
+        traj = simulate(model.schedule, X0, t_max=4)
+        assert np.abs(traj.final_state - model.cycle.entries @ X0).max() <= 1e-14
+
+    def test_rejects_empty_schedule(self):
+        with pytest.raises(ValueError, match="at least one matrix"):
+            simulate((), X0)
+
     def test_final_state_kept_without_recording(self):
         matrix, pi, target = triangle_setup()
-        traj = simulate(constant_schedule(matrix), X0, target=target, pi=pi, record_states=False)
+        traj = simulate((matrix,), X0, target=target, pi=pi, record_states=False)
         assert traj.states is None
         assert np.abs(traj.final_state - 1 / 3).max() <= 1e-9
 
     def test_errors_need_pi(self):
         matrix, _, target = triangle_setup()
         with pytest.raises(ValueError, match="requires the stationary"):
-            simulate(constant_schedule(matrix), X0, target=target)
+            simulate((matrix,), X0, target=target)
 
     def test_rejects_bad_x0(self):
         matrix, pi, _ = triangle_setup()
         with pytest.raises(ValueError, match="outside"):
-            simulate(constant_schedule(matrix), np.array([2.0, 0.0, 0.0]))
+            simulate((matrix,), np.array([2.0, 0.0, 0.0]))
 
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -98,7 +99,7 @@ class TestSimulate:
             entries / entries.sum(axis=1, keepdims=True)
         )
         x0 = rng.random(n)
-        traj = simulate(constant_schedule(matrix), x0, t_max=200)
+        traj = simulate((matrix,), x0, t_max=200)
         assert traj.states.min() >= x0.min() - 1e-12
         assert traj.states.max() <= x0.max() + 1e-12
 
@@ -106,14 +107,14 @@ class TestSimulate:
 class TestDecayCheck:
     def test_triangle_passes_at_true_rate(self):
         matrix, pi, target = triangle_setup()
-        traj = simulate(constant_schedule(matrix), X0, target=target, pi=pi)
+        traj = simulate((matrix,), X0, target=target, pi=pi)
         result = decay_check(traj, 0.5)
         assert result.passed
         assert result.margin >= 0.0
 
     def test_constant_opinions_pass_vacuously(self):
         matrix, pi, _ = triangle_setup()
-        traj = simulate(constant_schedule(matrix), np.full(3, 0.3), target=0.3, pi=pi)
+        traj = simulate((matrix,), np.full(3, 0.3), target=0.3, pi=pi)
         assert decay_check(traj, 0.5).passed
 
     def test_eigenvector_start_fails_below_true_rate(self):
@@ -121,7 +122,7 @@ class TestDecayCheck:
         matrix, pi, _ = triangle_setup()
         x0 = 0.5 + 0.25 * np.array([1.0, -1.0, 0.0])
         target = consensus_value(pi, x0)
-        traj = simulate(constant_schedule(matrix), x0, target=target, pi=pi)
+        traj = simulate((matrix,), x0, target=target, pi=pi)
         assert decay_check(traj, 0.5).passed
         negative = decay_check(traj, 0.4)
         assert not negative.passed
@@ -129,7 +130,7 @@ class TestDecayCheck:
 
     def test_requires_target(self):
         matrix, _, _ = triangle_setup()
-        traj = simulate(constant_schedule(matrix), X0)
+        traj = simulate((matrix,), X0)
         with pytest.raises(ValueError, match="consensus target"):
             decay_check(traj, 0.5)
 
@@ -141,7 +142,7 @@ class TestFitRate:
 
     def test_triangle_trajectory_rate_below_slem(self):
         matrix, pi, target = triangle_setup()
-        traj = simulate(constant_schedule(matrix), X0, target=target, pi=pi)
+        traj = simulate((matrix,), X0, target=target, pi=pi)
         rate = fit_rate(traj.errors_pi, floor=1e-13)
         assert rate <= 0.5 + 1e-6
 
@@ -149,13 +150,7 @@ class TestFitRate:
         layer1, layer2 = triangle_pair()
         model = switching_model(layer1, layer2, 1)
         outcome = analyze(model, X0)
-        traj = simulate(
-            lambda t: schedule_matrix(model, t),
-            X0,
-            period=2,
-            target=outcome.value,
-            pi=outcome.pi,
-        )
+        traj = simulate(model.schedule, X0, target=outcome.value, pi=outcome.pi)
         per_cycle = traj.errors_max[::2]
         rate = fit_rate(per_cycle[2:], floor=1e-13)
         slem = eig_moduli_nonsymmetric(model.cycle).slem

@@ -14,7 +14,6 @@ from oplex.switching import (
     analyze,
     k_stability_sweep,
     rho_star,
-    schedule_matrix,
     switching_model,
     switching_perturbation_check,
 )
@@ -31,25 +30,15 @@ TRIANGLE_CYCLE = np.array(
 class TestSchedule:
     def test_k1_alternates(self):
         model = switching_model(*triangle_pair(), k=1)
-        picks = [schedule_matrix(model, t) for t in (1, 2, 3, 4)]
-        assert picks[0] is model.a
-        assert picks[1] is model.b
-        assert picks[2] is model.a
-        assert picks[3] is model.b
+        assert model.schedule == (model.a, model.b)
 
     def test_k0_always_layer2(self):
         model = switching_model(*triangle_pair(), k=0)
-        assert all(schedule_matrix(model, t) is model.b for t in range(1, 6))
+        assert model.schedule == (model.b,)
 
     def test_k3_boundary(self):
         model = switching_model(*triangle_pair(), k=3)
-        assert schedule_matrix(model, 4) is model.b
-        assert schedule_matrix(model, 5) is model.a
-
-    def test_rejects_step_zero(self):
-        model = switching_model(*triangle_pair(), k=1)
-        with pytest.raises(ValueError, match="start at 1"):
-            schedule_matrix(model, 0)
+        assert model.schedule == (model.a, model.a, model.a, model.b)
 
 
 class TestCycleMatrix:

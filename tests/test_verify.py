@@ -1,0 +1,16 @@
+import oplex.verify as verify
+
+
+class TestBoundsSuiteDetails:
+    def test_each_check_keeps_its_own_failure(self, monkeypatch):
+        monkeypatch.setattr(
+            verify, "interval_checks", lambda value, interval: {"consensus-in-interval": False}
+        )
+        results = {r.name: r for r in verify.run_bounds_suite(n_instances=3)}
+        interval = results.pop("bounds/consensus-interval")
+        assert not interval.passed
+        assert interval.detail.startswith("instance 0: consensus ")
+        assert len(results) == 4
+        for result in results.values():
+            assert result.passed
+            assert result.detail == ""
