@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -65,6 +65,7 @@ SWEEP_COLUMNS = [
 _RATE_SLACK = 1e-6
 _AGREEMENT_TOL = 1e-7
 _FIT_FLOOR = 1e-13
+_WRITE_FIELDS = 2**14
 
 
 class ConfigError(ValueError):
@@ -478,7 +479,7 @@ def run_experiment(
             for p in points:
                 if p.trajectory is not None:
                     name = f"trajectory_{p.row['grid_kind']}_{p.row['grid_value']}.csv"
-                    _write_csv(out_path / name, _trajectory_rows(p.trajectory, n))
+                    _write_trajectory_csv(out_path / name, p.trajectory, n)
         if "summary" in config.outputs:
             (out_path / "summary.json").write_text(
                 json.dumps(summary, indent=2, sort_keys=True) + "\n"
@@ -498,23 +499,39 @@ def _collect_seeds(config: ExperimentConfig) -> dict:
     return seeds
 
 
-def _trajectory_rows(trajectory: OpinionTrajectory, n: int) -> Iterator[list[str]]:
-    """CSV rows of one trajectory, produced while the file is written."""
-    header = ["t", "err_pi", "err_max"]
+def _write_trajectory_csv(path: Path, trajectory: OpinionTrajectory, n: int) -> None:
+    """Write t, err_pi, err_max and, when recorded, x_0..x_{n-1} per step.
+
+    The bytes are those of csv.writer on the _fmt of each value: no field
+    needs quoting, so a row is one %-format of row_fmt. Rows go out in
+    chunks of about _WRITE_FIELDS values, each chunk formatted by one %
+    and written at once, so the text held at once stays small.
+    """
+    header = "t,err_pi,err_max"
+    row_fmt = "%d"
+    columns = []
+    if trajectory.errors_pi is not None:
+        row_fmt += ",%.17g,%.17g"
+        columns += [trajectory.errors_pi[:, None], trajectory.errors_max[:, None]]
+    else:
+        row_fmt += ",,"
     if trajectory.states is not None:
-        header += [f"x_{i}" for i in range(n)]
-    yield header
-    if trajectory.errors_pi is None and trajectory.states is None:
-        return
-    for t in range(trajectory.steps + 1):
-        row = [str(t)]
-        if trajectory.errors_pi is not None:
-            row += [_fmt(trajectory.errors_pi[t]), _fmt(trajectory.errors_max[t])]
-        else:
-            row += ["", ""]
-        if trajectory.states is not None:
-            row += [_fmt(v) for v in trajectory.states[t]]
-        yield row
+        header += "".join(f",x_{i}" for i in range(n))
+        row_fmt += ",%.17g" * n
+        columns.append(trajectory.states)
+    row_fmt += "\n"
+    with path.open("w", newline="\n") as fh:
+        fh.write(header + "\n")
+        if not columns:
+            return
+        rows = trajectory.steps + 1
+        chunk = max(1, _WRITE_FIELDS // (1 + sum(c.shape[1] for c in columns)))
+        for start in range(0, rows, chunk):
+            stop = min(start + chunk, rows)
+            # t rides along as a float column; %d prints its integer value.
+            t = np.arange(start, stop, dtype=float)[:, None]
+            values = np.hstack([t] + [c[start:stop] for c in columns])
+            fh.write((row_fmt * (stop - start)) % tuple(values.ravel().tolist()))
 
 
 def _write_sweep_csv(path: Path, points: Sequence[GridPointResult]) -> None:

@@ -1,16 +1,21 @@
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oplex import harness
 from oplex.harness import (
     ConfigError,
+    _fmt,
+    _write_trajectory_csv,
     config_hash,
     parse_config,
     resolve_x0,
     run_experiment,
 )
+from oplex.simlab import OpinionTrajectory
 
 DATA = Path(__file__).parent / "data"
 
@@ -333,6 +338,56 @@ class TestRunExperiment:
         run_experiment(config, tmp_path)
         header = (tmp_path / "trajectory_alpha_0.5.csv").read_text().splitlines()[0]
         assert "x_0" in header and "x_4" in header
+
+
+def csv_module_trajectory(path, traj, n):
+    """The trajectory file as csv.writer writes the _fmt rows: the reference."""
+    header = ["t", "err_pi", "err_max"]
+    if traj.states is not None:
+        header += [f"x_{i}" for i in range(n)]
+    rows = [header]
+    if traj.errors_pi is not None or traj.states is not None:
+        for t in range(traj.steps + 1):
+            row = [str(t)]
+            if traj.errors_pi is not None:
+                row += [_fmt(traj.errors_pi[t]), _fmt(traj.errors_max[t])]
+            else:
+                row += ["", ""]
+            if traj.states is not None:
+                row += [_fmt(v) for v in traj.states[t]]
+            rows.append(row)
+    with path.open("w", newline="\n") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+class TestTrajectoryWriter:
+    @pytest.mark.parametrize(
+        "errors, states",
+        [(True, False), (False, True), (True, True), (False, False)],
+        ids=["errors", "states-no-target", "errors-and-states", "header-only"],
+    )
+    @pytest.mark.parametrize("write_fields", [10, 2**14])
+    def test_matches_csv_writer(self, tmp_path, monkeypatch, errors, states, write_fields):
+        monkeypatch.setattr(harness, "_WRITE_FIELDS", write_fields)
+        rng = np.random.default_rng(4)
+        n, steps = 4, 57
+        values = rng.random((steps + 1, n)) * 10.0 ** rng.integers(-300, 3, (steps + 1, n))
+        values[:3, 0] = [0.0, 1.0, 1 / 3]
+        errors_pi = np.abs(values[:, 1]) if errors else None
+        errors_max = np.abs(values[:, 2]) if errors else None
+        traj = OpinionTrajectory(
+            states=values if states else None,
+            final_state=values[-1],
+            errors_pi=errors_pi,
+            errors_max=errors_max,
+            consensus_target=0.5 if errors else None,
+            pi=None,
+            converged=True,
+            steps=steps,
+        )
+        _write_trajectory_csv(tmp_path / "bulk.csv", traj, n)
+        csv_module_trajectory(tmp_path / "csv.csv", traj, n)
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
 
 
 class TestConfigHash:

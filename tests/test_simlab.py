@@ -8,7 +8,12 @@ from oplex.merged import merge, merged_consensus
 from oplex.simlab import decay_check, fit_rate, simulate
 from oplex.spectral import eig_moduli_nonsymmetric
 from oplex.stochastic import (
+    StationaryDistribution,
+    TransitionMatrix,
+    check_opinions,
     consensus_value,
+    max_norm,
+    pi_norm,
     stationary_from_degrees,
     transition_matrix,
 )
@@ -102,6 +107,123 @@ class TestSimulate:
         traj = simulate((matrix,), x0, t_max=200)
         assert traj.states.min() >= x0.min() - 1e-12
         assert traj.states.max() <= x0.max() + 1e-12
+
+
+def stepwise_simulate(schedule, x0, t_max, tol, target, pi, record_states):
+    """One step at a time, one norm call per step: the reference for simulate."""
+    period = len(schedule)
+    x = check_opinions(x0).copy()
+    states = [x.copy()]
+    errors_pi = [pi_norm(x - target, pi)] if target is not None else None
+    errors_max = [max_norm(x - target)] if target is not None else None
+    converged = False
+    quiet_run = 0
+    steps = 0
+    for t in range(1, t_max + 1):
+        nxt = schedule[(t - 1) % period].entries @ x
+        steps = t
+        states.append(nxt)
+        if target is not None:
+            errors_pi.append(pi_norm(nxt - target, pi))
+            errors_max.append(max_norm(nxt - target))
+        quiet_run = quiet_run + 1 if np.abs(nxt - x).max() < tol else 0
+        x = nxt
+        if quiet_run >= period:
+            converged = True
+            break
+    return dict(
+        states=np.array(states) if record_states else None,
+        final_state=x,
+        errors_pi=None if errors_pi is None else np.array(errors_pi),
+        errors_max=None if errors_max is None else np.array(errors_max),
+        converged=converged,
+        steps=steps,
+    )
+
+
+def random_schedule(rng, n, period):
+    """Lazy random walks with some zero entries, so mixing speeds vary."""
+    schedule = []
+    for _ in range(period):
+        entries = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+        entries[np.arange(n), rng.integers(0, n, n)] += 0.05
+        laziness = 1.0 - 10.0 ** rng.uniform(-2.0, 0.0)
+        entries = laziness * np.eye(n) + (1 - laziness) * entries / entries.sum(axis=1, keepdims=True)
+        schedule.append(TransitionMatrix.from_entries(entries))
+    return tuple(schedule)
+
+
+def assert_matches_stepwise(schedule, x0, t_max, tol, target, pi, record_states):
+    traj = simulate(
+        schedule, x0, t_max=t_max, tol=tol, target=target, pi=pi, record_states=record_states
+    )
+    ref = stepwise_simulate(schedule, x0, t_max, tol, target, pi, record_states)
+    assert traj.steps == ref["steps"]
+    assert traj.converged == ref["converged"]
+    assert np.array_equal(traj.final_state, ref["final_state"])
+    for name in ("states", "errors_pi", "errors_max"):
+        got, want = getattr(traj, name), ref[name]
+        assert (got is None) == (want is None), name
+        if want is not None:
+            assert np.array_equal(got, want), name
+    return traj
+
+
+class TestBlockedStepping:
+    """simulate steps in blocks; every result must equal plain stepping bit for bit.
+
+    Blocks hold period, period, 2 period, 4 period, ... steps at these sizes,
+    so the "edge" runs pick tol to make the stall rule fire at or just past
+    step period * 2**j: stops on a block edge, and for period >= 2 quiet
+    runs that straddle one.
+    """
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=12),
+        period=st.integers(min_value=1, max_value=4),
+        t_max=st.integers(min_value=1, max_value=700),
+        stop=st.one_of(
+            st.tuples(st.integers(0, 7), st.integers(0, 3)),
+            st.floats(min_value=2.0, max_value=16.0),
+        ),
+        with_target=st.booleans(),
+        record_states=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_stepwise_reference(
+        self, seed, n, period, t_max, stop, with_target, record_states
+    ):
+        rng = np.random.default_rng(seed)
+        schedule = random_schedule(rng, n, period)
+        x0 = rng.random(n)
+        weights = rng.random(n) + 0.1
+        pi = StationaryDistribution(weights / weights.sum())
+        target = float(rng.random()) if with_target else None
+        if isinstance(stop, tuple):
+            # Steps last - period + 1 .. last are all quiet under this tol,
+            # so the stall rule fires at step last or before it.
+            j, offset = stop
+            last = period * 2**j + min(offset, period - 1)
+            states = stepwise_simulate(schedule, x0, last, 1e-300, None, None, True)["states"]
+            diffs = np.abs(np.diff(states, axis=0)).max(axis=1)
+            tol = float(diffs[-period:].max()) * (1 + 1e-9) or 1e-300
+        else:
+            tol = 10.0**-stop
+        assert_matches_stepwise(schedule, x0, t_max, tol, target, pi, record_states)
+
+    @pytest.mark.parametrize("n, t_max, converged", [(300, 2000, True), (600, 200, False)])
+    def test_matches_stepwise_at_the_block_cap(self, n, t_max, converged):
+        # At these sizes blocks stop growing after a few steps, at a size set
+        # by n, not by the number of steps taken.
+        rng = np.random.default_rng(n)
+        ring = np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1) + np.eye(n)
+        matrix = TransitionMatrix.from_entries(ring / 3)
+        pi = StationaryDistribution(np.full(n, 1.0 / n))
+        x0 = rng.random(n)
+        traj = assert_matches_stepwise((matrix,), x0, t_max, 1e-4, 0.5, pi, True)
+        assert traj.converged == converged
+        assert traj.steps > 100
 
 
 class TestDecayCheck:
