@@ -21,7 +21,6 @@ from .stochastic import (
     TransitionMatrix,
     consensus_value,
     is_primitive,
-    matrix_power,
     max_norm,
     pi_norm,
     stationary_from_degrees,
@@ -32,7 +31,6 @@ from .spectral import (
     SpectralSummary,
     eig_moduli_nonsymmetric,
     layer_spectrum,
-    rayleigh_quotient,
     slem_reversible,
     symmetrize,
 )
@@ -97,7 +95,6 @@ __all__ = [
     "TransitionMatrix",
     "consensus_value",
     "is_primitive",
-    "matrix_power",
     "max_norm",
     "pi_norm",
     "stationary_from_degrees",
@@ -106,7 +103,6 @@ __all__ = [
     "SpectralSummary",
     "eig_moduli_nonsymmetric",
     "layer_spectrum",
-    "rayleigh_quotient",
     "slem_reversible",
     "symmetrize",
     "MergedBoundsReport",

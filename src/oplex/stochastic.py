@@ -197,9 +197,3 @@ def layer_consensus(layer: LayerGraph, x0: np.ndarray, name: str) -> float:
     require_primitive(transition_matrix(layer), f"{name} transition matrix")
     return consensus_value(stationary_from_degrees(layer), x0)
 
-
-def matrix_power(m: TransitionMatrix, exponent: int) -> TransitionMatrix:
-    """M^exponent as a transition matrix."""
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative")
-    return TransitionMatrix.from_entries(np.linalg.matrix_power(m.entries, exponent))

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oplex.fixtures import (
     complementary_cycles_pair,
@@ -7,15 +12,32 @@ from oplex.fixtures import (
     triangle_pair,
 )
 from oplex.merged import merge
-from oplex.netcore import build_layer
+from oplex.netcore import GeneratorSpec, IsolatedNodeError, LayerGraph, build_layer, generate
 from oplex.spectral import (
+    _KRYLOV_MIN_N,
+    _KRYLOV_NEAR_ONE,
+    _slem_lanczos,
     eig_moduli_nonsymmetric,
-    rayleigh_quotient,
     slem_reversible,
     symmetrize,
 )
 from oplex.stochastic import TransitionMatrix, transition_matrix
 from oplex.verify import random_layer
+
+
+def moduli_symmetric(layer):
+    """Eigenvalue moduli of the layer's symmetrization, sorted descending."""
+    return np.sort(np.abs(np.linalg.eigvalsh(symmetrize(layer))))[::-1]
+
+
+def moduli_general(m: TransitionMatrix):
+    """Eigenvalue moduli of a general stochastic matrix, sorted descending."""
+    return np.sort(np.abs(np.linalg.eigvals(m.entries)))[::-1]
+
+
+def rayleigh(s, v):
+    """v'Sv / v'v."""
+    return float(v @ s @ v) / float(v @ v)
 
 
 class TestSymmetrize:
@@ -51,7 +73,7 @@ class TestSlemReversible:
         expected = sorted(
             (abs(np.cos(2 * k * np.pi / 5)) for k in range(5)), reverse=True
         )
-        assert np.abs(summary.moduli - expected).max() <= 1e-12
+        assert np.abs(moduli_symmetric(layer1) - expected).max() <= 1e-12
 
     def test_complete_graph_slem(self):
         n = 5
@@ -64,7 +86,7 @@ class TestSlemReversible:
         layer = build_layer(2, [(0, 1, 1)])
         summary = slem_reversible(layer)
         assert summary.slem == 1.0
-        assert np.allclose(summary.moduli, [1.0, 1.0])
+        assert np.allclose(moduli_symmetric(layer), [1.0, 1.0])
 
 
 class TestNonsymmetric:
@@ -75,7 +97,7 @@ class TestNonsymmetric:
         )
         summary = eig_moduli_nonsymmetric(cycle)
         assert summary.method == "nonsymmetric"
-        assert np.abs(summary.moduli - [1.0, 1 / 3, 1 / 6]).max() <= 1e-12
+        assert np.abs(moduli_general(cycle) - [1.0, 1 / 3, 1 / 6]).max() <= 1e-12
         assert summary.slem == pytest.approx(1 / 3, abs=1e-12)
 
     def test_misaligned_merged_slem(self):
@@ -89,15 +111,18 @@ class TestNonsymmetric:
             [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
         )
         summary = eig_moduli_nonsymmetric(perm)
-        assert np.allclose(summary.moduli, 1.0)
+        assert np.allclose(moduli_general(perm), 1.0)
         assert summary.slem == 1.0
 
     def test_similarity_with_symmetric_path(self):
         for seed in range(5):
             layer = random_layer(np.random.default_rng(seed), 11)
-            sym = slem_reversible(layer).moduli
-            gen = eig_moduli_nonsymmetric(transition_matrix(layer)).moduli
+            sym = moduli_symmetric(layer)
+            gen = moduli_general(transition_matrix(layer))
             assert np.abs(sym - gen).max() <= 1e-8
+            assert slem_reversible(layer).slem == pytest.approx(
+                eig_moduli_nonsymmetric(transition_matrix(layer)).slem, abs=1e-8
+            )
 
     def test_trace_identity_zero_diagonal(self):
         # complex pairs contribute twice their real part, so the sum of real
@@ -119,25 +144,21 @@ class TestRayleigh:
         s = symmetrize(layer2)
         values, vectors = np.linalg.eigh(s)
         for idx in range(3):
-            assert rayleigh_quotient(s, vectors[:, idx]) == pytest.approx(values[idx])
+            assert rayleigh(s, vectors[:, idx]) == pytest.approx(values[idx])
 
     def test_sqrt_degree_vector_gives_one(self):
         layer = random_layer(np.random.default_rng(11), 7)
         s = symmetrize(layer)
         v = np.sqrt(layer.degrees)
-        assert rayleigh_quotient(s, v) == pytest.approx(1.0, abs=1e-12)
+        assert rayleigh(s, v) == pytest.approx(1.0, abs=1e-12)
 
     def test_random_vectors_stay_in_spectrum_range(self):
         _, layer2 = triangle_pair()
         s = symmetrize(layer2)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            q = rayleigh_quotient(s, rng.normal(size=3))
+            q = rayleigh(s, rng.normal(size=3))
             assert -2 / 3 - 1e-12 <= q <= 1.0 + 1e-12
-
-    def test_rejects_zero_vector(self):
-        with pytest.raises(ValueError, match="zero vector"):
-            rayleigh_quotient(np.eye(2), np.zeros(2))
 
     def test_courant_fischer_second_eigenvalue(self):
         # random unit vectors orthogonal to the top eigenvector never beat
@@ -155,5 +176,120 @@ class TestRayleigh:
         for _ in range(200):
             v = rng.normal(size=10)
             v -= (v @ top) * top
-            worst = max(worst, rayleigh_quotient(s_c, v))
+            worst = max(worst, rayleigh(s_c, v))
         assert worst <= lambda2 + 1e-9
+
+
+def dense_slem(layer):
+    """Second largest eigenvalue modulus from the full symmetric spectrum."""
+    return min(float(moduli_symmetric(layer)[1]), 1.0)
+
+
+def denser_layer(rng, n, density, ring=False):
+    """random_layer, or the ring circulant(1, 2) if ring, plus each other
+    pair joined with probability density."""
+    if ring:
+        w = generate(GeneratorSpec(kind="circulant", n=n, offsets=(1, 2))).weights
+    else:
+        w = random_layer(rng, n).weights
+    extra = np.triu(rng.random((n, n)) < density, 1) & (w == 0)
+    w[extra] = rng.uniform(0.5, 2.0, size=int(extra.sum()))
+    return LayerGraph.from_weights(np.triu(w) + np.triu(w, 1).T)
+
+
+def hubs_and_random(n, seed):
+    """Barabasi-Albert(5) blended with Erdos-Renyi of mean degree 10 at alpha 0.5."""
+    ba = generate(GeneratorSpec(kind="barabasi-albert", n=n, m=5, seed=seed))
+    er = generate(GeneratorSpec(kind="erdos-renyi", n=n, p=10.0 / n, seed=seed + 1))
+    return merge(ba, er, 0.5).merged_layer
+
+
+class TestKrylov:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(8, 120),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+        alpha=st.sampled_from([None, 0.1, 0.5, 0.9]),
+        ring=st.booleans(),
+    )
+    def test_matches_dense_spectrum(self, n, seed, density, alpha, ring):
+        # single layers (alpha None) and merged pairs, called below the
+        # crossover; slow-mixing rings exercise the hand-back to eigvalsh
+        rng = np.random.default_rng(seed)
+        layer = denser_layer(rng, n, density, ring)
+        if alpha is not None:
+            layer = merge(layer, denser_layer(rng, n, density), alpha).merged_layer
+        slem = _slem_lanczos(layer)
+        dense = dense_slem(layer)
+        if slem is None:
+            # the dense solver takes over only on a spectrum near modulus 1
+            assert dense >= _KRYLOV_NEAR_ONE
+        else:
+            assert abs(slem - dense) <= 1e-12
+
+    def test_merged_hubs_take_lanczos(self):
+        layer = hubs_and_random(1000, 11)
+        summary = slem_reversible(layer)
+        assert summary.method == "lanczos"
+        assert abs(summary.slem - dense_slem(layer)) <= 1e-12
+
+    def test_slow_ring_falls_back_to_dense(self):
+        ring = generate(GeneratorSpec(kind="circulant", n=1000, offsets=(1, 2)))
+        assert _slem_lanczos(ring) is None
+        summary = slem_reversible(ring)
+        assert summary.method == "symmetric"
+        j = np.arange(1, 1000)
+        closed_form = np.abs(np.cos(2 * np.pi * j / 1000) + np.cos(4 * np.pi * j / 1000)).max() / 2
+        assert summary.slem == pytest.approx(closed_form, abs=1e-12)
+
+    def test_disconnected_union_has_slem_one(self):
+        half = _KRYLOV_MIN_N // 2 + 1
+        parts = [generate(GeneratorSpec(kind="barabasi-albert", n=half, m=5, seed=s)) for s in (1, 2)]
+        w = np.zeros((2 * half, 2 * half))
+        w[:half, :half] = parts[0].weights
+        w[half:, half:] = parts[1].weights
+        assert slem_reversible(LayerGraph.from_weights(w)).slem == pytest.approx(1.0, abs=1e-12)
+
+    def test_even_ring_has_slem_one(self):
+        n = 2 * _KRYLOV_MIN_N
+        ring = generate(GeneratorSpec(kind="circulant", n=n, offsets=(1,)))
+        assert slem_reversible(ring).slem == pytest.approx(1.0, abs=1e-12)
+
+    def test_isolated_node_raises(self):
+        n = _KRYLOV_MIN_N
+        layer = build_layer(n, [(i, i + 1, 1.0) for i in range(n - 2)])
+        with pytest.raises(IsolatedNodeError, match=f"node {n - 1} is isolated"):
+            _slem_lanczos(layer)
+        with pytest.raises(IsolatedNodeError):
+            slem_reversible(layer)
+
+    def test_reruns_are_bit_identical(self):
+        layer = hubs_and_random(_KRYLOV_MIN_N, 5)
+        copy = LayerGraph.from_weights(layer.weights.copy())
+        first, second, third = (slem_reversible(x) for x in (layer, layer, copy))
+        assert first.method == "lanczos"
+        assert first == second == third
+
+    def test_no_scipy_import(self):
+        # scipy.sparse.linalg alone adds about 24 MB of resident memory; the
+        # Krylov path is plain numpy and a merged sweep must not load scipy.
+        script = f"""
+import sys
+import oplex
+config = {{
+    "model": {{"kind": "merged", "alphas": [0.5]}},
+    "layers": [
+        {{"kind": "barabasi-albert", "n": {_KRYLOV_MIN_N}, "m": 5, "seed": 1}},
+        {{"kind": "erdos-renyi", "n": {_KRYLOV_MIN_N}, "p": 0.02, "seed": 2}},
+    ],
+    "x0": {{"kind": "uniform", "seed": 3}},
+}}
+result = oplex.run_experiment(config)
+assert result.rows[0]["slem"] > 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

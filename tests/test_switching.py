@@ -6,7 +6,7 @@ from oplex.netcore import GeneratorSpec, generate
 from oplex.spectral import eig_moduli_nonsymmetric, slem_reversible
 from oplex.stochastic import (
     NotPrimitiveError,
-    matrix_power,
+    TransitionMatrix,
     stationary_general,
     transition_matrix,
 )
@@ -131,7 +131,8 @@ class TestSpectralProperties:
         a = transition_matrix(layer1)
         rho = slem_reversible(layer1).slem
         for k in range(1, 7):
-            powered = eig_moduli_nonsymmetric(matrix_power(a, k)).slem
+            power = TransitionMatrix.from_entries(np.linalg.matrix_power(a.entries, k))
+            powered = eig_moduli_nonsymmetric(power).slem
             assert powered == pytest.approx(rho**k, abs=1e-8)
 
     def test_cycle_decay_envelope(self):
