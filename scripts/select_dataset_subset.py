@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from oplex.netcore import LayerGraph, load_two_layer_dataset
-from oplex.spectral import eig_moduli_nonsymmetric
+from oplex.spectral import slem_reversible
 from oplex.stochastic import is_primitive, transition_matrix
 from oplex.switching import switching_model
 
@@ -40,7 +40,7 @@ def profile(layer_a: LayerGraph, layer_b: LayerGraph, ks) -> dict | None:
         "a_primitive": is_primitive(a),
         "b_primitive": is_primitive(b),
         "cycles_primitive": cycles_ok,
-        "b_slem": eig_moduli_nonsymmetric(b).slem,
+        "b_slem": slem_reversible(layer_b).slem,
     }
 
 

@@ -15,9 +15,14 @@ of S once the Perron vector sqrt(pi) is deflated:
   take it many steps, so an early Ritz value near 1, or a spent step
   budget, hands the layer back to the dense solver.
 
-Switching products B A^k are genuinely nonreversible and go through the
-general dense solver. Ties at modulus 1 mean the chain is not primitive and
-the SLEM is 1.
+Switching products B A^k are genuinely nonreversible. Their SLEM is the
+largest eigenvalue modulus left once the constant vector is deflated
+(Q 1 = 1 for every stochastic Q): the general dense solver eigvals below
+_KRYLOV_MIN_N nodes, Arnoldi with full reorthogonalization from there
+(Arnoldi 1951; Saad, Numerical Methods for Large Eigenvalue Problems,
+2011), with the same hand-back to the dense solver. Lanczos and Arnoldi
+share one Krylov loop. Ties at modulus 1 mean the chain is not primitive
+and the SLEM is 1.
 """
 
 from __future__ import annotations
@@ -32,22 +37,23 @@ from .stochastic import TransitionMatrix
 
 _PERRON_TOL = 1e-10
 
-# Layers with at least this many nodes take the Lanczos path. Measured
+# Operators on at least this many nodes take the Krylov path. Measured
 # crossover against eigvalsh on Barabasi-Albert and Erdos-Renyi layers and
-# their blends, one BLAS thread.
+# their blends, one BLAS thread; Arnoldi beats eigvals from fewer nodes.
 _KRYLOV_MIN_N = 500
-# An extreme Ritz value counts as converged once its residual |beta_j s_j|
-# is below this; both extremes must converge.
+# An outer Ritz value counts as converged once its residual |beta_j s_j|
+# is below this.
 _KRYLOV_TOL = 1e-12
-# Lanczos steps between two Ritz checks: _KRYLOV_CHECK while the residual
+# Krylov steps between two Ritz checks: _KRYLOV_CHECK while the residual
 # has no trend yet, else as many as its decay predicts, up to
-# _KRYLOV_MAX_GAP. Each check is a dense eigh of the tridiagonal T.
+# _KRYLOV_MAX_GAP. Each check is a dense eigh of the tridiagonal part of H
+# (Lanczos) or eig of H (Arnoldi).
 _KRYLOV_CHECK = 8
 _KRYLOV_MAX_GAP = 32
-# Cap on Lanczos steps; the dense solver takes over beyond it.
+# Cap on Krylov steps; the dense solver takes over beyond it.
 _KRYLOV_MAX_STEPS = 300
 # At the first check after _KRYLOV_PROBE steps, a Ritz value of modulus at
-# least _KRYLOV_NEAR_ONE marks a spectrum clustered near 1: Lanczos would
+# least _KRYLOV_NEAR_ONE marks a spectrum clustered near 1: Krylov would
 # need hundreds of steps there, so the dense solver takes over.
 _KRYLOV_PROBE = 16
 _KRYLOV_NEAR_ONE = 0.98
@@ -58,7 +64,8 @@ SLEM_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """The SLEM and the solver path: "symmetric", "lanczos" or "nonsymmetric"."""
+    """The SLEM and the solver path: "symmetric" or "lanczos" for reversible
+    operators, "nonsymmetric" or "arnoldi" for general ones."""
 
     slem: float
     method: str
@@ -99,52 +106,52 @@ def _next_check_gap(last: tuple[int, float] | None, j: int, residual: float) -> 
     return int(np.clip(np.ceil(np.log(residual / _KRYLOV_TOL) / rate), 1, _KRYLOV_MAX_GAP))
 
 
-def _slem_lanczos(layer: LayerGraph) -> float | None:
-    """SLEM by Lanczos on S restricted to the complement of sqrt(pi).
+def _slem_krylov(apply, u: np.ndarray, symmetric: bool) -> float | None:
+    """Largest eigenvalue modulus of an operator restricted to the complement of u.
 
-    S is applied from its nonzeros in CSR order, one reduceat per product.
-    After the three-term recurrence every new vector is orthogonalized once
-    more against sqrt(pi) and all earlier ones (full reorthogonalization), so
-    the Ritz values of the tridiagonal T stay inside the deflated spectrum.
-    Returns None, for the dense solver to take over, when the spectrum is
-    clustered near modulus 1 or the step budget runs out.
+    u is a unit vector with apply(u) = u whose span the operator leaves
+    invariant, so the restriction keeps every other eigenvalue. Each step
+    applies the operator to the newest basis vector and orthogonalizes the
+    result against u and every earlier basis vector by classical
+    Gram-Schmidt, twice: one pass loses orthogonality where the Krylov space
+    is nearly invariant, two keep it to rounding (Giraud, Langou and
+    Rozloznik 2005). The coefficients fill the Hessenberg H. A symmetric
+    operator makes H tridiagonal (Lanczos): its Ritz values come from eigh
+    and both extremes must converge. Otherwise (Arnoldi) they come from eig
+    and the one of largest modulus must converge. Returns None, for a dense
+    solver to take over, when the spectrum is clustered near modulus 1 or
+    the step budget runs out.
     """
-    n = layer.n
-    inv_sqrt = _inverse_sqrt_degrees(layer)
-    flat = np.flatnonzero(layer.weights != 0)
-    rows, cols = np.divmod(flat, n)
-    vals = layer.weights.ravel()[flat] * inv_sqrt[rows] * inv_sqrt[cols]
-    # rows come sorted and none is empty (no isolated node): CSR row starts
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(vals * x[cols], starts)
-
+    n = u.shape[0]
     steps = min(_KRYLOV_MAX_STEPS, n - 1)
     basis = np.empty((min(_KRYLOV_PROBE, steps) + 2, n))
-    basis[0] = u = _perron_vector(layer, apply)
+    basis[0] = u
     # a fixed start vector, so reruns are bit-for-bit identical
     start = np.random.default_rng(0).standard_normal(n)
     start -= (u @ start) * u
     basis[1] = start / np.linalg.norm(start)
-    diag = np.empty(steps)
-    offdiag = np.empty(steps)
-    beta = 0.0
+    hess = np.zeros((steps + 1, steps))
     check, last = _KRYLOV_PROBE, None
     for j in range(1, steps + 1):
-        r = apply(basis[j]) - beta * basis[j - 1]
-        alpha = basis[j] @ r
-        r -= alpha * basis[j]
+        r = apply(basis[j])
         done = basis[: j + 1]
-        h = done @ r
-        r -= done.T @ h
-        diag[j - 1] = alpha + h[j]
-        offdiag[j - 1] = beta = np.linalg.norm(r)
+        h = np.zeros(j + 1)
+        for _ in range(2):
+            c = done @ r
+            r -= done.T @ c
+            h += c
+        hess[:j, j - 1] = h[1:]
+        hess[j, j - 1] = beta = np.linalg.norm(r)
         if j == check or beta < _KRYLOV_TOL or j == steps:
-            t = np.diag(diag[:j]) + np.diag(offdiag[: j - 1], 1) + np.diag(offdiag[: j - 1], -1)
-            theta, s = np.linalg.eigh(t)
-            top = max(theta[-1], -theta[0])
-            residual = beta * np.abs(s[-1, [0, -1]]).max()
+            if symmetric:
+                # eigh reads the lower triangle: H's diagonal and subdiagonal
+                theta, s = np.linalg.eigh(hess[:j, :j])
+                outer = [0, -1]
+            else:
+                theta, s = np.linalg.eig(hess[:j, :j])
+                outer = [int(np.argmax(np.abs(theta)))]
+            top = np.abs(theta[outer]).max()
+            residual = beta * np.abs(s[-1, outer]).max()
             if residual < _KRYLOV_TOL:
                 return float(min(top, 1.0))
             if j >= _KRYLOV_PROBE and top >= _KRYLOV_NEAR_ONE:
@@ -157,6 +164,32 @@ def _slem_lanczos(layer: LayerGraph) -> float | None:
             basis = np.concatenate([basis, np.empty((more, n))])
         basis[j + 1] = r / beta
     return None
+
+
+def _slem_lanczos(layer: LayerGraph) -> float | None:
+    """SLEM by Lanczos on S with sqrt(pi) deflated, S applied from its
+    nonzeros in CSR order, one reduceat per product."""
+    n = layer.n
+    inv_sqrt = _inverse_sqrt_degrees(layer)
+    flat = np.flatnonzero(layer.weights != 0)
+    rows, cols = np.divmod(flat, n)
+    vals = layer.weights.ravel()[flat] * inv_sqrt[rows] * inv_sqrt[cols]
+    # rows come sorted and none is empty (no isolated node): CSR row starts
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(vals * x[cols], starts)
+
+    return _slem_krylov(apply, _perron_vector(layer, apply), symmetric=True)
+
+
+def _slem_arnoldi(m: TransitionMatrix) -> float | None:
+    """SLEM by Arnoldi on a stochastic Q with the constant vector deflated:
+    Q 1 = 1 makes span{1} invariant, so no stationary vector is needed."""
+    ones = np.ones(m.n)
+    if np.abs(m.entries @ ones - ones).max() > _PERRON_TOL:
+        raise RuntimeError("Q 1 != 1; input not stochastic?")
+    return _slem_krylov(lambda x: m.entries @ x, ones / np.sqrt(m.n), symmetric=False)
 
 
 def slem_reversible(layer: LayerGraph) -> SpectralSummary:
@@ -186,12 +219,18 @@ def layer_spectrum(layer: LayerGraph) -> SpectralSummary:
 
 
 def eig_moduli_nonsymmetric(m: TransitionMatrix) -> SpectralSummary:
-    """SLEM of a general stochastic matrix.
+    """SLEM of a general stochastic matrix, such as a switching cycle B A^k.
 
-    Dense Schur-form solver (Hessenberg reduction plus shifted QR) for all
-    eigenvalues; complex pairs contribute their common modulus.
-    Non-convergence is reported with a hash of the offending matrix.
+    Arnoldi with the constant vector deflated from _KRYLOV_MIN_N nodes on.
+    Below that and wherever Arnoldi gives up, the dense Schur-form solver
+    (Hessenberg reduction plus shifted QR) for all eigenvalues; complex
+    pairs contribute their common modulus. Non-convergence is reported with
+    a hash of the offending matrix.
     """
+    if m.n >= _KRYLOV_MIN_N:
+        slem = _slem_arnoldi(m)
+        if slem is not None:
+            return SpectralSummary(slem=slem, method="arnoldi")
     try:
         eigenvalues = np.linalg.eigvals(m.entries)
     except np.linalg.LinAlgError as exc:
@@ -201,4 +240,3 @@ def eig_moduli_nonsymmetric(m: TransitionMatrix) -> SpectralSummary:
     if abs(leading - 1.0) > _PERRON_TOL:
         raise RuntimeError(f"leading eigenvalue modulus {leading!r} is not 1; input not stochastic?")
     return SpectralSummary(slem=_second_modulus(eigenvalues), method="nonsymmetric")
-

@@ -41,7 +41,8 @@ class TransitionMatrix:
 
     @classmethod
     def from_entries(cls, entries: np.ndarray) -> "TransitionMatrix":
-        m = np.array(entries, dtype=float)
+        # no copy here: the renormalization below returns a fresh array
+        m = np.asarray(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"transition matrix must be square, got shape {m.shape}")
         if (m < 0).any():

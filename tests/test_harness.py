@@ -16,6 +16,7 @@ from oplex.harness import (
     run_experiment,
 )
 from oplex.simlab import OpinionTrajectory
+from oplex.spectral import _KRYLOV_MIN_N
 
 DATA = Path(__file__).parent / "data"
 
@@ -302,9 +303,8 @@ class TestRunExperiment:
         assert not (tmp_path / "sweep.csv").exists()
         assert (tmp_path / "summary.json").exists()
 
-    def test_merged_sweep_uses_symmetric_solver_only(self, monkeypatch):
-        # Clashing degree sequences: C still takes the symmetric path, and
-        # each layer spectrum is solved once for the whole alpha grid.
+    @staticmethod
+    def count_eigensolver_calls(monkeypatch):
         calls = {"eigvalsh": 0, "eigvals": 0}
         for name in calls:
             original = getattr(np.linalg, name)
@@ -314,6 +314,12 @@ class TestRunExperiment:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_merged_sweep_uses_symmetric_solver_only(self, monkeypatch):
+        # Clashing degree sequences: C still takes the symmetric path, and
+        # each layer spectrum is solved once for the whole alpha grid.
+        calls = self.count_eigensolver_calls(monkeypatch)
         raw = merged_config(
             model={"kind": "merged", "alphas": [0.25, 0.5, 0.75]},
             layers=[
@@ -324,6 +330,22 @@ class TestRunExperiment:
         result = run_experiment(raw)
         assert result.all_passed
         assert calls == {"eigvalsh": 5, "eigvals": 0}
+
+    def test_switching_sweep_uses_krylov_solvers_only(self, monkeypatch):
+        # From the Krylov crossover on, the cycles take Arnoldi and the two
+        # layer spectra Lanczos: no dense eigensolve anywhere in the sweep.
+        calls = self.count_eigensolver_calls(monkeypatch)
+        raw = merged_config(
+            model={"kind": "switching", "ks": [1, 2, 4]},
+            layers=[
+                {"kind": "barabasi-albert", "n": _KRYLOV_MIN_N, "m": 5, "seed": 3},
+                {"kind": "erdos-renyi", "n": _KRYLOV_MIN_N, "p": 0.02, "seed": 4},
+            ],
+        )
+        result = run_experiment(raw)
+        assert result.all_passed
+        assert all(row["consensus"] is not None for row in result.rows)
+        assert calls == {"eigvalsh": 0, "eigvals": 0}
 
     def test_byte_identical_reruns(self, tmp_path):
         out1 = tmp_path / "run1"

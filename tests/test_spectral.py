@@ -16,12 +16,14 @@ from oplex.netcore import GeneratorSpec, IsolatedNodeError, LayerGraph, build_la
 from oplex.spectral import (
     _KRYLOV_MIN_N,
     _KRYLOV_NEAR_ONE,
+    _slem_arnoldi,
     _slem_lanczos,
     eig_moduli_nonsymmetric,
     slem_reversible,
     symmetrize,
 )
 from oplex.stochastic import TransitionMatrix, transition_matrix
+from oplex.switching import switching_model
 from oplex.verify import random_layer
 
 
@@ -185,11 +187,11 @@ def dense_slem(layer):
     return min(float(moduli_symmetric(layer)[1]), 1.0)
 
 
-def denser_layer(rng, n, density, ring=False):
-    """random_layer, or the ring circulant(1, 2) if ring, plus each other
-    pair joined with probability density."""
+def denser_layer(rng, n, density, ring=()):
+    """random_layer, or the ring circulant with offsets ring if any, plus
+    each other pair joined with probability density."""
     if ring:
-        w = generate(GeneratorSpec(kind="circulant", n=n, offsets=(1, 2))).weights
+        w = generate(GeneratorSpec(kind="circulant", n=n, offsets=ring)).weights
     else:
         w = random_layer(rng, n).weights
     extra = np.triu(rng.random((n, n)) < density, 1) & (w == 0)
@@ -202,6 +204,28 @@ def hubs_and_random(n, seed):
     ba = generate(GeneratorSpec(kind="barabasi-albert", n=n, m=5, seed=seed))
     er = generate(GeneratorSpec(kind="erdos-renyi", n=n, p=10.0 / n, seed=seed + 1))
     return merge(ba, er, 0.5).merged_layer
+
+
+def ring_plus_chords_cycle(n, k, seed):
+    """B A^k for two layers, each the ring circulant(1) plus n random chords;
+    layer 2's edges carry integer weights 1..4."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for weighted in (False, True):
+        w = generate(GeneratorSpec(kind="circulant", n=n, offsets=(1,))).weights
+        i, j = rng.integers(0, n, size=(2, n))
+        keep = i != j
+        w[i[keep], j[keep]] = w[j[keep], i[keep]] = 1.0
+        if weighted:
+            classes = np.triu(rng.integers(1, 5, size=(n, n)))
+            w *= classes + np.triu(classes, 1).T
+        layers.append(LayerGraph.from_weights(w))
+    return switching_model(*layers, k).cycle
+
+
+def dense_cycle_slem(m):
+    """Second largest eigenvalue modulus from eigvals on the full matrix."""
+    return min(float(moduli_general(m)[1]), 1.0)
 
 
 class TestKrylov:
@@ -217,7 +241,7 @@ class TestKrylov:
         # single layers (alpha None) and merged pairs, called below the
         # crossover; slow-mixing rings exercise the hand-back to eigvalsh
         rng = np.random.default_rng(seed)
-        layer = denser_layer(rng, n, density, ring)
+        layer = denser_layer(rng, n, density, (1, 2) if ring else ())
         if alpha is not None:
             layer = merge(layer, denser_layer(rng, n, density), alpha).merged_layer
         slem = _slem_lanczos(layer)
@@ -270,15 +294,79 @@ class TestKrylov:
         first, second, third = (slem_reversible(x) for x in (layer, layer, copy))
         assert first.method == "lanczos"
         assert first == second == third
+        cycle = ring_plus_chords_cycle(_KRYLOV_MIN_N, 1, 5)
+        copy = TransitionMatrix(entries=cycle.entries.copy())
+        first, second, third = (eig_moduli_nonsymmetric(x) for x in (cycle, cycle, copy))
+        assert first.method == "arnoldi"
+        assert first == second == third
 
-    def test_no_scipy_import(self):
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(8, 120),
+        k=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+        rings=st.tuples(*[st.sampled_from([(), (1,), (1, 2)])] * 2),
+    )
+    def test_arnoldi_matches_dense_eigvals(self, n, k, seed, density, rings):
+        # switching cycles called below the crossover; even rings give
+        # periodic or reducible cycles, slow rings the hand-back to eigvals
+        rng = np.random.default_rng(seed)
+        layer1, layer2 = (denser_layer(rng, n, density, ring) for ring in rings)
+        cycle = switching_model(layer1, layer2, k).cycle
+        slem = _slem_arnoldi(cycle)
+        dense = dense_cycle_slem(cycle)
+        if slem is None:
+            assert dense >= _KRYLOV_NEAR_ONE
+        else:
+            assert abs(slem - dense) <= 1e-11
+
+    def test_rings_with_double_eigenvalues(self):
+        # a circulant spectrum is doubly degenerate, so the Krylov space turns
+        # nearly invariant after about n/2 steps; one Gram-Schmidt pass loses
+        # orthogonality there and ends in a spurious hand-back to the dense solver
+        for n in range(8, 40):
+            for offsets in ((1, 2), (1, 2, 3)):
+                ring = generate(GeneratorSpec(kind="circulant", n=n, offsets=offsets))
+                j = np.arange(1, n)
+                spectrum = sum(np.cos(2 * np.pi * o * j / n) for o in offsets) / len(offsets)
+                closed_form = np.abs(spectrum).max()
+                for slem in (_slem_lanczos(ring), _slem_arnoldi(transition_matrix(ring))):
+                    assert slem == pytest.approx(closed_form, abs=1e-11)
+
+    def test_ring_plus_chords_cycle_takes_arnoldi(self):
+        cycle = ring_plus_chords_cycle(600, 2, 3)
+        summary = eig_moduli_nonsymmetric(cycle)
+        assert summary.method == "arnoldi"
+        assert abs(summary.slem - dense_cycle_slem(cycle)) <= 1e-11
+
+    def test_cycle_of_even_rings_has_slem_one(self):
+        # both layers bipartite on the same classes: B A keeps each class
+        n = 2 * _KRYLOV_MIN_N
+        layer1 = generate(GeneratorSpec(kind="circulant", n=n, offsets=(1,)))
+        layer2 = generate(GeneratorSpec(kind="circulant", n=n, offsets=(1, 3)))
+        cycle = switching_model(layer1, layer2, 1).cycle
+        assert eig_moduli_nonsymmetric(cycle).slem == pytest.approx(1.0, abs=1e-12)
+
+    def test_arnoldi_rejects_non_stochastic(self):
+        cycle = ring_plus_chords_cycle(_KRYLOV_MIN_N, 1, 4)
+        bad = TransitionMatrix(entries=cycle.entries * (1 + 1e-9))
+        with pytest.raises(RuntimeError, match="not stochastic"):
+            eig_moduli_nonsymmetric(bad)
+
+    @pytest.mark.parametrize(
+        "model",
+        [{"kind": "merged", "alphas": [0.5]}, {"kind": "switching", "ks": [1, 2]}],
+        ids=["merged", "switching"],
+    )
+    def test_no_scipy_import(self, model):
         # scipy.sparse.linalg alone adds about 24 MB of resident memory; the
-        # Krylov path is plain numpy and a merged sweep must not load scipy.
+        # Krylov paths are plain numpy and no sweep may load scipy.
         script = f"""
 import sys
 import oplex
 config = {{
-    "model": {{"kind": "merged", "alphas": [0.5]}},
+    "model": {model!r},
     "layers": [
         {{"kind": "barabasi-albert", "n": {_KRYLOV_MIN_N}, "m": 5, "seed": 1}},
         {{"kind": "erdos-renyi", "n": {_KRYLOV_MIN_N}, "p": 0.02, "seed": 2}},
@@ -286,7 +374,7 @@ config = {{
     "x0": {{"kind": "uniform", "seed": 3}},
 }}
 result = oplex.run_experiment(config)
-assert result.rows[0]["slem"] > 0
+assert all(row["slem"] > 0 for row in result.rows)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
         out = subprocess.run(

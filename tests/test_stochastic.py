@@ -52,6 +52,12 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError, match="nonnegative"):
             TransitionMatrix.from_entries([[1.1, -0.1], [0.5, 0.5]])
 
+    def test_entries_do_not_alias_the_input(self):
+        raw = np.array([[0.25, 0.75], [0.5, 0.5]])
+        m = TransitionMatrix.from_entries(raw)
+        raw[0, 0] = 9.0
+        assert np.array_equal(m.entries, [[0.25, 0.75], [0.5, 0.5]])
+
 
 def _brute_force_witness(support: np.ndarray) -> int | None:
     n = support.shape[0]
