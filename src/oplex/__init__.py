@@ -18,6 +18,7 @@ from .netcore import (
 from .stochastic import (
     NotPrimitiveError,
     StationaryDistribution,
+    SupportClasses,
     TransitionMatrix,
     consensus_value,
     is_primitive,
@@ -25,6 +26,7 @@ from .stochastic import (
     pi_norm,
     stationary_from_degrees,
     stationary_general,
+    support_classes,
     transition_matrix,
 )
 from .spectral import (
@@ -47,7 +49,6 @@ from .merged import (
     slem_bounds,
 )
 from .switching import (
-    OscillationEvidence,
     SwitchingModel,
     SwitchingOutcome,
     analyze,
@@ -92,6 +93,7 @@ __all__ = [
     "load_two_layer_dataset",
     "NotPrimitiveError",
     "StationaryDistribution",
+    "SupportClasses",
     "TransitionMatrix",
     "consensus_value",
     "is_primitive",
@@ -99,6 +101,7 @@ __all__ = [
     "pi_norm",
     "stationary_from_degrees",
     "stationary_general",
+    "support_classes",
     "transition_matrix",
     "SpectralSummary",
     "eig_moduli_nonsymmetric",
@@ -115,7 +118,6 @@ __all__ = [
     "merged_perturbation_check",
     "primitivity_guarantee",
     "slem_bounds",
-    "OscillationEvidence",
     "SwitchingModel",
     "SwitchingOutcome",
     "analyze",

@@ -132,8 +132,9 @@ def _cmd_analyze(args) -> int:
         report["rho_star"] = outcome.rho_star
         report["consensus"] = outcome.value
         checks = outcome.checks()
-        if outcome.evidence is not None:
-            report["oscillation_gap"] = outcome.evidence.gap
+        if outcome.status != "consensus":
+            report["period"] = outcome.period
+            report["closed_classes"] = outcome.closed_classes
         if args.dump:
             report["cycle"] = model.cycle.entries.tolist()
             report["layer1_transition"] = model.a.entries.tolist()

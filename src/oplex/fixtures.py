@@ -2,9 +2,10 @@
 
 These fixtures back the regression suite and the CLI's verify command:
 a pair whose switching cycle oscillates although both layers mix on their
-own, a pair with misaligned degrees whose merged SLEM beats both layer
-SLEMs, two sparse cycles that merge into the complete graph, and a triangle
-pair whose cycle stationary distribution interpolates neither layer's.
+own, a pair whose reducible cycle still reaches consensus, a pair with
+misaligned degrees whose merged SLEM beats both layer SLEMs, two sparse
+cycles that merge into the complete graph, and a triangle pair whose cycle
+stationary distribution interpolates neither layer's.
 """
 
 from __future__ import annotations
@@ -22,6 +23,16 @@ def oscillating_pair() -> tuple[LayerGraph, LayerGraph]:
         5,
         [(0, 4, 1), (1, 2, 1), (1, 4, 1), (2, 3, 1), (2, 4, 1)],
     )
+    return layer1, layer2
+
+
+def sia_pair() -> tuple[LayerGraph, LayerGraph]:
+    """4-ring and a triangle with a pendant: the k=1 cycle is SIA, not primitive.
+
+    B A has the closed class {0, 2}, of period 1, and transient nodes 1 and 3.
+    """
+    layer1 = build_layer(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
+    layer2 = build_layer(4, [(0, 1, 1), (0, 3, 1), (1, 3, 1), (2, 3, 1)])
     return layer1, layer2
 
 

@@ -5,10 +5,9 @@ switching over a k grid), how to obtain the two layers (generators or a
 two-layer dataset), the initial opinions, and stopping parameters. Each
 grid point gets the relevant spectral bounds, the predicted consensus, a
 simulated trajectory, and a set of armed theory assertions; grid points
-where a required matrix is not primitive, or where a node is isolated, are
-recorded with a note, not fatal. All output is deterministic for a fixed
-config (17-significant-digit floats, no timestamps), so reruns are
-byte-identical.
+that reach no consensus, or where a node is isolated, are recorded with a
+note, not fatal. All output is deterministic for a fixed config
+(17-significant-digit floats, no timestamps), so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -259,7 +258,13 @@ def build_layers(config: ExperimentConfig) -> list[LayerGraph]:
     if config.dataset is not None:
         d = config.dataset
         return list(load_two_layer_dataset(d.path_a, d.path_b, d.n, d.indexing))
-    return [generate(spec) for spec in config.layer_specs]
+    layers = []
+    for i, spec in enumerate(config.layer_specs):
+        try:
+            layers.append(generate(spec))
+        except ValueError as exc:  # e.g. weights whose degrees overflow
+            raise ConfigError(f"layers[{i}]: {exc}") from exc
+    return layers
 
 
 def resolve_x0(config: ExperimentConfig, n: int) -> np.ndarray:
@@ -342,7 +347,11 @@ def _merged_model(layers, alpha, x0, interval) -> _GridModel:
 def _switching_model(layers, k, x0) -> _GridModel:
     model = switching_model(layers[0], layers[1], k)
     outcome = analyze(model, x0)
-    note = "" if outcome.status == "consensus" else f"cycle not primitive ({outcome.status})"
+    note = ""
+    if outcome.status == "oscillation":
+        note = f"cycle oscillates with period {outcome.period}"
+    elif outcome.status == "disagreement":
+        note = f"cycle has {outcome.closed_classes} closed classes"
     columns = dict(
         slem=outcome.slem_cycle,
         bound_upper=outcome.rho_star,
@@ -474,19 +483,29 @@ def run_experiment(
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
         if "sweep" in config.outputs:
-            _write_sweep_csv(out_path / "sweep.csv", points)
+            _write_sweep_csv(_unlinked(out_path / "sweep.csv"), points)
         if "trajectories" in config.outputs:
             for p in points:
                 if p.trajectory is not None:
                     name = f"trajectory_{p.row['grid_kind']}_{p.row['grid_value']}.csv"
-                    _write_trajectory_csv(out_path / name, p.trajectory, n)
+                    _write_trajectory_csv(_unlinked(out_path / name), p.trajectory, n)
         if "summary" in config.outputs:
-            (out_path / "summary.json").write_text(
+            _unlinked(out_path / "summary.json").write_text(
                 json.dumps(summary, indent=2, sort_keys=True) + "\n"
             )
     return ExperimentResult(
         all_passed=all_passed, summary=summary, rows=[p.row for p in points], out_dir=out_path
     )
+
+
+def _unlinked(path: Path) -> Path:
+    """Remove a report left by an earlier run, so the write makes a new file.
+
+    Truncating a file that holds data makes some file systems (ext4) flush
+    it on close; a new file is written without that wait.
+    """
+    path.unlink(missing_ok=True)
+    return path
 
 
 def _collect_seeds(config: ExperimentConfig) -> dict:

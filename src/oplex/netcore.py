@@ -58,6 +58,8 @@ class LayerGraph:
         w = self.weights
         if w.shape != (self.n, self.n):
             raise ValueError(f"weight matrix shape {w.shape} does not match n={self.n}")
+        if not (np.isfinite(self.degrees).all() and np.isfinite(self.total_edge_weight)):
+            raise ValueError("weighted degrees and their total must be finite")
         if not np.array_equal(w, w.T):
             raise ValueError("weight matrix must be exactly symmetric")
         if np.diagonal(w).any():
@@ -74,20 +76,18 @@ class LayerGraph:
     @classmethod
     def from_weights(cls, weights: np.ndarray) -> "LayerGraph":
         w = np.array(weights, dtype=float)
-        degrees = w.sum(axis=1)
-        return cls(
-            n=w.shape[0],
-            weights=w,
-            degrees=degrees,
-            total_edge_weight=0.5 * float(degrees.sum()),
-        )
+        with np.errstate(over="ignore"):  # an overflow is rejected in __post_init__
+            degrees = w.sum(axis=1)
+            total = 0.5 * float(degrees.sum())
+        return cls(n=w.shape[0], weights=w, degrees=degrees, total_edge_weight=total)
 
 
 def build_layer(n: int, edges: Iterable[tuple[int, int, float]]) -> LayerGraph:
     """Assemble a layer from an explicit edge list.
 
     Each entry (i, j, w) with w > 0 sets both (i, j) and (j, i). Self-loops,
-    duplicate unordered pairs, and non-positive weights are rejected.
+    duplicate unordered pairs, and non-finite or non-positive weights are
+    rejected.
     """
     if n <= 0:
         raise ValueError("node count must be positive")
@@ -98,6 +98,8 @@ def build_layer(n: int, edges: Iterable[tuple[int, int, float]]) -> LayerGraph:
             raise ValueError(f"edge ({i}, {j}) has a node index outside 0..{n - 1}")
         if i == j:
             raise ValueError(f"self-loop on node {i} is not allowed")
+        if not np.isfinite(weight):
+            raise ValueError(f"edge ({i}, {j}) has non-finite weight {weight}")
         if weight <= 0:
             raise ValueError(f"edge ({i}, {j}) has non-positive weight {weight}")
         key = (min(i, j), max(i, j))
@@ -135,6 +137,8 @@ class GeneratorSpec:
             value = getattr(self, name)
             if not is_number(value) and not (value is None and name == "p"):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.offsets is not None and not all(is_integer(o) for o in self.offsets):
             raise ValueError(f"offsets must be integers, got {list(self.offsets)!r}")
         if self.n <= 0:

@@ -33,7 +33,7 @@ class TransitionMatrix:
     """
 
     entries: np.ndarray
-    _primitivity: bool | None = field(default=None, repr=False, compare=False)
+    _classes: SupportClasses | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -83,11 +83,11 @@ def transition_matrix(layer: LayerGraph) -> TransitionMatrix:
     return TransitionMatrix.from_entries(layer.weights / layer.degrees[:, None])
 
 
-def _bfs_levels(adjacency: np.ndarray) -> np.ndarray:
-    """Breadth-first distance from node 0 along the rows; -1 where unreached."""
+def _bfs_levels(adjacency: np.ndarray, source: int) -> np.ndarray:
+    """Breadth-first distance from source along the rows; -1 where unreached."""
     level = np.full(adjacency.shape[0], -1)
-    level[0] = 0
-    frontier = np.zeros(1, dtype=np.intp)
+    level[source] = 0
+    frontier = np.array([source], dtype=np.intp)
     depth = 0
     while frontier.size:
         depth += 1
@@ -98,31 +98,65 @@ def _bfs_levels(adjacency: np.ndarray) -> np.ndarray:
     return level
 
 
-def is_primitive(m: TransitionMatrix) -> bool:
-    """Exact primitivity test on the support graph (edge i -> j iff m_ij > 0).
+@dataclass(frozen=True)
+class SupportClasses:
+    """Closed classes of the support graph (edge i -> j iff m_ij > 0).
 
-    Primitive iff that graph is strongly connected and aperiodic. Strongly
-    connected: a breadth-first search from node 0 reaches every node along
-    the edges and against them (for a symmetric support, as in layer
-    matrices and C, the first search suffices). Period: with L the BFS
-    levels, the gcd over all edges (u, v) of L[u] + 1 - L[v]. Each search
-    reads every row of the dense support once, so the test costs
-    O(n^2 + n diam) for layer matrices, C and products B A^k alike. The
-    verdict is cached on the matrix.
+    periods has one entry per closed class, in the order found; transient
+    counts the nodes in none. M^t converges to 1 pi' iff there is one closed
+    class and it is aperiodic: M is SIA (Wolfowitz 1963; Seneta, Non-negative
+    Matrices and Markov Chains, ch. 4), and pi is zero on transient nodes.
     """
-    if m._primitivity is not None:
-        return m._primitivity
+
+    periods: tuple[int, ...]
+    transient: int
+
+    @property
+    def converges(self) -> bool:
+        """One closed class, of period 1: the averaging reaches consensus."""
+        return self.periods == (1,)
+
+
+def support_classes(m: TransitionMatrix) -> SupportClasses:
+    """Closed classes by breadth-first search; cached on m.
+
+    Search from u forward (F) and backward (B). If F lies inside B, F is a
+    closed class; its period is the gcd over its edges (a, b) of
+    L[a] + 1 - L[b], with L the BFS levels. Otherwise move u to the deepest
+    node of F outside B, whose F is strictly smaller. Every node of B
+    reaches the class found; restart from a node that reaches none found so
+    far. A primitive matrix costs two searches from node 0, one when the
+    support is symmetric (layer matrices and C), where B = F.
+    """
+    if m._classes is not None:
+        return m._classes
     support = m.entries > 0.0
-    level = _bfs_levels(support)
-    primitive = bool(
-        (level >= 0).all()
-        and (np.array_equal(support, support.T) or (_bfs_levels(support.T) >= 0).all())
-    )
-    if primitive:
-        rows, cols = np.divmod(np.flatnonzero(support), m.n)
-        primitive = bool(np.gcd.reduce(level[rows] + 1 - level[cols]) == 1)
-    m._primitivity = primitive
-    return primitive
+    symmetric = np.array_equal(support, support.T)
+    marked = np.zeros(m.n, dtype=bool)  # nodes that reach a closed class found so far
+    periods: list[int] = []
+    closed = 0
+    u = 0
+    while not marked.all():
+        level = _bfs_levels(support, u)
+        forward = level >= 0
+        backward = forward if symmetric else _bfs_levels(support.T, u) >= 0
+        if (forward & ~backward).any():
+            u = int(np.argmax(np.where(backward, -1, level)))
+            continue
+        members = np.flatnonzero(forward)
+        rows, cols = np.divmod(np.flatnonzero(support[members]), m.n)
+        periods.append(int(np.gcd.reduce(level[members[rows]] + 1 - level[cols])))
+        closed += members.size
+        marked |= backward
+        u = int(np.argmin(marked))
+    m._classes = SupportClasses(periods=tuple(periods), transient=m.n - closed)
+    return m._classes
+
+
+def is_primitive(m: TransitionMatrix) -> bool:
+    """Primitive iff the support is one aperiodic closed class with no transient node."""
+    classes = support_classes(m)
+    return classes.converges and classes.transient == 0
 
 
 def require_primitive(m: TransitionMatrix, what: str) -> None:
@@ -140,13 +174,15 @@ def stationary_from_degrees(layer: LayerGraph) -> StationaryDistribution:
 
 
 def stationary_general(m: TransitionMatrix) -> StationaryDistribution:
-    """Left fixed vector of a primitive matrix, normalized to sum 1.
+    """Left fixed vector of an SIA matrix, normalized to sum 1.
 
     Dense linear solve of pi (M - I) = 0 with one equation replaced by
-    sum(pi) = 1, then a residual check. Intended for nonreversible products
-    where the degree formula does not apply; rejects non-primitive input.
+    sum(pi) = 1, then a residual check. The fixed vector is unique, so the
+    solve is exact. Intended for nonreversible products where the degree
+    formula does not apply; rejects input that is not SIA.
     """
-    require_primitive(m, "matrix")
+    if not support_classes(m).converges:
+        raise NotPrimitiveError("matrix reaches no consensus (not SIA)")
     p = m.entries
     n = m.n
     a = p.T - np.eye(n)

@@ -1,7 +1,9 @@
 """Switching two-layer model: k steps on layer 1, one step on layer 2.
 
 One full round of the periodic schedule composes to the cycle matrix B A^k.
-Consensus exists iff that product is primitive, a property not inherited
+Consensus exists iff that product is SIA: its support has one closed class
+and that class is aperiodic; nodes outside it may remain, and end up
+holding the consensus value without weighing in it. This is not inherited
 from the factors: two individually primitive layers can interleave into a
 periodic product (period-2 oscillation), and a non-primitive layer B can be
 repaired by enough mixing through A. Per cycle the error contracts by
@@ -20,20 +22,18 @@ from .netcore import LayerGraph
 from .perturb import ShiftFamilyFit, fit_shift_family
 from .spectral import SLEM_SLACK, eig_moduli_nonsymmetric, layer_spectrum
 from .stochastic import (
+    NotPrimitiveError,
     StationaryDistribution,
     TransitionMatrix,
     check_opinions,
     consensus_value,
-    is_primitive,
     layer_consensus,
-    require_primitive,
     stationary_general,
+    support_classes,
     transition_matrix,
 )
 
-_OSCILLATION_DOUBLINGS = 7  # compares Q^128 / Q^129 against one more doubling
-_LIMIT_CONVERGED_TOL = 1e-9
-_LIMIT_GAP_TOL = 1e-6
+_LIMIT_DOUBLINGS = 7  # the period limits are taken at (Q^d)^128
 _K_RATIO_SLACK = 1.05
 
 
@@ -63,29 +63,32 @@ def switching_model(layer1: LayerGraph, layer2: LayerGraph, k: int) -> Switching
 
 
 @dataclass(frozen=True)
-class OscillationEvidence:
-    """Distinct limits of even and odd cycle powers (period-2 behavior)."""
-
-    even_limit: np.ndarray
-    odd_limit: np.ndarray
-    gap: float
-
-
-@dataclass(frozen=True)
 class SwitchingOutcome:
-    """status is "consensus", "oscillation", or "undetermined".
+    """Where the switching dynamics goes, read off the cycle's closed classes.
+
+    period is that of the cycle's one closed class, None if it has several.
+    On consensus (period 1) pi and value are set; an oscillation (period
+    d >= 2) carries the limits of Q^(m d + r), r = 0..d-1, taken at m = 128.
 
     rho_star >= slem_cycle - 1e-9 whenever both layers are reversible and
     primitive; it can exceed 1, in which case the bound is vacuous but the
     empirical per-cycle rate is still meaningful.
     """
 
-    status: str
     pi: StationaryDistribution | None
     value: float | None
-    evidence: OscillationEvidence | None
+    period: int | None
+    closed_classes: int
+    limits: tuple[np.ndarray, ...]
     slem_cycle: float
     rho_star: float
+
+    @property
+    def status(self) -> str:
+        """consensus (period 1), oscillation (period d >= 2) or disagreement."""
+        if self.period == 1:
+            return "consensus"
+        return "disagreement" if self.period is None else "oscillation"
 
     def checks(self) -> dict[str, bool]:
         return product_rate_checks(self.slem_cycle, self.rho_star)
@@ -106,57 +109,34 @@ def rho_star(model: SwitchingModel) -> float:
     return float(rho_b * rho_a**model.k * (d1 / d2).max() * (d2 / d1).max())
 
 
-def _power_limits(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool, bool]:
-    even = q.copy()
-    for _ in range(_OSCILLATION_DOUBLINGS):
-        even = even @ even
-    doubled = even @ even
-    odd = even @ q
-    odd_doubled = doubled @ q
-    even_converged = np.abs(doubled - even).max() <= _LIMIT_CONVERGED_TOL
-    odd_converged = np.abs(odd_doubled - odd).max() <= _LIMIT_CONVERGED_TOL
-    return even, odd, even_converged, odd_converged
+def _period_limits(q: np.ndarray, period: int) -> tuple[np.ndarray, ...]:
+    """(L, L Q, ..., L Q^(d-1)) with L = (Q^d)^(2^7)."""
+    limit = np.linalg.matrix_power(q, period)
+    for _ in range(_LIMIT_DOUBLINGS):
+        limit = limit @ limit
+    limits = [limit]
+    for _ in range(1, period):
+        limits.append(limits[-1] @ q)
+    return tuple(limits)
 
 
 def analyze(model: SwitchingModel, x0: np.ndarray) -> SwitchingOutcome:
-    """Decide consensus vs oscillation for the switching dynamics.
+    """Decide consensus, oscillation or disagreement exactly, from the cycle's support.
 
-    Primitive cycle: consensus at pi . x0 with pi the cycle's stationary
-    distribution. Otherwise the even and odd cycle-power limits are compared;
-    a persistent gap is period-2 oscillation evidence, anything else (higher
-    periods, slow transients) is reported as undetermined, not an error.
+    Consensus lands on pi . x0 with pi the cycle's stationary distribution.
     """
     x = check_opinions(x0, model.layer1.n)
-    slem_cycle = eig_moduli_nonsymmetric(model.cycle).slem
-    star = rho_star(model)
-    if is_primitive(model.cycle):
-        pi = stationary_general(model.cycle)
-        return SwitchingOutcome(
-            status="consensus",
-            pi=pi,
-            value=consensus_value(pi, x),
-            evidence=None,
-            slem_cycle=slem_cycle,
-            rho_star=star,
-        )
-    even, odd, even_ok, odd_ok = _power_limits(model.cycle.entries)
-    gap = float(np.abs(even - odd).max())
-    if even_ok and odd_ok and gap > _LIMIT_GAP_TOL:
-        return SwitchingOutcome(
-            status="oscillation",
-            pi=None,
-            value=None,
-            evidence=OscillationEvidence(even_limit=even, odd_limit=odd, gap=gap),
-            slem_cycle=slem_cycle,
-            rho_star=star,
-        )
+    classes = support_classes(model.cycle)
+    period = classes.periods[0] if len(classes.periods) == 1 else None
+    pi = stationary_general(model.cycle) if period == 1 else None
     return SwitchingOutcome(
-        status="undetermined",
-        pi=None,
-        value=None,
-        evidence=None,
-        slem_cycle=slem_cycle,
-        rho_star=star,
+        pi=pi,
+        value=None if pi is None else consensus_value(pi, x),
+        period=period,
+        closed_classes=len(classes.periods),
+        limits=() if period in (None, 1) else _period_limits(model.cycle.entries, period),
+        slem_cycle=eig_moduli_nonsymmetric(model.cycle).slem,
+        rho_star=rho_star(model),
     )
 
 
@@ -164,9 +144,9 @@ def analyze(model: SwitchingModel, x0: np.ndarray) -> SwitchingOutcome:
 class KStabilityResult:
     """Deviations |x_sk(inf) - x_1(inf)| across a k grid.
 
-    Entries for non-primitive cycles are NaN and excluded from the fit.
-    fitted_ratio is the geometric ratio of the deviation envelope and must
-    stay within 5% above rho2(A) for the sweep to pass.
+    Entries for cycles that reach no consensus (not SIA) are NaN and excluded
+    from the fit. fitted_ratio is the geometric ratio of the deviation
+    envelope and must stay within 5% above rho2(A) for the sweep to pass.
     """
 
     ks: np.ndarray
@@ -192,7 +172,7 @@ def k_stability_sweep(
     converged = np.zeros(grid.shape, dtype=bool)
     for idx, k in enumerate(grid):
         model = switching_model(layer1, layer2, int(k))
-        if not is_primitive(model.cycle):
+        if not support_classes(model.cycle).converges:
             continue
         pi_k = stationary_general(model.cycle)
         deviations[idx] = abs(consensus_value(pi_k, x0) - x1)
@@ -232,7 +212,8 @@ def switching_perturbation_check(
     deviations = []
     for b_layer in family:
         model = switching_model(layer1, b_layer, k)
-        require_primitive(model.cycle, f"cycle matrix for k={k}")
+        if not support_classes(model.cycle).converges:
+            raise NotPrimitiveError(f"cycle matrix for k={k} reaches no consensus (not SIA)")
         e_norms.append(float(np.abs(model.a.entries - model.b.entries).max()))
         pi_k = stationary_general(model.cycle)
         deviations.append(abs(consensus_value(pi_k, x0) - x1))

@@ -1,6 +1,6 @@
 """Regression and property suites shared by the CLI and the test suite.
 
-Three suites: "examples" replays the four hand-built fixtures against
+Three suites: "examples" replays the five hand-built fixtures against
 frozen expected values; "bounds" samples random layer pairs and checks the
 consensus interval, the SLEM bounds, the product-rate bound, and the
 geometric decay law; "perturbation" checks the exact stationary-shift
@@ -91,6 +91,10 @@ OSCILLATING_EVEN_LIMIT = np.array(
     ]
 )
 
+SIA_X0 = np.array([0.1, 0.9, 0.3, 0.7])
+SIA_VALUE = 0.2
+SIA_PI = np.array([1 / 2, 0, 1 / 2, 0])
+
 MISALIGNED_SLEMS = {"merged": 0.6928, "layer1": 0.6839, "layer2": 0.5338}
 
 TRIANGLE_PI_A = np.array([1 / 3, 1 / 3, 1 / 3])
@@ -112,9 +116,9 @@ def run_examples_suite() -> list[CheckResult]:
     results.append(
         _check("oscillating/status", outcome.status == "oscillation", outcome.status)
     )
-    if outcome.evidence is not None:
-        even_err = np.abs(outcome.evidence.even_limit - OSCILLATING_EVEN_LIMIT).max()
-        odd_err = np.abs(outcome.evidence.odd_limit - OSCILLATING_ODD_LIMIT).max()
+    if len(outcome.limits) == 2:
+        even_err = np.abs(outcome.limits[0] - OSCILLATING_EVEN_LIMIT).max()
+        odd_err = np.abs(outcome.limits[1] - OSCILLATING_ODD_LIMIT).max()
         results.append(
             _check(
                 "oscillating/power-limits",
@@ -124,6 +128,18 @@ def run_examples_suite() -> list[CheckResult]:
         )
     else:
         results.append(_check("oscillating/power-limits", False, "no evidence"))
+
+    # SIA pair: a reducible cycle with one aperiodic closed class reaches consensus.
+    sia = analyze(switching_model(*fixtures.sia_pair(), k=1), SIA_X0)
+    results.append(
+        _check(
+            "sia/consensus",
+            sia.status == "consensus"
+            and abs(sia.value - SIA_VALUE) <= 1e-12
+            and np.abs(sia.pi.pi - SIA_PI).max() <= 1e-12,
+            f"{sia.status}, value {sia.value!r}",
+        )
+    )
 
     # Misaligned degrees: merged SLEM strictly above both layer SLEMs.
     mis1, mis2 = fixtures.misaligned_degree_pair()

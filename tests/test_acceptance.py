@@ -45,9 +45,9 @@ def test_criterion_1_oscillating_product_and_limits():
     cycle_err = np.abs(model.cycle.entries - OSCILLATING_CYCLE).max()
     outcome = analyze(model, np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
     even_err = odd_err = np.inf
-    if outcome.evidence is not None:
-        even_err = np.abs(outcome.evidence.even_limit - OSCILLATING_EVEN_LIMIT).max()
-        odd_err = np.abs(outcome.evidence.odd_limit - OSCILLATING_ODD_LIMIT).max()
+    if outcome.period == 2:
+        even_err = np.abs(outcome.limits[0] - OSCILLATING_EVEN_LIMIT).max()
+        odd_err = np.abs(outcome.limits[1] - OSCILLATING_ODD_LIMIT).max()
     elapsed = time.perf_counter() - start
     ok = (
         cycle_err <= 1e-12

@@ -63,6 +63,17 @@ class TestSimulateCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "weight", [float("inf"), float("nan"), 1e308], ids=["inf", "nan", "degree-overflow"]
+    )
+    def test_non_finite_weight_exits_two(self, tmp_path, capsys, weight):
+        layer = {"kind": "circulant", "n": 5, "offsets": [1, 4], "weight": weight}
+        config = write_config(tmp_path, dict(SMALL_MERGED, layers=[layer, layer]))
+        err = assert_bad_input(
+            capsys, ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+        )
+        assert "layers[0]" in err and "finite" in err
+
     def test_explicit_x0_of_wrong_length_exits_two(self, tmp_path, capsys):
         raw = dict(SMALL_MERGED, x0={"kind": "explicit", "values": [0.1, 0.2, 0.3]})
         config = write_config(tmp_path, raw)
@@ -219,6 +230,45 @@ class TestAnalyzeCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "oscillation"
         assert report["consensus"] is None
+        assert report["period"] == 2 and report["closed_classes"] == 1
+
+    def test_switching_two_closed_classes_report_disagreement(self, tmp_path, capsys):
+        ring = tmp_path / "ring.txt"
+        ring.write_text("0 1 1\n1 2 1\n2 3 1\n3 0 1\n")
+        matching = tmp_path / "matching.txt"
+        matching.write_text("0 2 1\n1 3 1\n")
+        code = main(
+            [
+                "analyze",
+                "--layer1", str(ring),
+                "--layer2", str(matching),
+                "--mode", "switching",
+                "--k", "0",
+            ]
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "disagreement" and report["consensus"] is None
+        assert report["period"] is None and report["closed_classes"] == 2
+
+    def test_switching_k1_reducible_cycle_reaches_consensus(self, capsys):
+        # B A has one aperiodic closed class, {0, 2, 4, 6}; the odd nodes are transient.
+        code = main(
+            [
+                "analyze",
+                "--layer1", str(DATA / "contact_layer_a.txt"),
+                "--layer2", str(DATA / "contact_layer_b.txt"),
+                "--mode", "switching",
+                "--k", "1",
+                "--n", "8",
+                "--x0", "3",
+            ]
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "consensus"
+        assert 0.0 <= report["consensus"] <= 1.0
+        assert "period" not in report and "closed_classes" not in report
 
     def test_x0_from_file(self, tmp_path, capsys):
         x0_file = tmp_path / "x0.txt"
@@ -276,6 +326,22 @@ class TestAnalyzeCommand:
             "--alpha", "0.5",
         ]
         assert_bad_input(capsys, argv + n_args)
+
+
+    @pytest.mark.parametrize("line", ["2 0 inf", "1 2 nan"])
+    def test_non_finite_weight_exits_two(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"0 1 1\n{line}\n")
+        argv = [
+            "analyze",
+            "--layer1", str(bad),
+            "--layer2", str(DATA / "contact_layer_b.txt"),
+            "--mode", "switching",
+            "--k", "1",
+            "--n", "8",
+        ]
+        err = assert_bad_input(capsys, argv)
+        assert f"edge ({line[0]}, {line[2]}) has non-finite weight" in err
 
 
 class TestVerifyCommand:

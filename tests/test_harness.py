@@ -254,6 +254,20 @@ class TestRunExperiment:
         assert by_k[3]["converged"] and by_k[5]["converged"]
         assert result.all_passed
 
+    def test_dataset_switching_reducible_cycle_reaches_consensus(self, tmp_path):
+        # At k = 1 the cycle has the closed class {0, 2, 4, 6} and four
+        # transient nodes: not primitive, yet it reaches consensus.
+        config = dataset_config({"kind": "switching", "ks": [0, 1, 3]})
+        result = run_experiment(config, tmp_path)
+        by_k = {row["grid_value"]: row for row in result.rows}
+        assert by_k[1]["consensus"] is not None and by_k[1]["note"] == ""
+        assert by_k[1]["converged"]
+        k1_checks = result.summary["grid"][1]["assertions"]
+        assert k1_checks["simulation-agrees"] is True
+        assert by_k[0]["consensus"] is None
+        assert by_k[0]["note"] == "cycle oscillates with period 2"
+        assert result.all_passed
+
     def test_isolated_node_gives_noted_row(self, tmp_path):
         # Layer B leaves nodes 3 and 4 isolated: merged alpha = 0 and every
         # switching k have no averaging neighborhood there; alpha = 0.5 does.
@@ -354,6 +368,18 @@ class TestRunExperiment:
         run_experiment(merged_config(), out2)
         for name in sorted(p.name for p in out1.iterdir()):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_rerun_writes_new_files_instead_of_truncating(self, tmp_path):
+        run_experiment(merged_config(), tmp_path)
+        names = ["sweep.csv", "summary.json", "trajectory_alpha_0.5.csv"]
+        first = {name: (tmp_path / name).read_bytes() for name in names}
+        for name in names:
+            (tmp_path / f"{name}.link").hardlink_to(tmp_path / name)
+        run_experiment(merged_config(), tmp_path)
+        for name in names:
+            link, new = tmp_path / f"{name}.link", tmp_path / name
+            assert not link.samefile(new)  # a truncated file would keep its inode
+            assert link.read_bytes() == first[name] == new.read_bytes()
 
     def test_record_opinions_adds_state_columns(self, tmp_path):
         config = merged_config(record_opinions=True)

@@ -45,6 +45,15 @@ class TestBuildLayer:
         with pytest.raises(ValueError, match="outside"):
             build_layer(3, [(0, 3, 1)])
 
+    @pytest.mark.parametrize("weight", [float("inf"), float("nan")])
+    def test_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match=r"edge \(1, 2\) has non-finite weight"):
+            build_layer(3, [(0, 1, 1), (1, 2, weight)])
+
+    def test_rejects_overflowing_degrees(self):
+        with pytest.raises(ValueError, match="finite"):
+            LayerGraph.from_weights(np.full((3, 3), 1e308) - np.diag(np.full(3, 1e308)))
+
 
 @st.composite
 def edge_lists(draw):
@@ -131,8 +140,19 @@ class TestGenerators:
             ({"kind": "erdos-renyi", "n": 10, "p": 0.5, "seed": "x"}, "seed must be an integer"),
             ({"kind": "erdos-renyi", "n": 10, "p": 0.5, "seed": -3}, "seed must be >= 0"),
             ({"kind": "circulant", "n": 5, "offsets": [1.5]}, "offsets must be integers"),
+            ({"kind": "circulant", "n": 5, "offsets": [1], "weight": float("inf")}, "finite"),
+            ({"kind": "k-regular", "n": 10, "k": 2, "p": float("nan")}, "p must be finite"),
         ],
-        ids=["float-n", "float-m", "bool-k", "string-seed", "negative-seed", "float-offset"],
+        ids=[
+            "float-n",
+            "float-m",
+            "bool-k",
+            "string-seed",
+            "negative-seed",
+            "float-offset",
+            "infinite-weight",
+            "nan-p",
+        ],
     )
     def test_non_integer_or_negative_fields_rejected(self, fields, message):
         with pytest.raises(ValueError, match=message):

@@ -8,6 +8,7 @@ from oplex.netcore import GeneratorSpec, LayerGraph, build_layer, generate
 from oplex.stochastic import (
     NotPrimitiveError,
     StationaryDistribution,
+    SupportClasses,
     TransitionMatrix,
     consensus_value,
     is_primitive,
@@ -15,6 +16,7 @@ from oplex.stochastic import (
     pi_norm,
     stationary_from_degrees,
     stationary_general,
+    support_classes,
     transition_matrix,
 )
 
@@ -91,6 +93,71 @@ def test_primitivity_matches_brute_force(m):
     assert is_primitive(m) == (_brute_force_witness(m.entries > 0) is not None)
 
 
+def _brute_force_classes(support: np.ndarray) -> tuple[list[int], int]:
+    """Closed-class periods (sorted) and transient count from the transitive closure."""
+    n = support.shape[0]
+    step = support.astype(int)
+    reach = np.eye(n, dtype=int)
+    for _ in range(n):
+        reach = ((reach + reach @ step) > 0).astype(int)
+    periods = []
+    closed = 0
+    for i in range(n):
+        own = (reach[i] > 0) & (reach[:, i] > 0)
+        if int(np.flatnonzero(own)[0]) != i or (reach[i] > 0).sum() != own.sum():
+            continue  # not the class's first node, or the class is not closed
+        returns = []
+        power = step.copy()
+        for t in range(1, n * n + n + 1):
+            if power[i, i]:
+                returns.append(t)
+            power = (power @ step > 0).astype(int)
+        periods.append(int(np.gcd.reduce(returns)))
+        closed += int(own.sum())
+    return sorted(periods), n - closed
+
+
+@given(random_transition())
+@settings(max_examples=300, deadline=None)
+def test_support_classes_match_brute_force(m):
+    classes = support_classes(m)
+    assert (sorted(classes.periods), classes.transient) == _brute_force_classes(m.entries > 0)
+
+
+class TestSupportClasses:
+    def test_absorbing_path(self):
+        # 0 -> 1 -> ... -> 5, node 5 absorbing: one aperiodic class, 5 transient.
+        entries = np.eye(6, k=1)
+        entries[5, 5] = 1.0
+        m = TransitionMatrix.from_entries(entries)
+        assert support_classes(m) == SupportClasses(periods=(1,), transient=5)
+        assert support_classes(m).converges and not is_primitive(m)
+
+    def test_classes_of_different_periods_and_a_transient_node(self):
+        # {0, 1} swaps (period 2), {2} absorbs, node 3 feeds both.
+        m = TransitionMatrix.from_entries(
+            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0.5, 0, 0.5, 0]]
+        )
+        classes = support_classes(m)
+        assert sorted(classes.periods) == [1, 2] and classes.transient == 1
+        assert not classes.converges
+
+    def test_disjoint_rings_are_two_closed_classes(self):
+        w = np.zeros((7, 7))
+        for i, j in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]:
+            w[i, j] = w[j, i] = 1.0
+        classes = support_classes(transition_matrix(LayerGraph.from_weights(w)))
+        assert classes == SupportClasses(periods=(1, 2), transient=0)
+
+    def test_stationary_vector_of_sia_matrix_is_zero_on_transient_nodes(self):
+        m = TransitionMatrix.from_entries(
+            [[0.5, 0.5, 0, 0], [0.5, 0, 0.5, 0], [0, 0, 0.25, 0.75], [0, 0, 1, 0]]
+        )
+        assert support_classes(m) == SupportClasses(periods=(1,), transient=2)
+        pi = stationary_general(m).pi
+        assert np.abs(pi - [0, 0, 4 / 7, 3 / 7]).max() <= 1e-12
+
+
 class TestPrimitivity:
     def test_oscillating_layers_primitive_witness_at_most_4(self):
         layer1, layer2 = oscillating_pair()
@@ -130,7 +197,9 @@ class TestPrimitivity:
 
         calls = []
         bfs = stochastic._bfs_levels
-        monkeypatch.setattr(stochastic, "_bfs_levels", lambda adj: calls.append(1) or bfs(adj))
+        monkeypatch.setattr(
+            stochastic, "_bfs_levels", lambda adj, u: calls.append(1) or bfs(adj, u)
+        )
         m = transition_matrix(triangle_pair()[0])
         assert is_primitive(m) and is_primitive(m)
         assert len(calls) == 1  # symmetric support: one search, made once

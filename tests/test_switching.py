@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oplex.fixtures import oscillating_pair, triangle_pair
-from oplex.netcore import GeneratorSpec, generate
+from oplex.fixtures import oscillating_pair, sia_pair, triangle_pair
+from oplex.netcore import GeneratorSpec, LayerGraph, generate
 from oplex.spectral import eig_moduli_nonsymmetric, slem_reversible
 from oplex.stochastic import (
     NotPrimitiveError,
@@ -11,6 +13,7 @@ from oplex.stochastic import (
     transition_matrix,
 )
 from oplex.switching import (
+    _period_limits,
     analyze,
     k_stability_sweep,
     rho_star,
@@ -70,9 +73,35 @@ class TestAnalyze:
         model = switching_model(*oscillating_pair(), k=1)
         outcome = analyze(model, X0_FIVE)
         assert outcome.status == "oscillation"
-        assert outcome.evidence is not None
-        assert outcome.evidence.gap > 0.5
+        assert outcome.period == 2 and outcome.closed_classes == 1
+        assert np.abs(outcome.limits[0] - outcome.limits[1]).max() > 0.5
         assert outcome.slem_cycle == pytest.approx(1.0, abs=1e-10)
+
+    def test_sia_pair_consensus(self):
+        # B A is reducible (nodes 1 and 3 are transient) yet reaches consensus.
+        model = switching_model(*sia_pair(), k=1)
+        outcome = analyze(model, np.array([0.1, 0.9, 0.3, 0.7]))
+        assert outcome.status == "consensus"
+        assert outcome.value == pytest.approx(0.2, abs=1e-12)
+        assert np.abs(outcome.pi.pi - [1 / 2, 0, 1 / 2, 0]).max() <= 1e-12
+        assert outcome.slem_cycle == pytest.approx(0.583, abs=1e-3)
+
+    def test_two_closed_classes_disagree(self):
+        # k = 0 with layer 2 the matching {0-2, 1-3}: B is two swaps.
+        layer1 = generate(GeneratorSpec(kind="circulant", n=4, offsets=(1,)))
+        layer2 = LayerGraph.from_weights(np.eye(4)[[2, 3, 0, 1]])
+        outcome = analyze(switching_model(layer1, layer2, 0), np.array([0.0, 0.2, 0.6, 1.0]))
+        assert outcome.status == "disagreement"
+        assert outcome.closed_classes == 2 and outcome.period is None
+        assert outcome.value is None and outcome.limits == ()
+
+    def test_period_limits_follow_the_residues(self):
+        # A 3-cycle permutation: Q^(3m + r) = Q^r for every m.
+        q = np.eye(3)[[1, 2, 0]]
+        limits = _period_limits(q, 3)
+        assert len(limits) == 3
+        for r, limit in enumerate(limits):
+            assert np.array_equal(limit, np.linalg.matrix_power(q, r))
 
     def test_triangle_pair_consensus(self):
         model = switching_model(*triangle_pair(), k=1)
@@ -90,6 +119,61 @@ class TestAnalyze:
             outcome = analyze(switching_model(layer1, layer1, k), X0_TRIANGLE)
             assert outcome.status == "consensus"
             assert outcome.value == pytest.approx(single, abs=1e-12)
+
+
+@st.composite
+def unweighted_pair(draw):
+    """Two Bernoulli(1/2) layers on 3..7 nodes, isolated nodes tied to their successor."""
+    n = draw(st.integers(min_value=3, max_value=7))
+    layers = []
+    for _ in range(2):
+        upper = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+        w = np.zeros((n, n))
+        w[np.triu_indices(n, k=1)] = upper
+        w += w.T
+        for i in np.flatnonzero(w.sum(axis=1) == 0):
+            j = (i + 1) % n
+            w[i, j] = w[j, i] = 1.0
+        layers.append(LayerGraph.from_weights(w))
+    return layers[0], layers[1], draw(st.integers(min_value=0, max_value=4))
+
+
+def _brute_force_limit(q: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Q^t at t = 420 * 2^12, the period of the sequence Q^(t + r), and its closed classes.
+
+    420 is a multiple of every period up to 7. The number of closed classes
+    is the rank of the average of Q^(t + r) over one period.
+    """
+    limit = np.linalg.matrix_power(q, 420)
+    for _ in range(12):
+        limit = limit @ limit
+    powers = [limit]
+    for _ in range(420):
+        powers.append(powers[-1] @ q)
+        if np.abs(powers[-1] - limit).max() <= 1e-9:
+            break
+    period = len(powers) - 1
+    classes = np.linalg.matrix_rank(np.mean(powers[:-1], axis=0), tol=1e-8)
+    return limit, period, int(classes)
+
+
+@given(unweighted_pair())
+@settings(max_examples=200, deadline=None)
+def test_analyze_matches_brute_force_limit(pair):
+    layer1, layer2, k = pair
+    model = switching_model(layer1, layer2, k)
+    x0 = np.linspace(0.0, 1.0, layer1.n)
+    outcome = analyze(model, x0)
+    limit, period, classes = _brute_force_limit(model.cycle.entries)
+    assert outcome.closed_classes == classes
+    if classes > 1:
+        assert outcome.status == "disagreement" and outcome.period is None
+    elif period > 1:
+        assert outcome.status == "oscillation" and outcome.period == period
+    else:
+        assert outcome.status == "consensus" and outcome.period == 1
+        assert np.abs(limit @ x0 - outcome.value).max() <= 1e-9
+        assert np.abs(limit - outcome.pi.pi).max() <= 1e-9
 
 
 class TestRhoStar:
