@@ -11,7 +11,7 @@ import numpy as np
 
 from .harness import ConfigError, load_config, run_experiment
 from .merged import merge, merged_consensus, slem_bounds
-from .netcore import EdgeListError, load_edge_list
+from .netcore import EdgeListError, load_edge_list, parse_edge_list
 from .stochastic import NotPrimitiveError, check_opinions
 from .switching import analyze as analyze_switching
 from .switching import switching_model
@@ -69,11 +69,7 @@ def _cmd_simulate(args) -> int:
 def _infer_n(paths: list[str], indexing: str) -> int:
     top = 0
     for path in paths:
-        for raw in Path(path).read_text().splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            i, j = (int(v) for v in line.split()[:2])
+        for _, i, j, _ in parse_edge_list(path):
             top = max(top, i, j)
     return top + (0 if indexing == "1-based" else 1)
 
@@ -82,8 +78,10 @@ def _load_x0(arg: str, n: int) -> np.ndarray:
     try:
         seed = int(arg)
     except ValueError:
-        values = [float(v) for v in Path(arg).read_text().split()]
-        return np.asarray(values, dtype=float)
+        try:
+            return np.array([float(v) for v in Path(arg).read_text().split()])
+        except ValueError as exc:
+            raise ValueError(f"{arg}: {exc}") from exc
     return np.random.default_rng(seed).random(n)
 
 

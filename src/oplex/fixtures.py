@@ -54,7 +54,7 @@ def misaligned_degree_pair() -> tuple[LayerGraph, LayerGraph]:
         [1, 1, 40, 50, 0, 1],
         [1, 3, 3, 2, 1, 0],
     ]
-    return _layer_from_rows(rows1), _layer_from_rows(rows2)
+    return LayerGraph.from_weights(rows1), LayerGraph.from_weights(rows2)
 
 
 def complementary_cycles_pair() -> tuple[LayerGraph, LayerGraph]:
@@ -70,13 +70,3 @@ def triangle_pair() -> tuple[LayerGraph, LayerGraph]:
     layer2 = build_layer(3, [(0, 1, 2.0), (0, 2, 1.0), (1, 2, 1.0)])
     return layer1, layer2
 
-
-def _layer_from_rows(rows: list[list[float]]) -> LayerGraph:
-    n = len(rows)
-    edges = [
-        (i, j, float(rows[i][j]))
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rows[i][j]
-    ]
-    return build_layer(n, edges)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -207,8 +208,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not is_integer(t_max) or t_max < 1:
         _fail("t_max", "must be an integer >= 1")
     tol = raw.get("tol", 1e-12)
-    if not is_number(tol) or tol <= 0:
-        _fail("tol", "must be a positive number")
+    if not is_number(tol) or not 0 < tol <= sys.float_info.max:
+        _fail("tol", "must be a positive finite number")
     outputs = raw.get("outputs", ["sweep", "trajectories", "summary"])
     if not isinstance(outputs, list) or not outputs:
         _fail("outputs", "must be a nonempty list")
@@ -406,7 +407,6 @@ def _grid_point(grid_kind, grid_value, build, x0, config) -> GridPointResult:
         x0,
         t_max=config.t_max,
         tol=config.tol,
-        target=consensus,
         pi=point.pi,
         record_states=config.record_opinions and "trajectories" in config.outputs,
     )

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .netcore import IsolatedNodeError, LayerGraph
+from .netcore import IsolatedNodeError, LayerGraph, require_no_isolated
 from .perturb import ShiftFamilyFit, fit_shift_family
 from .spectral import SLEM_SLACK, layer_spectrum, slem_reversible
 from .stochastic import (
@@ -54,9 +54,7 @@ def merge(layer1: LayerGraph, layer2: LayerGraph, alpha: float) -> MergedModel:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     merged_weights = alpha * layer1.weights + (1.0 - alpha) * layer2.weights
     merged_layer = LayerGraph.from_weights(merged_weights)
-    if (merged_layer.degrees <= 0).any():
-        node = int(np.argmin(merged_layer.degrees))
-        raise IsolatedNodeError(f"node {node} is isolated in the merged graph")
+    require_no_isolated(merged_layer, "in the merged graph")
     return MergedModel(
         alpha=float(alpha),
         layer1=layer1,
@@ -207,16 +205,15 @@ def alpha_stability_sweep(
 
 def merged_perturbation_check(
     layer1: LayerGraph,
-    perturbed: LayerGraph | Sequence[LayerGraph],
+    family: Sequence[LayerGraph],
     alpha: float,
     x0: np.ndarray,
 ) -> ShiftFamilyFit:
     """Merged-consensus response when layer 2 is a perturbation of layer 1.
 
-    Accepts one perturbed layer (report-only) or a shrinking family; assertion
-    arming and the proportional-decay fit follow fit_shift_family.
+    family is a sequence of perturbed layers, such as a shrinking family;
+    assertion arming and the proportional-decay fit follow fit_shift_family.
     """
-    family = [perturbed] if isinstance(perturbed, LayerGraph) else list(perturbed)
     x1 = layer_consensus(layer1, x0, "layer1")
     a_matrix = transition_matrix(layer1)
     e_norms = []

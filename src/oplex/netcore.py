@@ -10,15 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import networkx as nx
 import numpy as np
 
 if TYPE_CHECKING:
     from .spectral import SpectralSummary
-
-_DEGREE_TOL = 1e-12
 
 
 class EdgeListError(ValueError):
@@ -41,24 +38,27 @@ def is_number(value: object) -> bool:
 
 @dataclass(frozen=True)
 class LayerGraph:
-    """One undirected weighted layer on nodes 0..n-1.
+    """One undirected weighted layer on nodes 0..n-1, given by its weights.
 
-    weights is symmetric with zero diagonal; degrees[i] is the weighted
-    degree (row sum) and total_edge_weight is half the sum of degrees.
+    weights is symmetric with zero diagonal. n, degrees (the row sums) and
+    total_edge_weight (half their sum) are derived from it at construction.
     _spectrum caches the layer's SpectralSummary (see spectral.layer_spectrum).
     """
 
-    n: int
     weights: np.ndarray
-    degrees: np.ndarray
-    total_edge_weight: float
+    n: int = field(init=False)
+    degrees: np.ndarray = field(init=False)
+    total_edge_weight: float = field(init=False)
     _spectrum: SpectralSummary | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = self.weights
-        if w.shape != (self.n, self.n):
-            raise ValueError(f"weight matrix shape {w.shape} does not match n={self.n}")
-        if not (np.isfinite(self.degrees).all() and np.isfinite(self.total_edge_weight)):
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValueError(f"weight matrix must be square, got shape {w.shape}")
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            degrees = w.sum(axis=1)
+            total = 0.5 * float(degrees.sum())
+        if not (np.isfinite(degrees).all() and np.isfinite(total)):
             raise ValueError("weighted degrees and their total must be finite")
         if not np.array_equal(w, w.T):
             raise ValueError("weight matrix must be exactly symmetric")
@@ -66,20 +66,20 @@ class LayerGraph:
             raise ValueError("self-loops are not allowed (nonzero diagonal)")
         if (w < 0).any():
             raise ValueError("edge weights must be nonnegative")
-        if np.abs(self.degrees - w.sum(axis=1)).max(initial=0.0) > _DEGREE_TOL:
-            raise ValueError("stored degrees disagree with weight row sums")
-        if abs(self.total_edge_weight - 0.5 * self.degrees.sum()) > _DEGREE_TOL * max(
-            1.0, self.total_edge_weight
-        ):
-            raise ValueError("total edge weight disagrees with half the degree sum")
+        object.__setattr__(self, "n", w.shape[0])
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "total_edge_weight", total)
 
     @classmethod
     def from_weights(cls, weights: np.ndarray) -> "LayerGraph":
-        w = np.array(weights, dtype=float)
-        with np.errstate(over="ignore"):  # an overflow is rejected in __post_init__
-            degrees = w.sum(axis=1)
-            total = 0.5 * float(degrees.sum())
-        return cls(n=w.shape[0], weights=w, degrees=degrees, total_edge_weight=total)
+        return cls(weights=np.array(weights, dtype=float))
+
+
+def require_no_isolated(layer: LayerGraph, where: str = "(zero weighted degree)") -> None:
+    """Raise IsolatedNodeError naming the first node of zero weighted degree."""
+    if (layer.degrees <= 0).any():
+        node = int(np.argmin(layer.degrees))
+        raise IsolatedNodeError(f"node {node} is isolated {where}")
 
 
 def build_layer(n: int, edges: Iterable[tuple[int, int, float]]) -> LayerGraph:
@@ -199,6 +199,8 @@ def generate(spec: GeneratorSpec) -> LayerGraph:
     if spec.kind == "barabasi-albert":
         return _barabasi_albert(spec.n, spec.m, spec.seed)
     if spec.kind == "k-regular":
+        import networkx as nx  # only this generator needs it, and it is slow to import
+
         g = nx.random_regular_graph(spec.k, spec.n, seed=spec.seed)
         w = nx.to_numpy_array(g, nodelist=range(spec.n))
         return LayerGraph.from_weights(w)
@@ -246,23 +248,13 @@ def _circulant(n: int, offsets: Sequence[int], weight: float) -> LayerGraph:
     return LayerGraph.from_weights(w)
 
 
-def load_edge_list(
-    path: str | Path,
-    n: int,
-    indexing: str = "0-based",
-    allowed_weights: Sequence[float] | None = None,
-) -> LayerGraph:
-    """Read one layer from a whitespace-separated "i j w" text file.
+def parse_edge_list(path: str | Path) -> Iterator[tuple[int, int, int, float]]:
+    """Yield (line number, i, j, w) for each edge line of an "i j w" text file.
 
-    Lines starting with '#' and blank lines are skipped. With 1-based
-    indexing, node labels 1..n map to 0..n-1. If allowed_weights is given,
-    any weight outside that set is rejected, naming the offending line.
+    Node labels are returned as written. Lines starting with '#' and blank
+    lines are skipped; a malformed line raises EdgeListError naming it.
     """
-    if indexing not in ("0-based", "1-based"):
-        raise ValueError(f"indexing must be '0-based' or '1-based', got {indexing!r}")
-    shift = 1 if indexing == "1-based" else 0
     path = Path(path)
-    edges: list[tuple[int, int, float]] = []
     with path.open() as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -272,20 +264,41 @@ def load_edge_list(
             if len(parts) != 3:
                 raise EdgeListError(f"{path}:{lineno}: expected 'i j w', got {line!r}")
             try:
-                i, j = int(parts[0]) - shift, int(parts[1]) - shift
-                weight = float(parts[2])
+                edge = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError as exc:
                 raise EdgeListError(f"{path}:{lineno}: {exc}") from exc
-            if not (0 <= i < n and 0 <= j < n):
-                raise EdgeListError(
-                    f"{path}:{lineno}: node index out of range for n={n} ({indexing})"
-                )
-            if allowed_weights is not None and weight not in allowed_weights:
-                raise EdgeListError(
-                    f"{path}:{lineno}: weight {parts[2]} not in allowed set "
-                    f"{sorted(allowed_weights)}"
-                )
-            edges.append((i, j, weight))
+            yield (lineno, *edge)
+
+
+def load_edge_list(
+    path: str | Path,
+    n: int,
+    indexing: str = "0-based",
+    allowed_weights: Sequence[float] | None = None,
+) -> LayerGraph:
+    """Read one layer from a whitespace-separated "i j w" text file.
+
+    The lines are read by parse_edge_list. With 1-based indexing, node
+    labels 1..n map to 0..n-1. If allowed_weights is given, any weight
+    outside that set is rejected, naming the offending line.
+    """
+    if indexing not in ("0-based", "1-based"):
+        raise ValueError(f"indexing must be '0-based' or '1-based', got {indexing!r}")
+    shift = 1 if indexing == "1-based" else 0
+    path = Path(path)
+    edges: list[tuple[int, int, float]] = []
+    for lineno, i, j, weight in parse_edge_list(path):
+        i, j = i - shift, j - shift
+        if not (0 <= i < n and 0 <= j < n):
+            raise EdgeListError(
+                f"{path}:{lineno}: node index out of range for n={n} ({indexing})"
+            )
+        if allowed_weights is not None and weight not in allowed_weights:
+            raise EdgeListError(
+                f"{path}:{lineno}: weight {weight!r} not in allowed set "
+                f"{sorted(allowed_weights)}"
+            )
+        edges.append((i, j, weight))
     try:
         return build_layer(n, edges)
     except ValueError as exc:

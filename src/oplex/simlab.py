@@ -1,7 +1,7 @@
 """Trajectory simulation and error-series analysis.
 
 simulate() iterates x(t+1) = M(t+1) x(t) over a periodic schedule of
-matrices and records the error against a predicted consensus in both the
+matrices and records the error against the consensus pi . x(0) in both the
 pi-weighted and max norms. It steps in blocks: a block of matvecs goes into
 a preallocated buffer, and the stall test and both error norms are then
 taken on the whole block at once. The matvecs are the same ones in the same
@@ -17,6 +17,7 @@ positive error series by least squares on the logs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,18 +38,17 @@ _BLOCK_CELLS = 2**12
 
 @dataclass(frozen=True)
 class OpinionTrajectory:
-    """Last opinion state and error series against a target.
+    """Last opinion state and error series against the consensus pi . x(0).
 
     states has shape (steps+1, n) and is kept only when recorded; the last
-    state is kept always. errors_pi / errors_max are None when no consensus
-    target was supplied (non-convergent runs).
+    state is kept always. errors_pi / errors_max are None when no pi was
+    supplied (non-convergent runs).
     """
 
     states: np.ndarray | None
     final_state: np.ndarray
     errors_pi: np.ndarray | None
     errors_max: np.ndarray | None
-    consensus_target: float | None
     pi: np.ndarray | None
     converged: bool
     steps: int
@@ -59,7 +59,6 @@ def simulate(
     x0: np.ndarray,
     t_max: int = DEFAULT_T_MAX,
     tol: float = DEFAULT_TOL,
-    target: float | None = None,
     pi: StationaryDistribution | None = None,
     record_states: bool = True,
 ) -> OpinionTrajectory:
@@ -67,9 +66,9 @@ def simulate(
 
     schedule holds the matrices of one period: step t applies
     schedule[(t - 1) % len(schedule)]. Stops once the successive-difference
-    max norm stays below tol for one full period. When target (a predicted
-    consensus value) and pi are given, both error norms are recorded at
-    every step. The full state history is kept only with record_states.
+    max norm stays below tol for one full period. When pi is given, both
+    error norms against the consensus pi . x0 are recorded at every step.
+    The full state history is kept only with record_states.
 
     Steps run in blocks; the first holds one period, and each later one at
     most as many steps as already taken, capped by _BLOCK_WORK and
@@ -79,18 +78,18 @@ def simulate(
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol <= sys.float_info.max:
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     if not schedule:
         raise ValueError("schedule must hold at least one matrix")
     period = len(schedule)
     entries = [m.entries for m in schedule]
     x = check_opinions(x0)
-    track_errors = target is not None
-    if track_errors and pi is None:
-        raise ValueError("recording error norms requires the stationary distribution pi")
-    if track_errors and pi.pi.shape != x.shape:
-        raise ValueError(f"vector length {x.shape} does not match pi length {pi.pi.shape}")
+    track_errors = pi is not None
+    if track_errors:
+        if pi.pi.shape != x.shape:
+            raise ValueError(f"vector length {x.shape} does not match pi length {pi.pi.shape}")
+        target = float(np.dot(pi.pi, x))  # as consensus_value computes it
 
     n = x.shape[0]
     cap = max(period, min(_BLOCK_WORK // max(n * n, 1), _BLOCK_CELLS // max(n, 1)))
@@ -128,7 +127,6 @@ def simulate(
         final_state=buf[used].copy(),
         errors_pi=np.concatenate([e[0] for e in errors]) if track_errors else None,
         errors_max=np.concatenate([e[1] for e in errors]) if track_errors else None,
-        consensus_target=target,
         pi=None if pi is None else pi.pi,
         converged=converged,
         steps=steps,
@@ -159,7 +157,7 @@ def decay_check(trajectory: OpinionTrajectory, rho: float) -> DecayCheckResult:
     rho^t ||e(0)||_pi / sqrt(pi_min). Both with 1e-12 additive slack;
     margin is the smallest slack observed (negative means failure).
     """
-    if trajectory.consensus_target is None or trajectory.errors_pi is None:
+    if trajectory.errors_pi is None:
         raise ValueError("decay check requires a trajectory with a consensus target")
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0, 1), got {rho}")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import IsolatedNodeError, LayerGraph
+from .netcore import LayerGraph, require_no_isolated
 from .stochastic import TransitionMatrix
 
 _PERRON_TOL = 1e-10
@@ -72,9 +72,7 @@ class SpectralSummary:
 
 
 def _inverse_sqrt_degrees(layer: LayerGraph) -> np.ndarray:
-    if (layer.degrees <= 0).any():
-        node = int(np.argmin(layer.degrees))
-        raise IsolatedNodeError(f"node {node} is isolated (zero weighted degree)")
+    require_no_isolated(layer)
     return 1.0 / np.sqrt(layer.degrees)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netcore import IsolatedNodeError, LayerGraph
+from .netcore import LayerGraph, require_no_isolated
 
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_RESIDUAL_TOL = 1e-12
@@ -77,9 +77,7 @@ class StationaryDistribution:
 
 def transition_matrix(layer: LayerGraph) -> TransitionMatrix:
     """Degree-normalize a layer: entry (i, j) is w_ij / d_i."""
-    if (layer.degrees <= 0).any():
-        node = int(np.argmin(layer.degrees))
-        raise IsolatedNodeError(f"node {node} is isolated (zero weighted degree)")
+    require_no_isolated(layer)
     return TransitionMatrix.from_entries(layer.weights / layer.degrees[:, None])
 
 
@@ -167,9 +165,7 @@ def require_primitive(m: TransitionMatrix, what: str) -> None:
 
 def stationary_from_degrees(layer: LayerGraph) -> StationaryDistribution:
     """Stationary distribution of an undirected layer: pi_i = d_i / (2|E|)."""
-    if (layer.degrees <= 0).any():
-        node = int(np.argmin(layer.degrees))
-        raise IsolatedNodeError(f"node {node} is isolated (zero weighted degree)")
+    require_no_isolated(layer)
     return StationaryDistribution(pi=layer.degrees / (2.0 * layer.total_edge_weight))
 
 

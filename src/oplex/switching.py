@@ -33,7 +33,6 @@ from .stochastic import (
     transition_matrix,
 )
 
-_LIMIT_DOUBLINGS = 7  # the period limits are taken at (Q^d)^128
 _K_RATIO_SLACK = 1.05
 
 
@@ -67,8 +66,7 @@ class SwitchingOutcome:
     """Where the switching dynamics goes, read off the cycle's closed classes.
 
     period is that of the cycle's one closed class, None if it has several.
-    On consensus (period 1) pi and value are set; an oscillation (period
-    d >= 2) carries the limits of Q^(m d + r), r = 0..d-1, taken at m = 128.
+    On consensus (period 1) pi and value are set.
 
     rho_star >= slem_cycle - 1e-9 whenever both layers are reversible and
     primitive; it can exceed 1, in which case the bound is vacuous but the
@@ -79,7 +77,6 @@ class SwitchingOutcome:
     value: float | None
     period: int | None
     closed_classes: int
-    limits: tuple[np.ndarray, ...]
     slem_cycle: float
     rho_star: float
 
@@ -102,22 +99,9 @@ def product_rate_checks(slem_cycle: float, star: float) -> dict[str, bool]:
 def rho_star(model: SwitchingModel) -> float:
     """rho2(B) * rho2(A)^k * max_i(d1_i/d2_i) * max_i(d2_i/d1_i)."""
     d1, d2 = model.layer1.degrees, model.layer2.degrees
-    if (d1 <= 0).any() or (d2 <= 0).any():
-        raise ValueError("degree-ratio factors require positive degrees in both layers")
     rho_a = layer_spectrum(model.layer1).slem
     rho_b = layer_spectrum(model.layer2).slem
     return float(rho_b * rho_a**model.k * (d1 / d2).max() * (d2 / d1).max())
-
-
-def _period_limits(q: np.ndarray, period: int) -> tuple[np.ndarray, ...]:
-    """(L, L Q, ..., L Q^(d-1)) with L = (Q^d)^(2^7)."""
-    limit = np.linalg.matrix_power(q, period)
-    for _ in range(_LIMIT_DOUBLINGS):
-        limit = limit @ limit
-    limits = [limit]
-    for _ in range(1, period):
-        limits.append(limits[-1] @ q)
-    return tuple(limits)
 
 
 def analyze(model: SwitchingModel, x0: np.ndarray) -> SwitchingOutcome:
@@ -134,7 +118,6 @@ def analyze(model: SwitchingModel, x0: np.ndarray) -> SwitchingOutcome:
         value=None if pi is None else consensus_value(pi, x),
         period=period,
         closed_classes=len(classes.periods),
-        limits=() if period in (None, 1) else _period_limits(model.cycle.entries, period),
         slem_cycle=eig_moduli_nonsymmetric(model.cycle).slem,
         rho_star=rho_star(model),
     )
@@ -201,12 +184,11 @@ def k_stability_sweep(
 
 def switching_perturbation_check(
     layer1: LayerGraph,
-    perturbed: LayerGraph | Sequence[LayerGraph],
+    family: Sequence[LayerGraph],
     k: int,
     x0: np.ndarray,
 ) -> ShiftFamilyFit:
-    """Switching-consensus response when layer 2 is a perturbation of layer 1."""
-    family = [perturbed] if isinstance(perturbed, LayerGraph) else list(perturbed)
+    """Switching-consensus response when layer 2 is each perturbed layer of family."""
     x1 = layer_consensus(layer1, x0, "layer1")
     e_norms = []
     deviations = []

@@ -74,6 +74,16 @@ class TestSimulateCommand:
         )
         assert "layers[0]" in err and "finite" in err
 
+    @pytest.mark.parametrize(
+        "tol", [float("inf"), float("nan"), 10**400], ids=["inf", "nan", "float-overflow"]
+    )
+    def test_non_finite_tol_exits_two(self, tmp_path, capsys, tol):
+        config = write_config(tmp_path, dict(SMALL_MERGED, tol=tol))
+        err = assert_bad_input(
+            capsys, ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+        )
+        assert "tol: must be a positive finite number" in err
+
     def test_explicit_x0_of_wrong_length_exits_two(self, tmp_path, capsys):
         raw = dict(SMALL_MERGED, x0={"kind": "explicit", "values": [0.1, 0.2, 0.3]})
         config = write_config(tmp_path, raw)
@@ -327,6 +337,37 @@ class TestAnalyzeCommand:
         ]
         assert_bad_input(capsys, argv + n_args)
 
+
+    def test_short_line_reads_the_same_with_and_without_n(self, tmp_path, capsys):
+        # Inferring n parses the files with the loader's own line parser.
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1 1\n7\n")
+        argv = [
+            "analyze",
+            "--layer1", str(bad),
+            "--layer2", str(DATA / "contact_layer_b.txt"),
+            "--mode", "merged",
+            "--alpha", "0.5",
+        ]
+        inferred = assert_bad_input(capsys, argv)
+        given = assert_bad_input(capsys, argv + ["--n", "8"])
+        assert inferred == given
+        assert f"{bad}:2: expected 'i j w', got '7'" in given
+
+    def test_x0_file_with_non_number_names_the_file(self, tmp_path, capsys):
+        x0_file = tmp_path / "x0.txt"
+        x0_file.write_text("0.5 half 0.5")
+        argv = [
+            "analyze",
+            "--layer1", str(DATA / "contact_layer_a.txt"),
+            "--layer2", str(DATA / "contact_layer_b.txt"),
+            "--mode", "merged",
+            "--alpha", "0.5",
+            "--n", "8",
+            "--x0", str(x0_file),
+        ]
+        err = assert_bad_input(capsys, argv)
+        assert f"{x0_file}: could not convert string to float: 'half'" in err
 
     @pytest.mark.parametrize("line", ["2 0 inf", "1 2 nan"])
     def test_non_finite_weight_exits_two(self, tmp_path, capsys, line):

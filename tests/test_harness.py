@@ -428,7 +428,6 @@ class TestTrajectoryWriter:
             final_state=values[-1],
             errors_pi=errors_pi,
             errors_max=errors_max,
-            consensus_target=0.5 if errors else None,
             pi=None,
             converged=True,
             steps=steps,

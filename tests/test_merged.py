@@ -321,7 +321,7 @@ class TestAlphaStability:
 class TestMergedPerturbation:
     def test_identical_layer_gives_zero(self):
         layer1, _ = triangle_pair()
-        fit = merged_perturbation_check(layer1, layer1, 0.5, X0_TRIANGLE)
+        fit = merged_perturbation_check(layer1, [layer1], 0.5, X0_TRIANGLE)
         assert fit.passed
         assert fit.deviations.max() <= 1e-15
 
@@ -335,7 +335,7 @@ class TestMergedPerturbation:
 
     def test_disjoint_support_is_report_only(self):
         layer1, layer2 = complementary_cycles_pair()
-        fit = merged_perturbation_check(layer1, layer2, 0.5, np.array([1, 0, 0, 0, 0.0]))
+        fit = merged_perturbation_check(layer1, [layer2], 0.5, np.array([1, 0, 0, 0, 0.0]))
         assert not fit.armed
         assert fit.passed  # nothing armed, nothing failed
         assert fit.e_norms[0] > 0.4

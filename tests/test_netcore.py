@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +106,36 @@ class TestGenerators:
     def test_k_regular_infeasible(self):
         with pytest.raises(ValueError, match="odd"):
             GeneratorSpec(kind="k-regular", n=5, k=3)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            'oplex.run_experiment(dict(config, model={"kind": "merged", "alphas": [0.5]}))',
+            'oplex.run_experiment(dict(config, model={"kind": "switching", "ks": [1]}))',
+            'oplex.run_experiment(dict(config, model={"kind": "single"}, layers=layers[:1]))',
+            "verify.run_bounds_suite(n_instances=2), verify.run_perturbation_suite(n_pairs=2)",
+        ],
+        ids=["merged", "switching", "single", "suites"],
+    )
+    def test_no_networkx_import(self, run):
+        # Importing networkx costs about 0.1 s and 18 MB of resident memory;
+        # only the k-regular generator needs it.
+        script = f"""
+import sys
+import oplex
+from oplex import verify
+layers = [
+    {{"kind": "barabasi-albert", "n": 30, "m": 3, "seed": 1}},
+    {{"kind": "erdos-renyi", "n": 30, "p": 0.2, "seed": 2}},
+]
+config = {{"layers": layers, "x0": {{"kind": "uniform", "seed": 3}}}}
+{run}
+print(sorted(m for m in sys.modules if m.split(".")[0] == "networkx"))
+"""
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_erdos_renyi_reproducible_and_mean_degree(self):
         spec = GeneratorSpec(kind="erdos-renyi", n=100, p=10 / 99, seed=123)

@@ -25,16 +25,14 @@ X0 = np.array([1.0, 0.0, 0.0])
 def triangle_setup():
     layer1, _ = triangle_pair()
     matrix = transition_matrix(layer1)
-    pi = stationary_from_degrees(layer1)
-    target = consensus_value(pi, X0)
-    return matrix, pi, target
+    return matrix, stationary_from_degrees(layer1)
 
 
 class TestSimulate:
     def test_constant_opinions_already_fixed(self):
-        matrix, pi, _ = triangle_setup()
+        matrix, pi = triangle_setup()
         x0 = np.full(3, 0.5)
-        traj = simulate((matrix,), x0, target=0.5, pi=pi)
+        traj = simulate((matrix,), x0, pi=pi)
         assert traj.converged
         assert traj.steps == 1
         assert np.array_equal(traj.final_state, x0)
@@ -45,7 +43,7 @@ class TestSimulate:
         model = merge(layer1, layer2, 0.5)
         value = merged_consensus(model, X0)
         pi = stationary_from_degrees(model.merged_layer)
-        traj = simulate((model.transition,), X0, target=value, pi=pi)
+        traj = simulate((model.transition,), X0, pi=pi)
         assert traj.converged
         assert np.abs(traj.final_state - 4 / 11).max() <= 1e-8
 
@@ -61,7 +59,7 @@ class TestSimulate:
         layer1, layer2 = triangle_pair()
         model = switching_model(layer1, layer2, 1)
         outcome = analyze(model, X0)
-        traj = simulate(model.schedule, X0, target=outcome.value, pi=outcome.pi)
+        traj = simulate(model.schedule, X0, pi=outcome.pi)
         assert traj.converged
         assert np.abs(traj.final_state - 3 / 10).max() <= 1e-9
 
@@ -75,18 +73,19 @@ class TestSimulate:
             simulate((), X0)
 
     def test_final_state_kept_without_recording(self):
-        matrix, pi, target = triangle_setup()
-        traj = simulate((matrix,), X0, target=target, pi=pi, record_states=False)
+        matrix, pi = triangle_setup()
+        traj = simulate((matrix,), X0, pi=pi, record_states=False)
         assert traj.states is None
         assert np.abs(traj.final_state - 1 / 3).max() <= 1e-9
 
-    def test_errors_need_pi(self):
-        matrix, _, target = triangle_setup()
-        with pytest.raises(ValueError, match="requires the stationary"):
-            simulate((matrix,), X0, target=target)
+    @pytest.mark.parametrize("tol", [0.0, float("inf"), float("nan")])
+    def test_rejects_tol_that_is_not_positive_and_finite(self, tol):
+        matrix, _ = triangle_setup()
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            simulate((matrix,), X0, tol=tol)
 
     def test_rejects_bad_x0(self):
-        matrix, pi, _ = triangle_setup()
+        matrix, pi = triangle_setup()
         with pytest.raises(ValueError, match="outside"):
             simulate((matrix,), np.array([2.0, 0.0, 0.0]))
 
@@ -109,10 +108,11 @@ class TestSimulate:
         assert traj.states.max() <= x0.max() + 1e-12
 
 
-def stepwise_simulate(schedule, x0, t_max, tol, target, pi, record_states):
+def stepwise_simulate(schedule, x0, t_max, tol, pi, record_states):
     """One step at a time, one norm call per step: the reference for simulate."""
     period = len(schedule)
     x = check_opinions(x0).copy()
+    target = consensus_value(pi, x0) if pi is not None else None
     states = [x.copy()]
     errors_pi = [pi_norm(x - target, pi)] if target is not None else None
     errors_max = [max_norm(x - target)] if target is not None else None
@@ -153,11 +153,9 @@ def random_schedule(rng, n, period):
     return tuple(schedule)
 
 
-def assert_matches_stepwise(schedule, x0, t_max, tol, target, pi, record_states):
-    traj = simulate(
-        schedule, x0, t_max=t_max, tol=tol, target=target, pi=pi, record_states=record_states
-    )
-    ref = stepwise_simulate(schedule, x0, t_max, tol, target, pi, record_states)
+def assert_matches_stepwise(schedule, x0, t_max, tol, pi, record_states):
+    traj = simulate(schedule, x0, t_max=t_max, tol=tol, pi=pi, record_states=record_states)
+    ref = stepwise_simulate(schedule, x0, t_max, tol, pi, record_states)
     assert traj.steps == ref["steps"]
     assert traj.converged == ref["converged"]
     assert np.array_equal(traj.final_state, ref["final_state"])
@@ -198,19 +196,18 @@ class TestBlockedStepping:
         schedule = random_schedule(rng, n, period)
         x0 = rng.random(n)
         weights = rng.random(n) + 0.1
-        pi = StationaryDistribution(weights / weights.sum())
-        target = float(rng.random()) if with_target else None
+        pi = StationaryDistribution(weights / weights.sum()) if with_target else None
         if isinstance(stop, tuple):
             # Steps last - period + 1 .. last are all quiet under this tol,
             # so the stall rule fires at step last or before it.
             j, offset = stop
             last = period * 2**j + min(offset, period - 1)
-            states = stepwise_simulate(schedule, x0, last, 1e-300, None, None, True)["states"]
+            states = stepwise_simulate(schedule, x0, last, 1e-300, None, True)["states"]
             diffs = np.abs(np.diff(states, axis=0)).max(axis=1)
             tol = float(diffs[-period:].max()) * (1 + 1e-9) or 1e-300
         else:
             tol = 10.0**-stop
-        assert_matches_stepwise(schedule, x0, t_max, tol, target, pi, record_states)
+        assert_matches_stepwise(schedule, x0, t_max, tol, pi, record_states)
 
     @pytest.mark.parametrize("n, t_max, converged", [(300, 2000, True), (600, 200, False)])
     def test_matches_stepwise_at_the_block_cap(self, n, t_max, converged):
@@ -221,37 +218,36 @@ class TestBlockedStepping:
         matrix = TransitionMatrix.from_entries(ring / 3)
         pi = StationaryDistribution(np.full(n, 1.0 / n))
         x0 = rng.random(n)
-        traj = assert_matches_stepwise((matrix,), x0, t_max, 1e-4, 0.5, pi, True)
+        traj = assert_matches_stepwise((matrix,), x0, t_max, 1e-4, pi, True)
         assert traj.converged == converged
         assert traj.steps > 100
 
 
 class TestDecayCheck:
     def test_triangle_passes_at_true_rate(self):
-        matrix, pi, target = triangle_setup()
-        traj = simulate((matrix,), X0, target=target, pi=pi)
+        matrix, pi = triangle_setup()
+        traj = simulate((matrix,), X0, pi=pi)
         result = decay_check(traj, 0.5)
         assert result.passed
         assert result.margin >= 0.0
 
     def test_constant_opinions_pass_vacuously(self):
-        matrix, pi, _ = triangle_setup()
-        traj = simulate((matrix,), np.full(3, 0.3), target=0.3, pi=pi)
+        matrix, pi = triangle_setup()
+        traj = simulate((matrix,), np.full(3, 0.3), pi=pi)
         assert decay_check(traj, 0.5).passed
 
     def test_eigenvector_start_fails_below_true_rate(self):
         # x0 = 0.5 + eps * (1, -1, 0) decays exactly at rate 1/2
-        matrix, pi, _ = triangle_setup()
+        matrix, pi = triangle_setup()
         x0 = 0.5 + 0.25 * np.array([1.0, -1.0, 0.0])
-        target = consensus_value(pi, x0)
-        traj = simulate((matrix,), x0, target=target, pi=pi)
+        traj = simulate((matrix,), x0, pi=pi)
         assert decay_check(traj, 0.5).passed
         negative = decay_check(traj, 0.4)
         assert not negative.passed
         assert negative.margin < 0.0
 
     def test_requires_target(self):
-        matrix, _, _ = triangle_setup()
+        matrix, _ = triangle_setup()
         traj = simulate((matrix,), X0)
         with pytest.raises(ValueError, match="consensus target"):
             decay_check(traj, 0.5)
@@ -263,8 +259,8 @@ class TestFitRate:
         assert fit_rate(series) == pytest.approx(0.3, abs=1e-10)
 
     def test_triangle_trajectory_rate_below_slem(self):
-        matrix, pi, target = triangle_setup()
-        traj = simulate((matrix,), X0, target=target, pi=pi)
+        matrix, pi = triangle_setup()
+        traj = simulate((matrix,), X0, pi=pi)
         rate = fit_rate(traj.errors_pi, floor=1e-13)
         assert rate <= 0.5 + 1e-6
 
@@ -272,7 +268,7 @@ class TestFitRate:
         layer1, layer2 = triangle_pair()
         model = switching_model(layer1, layer2, 1)
         outcome = analyze(model, X0)
-        traj = simulate(model.schedule, X0, target=outcome.value, pi=outcome.pi)
+        traj = simulate(model.schedule, X0, pi=outcome.pi)
         per_cycle = traj.errors_max[::2]
         rate = fit_rate(per_cycle[2:], floor=1e-13)
         slem = eig_moduli_nonsymmetric(model.cycle).slem

@@ -13,14 +13,13 @@ from oplex.stochastic import (
     transition_matrix,
 )
 from oplex.switching import (
-    _period_limits,
     analyze,
     k_stability_sweep,
     rho_star,
     switching_model,
     switching_perturbation_check,
 )
-from oplex.verify import random_layer, reweight_edge
+from oplex.verify import period_limits, random_layer, reweight_edge
 
 X0_TRIANGLE = np.array([1.0, 0.0, 0.0])
 X0_FIVE = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
@@ -74,7 +73,8 @@ class TestAnalyze:
         outcome = analyze(model, X0_FIVE)
         assert outcome.status == "oscillation"
         assert outcome.period == 2 and outcome.closed_classes == 1
-        assert np.abs(outcome.limits[0] - outcome.limits[1]).max() > 0.5
+        limits = period_limits(model.cycle.entries, outcome.period)
+        assert np.abs(limits[0] - limits[1]).max() > 0.5
         assert outcome.slem_cycle == pytest.approx(1.0, abs=1e-10)
 
     def test_sia_pair_consensus(self):
@@ -93,12 +93,12 @@ class TestAnalyze:
         outcome = analyze(switching_model(layer1, layer2, 0), np.array([0.0, 0.2, 0.6, 1.0]))
         assert outcome.status == "disagreement"
         assert outcome.closed_classes == 2 and outcome.period is None
-        assert outcome.value is None and outcome.limits == ()
+        assert outcome.value is None
 
     def test_period_limits_follow_the_residues(self):
         # A 3-cycle permutation: Q^(3m + r) = Q^r for every m.
         q = np.eye(3)[[1, 2, 0]]
-        limits = _period_limits(q, 3)
+        limits = period_limits(q, 3)
         assert len(limits) == 3
         for r, limit in enumerate(limits):
             assert np.array_equal(limit, np.linalg.matrix_power(q, r))
@@ -289,7 +289,7 @@ class TestKStability:
 class TestSwitchingPerturbation:
     def test_identical_layer_zero(self):
         layer1, _ = triangle_pair()
-        fit = switching_perturbation_check(layer1, layer1, 2, X0_TRIANGLE)
+        fit = switching_perturbation_check(layer1, [layer1], 2, X0_TRIANGLE)
         assert fit.passed
         assert fit.deviations.max() <= 1e-15
 
@@ -312,9 +312,10 @@ class TestSwitchingPerturbation:
 
         path = build_layer(3, [(0, 1, 1), (1, 2, 1)])
         with pytest.raises(NotPrimitiveError):
-            switching_perturbation_check(path, path, 1, X0_TRIANGLE)
+            switching_perturbation_check(path, [path], 1, X0_TRIANGLE)
 
     def test_rejects_non_primitive_cycle_of_primitive_layers(self):
         # Both layers are primitive; their k=1 cycle has period 2.
+        layer1, layer2 = oscillating_pair()
         with pytest.raises(NotPrimitiveError, match="k=1"):
-            switching_perturbation_check(*oscillating_pair(), 1, X0_FIVE)
+            switching_perturbation_check(layer1, [layer2], 1, X0_FIVE)
