@@ -19,14 +19,20 @@ from pathlib import Path
 
 import numpy as np
 
-from oplex.netcore import LayerGraph, load_two_layer_dataset
+from oplex.netcore import Csr, LayerGraph, load_two_layer_dataset
 from oplex.spectral import slem_reversible
 from oplex.stochastic import is_primitive, transition_matrix
 from oplex.switching import switching_model
 
 
 def subgraph(layer: LayerGraph, keep: np.ndarray) -> LayerGraph:
-    return LayerGraph.from_weights(layer.weights[np.ix_(keep, keep)])
+    """The layer on the nodes keep, renumbered 0..len(keep)-1 in that order."""
+    w = layer.csr
+    renumber = np.full(layer.n, -1)
+    renumber[keep] = np.arange(keep.shape[0])
+    rows, cols = renumber[w.rows], renumber[w.indices]
+    inside = (rows >= 0) & (cols >= 0)
+    return LayerGraph(Csr.from_entries(keep.shape[0], rows[inside], cols[inside], w.data[inside]))
 
 
 def profile(layer_a: LayerGraph, layer_b: LayerGraph, ks) -> dict | None:
@@ -91,12 +97,9 @@ def main() -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     for suffix, layer in (("a", sub_a), ("b", sub_b)):
-        lines = [
-            f"{i} {j} {layer.weights[i, j]:g}"
-            for i in range(layer.n)
-            for j in range(i + 1, layer.n)
-            if layer.weights[i, j]
-        ]
+        w = layer.csr
+        edges = zip(w.rows.tolist(), w.indices.tolist(), w.data.tolist())
+        lines = [f"{i} {j} {weight:g}" for i, j, weight in edges if i < j]
         Path(f"{out}_{suffix}.txt").write_text("\n".join(lines) + "\n")
     report = {
         "kept_nodes": [int(v) for v in keep],

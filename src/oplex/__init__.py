@@ -22,8 +22,6 @@ from .stochastic import (
     TransitionMatrix,
     consensus_value,
     is_primitive,
-    max_norm,
-    pi_norm,
     stationary_from_degrees,
     stationary_general,
     support_classes,
@@ -97,8 +95,6 @@ __all__ = [
     "TransitionMatrix",
     "consensus_value",
     "is_primitive",
-    "max_norm",
-    "pi_norm",
     "stationary_from_degrees",
     "stationary_general",
     "support_classes",

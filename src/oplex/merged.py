@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .netcore import IsolatedNodeError, LayerGraph, require_no_isolated
+from .netcore import Csr, IsolatedNodeError, LayerGraph, require_no_isolated
 from .perturb import ShiftFamilyFit, fit_shift_family
 from .spectral import SLEM_SLACK, layer_spectrum, slem_reversible
 from .stochastic import (
@@ -52,8 +52,7 @@ def merge(layer1: LayerGraph, layer2: LayerGraph, alpha: float) -> MergedModel:
         raise ValueError(f"layers have different node counts: {layer1.n} vs {layer2.n}")
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    merged_weights = alpha * layer1.weights + (1.0 - alpha) * layer2.weights
-    merged_layer = LayerGraph.from_weights(merged_weights)
+    merged_layer = LayerGraph(_blend(layer1.csr, layer2.csr, alpha))
     require_no_isolated(merged_layer, "in the merged graph")
     return MergedModel(
         alpha=float(alpha),
@@ -62,6 +61,20 @@ def merge(layer1: LayerGraph, layer2: LayerGraph, alpha: float) -> MergedModel:
         merged_layer=merged_layer,
         transition=transition_matrix(merged_layer),
     )
+
+
+def _blend(w1: Csr, w2: Csr, alpha: float) -> Csr:
+    """alpha w1 + (1 - alpha) w2 on the union of the two patterns.
+
+    An entry of both is the sum of its two terms, as on dense arrays; an
+    entry of one is its one term, which equals that term plus 0. Entries
+    that come out 0 (alpha at 0 or 1) are not stored, so the blend's
+    pattern is its support.
+    """
+    rows = np.concatenate([w1.rows, w2.rows])
+    cols = np.concatenate([w1.indices, w2.indices])
+    terms = np.concatenate([alpha * w1.data, (1.0 - alpha) * w2.data])
+    return Csr.from_entries(w1.n, rows, cols, terms)
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,26 @@
 """Weighted network layers sharing a common node set.
 
-A layer is an undirected, loop-free, nonnegatively weighted graph stored
-densely. Layers are the raw material for the averaging dynamics: every
-transition matrix downstream is a degree normalization of a layer, and the
-two-layer models combine layers by weight blending or by time switching.
+A layer is an undirected, loop-free, nonnegatively weighted graph, stored
+once in compressed sparse row form (Csr): a social layer has O(n) edges, and
+every kernel downstream reads its nonzeros rather than an n x n array.
+Layers are the raw material for the averaging dynamics: every transition
+matrix downstream is a degree normalization of a layer, and the two-layer
+models combine layers by weight blending or by time switching.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:
     from .spectral import SpectralSummary
+    from .stochastic import TransitionMatrix
 
 
 class EdgeListError(ValueError):
@@ -36,43 +41,183 @@ def is_number(value: object) -> bool:
     return isinstance(value, float) or is_integer(value)
 
 
-@dataclass(frozen=True)
-class LayerGraph:
-    """One undirected weighted layer on nodes 0..n-1, given by its weights.
+# One CSR product costs about as much as this many dense multiply-adds per
+# stored entry, per row and per call (np.add.reduceat against np.dot, one
+# BLAS thread; see Csr.matvec_cost).
+_CSR_ENTRY_COST = 10
+_CSR_ROW_COST = 50
+_CSR_CALL_COST = 10_000
 
-    weights is symmetric with zero diagonal. n, degrees (the row sums) and
-    total_edge_weight (half their sum) are derived from it at construction.
-    _spectrum caches the layer's SpectralSummary (see spectral.layer_spectrum).
+
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """A square matrix in compressed sparse row form (Saad, Iterative Methods
+    for Sparse Linear Systems, 2003, section 3.4).
+
+    Row i holds its entries at positions indptr[i]:indptr[i + 1] of indices
+    (their columns, strictly ascending) and data (their values). No zero is
+    stored, so the pattern is the support of the matrix. rows holds the row
+    of each entry; every kernel here reads it, so it is derived from indptr
+    once, at construction, unless given.
     """
 
-    weights: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    rows: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.rows is None:
+            counts = self.indptr[1:] - self.indptr[:-1]
+            object.__setattr__(self, "rows", np.repeat(np.arange(self.n), counts))
+
+    @property
+    def n(self) -> int:
+        return self.indptr.shape[0] - 1
+
+    @property
+    def nnz(self) -> int:
+        return self.data.shape[0]
+
+    @classmethod
+    def from_dense(cls, a: np.ndarray) -> "Csr":
+        """From a square array; its nonzeros are the entries."""
+        rows, cols = np.nonzero(a)
+        return cls(np.searchsorted(rows, np.arange(a.shape[0] + 1)), cols, a[rows, cols], rows)
+
+    @classmethod
+    def from_keys(cls, n: int, keys: np.ndarray, vals: np.ndarray) -> "Csr":
+        """From nonzero entries keyed i n + j, keys strictly ascending."""
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        rows = keys // n
+        return cls(indptr, keys - rows * n, vals, rows)
+
+    @classmethod
+    def from_entries(
+        cls, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
+    ) -> "Csr":
+        """From (row, col, value) triples in any order. The values of a
+        repeated (row, col) are summed; zeros are dropped."""
+        keys = rows * n + cols
+        order = np.argsort(keys)
+        keys = keys[order]
+        new = np.ones(keys.shape, dtype=bool)
+        new[1:] = keys[1:] != keys[:-1]
+        first = np.flatnonzero(new)
+        sums = np.add.reduceat(vals[order], first)
+        keep = sums != 0
+        return cls.from_keys(n, keys[first][keep], sums[keep])
+
+    def keys(self) -> np.ndarray:
+        """i n + j for each stored (i, j): strictly ascending."""
+        return self.rows * self.n + self.indices
+
+    def with_data(self, data: np.ndarray) -> "Csr":
+        """The same pattern holding data, less the entries where data is 0."""
+        keep = data != 0
+        if keep.all():
+            return Csr(self.indptr, self.indices, data, self.rows)
+        return Csr.from_keys(self.n, self.keys()[keep], data[keep])
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros((self.n, self.n))
+        out[self.rows, self.indices] = self.data
+        return out
+
+    def row_sums(self) -> np.ndarray:
+        return np.bincount(self.rows, weights=self.data, minlength=self.n)
+
+    def transpose_positions(self) -> np.ndarray | None:
+        """For each stored (i, j), the position of the stored (j, i).
+
+        None if some (j, i) is not stored, i.e. the pattern is not symmetric.
+        """
+        counts = self.indptr[1:] - self.indptr[:-1]
+        if not (np.bincount(self.indices, minlength=self.n) == counts).all():
+            return None  # some column holds more entries than its row
+        # Sorted, the mirrored keys j n + i are the keys themselves iff the
+        # pattern is symmetric; then the q-th of them, the mirror of entry
+        # order[q], is key q, and mirroring is an involution.
+        mirrored = self.indices * self.n + self.rows
+        order = np.argsort(mirrored)
+        return order if (mirrored[order] == self.keys()).all() else None
+
+    def matvec_cost(self) -> int:
+        """Cost of one product by matvec_kernel, in dense multiply-adds."""
+        csr_cost = _CSR_ENTRY_COST * self.nnz + _CSR_ROW_COST * self.n + _CSR_CALL_COST
+        return min(self.n * self.n, csr_cost)
+
+    def matvec_kernel(self) -> Callable[..., np.ndarray]:
+        """The product x -> A x, as a function of x and an optional out array.
+
+        Where matvec_cost says a dense product is cheaper, np.dot on a dense
+        copy held by the kernel. Otherwise one np.add.reduceat over the
+        stored entries, which needs every row to hold one.
+        """
+        if self.matvec_cost() == self.n * self.n:
+            return partial(np.dot, self.dense())
+        starts = self.indptr[:-1]
+        if (starts == self.indptr[1:]).any():
+            raise ValueError("the CSR product needs an entry in every row")
+        data, indices = self.data, self.indices
+        return lambda x, out=None: np.add.reduceat(data * x[indices], starts, out=out)
+
+
+@dataclass(frozen=True)
+class LayerGraph:
+    """One undirected weighted layer on nodes 0..n-1, given by its weights W.
+
+    csr holds W, symmetric with zero diagonal. n, degrees (the row sums) and
+    total_edge_weight (half their sum) are derived from it at construction;
+    weights is W as a dense array, built on each use and never stored.
+    _transition and _spectrum cache the layer's transition matrix and
+    SpectralSummary (see stochastic.transition_matrix and
+    spectral.layer_spectrum).
+    """
+
+    csr: Csr
     n: int = field(init=False)
     degrees: np.ndarray = field(init=False)
     total_edge_weight: float = field(init=False)
+    _transition: TransitionMatrix | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _spectrum: SpectralSummary | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        w = self.weights
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError(f"weight matrix must be square, got shape {w.shape}")
+        w = self.csr
+        degrees = w.row_sums()
         with np.errstate(over="ignore"):  # an overflow is rejected below
-            degrees = w.sum(axis=1)
             total = 0.5 * float(degrees.sum())
-        if not (np.isfinite(degrees).all() and np.isfinite(total)):
+        if not math.isfinite(total):  # also when some degree is not finite
             raise ValueError("weighted degrees and their total must be finite")
-        if not np.array_equal(w, w.T):
+        mirror = w.transpose_positions()
+        if mirror is None or not np.array_equal(w.data[mirror], w.data):
             raise ValueError("weight matrix must be exactly symmetric")
-        if np.diagonal(w).any():
+        if (w.indices == w.rows).any():
             raise ValueError("self-loops are not allowed (nonzero diagonal)")
-        if (w < 0).any():
+        if (w.data < 0).any():
             raise ValueError("edge weights must be nonnegative")
-        object.__setattr__(self, "n", w.shape[0])
+        object.__setattr__(self, "n", w.n)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "total_edge_weight", total)
 
+    @property
+    def weights(self) -> np.ndarray:
+        return self.csr.dense()
+
     @classmethod
     def from_weights(cls, weights: np.ndarray) -> "LayerGraph":
-        return cls(weights=np.array(weights, dtype=float))
+        w = np.asarray(weights, dtype=float)
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValueError(f"weight matrix must be square, got shape {w.shape}")
+        return cls(Csr.from_dense(w))
+
+    @classmethod
+    def from_edges(cls, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> "LayerGraph":
+        """The layer with weight w[e] on edge {i[e], j[e]}; the pairs must be distinct."""
+        rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+        return cls(Csr.from_entries(n, rows, cols, np.concatenate([w, w])))
 
 
 def require_no_isolated(layer: LayerGraph, where: str = "(zero weighted degree)") -> None:
@@ -91,8 +236,7 @@ def build_layer(n: int, edges: Iterable[tuple[int, int, float]]) -> LayerGraph:
     """
     if n <= 0:
         raise ValueError("node count must be positive")
-    w = np.zeros((n, n), dtype=float)
-    seen: set[tuple[int, int]] = set()
+    seen: dict[tuple[int, int], float] = {}
     for i, j, weight in edges:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i}, {j}) has a node index outside 0..{n - 1}")
@@ -105,9 +249,9 @@ def build_layer(n: int, edges: Iterable[tuple[int, int, float]]) -> LayerGraph:
         key = (min(i, j), max(i, j))
         if key in seen:
             raise ValueError(f"duplicate edge ({i}, {j})")
-        seen.add(key)
-        w[i, j] = w[j, i] = float(weight)
-    return LayerGraph.from_weights(w)
+        seen[key] = float(weight)
+    pairs = np.array(list(seen), dtype=np.intp).reshape(-1, 2)
+    return LayerGraph.from_edges(n, pairs[:, 0], pairs[:, 1], np.array(list(seen.values())))
 
 
 @dataclass(frozen=True)
@@ -202,50 +346,70 @@ def generate(spec: GeneratorSpec) -> LayerGraph:
         import networkx as nx  # only this generator needs it, and it is slow to import
 
         g = nx.random_regular_graph(spec.k, spec.n, seed=spec.seed)
-        w = nx.to_numpy_array(g, nodelist=range(spec.n))
-        return LayerGraph.from_weights(w)
+        pairs = np.array(g.edges(), dtype=np.intp)
+        return LayerGraph.from_edges(spec.n, pairs[:, 0], pairs[:, 1], np.ones(len(pairs)))
     if spec.kind == "circulant":
         return _circulant(spec.n, spec.offsets, spec.weight)
     raise ValueError(f"unknown generator kind {spec.kind!r}")
 
 
+# Uniforms drawn per Generator.random call by _erdos_renyi. Consecutive
+# calls continue one stream, so together they draw what one call would.
+_DRAW_CHUNK = 2**18
+
+
 def _erdos_renyi(n: int, p: float, seed: int) -> LayerGraph:
+    # One uniform per pair i < j, in row-major order of the upper triangle;
+    # the pair is an edge iff its uniform is below p. The uniforms are drawn
+    # a block of rows at a time, about _DRAW_CHUNK of them, so the triangle
+    # is never held whole.
     rng = np.random.default_rng(seed)
-    w = np.zeros((n, n), dtype=float)
-    iu = np.triu_indices(n, k=1)
-    mask = rng.random(iu[0].shape[0]) < p
-    w[iu[0][mask], iu[1][mask]] = 1.0
-    w += w.T
-    return LayerGraph.from_weights(w)
+    # first[i]: index of pair (i, i + 1) among the pairs; first[n - 1]: their count
+    first = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
+    hits = []
+    i = 0
+    while i < n - 1:
+        stop = int(np.searchsorted(first, first[i] + _DRAW_CHUNK, side="right")) - 1
+        stop = min(max(stop, i + 1), n - 1)
+        hits.append(first[i] + np.flatnonzero(rng.random(first[stop] - first[i]) < p))
+        i = stop
+    hit = np.concatenate(hits) if hits else np.zeros(0, dtype=np.intp)
+    rows = np.searchsorted(first, hit, side="right") - 1
+    cols = rows + 1 + (hit - first[rows])
+    return LayerGraph.from_edges(n, rows, cols, np.ones(hit.shape[0]))
 
 
 def _barabasi_albert(n: int, m: int, seed: int) -> LayerGraph:
     # Seed graph is a clique on m+1 nodes; each later node attaches m edges
     # drawn proportionally to current degree, without replacement.
     rng = np.random.default_rng(seed)
-    w = np.zeros((n, n), dtype=float)
     clique = min(m + 1, n)
-    for i in range(clique):
-        for j in range(i + 1, clique):
-            w[i, j] = w[j, i] = 1.0
-    deg = w.sum(axis=1)
+    pairs = [(i, j) for i in range(clique) for j in range(i + 1, clique)]
+    deg = np.zeros(n)
+    deg[:clique] = clique - 1
     for v in range(clique, n):
         probs = deg[:v] / deg[:v].sum()
         targets = rng.choice(v, size=m, replace=False, p=probs)
         for t in targets:
-            w[v, t] = w[t, v] = 1.0
+            pairs.append((v, int(t)))
             deg[t] += 1.0
         deg[v] = float(m)
-    return LayerGraph.from_weights(w)
+    ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    return LayerGraph.from_edges(n, ends[:, 0], ends[:, 1], np.ones(len(ends)))
 
 
 def _circulant(n: int, offsets: Sequence[int], weight: float) -> LayerGraph:
-    w = np.zeros((n, n), dtype=float)
-    for i in range(n):
-        for o in offsets:
-            j = (i + o) % n
-            w[i, j] = w[j, i] = weight
-    return LayerGraph.from_weights(w)
+    # Offsets o and n - o give the same edges {i, i + o}: each edge set is
+    # taken once, by its distance d <= n / 2. At d = n / 2 the partner of
+    # i + d is i again, so only the first half of the nodes lead.
+    nodes = np.arange(n)
+    tails, heads = [], []
+    for d in sorted({min(o % n, -o % n) for o in offsets}):
+        lead = nodes[: n // 2] if 2 * d == n else nodes
+        tails.append(lead)
+        heads.append((lead + d) % n)
+    i, j = np.concatenate(tails), np.concatenate(heads)
+    return LayerGraph.from_edges(n, i, j, np.full(i.shape, float(weight)))
 
 
 def parse_edge_list(path: str | Path) -> Iterator[tuple[int, int, int, float]]:

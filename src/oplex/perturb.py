@@ -45,9 +45,10 @@ def fundamental_matrix(p: TransitionMatrix, pi: StationaryDistribution) -> np.nd
     n = p.n
     if pi.n != n:
         raise ValueError("stationary distribution size does not match matrix size")
-    if np.abs(pi.pi @ p.entries - pi.pi).max() > _PI_RESIDUAL_TOL:
+    entries = p.entries
+    if np.abs(pi.pi @ entries - pi.pi).max() > _PI_RESIDUAL_TOL:
         raise ValueError("pi is not stationary for P (residual above 1e-10)")
-    system = np.eye(n) - p.entries + np.outer(np.ones(n), pi.pi)
+    system = np.eye(n) - entries + np.outer(np.ones(n), pi.pi)
     try:
         z = np.linalg.inv(system)
     except np.linalg.LinAlgError as exc:

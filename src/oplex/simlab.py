@@ -2,14 +2,16 @@
 
 simulate() iterates x(t+1) = M(t+1) x(t) over a periodic schedule of
 matrices and records the error against the consensus pi . x(0) in both the
-pi-weighted and max norms. It steps in blocks: a block of matvecs goes into
-a preallocated buffer, and the stall test and both error norms are then
-taken on the whole block at once. The matvecs are the same ones in the same
-order as one step at a time, and the run is cut at exactly the step where
-the stall rule fires, so every result is bit-for-bit that of plain
-stepping. The only extra work is the matvecs of the last block past that
-step, at most as many as the steps taken and at most a few ms whatever n
-is. decay_check() pins the error series against the geometric bound
+pi-weighted and max norms. Each matvec is a call of the matrix's
+Csr.matvec_kernel: a CSR product for a sparse layer, a dense one where that
+is cheaper (small or dense matrices). It steps in blocks: a block of
+matvecs goes into a preallocated buffer, and the stall test and both error
+norms are then taken on the whole block at once. The matvecs are the same
+ones in the same order as one step at a time, and the run is cut at
+exactly the step where the stall rule fires, so every result is
+bit-for-bit that of plain stepping. The only extra work is the matvecs of
+the last block past that step, at most as many as the steps taken and at
+most a few ms whatever n is. decay_check() pins the error series against the geometric bound
 rho^t (pi-norm) and its max-norm corollary with the explicit constant
 1/sqrt(pi_min). fit_rate() recovers the empirical geometric rate of a
 positive error series by least squares on the logs.
@@ -29,11 +31,11 @@ DEFAULT_TOL = 1e-12
 DEFAULT_T_MAX = 10**6
 # Steps computed past the stop step are wasted. A block is at most as long
 # as the run so far (so short runs waste at most what they use), costs at
-# most _BLOCK_WORK multiply-adds (a few ms at one BLAS thread) and buffers
-# at most _BLOCK_CELLS opinions (32 kB; with the block's temporaries a few
-# times that, which keeps peak memory where single steps have it).
+# most _BLOCK_WORK dense multiply-adds as Csr.matvec_cost counts them (a few
+# ms at one BLAS thread) and buffers at most _BLOCK_CELLS opinions (256 kB;
+# with the block's temporaries a few times that, well inside the cache).
 _BLOCK_WORK = 2**22
-_BLOCK_CELLS = 2**12
+_BLOCK_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ def simulate(
     if not schedule:
         raise ValueError("schedule must hold at least one matrix")
     period = len(schedule)
-    entries = [m.entries for m in schedule]
+    kernels = [m.csr.matvec_kernel() for m in schedule]
     x = check_opinions(x0)
     track_errors = pi is not None
     if track_errors:
@@ -92,7 +94,8 @@ def simulate(
         target = float(np.dot(pi.pi, x))  # as consensus_value computes it
 
     n = x.shape[0]
-    cap = max(period, min(_BLOCK_WORK // max(n * n, 1), _BLOCK_CELLS // max(n, 1)))
+    work = max(m.csr.matvec_cost() for m in schedule)
+    cap = max(period, min(_BLOCK_WORK // max(work, 1), _BLOCK_CELLS // max(n, 1)))
     buf = np.empty((cap + 1, n))
     buf[0] = x
     states = [buf[:1].copy()] if record_states else None
@@ -103,7 +106,7 @@ def simulate(
     while steps < t_max:
         block = min(max(period, steps), cap, t_max - steps)
         for i in range(1, block + 1):
-            np.dot(entries[(steps + i - 1) % period], buf[i - 1], out=buf[i])
+            kernels[(steps + i - 1) % period](buf[i - 1], out=buf[i])
         change = buf[1 : block + 1] - buf[:block]
         quiet = np.abs(change, out=change).max(axis=1) < tol
         # Length of the quiet run ending at each step of the block, counting
@@ -136,7 +139,7 @@ def simulate(
 def _error_norms(
     states: np.ndarray, target: float, pi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row pi-norm and max norm of states - target, as pi_norm / max_norm give them."""
+    """Per-row pi-norm (sum_i e_i^2 pi_i)^(1/2) and max norm of e = states - target."""
     e = states - target
     err_max = np.abs(e).max(axis=1)
     e *= e

@@ -10,10 +10,10 @@ of S once the Perron vector sqrt(pi) is deflated:
 
 - below _KRYLOV_MIN_N nodes, the dense solver eigvalsh on S;
 - from _KRYLOV_MIN_N nodes on, Lanczos with full reorthogonalization on
-  S's nonzeros (Lanczos 1950; Parlett, The Symmetric Eigenvalue Problem,
-  1980). A spectrum clustered near modulus 1 (a slow-mixing ring) would
-  take it many steps, so an early Ritz value near 1, or a spent step
-  budget, hands the layer back to the dense solver.
+  S, held on the layer's CSR pattern (Lanczos 1950; Parlett, The Symmetric
+  Eigenvalue Problem, 1980). A spectrum clustered near modulus 1 (a
+  slow-mixing ring) would take it many steps, so an early Ritz value near
+  1, or a spent step budget, hands the layer back to the dense solver.
 
 Switching products B A^k are genuinely nonreversible. Their SLEM is the
 largest eigenvalue modulus left once the constant vector is deflated
@@ -21,8 +21,10 @@ largest eigenvalue modulus left once the constant vector is deflated
 _KRYLOV_MIN_N nodes, Arnoldi with full reorthogonalization from there
 (Arnoldi 1951; Saad, Numerical Methods for Large Eigenvalue Problems,
 2011), with the same hand-back to the dense solver. Lanczos and Arnoldi
-share one Krylov loop. Ties at modulus 1 mean the chain is not primitive
-and the SLEM is 1.
+share one Krylov loop, which applies the operator through
+Csr.matvec_kernel: the CSR product, or a dense one on operators dense
+enough (B A^k fills in as k grows). Ties at modulus 1 mean the chain is not
+primitive and the SLEM is 1.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import LayerGraph, require_no_isolated
+from .netcore import Csr, LayerGraph, require_no_isolated
 from .stochastic import TransitionMatrix
 
 _PERRON_TOL = 1e-10
@@ -76,10 +78,23 @@ def _inverse_sqrt_degrees(layer: LayerGraph) -> np.ndarray:
     return 1.0 / np.sqrt(layer.degrees)
 
 
+def _symmetrized(layer: LayerGraph) -> Csr:
+    """S = D^-1/2 W D^-1/2 on W's pattern, entry w_ij s_i s_j with s = d^-1/2.
+
+    Each entry is multiplied by the larger of s_i, s_j first: w_ij s_i is
+    at most sqrt(d_i), so nothing overflows where s_i s_j alone would (on
+    degrees near 1e-320), and S comes out exactly symmetric.
+    """
+    s = _inverse_sqrt_degrees(layer)
+    w = layer.csr
+    s_row, s_col = s[w.rows], s[w.indices]
+    return w.with_data(w.data * np.maximum(s_row, s_col) * np.minimum(s_row, s_col))
+
+
 def symmetrize(layer: LayerGraph) -> np.ndarray:
-    """S = D^-1/2 W D^-1/2, exactly symmetric and similar to the transition matrix."""
-    inv_sqrt = _inverse_sqrt_degrees(layer)
-    return layer.weights * np.outer(inv_sqrt, inv_sqrt)
+    """S = D^-1/2 W D^-1/2 as a dense array, exactly symmetric and similar to
+    the transition matrix."""
+    return _symmetrized(layer).dense()
 
 
 def _perron_vector(layer: LayerGraph, apply) -> np.ndarray:
@@ -165,29 +180,19 @@ def _slem_krylov(apply, u: np.ndarray, symmetric: bool) -> float | None:
 
 
 def _slem_lanczos(layer: LayerGraph) -> float | None:
-    """SLEM by Lanczos on S with sqrt(pi) deflated, S applied from its
-    nonzeros in CSR order, one reduceat per product."""
-    n = layer.n
-    inv_sqrt = _inverse_sqrt_degrees(layer)
-    flat = np.flatnonzero(layer.weights != 0)
-    rows, cols = np.divmod(flat, n)
-    vals = layer.weights.ravel()[flat] * inv_sqrt[rows] * inv_sqrt[cols]
-    # rows come sorted and none is empty (no isolated node): CSR row starts
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(vals * x[cols], starts)
-
+    """SLEM by Lanczos on S with sqrt(pi) deflated, S applied from the layer's CSR."""
+    apply = _symmetrized(layer).matvec_kernel()
     return _slem_krylov(apply, _perron_vector(layer, apply), symmetric=True)
 
 
 def _slem_arnoldi(m: TransitionMatrix) -> float | None:
     """SLEM by Arnoldi on a stochastic Q with the constant vector deflated:
     Q 1 = 1 makes span{1} invariant, so no stationary vector is needed."""
+    apply = m.csr.matvec_kernel()
     ones = np.ones(m.n)
-    if np.abs(m.entries @ ones - ones).max() > _PERRON_TOL:
+    if np.abs(apply(ones) - ones).max() > _PERRON_TOL:
         raise RuntimeError("Q 1 != 1; input not stochastic?")
-    return _slem_krylov(lambda x: m.entries @ x, ones / np.sqrt(m.n), symmetric=False)
+    return _slem_krylov(apply, ones / np.sqrt(m.n), symmetric=False)
 
 
 def slem_reversible(layer: LayerGraph) -> SpectralSummary:
@@ -229,10 +234,11 @@ def eig_moduli_nonsymmetric(m: TransitionMatrix) -> SpectralSummary:
         slem = _slem_arnoldi(m)
         if slem is not None:
             return SpectralSummary(slem=slem, method="arnoldi")
+    entries = m.entries
     try:
-        eigenvalues = np.linalg.eigvals(m.entries)
+        eigenvalues = np.linalg.eigvals(entries)
     except np.linalg.LinAlgError as exc:
-        digest = hashlib.sha256(np.ascontiguousarray(m.entries).tobytes()).hexdigest()
+        digest = hashlib.sha256(entries.tobytes()).hexdigest()
         raise RuntimeError(f"eigenvalue iteration failed for matrix sha256={digest}") from exc
     leading = np.abs(eigenvalues).max()
     if abs(leading - 1.0) > _PERRON_TOL:

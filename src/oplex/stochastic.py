@@ -10,11 +10,11 @@ and get a generic solver instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import LayerGraph, require_no_isolated
+from .netcore import Csr, LayerGraph, require_no_isolated
 
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_RESIDUAL_TOL = 1e-12
@@ -24,24 +24,32 @@ class NotPrimitiveError(ValueError):
     """An operation requiring a primitive matrix got a non-primitive one."""
 
 
-@dataclass(eq=False)
 class TransitionMatrix:
-    """N x N row-stochastic matrix.
+    """N x N row-stochastic matrix, stored once as a Csr.
 
-    Entries are renormalized at construction; a row sum off by more than
-    1e-12 signals an upstream bug and is rejected rather than rescaled.
+    from_entries checks a dense array and renormalizes it; a row sum off by
+    more than 1e-12 signals an upstream bug and is rejected rather than
+    rescaled. transition_matrix reads a layer. The constructor takes the
+    Csr, or a dense array as it is, unchecked. entries is the dense matrix,
+    built on each use, for the dense solvers.
     """
 
-    entries: np.ndarray
-    _classes: SupportClasses | None = field(default=None, repr=False, compare=False)
+    def __init__(self, csr: Csr | None = None, *, entries: np.ndarray | None = None) -> None:
+        if (csr is None) == (entries is None):
+            raise TypeError("give exactly one of csr and entries")
+        self.csr = Csr.from_dense(np.asarray(entries, dtype=float)) if csr is None else csr
+        self._classes: SupportClasses | None = None
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.csr.n
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self.csr.dense()
 
     @classmethod
     def from_entries(cls, entries: np.ndarray) -> "TransitionMatrix":
-        # no copy here: the renormalization below returns a fresh array
         m = np.asarray(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"transition matrix must be square, got shape {m.shape}")
@@ -54,7 +62,7 @@ class TransitionMatrix:
             raise ValueError(
                 f"row {bad} sums to {sums[bad]!r}, more than {_ROW_SUM_TOL} away from 1"
             )
-        return cls(entries=m / sums[:, None])
+        return cls(Csr.from_dense(m / sums[:, None]))
 
 
 @dataclass(frozen=True)
@@ -76,24 +84,39 @@ class StationaryDistribution:
 
 
 def transition_matrix(layer: LayerGraph) -> TransitionMatrix:
-    """Degree-normalize a layer: entry (i, j) is w_ij / d_i."""
-    require_no_isolated(layer)
-    return TransitionMatrix.from_entries(layer.weights / layer.degrees[:, None])
+    """Degree-normalize a layer: entry (i, j) is w_ij / d_i, on the layer's pattern.
+
+    Built on first use and cached on the layer, with its support classes:
+    a sweep builds its models from the same two layers at every grid point.
+    """
+    if layer._transition is None:
+        require_no_isolated(layer)
+        w = layer.csr
+        m = TransitionMatrix(w.with_data(w.data / layer.degrees[w.rows]))
+        object.__setattr__(layer, "_transition", m)
+    return layer._transition
 
 
-def _bfs_levels(adjacency: np.ndarray, source: int) -> np.ndarray:
-    """Breadth-first distance from source along the rows; -1 where unreached."""
-    level = np.full(adjacency.shape[0], -1)
+def _bfs_levels(support: Csr, source: int, backward: bool = False) -> np.ndarray:
+    """Breadth-first distance from source along the edges i -> j of the
+    stored entries (i, j), or against them; -1 where unreached.
+
+    Each level is one pass over the stored entries: those whose tail is in
+    the frontier reach their head.
+    """
+    tails, heads = (support.indices, support.rows) if backward else (support.rows, support.indices)
+    level = np.full(support.n, -1)
     level[source] = 0
-    frontier = np.array([source], dtype=np.intp)
+    frontier = level == 0
     depth = 0
-    while frontier.size:
+    while True:
         depth += 1
-        reached = np.logical_or.reduce(adjacency[frontier])
-        reached &= level < 0
-        frontier = np.flatnonzero(reached)
+        reached = np.zeros(support.n, dtype=bool)
+        reached[heads[frontier[tails]]] = True
+        frontier = reached & (level < 0)
+        if not frontier.any():
+            return level
         level[frontier] = depth
-    return level
 
 
 @dataclass(frozen=True)
@@ -116,7 +139,7 @@ class SupportClasses:
 
 
 def support_classes(m: TransitionMatrix) -> SupportClasses:
-    """Closed classes by breadth-first search; cached on m.
+    """Closed classes by breadth-first search on the stored pattern; cached on m.
 
     Search from u forward (F) and backward (B). If F lies inside B, F is a
     closed class; its period is the gcd over its edges (a, b) of
@@ -128,8 +151,8 @@ def support_classes(m: TransitionMatrix) -> SupportClasses:
     """
     if m._classes is not None:
         return m._classes
-    support = m.entries > 0.0
-    symmetric = np.array_equal(support, support.T)
+    support = m.csr
+    symmetric = support.transpose_positions() is not None
     marked = np.zeros(m.n, dtype=bool)  # nodes that reach a closed class found so far
     periods: list[int] = []
     closed = 0
@@ -137,14 +160,14 @@ def support_classes(m: TransitionMatrix) -> SupportClasses:
     while not marked.all():
         level = _bfs_levels(support, u)
         forward = level >= 0
-        backward = forward if symmetric else _bfs_levels(support.T, u) >= 0
+        backward = forward if symmetric else _bfs_levels(support, u, backward=True) >= 0
         if (forward & ~backward).any():
             u = int(np.argmax(np.where(backward, -1, level)))
             continue
-        members = np.flatnonzero(forward)
-        rows, cols = np.divmod(np.flatnonzero(support[members]), m.n)
-        periods.append(int(np.gcd.reduce(level[members[rows]] + 1 - level[cols])))
-        closed += members.size
+        inside = forward[support.rows]  # the class's edges: it is closed
+        rows, cols = support.rows[inside], support.indices[inside]
+        periods.append(int(np.gcd.reduce(level[rows] + 1 - level[cols])))
+        closed += int(forward.sum())
         marked |= backward
         u = int(np.argmin(marked))
     m._classes = SupportClasses(periods=tuple(periods), transient=m.n - closed)
@@ -193,19 +216,6 @@ def stationary_general(m: TransitionMatrix) -> StationaryDistribution:
             f"stationary solve residual {residual:.3e} exceeds {_STATIONARY_RESIDUAL_TOL}"
         )
     return StationaryDistribution(pi=np.abs(v))
-
-
-def pi_norm(v: np.ndarray, pi: StationaryDistribution) -> float:
-    """Weighted Euclidean norm (sum_i v_i^2 pi_i)^(1/2)."""
-    vec = np.asarray(v, dtype=float)
-    if vec.shape != pi.pi.shape:
-        raise ValueError(f"vector length {vec.shape} does not match pi length {pi.pi.shape}")
-    return float(np.sqrt(np.sum(vec * vec * pi.pi)))
-
-
-def max_norm(v: np.ndarray) -> float:
-    vec = np.asarray(v, dtype=float)
-    return float(np.abs(vec).max()) if vec.size else 0.0
 
 
 def check_opinions(x0: np.ndarray, n: int | None = None) -> np.ndarray:

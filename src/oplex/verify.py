@@ -269,7 +269,7 @@ def degree_matched_pair(
     every degree unchanged; dyadic weights keep the arithmetic exact.
     """
     layer1 = random_layer(rng, n, dyadic=True)
-    w = layer1.weights.copy()
+    w = layer1.weights
     eps = 1.0 / 8.0
     shifts = 0
     for _ in range(8 * n):
@@ -292,9 +292,9 @@ def degree_matched_pair(
 
 def reweight_edge(layer: LayerGraph, i: int, j: int, factor: float) -> LayerGraph:
     """Copy of a layer with the weight of edge (i, j) scaled by factor."""
-    if layer.weights[i, j] == 0.0:
+    w = layer.weights
+    if w[i, j] == 0.0:
         raise ValueError(f"({i}, {j}) is not an edge")
-    w = layer.weights.copy()
     w[i, j] *= factor
     w[j, i] = w[i, j]
     return LayerGraph.from_weights(w)

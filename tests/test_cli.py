@@ -165,6 +165,24 @@ class TestSimulateCommand:
         )
         assert "missing_a.txt" in err
 
+    def test_subnormal_layer_weights_run_cleanly(self, tmp_path, capsys):
+        # Layer 2's degrees are about 4e-320, so 1/sqrt(d_i d_j) overflows to
+        # inf while w_ij / sqrt(d_i) / sqrt(d_j) is 0.25 in floating point.
+        raw = dict(
+            SMALL_MERGED,
+            model={"kind": "merged", "alphas": [0.5]},
+            layers=[
+                {"kind": "circulant", "n": 10, "offsets": [1, 2], "weight": 1.0},
+                {"kind": "circulant", "n": 10, "offsets": [1, 3], "weight": 1e-320},
+            ],
+        )
+        config = write_config(tmp_path, raw)
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert code == 0
+        assert json.loads(captured.out)["all_passed"] is True
+
     def test_failed_merged_check_exits_one(self, tmp_path, capsys, monkeypatch):
         # The sweep and `oplex analyze` read the same check definition.
         monkeypatch.setattr(MergedBoundsReport, "checks", lambda self: {"slem-lower-bound": False})

@@ -445,3 +445,32 @@ class TestConfigHash:
 
     def test_different_configs_differ(self):
         assert config_hash(merged_config()) != config_hash(merged_config(t_max=9999))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [{"kind": "merged", "alphas": [0.25, 0.5]}, {"kind": "single"}],
+    ids=["merged", "single"],
+)
+def test_large_sweeps_hold_no_dense_layer(model, monkeypatch):
+    # From the Krylov crossover on, a sweep whose spectra need no dense
+    # hand-back reads every layer and operator from its CSR only.
+    from oplex.netcore import Csr
+
+    sizes = []
+    dense = Csr.dense
+    monkeypatch.setattr(Csr, "dense", lambda self: sizes.append(self.n) or dense(self))
+    n = _KRYLOV_MIN_N
+    layers = [
+        {"kind": "barabasi-albert", "n": n, "m": 5, "seed": 1},
+        {"kind": "erdos-renyi", "n": n, "p": 0.02, "seed": 2},
+    ]
+    config = {
+        "model": model,
+        "layers": layers[: 1 if model["kind"] == "single" else 2],
+        "x0": {"kind": "uniform", "seed": 3},
+    }
+    result = run_experiment(config)
+    assert all(row["slem"] < 1 for row in result.rows)
+    assert result.all_passed
+    assert sizes == []

@@ -17,7 +17,7 @@ from oplex.merged import (
 )
 from oplex.netcore import GeneratorSpec, build_layer, generate
 from oplex.spectral import eig_moduli_nonsymmetric
-from oplex.stochastic import NotPrimitiveError, transition_matrix
+from oplex.stochastic import NotPrimitiveError, support_classes, transition_matrix
 from oplex.verify import degree_matched_pair, random_layer, reweight_edge
 
 X0_TRIANGLE = np.array([1.0, 0.0, 0.0])
@@ -49,6 +49,27 @@ class TestMerge:
         model = merge(layer1, layer2, 0.3)
         expected = 0.3 * layer1.weights + 0.7 * layer2.weights
         assert np.abs(model.merged_layer.weights - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_endpoint_classifies_like_its_layer(self, alpha):
+        # Layer 1, an even ring, is periodic; layer 2 adds the chords that
+        # make it aperiodic. At an endpoint the other layer's edges weigh 0
+        # and must not enter the merged support.
+        ring = generate(GeneratorSpec(kind="circulant", n=6, offsets=(1,)))
+        chorded = generate(GeneratorSpec(kind="circulant", n=6, offsets=(1, 2)))
+        layers = (ring, chorded) if alpha == 1.0 else (chorded, ring)
+        model = merge(*layers, alpha)
+        assert not (model.merged_layer.csr.data == 0).any()
+        assert np.array_equal(model.merged_layer.csr.indices, ring.csr.indices)
+        assert support_classes(model.transition) == support_classes(transition_matrix(ring))
+        assert support_classes(model.transition).periods == (2,)
+
+    def test_blend_equals_the_dense_blend(self):
+        rng = np.random.default_rng(8)
+        layer1, layer2 = random_layer(rng, 9), random_layer(rng, 9)
+        for alpha in (0.0, 0.3, 0.5, 1.0):
+            blend = alpha * layer1.weights + (1.0 - alpha) * layer2.weights
+            assert np.array_equal(merge(layer1, layer2, alpha).merged_layer.weights, blend)
 
     def test_rejects_mismatched_sizes(self):
         layer1, _ = triangle_pair()

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplex.netcore import (
+    Csr,
     EdgeListError,
     GeneratorSpec,
     LayerGraph,
@@ -244,3 +246,175 @@ class TestEdgeListLoading:
         b.write_text("0 1 1\n")
         with pytest.raises(EdgeListError, match="allowed set"):
             load_two_layer_dataset(a, b, n=2)
+
+
+def edge_list_digest(layer: LayerGraph) -> str:
+    """SHA-256 of the layer's sorted (i, j, w) edge list, i < j, weights by repr."""
+    w = layer.weights
+    rows, cols = np.nonzero(np.triu(w))
+    text = "".join(f"{i} {j} {w[i, j]!r}\n" for i, j in zip(rows.tolist(), cols.tolist()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def write_seeded_dataset(tmp_path: Path, seed: int, n: int = 60) -> tuple[Path, Path]:
+    """A two-layer contact dataset: random pairs, B's weights drawn from 1..4."""
+    rng = np.random.default_rng(seed)
+    paths = []
+    for name, top in (("a", 1), ("b", 4)):
+        pairs = {tuple(sorted(p)) for p in rng.integers(0, n, size=(3 * n, 2)).tolist()}
+        lines = [f"{i} {j} {int(rng.integers(1, top + 1))}\n" for i, j in sorted(pairs) if i != j]
+        path = tmp_path / f"layer_{name}_{seed}.txt"
+        path.write_text("".join(lines))
+        paths.append(path)
+    return paths[0], paths[1]
+
+
+# Edge-list digests recorded from the dense generators. The experiment
+# references downstream are keyed on these graphs, so every generator and
+# the loader must keep drawing exactly them.
+PINNED_GENERATORS = {
+    "er-1000-s1": (
+        dict(kind="erdos-renyi", n=1000, p=0.01, seed=1),
+        "72f055714f6824518ac53e95cc6d27dad22f774683fd6627d8e8127ce1b6661f",
+    ),
+    "er-1000-s2": (
+        dict(kind="erdos-renyi", n=1000, p=0.01, seed=2),
+        "3bdf53fab851df12538b52613c5e126ec98894aed847d7da79d3423584e6d907",
+    ),
+    "ba-1000-s1": (
+        dict(kind="barabasi-albert", n=1000, m=5, seed=1),
+        "9d00f5717c991241ec441933d58fd31584a21d70a540dd670faae319039398cd",
+    ),
+    "ba-1000-s2": (
+        dict(kind="barabasi-albert", n=1000, m=5, seed=2),
+        "8fc477542260a9af6113ab2aaf1e7e6797635101c43776a7b3d11f48e8efc6fb",
+    ),
+    "circulant-1000": (
+        dict(kind="circulant", n=1000, offsets=[1, 2], weight=1.0),
+        "5f987885b40301cf2e250010493a28391fdb9369c86a26d55fc834cae19c2748",
+    ),
+    "circulant-7": (
+        dict(kind="circulant", n=7, offsets=[1, 3, 4, -2], weight=0.5),
+        "64656f734a4d51d82c70534ac9b31f823a6164eae9d316922691a2c20bdf7c90",
+    ),
+    "circulant-8-half": (
+        dict(kind="circulant", n=8, offsets=[4, 2, 6, 12], weight=2.5),
+        "c11dac28dd4414f242c3544865483269152ccb4344d62d7be3b819b8f4416dbb",
+    ),
+    "k-regular-200-s1": (
+        dict(kind="k-regular", n=200, k=6, seed=1),
+        "8d945f77f4ed769db8681b50008610f1b0f5e18f27712b869390c3d0abef2a78",
+    ),
+    "k-regular-200-s2": (
+        dict(kind="k-regular", n=200, k=6, seed=2),
+        "981de6de905da1ec1a67dc8adf910c26820abfb9f2c3db71700fa82761755ba3",
+    ),
+}
+PINNED_DATASETS = {
+    "contact": [
+        "83e2cb78c7dd69470ee8f24883f803f94a30ab74c57d5b2cd160310c5784d9d2",
+        "f6de2d9e5172af8b5fa3e2b9fd07bc09337e937f954e313a197f885b866d65ec",
+    ],
+    "seed-1": [
+        "6e8496bd8646230f493f2ba6e2dabcbfd3e3f8903133b5819c5024a7c7341b53",
+        "6968f2f61bcdd58b4dd11f0517c67cf878d6aa908c2838978821b932aeb5e7c4",
+    ],
+    "seed-2": [
+        "0c4a89f8c9176d01fafa7b32f9f6c4bbfbc8c2d2c91c277327588749795233ff",
+        "b32c2563fd5d410265e99d5186d6e7427af6b9da1762168dbec99d5f4b6b43f4",
+    ],
+}
+
+
+class TestPinnedGenerators:
+    @pytest.mark.parametrize("name", sorted(PINNED_GENERATORS))
+    def test_generator_draws_the_pinned_graph(self, name):
+        fields, digest = PINNED_GENERATORS[name]
+        assert edge_list_digest(generate(GeneratorSpec.from_dict(fields))) == digest
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DATASETS))
+    def test_loader_reads_the_pinned_graph(self, name, tmp_path):
+        if name == "contact":
+            paths, n = (DATA / "contact_layer_a.txt", DATA / "contact_layer_b.txt"), 8
+        else:
+            paths, n = write_seeded_dataset(tmp_path, int(name[-1])), 60
+        layers = load_two_layer_dataset(*paths, n=n)
+        assert [edge_list_digest(layer) for layer in layers] == PINNED_DATASETS[name]
+
+
+@st.composite
+def symmetric_weights(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    upper = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=5e-324, max_value=1e300)),
+            min_size=n * n,
+            max_size=n * n,
+        )
+    )
+    w = np.triu(np.array(upper).reshape(n, n), k=1)
+    return w + w.T
+
+
+@given(symmetric_weights())
+@settings(max_examples=100, deadline=None)
+def test_from_weights_round_trips(w):
+    assert np.array_equal(LayerGraph.from_weights(w).weights, w)
+
+
+class TestLayerChecks:
+    @pytest.mark.parametrize(
+        "w, message",
+        [
+            ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], "exactly symmetric"),
+            ([[0, 1, 2], [1, 0, 1], [2.5, 1, 0]], "exactly symmetric"),
+            ([[1, 1, 0], [1, 0, 1], [0, 1, 0]], "self-loops"),
+            ([[0, -1, 2], [-1, 0, 1], [2, 1, 0]], "nonnegative"),
+            ([[0, 1], [1, 0], [0, 0]], "square"),
+        ],
+        ids=["pattern", "values", "diagonal", "negative", "shape"],
+    )
+    def test_rejects(self, w, message):
+        with pytest.raises(ValueError, match=message):
+            LayerGraph.from_weights(np.array(w, dtype=float))
+
+
+@st.composite
+def square_arrays(draw):
+    n = draw(st.integers(min_value=0, max_value=9))
+    cells = draw(
+        st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]), min_size=n * n, max_size=n * n)
+    )
+    return np.array(cells).reshape(n, n)
+
+
+@given(square_arrays())
+@settings(max_examples=150, deadline=None)
+def test_csr_round_trip_and_mirror(a):
+    csr = Csr.from_dense(a)
+    assert np.array_equal(csr.dense(), a)
+    assert not (csr.data == 0).any()
+    assert (np.diff(csr.keys()) > 0).all()
+    mirror = csr.transpose_positions()
+    if (a != 0).tolist() == (a.T != 0).tolist():
+        assert np.array_equal(csr.rows[mirror], csr.indices)
+        assert np.array_equal(csr.indices[mirror], csr.rows)
+    else:
+        assert mirror is None
+
+
+@pytest.mark.parametrize(
+    "n, offsets, dense",
+    [(12, (1,), True), (300, (1, 2), False), (300, tuple(range(1, 150)), True)],
+    ids=["small", "sparse", "full"],
+)
+def test_both_product_kernels_match_the_dense_product(n, offsets, dense):
+    csr = generate(GeneratorSpec(kind="circulant", n=n, offsets=offsets)).csr
+    assert (csr.matvec_cost() == n * n) == dense
+    x = np.random.default_rng(n).random(n)
+    expected = csr.dense() @ x
+    apply = csr.matvec_kernel()
+    out = np.empty(n)
+    assert apply(x, out=out) is out
+    assert np.abs(out - expected).max() <= 1e-12 * len(offsets)
+    assert np.abs(apply(x) - expected).max() <= 1e-12 * len(offsets)

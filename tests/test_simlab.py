@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oplex.fixtures import oscillating_pair, triangle_pair
 from oplex.merged import merge, merged_consensus
+from oplex.netcore import GeneratorSpec, generate
 from oplex.simlab import decay_check, fit_rate, simulate
 from oplex.spectral import eig_moduli_nonsymmetric
 from oplex.stochastic import (
@@ -12,8 +13,6 @@ from oplex.stochastic import (
     TransitionMatrix,
     check_opinions,
     consensus_value,
-    max_norm,
-    pi_norm,
     stationary_from_degrees,
     transition_matrix,
 )
@@ -109,23 +108,31 @@ class TestSimulate:
 
 
 def stepwise_simulate(schedule, x0, t_max, tol, pi, record_states):
-    """One step at a time, one norm call per step: the reference for simulate."""
+    """One step at a time, both norms per step: the reference for simulate.
+
+    Each step is one call of the matrix's matvec kernel, the one simulate
+    calls, so the states are bit-for-bit those of the same products.
+    """
     period = len(schedule)
+    kernels = [m.csr.matvec_kernel() for m in schedule]
     x = check_opinions(x0).copy()
     target = consensus_value(pi, x0) if pi is not None else None
+
+    def norms(v):
+        e = v - target
+        return float(np.sqrt(np.sum(e * e * pi.pi))), float(np.abs(e).max())
+
     states = [x.copy()]
-    errors_pi = [pi_norm(x - target, pi)] if target is not None else None
-    errors_max = [max_norm(x - target)] if target is not None else None
+    errors = [norms(x)] if target is not None else None
     converged = False
     quiet_run = 0
     steps = 0
     for t in range(1, t_max + 1):
-        nxt = schedule[(t - 1) % period].entries @ x
+        nxt = kernels[(t - 1) % period](x)
         steps = t
         states.append(nxt)
         if target is not None:
-            errors_pi.append(pi_norm(nxt - target, pi))
-            errors_max.append(max_norm(nxt - target))
+            errors.append(norms(nxt))
         quiet_run = quiet_run + 1 if np.abs(nxt - x).max() < tol else 0
         x = nxt
         if quiet_run >= period:
@@ -134,8 +141,8 @@ def stepwise_simulate(schedule, x0, t_max, tol, pi, record_states):
     return dict(
         states=np.array(states) if record_states else None,
         final_state=x,
-        errors_pi=None if errors_pi is None else np.array(errors_pi),
-        errors_max=None if errors_max is None else np.array(errors_max),
+        errors_pi=None if errors is None else np.array([e[0] for e in errors]),
+        errors_max=None if errors is None else np.array([e[1] for e in errors]),
         converged=converged,
         steps=steps,
     )
@@ -220,6 +227,23 @@ class TestBlockedStepping:
         x0 = rng.random(n)
         traj = assert_matches_stepwise((matrix,), x0, t_max, 1e-4, pi, True)
         assert traj.converged == converged
+        assert traj.steps > 100
+
+
+    @pytest.mark.parametrize("period", [1, 3])
+    def test_matches_stepwise_on_sparse_rings(self, period):
+        # Rings of 300 nodes lie above the dense/CSR crossover, so every
+        # step here is a CSR product.
+        n = 300
+        rings = [
+            transition_matrix(generate(GeneratorSpec(kind="circulant", n=n, offsets=offsets)))
+            for offsets in ((1, 2), (1, 3))
+        ]
+        schedule = tuple(rings[0] for _ in range(period - 1)) + (rings[1],)
+        assert all(m.csr.matvec_cost() < n * n for m in schedule)
+        x0 = np.random.default_rng(period).random(n)
+        pi = StationaryDistribution(np.full(n, 1.0 / n))
+        traj = assert_matches_stepwise(schedule, x0, 3000, 1e-6, pi, True)
         assert traj.steps > 100
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oplex.fixtures import oscillating_pair, triangle_pair
 from oplex.netcore import GeneratorSpec, LayerGraph, build_layer, generate
+from oplex.simlab import _error_norms
 from oplex.stochastic import (
     NotPrimitiveError,
     StationaryDistribution,
@@ -12,8 +13,6 @@ from oplex.stochastic import (
     TransitionMatrix,
     consensus_value,
     is_primitive,
-    max_norm,
-    pi_norm,
     stationary_from_degrees,
     stationary_general,
     support_classes,
@@ -280,6 +279,16 @@ class TestStationary:
             assert np.abs(by_degrees.pi - by_solver.pi).max() <= 1e-10
 
 
+def pi_norm(v, pi):
+    """The pi-norm of v as simulate's error series takes it (target 0)."""
+    return float(_error_norms(np.array([v]), 0.0, pi.pi)[0][0])
+
+
+def max_norm(v):
+    """The max norm of v as simulate's error series takes it (target 0)."""
+    return float(_error_norms(np.array([v]), 0.0, np.ones(len(v)))[1][0])
+
+
 class TestNormsAndConsensus:
     def test_ones_vector_has_unit_pi_norm(self):
         pi = StationaryDistribution(pi=np.array([3 / 8, 3 / 8, 1 / 4]))
@@ -322,3 +331,76 @@ class TestNormsAndConsensus:
         pi = StationaryDistribution(pi=raw / raw.sum())
         value = consensus_value(pi, x)
         assert x.min() - 1e-12 <= value <= x.max() + 1e-12
+
+
+def _dense_bfs_levels(adjacency: np.ndarray, source: int) -> np.ndarray:
+    level = np.full(adjacency.shape[0], -1)
+    level[source] = 0
+    frontier = np.array([source], dtype=np.intp)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        reached = np.logical_or.reduce(adjacency[frontier])
+        reached &= level < 0
+        frontier = np.flatnonzero(reached)
+        level[frontier] = depth
+    return level
+
+
+def dense_support_classes(entries: np.ndarray) -> SupportClasses:
+    """The classification by breadth-first search on the dense support, the
+    same search as support_classes makes on the stored pattern."""
+    n = entries.shape[0]
+    support = entries > 0.0
+    symmetric = np.array_equal(support, support.T)
+    marked = np.zeros(n, dtype=bool)
+    periods: list[int] = []
+    closed = 0
+    u = 0
+    while not marked.all():
+        level = _dense_bfs_levels(support, u)
+        forward = level >= 0
+        backward = forward if symmetric else _dense_bfs_levels(support.T, u) >= 0
+        if (forward & ~backward).any():
+            u = int(np.argmax(np.where(backward, -1, level)))
+            continue
+        members = np.flatnonzero(forward)
+        rows, cols = np.divmod(np.flatnonzero(support[members]), n)
+        periods.append(int(np.gcd.reduce(level[members[rows]] + 1 - level[cols])))
+        closed += members.size
+        marked |= backward
+        u = int(np.argmin(marked))
+    return SupportClasses(periods=tuple(periods), transient=n - closed)
+
+
+@st.composite
+def structured_transition(draw):
+    """Nonsymmetric supports on 2..12 nodes, many reducible or periodic.
+
+    Nodes get a group each; an edge i -> j is allowed when j's group follows
+    i's (groups in a cycle: periodic), when it is no earlier (groups in a
+    chain: reducible), or always.
+    """
+    n = draw(st.integers(min_value=2, max_value=12))
+    shape = draw(st.sampled_from(["cycle", "chain", "any"]))
+    groups = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    count = int(groups.max()) + 1
+    if shape == "cycle":
+        allowed = (groups[None, :] - groups[:, None]) % count == 1 % count
+    elif shape == "chain":
+        allowed = groups[None, :] >= groups[:, None]
+    else:
+        allowed = np.ones((n, n), dtype=bool)
+    drawn = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+    support = allowed & drawn.reshape(n, n)
+    for i in np.flatnonzero(~support.any(axis=1)):
+        # a row with no edge gets one where the shape allows, else a self-loop
+        options = np.flatnonzero(allowed[i])
+        support[i, options[0] if options.size else i] = True
+    return TransitionMatrix.from_entries(support / support.sum(axis=1, keepdims=True))
+
+
+@given(structured_transition())
+@settings(max_examples=300, deadline=None)
+def test_support_classes_match_the_dense_search(m):
+    assert support_classes(m) == dense_support_classes(m.entries)
