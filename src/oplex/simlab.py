@@ -33,7 +33,8 @@ DEFAULT_T_MAX = 10**6
 # as the run so far (so short runs waste at most what they use), costs at
 # most _BLOCK_WORK dense multiply-adds as Csr.matvec_cost counts them (a few
 # ms at one BLAS thread) and buffers at most _BLOCK_CELLS opinions (256 kB;
-# with the block's temporaries a few times that, well inside the cache).
+# with the block's temporaries a few times that, well inside the cache). The
+# buffer grows with the blocks, so a short run allocates only what it uses.
 _BLOCK_WORK = 2**22
 _BLOCK_CELLS = 2**15
 
@@ -85,7 +86,9 @@ def simulate(
     if not schedule:
         raise ValueError("schedule must hold at least one matrix")
     period = len(schedule)
-    kernels = [m.csr.matvec_kernel() for m in schedule]
+    distinct = dict.fromkeys(schedule)  # a TransitionMatrix hashes by identity
+    kernel_of = {m: m.csr.matvec_kernel() for m in distinct}
+    kernels = [kernel_of[m] for m in schedule]
     x = check_opinions(x0)
     track_errors = pi is not None
     if track_errors:
@@ -94,9 +97,9 @@ def simulate(
         target = float(np.dot(pi.pi, x))  # as consensus_value computes it
 
     n = x.shape[0]
-    work = max(m.csr.matvec_cost() for m in schedule)
+    work = max(m.csr.matvec_cost() for m in distinct)
     cap = max(period, min(_BLOCK_WORK // max(work, 1), _BLOCK_CELLS // max(n, 1)))
-    buf = np.empty((cap + 1, n))
+    buf = np.empty((1, n))
     buf[0] = x
     states = [buf[:1].copy()] if record_states else None
     errors = [_error_norms(buf[:1], target, pi.pi)] if track_errors else None
@@ -105,6 +108,8 @@ def simulate(
     steps = 0
     while steps < t_max:
         block = min(max(period, steps), cap, t_max - steps)
+        if block >= buf.shape[0]:  # the buffer grows with the blocks
+            buf = np.concatenate((buf[:1], np.empty((block, n))))
         for i in range(1, block + 1):
             kernels[(steps + i - 1) % period](buf[i - 1], out=buf[i])
         change = buf[1 : block + 1] - buf[:block]

@@ -10,7 +10,7 @@ and get a generic solver instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,21 +24,18 @@ class NotPrimitiveError(ValueError):
     """An operation requiring a primitive matrix got a non-primitive one."""
 
 
+@dataclass(eq=False)
 class TransitionMatrix:
     """N x N row-stochastic matrix, stored once as a Csr.
 
     from_entries checks a dense array and renormalizes it; a row sum off by
     more than 1e-12 signals an upstream bug and is rejected rather than
-    rescaled. transition_matrix reads a layer. The constructor takes the
-    Csr, or a dense array as it is, unchecked. entries is the dense matrix,
+    rescaled. transition_matrix reads a layer. entries is the dense matrix,
     built on each use, for the dense solvers.
     """
 
-    def __init__(self, csr: Csr | None = None, *, entries: np.ndarray | None = None) -> None:
-        if (csr is None) == (entries is None):
-            raise TypeError("give exactly one of csr and entries")
-        self.csr = Csr.from_dense(np.asarray(entries, dtype=float)) if csr is None else csr
-        self._classes: SupportClasses | None = None
+    csr: Csr
+    _classes: SupportClasses | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:

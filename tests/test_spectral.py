@@ -12,7 +12,7 @@ from oplex.fixtures import (
     triangle_pair,
 )
 from oplex.merged import merge
-from oplex.netcore import GeneratorSpec, IsolatedNodeError, LayerGraph, build_layer, generate
+from oplex.netcore import Csr, GeneratorSpec, IsolatedNodeError, LayerGraph, build_layer, generate
 from oplex.spectral import (
     _KRYLOV_MIN_N,
     _KRYLOV_NEAR_ONE,
@@ -295,7 +295,7 @@ class TestKrylov:
         assert first.method == "lanczos"
         assert first == second == third
         cycle = ring_plus_chords_cycle(_KRYLOV_MIN_N, 1, 5)
-        copy = TransitionMatrix(entries=cycle.entries.copy())
+        copy = TransitionMatrix(Csr.from_dense(cycle.entries))
         first, second, third = (eig_moduli_nonsymmetric(x) for x in (cycle, cycle, copy))
         assert first.method == "arnoldi"
         assert first == second == third
@@ -350,7 +350,7 @@ class TestKrylov:
 
     def test_arnoldi_rejects_non_stochastic(self):
         cycle = ring_plus_chords_cycle(_KRYLOV_MIN_N, 1, 4)
-        bad = TransitionMatrix(entries=cycle.entries * (1 + 1e-9))
+        bad = TransitionMatrix(Csr.from_dense(cycle.entries * (1 + 1e-9)))
         with pytest.raises(RuntimeError, match="not stochastic"):
             eig_moduli_nonsymmetric(bad)
 
