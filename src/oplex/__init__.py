@@ -37,13 +37,11 @@ from .spectral import (
 from .merged import (
     MergedBoundsReport,
     MergedModel,
-    PrimitivityGuarantee,
     alpha_stability_sweep,
     consensus_interval,
     merge,
     merged_consensus,
     merged_perturbation_check,
-    primitivity_guarantee,
     slem_bounds,
 )
 from .switching import (
@@ -106,13 +104,11 @@ __all__ = [
     "symmetrize",
     "MergedBoundsReport",
     "MergedModel",
-    "PrimitivityGuarantee",
     "alpha_stability_sweep",
     "consensus_interval",
     "merge",
     "merged_consensus",
     "merged_perturbation_check",
-    "primitivity_guarantee",
     "slem_bounds",
     "SwitchingModel",
     "SwitchingOutcome",

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .harness import ConfigError, load_config, run_experiment
-from .merged import merge, merged_consensus, slem_bounds
+from .merged import analyze as analyze_merged
+from .merged import merge
 from .netcore import EdgeListError, load_edge_list, parse_edge_list
-from .stochastic import NotPrimitiveError, check_opinions
+from .stochastic import check_opinions
 from .switching import analyze as analyze_switching
 from .switching import switching_model
 from .verify import SUITES
@@ -49,21 +51,30 @@ def main(argv: list[str] | None = None) -> int:
     p_ver.add_argument("--suite", required=True, choices=sorted(SUITES))
 
     args = parser.parse_args(argv)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    return _cmd_verify(args)
+    commands = {"simulate": _cmd_simulate, "analyze": _cmd_analyze, "verify": _cmd_verify}
+    # Each command returns its exit code and its report, and the report is
+    # printed here: a reader that closes the pipe early leaves the code as is.
+    code, report = commands[args.command](args)
+    try:
+        print(report, end="", flush=True)
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at interpreter exit does not
+        # hit the closed pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
-def _cmd_simulate(args) -> int:
+def _json(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _cmd_simulate(args) -> tuple[int, str]:
     try:
         result = run_experiment(load_config(args.config), args.out)
     except (ConfigError, EdgeListError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"simulate: bad input: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(result.summary, indent=2, sort_keys=True))
-    return 0 if result.all_passed else 1
+        return 2, ""
+    return (0 if result.all_passed else 1), _json(result.summary)
 
 
 def _infer_n(paths: list[str], indexing: str) -> int:
@@ -85,13 +96,13 @@ def _load_x0(arg: str, n: int) -> np.ndarray:
     return np.random.default_rng(seed).random(n)
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[int, str]:
     if args.mode == "merged" and args.alpha is None:
         print("analyze: merged mode requires --alpha", file=sys.stderr)
-        return 2
+        return 2, ""
     if args.mode == "switching" and args.k is None:
         print("analyze: switching mode requires --k", file=sys.stderr)
-        return 2
+        return 2, ""
     # Bad files, x0, alpha or k, and isolated nodes all surface as exit 2 here.
     try:
         n = args.n if args.n is not None else _infer_n([args.layer1, args.layer2], args.indexing)
@@ -104,22 +115,18 @@ def _cmd_analyze(args) -> int:
             model = switching_model(layer1, layer2, args.k)
     except (OSError, ValueError) as exc:
         print(f"analyze: bad input: {exc}", file=sys.stderr)
-        return 2
+        return 2, ""
 
     report: dict = {"mode": args.mode, "n": n}
     if args.mode == "merged":
-        bounds = slem_bounds(model)
+        outcome = analyze_merged(model, x0)
+        bounds = outcome.bounds
         report["alpha"] = args.alpha
         report["slem"] = bounds.slem_c
         report["slem_lower_bound"] = bounds.lower_bound
         report["slem_upper_bound"] = bounds.upper_bound
         report["degrees_matched"] = bounds.degrees_matched
-        checks = bounds.checks()
-        try:
-            report["consensus"] = merged_consensus(model, x0)
-        except NotPrimitiveError:
-            report["consensus"] = None
-            report["note"] = "merged transition not primitive"
+        report["interval"] = outcome.interval
         if args.dump:
             report["transition"] = model.transition.entries.tolist()
     else:
@@ -128,8 +135,6 @@ def _cmd_analyze(args) -> int:
         report["status"] = outcome.status
         report["slem_cycle"] = outcome.slem_cycle
         report["rho_star"] = outcome.rho_star
-        report["consensus"] = outcome.value
-        checks = outcome.checks()
         if outcome.status != "consensus":
             report["period"] = outcome.period
             report["closed_classes"] = outcome.closed_classes
@@ -137,20 +142,22 @@ def _cmd_analyze(args) -> int:
             report["cycle"] = model.cycle.entries.tolist()
             report["layer1_transition"] = model.a.entries.tolist()
             report["layer2_transition"] = model.b.entries.tolist()
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if all(checks.values()) else 1
+    checks = outcome.checks()
+    report.update(consensus=outcome.value, note=outcome.note, checks=checks)
+    return (0 if all(checks.values()) else 1), _json(report)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     results = SUITES[args.suite]()
     failed = 0
+    lines = []
     for check in results:
         status = "PASS" if check.passed else "FAIL"
         detail = f"  ({check.detail})" if check.detail else ""
-        print(f"[{status}] {check.name}{detail}")
+        lines.append(f"[{status}] {check.name}{detail}\n")
         failed += 0 if check.passed else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
+    lines.append(f"{len(results) - failed}/{len(results)} checks passed\n")
+    return (0 if failed == 0 else 1), "".join(lines)
 
 
 if __name__ == "__main__":

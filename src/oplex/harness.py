@@ -3,11 +3,13 @@
 A config declares the model (single layer, merged over an alpha grid, or
 switching over a k grid), how to obtain the two layers (generators or a
 two-layer dataset), the initial opinions, and stopping parameters. Each
-grid point gets the relevant spectral bounds, the predicted consensus, a
-simulated trajectory, and a set of armed theory assertions; grid points
-that reach no consensus, or where a node is isolated, are recorded with a
-note, not fatal. All output is deterministic for a fixed config
-(17-significant-digit floats, no timestamps), so reruns are byte-identical.
+grid point takes its model's verdict (bounds, predicted consensus, note
+and armed checks) from merged.analyze or switching.analyze, the same one
+`oplex analyze` reports, then simulates a trajectory and arms the checks
+on it; grid points that reach no consensus, or where a node is isolated,
+are recorded with a note, not fatal. All output is deterministic for a
+fixed config (17-significant-digit floats, no timestamps), so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .merged import consensus_interval, interval_checks, merge, merged_consensus, slem_bounds
+from .merged import analyze as analyze_merged
+from .merged import merge
 from .netcore import (
     GeneratorSpec,
     IsolatedNodeError,
@@ -36,7 +39,6 @@ from .netcore import (
 from .simlab import OpinionTrajectory, decay_check, fit_rate, simulate
 from .spectral import slem_reversible
 from .stochastic import (
-    NotPrimitiveError,
     StationaryDistribution,
     TransitionMatrix,
     consensus_value,
@@ -44,7 +46,8 @@ from .stochastic import (
     stationary_from_degrees,
     transition_matrix,
 )
-from .switching import analyze, switching_model
+from .switching import analyze as analyze_switching
+from .switching import switching_model
 
 SWEEP_COLUMNS = [
     "grid_kind",
@@ -318,47 +321,35 @@ class _GridModel:
     decay_rho: float | None = None
 
 
-def _merged_model(layers, alpha, x0, interval) -> _GridModel:
+def _merged_model(layers, alpha, x0) -> _GridModel:
     model = merge(layers[0], layers[1], alpha)
-    bounds = slem_bounds(model)
-    assertions = bounds.checks()
-    consensus = pi = None
-    note = ""
-    try:
-        consensus = merged_consensus(model, x0)
-        pi = stationary_from_degrees(model.merged_layer)
-    except NotPrimitiveError:
-        note = "merged transition not primitive"
-    if consensus is not None and interval is not None:
-        assertions.update(interval_checks(consensus, interval))
-    lo, hi = interval or (None, None)
+    outcome = analyze_merged(model, x0)
+    bounds = outcome.bounds
+    lo, hi = outcome.interval or (None, None)
     columns = dict(
         slem=bounds.slem_c,
         bound_lower=bounds.lower_bound,
         bound_upper=bounds.upper_bound,
         bound_armed=bounds.degrees_matched,
-        consensus=consensus,
+        consensus=outcome.value,
         interval_lo=lo,
         interval_hi=hi,
-        note=note,
+        note=outcome.note,
     )
-    return _GridModel(columns, assertions, (model.transition,), pi=pi, rate_bound=bounds.slem_c)
+    return _GridModel(
+        columns, outcome.checks(), (model.transition,), pi=outcome.pi, rate_bound=bounds.slem_c
+    )
 
 
 def _switching_model(layers, k, x0) -> _GridModel:
     model = switching_model(layers[0], layers[1], k)
-    outcome = analyze(model, x0)
-    note = ""
-    if outcome.status == "oscillation":
-        note = f"cycle oscillates with period {outcome.period}"
-    elif outcome.status == "disagreement":
-        note = f"cycle has {outcome.closed_classes} closed classes"
+    outcome = analyze_switching(model, x0)
     columns = dict(
         slem=outcome.slem_cycle,
         bound_upper=outcome.rho_star,
         bound_armed=True,
         consensus=outcome.value,
-        note=note,
+        note=outcome.note,
     )
     return _GridModel(
         columns,
@@ -368,7 +359,7 @@ def _switching_model(layers, k, x0) -> _GridModel:
         # The proved per-cycle decay bound is rho_star; the cycle SLEM is the
         # asymptotic rate but a finite-window fit may land slightly above it.
         rate_bound=outcome.rho_star,
-        rate_errors=lambda traj: traj.errors_max[:: len(model.schedule)][2:],
+        rate_errors=lambda traj: traj.errors_max[:: k + 1][2:],
     )
 
 
@@ -443,23 +434,14 @@ def run_experiment(
     x0 = resolve_x0(config, n)
 
     if config.model_kind == "merged":
-        # The interval endpoints depend only on the layers and x0, not on alpha.
-        try:
-            interval = consensus_interval(layers[0], layers[1], x0)
-        except (NotPrimitiveError, IsolatedNodeError):
-            interval = None
-        grid = [
-            ("alpha", a, partial(_merged_model, layers, a, x0, interval)) for a in config.alphas
-        ]
+        grid = [("alpha", a, partial(_merged_model, layers, a, x0)) for a in config.alphas]
     elif config.model_kind == "switching":
         grid = [("k", k, partial(_switching_model, layers, k, x0)) for k in config.ks]
     else:
         grid = [("single", 0, partial(_single_model, layers[0], x0))]
     points = [_grid_point(kind, value, build, x0, config) for kind, value, build in grid]
 
-    all_passed = all(
-        all(p.assertions.values()) for p in points
-    )
+    all_passed = all(all(p.assertions.values()) for p in points)
     summary = {
         "config_hash": config_hash(config.raw),
         "model": config.model_kind,

@@ -6,7 +6,9 @@ primitive layer already makes C primitive for interior alpha; the merged
 consensus is a convex combination of the layer consensuses weighted by
 alpha|E1| and (1-alpha)|E2|; and the SLEM of C obeys a universal 1/(N-1)
 lower bound plus, when the two degree sequences coincide, an upper bound by
-the slower layer.
+the slower layer. analyze puts the verdict on one model together, with
+these claims as its armed checks; the sweep, `oplex analyze` and the bounds
+suite all read it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from .netcore import Csr, IsolatedNodeError, LayerGraph, require_no_isolated
 from .perturb import ShiftFamilyFit, fit_shift_family
 from .spectral import SLEM_SLACK, layer_spectrum, slem_reversible
 from .stochastic import (
+    StationaryDistribution,
     TransitionMatrix,
+    check_opinions,
     consensus_value,
     is_primitive,
     layer_consensus,
@@ -77,30 +81,6 @@ def _blend(w1: Csr, w2: Csr, alpha: float) -> Csr:
     return Csr.from_entries(w1.n, rows, cols, terms)
 
 
-@dataclass(frozen=True)
-class PrimitivityGuarantee:
-    """Sufficient-condition verdict next to the direct primitivity check of C."""
-
-    guaranteed: bool
-    c_primitive: bool
-
-
-def primitivity_guarantee(model: MergedModel) -> PrimitivityGuarantee:
-    """Guaranteed iff some layer's matrix is primitive and 0 < alpha < 1."""
-    guaranteed = False
-    if 0.0 < model.alpha < 1.0:
-        for layer in (model.layer1, model.layer2):
-            try:
-                if is_primitive(transition_matrix(layer)):
-                    guaranteed = True
-                    break
-            except IsolatedNodeError:
-                continue  # isolated node in that layer: not primitive
-    return PrimitivityGuarantee(
-        guaranteed=guaranteed, c_primitive=is_primitive(model.transition)
-    )
-
-
 def merged_consensus(model: MergedModel, x0: np.ndarray) -> float:
     """Consensus of the merged dynamics.
 
@@ -118,13 +98,6 @@ def consensus_interval(
     """[min, max] of the two single-layer consensuses; contains the merged one."""
     endpoints = [layer_consensus(layer1, x0, "layer1"), layer_consensus(layer2, x0, "layer2")]
     return min(endpoints), max(endpoints)
-
-
-def interval_checks(consensus: float, interval: tuple[float, float]) -> dict[str, bool]:
-    """The merged consensus lies in the layer-consensus interval."""
-    lo, hi = interval
-    inside = lo - _INTERVAL_SLACK <= consensus <= hi + _INTERVAL_SLACK
-    return {"consensus-in-interval": bool(inside)}
 
 
 @dataclass(frozen=True)
@@ -173,6 +146,61 @@ def slem_bounds(model: MergedModel) -> MergedBoundsReport:
         lower_bound=1.0 / (model.merged_layer.n - 1),
         upper_bound=upper,
         degrees_matched=degrees_matched(model.layer1, model.layer2),
+    )
+
+
+@dataclass(frozen=True)
+class MergedOutcome:
+    """Where the merged dynamics goes, with the model's armed checks.
+
+    pi and value are set iff C is primitive; interval, the [min, max] of the
+    two layer consensuses, iff both layers are. guaranteed says the
+    sufficient condition holds: 0 < alpha < 1 and some layer is primitive.
+    """
+
+    bounds: MergedBoundsReport
+    pi: StationaryDistribution | None
+    value: float | None
+    interval: tuple[float, float] | None
+    guaranteed: bool
+
+    @property
+    def note(self) -> str:
+        return "" if self.pi is not None else "merged transition not primitive"
+
+    def checks(self) -> dict[str, bool]:
+        """The SLEM bounds, the consensus inside the interval where both are
+        set, and C primitive where the sufficient condition holds."""
+        out = self.bounds.checks()
+        if self.value is not None and self.interval is not None:
+            lo, hi = self.interval
+            out["consensus-in-interval"] = bool(
+                lo - _INTERVAL_SLACK <= self.value <= hi + _INTERVAL_SLACK
+            )
+        if self.guaranteed:
+            out["primitivity-guarantee"] = self.pi is not None
+        return out
+
+
+def _layer_primitive(layer: LayerGraph) -> bool:
+    try:
+        return is_primitive(transition_matrix(layer))
+    except IsolatedNodeError:
+        return False  # an isolated node has no averaging neighborhood
+
+
+def analyze(model: MergedModel, x0: np.ndarray) -> MergedOutcome:
+    """The merged verdict: SLEM bounds, consensus pi . x0, the layer-consensus
+    interval and the primitivity guarantee."""
+    x = check_opinions(x0, model.merged_layer.n)
+    primitive = [_layer_primitive(model.layer1), _layer_primitive(model.layer2)]
+    pi = stationary_from_degrees(model.merged_layer) if is_primitive(model.transition) else None
+    return MergedOutcome(
+        bounds=slem_bounds(model),
+        pi=pi,
+        value=None if pi is None else consensus_value(pi, x),
+        interval=consensus_interval(model.layer1, model.layer2, x) if all(primitive) else None,
+        guaranteed=0.0 < model.alpha < 1.0 and any(primitive),
     )
 
 

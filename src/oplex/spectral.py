@@ -24,7 +24,9 @@ _KRYLOV_MIN_N nodes, Arnoldi with full reorthogonalization from there
 share one Krylov loop, which applies the operator through
 Csr.matvec_kernel: the CSR product, or a dense one on operators dense
 enough (B A^k fills in as k grows). Ties at modulus 1 mean the chain is not
-primitive and the SLEM is 1.
+primitive and the SLEM is 1. A solver lands within rounding of 1 there, so
+a SLEM within SLEM_SLACK of 1 is settled by the support classification: it
+is exactly 1 for a layer that is not primitive or a product that is not SIA.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netcore import Csr, LayerGraph, require_no_isolated
-from .stochastic import TransitionMatrix
+from .stochastic import TransitionMatrix, is_primitive, support_classes, transition_matrix
 
 _PERRON_TOL = 1e-10
 
@@ -195,19 +197,35 @@ def _slem_arnoldi(m: TransitionMatrix) -> float | None:
     return _slem_krylov(apply, ones / np.sqrt(m.n), symmetric=False)
 
 
+def _slem_dense(m: TransitionMatrix) -> float:
+    """SLEM from every eigenvalue of the dense matrix, its leading modulus checked."""
+    entries = m.entries
+    try:
+        eigenvalues = np.linalg.eigvals(entries)
+    except np.linalg.LinAlgError as exc:
+        digest = hashlib.sha256(entries.tobytes()).hexdigest()
+        raise RuntimeError(f"eigenvalue iteration failed for matrix sha256={digest}") from exc
+    leading = np.abs(eigenvalues).max()
+    if abs(leading - 1.0) > _PERRON_TOL:
+        raise RuntimeError(f"leading eigenvalue modulus {leading!r} is not 1; input not stochastic?")
+    return _second_modulus(eigenvalues)
+
+
 def slem_reversible(layer: LayerGraph) -> SpectralSummary:
     """SLEM of a layer's transition matrix via its symmetrization.
 
     Lanczos from _KRYLOV_MIN_N nodes on, the dense symmetric solver below
-    that and wherever Lanczos gives up.
+    that and wherever Lanczos gives up. Exactly 1 if the layer is not primitive.
     """
-    if layer.n >= _KRYLOV_MIN_N:
-        slem = _slem_lanczos(layer)
-        if slem is not None:
-            return SpectralSummary(slem=slem, method="lanczos")
-    s = symmetrize(layer)
-    _perron_vector(layer, lambda x: s @ x)
-    return SpectralSummary(slem=_second_modulus(np.linalg.eigvalsh(s)), method="symmetric")
+    slem = _slem_lanczos(layer) if layer.n >= _KRYLOV_MIN_N else None
+    method = "lanczos"
+    if slem is None:
+        s = symmetrize(layer)
+        _perron_vector(layer, lambda x: s @ x)
+        slem, method = _second_modulus(np.linalg.eigvalsh(s)), "symmetric"
+    if slem >= 1.0 - SLEM_SLACK and not is_primitive(transition_matrix(layer)):
+        slem = 1.0
+    return SpectralSummary(slem=slem, method=method)
 
 
 def layer_spectrum(layer: LayerGraph) -> SpectralSummary:
@@ -228,19 +246,12 @@ def eig_moduli_nonsymmetric(m: TransitionMatrix) -> SpectralSummary:
     Below that and wherever Arnoldi gives up, the dense Schur-form solver
     (Hessenberg reduction plus shifted QR) for all eigenvalues; complex
     pairs contribute their common modulus. Non-convergence is reported with
-    a hash of the offending matrix.
+    a hash of the offending matrix. Exactly 1 if m is not SIA.
     """
-    if m.n >= _KRYLOV_MIN_N:
-        slem = _slem_arnoldi(m)
-        if slem is not None:
-            return SpectralSummary(slem=slem, method="arnoldi")
-    entries = m.entries
-    try:
-        eigenvalues = np.linalg.eigvals(entries)
-    except np.linalg.LinAlgError as exc:
-        digest = hashlib.sha256(entries.tobytes()).hexdigest()
-        raise RuntimeError(f"eigenvalue iteration failed for matrix sha256={digest}") from exc
-    leading = np.abs(eigenvalues).max()
-    if abs(leading - 1.0) > _PERRON_TOL:
-        raise RuntimeError(f"leading eigenvalue modulus {leading!r} is not 1; input not stochastic?")
-    return SpectralSummary(slem=_second_modulus(eigenvalues), method="nonsymmetric")
+    slem = _slem_arnoldi(m) if m.n >= _KRYLOV_MIN_N else None
+    method = "arnoldi"
+    if slem is None:
+        slem, method = _slem_dense(m), "nonsymmetric"
+    if slem >= 1.0 - SLEM_SLACK and not support_classes(m).converges:
+        slem = 1.0
+    return SpectralSummary(slem=slem, method=method)

@@ -44,11 +44,16 @@ class SwitchingModel:
     b: TransitionMatrix
     k: int
     cycle: TransitionMatrix
-    schedule: tuple[TransitionMatrix, ...]
+
+    @property
+    def schedule(self) -> tuple[TransitionMatrix, ...]:
+        """One period: k steps on A, then one on B; built on each use, as
+        only a simulation reads it."""
+        return (self.a,) * self.k + (self.b,)
 
 
 def switching_model(layer1: LayerGraph, layer2: LayerGraph, k: int) -> SwitchingModel:
-    """One schedule period is k steps on A, then one on B; k = 0 is pure layer-2 dynamics."""
+    """Layers, their matrices A and B, and the cycle B A^k; k = 0 is pure layer-2 dynamics."""
     if layer1.n != layer2.n:
         raise ValueError(f"layers have different node counts: {layer1.n} vs {layer2.n}")
     if k < 0:
@@ -56,9 +61,7 @@ def switching_model(layer1: LayerGraph, layer2: LayerGraph, k: int) -> Switching
     a = transition_matrix(layer1)
     b = transition_matrix(layer2)
     cycle = TransitionMatrix.from_entries(b.entries @ np.linalg.matrix_power(a.entries, k))
-    return SwitchingModel(
-        layer1=layer1, layer2=layer2, a=a, b=b, k=k, cycle=cycle, schedule=(a,) * k + (b,)
-    )
+    return SwitchingModel(layer1=layer1, layer2=layer2, a=a, b=b, k=k, cycle=cycle)
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,13 @@ class SwitchingOutcome:
         if self.period == 1:
             return "consensus"
         return "disagreement" if self.period is None else "oscillation"
+
+    @property
+    def note(self) -> str:
+        """Why there is no consensus; empty when there is one."""
+        if self.period is None:
+            return f"cycle has {self.closed_classes} closed classes"
+        return "" if self.period == 1 else f"cycle oscillates with period {self.period}"
 
     def checks(self) -> dict[str, bool]:
         return product_rate_checks(self.slem_cycle, self.rho_star)
@@ -154,12 +164,10 @@ def k_stability_sweep(
     deviations = np.full(grid.shape, np.nan)
     converged = np.zeros(grid.shape, dtype=bool)
     for idx, k in enumerate(grid):
-        model = switching_model(layer1, layer2, int(k))
-        if not support_classes(model.cycle).converges:
-            continue
-        pi_k = stationary_general(model.cycle)
-        deviations[idx] = abs(consensus_value(pi_k, x0) - x1)
-        converged[idx] = True
+        value = analyze(switching_model(layer1, layer2, int(k)), x0).value
+        if value is not None:
+            deviations[idx] = abs(value - x1)
+            converged[idx] = True
     usable = converged & (deviations > 1e-13)
     if usable.sum() >= 2:
         slope, intercept = np.polyfit(grid[usable], np.log(deviations[usable]), 1)
@@ -194,9 +202,9 @@ def switching_perturbation_check(
     deviations = []
     for b_layer in family:
         model = switching_model(layer1, b_layer, k)
-        if not support_classes(model.cycle).converges:
+        value = analyze(model, x0).value
+        if value is None:
             raise NotPrimitiveError(f"cycle matrix for k={k} reaches no consensus (not SIA)")
         e_norms.append(float(np.abs(model.a.entries - model.b.entries).max()))
-        pi_k = stationary_general(model.cycle)
-        deviations.append(abs(consensus_value(pi_k, x0) - x1))
+        deviations.append(abs(value - x1))
     return fit_shift_family(e_norms, deviations)

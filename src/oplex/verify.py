@@ -14,15 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixtures
-from .merged import (
-    alpha_stability_sweep,
-    consensus_interval,
-    interval_checks,
-    merge,
-    merged_consensus,
-    merged_perturbation_check,
-    slem_bounds,
-)
+from .merged import alpha_stability_sweep, merge, merged_perturbation_check, slem_bounds
+from .merged import analyze as analyze_merged
 from .netcore import LayerGraph
 from .perturb import shift_bound_check, stationary_shift
 from .simlab import decay_check, simulate
@@ -323,19 +316,17 @@ def run_bounds_suite(n_instances: int = 200, seed: int = BOUNDS_SUITE_SEED) -> l
         layer2 = random_layer(rng, n)
         alpha = float(rng.uniform(0.05, 0.95))
         x0 = rng.random(n)
-        model = merge(layer1, layer2, alpha)
-
-        lo, hi = consensus_interval(layer1, layer2, x0)
-        value = merged_consensus(model, x0)
-        if not interval_checks(value, (lo, hi))["consensus-in-interval"]:
+        # Both layers are primitive, so the interval check is armed unless C
+        # is not primitive, which fails the instance as well.
+        outcome = analyze_merged(merge(layer1, layer2, alpha), x0)
+        checks = outcome.checks()
+        if not checks.get("consensus-in-interval", False):
             fail(
                 "bounds/consensus-interval",
-                f"instance {idx}: consensus {value} outside [{lo}, {hi}]",
+                f"instance {idx}: consensus {outcome.value} outside {outcome.interval}",
             )
-
-        report = slem_bounds(model)
-        if not report.checks()["slem-lower-bound"]:
-            fail("bounds/slem-lower", f"instance {idx}: slem {report.slem_c} below 1/(N-1)")
+        if not checks["slem-lower-bound"]:
+            fail("bounds/slem-lower", f"instance {idx}: slem {outcome.bounds.slem_c} below 1/(N-1)")
 
         matched1, matched2 = degree_matched_pair(rng, n)
         matched_report = slem_bounds(merge(matched1, matched2, alpha))

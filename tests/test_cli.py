@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from oplex.cli import main
 from oplex.harness import run_experiment
 from oplex.merged import MergedBoundsReport
+from oplex.netcore import GeneratorSpec, generate
 
 DATA = Path(__file__).parent / "data"
 
@@ -415,3 +419,174 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "perturbation"])
         assert code == 0
         assert "FAIL" not in capsys.readouterr().out
+
+
+# Checks the sweep arms on the simulated trajectory, on top of the model's own.
+SIMULATION_CHECKS = {"empirical-rate", "simulation-agrees", "decay-law"}
+
+
+def write_edge_list(path, layer):
+    w = layer.weights
+    rows, cols = np.nonzero(np.triu(w))
+    path.write_text("".join(f"{i} {j} {float(w[i, j])!r}\n" for i, j in zip(rows, cols)))
+    return str(path)
+
+
+class TestSweepAndAnalyzeAgree:
+    """A sweep row and `oplex analyze` on the same model read one verdict:
+    the same check names, outcomes, note and consensus."""
+
+    def assert_agree(self, capsys, path_a, path_b, n, model, mode_args):
+        config = {
+            "model": model,
+            "layers": {"kind": "two-layer-dataset", "path_a": path_a, "path_b": path_b, "n": n},
+            "x0": {"kind": "uniform", "seed": 3},
+            "t_max": 10000,
+        }
+        result = run_experiment(config)
+        point = result.summary["grid"][0]
+        code = main(
+            ["analyze", "--layer1", path_a, "--layer2", path_b, "--n", str(n), "--x0", "3"]
+            + mode_args
+        )
+        report = json.loads(capsys.readouterr().out)
+        model_checks = {
+            name: passed
+            for name, passed in point["assertions"].items()
+            if name not in SIMULATION_CHECKS
+        }
+        assert report["checks"] == model_checks
+        assert report["note"] == point["note"] == result.rows[0]["note"]
+        assert report["consensus"] == result.rows[0]["consensus"]
+        assert code == (0 if all(model_checks.values()) else 1)
+        return report
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_merged_contact_layers(self, capsys, alpha):
+        # Layer A is primitive and layer B bipartite: the guarantee is armed
+        # at interior alpha, the interval never.
+        report = self.assert_agree(
+            capsys,
+            str(DATA / "contact_layer_a.txt"),
+            str(DATA / "contact_layer_b.txt"),
+            8,
+            {"kind": "merged", "alphas": [alpha]},
+            ["--mode", "merged", "--alpha", str(alpha)],
+        )
+        assert ("primitivity-guarantee" in report["checks"]) == (alpha == 0.5)
+        assert "consensus-in-interval" not in report["checks"]
+        assert report["interval"] is None
+        assert (report["note"] == "merged transition not primitive") == (alpha == 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_merged_generated_primitive_pair(self, tmp_path, capsys, alpha):
+        layer_a = generate(GeneratorSpec(kind="erdos-renyi", n=12, p=0.5, seed=5))
+        layer_b = generate(GeneratorSpec(kind="barabasi-albert", n=12, m=3, seed=6))
+        report = self.assert_agree(
+            capsys,
+            write_edge_list(tmp_path / "a.txt", layer_a),
+            write_edge_list(tmp_path / "b.txt", layer_b),
+            12,
+            {"kind": "merged", "alphas": [alpha]},
+            ["--mode", "merged", "--alpha", str(alpha)],
+        )
+        assert report["checks"]["consensus-in-interval"] is True
+        assert ("primitivity-guarantee" in report["checks"]) == (alpha == 0.3)
+        lo, hi = report["interval"]
+        assert lo <= report["consensus"] <= hi
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_switching_contact_layers(self, capsys, k):
+        report = self.assert_agree(
+            capsys,
+            str(DATA / "contact_layer_a.txt"),
+            str(DATA / "contact_layer_b.txt"),
+            8,
+            {"kind": "switching", "ks": [k]},
+            ["--mode", "switching", "--k", str(k)],
+        )
+        assert report["checks"] == {"slem-under-rho-star": True}
+        assert report["note"] == ("cycle oscillates with period 2" if k == 0 else "")
+
+
+CONTACT_ARGS = [
+    "--layer1", str(DATA / "contact_layer_a.txt"),
+    "--layer2", str(DATA / "contact_layer_b.txt"),
+    "--n", "8",
+    "--x0", "3",
+]
+
+
+def run_into_closed_pipe(argv, prelude=""):
+    """Run `oplex argv` with stdout on a pipe whose read end is already closed."""
+    script = prelude + "import sys\nfrom oplex.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-c", script, *argv], stdout=write_end, stderr=subprocess.PIPE, text=True
+        )
+    finally:
+        os.close(write_end)
+
+
+class TestClosedPipe:
+    """A reader that closes the pipe early sees no traceback, and the exit
+    code stays the verdict's."""
+
+    def test_analyze_dump(self):
+        out = run_into_closed_pipe(["analyze", *CONTACT_ARGS, "--mode", "switching", "--k", "1", "--dump"])
+        assert out.returncode == 0
+        assert out.stderr == ""
+
+    def test_failed_check_still_exits_one(self):
+        prelude = (
+            "from oplex.merged import MergedBoundsReport\n"
+            "MergedBoundsReport.checks = lambda self: {'slem-lower-bound': False}\n"
+        )
+        argv = ["analyze", *CONTACT_ARGS, "--mode", "merged", "--alpha", "0.5", "--dump"]
+        out = run_into_closed_pipe(argv, prelude)
+        assert out.returncode == 1
+        assert out.stderr == ""
+
+    def test_simulate_and_verify(self, tmp_path):
+        config = write_config(tmp_path, SMALL_MERGED)
+        for argv in (
+            ["simulate", "--config", str(config), "--out", str(tmp_path / "out")],
+            ["verify", "--suite", "examples"],
+        ):
+            out = run_into_closed_pipe(argv)
+            assert out.returncode == 0
+            assert out.stderr == ""
+
+
+class TestExactSlemOne:
+    def test_huge_k_on_a_bipartite_layer(self, tmp_path):
+        # The 4-ring A is bipartite, so rho2(A) is exactly 1 and rho_star =
+        # rho2(B) for every k; B = K4 makes the cycle mix at rate 1/3. A
+        # rounded rho2(A) would drift under the cycle SLEM as it is raised
+        # to the power k, and one schedule period held as a tuple would take
+        # hundreds of MB.
+        ring = tmp_path / "ring.txt"
+        ring.write_text("0 1 1\n1 2 1\n2 3 1\n3 0 1\n")
+        complete = tmp_path / "k4.txt"
+        complete.write_text("0 1 1\n1 2 1\n2 3 1\n3 0 1\n0 2 1\n1 3 1\n")
+        script = (
+            "import resource, sys\n"
+            "from oplex.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        argv = ["analyze", "--layer1", str(ring), "--layer2", str(complete)]
+        out = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--mode", "switching", "--k", "20000000"],
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout)
+        assert report["checks"] == {"slem-under-rho-star": True}
+        assert report["rho_star"] == pytest.approx(1 / 3, abs=1e-15)
+        peak_mb = int(out.stderr.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+        assert peak_mb < 100

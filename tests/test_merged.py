@@ -7,12 +7,13 @@ from oplex.fixtures import (
     triangle_pair,
 )
 from oplex.merged import (
+    MergedOutcome,
     alpha_stability_sweep,
+    analyze,
     consensus_interval,
     merge,
     merged_consensus,
     merged_perturbation_check,
-    primitivity_guarantee,
     slem_bounds,
 )
 from oplex.netcore import GeneratorSpec, build_layer, generate
@@ -96,31 +97,85 @@ class TestMerge:
 
 
 class TestPrimitivityGuarantee:
+    """One primitive layer at interior alpha makes C primitive: the armed
+    check primitivity-guarantee, which passes iff C is primitive."""
+
     def test_two_odd_cycles_guaranteed(self):
         layer1, layer2 = complementary_cycles_pair()
-        verdict = primitivity_guarantee(merge(layer1, layer2, 0.5))
-        assert verdict.guaranteed
-        assert verdict.c_primitive
+        outcome = analyze(merge(layer1, layer2, 0.5), np.zeros(5))
+        assert outcome.guaranteed
+        assert outcome.checks()["primitivity-guarantee"] is True
 
     def test_one_primitive_layer_suffices(self):
         primitive_layer = build_layer(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
         periodic_layer = build_layer(3, [(0, 1, 1), (1, 2, 1)])
-        verdict = primitivity_guarantee(merge(primitive_layer, periodic_layer, 0.3))
-        assert verdict.guaranteed
-        assert verdict.c_primitive
+        outcome = analyze(merge(primitive_layer, periodic_layer, 0.3), X0_TRIANGLE)
+        assert outcome.checks()["primitivity-guarantee"] is True
+        assert outcome.interval is None  # the path layer has no consensus of its own
+        assert "consensus-in-interval" not in outcome.checks()
 
     def test_shared_single_edge_not_guaranteed(self):
         a = build_layer(2, [(0, 1, 1)])
         b = build_layer(2, [(0, 1, 2)])
-        verdict = primitivity_guarantee(merge(a, b, 0.5))
-        assert not verdict.guaranteed
-        assert not verdict.c_primitive
+        outcome = analyze(merge(a, b, 0.5), np.array([1.0, 0.0]))
+        assert not outcome.guaranteed
+        assert "primitivity-guarantee" not in outcome.checks()
+        assert outcome.pi is None and outcome.value is None
+        assert outcome.note == "merged transition not primitive"
 
     def test_endpoint_alpha_not_guaranteed_by_condition(self):
         layer1, layer2 = complementary_cycles_pair()
-        verdict = primitivity_guarantee(merge(layer1, layer2, 1.0))
-        assert not verdict.guaranteed  # condition needs interior alpha
-        assert verdict.c_primitive  # though C = A happens to be primitive
+        outcome = analyze(merge(layer1, layer2, 1.0), np.zeros(5))
+        assert not outcome.guaranteed  # condition needs interior alpha
+        assert "primitivity-guarantee" not in outcome.checks()
+        assert outcome.pi is not None  # though C = A happens to be primitive
+
+    def test_guarantee_fails_without_consensus(self):
+        layer1, layer2 = complementary_cycles_pair()
+        outcome = analyze(merge(layer1, layer2, 0.5), np.zeros(5))
+        broken = MergedOutcome(
+            bounds=outcome.bounds, pi=None, value=None, interval=outcome.interval, guaranteed=True
+        )
+        assert broken.checks()["primitivity-guarantee"] is False
+        assert "consensus-in-interval" not in broken.checks()
+
+
+class TestMergedOutcome:
+    def test_triangle_pair_verdict(self):
+        layer1, layer2 = triangle_pair()
+        model = merge(layer1, layer2, 0.5)
+        outcome = analyze(model, X0_TRIANGLE)
+        assert outcome.value == merged_consensus(model, X0_TRIANGLE)
+        assert outcome.interval == consensus_interval(layer1, layer2, X0_TRIANGLE)
+        assert outcome.bounds == slem_bounds(model)
+        assert outcome.note == ""
+        assert outcome.checks() == {
+            **slem_bounds(model).checks(),
+            "consensus-in-interval": True,
+            "primitivity-guarantee": True,
+        }
+
+    def test_interval_check_fails_outside(self):
+        layer1, layer2 = triangle_pair()
+        outcome = analyze(merge(layer1, layer2, 0.5), X0_TRIANGLE)
+        lo, hi = outcome.interval
+        for value, inside in ((lo - 1e-9, False), (lo - 1e-11, True), (hi + 1e-9, False)):
+            moved = MergedOutcome(
+                outcome.bounds, outcome.pi, value, outcome.interval, outcome.guaranteed
+            )
+            assert moved.checks()["consensus-in-interval"] is inside
+
+    def test_node_isolated_in_one_layer_arms_no_interval(self):
+        a = build_layer(3, [(0, 1, 1)])
+        b = build_layer(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+        outcome = analyze(merge(a, b, 0.5), X0_TRIANGLE)
+        assert outcome.interval is None
+        assert outcome.checks()["primitivity-guarantee"] is True
+
+    def test_rejects_opinions_outside_unit_interval(self):
+        layer1, layer2 = triangle_pair()
+        with pytest.raises(ValueError, match="outside"):
+            analyze(merge(layer1, layer2, 0.5), np.array([1.5, 0.0, 0.0]))
 
 
 class TestMergedConsensus:

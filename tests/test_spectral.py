@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oplex.fixtures import (
     complementary_cycles_pair,
     misaligned_degree_pair,
+    oscillating_pair,
     triangle_pair,
 )
 from oplex.merged import merge
@@ -16,6 +17,7 @@ from oplex.netcore import Csr, GeneratorSpec, IsolatedNodeError, LayerGraph, bui
 from oplex.spectral import (
     _KRYLOV_MIN_N,
     _KRYLOV_NEAR_ONE,
+    SLEM_SLACK,
     _slem_arnoldi,
     _slem_lanczos,
     eig_moduli_nonsymmetric,
@@ -138,6 +140,35 @@ class TestNonsymmetric:
     def test_primitive_has_slem_below_one(self):
         layer = random_layer(np.random.default_rng(5), 8)
         assert slem_reversible(layer).slem < 1.0
+
+
+class TestExactSlemOne:
+    """Where the support classification rules out consensus the SLEM is exactly 1."""
+
+    @pytest.mark.parametrize("n", [4, 8, 50, _KRYLOV_MIN_N + 100])
+    def test_even_rings(self, n):
+        ring = generate(GeneratorSpec(kind="circulant", n=n, offsets=(1,)))
+        assert slem_reversible(ring).slem == 1.0
+        assert eig_moduli_nonsymmetric(transition_matrix(ring)).slem == 1.0
+
+    def test_disconnected_layer(self):
+        two_triangles = generate(GeneratorSpec(kind="circulant", n=6, offsets=(2,)))
+        assert slem_reversible(two_triangles).slem == 1.0
+
+    def test_cycles_that_are_not_sia(self):
+        oscillating = switching_model(*oscillating_pair(), k=1).cycle
+        ring = build_layer(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
+        matching = build_layer(4, [(0, 2, 1), (1, 3, 1)])
+        two_classes = switching_model(ring, matching, k=0).cycle
+        assert eig_moduli_nonsymmetric(oscillating).slem == 1.0
+        assert eig_moduli_nonsymmetric(two_classes).slem == 1.0
+
+    def test_primitive_layer_near_one_keeps_its_value(self):
+        # Two triangles joined by a bridge of weight 1e-12: primitive, with
+        # a SLEM within SLEM_SLACK of 1 but below it.
+        edges = [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1), (2, 3, 1e-12)]
+        slem = slem_reversible(build_layer(6, edges)).slem
+        assert 1.0 - SLEM_SLACK < slem < 1.0
 
 
 class TestRayleigh:

@@ -1,10 +1,14 @@
 import oplex.verify as verify
+from oplex.merged import MergedOutcome
 
 
 class TestBoundsSuiteDetails:
     def test_each_check_keeps_its_own_failure(self, monkeypatch):
+        checks = MergedOutcome.checks
         monkeypatch.setattr(
-            verify, "interval_checks", lambda value, interval: {"consensus-in-interval": False}
+            MergedOutcome,
+            "checks",
+            lambda self: {**checks(self), "consensus-in-interval": False},
         )
         results = {r.name: r for r in verify.run_bounds_suite(n_instances=3)}
         interval = results.pop("bounds/consensus-interval")
