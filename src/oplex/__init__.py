@@ -30,7 +30,6 @@ from .stochastic import (
 from .spectral import (
     SpectralSummary,
     eig_moduli_nonsymmetric,
-    layer_spectrum,
     slem_reversible,
     symmetrize,
 )
@@ -38,9 +37,7 @@ from .merged import (
     MergedBoundsReport,
     MergedModel,
     alpha_stability_sweep,
-    consensus_interval,
     merge,
-    merged_consensus,
     merged_perturbation_check,
     slem_bounds,
 )
@@ -99,15 +96,12 @@ __all__ = [
     "transition_matrix",
     "SpectralSummary",
     "eig_moduli_nonsymmetric",
-    "layer_spectrum",
     "slem_reversible",
     "symmetrize",
     "MergedBoundsReport",
     "MergedModel",
     "alpha_stability_sweep",
-    "consensus_interval",
     "merge",
-    "merged_consensus",
     "merged_perturbation_check",
     "slem_bounds",
     "SwitchingModel",

@@ -36,7 +36,7 @@ from .netcore import (
     is_number,
     load_two_layer_dataset,
 )
-from .simlab import OpinionTrajectory, decay_check, fit_rate, simulate
+from .simlab import DEFAULT_T_MAX, DEFAULT_TOL, OpinionTrajectory, decay_check, fit_rate, simulate
 from .spectral import slem_reversible
 from .stochastic import (
     StationaryDistribution,
@@ -207,10 +207,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     else:
         _fail("x0.kind", f"unknown initial-opinion kind {x0_kind!r}")
 
-    t_max = raw.get("t_max", 10**6)
+    t_max = raw.get("t_max", DEFAULT_T_MAX)
     if not is_integer(t_max) or t_max < 1:
         _fail("t_max", "must be an integer >= 1")
-    tol = raw.get("tol", 1e-12)
+    tol = raw.get("tol", DEFAULT_TOL)
     if not is_number(tol) or not 0 < tol <= sys.float_info.max:
         _fail("tol", "must be a positive finite number")
     outputs = raw.get("outputs", ["sweep", "trajectories", "summary"])

@@ -7,8 +7,9 @@ consensus is a convex combination of the layer consensuses weighted by
 alpha|E1| and (1-alpha)|E2|; and the SLEM of C obeys a universal 1/(N-1)
 lower bound plus, when the two degree sequences coincide, an upper bound by
 the slower layer. analyze puts the verdict on one model together, with
-these claims as its armed checks; the sweep, `oplex analyze` and the bounds
-suite all read it.
+these claims as its armed checks. It is the one source of the merged
+consensus and the layer-consensus interval: the sweep, `oplex analyze`, the
+bounds suite and the alpha and perturbation checks below all read it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import numpy as np
 
 from .netcore import Csr, IsolatedNodeError, LayerGraph, require_no_isolated
 from .perturb import ShiftFamilyFit, fit_shift_family
-from .spectral import SLEM_SLACK, layer_spectrum, slem_reversible
+from .spectral import SLEM_SLACK, slem_reversible
 from .stochastic import (
+    NotPrimitiveError,
     StationaryDistribution,
     TransitionMatrix,
     check_opinions,
@@ -81,36 +83,18 @@ def _blend(w1: Csr, w2: Csr, alpha: float) -> Csr:
     return Csr.from_entries(w1.n, rows, cols, terms)
 
 
-def merged_consensus(model: MergedModel, x0: np.ndarray) -> float:
-    """Consensus of the merged dynamics.
-
-    Evaluates (alpha|E1| x1(inf) + (1-alpha)|E2| x2(inf)) / (alpha|E1| +
-    (1-alpha)|E2|) through the blended degrees, which stays defined when a
-    node is isolated in one layer only. Requires C primitive.
-    """
-    require_primitive(model.transition, "merged transition matrix")
-    return consensus_value(stationary_from_degrees(model.merged_layer), x0)
-
-
-def consensus_interval(
-    layer1: LayerGraph, layer2: LayerGraph, x0: np.ndarray
-) -> tuple[float, float]:
-    """[min, max] of the two single-layer consensuses; contains the merged one."""
-    endpoints = [layer_consensus(layer1, x0, "layer1"), layer_consensus(layer2, x0, "layer2")]
-    return min(endpoints), max(endpoints)
-
-
 @dataclass(frozen=True)
 class MergedBoundsReport:
     """SLEM of C with the universal lower and conditional upper bound.
 
     upper_bound is max of the layer SLEMs and is only a proved bound when
-    degrees_matched.
+    degrees_matched. It is None where a node is isolated in one layer: that
+    layer has no SLEM, and the degree sequences cannot match.
     """
 
     slem_c: float
     lower_bound: float
-    upper_bound: float
+    upper_bound: float | None
     degrees_matched: bool
 
     def checks(self) -> dict[str, bool]:
@@ -136,11 +120,9 @@ def slem_bounds(model: MergedModel) -> MergedBoundsReport:
     """
     slem_c = slem_reversible(model.merged_layer).slem
     try:
-        upper = max(layer_spectrum(model.layer1).slem, layer_spectrum(model.layer2).slem)
+        upper = max(slem_reversible(model.layer1).slem, slem_reversible(model.layer2).slem)
     except IsolatedNodeError:
-        # a node isolated in one layer: that layer has no SLEM, and the
-        # degree sequences cannot match, so the upper bound stays unarmed
-        upper = float("nan")
+        upper = None
     return MergedBoundsReport(
         slem_c=slem_c,
         lower_bound=1.0 / (model.merged_layer.n - 1),
@@ -191,15 +173,25 @@ def _layer_primitive(layer: LayerGraph) -> bool:
 
 def analyze(model: MergedModel, x0: np.ndarray) -> MergedOutcome:
     """The merged verdict: SLEM bounds, consensus pi . x0, the layer-consensus
-    interval and the primitivity guarantee."""
+    interval and the primitivity guarantee.
+
+    pi comes from the blended degrees, which stays defined when a node is
+    isolated in one layer only; pi . x0 equals the convex combination of the
+    layer consensuses weighted by alpha|E1| and (1-alpha)|E2|.
+    """
     x = check_opinions(x0, model.merged_layer.n)
-    primitive = [_layer_primitive(model.layer1), _layer_primitive(model.layer2)]
+    layers = (model.layer1, model.layer2)
+    primitive = [_layer_primitive(layer) for layer in layers]
     pi = stationary_from_degrees(model.merged_layer) if is_primitive(model.transition) else None
+    interval = None
+    if all(primitive):
+        ends = [consensus_value(stationary_from_degrees(layer), x) for layer in layers]
+        interval = (min(ends), max(ends))
     return MergedOutcome(
         bounds=slem_bounds(model),
         pi=pi,
         value=None if pi is None else consensus_value(pi, x),
-        interval=consensus_interval(model.layer1, model.layer2, x) if all(primitive) else None,
+        interval=interval,
         guaranteed=0.0 < model.alpha < 1.0 and any(primitive),
     )
 
@@ -231,9 +223,12 @@ def alpha_stability_sweep(
     grid = np.asarray(list(alphas), dtype=float)
     if ((grid < 0) | (grid > 1)).any():
         raise ValueError("alpha grid entries must lie in [0, 1]")
-    deviations = np.array(
-        [abs(merged_consensus(merge(layer1, layer2, a), x0) - x1) for a in grid]
-    )
+    deviations = np.empty(grid.shape)
+    for i, a in enumerate(grid):
+        value = analyze(merge(layer1, layer2, a), x0).value
+        if value is None:
+            raise NotPrimitiveError("merged transition matrix is not primitive")
+        deviations[i] = abs(value - x1)
     bound_constant = e2 / min(e1, e2) * abs(x2 - x1)
     within = bool((deviations <= bound_constant * (1.0 - grid) + 1e-12).all())
     return AlphaStabilityResult(
@@ -263,5 +258,8 @@ def merged_perturbation_check(
         b_matrix = transition_matrix(b_layer)
         require_primitive(b_matrix, "perturbed layer's transition matrix")
         e_norms.append(float(np.abs(a_matrix.entries - b_matrix.entries).max()))
-        deviations.append(abs(merged_consensus(merge(layer1, b_layer, alpha), x0) - x1))
+        value = analyze(merge(layer1, b_layer, alpha), x0).value
+        if value is None:
+            raise NotPrimitiveError("merged transition matrix is not primitive")
+        deviations.append(abs(value - x1))
     return fit_shift_family(e_norms, deviations)

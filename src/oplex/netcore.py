@@ -172,7 +172,7 @@ class LayerGraph:
     weights is W as a dense array, built on each use and never stored.
     _transition and _spectrum cache the layer's transition matrix and
     SpectralSummary (see stochastic.transition_matrix and
-    spectral.layer_spectrum).
+    spectral.slem_reversible).
     """
 
     csr: Csr

@@ -27,6 +27,7 @@ enough (B A^k fills in as k grows). Ties at modulus 1 mean the chain is not
 primitive and the SLEM is 1. A solver lands within rounding of 1 there, so
 a SLEM within SLEM_SLACK of 1 is settled by the support classification: it
 is exactly 1 for a layer that is not primitive or a product that is not SIA.
+slem_reversible caches a layer's summary on the layer.
 """
 
 from __future__ import annotations
@@ -215,8 +216,13 @@ def slem_reversible(layer: LayerGraph) -> SpectralSummary:
     """SLEM of a layer's transition matrix via its symmetrization.
 
     Lanczos from _KRYLOV_MIN_N nodes on, the dense symmetric solver below
-    that and wherever Lanczos gives up. Exactly 1 if the layer is not primitive.
+    that and wherever Lanczos gives up. Exactly 1 if the layer is not
+    primitive. Computed on first use and cached on the layer: sweeps reuse
+    the same two layers at every grid point, and the cache lives and dies
+    with the layer object.
     """
+    if layer._spectrum is not None:
+        return layer._spectrum
     slem = _slem_lanczos(layer) if layer.n >= _KRYLOV_MIN_N else None
     method = "lanczos"
     if slem is None:
@@ -225,18 +231,9 @@ def slem_reversible(layer: LayerGraph) -> SpectralSummary:
         slem, method = _second_modulus(np.linalg.eigvalsh(s)), "symmetric"
     if slem >= 1.0 - SLEM_SLACK and not is_primitive(transition_matrix(layer)):
         slem = 1.0
-    return SpectralSummary(slem=slem, method=method)
-
-
-def layer_spectrum(layer: LayerGraph) -> SpectralSummary:
-    """slem_reversible(layer), computed on first use and cached on the layer.
-
-    Sweeps reuse the same two layers at every grid point; the cache lives
-    and dies with the layer object.
-    """
-    if layer._spectrum is None:
-        object.__setattr__(layer, "_spectrum", slem_reversible(layer))
-    return layer._spectrum
+    summary = SpectralSummary(slem=slem, method=method)
+    object.__setattr__(layer, "_spectrum", summary)
+    return summary
 
 
 def eig_moduli_nonsymmetric(m: TransitionMatrix) -> SpectralSummary:

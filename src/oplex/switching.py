@@ -20,7 +20,7 @@ import numpy as np
 
 from .netcore import LayerGraph
 from .perturb import ShiftFamilyFit, fit_shift_family
-from .spectral import SLEM_SLACK, eig_moduli_nonsymmetric, layer_spectrum
+from .spectral import SLEM_SLACK, eig_moduli_nonsymmetric, slem_reversible
 from .stochastic import (
     NotPrimitiveError,
     StationaryDistribution,
@@ -109,8 +109,8 @@ def product_rate_checks(slem_cycle: float, star: float) -> dict[str, bool]:
 def rho_star(model: SwitchingModel) -> float:
     """rho2(B) * rho2(A)^k * max_i(d1_i/d2_i) * max_i(d2_i/d1_i)."""
     d1, d2 = model.layer1.degrees, model.layer2.degrees
-    rho_a = layer_spectrum(model.layer1).slem
-    rho_b = layer_spectrum(model.layer2).slem
+    rho_a = slem_reversible(model.layer1).slem
+    rho_b = slem_reversible(model.layer2).slem
     return float(rho_b * rho_a**model.k * (d1 / d2).max() * (d2 / d1).max())
 
 
@@ -159,7 +159,7 @@ def k_stability_sweep(
 ) -> KStabilityResult:
     """How fast the switching consensus approaches layer 1's as k grows."""
     x1 = layer_consensus(layer1, x0, "layer1")
-    rho_a = layer_spectrum(layer1).slem
+    rho_a = slem_reversible(layer1).slem
     grid = np.asarray(list(ks), dtype=int)
     deviations = np.full(grid.shape, np.nan)
     converged = np.zeros(grid.shape, dtype=bool)

@@ -19,7 +19,7 @@ from .merged import analyze as analyze_merged
 from .netcore import LayerGraph
 from .perturb import shift_bound_check, stationary_shift
 from .simlab import decay_check, simulate
-from .spectral import eig_moduli_nonsymmetric, layer_spectrum, slem_reversible
+from .spectral import eig_moduli_nonsymmetric, slem_reversible
 from .stochastic import (
     TransitionMatrix,
     stationary_from_degrees,
@@ -362,7 +362,7 @@ def run_bounds_suite(n_instances: int = 200, seed: int = BOUNDS_SUITE_SEED) -> l
             pi=pi,
             record_states=False,
         )
-        rho_a = layer_spectrum(layer1).slem
+        rho_a = slem_reversible(layer1).slem
         if rho_a < 1.0:
             check = decay_check(trajectory, max(rho_a, 1e-12))
             if not check.passed:

@@ -590,3 +590,44 @@ class TestExactSlemOne:
         assert report["rho_star"] == pytest.approx(1 / 3, abs=1e-15)
         peak_mb = int(out.stderr.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
         assert peak_mb < 100
+
+
+def reject_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
+class TestIsolatedNodeInOneLayer:
+    """Layer 1 is the 5-ring, layer 2 a triangle on nodes 0-2, so nodes 3
+    and 4 are isolated in layer 2, which then has no SLEM. The merged upper
+    bound is unset: null in the report, empty in the sweep, never NaN."""
+
+    @staticmethod
+    def write_layers(tmp_path):
+        ring = tmp_path / "ring.txt"
+        ring.write_text("0 1 1\n1 2 1\n2 3 1\n3 4 1\n4 0 1\n")
+        triangle = tmp_path / "triangle.txt"
+        triangle.write_text("0 1 1\n1 2 1\n2 0 1\n")
+        return str(ring), str(triangle)
+
+    def test_analyze_prints_strict_json(self, tmp_path, capsys):
+        ring, triangle = self.write_layers(tmp_path)
+        argv = ["analyze", "--layer1", ring, "--layer2", triangle]
+        code = main(argv + ["--mode", "merged", "--alpha", "0.5", "--n", "5"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert report["slem_upper_bound"] is None
+        assert report["degrees_matched"] is False
+
+    def test_sweep_leaves_bound_upper_empty(self, tmp_path):
+        ring, triangle = self.write_layers(tmp_path)
+        config = {
+            "model": {"kind": "merged", "alphas": [0.5]},
+            "layers": {"kind": "two-layer-dataset", "path_a": ring, "path_b": triangle, "n": 5},
+            "x0": {"kind": "uniform", "seed": 3},
+            "outputs": ["sweep"],
+        }
+        run_experiment(config, tmp_path / "out")
+        text = (tmp_path / "out" / "sweep.csv").read_text()
+        assert "nan" not in text.lower()
+        header, row = text.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["bound_upper"] == ""

@@ -10,9 +10,7 @@ from oplex.merged import (
     MergedOutcome,
     alpha_stability_sweep,
     analyze,
-    consensus_interval,
     merge,
-    merged_consensus,
     merged_perturbation_check,
     slem_bounds,
 )
@@ -145,8 +143,8 @@ class TestMergedOutcome:
         layer1, layer2 = triangle_pair()
         model = merge(layer1, layer2, 0.5)
         outcome = analyze(model, X0_TRIANGLE)
-        assert outcome.value == merged_consensus(model, X0_TRIANGLE)
-        assert outcome.interval == consensus_interval(layer1, layer2, X0_TRIANGLE)
+        assert outcome.value == pytest.approx(4 / 11, abs=1e-14)
+        assert outcome.interval == pytest.approx((1 / 3, 3 / 8), abs=1e-14)
         assert outcome.bounds == slem_bounds(model)
         assert outcome.note == ""
         assert outcome.checks() == {
@@ -181,7 +179,7 @@ class TestMergedOutcome:
 class TestMergedConsensus:
     def test_triangle_pair_closed_form(self):
         layer1, layer2 = triangle_pair()
-        value = merged_consensus(merge(layer1, layer2, 0.5), X0_TRIANGLE)
+        value = analyze(merge(layer1, layer2, 0.5), X0_TRIANGLE).value
         assert value == pytest.approx(4 / 11, abs=1e-14)
 
     def test_matches_fixpoint_iteration_oracle(self):
@@ -194,11 +192,11 @@ class TestMergedConsensus:
                 x = nxt
                 break
             x = nxt
-        assert merged_consensus(model, X0_TRIANGLE) == pytest.approx(x[0], abs=1e-10)
+        assert analyze(model, X0_TRIANGLE).value == pytest.approx(x[0], abs=1e-10)
 
     def test_constant_opinions_stay_put(self):
         layer1, layer2 = triangle_pair()
-        value = merged_consensus(merge(layer1, layer2, 0.25), np.full(3, 0.6))
+        value = analyze(merge(layer1, layer2, 0.25), np.full(3, 0.6)).value
         assert value == pytest.approx(0.6)
 
     def test_identical_layers_give_single_layer_consensus(self):
@@ -206,7 +204,7 @@ class TestMergedConsensus:
         from oplex.stochastic import consensus_value, stationary_from_degrees
 
         single = consensus_value(stationary_from_degrees(layer1), X0_TRIANGLE)
-        merged = merged_consensus(merge(layer1, layer1, 0.7), X0_TRIANGLE)
+        merged = analyze(merge(layer1, layer1, 0.7), X0_TRIANGLE).value
         assert merged == pytest.approx(single, abs=1e-15)
 
     def test_equals_convex_combination_of_layer_consensuses(self):
@@ -220,13 +218,17 @@ class TestMergedConsensus:
         expected = (alpha * e1 * x1 + (1 - alpha) * e2 * x2) / (
             alpha * e1 + (1 - alpha) * e2
         )
-        value = merged_consensus(merge(layer1, layer2, alpha), X0_TRIANGLE)
+        value = analyze(merge(layer1, layer2, alpha), X0_TRIANGLE).value
         assert value == pytest.approx(expected, abs=1e-14)
 
     def test_rejects_non_primitive_merged_matrix(self):
         a = build_layer(2, [(0, 1, 1)])
-        with pytest.raises(NotPrimitiveError):
-            merged_consensus(merge(a, a, 0.5), np.array([1.0, 0.0]))
+        assert analyze(merge(a, a, 0.5), np.array([1.0, 0.0])).value is None
+        # alpha = 0 leaves only the bipartite path: the sweep has no value there
+        tri = build_layer(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+        path = build_layer(3, [(0, 1, 1), (1, 2, 1)])
+        with pytest.raises(NotPrimitiveError, match="merged transition matrix"):
+            alpha_stability_sweep(tri, path, X0_TRIANGLE, [0.5, 0.0])
 
     def test_matches_simulated_fixpoint_on_random_instances(self):
         for seed in range(8):
@@ -236,7 +238,7 @@ class TestMergedConsensus:
                 random_layer(rng, n), random_layer(rng, n), rng.uniform(0.1, 0.9)
             )
             x = rng.random(n)
-            value = merged_consensus(model, x)
+            value = analyze(model, x).value
             for _ in range(100_000):
                 nxt = model.transition.entries @ x
                 if np.abs(nxt - x).max() < 1e-13:
@@ -249,38 +251,36 @@ class TestMergedConsensus:
 class TestConsensusInterval:
     def test_triangle_pair_interval(self):
         layer1, layer2 = triangle_pair()
-        lo, hi = consensus_interval(layer1, layer2, X0_TRIANGLE)
+        outcome = analyze(merge(layer1, layer2, 0.5), X0_TRIANGLE)
+        lo, hi = outcome.interval
         assert lo == pytest.approx(1 / 3, abs=1e-14)
         assert hi == pytest.approx(3 / 8, abs=1e-14)
-        value = merged_consensus(merge(layer1, layer2, 0.5), X0_TRIANGLE)
-        assert lo <= value <= hi
+        assert lo <= outcome.value <= hi
 
     def test_identical_layers_degenerate_interval(self):
         layer1, _ = triangle_pair()
-        lo, hi = consensus_interval(layer1, layer1, X0_TRIANGLE)
+        lo, hi = analyze(merge(layer1, layer1, 0.5), X0_TRIANGLE).interval
         assert lo == pytest.approx(hi)
 
     def test_indicator_of_heavier_node_raises_endpoint(self):
         layer1, layer2 = triangle_pair()
         # node 0 carries more stationary weight in layer 2 (3/8 vs 1/3)
-        lo, hi = consensus_interval(layer1, layer2, X0_TRIANGLE)
+        lo, hi = analyze(merge(layer1, layer2, 0.5), X0_TRIANGLE).interval
         from oplex.stochastic import consensus_value, stationary_from_degrees
 
         assert hi == pytest.approx(
             consensus_value(stationary_from_degrees(layer2), X0_TRIANGLE)
         )
 
-    def test_rejects_when_one_layer_periodic(self):
+    def test_none_when_first_layer_periodic(self):
         path = build_layer(3, [(0, 1, 1), (1, 2, 1)])  # bipartite, periodic
         tri = build_layer(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
-        with pytest.raises(NotPrimitiveError):
-            consensus_interval(path, tri, X0_TRIANGLE)
+        assert analyze(merge(path, tri, 0.5), X0_TRIANGLE).interval is None
 
-    def test_rejects_when_second_layer_periodic(self):
+    def test_none_when_second_layer_periodic(self):
         tri = build_layer(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
         path = build_layer(3, [(0, 1, 1), (1, 2, 1)])  # bipartite, periodic
-        with pytest.raises(NotPrimitiveError, match="layer2"):
-            consensus_interval(tri, path, X0_TRIANGLE)
+        assert analyze(merge(tri, path, 0.5), X0_TRIANGLE).interval is None
 
     def test_convexity_on_random_instances(self):
         for seed in range(25):
@@ -291,8 +291,9 @@ class TestConsensusInterval:
             alpha = float(rng.uniform(0.05, 0.95))
             x0 = rng.random(n)
             model = merge(layer1, layer2, alpha)
-            lo, hi = consensus_interval(layer1, layer2, x0)
-            value = merged_consensus(model, x0)
+            outcome = analyze(model, x0)
+            lo, hi = outcome.interval
+            value = outcome.value
             assert lo - 1e-10 <= value <= hi + 1e-10
 
 
@@ -351,19 +352,24 @@ class TestSlemBounds:
         full = build_layer(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
         report = slem_bounds(merge(sparse, full, 0.5))
         assert not report.degrees_matched
-        assert np.isnan(report.upper_bound)
+        assert report.upper_bound is None
         assert report.slem_c >= report.lower_bound - 1e-9
 
     def test_layer_eigensolver_failure_surfaces(self, monkeypatch):
         import oplex.merged as merged
 
+        layer1, layer2 = triangle_pair()
+        model = merge(layer1, layer2, 0.5)
+        solve = merged.slem_reversible
+
         def fail(layer):
+            if layer is model.merged_layer:
+                return solve(layer)
             raise np.linalg.LinAlgError("eigenvalues did not converge")
 
-        monkeypatch.setattr(merged, "layer_spectrum", fail)
-        layer1, layer2 = triangle_pair()
+        monkeypatch.setattr(merged, "slem_reversible", fail)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            slem_bounds(merge(layer1, layer2, 0.5))
+            slem_bounds(model)
 
 
 class TestAlphaStability:

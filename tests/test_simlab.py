@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplex.fixtures import oscillating_pair, triangle_pair
-from oplex.merged import merge, merged_consensus
+from oplex.merged import analyze as analyze_merged
+from oplex.merged import merge
 from oplex.netcore import GeneratorSpec, generate
 from oplex.simlab import decay_check, fit_rate, simulate
 from oplex.spectral import eig_moduli_nonsymmetric
@@ -40,10 +41,10 @@ class TestSimulate:
     def test_merged_triangle_hits_closed_form(self):
         layer1, layer2 = triangle_pair()
         model = merge(layer1, layer2, 0.5)
-        value = merged_consensus(model, X0)
-        pi = stationary_from_degrees(model.merged_layer)
-        traj = simulate((model.transition,), X0, pi=pi)
+        outcome = analyze_merged(model, X0)
+        traj = simulate((model.transition,), X0, pi=outcome.pi)
         assert traj.converged
+        assert outcome.value == pytest.approx(4 / 11, abs=1e-14)
         assert np.abs(traj.final_state - 4 / 11).max() <= 1e-8
 
     def test_oscillating_switching_never_converges(self):

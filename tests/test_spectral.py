@@ -92,6 +92,21 @@ class TestSlemReversible:
         assert summary.slem == 1.0
         assert np.allclose(moduli_symmetric(layer), [1.0, 1.0])
 
+    def test_summary_cached_on_the_layer(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        layer, _ = complementary_cycles_pair()
+        first = slem_reversible(layer)
+        assert slem_reversible(layer) is first
+        assert len(calls) == 1
+        # an equal layer is another object, with a cache of its own
+        copy = LayerGraph(layer.csr)
+        assert np.array_equal(copy.weights, layer.weights)
+        fresh = slem_reversible(copy)
+        assert fresh is not first and fresh == first
+        assert len(calls) == 2
+
 
 class TestNonsymmetric:
     def test_triangle_cycle_moduli(self):
