@@ -22,7 +22,7 @@ import numpy as np
 from oplex.netcore import Csr, LayerGraph, load_two_layer_dataset
 from oplex.spectral import slem_reversible
 from oplex.stochastic import is_primitive, transition_matrix
-from oplex.switching import switching_model
+from oplex.switching import analyze, switching_model
 
 
 def subgraph(layer: LayerGraph, keep: np.ndarray) -> LayerGraph:
@@ -41,7 +41,11 @@ def profile(layer_a: LayerGraph, layer_b: LayerGraph, ks) -> dict | None:
         return None
     a = transition_matrix(layer_a)
     b = transition_matrix(layer_b)
-    cycles_ok = all(is_primitive(switching_model(layer_a, layer_b, k).cycle) for k in ks)
+    # A cycle is primitive iff its verdict is consensus with no transient
+    # node; x0 feeds only the consensus value, which is not read here.
+    x0 = np.zeros(layer_a.n)
+    verdicts = [analyze(switching_model(layer_a, layer_b, k), x0) for k in ks]
+    cycles_ok = all(v.status == "consensus" and v.transient == 0 for v in verdicts)
     return {
         "a_primitive": is_primitive(a),
         "b_primitive": is_primitive(b),

@@ -138,8 +138,9 @@ def _cmd_analyze(args) -> tuple[int, str]:
         if outcome.status != "consensus":
             report["period"] = outcome.period
             report["closed_classes"] = outcome.closed_classes
+        report["transient"] = outcome.transient
         if args.dump:
-            report["cycle"] = model.cycle.entries.tolist()
+            report["cycle"] = model.entries.tolist()
             report["layer1_transition"] = model.a.entries.tolist()
             report["layer2_transition"] = model.b.entries.tolist()
     checks = outcome.checks()

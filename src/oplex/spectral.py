@@ -15,18 +15,20 @@ of S once the Perron vector sqrt(pi) is deflated:
   slow-mixing ring) would take it many steps, so an early Ritz value near
   1, or a spent step budget, hands the layer back to the dense solver.
 
-Switching products B A^k are genuinely nonreversible. Their SLEM is the
+Switching cycles Q = B A^k are genuinely nonreversible. Their SLEM is the
 largest eigenvalue modulus left once the constant vector is deflated
 (Q 1 = 1 for every stochastic Q): the general dense solver eigvals below
 _KRYLOV_MIN_N nodes, Arnoldi with full reorthogonalization from there
 (Arnoldi 1951; Saad, Numerical Methods for Large Eigenvalue Problems,
 2011), with the same hand-back to the dense solver. Lanczos and Arnoldi
-share one Krylov loop, which applies the operator through
-Csr.matvec_kernel: the CSR product, or a dense one on operators dense
-enough (B A^k fills in as k grows). Ties at modulus 1 mean the chain is not
-primitive and the SLEM is 1. A solver lands within rounding of 1 there, so
-a SLEM within SLEM_SLACK of 1 is settled by the support classification: it
-is exactly 1 for a layer that is not primitive or a product that is not SIA.
+share one Krylov loop, which applies the operator through its
+matvec_kernel: for a matrix, the CSR product or a dense one on matrices
+dense enough (Csr.matvec_kernel); for a cycle that the switching model
+applies matrix-free, k + 1 such products, one per factor, with Q never
+formed. Ties at modulus 1 mean the chain is not primitive and the SLEM is
+1. A solver lands within rounding of 1 there, so a SLEM within SLEM_SLACK
+of 1 is settled by the support classification: it is exactly 1 for a layer
+that is not primitive or a product that is not SIA.
 slem_reversible caches a layer's summary on the layer.
 """
 
@@ -34,11 +36,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .netcore import Csr, LayerGraph, require_no_isolated
-from .stochastic import TransitionMatrix, is_primitive, support_classes, transition_matrix
+from .stochastic import TransitionMatrix, is_primitive, transition_matrix
+
+if TYPE_CHECKING:
+    from .switching import SwitchingModel
 
 _PERRON_TOL = 1e-10
 
@@ -188,17 +194,17 @@ def _slem_lanczos(layer: LayerGraph) -> float | None:
     return _slem_krylov(apply, _perron_vector(layer, apply), symmetric=True)
 
 
-def _slem_arnoldi(m: TransitionMatrix) -> float | None:
+def _slem_arnoldi(m: TransitionMatrix | SwitchingModel) -> float | None:
     """SLEM by Arnoldi on a stochastic Q with the constant vector deflated:
     Q 1 = 1 makes span{1} invariant, so no stationary vector is needed."""
-    apply = m.csr.matvec_kernel()
+    apply = m.matvec_kernel()
     ones = np.ones(m.n)
     if np.abs(apply(ones) - ones).max() > _PERRON_TOL:
         raise RuntimeError("Q 1 != 1; input not stochastic?")
     return _slem_krylov(apply, ones / np.sqrt(m.n), symmetric=False)
 
 
-def _slem_dense(m: TransitionMatrix) -> float:
+def _slem_dense(m: TransitionMatrix | SwitchingModel) -> float:
     """SLEM from every eigenvalue of the dense matrix, its leading modulus checked."""
     entries = m.entries
     try:
@@ -236,19 +242,22 @@ def slem_reversible(layer: LayerGraph) -> SpectralSummary:
     return summary
 
 
-def eig_moduli_nonsymmetric(m: TransitionMatrix) -> SpectralSummary:
+def eig_moduli_nonsymmetric(m: TransitionMatrix | SwitchingModel) -> SpectralSummary:
     """SLEM of a general stochastic matrix, such as a switching cycle B A^k.
 
-    Arnoldi with the constant vector deflated from _KRYLOV_MIN_N nodes on.
+    m is a TransitionMatrix, or a switching model standing for its cycle:
+    either offers n, matvec_kernel(), entries and classes(). Arnoldi with the
+    constant vector deflated from _KRYLOV_MIN_N nodes on, through
+    matvec_kernel(), which applies a matrix-free cycle factor by factor.
     Below that and wherever Arnoldi gives up, the dense Schur-form solver
-    (Hessenberg reduction plus shifted QR) for all eigenvalues; complex
-    pairs contribute their common modulus. Non-convergence is reported with
-    a hash of the offending matrix. Exactly 1 if m is not SIA.
+    (Hessenberg reduction plus shifted QR) on entries for all eigenvalues;
+    complex pairs contribute their common modulus. Non-convergence is
+    reported with a hash of the offending matrix. Exactly 1 if m is not SIA.
     """
     slem = _slem_arnoldi(m) if m.n >= _KRYLOV_MIN_N else None
     method = "arnoldi"
     if slem is None:
         slem, method = _slem_dense(m), "nonsymmetric"
-    if slem >= 1.0 - SLEM_SLACK and not support_classes(m).converges:
+    if slem >= 1.0 - SLEM_SLACK and not m.classes().converges:
         slem = 1.0
     return SpectralSummary(slem=slem, method=method)

@@ -5,16 +5,22 @@ convex weights. For a matrix read off an undirected layer, row i is the
 layer's weight row i divided by the weighted degree d_i, the stationary
 distribution is pi_i = d_i / (2|E|), and consensus lands on pi . x(0).
 Matrices arising as products (switching cycles) keep none of that structure
-and get a generic solver instead.
+and get generic solvers instead: a dense solve on the formed product, or,
+for a product held as its factors, a classification on the time-expanded
+graph (product_classes) and a left power iteration (stationary_power).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .netcore import Csr, LayerGraph, require_no_isolated
+
+if TYPE_CHECKING:
+    from .switching import SwitchingModel
 
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_RESIDUAL_TOL = 1e-12
@@ -31,7 +37,10 @@ class TransitionMatrix:
     from_entries checks a dense array and renormalizes it; a row sum off by
     more than 1e-12 signals an upstream bug and is rejected rather than
     rescaled. transition_matrix reads a layer. entries is the dense matrix,
-    built on each use, for the dense solvers.
+    built on each use, for the dense solvers. entries, matvec_kernel() and
+    classes() are what the general solvers (stationary_general,
+    spectral.eig_moduli_nonsymmetric) read, and a switching model offers the
+    same three for its cycle.
     """
 
     csr: Csr
@@ -44,6 +53,12 @@ class TransitionMatrix:
     @property
     def entries(self) -> np.ndarray:
         return self.csr.dense()
+
+    def matvec_kernel(self) -> Callable[..., np.ndarray]:
+        return self.csr.matvec_kernel()
+
+    def classes(self) -> SupportClasses:
+        return support_classes(self)
 
     @classmethod
     def from_entries(cls, entries: np.ndarray) -> "TransitionMatrix":
@@ -135,8 +150,9 @@ class SupportClasses:
         return self.periods == (1,)
 
 
-def support_classes(m: TransitionMatrix) -> SupportClasses:
-    """Closed classes by breadth-first search on the stored pattern; cached on m.
+def _closed_classes(support: Csr) -> tuple[list[int], np.ndarray]:
+    """Periods of the closed classes of the stored pattern, in the order
+    found, and the mask of the nodes that lie in one.
 
     Search from u forward (F) and backward (B). If F lies inside B, F is a
     closed class; its period is the gcd over its edges (a, b) of
@@ -146,13 +162,10 @@ def support_classes(m: TransitionMatrix) -> SupportClasses:
     far. A primitive matrix costs two searches from node 0, one when the
     support is symmetric (layer matrices and C), where B = F.
     """
-    if m._classes is not None:
-        return m._classes
-    support = m.csr
     symmetric = support.transpose_positions() is not None
-    marked = np.zeros(m.n, dtype=bool)  # nodes that reach a closed class found so far
+    marked = np.zeros(support.n, dtype=bool)  # nodes that reach a closed class found so far
+    closed = np.zeros(support.n, dtype=bool)
     periods: list[int] = []
-    closed = 0
     u = 0
     while not marked.all():
         level = _bfs_levels(support, u)
@@ -164,11 +177,44 @@ def support_classes(m: TransitionMatrix) -> SupportClasses:
         inside = forward[support.rows]  # the class's edges: it is closed
         rows, cols = support.rows[inside], support.indices[inside]
         periods.append(int(np.gcd.reduce(level[rows] + 1 - level[cols])))
-        closed += int(forward.sum())
+        closed |= forward
         marked |= backward
         u = int(np.argmin(marked))
-    m._classes = SupportClasses(periods=tuple(periods), transient=m.n - closed)
+    return periods, closed
+
+
+def support_classes(m: TransitionMatrix) -> SupportClasses:
+    """Closed classes by breadth-first search on the stored pattern; cached on m."""
+    if m._classes is None:
+        periods, closed = _closed_classes(m.csr)
+        m._classes = SupportClasses(periods=tuple(periods), transient=m.n - int(closed.sum()))
     return m._classes
+
+
+def product_classes(factors: Sequence[TransitionMatrix]) -> SupportClasses:
+    """Closed classes of the product Q = F_0 F_1 ... F_(m-1), never formed.
+
+    Q has an entry (i, j) iff a walk i -> j takes one step along the
+    pattern of each factor in turn, so Q's support is read off the
+    time-expanded graph on the nodes (v, p), p = 0..m-1: (i, p) -> (j, p+1
+    mod m) for each entry (i, j) of F_p. Its closed classes are those of Q,
+    one each, with periods m times Q's, since every cycle passes through
+    every phase; Q's transient nodes are the phase-0 nodes outside all of
+    them. The search costs O(m nnz) per level and needs no product support.
+    """
+    n, m = factors[0].n, len(factors)
+    parts = [f.csr for f in factors]
+    starts = np.cumsum([0] + [c.nnz for c in parts])
+    lifted = Csr(
+        np.concatenate([c.indptr[:-1] + s for c, s in zip(parts, starts)] + [starts[-1:]]),
+        np.concatenate([c.indices + (p + 1) % m * n for p, c in enumerate(parts)]),
+        np.concatenate([c.data for c in parts]),
+        np.concatenate([c.rows + p * n for p, c in enumerate(parts)]),
+    )
+    periods, closed = _closed_classes(lifted)
+    return SupportClasses(
+        periods=tuple(d // m for d in periods), transient=n - int(closed[:n].sum())
+    )
 
 
 def is_primitive(m: TransitionMatrix) -> bool:
@@ -189,15 +235,16 @@ def stationary_from_degrees(layer: LayerGraph) -> StationaryDistribution:
     return StationaryDistribution(pi=layer.degrees / (2.0 * layer.total_edge_weight))
 
 
-def stationary_general(m: TransitionMatrix) -> StationaryDistribution:
+def stationary_general(m: TransitionMatrix | SwitchingModel) -> StationaryDistribution:
     """Left fixed vector of an SIA matrix, normalized to sum 1.
 
     Dense linear solve of pi (M - I) = 0 with one equation replaced by
     sum(pi) = 1, then a residual check. The fixed vector is unique, so the
     solve is exact. Intended for nonreversible products where the degree
-    formula does not apply; rejects input that is not SIA.
+    formula does not apply, such as a switching model's cycle; rejects input
+    that is not SIA.
     """
-    if not support_classes(m).converges:
+    if not m.classes().converges:
         raise NotPrimitiveError("matrix reaches no consensus (not SIA)")
     p = m.entries
     n = m.n
@@ -213,6 +260,30 @@ def stationary_general(m: TransitionMatrix) -> StationaryDistribution:
             f"stationary solve residual {residual:.3e} exceeds {_STATIONARY_RESIDUAL_TOL}"
         )
     return StationaryDistribution(pi=np.abs(v))
+
+
+def stationary_power(
+    left: Callable[[np.ndarray], np.ndarray], start: np.ndarray, steps: int
+) -> StationaryDistribution | None:
+    """Left fixed vector of an SIA matrix M by power iteration, y <- y M.
+
+    left(y) returns the row vector y M, so M is never formed. From start, a
+    probability vector, the error contracts by M's SLEM per product. Once
+    the residual max |y M - y| passes the check of stationary_general, the
+    iteration goes on while it still falls, down to rounding, and returns
+    the iterate of least residual. None if no iterate passes within `steps`
+    products, for the dense solve to take over.
+    """
+    y, best = start, None
+    for _ in range(steps):
+        z = left(y)
+        residual = np.abs(z - y).max()
+        if best is not None and residual >= best[0]:
+            break
+        if residual <= _STATIONARY_RESIDUAL_TOL:
+            best = (residual, y)
+        y = z / z.sum()
+    return None if best is None else StationaryDistribution(pi=best[1])
 
 
 def check_opinions(x0: np.ndarray, n: int | None = None) -> np.ndarray:

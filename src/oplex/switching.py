@@ -1,7 +1,7 @@
 """Switching two-layer model: k steps on layer 1, one step on layer 2.
 
-One full round of the periodic schedule composes to the cycle matrix B A^k.
-Consensus exists iff that product is SIA: its support has one closed class
+One full round of the periodic schedule composes to the cycle matrix
+Q = B A^k. Consensus exists iff Q is SIA: its support has one closed class
 and that class is aperiodic; nodes outside it may remain, and end up
 holding the consensus value without weighing in it. This is not inherited
 from the factors: two individually primitive layers can interleave into a
@@ -9,27 +9,44 @@ periodic product (period-2 oscillation), and a non-primitive layer B can be
 repaired by enough mixing through A. Per cycle the error contracts by
 rho2(B A^k), itself bounded by rho_star = rho2(B) rho2(A)^k times the two
 degree-ratio alignment factors.
+
+Q is applied factor by factor and never formed where that is cheaper: from
+_KRYLOV_MIN_N nodes on, while k products by A and one by B cost no more
+than one dense product. Its support is then classified on the
+time-expanded graph (stochastic.product_classes), its stationary vector
+comes from a left power iteration on the layers' weights and its SLEM from
+Arnoldi on the composed product. Smaller or denser cycles, and huge k, form
+Q densely (SwitchingModel.entries) and take the dense solvers, as do the
+matrix-free ones where their iteration gives up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .netcore import LayerGraph
 from .perturb import ShiftFamilyFit, fit_shift_family
-from .spectral import SLEM_SLACK, eig_moduli_nonsymmetric, slem_reversible
+from .spectral import (
+    _KRYLOV_MAX_STEPS,
+    _KRYLOV_MIN_N,
+    SLEM_SLACK,
+    eig_moduli_nonsymmetric,
+    slem_reversible,
+)
 from .stochastic import (
     NotPrimitiveError,
     StationaryDistribution,
+    SupportClasses,
     TransitionMatrix,
     check_opinions,
     consensus_value,
     layer_consensus,
+    product_classes,
     stationary_general,
-    support_classes,
+    stationary_power,
     transition_matrix,
 )
 
@@ -38,12 +55,24 @@ _K_RATIO_SLACK = 1.05
 
 @dataclass(frozen=True)
 class SwitchingModel:
+    """The two layers, their transition matrices A and B, and k.
+
+    The model stands for its cycle Q = B A^k wherever a solver takes a
+    matrix: n, entries (Q as a dense array, built on each use),
+    matvec_kernel() and classes() are Q's, as a TransitionMatrix offers
+    them. _classes caches classes().
+    """
+
     layer1: LayerGraph
     layer2: LayerGraph
     a: TransitionMatrix
     b: TransitionMatrix
     k: int
-    cycle: TransitionMatrix
+    _classes: SupportClasses | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def n(self) -> int:
+        return self.a.n
 
     @property
     def schedule(self) -> tuple[TransitionMatrix, ...]:
@@ -51,25 +80,84 @@ class SwitchingModel:
         only a simulation reads it."""
         return (self.a,) * self.k + (self.b,)
 
+    @property
+    def matrix_free(self) -> bool:
+        """Whether Q is applied factor by factor rather than formed: from
+        _KRYLOV_MIN_N nodes on, where k products by A and one by B cost no
+        more than one dense product (Csr.matvec_cost counts both)."""
+        n = self.n
+        cost = self.k * self.a.csr.matvec_cost() + self.b.csr.matvec_cost()
+        return n >= _KRYLOV_MIN_N and cost <= n * n
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Q = B A^k as a dense array: the one place it is formed."""
+        return self.b.entries @ np.linalg.matrix_power(self.a.entries, self.k)
+
+    def matvec_kernel(self) -> Callable[..., np.ndarray]:
+        """x -> B (A (... A x)), k + 1 products by the factors' kernels."""
+        apply_a, apply_b = self.a.matvec_kernel(), self.b.matvec_kernel()
+
+        def apply(x, out=None):
+            for _ in range(self.k):
+                x = apply_a(x)
+            return apply_b(x, out=out)
+
+        return apply
+
+    def classes(self) -> SupportClasses:
+        """Q's closed classes: on the time-expanded graph of (B, A, ..., A)
+        when matrix_free, else of the formed Q. Cached on the model.
+
+        B comes first because the row index of B A^k walks through B first;
+        the phases taken the other way round classify A^k B, whose
+        transient nodes differ.
+        """
+        if self._classes is None:
+            if self.matrix_free:
+                classes = product_classes((self.b,) + (self.a,) * self.k)
+            else:
+                classes = TransitionMatrix.from_entries(self.entries).classes()
+            object.__setattr__(self, "_classes", classes)
+        return self._classes
+
 
 def switching_model(layer1: LayerGraph, layer2: LayerGraph, k: int) -> SwitchingModel:
-    """Layers, their matrices A and B, and the cycle B A^k; k = 0 is pure layer-2 dynamics."""
+    """Layers, their matrices A and B, and k; k = 0 is pure layer-2 dynamics."""
     if layer1.n != layer2.n:
         raise ValueError(f"layers have different node counts: {layer1.n} vs {layer2.n}")
     if k < 0:
         raise ValueError(f"steps per cycle k must be >= 0, got {k}")
-    a = transition_matrix(layer1)
-    b = transition_matrix(layer2)
-    cycle = TransitionMatrix.from_entries(b.entries @ np.linalg.matrix_power(a.entries, k))
-    return SwitchingModel(layer1=layer1, layer2=layer2, a=a, b=b, k=k, cycle=cycle)
+    return SwitchingModel(
+        layer1=layer1, layer2=layer2, a=transition_matrix(layer1), b=transition_matrix(layer2), k=k
+    )
+
+
+def _stationary_matrix_free(model: SwitchingModel) -> StationaryDistribution | None:
+    """pi of Q by left power iteration, Q never formed.
+
+    A layer's y D^-1 W is (W (y / d))' since W is symmetric, so each left
+    product by a factor is one product by the layer's weights.
+    """
+    apply_a, apply_b = model.layer1.csr.matvec_kernel(), model.layer2.csr.matvec_kernel()
+    d_a, d_b = model.layer1.degrees, model.layer2.degrees
+
+    def left(y: np.ndarray) -> np.ndarray:
+        y = apply_b(y / d_b)
+        for _ in range(model.k):
+            y = apply_a(y / d_a)
+        return y
+
+    return stationary_power(left, np.full(model.n, 1.0 / model.n), _KRYLOV_MAX_STEPS)
 
 
 @dataclass(frozen=True)
 class SwitchingOutcome:
     """Where the switching dynamics goes, read off the cycle's closed classes.
 
-    period is that of the cycle's one closed class, None if it has several.
-    On consensus (period 1) pi and value are set.
+    period is that of the cycle's one closed class, None if it has several;
+    transient counts the nodes in no closed class. On consensus (period 1)
+    pi and value are set.
 
     rho_star >= slem_cycle - 1e-9 whenever both layers are reversible and
     primitive; it can exceed 1, in which case the bound is vacuous but the
@@ -80,6 +168,7 @@ class SwitchingOutcome:
     value: float | None
     period: int | None
     closed_classes: int
+    transient: int
     slem_cycle: float
     rho_star: float
 
@@ -118,17 +207,24 @@ def analyze(model: SwitchingModel, x0: np.ndarray) -> SwitchingOutcome:
     """Decide consensus, oscillation or disagreement exactly, from the cycle's support.
 
     Consensus lands on pi . x0 with pi the cycle's stationary distribution.
+    A matrix-free model is solved as itself; any other forms Q once.
     """
-    x = check_opinions(x0, model.layer1.n)
-    classes = support_classes(model.cycle)
+    x = check_opinions(x0, model.n)
+    cycle = model if model.matrix_free else TransitionMatrix.from_entries(model.entries)
+    classes = cycle.classes()
     period = classes.periods[0] if len(classes.periods) == 1 else None
-    pi = stationary_general(model.cycle) if period == 1 else None
+    pi = None
+    if period == 1:
+        pi = _stationary_matrix_free(model) if cycle is model else None
+        if pi is None:
+            pi = stationary_general(cycle)
     return SwitchingOutcome(
         pi=pi,
         value=None if pi is None else consensus_value(pi, x),
         period=period,
         closed_classes=len(classes.periods),
-        slem_cycle=eig_moduli_nonsymmetric(model.cycle).slem,
+        transient=classes.transient,
+        slem_cycle=eig_moduli_nonsymmetric(cycle).slem,
         rho_star=rho_star(model),
     )
 

@@ -108,7 +108,7 @@ def run_examples_suite() -> list[CheckResult]:
     # Oscillating pair: exact cycle product, period-2 limits, oscillation verdict.
     osc1, osc2 = fixtures.oscillating_pair()
     model = switching_model(osc1, osc2, k=1)
-    cycle_err = np.abs(model.cycle.entries - OSCILLATING_CYCLE).max()
+    cycle_err = np.abs(model.entries - OSCILLATING_CYCLE).max()
     results.append(
         _check("oscillating/cycle-matrix", cycle_err <= 1e-12, f"max err {cycle_err:.2e}")
     )
@@ -117,7 +117,7 @@ def run_examples_suite() -> list[CheckResult]:
         _check("oscillating/status", outcome.status == "oscillation", outcome.status)
     )
     if outcome.period == 2:
-        even, odd = period_limits(model.cycle.entries, outcome.period)
+        even, odd = period_limits(model.entries, outcome.period)
         even_err = np.abs(even - OSCILLATING_EVEN_LIMIT).max()
         odd_err = np.abs(odd - OSCILLATING_ODD_LIMIT).max()
         results.append(
@@ -203,7 +203,7 @@ def run_examples_suite() -> list[CheckResult]:
     pi_a = stationary_from_degrees(tri1).pi
     pi_b = stationary_from_degrees(tri2).pi
     tri_model = switching_model(tri1, tri2, k=1)
-    pi_cycle = stationary_general(tri_model.cycle).pi
+    pi_cycle = stationary_general(tri_model).pi
     pis_ok = (
         np.abs(pi_a - TRIANGLE_PI_A).max() <= 1e-10
         and np.abs(pi_b - TRIANGLE_PI_B).max() <= 1e-10
@@ -345,7 +345,7 @@ def run_bounds_suite(n_instances: int = 200, seed: int = BOUNDS_SUITE_SEED) -> l
         for k in range(6):
             s_model = switching_model(layer1, layer2, k)
             star = rho_star(s_model)
-            slem_cycle = eig_moduli_nonsymmetric(s_model.cycle).slem
+            slem_cycle = eig_moduli_nonsymmetric(s_model).slem
             if not product_rate_checks(slem_cycle, star)["slem-under-rho-star"]:
                 fail(
                     "bounds/product-rate",

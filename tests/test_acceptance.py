@@ -43,11 +43,11 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_oscillating_product_and_limits():
     start = time.perf_counter()
     model = switching_model(*oscillating_pair(), k=1)
-    cycle_err = np.abs(model.cycle.entries - OSCILLATING_CYCLE).max()
+    cycle_err = np.abs(model.entries - OSCILLATING_CYCLE).max()
     outcome = analyze(model, np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
     even_err = odd_err = np.inf
     if outcome.period == 2:
-        even, odd = period_limits(model.cycle.entries, outcome.period)
+        even, odd = period_limits(model.entries, outcome.period)
         even_err = np.abs(even - OSCILLATING_EVEN_LIMIT).max()
         odd_err = np.abs(odd - OSCILLATING_ODD_LIMIT).max()
     elapsed = time.perf_counter() - start
@@ -114,7 +114,7 @@ def test_criterion_4_non_interpolating_stationary():
     layer1, layer2 = triangle_pair()
     pi_a = stationary_from_degrees(layer1).pi
     pi_b = stationary_from_degrees(layer2).pi
-    pi_cycle = stationary_general(switching_model(layer1, layer2, 1).cycle).pi
+    pi_cycle = stationary_general(switching_model(layer1, layer2, 1)).pi
     err = max(
         np.abs(pi_a - [1 / 3, 1 / 3, 1 / 3]).max(),
         np.abs(pi_b - [3 / 8, 3 / 8, 1 / 4]).max(),

@@ -301,6 +301,7 @@ class TestAnalyzeCommand:
         assert report["status"] == "consensus"
         assert 0.0 <= report["consensus"] <= 1.0
         assert "period" not in report and "closed_classes" not in report
+        assert report["transient"] == 4
 
     def test_x0_from_file(self, tmp_path, capsys):
         x0_file = tmp_path / "x0.txt"

@@ -449,12 +449,18 @@ class TestConfigHash:
 
 @pytest.mark.parametrize(
     "model",
-    [{"kind": "merged", "alphas": [0.25, 0.5]}, {"kind": "single"}],
-    ids=["merged", "single"],
+    [
+        {"kind": "merged", "alphas": [0.25, 0.5]},
+        {"kind": "single"},
+        {"kind": "switching", "ks": [0, 1]},
+    ],
+    ids=["merged", "single", "switching"],
 )
 def test_large_sweeps_hold_no_dense_layer(model, monkeypatch):
     # From the Krylov crossover on, a sweep whose spectra need no dense
-    # hand-back reads every layer and operator from its CSR only.
+    # hand-back reads every layer and operator from its CSR only. The
+    # switching ks are those whose cycle B A^k is applied factor by factor
+    # (SwitchingModel.matrix_free), never formed.
     from oplex.netcore import Csr
 
     sizes = []

@@ -66,7 +66,7 @@ class TestSimulate:
     def test_switching_period_composes_to_cycle(self):
         model = switching_model(*triangle_pair(), k=3)
         traj = simulate(model.schedule, X0, t_max=4)
-        assert np.abs(traj.final_state - model.cycle.entries @ X0).max() <= 1e-14
+        assert np.abs(traj.final_state - model.entries @ X0).max() <= 1e-14
 
     def test_rejects_empty_schedule(self):
         with pytest.raises(ValueError, match="at least one matrix"):
@@ -296,7 +296,7 @@ class TestFitRate:
         traj = simulate(model.schedule, X0, pi=outcome.pi)
         per_cycle = traj.errors_max[::2]
         rate = fit_rate(per_cycle[2:], floor=1e-13)
-        slem = eig_moduli_nonsymmetric(model.cycle).slem
+        slem = eig_moduli_nonsymmetric(model).slem
         assert rate <= slem + 1e-6
 
     def test_rejects_short_series(self):

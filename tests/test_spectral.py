@@ -171,10 +171,10 @@ class TestExactSlemOne:
         assert slem_reversible(two_triangles).slem == 1.0
 
     def test_cycles_that_are_not_sia(self):
-        oscillating = switching_model(*oscillating_pair(), k=1).cycle
+        oscillating = switching_model(*oscillating_pair(), k=1)
         ring = build_layer(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
         matching = build_layer(4, [(0, 2, 1), (1, 3, 1)])
-        two_classes = switching_model(ring, matching, k=0).cycle
+        two_classes = switching_model(ring, matching, k=0)
         assert eig_moduli_nonsymmetric(oscillating).slem == 1.0
         assert eig_moduli_nonsymmetric(two_classes).slem == 1.0
 
@@ -252,9 +252,9 @@ def hubs_and_random(n, seed):
     return merge(ba, er, 0.5).merged_layer
 
 
-def ring_plus_chords_cycle(n, k, seed):
-    """B A^k for two layers, each the ring circulant(1) plus n random chords;
-    layer 2's edges carry integer weights 1..4."""
+def ring_plus_chords_model(n, k, seed):
+    """Switching model on two layers, each the ring circulant(1) plus n
+    random chords; layer 2's edges carry integer weights 1..4."""
     rng = np.random.default_rng(seed)
     layers = []
     for weighted in (False, True):
@@ -266,7 +266,12 @@ def ring_plus_chords_cycle(n, k, seed):
             classes = np.triu(rng.integers(1, 5, size=(n, n)))
             w *= classes + np.triu(classes, 1).T
         layers.append(LayerGraph.from_weights(w))
-    return switching_model(*layers, k).cycle
+    return switching_model(*layers, k)
+
+
+def ring_plus_chords_cycle(n, k, seed):
+    """B A^k of ring_plus_chords_model, formed."""
+    return TransitionMatrix.from_entries(ring_plus_chords_model(n, k, seed).entries)
 
 
 def dense_cycle_slem(m):
@@ -355,11 +360,12 @@ class TestKrylov:
         rings=st.tuples(*[st.sampled_from([(), (1,), (1, 2)])] * 2),
     )
     def test_arnoldi_matches_dense_eigvals(self, n, k, seed, density, rings):
-        # switching cycles called below the crossover; even rings give
-        # periodic or reducible cycles, slow rings the hand-back to eigvals
+        # switching cycles, applied factor by factor, called below the
+        # crossover; even rings give periodic or reducible cycles, slow
+        # rings the hand-back to eigvals
         rng = np.random.default_rng(seed)
         layer1, layer2 = (denser_layer(rng, n, density, ring) for ring in rings)
-        cycle = switching_model(layer1, layer2, k).cycle
+        cycle = switching_model(layer1, layer2, k)
         slem = _slem_arnoldi(cycle)
         dense = dense_cycle_slem(cycle)
         if slem is None:
@@ -391,7 +397,8 @@ class TestKrylov:
         n = 2 * _KRYLOV_MIN_N
         layer1 = generate(GeneratorSpec(kind="circulant", n=n, offsets=(1,)))
         layer2 = generate(GeneratorSpec(kind="circulant", n=n, offsets=(1, 3)))
-        cycle = switching_model(layer1, layer2, 1).cycle
+        cycle = switching_model(layer1, layer2, 1)
+        assert cycle.matrix_free
         assert eig_moduli_nonsymmetric(cycle).slem == pytest.approx(1.0, abs=1e-12)
 
     def test_arnoldi_rejects_non_stochastic(self):

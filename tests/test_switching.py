@@ -1,18 +1,26 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_spectral import ring_plus_chords_model
 
+from oplex import switching
 from oplex.fixtures import oscillating_pair, sia_pair, triangle_pair
-from oplex.netcore import GeneratorSpec, LayerGraph, generate
-from oplex.spectral import eig_moduli_nonsymmetric, slem_reversible
+from oplex.netcore import GeneratorSpec, LayerGraph, build_layer, generate
+from oplex.spectral import _KRYLOV_MIN_N, eig_moduli_nonsymmetric, slem_reversible
 from oplex.stochastic import (
     NotPrimitiveError,
+    SupportClasses,
     TransitionMatrix,
+    product_classes,
     stationary_general,
+    support_classes,
     transition_matrix,
 )
 from oplex.switching import (
+    SwitchingModel,
     analyze,
     k_stability_sweep,
     rho_star,
@@ -46,25 +54,25 @@ class TestSchedule:
 class TestCycleMatrix:
     def test_triangle_pair_k1(self):
         model = switching_model(*triangle_pair(), k=1)
-        assert np.abs(model.cycle.entries - TRIANGLE_CYCLE).max() <= 1e-15
+        assert np.abs(model.entries - TRIANGLE_CYCLE).max() <= 1e-15
 
     def test_k0_is_layer2_matrix(self):
         layer1, layer2 = triangle_pair()
         model = switching_model(layer1, layer2, k=0)
         assert np.abs(
-            model.cycle.entries - transition_matrix(layer2).entries
+            model.entries - transition_matrix(layer2).entries
         ).max() <= 1e-15
 
     def test_oscillating_pair_first_row(self):
         model = switching_model(*oscillating_pair(), k=1)
-        assert np.array_equal(model.cycle.entries[0], [0, 0, 0, 1, 0])
+        assert np.array_equal(model.entries[0], [0, 0, 0, 1, 0])
 
     def test_cycle_is_product(self):
         layer1, layer2 = triangle_pair()
         model = switching_model(layer1, layer2, k=3)
         a = transition_matrix(layer1).entries
         b = transition_matrix(layer2).entries
-        assert np.abs(model.cycle.entries - b @ np.linalg.matrix_power(a, 3)).max() <= 1e-12
+        assert np.abs(model.entries - b @ np.linalg.matrix_power(a, 3)).max() <= 1e-12
 
 
 class TestAnalyze:
@@ -73,7 +81,7 @@ class TestAnalyze:
         outcome = analyze(model, X0_FIVE)
         assert outcome.status == "oscillation"
         assert outcome.period == 2 and outcome.closed_classes == 1
-        limits = period_limits(model.cycle.entries, outcome.period)
+        limits = period_limits(model.entries, outcome.period)
         assert np.abs(limits[0] - limits[1]).max() > 0.5
         assert outcome.slem_cycle == pytest.approx(1.0, abs=1e-10)
 
@@ -164,7 +172,7 @@ def test_analyze_matches_brute_force_limit(pair):
     model = switching_model(layer1, layer2, k)
     x0 = np.linspace(0.0, 1.0, layer1.n)
     outcome = analyze(model, x0)
-    limit, period, classes = _brute_force_limit(model.cycle.entries)
+    limit, period, classes = _brute_force_limit(model.entries)
     assert outcome.closed_classes == classes
     if classes > 1:
         assert outcome.status == "disagreement" and outcome.period is None
@@ -176,12 +184,121 @@ def test_analyze_matches_brute_force_limit(pair):
         assert np.abs(limit - outcome.pi.pi).max() <= 1e-9
 
 
+@st.composite
+def shaped_pair(draw):
+    """Two layers on 2..8 nodes with weights 1..4, and k in 0..4. Each layer
+    is random, bipartite (edges only between even and odd nodes) or split
+    (no edge between the two halves), so cycles come out periodic and
+    reducible as well as primitive; an isolated node is tied to a neighbor
+    in index order."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    i, j = np.triu_indices(n, k=1)
+    allowed = {
+        "random": np.ones(i.shape, dtype=bool),
+        "bipartite": (j - i) % 2 == 1,
+        "split": (i < n // 2) == (j < n // 2),
+    }
+    layers = []
+    for _ in range(2):
+        shape = draw(st.sampled_from(sorted(allowed)))
+        weights = draw(st.lists(st.integers(0, 4), min_size=i.shape[0], max_size=i.shape[0]))
+        w = np.zeros((n, n))
+        w[i, j] = np.where(allowed[shape], weights, 0)
+        w += w.T
+        for v in np.flatnonzero(w.sum(axis=1) == 0):
+            u = v + 1 if v + 1 < n else v - 1
+            w[u, v] = w[v, u] = 1.0
+        layers.append(LayerGraph.from_weights(w))
+    return layers[0], layers[1], draw(st.integers(min_value=0, max_value=4))
+
+
+@given(shaped_pair())
+@settings(max_examples=300, deadline=None)
+def test_matrix_free_verdict_matches_the_formed_cycle(pair):
+    # The matrix-free path, forced at any n, against the support of B A^k formed.
+    layer1, layer2, k = pair
+    model = switching_model(layer1, layer2, k)
+    x0 = np.linspace(0.0, 1.0, model.n)
+    with mock.patch.object(SwitchingModel, "matrix_free", True):
+        outcome = analyze(model, x0)
+    formed = TransitionMatrix.from_entries(model.entries)
+    classes = support_classes(formed)
+    assert outcome.period == (classes.periods[0] if len(classes.periods) == 1 else None)
+    assert outcome.closed_classes == len(classes.periods)
+    assert outcome.transient == classes.transient
+    assert (outcome.status == "consensus") == classes.converges
+    if classes.converges:
+        assert np.abs(outcome.pi.pi - stationary_general(formed).pi).max() <= 1e-10
+
+
+def test_phase_order_decides_the_transient_nodes():
+    # A is the path 0-1-2, B the triangle. In B A node 1 is absorbing and
+    # 0 and 2 are transient; A B keeps {0, 2} closed and only 1 is transient.
+    path = build_layer(3, [(0, 1, 1), (1, 2, 1)])
+    triangle = build_layer(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
+    model = switching_model(path, triangle, 1)
+    assert product_classes((model.b, model.a)) == SupportClasses(periods=(1,), transient=2)
+    assert product_classes((model.a, model.b)) == SupportClasses(periods=(1,), transient=1)
+    with mock.patch.object(SwitchingModel, "matrix_free", True):
+        outcome = analyze(model, np.array([0.1, 0.6, 0.9]))
+    assert outcome.transient == 2 and outcome.value == pytest.approx(0.6, abs=1e-12)
+
+
+class TestMatrixFreeCycle:
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_agrees_with_the_formed_cycle(self, k):
+        model = ring_plus_chords_model(600, k, 3)
+        assert model.matrix_free
+        x0 = np.random.default_rng(k).random(model.n)
+        outcome = analyze(model, x0)
+        formed = TransitionMatrix.from_entries(model.entries)
+        pi = stationary_general(formed).pi
+        assert outcome.status == "consensus" and outcome.transient == 0
+        assert np.abs(outcome.pi.pi - pi).max() <= 1e-12
+        assert outcome.value == pytest.approx(pi @ x0, abs=1e-12)
+        assert abs(outcome.slem_cycle - eig_moduli_nonsymmetric(formed).slem) <= 1e-10
+
+    def test_slow_mixing_pi_hands_back_to_the_dense_solve(self, monkeypatch):
+        # B A on two rings of the same pattern, the second with weights 1..4,
+        # mixes so slowly that the power iteration spends its step budget.
+        n = _KRYLOV_MIN_N
+        ring = generate(GeneratorSpec(kind="circulant", n=n, offsets=(1, 2)))
+        weights = np.random.default_rng(0).integers(1, 5, size=ring.csr.nnz // 2)
+        tails = np.concatenate([np.arange(n), np.arange(n)])
+        heads = np.concatenate([(np.arange(n) + 1) % n, (np.arange(n) + 2) % n])
+        model = switching_model(ring, LayerGraph.from_edges(n, tails, heads, weights), 1)
+        assert model.matrix_free
+        power, solved = [], []
+        iterate, solve = switching.stationary_power, switching.stationary_general
+        monkeypatch.setattr(
+            switching, "stationary_power", lambda *args: power.append(iterate(*args)) or power[-1]
+        )
+        monkeypatch.setattr(switching, "stationary_general", lambda m: solved.append(m) or solve(m))
+        outcome = analyze(model, np.linspace(0.0, 1.0, model.n))
+        assert power == [None] and solved == [model]
+        formed = TransitionMatrix.from_entries(model.entries)
+        assert np.abs(outcome.pi.pi - stationary_general(formed).pi).max() <= 1e-12
+
+    def test_large_k_forms_the_cycle(self, monkeypatch):
+        # 64 products by A cost more than one dense product: no lifted graph.
+        model = ring_plus_chords_model(_KRYLOV_MIN_N, 64, 3)
+        assert not model.matrix_free
+
+        def lifted(factors):
+            raise AssertionError("lifted graph built")
+
+        monkeypatch.setattr(switching, "product_classes", lifted)
+        outcome = analyze(model, np.linspace(0.0, 1.0, model.n))
+        assert outcome.status == "consensus"
+        assert model.classes() == SupportClasses(periods=(1,), transient=0)
+
+
 class TestRhoStar:
     def test_triangle_pair_k1(self):
         model = switching_model(*triangle_pair(), k=1)
         # rho2(B)=2/3, rho2(A)=1/2, max d1/d2 = 1/2, max d2/d1 = 3
         assert rho_star(model) == pytest.approx(0.5, abs=1e-12)
-        assert eig_moduli_nonsymmetric(model.cycle).slem <= rho_star(model)
+        assert eig_moduli_nonsymmetric(model).slem <= rho_star(model)
 
     def test_identical_regular_layers(self):
         layer = generate(GeneratorSpec(kind="k-regular", n=30, k=4, seed=3))
@@ -205,7 +322,7 @@ class TestRhoStar:
             layer1, layer2 = random_layer(rng, n), random_layer(rng, n)
             for k in range(4):
                 model = switching_model(layer1, layer2, k)
-                slem = eig_moduli_nonsymmetric(model.cycle).slem
+                slem = eig_moduli_nonsymmetric(model).slem
                 assert slem <= rho_star(model) + 1e-9
 
 
@@ -222,10 +339,10 @@ class TestSpectralProperties:
     def test_cycle_decay_envelope(self):
         # ||Q^n - 1 pi'||_max <= 4 c rho^n with c fitted at n = 1
         model = switching_model(*triangle_pair(), k=1)
-        pi = stationary_general(model.cycle).pi
+        pi = stationary_general(model).pi
         limit = np.outer(np.ones(3), pi)
-        rho = eig_moduli_nonsymmetric(model.cycle).slem
-        q = model.cycle.entries
+        rho = eig_moduli_nonsymmetric(model).slem
+        q = model.entries
         c = np.abs(q - limit).max() / rho
         power = q.copy()
         # additive slack covers rounding accumulated over 50 matrix products
@@ -235,11 +352,11 @@ class TestSpectralProperties:
 
     def test_interleaving_contraction(self):
         model = switching_model(*triangle_pair(), k=3)
-        pi = stationary_general(model.cycle).pi
+        pi = stationary_general(model).pi
         limit = np.outer(np.ones(3), pi)
         a = model.a.entries
         for n in (1, 2, 5):
-            residual = np.linalg.matrix_power(model.cycle.entries, n) - limit
+            residual = np.linalg.matrix_power(model.entries, n) - limit
             base = np.abs(residual).max()
             for r in range(1, model.k + 1):
                 mixed = np.linalg.matrix_power(a, r) @ residual
@@ -251,7 +368,7 @@ class TestSpectralProperties:
 
         pi_a = stationary_from_degrees(layer1).pi
         pi_b = stationary_from_degrees(layer2).pi
-        pi_cycle = stationary_general(switching_model(layer1, layer2, 1).cycle).pi
+        pi_cycle = stationary_general(switching_model(layer1, layer2, 1)).pi
         for p, a, b in zip(pi_cycle, pi_a, pi_b):
             assert p < min(a, b) or p > max(a, b)
 
