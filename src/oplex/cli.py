@@ -140,7 +140,7 @@ def _cmd_analyze(args) -> tuple[int, str]:
             report["closed_classes"] = outcome.closed_classes
         report["transient"] = outcome.transient
         if args.dump:
-            report["cycle"] = model.entries.tolist()
+            report["cycle"] = model.formed().entries.tolist()
             report["layer1_transition"] = model.a.entries.tolist()
             report["layer2_transition"] = model.b.entries.tolist()
     checks = outcome.checks()

@@ -245,8 +245,9 @@ def slem_reversible(layer: LayerGraph) -> SpectralSummary:
 def eig_moduli_nonsymmetric(m: TransitionMatrix | SwitchingModel) -> SpectralSummary:
     """SLEM of a general stochastic matrix, such as a switching cycle B A^k.
 
-    m is a TransitionMatrix, or a switching model standing for its cycle:
-    either offers n, matvec_kernel(), entries and classes(). Arnoldi with the
+    m is a TransitionMatrix, or a matrix-free switching model standing for
+    its cycle (SwitchingModel.operator() hands out either): both offer n,
+    matvec_kernel(), entries and classes(). Arnoldi with the
     constant vector deflated from _KRYLOV_MIN_N nodes on, through
     matvec_kernel(), which applies a matrix-free cycle factor by factor.
     Below that and wherever Arnoldi gives up, the dense Schur-form solver

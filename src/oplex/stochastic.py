@@ -7,20 +7,17 @@ distribution is pi_i = d_i / (2|E|), and consensus lands on pi . x(0).
 Matrices arising as products (switching cycles) keep none of that structure
 and get generic solvers instead: a dense solve on the formed product, or,
 for a product held as its factors, a classification on the time-expanded
-graph (product_classes) and a left power iteration (stationary_power).
+graph (product_classes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .netcore import Csr, LayerGraph, require_no_isolated
-
-if TYPE_CHECKING:
-    from .switching import SwitchingModel
 
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_RESIDUAL_TOL = 1e-12
@@ -37,10 +34,10 @@ class TransitionMatrix:
     from_entries checks a dense array and renormalizes it; a row sum off by
     more than 1e-12 signals an upstream bug and is rejected rather than
     rescaled. transition_matrix reads a layer. entries is the dense matrix,
-    built on each use, for the dense solvers. entries, matvec_kernel() and
-    classes() are what the general solvers (stationary_general,
-    spectral.eig_moduli_nonsymmetric) read, and a switching model offers the
-    same three for its cycle.
+    built on each use, for the dense solvers. matvec_kernel() and classes()
+    are what spectral.eig_moduli_nonsymmetric reads, with entries on its
+    dense fallback, and a matrix-free switching model offers the same three
+    for its cycle (SwitchingModel.operator()).
     """
 
     csr: Csr
@@ -235,14 +232,14 @@ def stationary_from_degrees(layer: LayerGraph) -> StationaryDistribution:
     return StationaryDistribution(pi=layer.degrees / (2.0 * layer.total_edge_weight))
 
 
-def stationary_general(m: TransitionMatrix | SwitchingModel) -> StationaryDistribution:
+def stationary_general(m: TransitionMatrix) -> StationaryDistribution:
     """Left fixed vector of an SIA matrix, normalized to sum 1.
 
     Dense linear solve of pi (M - I) = 0 with one equation replaced by
     sum(pi) = 1, then a residual check. The fixed vector is unique, so the
     solve is exact. Intended for nonreversible products where the degree
-    formula does not apply, such as a switching model's cycle; rejects input
-    that is not SIA.
+    formula does not apply, such as a switching model's formed cycle
+    (SwitchingModel.formed); rejects input that is not SIA.
     """
     if not m.classes().converges:
         raise NotPrimitiveError("matrix reaches no consensus (not SIA)")
@@ -260,30 +257,6 @@ def stationary_general(m: TransitionMatrix | SwitchingModel) -> StationaryDistri
             f"stationary solve residual {residual:.3e} exceeds {_STATIONARY_RESIDUAL_TOL}"
         )
     return StationaryDistribution(pi=np.abs(v))
-
-
-def stationary_power(
-    left: Callable[[np.ndarray], np.ndarray], start: np.ndarray, steps: int
-) -> StationaryDistribution | None:
-    """Left fixed vector of an SIA matrix M by power iteration, y <- y M.
-
-    left(y) returns the row vector y M, so M is never formed. From start, a
-    probability vector, the error contracts by M's SLEM per product. Once
-    the residual max |y M - y| passes the check of stationary_general, the
-    iteration goes on while it still falls, down to rounding, and returns
-    the iterate of least residual. None if no iterate passes within `steps`
-    products, for the dense solve to take over.
-    """
-    y, best = start, None
-    for _ in range(steps):
-        z = left(y)
-        residual = np.abs(z - y).max()
-        if best is not None and residual >= best[0]:
-            break
-        if residual <= _STATIONARY_RESIDUAL_TOL:
-            best = (residual, y)
-        y = z / z.sum()
-    return None if best is None else StationaryDistribution(pi=best[1])
 
 
 def check_opinions(x0: np.ndarray, n: int | None = None) -> np.ndarray:

@@ -11,13 +11,13 @@ rho2(B A^k), itself bounded by rho_star = rho2(B) rho2(A)^k times the two
 degree-ratio alignment factors.
 
 Q is applied factor by factor and never formed where that is cheaper: from
-_KRYLOV_MIN_N nodes on, while k products by A and one by B cost no more
-than one dense product. Its support is then classified on the
-time-expanded graph (stochastic.product_classes), its stationary vector
+_KRYLOV_MIN_N nodes on, while k products by A and one by B cost at most
+_MATRIX_FREE_MAX_COST dense products. Its support is then classified on
+the time-expanded graph (stochastic.product_classes), its stationary vector
 comes from a left power iteration on the layers' weights and its SLEM from
-Arnoldi on the composed product. Smaller or denser cycles, and huge k, form
-Q densely (SwitchingModel.entries) and take the dense solvers, as do the
-matrix-free ones where their iteration gives up.
+Arnoldi on the composed product. Smaller cycles and longer ones form Q
+densely (SwitchingModel.formed) and take the dense solvers, as do the
+matrix-free ones where the power iteration gives up.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .spectral import (
     slem_reversible,
 )
 from .stochastic import (
+    _STATIONARY_RESIDUAL_TOL,
     NotPrimitiveError,
     StationaryDistribution,
     SupportClasses,
@@ -46,21 +47,26 @@ from .stochastic import (
     layer_consensus,
     product_classes,
     stationary_general,
-    stationary_power,
     transition_matrix,
 )
 
 _K_RATIO_SLACK = 1.05
+# The matrix-free path costs (k + 1) products per Krylov or power step and a
+# lifted search whose levels grow with k; the formed one about log2(k) dense
+# matrix products plus a dense solve. Timing analyze both ways on pairs of
+# rings with n random chords, at n = 500, 600 and 1000 on one BLAS thread,
+# puts the break-even where k cost(A) + cost(B) is about 14 to 15 dense
+# products at each n (BENCH_14.json, "crossover"); the bound stays below.
+_MATRIX_FREE_MAX_COST = 12
 
 
 @dataclass(frozen=True)
 class SwitchingModel:
     """The two layers, their transition matrices A and B, and k.
 
-    The model stands for its cycle Q = B A^k wherever a solver takes a
-    matrix: n, entries (Q as a dense array, built on each use),
-    matvec_kernel() and classes() are Q's, as a TransitionMatrix offers
-    them. _classes caches classes().
+    operator() is the cycle Q = B A^k as the solvers take it: the model
+    itself where matrix_free, whose n, matvec_kernel() and classes() are
+    Q's, else formed(), Q formed once. _classes and _formed cache them.
     """
 
     layer1: LayerGraph
@@ -69,6 +75,7 @@ class SwitchingModel:
     b: TransitionMatrix
     k: int
     _classes: SupportClasses | None = field(default=None, init=False, repr=False, compare=False)
+    _formed: TransitionMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -83,16 +90,27 @@ class SwitchingModel:
     @property
     def matrix_free(self) -> bool:
         """Whether Q is applied factor by factor rather than formed: from
-        _KRYLOV_MIN_N nodes on, where k products by A and one by B cost no
-        more than one dense product (Csr.matvec_cost counts both)."""
+        _KRYLOV_MIN_N nodes on, where k products by A and one by B cost at
+        most _MATRIX_FREE_MAX_COST dense products (Csr.matvec_cost counts
+        both)."""
         n = self.n
         cost = self.k * self.a.csr.matvec_cost() + self.b.csr.matvec_cost()
-        return n >= _KRYLOV_MIN_N and cost <= n * n
+        return n >= _KRYLOV_MIN_N and cost <= _MATRIX_FREE_MAX_COST * n * n
+
+    def operator(self) -> TransitionMatrix | SwitchingModel:
+        """Q for the solvers: the model where matrix_free, else formed()."""
+        return self if self.matrix_free else self.formed()
 
     @property
     def entries(self) -> np.ndarray:
         """Q = B A^k as a dense array: the one place it is formed."""
         return self.b.entries @ np.linalg.matrix_power(self.a.entries, self.k)
+
+    def formed(self) -> TransitionMatrix:
+        """Q formed, built on first use and cached on the model."""
+        if self._formed is None:
+            object.__setattr__(self, "_formed", TransitionMatrix.from_entries(self.entries))
+        return self._formed
 
     def matvec_kernel(self) -> Callable[..., np.ndarray]:
         """x -> B (A (... A x)), k + 1 products by the factors' kernels."""
@@ -106,19 +124,15 @@ class SwitchingModel:
         return apply
 
     def classes(self) -> SupportClasses:
-        """Q's closed classes: on the time-expanded graph of (B, A, ..., A)
-        when matrix_free, else of the formed Q. Cached on the model.
+        """Q's closed classes on the time-expanded graph of (B, A, ..., A),
+        cached on the model.
 
         B comes first because the row index of B A^k walks through B first;
         the phases taken the other way round classify A^k B, whose
         transient nodes differ.
         """
         if self._classes is None:
-            if self.matrix_free:
-                classes = product_classes((self.b,) + (self.a,) * self.k)
-            else:
-                classes = TransitionMatrix.from_entries(self.entries).classes()
-            object.__setattr__(self, "_classes", classes)
+            object.__setattr__(self, "_classes", product_classes((self.b,) + (self.a,) * self.k))
         return self._classes
 
 
@@ -134,21 +148,30 @@ def switching_model(layer1: LayerGraph, layer2: LayerGraph, k: int) -> Switching
 
 
 def _stationary_matrix_free(model: SwitchingModel) -> StationaryDistribution | None:
-    """pi of Q by left power iteration, Q never formed.
+    """pi of Q by left power iteration y <- y Q from the uniform vector, Q
+    never formed.
 
     A layer's y D^-1 W is (W (y / d))' since W is symmetric, so each left
-    product by a factor is one product by the layer's weights.
+    product by a factor is one product by the layer's weights. The iterate
+    is taken once the residual max |y Q - y| has passed the check of
+    stationary_general and stopped falling, at rounding. None if
+    _KRYLOV_MAX_STEPS cycles end first, for the dense solve to take over.
     """
     apply_a, apply_b = model.layer1.csr.matvec_kernel(), model.layer2.csr.matvec_kernel()
     d_a, d_b = model.layer1.degrees, model.layer2.degrees
-
-    def left(y: np.ndarray) -> np.ndarray:
-        y = apply_b(y / d_b)
+    y = np.full(model.n, 1.0 / model.n)
+    least, best = np.inf, y
+    for _ in range(_KRYLOV_MAX_STEPS):
+        z = apply_b(y / d_b)
         for _ in range(model.k):
-            y = apply_a(y / d_a)
-        return y
-
-    return stationary_power(left, np.full(model.n, 1.0 / model.n), _KRYLOV_MAX_STEPS)
+            z = apply_a(z / d_a)
+        residual = np.abs(z - y).max()
+        if residual >= least and least <= _STATIONARY_RESIDUAL_TOL:
+            return StationaryDistribution(pi=best)
+        if residual < least:
+            least, best = residual, y
+        y = z / z.sum()
+    return None
 
 
 @dataclass(frozen=True)
@@ -207,16 +230,18 @@ def analyze(model: SwitchingModel, x0: np.ndarray) -> SwitchingOutcome:
     """Decide consensus, oscillation or disagreement exactly, from the cycle's support.
 
     Consensus lands on pi . x0 with pi the cycle's stationary distribution.
-    A matrix-free model is solved as itself; any other forms Q once.
+    Q is model.operator(), and the formed Q where the power iteration gives
+    up, so Q is formed at most once.
     """
     x = check_opinions(x0, model.n)
-    cycle = model if model.matrix_free else TransitionMatrix.from_entries(model.entries)
+    cycle = model.operator()
     classes = cycle.classes()
     period = classes.periods[0] if len(classes.periods) == 1 else None
     pi = None
     if period == 1:
         pi = _stationary_matrix_free(model) if cycle is model else None
         if pi is None:
+            cycle = model.formed()
             pi = stationary_general(cycle)
     return SwitchingOutcome(
         pi=pi,

@@ -203,7 +203,7 @@ def run_examples_suite() -> list[CheckResult]:
     pi_a = stationary_from_degrees(tri1).pi
     pi_b = stationary_from_degrees(tri2).pi
     tri_model = switching_model(tri1, tri2, k=1)
-    pi_cycle = stationary_general(tri_model).pi
+    pi_cycle = stationary_general(tri_model.formed()).pi
     pis_ok = (
         np.abs(pi_a - TRIANGLE_PI_A).max() <= 1e-10
         and np.abs(pi_b - TRIANGLE_PI_B).max() <= 1e-10
@@ -345,7 +345,7 @@ def run_bounds_suite(n_instances: int = 200, seed: int = BOUNDS_SUITE_SEED) -> l
         for k in range(6):
             s_model = switching_model(layer1, layer2, k)
             star = rho_star(s_model)
-            slem_cycle = eig_moduli_nonsymmetric(s_model).slem
+            slem_cycle = eig_moduli_nonsymmetric(s_model.operator()).slem
             if not product_rate_checks(slem_cycle, star)["slem-under-rho-star"]:
                 fail(
                     "bounds/product-rate",

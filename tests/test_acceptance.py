@@ -114,7 +114,7 @@ def test_criterion_4_non_interpolating_stationary():
     layer1, layer2 = triangle_pair()
     pi_a = stationary_from_degrees(layer1).pi
     pi_b = stationary_from_degrees(layer2).pi
-    pi_cycle = stationary_general(switching_model(layer1, layer2, 1)).pi
+    pi_cycle = stationary_general(switching_model(layer1, layer2, 1).formed()).pi
     err = max(
         np.abs(pi_a - [1 / 3, 1 / 3, 1 / 3]).max(),
         np.abs(pi_b - [3 / 8, 3 / 8, 1 / 4]).max(),

@@ -296,7 +296,7 @@ class TestFitRate:
         traj = simulate(model.schedule, X0, pi=outcome.pi)
         per_cycle = traj.errors_max[::2]
         rate = fit_rate(per_cycle[2:], floor=1e-13)
-        slem = eig_moduli_nonsymmetric(model).slem
+        slem = eig_moduli_nonsymmetric(model.operator()).slem
         assert rate <= slem + 1e-6
 
     def test_rejects_short_series(self):

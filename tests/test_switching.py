@@ -228,7 +228,7 @@ def test_matrix_free_verdict_matches_the_formed_cycle(pair):
     assert outcome.transient == classes.transient
     assert (outcome.status == "consensus") == classes.converges
     if classes.converges:
-        assert np.abs(outcome.pi.pi - stationary_general(formed).pi).max() <= 1e-10
+        assert np.abs(outcome.pi.pi - stationary_general(formed).pi).max() <= 1e-12
 
 
 def test_phase_order_decides_the_transient_nodes():
@@ -268,21 +268,29 @@ class TestMatrixFreeCycle:
         heads = np.concatenate([(np.arange(n) + 1) % n, (np.arange(n) + 2) % n])
         model = switching_model(ring, LayerGraph.from_edges(n, tails, heads, weights), 1)
         assert model.matrix_free
-        power, solved = [], []
-        iterate, solve = switching.stationary_power, switching.stationary_general
+        power, solved, formations = [], [], []
+        iterate, solve = switching._stationary_matrix_free, switching.stationary_general
+        entries = SwitchingModel.entries.fget
         monkeypatch.setattr(
-            switching, "stationary_power", lambda *args: power.append(iterate(*args)) or power[-1]
+            switching, "_stationary_matrix_free", lambda m: power.append(iterate(m)) or power[-1]
         )
         monkeypatch.setattr(switching, "stationary_general", lambda m: solved.append(m) or solve(m))
+        monkeypatch.setattr(
+            SwitchingModel, "entries", property(lambda m: formations.append(m) or entries(m))
+        )
         outcome = analyze(model, np.linspace(0.0, 1.0, model.n))
-        assert power == [None] and solved == [model]
-        formed = TransitionMatrix.from_entries(model.entries)
+        # B A^k is formed once, for the solve and the SLEM alike.
+        assert power == [None] and solved == [model.formed()] and formations == [model]
+        formed = TransitionMatrix.from_entries(entries(model))
         assert np.abs(outcome.pi.pi - stationary_general(formed).pi).max() <= 1e-12
+        assert abs(outcome.slem_cycle - eig_moduli_nonsymmetric(formed).slem) <= 1e-10
 
     def test_large_k_forms_the_cycle(self, monkeypatch):
-        # 64 products by A cost more than one dense product: no lifted graph.
+        # 64 products by A cost more than _MATRIX_FREE_MAX_COST dense
+        # products, 32 do not. At 64 no lifted graph is built.
+        assert ring_plus_chords_model(_KRYLOV_MIN_N, 32, 3).matrix_free
         model = ring_plus_chords_model(_KRYLOV_MIN_N, 64, 3)
-        assert not model.matrix_free
+        assert not model.matrix_free and model.operator() is model.formed()
 
         def lifted(factors):
             raise AssertionError("lifted graph built")
@@ -290,7 +298,7 @@ class TestMatrixFreeCycle:
         monkeypatch.setattr(switching, "product_classes", lifted)
         outcome = analyze(model, np.linspace(0.0, 1.0, model.n))
         assert outcome.status == "consensus"
-        assert model.classes() == SupportClasses(periods=(1,), transient=0)
+        assert model.formed().classes() == SupportClasses(periods=(1,), transient=0)
 
 
 class TestRhoStar:
@@ -298,7 +306,7 @@ class TestRhoStar:
         model = switching_model(*triangle_pair(), k=1)
         # rho2(B)=2/3, rho2(A)=1/2, max d1/d2 = 1/2, max d2/d1 = 3
         assert rho_star(model) == pytest.approx(0.5, abs=1e-12)
-        assert eig_moduli_nonsymmetric(model).slem <= rho_star(model)
+        assert eig_moduli_nonsymmetric(model.operator()).slem <= rho_star(model)
 
     def test_identical_regular_layers(self):
         layer = generate(GeneratorSpec(kind="k-regular", n=30, k=4, seed=3))
@@ -322,7 +330,7 @@ class TestRhoStar:
             layer1, layer2 = random_layer(rng, n), random_layer(rng, n)
             for k in range(4):
                 model = switching_model(layer1, layer2, k)
-                slem = eig_moduli_nonsymmetric(model).slem
+                slem = eig_moduli_nonsymmetric(model.operator()).slem
                 assert slem <= rho_star(model) + 1e-9
 
 
@@ -339,9 +347,9 @@ class TestSpectralProperties:
     def test_cycle_decay_envelope(self):
         # ||Q^n - 1 pi'||_max <= 4 c rho^n with c fitted at n = 1
         model = switching_model(*triangle_pair(), k=1)
-        pi = stationary_general(model).pi
+        pi = stationary_general(model.formed()).pi
         limit = np.outer(np.ones(3), pi)
-        rho = eig_moduli_nonsymmetric(model).slem
+        rho = eig_moduli_nonsymmetric(model.operator()).slem
         q = model.entries
         c = np.abs(q - limit).max() / rho
         power = q.copy()
@@ -352,7 +360,7 @@ class TestSpectralProperties:
 
     def test_interleaving_contraction(self):
         model = switching_model(*triangle_pair(), k=3)
-        pi = stationary_general(model).pi
+        pi = stationary_general(model.formed()).pi
         limit = np.outer(np.ones(3), pi)
         a = model.a.entries
         for n in (1, 2, 5):
@@ -368,7 +376,7 @@ class TestSpectralProperties:
 
         pi_a = stationary_from_degrees(layer1).pi
         pi_b = stationary_from_degrees(layer2).pi
-        pi_cycle = stationary_general(switching_model(layer1, layer2, 1)).pi
+        pi_cycle = stationary_general(switching_model(layer1, layer2, 1).formed()).pi
         for p, a, b in zip(pi_cycle, pi_a, pi_b):
             assert p < min(a, b) or p > max(a, b)
 
