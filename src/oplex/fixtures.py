@@ -4,8 +4,10 @@ These fixtures back the regression suite and the CLI's verify command:
 a pair whose switching cycle oscillates although both layers mix on their
 own, a pair whose reducible cycle still reaches consensus, a pair with
 misaligned degrees whose merged SLEM beats both layer SLEMs, two sparse
-cycles that merge into the complete graph, and a triangle pair whose cycle
-stationary distribution interpolates neither layer's.
+cycles that merge into the complete graph, a triangle pair whose cycle
+stationary distribution interpolates neither layer's, and a pair of
+non-primitive rings whose merge is primitive although switching never
+reaches consensus.
 """
 
 from __future__ import annotations
@@ -70,3 +72,16 @@ def triangle_pair() -> tuple[LayerGraph, LayerGraph]:
     layer2 = build_layer(3, [(0, 1, 2.0), (0, 2, 1.0), (1, 2, 1.0)])
     return layer1, layer2
 
+
+def induced_pair() -> tuple[LayerGraph, LayerGraph]:
+    """6-ring and two disjoint triangles: neither layer is primitive.
+
+    The ring circulant(6, [1]) is bipartite (period 2) and circulant(6, [2])
+    splits into the triangles {0, 2, 4} and {1, 3, 5}. Merging them gives a
+    connected graph with triangles, hence primitive C, while every cycle
+    B A^k keeps the parity classes apart: two closed classes at even k,
+    one class of period 2 at odd k.
+    """
+    layer1 = generate(GeneratorSpec(kind="circulant", n=6, offsets=(1,)))
+    layer2 = generate(GeneratorSpec(kind="circulant", n=6, offsets=(2,)))
+    return layer1, layer2

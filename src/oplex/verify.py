@@ -1,6 +1,6 @@
 """Regression and property suites shared by the CLI and the test suite.
 
-Three suites: "examples" replays the five hand-built fixtures against
+Three suites: "examples" replays the six hand-built fixtures against
 frozen expected values; "bounds" samples random layer pairs and checks the
 consensus interval, the SLEM bounds, the product-rate bound, and the
 geometric decay law; "perturbation" checks the exact stationary-shift
@@ -22,6 +22,7 @@ from .simlab import decay_check, simulate
 from .spectral import eig_moduli_nonsymmetric, slem_reversible
 from .stochastic import (
     TransitionMatrix,
+    is_primitive,
     stationary_from_degrees,
     stationary_general,
     transition_matrix,
@@ -92,6 +93,10 @@ MISALIGNED_SLEMS = {"merged": 0.6928, "layer1": 0.6839, "layer2": 0.5338}
 TRIANGLE_PI_A = np.array([1 / 3, 1 / 3, 1 / 3])
 TRIANGLE_PI_B = np.array([3 / 8, 3 / 8, 1 / 4])
 TRIANGLE_PI_CYCLE = np.array([3 / 10, 3 / 10, 2 / 5])
+
+INDUCED_ALPHAS = (0.25, 0.5, 0.75)
+# closed-class periods of B A^k, k = 0..5: the parity classes never merge
+INDUCED_PERIODS = [(1, 1), (2,), (1, 1), (2,), (1, 1), (2,)]
 
 
 def period_limits(q: np.ndarray, period: int) -> tuple[np.ndarray, ...]:
@@ -215,6 +220,30 @@ def run_examples_suite() -> list[CheckResult]:
         for p, a, b in zip(pi_cycle, pi_a, pi_b)
     )
     results.append(_check("triangle/non-interpolation", outside))
+
+    # Induced pair: neither layer is primitive, merging makes C primitive,
+    # switching never reaches consensus.
+    ind1, ind2 = fixtures.induced_pair()
+    layers_primitive = [is_primitive(transition_matrix(layer)) for layer in (ind1, ind2)]
+    merged_primitive = [is_primitive(merge(ind1, ind2, a).transition) for a in INDUCED_ALPHAS]
+    results.append(
+        _check(
+            "induced/merged-primitive",
+            not any(layers_primitive) and all(merged_primitive),
+            f"layers {layers_primitive}, merged {merged_primitive}",
+        )
+    )
+    periods = [
+        switching_model(ind1, ind2, k).operator().classes().periods
+        for k in range(len(INDUCED_PERIODS))
+    ]
+    results.append(
+        _check(
+            "induced/switching-no-consensus",
+            periods == INDUCED_PERIODS,
+            f"closed-class periods for k = 0..5: {periods}",
+        )
+    )
     return results
 
 
@@ -225,30 +254,39 @@ def run_examples_suite() -> list[CheckResult]:
 def random_layer(rng: np.random.Generator, n: int, dyadic: bool = False) -> LayerGraph:
     """Random connected layer containing a triangle, hence primitive.
 
-    Random attachment tree plus extra edges plus one forced triangle. With
-    dyadic=True all weights are multiples of 1/8 so degree arithmetic is
-    exact in floating point.
+    Random attachment tree (node v joins a uniform parent below it), plus
+    max(1, n // 2) uniform extra pairs, plus one forced triangle; a pair is
+    kept only if it is no self-loop and not yet joined, first draw wins.
+    Edge weights are i.i.d. uniform on [0.5, 2), or with dyadic=True uniform
+    on the multiples of 1/8 in [0.5, 4], so degree arithmetic is exact in
+    floating point.
+
+    The randomness comes in five array draws: tree parents, tree weights,
+    extra pairs, triangle, and one weight per extra or triangle candidate.
+    A weight drawn for a rejected candidate is dropped; since the weights
+    are i.i.d. and independent of the pairs, the kept ones are still i.i.d.,
+    so the family is the same as drawing one weight per kept edge. Only the
+    order in which the stream is consumed differs.
     """
-    w = np.zeros((n, n))
+    if n < 3:
+        raise ValueError(f"random_layer needs n >= 3 nodes for its triangle, got {n}")
 
-    def draw_weight() -> float:
+    def draw_weights(size: int) -> np.ndarray:
         if dyadic:
-            return float(rng.integers(4, 33)) / 8.0
-        return float(rng.uniform(0.5, 2.0))
+            return rng.integers(4, 33, size=size) / 8.0
+        return rng.uniform(0.5, 2.0, size=size)
 
-    for v in range(1, n):
-        u = int(rng.integers(0, v))
-        w[u, v] = w[v, u] = draw_weight()
+    w = np.zeros((n, n))
+    children = np.arange(1, n)
+    parents = rng.integers(0, children)
+    w[parents, children] = w[children, parents] = draw_weights(n - 1)
     extra = max(1, n // 2)
-    for _ in range(extra):
-        i, j = rng.integers(0, n, size=2)
+    pairs = rng.integers(0, n, size=(extra, 2)).tolist()
+    tri = rng.choice(n, size=3, replace=False).tolist()
+    pairs += [[tri[0], tri[1]], [tri[0], tri[2]], [tri[1], tri[2]]]
+    for (i, j), weight in zip(pairs, draw_weights(len(pairs)).tolist()):
         if i != j and w[i, j] == 0.0:
-            w[i, j] = w[j, i] = draw_weight()
-    tri = rng.choice(n, size=3, replace=False)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        a, b = int(tri[i]), int(tri[j])
-        if w[a, b] == 0.0:
-            w[a, b] = w[b, a] = draw_weight()
+            w[i, j] = w[j, i] = weight
     return LayerGraph.from_weights(w)
 
 
@@ -257,29 +295,39 @@ def degree_matched_pair(
 ) -> tuple[LayerGraph, LayerGraph]:
     """Layer pair with exactly equal weighted degree sequences.
 
-    The second layer is the first with weight shifted around random
-    4-cycles (+e on two opposite sides, -e on the other two), which leaves
-    every degree unchanged; dyadic weights keep the arithmetic exact.
+    The second layer is the first (a dyadic random_layer) with weight
+    shifted around random 4-cycles i-j-k-l (+e on ij and kl, -e on jk and
+    li), which leaves every degree unchanged; a cycle is taken only if jk
+    and li keep weight >= e, and at most n of 8n candidates land. Dyadic
+    weights keep the arithmetic exact.
+
+    The 8n candidates are drawn at once as the first four columns of
+    argsort of an 8n x n uniform array: each row's argsort is a uniform
+    random permutation, so its first four entries are a uniform ordered
+    4-tuple of distinct nodes, the law of choice(n, 4, replace=False). The
+    scan over them stays sequential, since each landed shift changes which
+    later candidates qualify.
     """
+    if n < 4:
+        raise ValueError(f"degree_matched_pair needs n >= 4 nodes for its 4-cycles, got {n}")
     layer1 = random_layer(rng, n, dyadic=True)
-    w = layer1.weights
+    quads = rng.random((8 * n, n)).argsort(axis=1)[:, :4].tolist()
+    w = layer1.weights.tolist()
     eps = 1.0 / 8.0
     shifts = 0
-    for _ in range(8 * n):
-        if shifts >= n:
-            break
-        nodes = rng.choice(n, size=4, replace=False)
-        i, j, k, l = (int(v) for v in nodes)
-        if w[j, k] >= 2 * eps and w[l, i] >= 2 * eps:
-            w[i, j] += eps
-            w[j, i] += eps
-            w[k, l] += eps
-            w[l, k] += eps
-            w[j, k] -= eps
-            w[k, j] -= eps
-            w[l, i] -= eps
-            w[i, l] -= eps
+    for i, j, k, l in quads:
+        if w[j][k] >= 2 * eps and w[l][i] >= 2 * eps:
+            w[i][j] += eps
+            w[j][i] += eps
+            w[k][l] += eps
+            w[l][k] += eps
+            w[j][k] -= eps
+            w[k][j] -= eps
+            w[l][i] -= eps
+            w[i][l] -= eps
             shifts += 1
+            if shifts >= n:
+                break
     return layer1, LayerGraph.from_weights(w)
 
 
