@@ -11,6 +11,8 @@ models combine layers by weight blending or by time switching.
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -343,11 +345,7 @@ def generate(spec: GeneratorSpec) -> LayerGraph:
     if spec.kind == "barabasi-albert":
         return _barabasi_albert(spec.n, spec.m, spec.seed)
     if spec.kind == "k-regular":
-        import networkx as nx  # only this generator needs it, and it is slow to import
-
-        g = nx.random_regular_graph(spec.k, spec.n, seed=spec.seed)
-        pairs = np.array(g.edges(), dtype=np.intp)
-        return LayerGraph.from_edges(spec.n, pairs[:, 0], pairs[:, 1], np.ones(len(pairs)))
+        return _k_regular(spec.n, spec.k, spec.seed)
     if spec.kind == "circulant":
         return _circulant(spec.n, spec.offsets, spec.weight)
     raise ValueError(f"unknown generator kind {spec.kind!r}")
@@ -396,6 +394,67 @@ def _barabasi_albert(n: int, m: int, seed: int) -> LayerGraph:
         deg[v] = float(m)
     ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     return LayerGraph.from_edges(n, ends[:, 0], ends[:, 1], np.ones(len(ends)))
+
+
+def _k_regular(n: int, k: int, seed: int) -> LayerGraph:
+    # The pairing's restarts explode as k nears n, so past k = (n - 1) / 2
+    # the layer is the complement of the (n - 1 - k)-regular graph drawn from
+    # the same seed, which is k-regular.
+    dense = 2 * k > n - 1
+    drawn = _random_regular_pairs(n, n - 1 - k if dense else k, seed)
+    pairs = np.array(list(drawn), dtype=np.intp).reshape(-1, 2)
+    if dense:
+        keep = np.triu(np.ones((n, n), dtype=bool), 1)
+        keep[pairs[:, 0], pairs[:, 1]] = False
+        pairs = np.argwhere(keep)
+    return LayerGraph.from_edges(n, pairs[:, 0], pairs[:, 1], np.ones(len(pairs)))
+
+
+def _random_regular_pairs(n: int, k: int, seed: int) -> set[tuple[int, int]]:
+    """The edges (i, j), i < j, of a random k-regular graph on n nodes.
+
+    The pairing algorithm of Steger and Wormald (Combin. Probab. Comput. 8,
+    1999) as networkx 3 writes it in random_regular_graph, drawing from
+    random.Random(seed) as networkx does for an integer seed, so a seed gives
+    networkx's graph. Each round shuffles the stubs (k per node) and pairs
+    them in order; a pair that is a loop or an existing edge returns its
+    stubs to the pool for the next round. When no two pooled nodes can be
+    joined, the draw starts over, continuing the stream.
+    """
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    stubs = list(range(n)) * k
+    while stubs:
+        pool: Counter[int] = Counter()  # returned stubs, in first-return order
+        rng.shuffle(stubs)
+        ends = iter(stubs)
+        for s1, s2 in zip(ends, ends):
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                pool.update((s1, s2))
+        if pool and not _can_join(edges, pool):
+            edges, stubs = set(), list(range(n)) * k
+        else:
+            stubs = list(pool.elements())
+    return edges
+
+
+def _can_join(edges: set[tuple[int, int]], pool: Counter[int]) -> bool:
+    # networkx's suitability test, verbatim. The swap rebinds the outer loop
+    # variable, so the pairs tried are not all pairs of pooled nodes; a test
+    # over all pairs now and then gives another verdict, and another graph.
+    for s1 in pool:
+        for s2 in pool:
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if (s1, s2) not in edges:
+                return True
+    return False
 
 
 def _circulant(n: int, offsets: Sequence[int], weight: float) -> LayerGraph:

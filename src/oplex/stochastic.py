@@ -264,8 +264,9 @@ def check_opinions(x0: np.ndarray, n: int | None = None) -> np.ndarray:
     x = np.asarray(x0, dtype=float)
     if n is not None and x.shape != (n,):
         raise ValueError(f"opinion vector has shape {x.shape}, expected ({n},)")
-    if (x < 0).any() or (x > 1).any():
-        bad = int(np.argmax((x < 0) | (x > 1)))
+    inside = (x >= 0) & (x <= 1)  # False for NaN too
+    if not inside.all():
+        bad = int(np.argmin(inside))
         raise ValueError(f"opinion x0[{bad}] = {x[bad]!r} outside [0, 1]")
     return x
 

@@ -392,6 +392,21 @@ class TestAnalyzeCommand:
         err = assert_bad_input(capsys, argv)
         assert f"{x0_file}: could not convert string to float: 'half'" in err
 
+    def test_x0_file_with_nan_exits_two(self, tmp_path, capsys):
+        x0_file = tmp_path / "x0.txt"
+        x0_file.write_text("nan 0.5 0.5 0.5 0.5 0.5 0.5 0.5")
+        argv = [
+            "analyze",
+            "--layer1", str(DATA / "contact_layer_a.txt"),
+            "--layer2", str(DATA / "contact_layer_b.txt"),
+            "--mode", "merged",
+            "--alpha", "0.5",
+            "--n", "8",
+            "--x0", str(x0_file),
+        ]
+        err = assert_bad_input(capsys, argv)
+        assert "x0[0]" in err and "outside [0, 1]" in err
+
     @pytest.mark.parametrize("line", ["2 0 inf", "1 2 nan"])
     def test_non_finite_weight_exits_two(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.txt"

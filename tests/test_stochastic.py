@@ -11,6 +11,7 @@ from oplex.stochastic import (
     StationaryDistribution,
     SupportClasses,
     TransitionMatrix,
+    check_opinions,
     consensus_value,
     is_primitive,
     stationary_from_degrees,
@@ -319,6 +320,11 @@ class TestNormsAndConsensus:
         pi = StationaryDistribution(pi=np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="outside"):
             consensus_value(pi, np.array([1.5, 0.0]))
+
+    def test_check_opinions_rejects_nan(self):
+        # NaN fails both x < 0 and x > 1, so only an inside test catches it.
+        with pytest.raises(ValueError, match=r"x0\[1\] = .*nan.* outside \[0, 1\]"):
+            check_opinions(np.array([0.5, np.nan, 0.2]))
 
     @given(
         st.lists(st.floats(min_value=0, max_value=1), min_size=2, max_size=10),
