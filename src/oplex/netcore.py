@@ -377,6 +377,27 @@ def _erdos_renyi(n: int, p: float, seed: int) -> LayerGraph:
     return LayerGraph.from_edges(n, rows, cols, np.ones(hit.shape[0]))
 
 
+def _choice_without_replacement(rng: np.random.Generator, p: np.ndarray, m: int) -> list[int]:
+    """rng.choice(len(p), m, replace=False, p=p) as a list, bit for bit.
+
+    The loop Generator.choice runs, without its checks on p, which must be
+    a probability vector with at least m positive entries: uniforms for the
+    entries still missing, the found entries' probabilities zeroed, inverse
+    CDF, first occurrences kept in draw order, until m are found. p is
+    overwritten.
+    """
+    found: list[int] = []
+    while len(found) < m:
+        x = rng.random(m - len(found))
+        p[found] = 0.0
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        for t in cdf.searchsorted(x, side="right").tolist():
+            if t not in found:
+                found.append(t)
+    return found
+
+
 def _barabasi_albert(n: int, m: int, seed: int) -> LayerGraph:
     # Seed graph is a clique on m+1 nodes; each later node attaches m edges
     # drawn proportionally to current degree, without replacement.
@@ -386,11 +407,9 @@ def _barabasi_albert(n: int, m: int, seed: int) -> LayerGraph:
     deg = np.zeros(n)
     deg[:clique] = clique - 1
     for v in range(clique, n):
-        probs = deg[:v] / deg[:v].sum()
-        targets = rng.choice(v, size=m, replace=False, p=probs)
-        for t in targets:
-            pairs.append((v, int(t)))
-            deg[t] += 1.0
+        targets = _choice_without_replacement(rng, deg[:v] / deg[:v].sum(), m)
+        pairs.extend((v, t) for t in targets)
+        deg[targets] += 1.0
         deg[v] = float(m)
     ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     return LayerGraph.from_edges(n, ends[:, 0], ends[:, 1], np.ones(len(ends)))

@@ -11,17 +11,22 @@ of S once the Perron vector sqrt(pi) is deflated:
 - below _KRYLOV_MIN_N nodes, the dense solver eigvalsh on S;
 - from _KRYLOV_MIN_N nodes on, Lanczos with full reorthogonalization on
   S, held on the layer's CSR pattern (Lanczos 1950; Parlett, The Symmetric
-  Eigenvalue Problem, 1980). A spectrum clustered near modulus 1 (a
-  slow-mixing ring) would take it many steps, so an early Ritz value near
-  1, or a spent step budget, hands the layer back to the dense solver.
+  Eigenvalue Problem, 1980). It stops on the eigenvalue error, not the
+  residual: an outer Ritz value with residual r and a gap to the rest of
+  the spectrum is within r^2 / gap of an eigenvalue (Kato-Temple), so a
+  wide gap lets it stop long before r reaches _KRYLOV_TOL. A spectrum
+  clustered near modulus 1 (a slow-mixing ring) would take it many steps,
+  so an early Ritz value near 1, or a spent step budget, hands the layer
+  back to the dense solver.
 
 Switching cycles Q = B A^k are genuinely nonreversible. Their SLEM is the
 largest eigenvalue modulus left once the constant vector is deflated
 (Q 1 = 1 for every stochastic Q): the general dense solver eigvals below
 _KRYLOV_MIN_N nodes, Arnoldi with full reorthogonalization from there
 (Arnoldi 1951; Saad, Numerical Methods for Large Eigenvalue Problems,
-2011), with the same hand-back to the dense solver. Lanczos and Arnoldi
-share one Krylov loop, which applies the operator through its
+2011), with the same hand-back to the dense solver. Arnoldi stops on the
+residual alone: for a nonnormal Q it bounds no eigenvalue error. Lanczos
+and Arnoldi share one Krylov loop, which applies the operator through its
 matvec_kernel: for a matrix, the CSR product or a dense one on matrices
 dense enough (Csr.matvec_kernel); for a cycle that the switching model
 applies matrix-free, k + 1 such products, one per factor, with Q never
@@ -52,13 +57,21 @@ _PERRON_TOL = 1e-10
 # crossover against eigvalsh on Barabasi-Albert and Erdos-Renyi layers and
 # their blends, one BLAS thread; Arnoldi beats eigvals from fewer nodes.
 _KRYLOV_MIN_N = 500
-# An outer Ritz value counts as converged once its residual |beta_j s_j|
-# is below this.
+# An outer Ritz value counts as converged once its residual |beta_j s_j| is
+# below this. This is the whole rule for Arnoldi, where a nonnormal Q makes
+# the residual no bound on the eigenvalue error, and the fallback for
+# Lanczos.
 _KRYLOV_TOL = 1e-12
-# Krylov steps between two Ritz checks: _KRYLOV_CHECK while the residual
-# has no trend yet, else as many as its decay predicts, up to
-# _KRYLOV_MAX_GAP. Each check is a dense eigh of the tridiagonal part of H
-# (Lanczos) or eig of H (Arnoldi).
+# Lanczos also accepts an outer Ritz value theta with residual r once
+# r^2 <= _EIG_TOL gap: an eigenvalue then lies within r^2 / gap of theta,
+# gap being theta's distance to the rest of the spectrum (Kato-Temple;
+# Parlett 1980, ch. 11). The gap is estimated as the distance to the next
+# Ritz value less that value's own residual.
+_EIG_TOL = 1e-14
+# Krylov steps between two Ritz checks: _KRYLOV_CHECK while the ratio of
+# residual to acceptance level has no trend yet, else as many as its decay
+# predicts to reach 1, up to _KRYLOV_MAX_GAP. Each check is a dense eigh of
+# the tridiagonal part of H (Lanczos) or eig of H (Arnoldi).
 _KRYLOV_CHECK = 8
 _KRYLOV_MAX_GAP = 32
 # Cap on Krylov steps; the dense solver takes over beyond it.
@@ -119,13 +132,37 @@ def _second_modulus(eigenvalues: np.ndarray) -> float:
     return float(min(moduli[1], 1.0)) if moduli.shape[0] > 1 else 0.0
 
 
-def _next_check_gap(last: tuple[int, float] | None, j: int, residual: float) -> int:
-    """Steps until the next Ritz check: where the residual's geometric decay
-    since the last check reaches _KRYLOV_TOL, within 1.._KRYLOV_MAX_GAP."""
-    if last is None or residual >= last[1]:
+def _lanczos_excess(theta: np.ndarray, residuals: np.ndarray) -> float:
+    """How far Lanczos is from accepting its outer Ritz values: the larger,
+    over the two ends of the spectrum, of residual / target. Accepted below 1.
+
+    theta holds the Ritz values in ascending order and residuals their
+    residuals |beta s_j|. At each end, gap = |theta_outer - theta_next| less
+    the next value's residual, and the target is sqrt(_EIG_TOL gap), the
+    residual at which the eigenvalue error bound r^2 / gap meets _EIG_TOL.
+    Where gap is not positive (a clustered or double extreme, or a single
+    Ritz value) the target is _KRYLOV_TOL. It is never below _KRYLOV_TOL, so
+    the residual rule still accepts wherever it did.
+    """
+    excess = 0.0
+    for outer, after in ((0, 1), (-1, -2)):
+        target = _KRYLOV_TOL
+        if theta.shape[0] > 1:
+            gap = abs(theta[outer] - theta[after]) - residuals[after]
+            if gap > 0:
+                target = max(target, np.sqrt(_EIG_TOL * gap))
+        excess = max(excess, residuals[outer] / target)
+    return float(excess)
+
+
+def _next_check_gap(last: tuple[int, float] | None, j: int, excess: float) -> int:
+    """Steps until the next Ritz check: where the geometric decay of the
+    residual / target ratio since the last check reaches 1, within
+    1.._KRYLOV_MAX_GAP."""
+    if last is None or excess >= last[1]:
         return _KRYLOV_CHECK
-    rate = np.log(last[1] / residual) / (j - last[0])
-    return int(np.clip(np.ceil(np.log(residual / _KRYLOV_TOL) / rate), 1, _KRYLOV_MAX_GAP))
+    rate = np.log(last[1] / excess) / (j - last[0])
+    return int(np.clip(np.ceil(np.log(excess) / rate), 1, _KRYLOV_MAX_GAP))
 
 
 def _slem_krylov(apply, u: np.ndarray, symmetric: bool) -> float | None:
@@ -139,10 +176,11 @@ def _slem_krylov(apply, u: np.ndarray, symmetric: bool) -> float | None:
     is nearly invariant, two keep it to rounding (Giraud, Langou and
     Rozloznik 2005). The coefficients fill the Hessenberg H. A symmetric
     operator makes H tridiagonal (Lanczos): its Ritz values come from eigh
-    and both extremes must converge. Otherwise (Arnoldi) they come from eig
-    and the one of largest modulus must converge. Returns None, for a dense
-    solver to take over, when the spectrum is clustered near modulus 1 or
-    the step budget runs out.
+    and both extremes must converge, to the eigenvalue error that
+    _lanczos_excess bounds. Otherwise (Arnoldi) they come from eig and the
+    one of largest modulus must reach residual _KRYLOV_TOL. Returns None,
+    for a dense solver to take over, when the spectrum is clustered near
+    modulus 1 or the step budget runs out.
     """
     n = u.shape[0]
     steps = min(_KRYLOV_MAX_STEPS, n - 1)
@@ -168,18 +206,19 @@ def _slem_krylov(apply, u: np.ndarray, symmetric: bool) -> float | None:
             if symmetric:
                 # eigh reads the lower triangle: H's diagonal and subdiagonal
                 theta, s = np.linalg.eigh(hess[:j, :j])
-                outer = [0, -1]
+                top = max(abs(theta[0]), abs(theta[-1]))
+                excess = _lanczos_excess(theta, beta * np.abs(s[-1]))
             else:
                 theta, s = np.linalg.eig(hess[:j, :j])
-                outer = [int(np.argmax(np.abs(theta)))]
-            top = np.abs(theta[outer]).max()
-            residual = beta * np.abs(s[-1, outer]).max()
-            if residual < _KRYLOV_TOL:
+                outer = int(np.argmax(np.abs(theta)))
+                top = abs(theta[outer])
+                excess = beta * abs(s[-1, outer]) / _KRYLOV_TOL
+            if excess < 1.0:
                 return float(min(top, 1.0))
             if j >= _KRYLOV_PROBE and top >= _KRYLOV_NEAR_ONE:
                 return None
-            check = j + _next_check_gap(last, j, residual)
-            last = (j, residual)
+            check = j + _next_check_gap(last, j, excess)
+            last = (j, excess)
         if j + 1 == len(basis):
             # grow by doubling: a run holds only about the rows it uses
             more = min(len(basis), steps + 2 - len(basis))

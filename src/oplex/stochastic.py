@@ -267,7 +267,7 @@ def check_opinions(x0: np.ndarray, n: int | None = None) -> np.ndarray:
     inside = (x >= 0) & (x <= 1)  # False for NaN too
     if not inside.all():
         bad = int(np.argmin(inside))
-        raise ValueError(f"opinion x0[{bad}] = {x[bad]!r} outside [0, 1]")
+        raise ValueError(f"opinion x0[{bad}] = {float(x[bad])!r} outside [0, 1]")
     return x
 
 

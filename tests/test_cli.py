@@ -405,7 +405,8 @@ class TestAnalyzeCommand:
             "--x0", str(x0_file),
         ]
         err = assert_bad_input(capsys, argv)
-        assert "x0[0]" in err and "outside [0, 1]" in err
+        assert "x0[0] = nan outside [0, 1]" in err
+        assert "np.float64" not in err
 
     @pytest.mark.parametrize("line", ["2 0 inf", "1 2 nan"])
     def test_non_finite_weight_exits_two(self, tmp_path, capsys, line):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oplex.netcore import (
@@ -12,6 +12,7 @@ from oplex.netcore import (
     EdgeListError,
     GeneratorSpec,
     LayerGraph,
+    _choice_without_replacement,
     build_layer,
     generate,
     load_edge_list,
@@ -133,6 +134,27 @@ class TestGenerators:
         # each attached node brings m new edges; the seed clique has m+1 nodes
         assert layer.total_edge_weight == pytest.approx(3 * 4 / 2 + 3 * (50 - 4))
         assert layer.degrees.min() >= 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.integers(1, 50).map(float), st.floats(1e-3, 1e3)),
+            min_size=2,
+            max_size=40,
+        ),
+        m=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_choice_without_replacement_is_generators_draw(self, weights, m, seed):
+        # the Barabasi-Albert draw against Generator.choice itself: the same
+        # picks in the same order, and the stream left in the same state
+        w = np.array(weights)
+        assume(np.count_nonzero(w) >= m)
+        p = w / w.sum()
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = numpys.choice(p.shape[0], size=m, replace=False, p=p).tolist()
+        assert _choice_without_replacement(ours, p.copy(), m) == expected
+        assert ours.random() == numpys.random()
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
@@ -267,6 +289,32 @@ PINNED_GENERATORS = {
     "ba-1000-s2": (
         dict(kind="barabasi-albert", n=1000, m=5, seed=2),
         "8fc477542260a9af6113ab2aaf1e7e6797635101c43776a7b3d11f48e8efc6fb",
+    ),
+    # m close to n: most nodes redraw some targets, so these pin the
+    # duplicate-retry path of the without-replacement draw
+    "ba-12-m6-s1": (
+        dict(kind="barabasi-albert", n=12, m=6, seed=1),
+        "9c32c9e2cb132fb1f1252658d9de823b740756faf016f44d099379a3b0d2a81f",
+    ),
+    "ba-12-m6-s2": (
+        dict(kind="barabasi-albert", n=12, m=6, seed=2),
+        "9cf140b4991df6f7b1959f6b8c28eba9feb1a034a7aaefb70605c62f404c60e0",
+    ),
+    "ba-20-m10-s1": (
+        dict(kind="barabasi-albert", n=20, m=10, seed=1),
+        "3405a255c56afb3a066b264203cec9c302bf8cb94d66e8af8b712bd7aa05e1a4",
+    ),
+    "ba-20-m10-s2": (
+        dict(kind="barabasi-albert", n=20, m=10, seed=2),
+        "347f2415aba6c4e647804b94cfcad86c4bed32b74513270f8a08838db920bdae",
+    ),
+    "ba-30-m5-s1": (
+        dict(kind="barabasi-albert", n=30, m=5, seed=1),
+        "df95da726badad6a79bc40357c4c5ea4c0e6b5b7700ba8cecf070cba017e3a0b",
+    ),
+    "ba-30-m5-s2": (
+        dict(kind="barabasi-albert", n=30, m=5, seed=2),
+        "1b569e5d080dbb8017c8584489a87921ad18deb700342557ed942df24aa93f32",
     ),
     "circulant-1000": (
         dict(kind="circulant", n=1000, offsets=[1, 2], weight=1.0),

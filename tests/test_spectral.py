@@ -12,12 +12,16 @@ from oplex.fixtures import (
     oscillating_pair,
     triangle_pair,
 )
+from oplex import spectral
 from oplex.merged import merge
 from oplex.netcore import Csr, GeneratorSpec, IsolatedNodeError, LayerGraph, build_layer, generate
 from oplex.spectral import (
+    _EIG_TOL,
     _KRYLOV_MIN_N,
     _KRYLOV_NEAR_ONE,
+    _KRYLOV_TOL,
     SLEM_SLACK,
+    _lanczos_excess,
     _slem_arnoldi,
     _slem_lanczos,
     eig_moduli_nonsymmetric,
@@ -386,6 +390,33 @@ class TestKrylov:
                 for slem in (_slem_lanczos(ring), _slem_arnoldi(transition_matrix(ring))):
                     assert slem == pytest.approx(closed_form, abs=1e-11)
 
+    # Operator applications Lanczos took on the five solves of
+    # test_hubs_and_blends_stop_on_the_eigenvalue_error when it stopped only
+    # at residual < _KRYLOV_TOL: 151, 137, 125, 136 and 132 steps.
+    RESIDUAL_RULE_APPLICATIONS = 681
+
+    def test_hubs_and_blends_stop_on_the_eigenvalue_error(self, monkeypatch):
+        # the shape of the merged-hubs sweep: BA(1000, 5), ER(1000, 0.01) and
+        # their blends, whose outer gaps (about 2e-3 to 1e-2) let the
+        # eigenvalue error rule stop well before the residual reaches 1e-12
+        applications = []
+        krylov = spectral._slem_krylov
+
+        def counted(apply, u, symmetric):
+            def counted_apply(x):
+                applications.append(1)
+                return apply(x)
+
+            return krylov(counted_apply, u, symmetric)
+
+        monkeypatch.setattr(spectral, "_slem_krylov", counted)
+        ba = generate(GeneratorSpec(kind="barabasi-albert", n=1000, m=5, seed=1))
+        er = generate(GeneratorSpec(kind="erdos-renyi", n=1000, p=0.01, seed=2))
+        layers = [ba, er] + [merge(ba, er, alpha).merged_layer for alpha in (0.25, 0.5, 0.75)]
+        for layer in layers:
+            assert abs(_slem_lanczos(layer) - dense_slem(layer)) <= 1e-12
+        assert len(applications) < self.RESIDUAL_RULE_APPLICATIONS
+
     def test_ring_plus_chords_cycle_takes_arnoldi(self):
         cycle = ring_plus_chords_cycle(600, 2, 3)
         summary = eig_moduli_nonsymmetric(cycle)
@@ -434,3 +465,44 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
             [sys.executable, "-c", script], capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+
+class TestLanczosStopRule:
+    def test_wide_gap_accepts_at_the_eigenvalue_error(self):
+        theta = np.array([-0.2, 0.1, 0.5, 0.9])
+        gap = 0.4 - 1e-3  # top value less the next one, less its residual
+        target = np.sqrt(_EIG_TOL * gap)
+        for top_residual, accepted in ((0.9 * target, True), (1.1 * target, False)):
+            residuals = np.array([0.0, 0.0, 1e-3, top_residual])
+            excess = _lanczos_excess(theta, residuals)
+            assert (excess < 1.0) == accepted
+            assert excess == pytest.approx(top_residual / target)
+
+    @pytest.mark.parametrize(
+        "theta, next_residual",
+        [([-0.5, -0.5, 0.2, 0.9], 0.0), ([-0.5, -0.4999, 0.2, 0.9], 1e-3), ([0.3], 0.0)],
+        ids=["double-extreme", "negative-gap", "single-ritz-value"],
+    )
+    def test_no_positive_gap_falls_back_to_the_residual_rule(self, theta, next_residual):
+        theta = np.array(theta)
+        for low_residual, accepted in ((0.9 * _KRYLOV_TOL, True), (1.1 * _KRYLOV_TOL, False)):
+            residuals = np.zeros(theta.shape)
+            residuals[0] = low_residual
+            if theta.shape[0] > 1:
+                residuals[1] = next_residual
+            excess = _lanczos_excess(theta, residuals)
+            assert (excess < 1.0) == accepted
+            assert excess == pytest.approx(low_residual / _KRYLOV_TOL)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        theta=st.lists(st.floats(-1, 1), min_size=1, max_size=12),
+        residuals=st.lists(st.floats(0, 1e-3), min_size=12, max_size=12),
+    )
+    def test_never_later_than_the_residual_rule(self, theta, residuals):
+        # the residual rule stays as an alternative: whatever the gaps, an
+        # outer residual below _KRYLOV_TOL at both ends is accepted
+        theta = np.sort(np.array(theta))
+        residuals = np.array(residuals[: theta.shape[0]])
+        outer = max(residuals[0], residuals[-1])
+        assert _lanczos_excess(theta, residuals) <= outer / _KRYLOV_TOL
