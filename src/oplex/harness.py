@@ -343,6 +343,7 @@ def _merged_model(layers, alpha, x0) -> _GridModel:
 
 def _switching_model(layers, k, x0) -> _GridModel:
     model = switching_model(layers[0], layers[1], k)
+    schedule = model.schedule
     outcome = analyze_switching(model, x0)
     columns = dict(
         slem=outcome.slem_cycle,
@@ -354,12 +355,12 @@ def _switching_model(layers, k, x0) -> _GridModel:
     return _GridModel(
         columns,
         outcome.checks(),
-        model.schedule,
+        schedule,
         pi=outcome.pi,
         # The proved per-cycle decay bound is rho_star; the cycle SLEM is the
         # asymptotic rate but a finite-window fit may land slightly above it.
         rate_bound=outcome.rho_star,
-        rate_errors=lambda traj: traj.errors_max[:: k + 1][2:],
+        rate_errors=lambda traj: traj.errors_max[:: len(schedule)][2:],
     )
 
 

@@ -5,14 +5,16 @@ matrices and records the error against the consensus pi . x(0) in both the
 pi-weighted and max norms. Each matvec is a call of the matrix's
 Csr.matvec_kernel: a CSR product for a sparse layer, a dense one where that
 is cheaper (small or dense matrices). It steps in blocks: a block of
-matvecs goes into a preallocated buffer, and the stall test and both error
-norms are then taken on the whole block at once. The matvecs are the same
-ones in the same order as one step at a time, and the run is cut at
-exactly the step where the stall rule fires, so every result is
-bit-for-bit that of plain stepping. The only extra work is the matvecs of
-the last block past that step, at most as many as the steps taken and at
-most a few ms whatever n is. decay_check() pins the error series against the geometric bound
-rho^t (pi-norm) and its max-norm corollary with the explicit constant
+matvecs goes into a buffer allocated once, at the block cap, and the stall
+test and both error norms are then taken on the whole block at once. A
+block may end inside a period, so the buffer is bounded whatever the
+period is. The matvecs are the same ones in the same order as one step at
+a time, and the run is cut at exactly the step where the stall rule fires,
+so every result is bit-for-bit that of plain stepping. The only extra work
+is the matvecs of the last block past that step, at most as many as the
+steps taken and at most a few ms whatever n is.
+decay_check() pins the error series against the geometric bound rho^t
+(pi-norm) and its max-norm corollary with the explicit constant
 1/sqrt(pi_min). fit_rate() recovers the empirical geometric rate of a
 positive error series by least squares on the logs.
 """
@@ -33,8 +35,8 @@ DEFAULT_T_MAX = 10**6
 # as the run so far (so short runs waste at most what they use), costs at
 # most _BLOCK_WORK dense multiply-adds as Csr.matvec_cost counts them (a few
 # ms at one BLAS thread) and buffers at most _BLOCK_CELLS opinions (256 kB;
-# with the block's temporaries a few times that, well inside the cache). The
-# buffer grows with the blocks, so a short run allocates only what it uses.
+# with the block's temporaries a few times that, well inside the cache).
+# The bound holds for any period: a block may end inside one.
 _BLOCK_WORK = 2**22
 _BLOCK_CELLS = 2**15
 
@@ -73,11 +75,11 @@ def simulate(
     error norms against the consensus pi . x0 are recorded at every step.
     The full state history is kept only with record_states.
 
-    Steps run in blocks; the first holds one period, and each later one at
-    most as many steps as already taken, capped by _BLOCK_WORK and
-    _BLOCK_CELLS. The stop step and every recorded value are those of
-    stepping one at a time; only the matvecs past the stop step in the last
-    block are extra work.
+    Steps run in blocks; the first holds one period, up to the cap, and
+    each later one at most as many steps as already taken, up to the cap
+    that _BLOCK_WORK and _BLOCK_CELLS set. The stop step and every
+    recorded value are those of stepping one at a time; only the matvecs
+    past the stop step in the last block are extra work.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
@@ -98,8 +100,8 @@ def simulate(
 
     n = x.shape[0]
     work = max(m.csr.matvec_cost() for m in distinct)
-    cap = max(period, min(_BLOCK_WORK // max(work, 1), _BLOCK_CELLS // max(n, 1)))
-    buf = np.empty((1, n))
+    cap = max(1, min(_BLOCK_WORK // max(work, 1), _BLOCK_CELLS // max(n, 1)))
+    buf = np.empty((cap + 1, n))
     buf[0] = x
     states = [buf[:1].copy()] if record_states else None
     errors = [_error_norms(buf[:1], target, pi.pi)] if track_errors else None
@@ -108,8 +110,6 @@ def simulate(
     steps = 0
     while steps < t_max:
         block = min(max(period, steps), cap, t_max - steps)
-        if block >= buf.shape[0]:  # the buffer grows with the blocks
-            buf = np.concatenate((buf[:1], np.empty((block, n))))
         for i in range(1, block + 1):
             kernels[(steps + i - 1) % period](buf[i - 1], out=buf[i])
         change = buf[1 : block + 1] - buf[:block]

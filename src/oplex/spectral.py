@@ -184,7 +184,7 @@ def _slem_krylov(apply, u: np.ndarray, symmetric: bool) -> float | None:
     """
     n = u.shape[0]
     steps = min(_KRYLOV_MAX_STEPS, n - 1)
-    basis = np.empty((min(_KRYLOV_PROBE, steps) + 2, n))
+    basis = np.empty((steps + 2, n))
     basis[0] = u
     # a fixed start vector, so reruns are bit-for-bit identical
     start = np.random.default_rng(0).standard_normal(n)
@@ -219,10 +219,6 @@ def _slem_krylov(apply, u: np.ndarray, symmetric: bool) -> float | None:
                 return None
             check = j + _next_check_gap(last, j, excess)
             last = (j, excess)
-        if j + 1 == len(basis):
-            # grow by doubling: a run holds only about the rows it uses
-            more = min(len(basis), steps + 2 - len(basis))
-            basis = np.concatenate([basis, np.empty((more, n))])
         basis[j + 1] = r / beta
     return None
 

@@ -83,8 +83,8 @@ class SwitchingModel:
 
     @property
     def schedule(self) -> tuple[TransitionMatrix, ...]:
-        """One period: k steps on A, then one on B; built on each use, as
-        only a simulation reads it."""
+        """One period: k steps on A, then one on B; built on each use, for a
+        simulation and, reversed, for classes()."""
         return (self.a,) * self.k + (self.b,)
 
     @property
@@ -125,14 +125,14 @@ class SwitchingModel:
 
     def classes(self) -> SupportClasses:
         """Q's closed classes on the time-expanded graph of (B, A, ..., A),
-        cached on the model.
+        the schedule reversed, cached on the model.
 
         B comes first because the row index of B A^k walks through B first;
         the phases taken the other way round classify A^k B, whose
         transient nodes differ.
         """
         if self._classes is None:
-            object.__setattr__(self, "_classes", product_classes((self.b,) + (self.a,) * self.k))
+            object.__setattr__(self, "_classes", product_classes(self.schedule[::-1]))
         return self._classes
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,10 +233,11 @@ class TestBlockedStepping:
         assert traj.steps > 100
 
 
-    @pytest.mark.parametrize("period", [1, 3])
+    @pytest.mark.parametrize("period", [1, 3, 200])
     def test_matches_stepwise_on_sparse_rings(self, period):
         # Rings of 300 nodes lie above the dense/CSR crossover, so every
-        # step here is a CSR product.
+        # step here is a CSR product. The block cap is 109 steps here, so
+        # at period 200 every block is shorter than a period.
         n = 300
         rings = [
             transition_matrix(generate(GeneratorSpec(kind="circulant", n=n, offsets=offsets)))
@@ -246,6 +249,24 @@ class TestBlockedStepping:
         pi = StationaryDistribution(np.full(n, 1.0 / n))
         traj = assert_matches_stepwise(schedule, x0, 3000, 1e-6, pi, True)
         assert traj.steps > 100
+
+    def test_memory_bounded_when_the_period_exceeds_the_cap(self):
+        # A period of 3001 steps on 1000-node rings: the buffer holds one
+        # capped block (32 steps of 1000 opinions, 256 kB), not a period.
+        rings = [
+            generate(GeneratorSpec(kind="circulant", n=1000, offsets=offsets))
+            for offsets in ((1, 2), (1, 3))
+        ]
+        schedule = switching_model(*rings, k=3000).schedule
+        x0 = np.random.default_rng(0).random(1000)
+        tracemalloc.start()
+        try:
+            traj = simulate(schedule, x0, t_max=6000, record_states=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.steps == 6000
+        assert peak < 4 * 2**20
 
 
 class TestDecayCheck:
