@@ -28,13 +28,13 @@ _KRYLOV_MIN_N nodes, Arnoldi with full reorthogonalization from there
 residual alone: for a nonnormal Q it bounds no eigenvalue error. Lanczos
 and Arnoldi share one Krylov loop, which applies the operator through its
 matvec_kernel: for a matrix, the CSR product or a dense one on matrices
-dense enough (Csr.matvec_kernel); for a cycle that the switching model
-applies matrix-free, k + 1 such products, one per factor, with Q never
-formed. Ties at modulus 1 mean the chain is not primitive and the SLEM is
-1. A solver lands within rounding of 1 there, so a SLEM within SLEM_SLACK
-of 1 is settled by the support classification: it is exactly 1 for a layer
-that is not primitive or a product that is not SIA.
-slem_reversible caches a layer's summary on the layer.
+dense enough (Csr.matvec_kernel); for a switching model, its cycle's.
+Ties at modulus 1 mean the chain is not primitive and the SLEM is 1. A
+solver lands within rounding of 1 there, so a SLEM within SLEM_SLACK of 1
+is settled by the support classification: it is exactly 1 for a layer
+that is not primitive or a product that is not SIA. A layer that Lanczos
+hands back is classified before any dense solve. slem_reversible caches a
+layer's summary on the layer.
 """
 
 from __future__ import annotations
@@ -257,15 +257,18 @@ def slem_reversible(layer: LayerGraph) -> SpectralSummary:
     """SLEM of a layer's transition matrix via its symmetrization.
 
     Lanczos from _KRYLOV_MIN_N nodes on, the dense symmetric solver below
-    that and wherever Lanczos gives up. Exactly 1 if the layer is not
-    primitive. Computed on first use and cached on the layer: sweeps reuse
-    the same two layers at every grid point, and the cache lives and dies
-    with the layer object.
+    that and wherever Lanczos gives up on a primitive layer. Exactly 1 if
+    the layer is not primitive. Computed on first use and cached on the
+    layer: sweeps reuse the same two layers at every grid point, and the
+    cache lives and dies with the layer object.
     """
     if layer._spectrum is not None:
         return layer._spectrum
-    slem = _slem_lanczos(layer) if layer.n >= _KRYLOV_MIN_N else None
-    method = "lanczos"
+    slem, method = None, "lanczos"
+    if layer.n >= _KRYLOV_MIN_N:
+        slem = _slem_lanczos(layer)
+        if slem is None and not is_primitive(transition_matrix(layer)):
+            slem = 1.0
     if slem is None:
         s = symmetrize(layer)
         _perron_vector(layer, lambda x: s @ x)
@@ -280,11 +283,10 @@ def slem_reversible(layer: LayerGraph) -> SpectralSummary:
 def eig_moduli_nonsymmetric(m: TransitionMatrix | SwitchingModel) -> SpectralSummary:
     """SLEM of a general stochastic matrix, such as a switching cycle B A^k.
 
-    m is a TransitionMatrix, or a matrix-free switching model standing for
-    its cycle (SwitchingModel.operator() hands out either): both offer n,
-    matvec_kernel(), entries and classes(). Arnoldi with the
-    constant vector deflated from _KRYLOV_MIN_N nodes on, through
-    matvec_kernel(), which applies a matrix-free cycle factor by factor.
+    m is a TransitionMatrix or a switching model, which answers for its
+    cycle: both offer n, matvec_kernel(), entries and classes(). Arnoldi
+    with the constant vector deflated from _KRYLOV_MIN_N nodes on, through
+    matvec_kernel().
     Below that and wherever Arnoldi gives up, the dense Schur-form solver
     (Hessenberg reduction plus shifted QR) on entries for all eigenvalues;
     complex pairs contribute their common modulus. Non-convergence is

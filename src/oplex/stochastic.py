@@ -36,8 +36,8 @@ class TransitionMatrix:
     rescaled. transition_matrix reads a layer. entries is the dense matrix,
     built on each use, for the dense solvers. matvec_kernel() and classes()
     are what spectral.eig_moduli_nonsymmetric reads, with entries on its
-    dense fallback, and a matrix-free switching model offers the same three
-    for its cycle (SwitchingModel.operator()).
+    dense fallback, and a switching model offers the same three for its
+    cycle.
     """
 
     csr: Csr

@@ -15,9 +15,9 @@ _KRYLOV_MIN_N nodes on, while k products by A and one by B cost at most
 _MATRIX_FREE_MAX_COST dense products. Its support is then classified on
 the time-expanded graph (stochastic.product_classes), its stationary vector
 comes from a left power iteration on the layers' weights and its SLEM from
-Arnoldi on the composed product. Smaller cycles and longer ones form Q
-densely (SwitchingModel.formed) and take the dense solvers, as do the
-matrix-free ones where the power iteration gives up.
+Arnoldi on the composed product. Smaller cycles and longer ones are formed
+once (SwitchingModel.formed), as are those whose power iteration gives up.
+A cycle that is not SIA has SLEM exactly 1 and takes no solver.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ _MATRIX_FREE_MAX_COST = 12
 class SwitchingModel:
     """The two layers, their transition matrices A and B, and k.
 
-    operator() is the cycle Q = B A^k as the solvers take it: the model
-    itself where matrix_free, whose n, matvec_kernel() and classes() are
-    Q's, else formed(), Q formed once. _classes and _formed cache them.
+    It answers for the cycle Q = B A^k as a TransitionMatrix does: n,
+    entries, matvec_kernel() and classes() are Q's, factor by factor where
+    matrix_free, else off formed(). _classes and _formed cache them.
     """
 
     layer1: LayerGraph
@@ -97,23 +97,21 @@ class SwitchingModel:
         cost = self.k * self.a.csr.matvec_cost() + self.b.csr.matvec_cost()
         return n >= _KRYLOV_MIN_N and cost <= _MATRIX_FREE_MAX_COST * n * n
 
-    def operator(self) -> TransitionMatrix | SwitchingModel:
-        """Q for the solvers: the model where matrix_free, else formed()."""
-        return self if self.matrix_free else self.formed()
+    def formed(self) -> TransitionMatrix:
+        """Q = B A^k by matrix_power, the one place it is formed; cached."""
+        if self._formed is None:
+            q = self.b.entries @ np.linalg.matrix_power(self.a.entries, self.k)
+            object.__setattr__(self, "_formed", TransitionMatrix.from_entries(q))
+        return self._formed
 
     @property
     def entries(self) -> np.ndarray:
-        """Q = B A^k as a dense array: the one place it is formed."""
-        return self.b.entries @ np.linalg.matrix_power(self.a.entries, self.k)
-
-    def formed(self) -> TransitionMatrix:
-        """Q formed, built on first use and cached on the model."""
-        if self._formed is None:
-            object.__setattr__(self, "_formed", TransitionMatrix.from_entries(self.entries))
-        return self._formed
+        return self.formed().entries
 
     def matvec_kernel(self) -> Callable[..., np.ndarray]:
-        """x -> B (A (... A x)), k + 1 products by the factors' kernels."""
+        """x -> Q x; where matrix_free, B (A (... A x)), one product per factor."""
+        if not self.matrix_free:
+            return self.formed().matvec_kernel()
         apply_a, apply_b = self.a.matvec_kernel(), self.b.matvec_kernel()
 
         def apply(x, out=None):
@@ -124,15 +122,16 @@ class SwitchingModel:
         return apply
 
     def classes(self) -> SupportClasses:
-        """Q's closed classes on the time-expanded graph of (B, A, ..., A),
-        the schedule reversed, cached on the model.
+        """Q's closed classes, cached on the model: off formed()'s support, or
+        where matrix_free on the time-expanded graph of (B, A, ..., A).
 
         B comes first because the row index of B A^k walks through B first;
         the phases taken the other way round classify A^k B, whose
         transient nodes differ.
         """
         if self._classes is None:
-            object.__setattr__(self, "_classes", product_classes(self.schedule[::-1]))
+            q = product_classes(self.schedule[::-1]) if self.matrix_free else self.formed().classes()
+            object.__setattr__(self, "_classes", q)
         return self._classes
 
 
@@ -229,27 +228,26 @@ def rho_star(model: SwitchingModel) -> float:
 def analyze(model: SwitchingModel, x0: np.ndarray) -> SwitchingOutcome:
     """Decide consensus, oscillation or disagreement exactly, from the cycle's support.
 
-    Consensus lands on pi . x0 with pi the cycle's stationary distribution.
-    Q is model.operator(), and the formed Q where the power iteration gives
-    up, so Q is formed at most once.
+    Consensus lands on pi . x0, pi from the power iteration where matrix_free
+    and from the dense solve on formed() otherwise or where it gives up.
+    Without consensus Q's SLEM is exactly 1, and no solver runs.
     """
     x = check_opinions(x0, model.n)
-    cycle = model.operator()
-    classes = cycle.classes()
+    classes = model.classes()
     period = classes.periods[0] if len(classes.periods) == 1 else None
-    pi = None
+    pi, slem = None, 1.0
     if period == 1:
-        pi = _stationary_matrix_free(model) if cycle is model else None
+        pi = _stationary_matrix_free(model) if model.matrix_free else None
         if pi is None:
-            cycle = model.formed()
-            pi = stationary_general(cycle)
+            pi = stationary_general(model.formed())
+        slem = eig_moduli_nonsymmetric(model).slem
     return SwitchingOutcome(
         pi=pi,
         value=None if pi is None else consensus_value(pi, x),
         period=period,
         closed_classes=len(classes.periods),
         transient=classes.transient,
-        slem_cycle=eig_moduli_nonsymmetric(cycle).slem,
+        slem_cycle=slem,
         rho_star=rho_star(model),
     )
 

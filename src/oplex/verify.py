@@ -234,7 +234,7 @@ def run_examples_suite() -> list[CheckResult]:
         )
     )
     periods = [
-        switching_model(ind1, ind2, k).operator().classes().periods
+        switching_model(ind1, ind2, k).classes().periods
         for k in range(len(INDUCED_PERIODS))
     ]
     results.append(
@@ -393,7 +393,7 @@ def run_bounds_suite(n_instances: int = 200, seed: int = BOUNDS_SUITE_SEED) -> l
         for k in range(6):
             s_model = switching_model(layer1, layer2, k)
             star = rho_star(s_model)
-            slem_cycle = eig_moduli_nonsymmetric(s_model.operator()).slem
+            slem_cycle = eig_moduli_nonsymmetric(s_model).slem
             if not product_rate_checks(slem_cycle, star)["slem-under-rho-star"]:
                 fail(
                     "bounds/product-rate",

@@ -13,6 +13,7 @@ from oplex.fixtures import (
     triangle_pair,
 )
 from oplex import spectral
+from oplex.merged import analyze as analyze_merged
 from oplex.merged import merge
 from oplex.netcore import Csr, GeneratorSpec, IsolatedNodeError, LayerGraph, build_layer, generate
 from oplex.spectral import (
@@ -181,6 +182,21 @@ class TestExactSlemOne:
         two_classes = switching_model(ring, matching, k=0)
         assert eig_moduli_nonsymmetric(oscillating).slem == 1.0
         assert eig_moduli_nonsymmetric(two_classes).slem == 1.0
+
+    def test_layer_handed_back_by_lanczos_takes_no_dense_solve(self, monkeypatch):
+        # Lanczos hands bipartite rings back near modulus 1; the
+        # classification, not a dense solve on S, settles their SLEM, and
+        # that of their blend, bipartite too.
+        def refuse(layer):
+            raise AssertionError("dense S built")
+
+        monkeypatch.setattr(spectral, "symmetrize", refuse)
+        n = _KRYLOV_MIN_N + 100
+        rings = [generate(GeneratorSpec(kind="circulant", n=n, offsets=o)) for o in ((1,), (3,))]
+        summary = slem_reversible(rings[0])
+        assert summary.slem == 1.0 and summary.method == "lanczos"
+        outcome = analyze_merged(merge(*rings, 0.5), np.linspace(0.0, 1.0, n))
+        assert outcome.bounds.slem_c == 1.0 and outcome.note == "merged transition not primitive"
 
     def test_primitive_layer_near_one_keeps_its_value(self):
         # Two triangles joined by a bridge of weight 1e-12: primitive, with

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_spectral import ring_plus_chords_model
 
-from oplex import switching
-from oplex.fixtures import oscillating_pair, sia_pair, triangle_pair
+from oplex import spectral, switching
+from oplex.fixtures import induced_pair, oscillating_pair, sia_pair, triangle_pair
 from oplex.netcore import GeneratorSpec, LayerGraph, build_layer, generate
 from oplex.spectral import _KRYLOV_MIN_N, eig_moduli_nonsymmetric, slem_reversible
 from oplex.stochastic import (
@@ -27,7 +27,7 @@ from oplex.switching import (
     switching_model,
     switching_perturbation_check,
 )
-from oplex.verify import period_limits, random_layer, reweight_edge
+from oplex.verify import INDUCED_PERIODS, period_limits, random_layer, reweight_edge
 
 X0_TRIANGLE = np.array([1.0, 0.0, 0.0])
 X0_FIVE = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
@@ -229,6 +229,9 @@ def test_matrix_free_verdict_matches_the_formed_cycle(pair):
     assert (outcome.status == "consensus") == classes.converges
     if classes.converges:
         assert np.abs(outcome.pi.pi - stationary_general(formed).pi).max() <= 1e-12
+    # Without consensus the SLEM is exactly 1, on either path.
+    for verdict in (outcome, analyze(switching_model(layer1, layer2, k), x0)):
+        assert verdict.status == "consensus" or verdict.slem_cycle == 1.0
 
 
 def test_phase_order_decides_the_transient_nodes():
@@ -287,10 +290,11 @@ class TestMatrixFreeCycle:
 
     def test_large_k_forms_the_cycle(self, monkeypatch):
         # 64 products by A cost more than _MATRIX_FREE_MAX_COST dense
-        # products, 32 do not. At 64 no lifted graph is built.
+        # products, 32 do not. At 64 no lifted graph is built: the model
+        # reads its classes off the formed cycle.
         assert ring_plus_chords_model(_KRYLOV_MIN_N, 32, 3).matrix_free
         model = ring_plus_chords_model(_KRYLOV_MIN_N, 64, 3)
-        assert not model.matrix_free and model.operator() is model.formed()
+        assert not model.matrix_free
 
         def lifted(factors):
             raise AssertionError("lifted graph built")
@@ -298,7 +302,48 @@ class TestMatrixFreeCycle:
         monkeypatch.setattr(switching, "product_classes", lifted)
         outcome = analyze(model, np.linspace(0.0, 1.0, model.n))
         assert outcome.status == "consensus"
-        assert model.formed().classes() == SupportClasses(periods=(1,), transient=0)
+        assert model.classes() == model.formed().classes()
+        assert model.classes() == SupportClasses(periods=(1,), transient=0)
+
+
+class TestNoConsensusRunsNoSolver:
+    """A cycle that is not SIA has SLEM exactly 1 by its classification
+    alone: no eigensolver runs on it, and a matrix-free one is never formed."""
+
+    @pytest.fixture(autouse=True)
+    def no_dense_solve(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("dense eigensolver called")
+
+        monkeypatch.setattr(spectral, "_slem_dense", refuse)
+
+    def test_oscillating_pair(self):
+        model = switching_model(*oscillating_pair(), k=1)
+        outcome = analyze(model, np.linspace(0.0, 1.0, model.n))
+        assert outcome.status == "oscillation" and outcome.period == 2
+        assert outcome.slem_cycle == 1.0
+
+    @pytest.mark.parametrize("k", range(len(INDUCED_PERIODS)))
+    def test_induced_pair(self, k):
+        model = switching_model(*induced_pair(), k)
+        outcome = analyze(model, np.linspace(0.0, 1.0, model.n))
+        status = "oscillation" if INDUCED_PERIODS[k] == (2,) else "disagreement"
+        assert outcome.status == status and outcome.slem_cycle == 1.0
+
+    @pytest.mark.parametrize("k, status", [(1, "disagreement"), (2, "oscillation")])
+    def test_matrix_free_bipartite_rings(self, monkeypatch, k, status):
+        # Both rings are bipartite on the same classes: B A keeps each one
+        # (two closed classes), B A^2 swaps them (period 2).
+        def refuse(model):
+            raise AssertionError("cycle formed")
+
+        monkeypatch.setattr(SwitchingModel, "formed", refuse)
+        n = _KRYLOV_MIN_N + 100
+        rings = [generate(GeneratorSpec(kind="circulant", n=n, offsets=o)) for o in ((1,), (3,))]
+        model = switching_model(*rings, k)
+        assert model.matrix_free
+        outcome = analyze(model, np.linspace(0.0, 1.0, n))
+        assert outcome.status == status and outcome.slem_cycle == 1.0
 
 
 class TestRhoStar:
@@ -306,7 +351,7 @@ class TestRhoStar:
         model = switching_model(*triangle_pair(), k=1)
         # rho2(B)=2/3, rho2(A)=1/2, max d1/d2 = 1/2, max d2/d1 = 3
         assert rho_star(model) == pytest.approx(0.5, abs=1e-12)
-        assert eig_moduli_nonsymmetric(model.operator()).slem <= rho_star(model)
+        assert eig_moduli_nonsymmetric(model).slem <= rho_star(model)
 
     def test_identical_regular_layers(self):
         layer = generate(GeneratorSpec(kind="k-regular", n=30, k=4, seed=3))
@@ -330,7 +375,7 @@ class TestRhoStar:
             layer1, layer2 = random_layer(rng, n), random_layer(rng, n)
             for k in range(4):
                 model = switching_model(layer1, layer2, k)
-                slem = eig_moduli_nonsymmetric(model.operator()).slem
+                slem = eig_moduli_nonsymmetric(model).slem
                 assert slem <= rho_star(model) + 1e-9
 
 
@@ -349,7 +394,7 @@ class TestSpectralProperties:
         model = switching_model(*triangle_pair(), k=1)
         pi = stationary_general(model.formed()).pi
         limit = np.outer(np.ones(3), pi)
-        rho = eig_moduli_nonsymmetric(model.operator()).slem
+        rho = eig_moduli_nonsymmetric(model).slem
         q = model.entries
         c = np.abs(q - limit).max() / rho
         power = q.copy()
