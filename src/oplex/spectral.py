@@ -264,16 +264,13 @@ def slem_reversible(layer: LayerGraph) -> SpectralSummary:
     """
     if layer._spectrum is not None:
         return layer._spectrum
-    slem, method = None, "lanczos"
-    if layer.n >= _KRYLOV_MIN_N:
-        slem = _slem_lanczos(layer)
-        if slem is None and not is_primitive(transition_matrix(layer)):
-            slem = 1.0
-    if slem is None:
+    slem = _slem_lanczos(layer) if layer.n >= _KRYLOV_MIN_N else None
+    method = "lanczos"
+    if slem is None and (layer.n < _KRYLOV_MIN_N or is_primitive(transition_matrix(layer))):
         s = symmetrize(layer)
         _perron_vector(layer, lambda x: s @ x)
         slem, method = _second_modulus(np.linalg.eigvalsh(s)), "symmetric"
-    if slem >= 1.0 - SLEM_SLACK and not is_primitive(transition_matrix(layer)):
+    if slem is None or (slem >= 1.0 - SLEM_SLACK and not is_primitive(transition_matrix(layer))):
         slem = 1.0
     summary = SpectralSummary(slem=slem, method=method)
     object.__setattr__(layer, "_spectrum", summary)

@@ -16,8 +16,9 @@ _MATRIX_FREE_MAX_COST dense products. Its support is then classified on
 the time-expanded graph (stochastic.product_classes), its stationary vector
 comes from a left power iteration on the layers' weights and its SLEM from
 Arnoldi on the composed product. Smaller cycles and longer ones are formed
-once (SwitchingModel.formed), as are those whose power iteration gives up.
-A cycle that is not SIA has SLEM exactly 1 and takes no solver.
+once (SwitchingModel.formed), as are those whose power iteration gives up;
+their SLEM is then taken on the formed Q as well. A cycle that is not SIA
+has SLEM exactly 1 and takes no solver.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ class SwitchingModel:
 
     It answers for the cycle Q = B A^k as a TransitionMatrix does: n,
     entries, matvec_kernel() and classes() are Q's, factor by factor where
-    matrix_free, else off formed(). _classes and _formed cache them.
+    matrix_free and Q is not yet formed, else off formed(). _classes and
+    _formed cache them.
     """
 
     layer1: LayerGraph
@@ -109,8 +111,9 @@ class SwitchingModel:
         return self.formed().entries
 
     def matvec_kernel(self) -> Callable[..., np.ndarray]:
-        """x -> Q x; where matrix_free, B (A (... A x)), one product per factor."""
-        if not self.matrix_free:
+        """x -> Q x: by formed() once it exists or unless matrix_free, else
+        B (A (... A x)), one product per factor."""
+        if self._formed is not None or not self.matrix_free:
             return self.formed().matvec_kernel()
         apply_a, apply_b = self.a.matvec_kernel(), self.b.matvec_kernel()
 

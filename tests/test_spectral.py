@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from oplex.spectral import (
     symmetrize,
 )
 from oplex.stochastic import TransitionMatrix, transition_matrix
-from oplex.switching import switching_model
+from oplex.switching import SwitchingModel, switching_model
 from oplex.verify import random_layer
 
 
@@ -380,13 +381,14 @@ class TestKrylov:
         rings=st.tuples(*[st.sampled_from([(), (1,), (1, 2)])] * 2),
     )
     def test_arnoldi_matches_dense_eigvals(self, n, k, seed, density, rings):
-        # switching cycles, applied factor by factor, called below the
-        # crossover; even rings give periodic or reducible cycles, slow
-        # rings the hand-back to eigvals
+        # switching cycles, applied factor by factor (matrix_free forced, as
+        # these are below the crossover); even rings give periodic or
+        # reducible cycles, slow rings the hand-back to eigvals
         rng = np.random.default_rng(seed)
         layer1, layer2 = (denser_layer(rng, n, density, ring) for ring in rings)
         cycle = switching_model(layer1, layer2, k)
-        slem = _slem_arnoldi(cycle)
+        with mock.patch.object(SwitchingModel, "matrix_free", True):
+            slem = _slem_arnoldi(cycle)
         dense = dense_cycle_slem(cycle)
         if slem is None:
             assert dense >= _KRYLOV_NEAR_ONE

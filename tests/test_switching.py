@@ -273,18 +273,22 @@ class TestMatrixFreeCycle:
         assert model.matrix_free
         power, solved, formations = [], [], []
         iterate, solve = switching._stationary_matrix_free, switching.stationary_general
-        entries = SwitchingModel.entries.fget
+        matrix_power = np.linalg.matrix_power
         monkeypatch.setattr(
             switching, "_stationary_matrix_free", lambda m: power.append(iterate(m)) or power[-1]
         )
         monkeypatch.setattr(switching, "stationary_general", lambda m: solved.append(m) or solve(m))
         monkeypatch.setattr(
-            SwitchingModel, "entries", property(lambda m: formations.append(m) or entries(m))
+            np.linalg, "matrix_power", lambda a, k: formations.append(k) or matrix_power(a, k)
         )
         outcome = analyze(model, np.linspace(0.0, 1.0, model.n))
-        # B A^k is formed once, for the solve and the SLEM alike.
-        assert power == [None] and solved == [model.formed()] and formations == [model]
-        formed = TransitionMatrix.from_entries(entries(model))
+        # B A^k is formed once, for the solve and the SLEM alike, and the
+        # SLEM is taken on the formed cycle, not factor by factor.
+        assert power == [None] and solved == [model.formed()] and formations == [1]
+        assert outcome.slem_cycle == eig_moduli_nonsymmetric(model.formed()).slem
+        x = np.linspace(0.0, 1.0, model.n)
+        assert np.array_equal(model.matvec_kernel()(x), model.formed().matvec_kernel()(x))
+        formed = TransitionMatrix.from_entries(model.b.entries @ model.a.entries)
         assert np.abs(outcome.pi.pi - stationary_general(formed).pi).max() <= 1e-12
         assert abs(outcome.slem_cycle - eig_moduli_nonsymmetric(formed).slem) <= 1e-10
 
