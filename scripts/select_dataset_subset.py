@@ -22,7 +22,7 @@ import numpy as np
 from oplex.netcore import Csr, LayerGraph, load_two_layer_dataset
 from oplex.spectral import slem_reversible
 from oplex.stochastic import is_primitive, transition_matrix
-from oplex.switching import analyze, switching_model
+from oplex.switching import switching_model
 
 
 def subgraph(layer: LayerGraph, keep: np.ndarray) -> LayerGraph:
@@ -39,19 +39,17 @@ def profile(layer_a: LayerGraph, layer_b: LayerGraph, ks) -> dict | None:
     """Primitivity profile, or None if some node has zero degree somewhere."""
     if (layer_a.degrees <= 0).any() or (layer_b.degrees <= 0).any():
         return None
-    a = transition_matrix(layer_a)
-    b = transition_matrix(layer_b)
-    # A cycle is primitive iff its verdict is consensus with no transient
-    # node; x0 feeds only the consensus value, which is not read here.
-    x0 = np.zeros(layer_a.n)
-    verdicts = [analyze(switching_model(layer_a, layer_b, k), x0) for k in ks]
-    cycles_ok = all(v.status == "consensus" and v.transient == 0 for v in verdicts)
     return {
-        "a_primitive": is_primitive(a),
-        "b_primitive": is_primitive(b),
-        "cycles_primitive": cycles_ok,
+        "a_primitive": is_primitive(transition_matrix(layer_a)),
+        "b_primitive": is_primitive(transition_matrix(layer_b)),
+        "cycles_primitive": all(is_primitive(switching_model(layer_a, layer_b, k)) for k in ks),
         "b_slem": slem_reversible(layer_b).slem,
     }
+
+
+def goal_reached(p: dict | None) -> bool:
+    """Layer B not primitive, while layer A and every cycle B A^k are."""
+    return bool(p) and not p["b_primitive"] and p["a_primitive"] and p["cycles_primitive"]
 
 
 def main() -> int:
@@ -75,8 +73,8 @@ def main() -> int:
         current = profile(subgraph(layer_a, keep), subgraph(layer_b, keep), args.ks)
         if current is None:
             raise SystemExit("dataset has zero-degree nodes; clean it first")
-        if not current["b_primitive"] and current["a_primitive"] and current["cycles_primitive"]:
-            break  # goal reached
+        if goal_reached(current):
+            break
         if keep.shape[0] <= args.min_size:
             break
         best = None
@@ -109,7 +107,7 @@ def main() -> int:
         "kept_nodes": [int(v) for v in keep],
         "removed_nodes": removed,
         "final_size": int(keep.shape[0]),
-        "goal_reached": bool(final and not final["b_primitive"]),
+        "goal_reached": goal_reached(final),
         "final_profile": final,
         "ks": args.ks,
     }

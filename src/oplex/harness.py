@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -372,7 +372,7 @@ def _single_model(layer, x0) -> _GridModel:
     if is_primitive(matrix):
         pi = stationary_from_degrees(layer)
         consensus = consensus_value(pi, x0)
-        decay_rho = slem if 0.0 < slem < 1.0 else None
+        decay_rho = slem if slem < 1.0 else None
     else:
         note = "layer transition not primitive"
     columns = dict(slem=slem, bound_armed=False, consensus=consensus, note=note)
@@ -540,10 +540,5 @@ def _write_sweep_csv(path: Path, points: Sequence[GridPointResult]) -> None:
     rows = [SWEEP_COLUMNS]
     for p in points:
         rows.append([_fmt(p.row[c]) for c in SWEEP_COLUMNS])
-    _write_csv(path, rows)
-
-
-def _write_csv(path: Path, rows: Iterable[Sequence[str]]) -> None:
     with path.open("w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerows(rows)

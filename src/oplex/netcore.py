@@ -59,19 +59,14 @@ class Csr:
     Row i holds its entries at positions indptr[i]:indptr[i + 1] of indices
     (their columns, strictly ascending) and data (their values). No zero is
     stored, so the pattern is the support of the matrix. rows holds the row
-    of each entry; every kernel here reads it, so it is derived from indptr
-    once, at construction, unless given.
+    of each entry; every kernel here reads it, and every constructor has it
+    at hand.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    rows: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.rows is None:
-            counts = self.indptr[1:] - self.indptr[:-1]
-            object.__setattr__(self, "rows", np.repeat(np.arange(self.n), counts))
+    rows: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:

@@ -16,8 +16,9 @@ of S once the Perron vector sqrt(pi) is deflated:
   the spectrum is within r^2 / gap of an eigenvalue (Kato-Temple), so a
   wide gap lets it stop long before r reaches _KRYLOV_TOL. A spectrum
   clustered near modulus 1 (a slow-mixing ring) would take it many steps,
-  so an early Ritz value near 1, or a spent step budget, hands the layer
-  back to the dense solver.
+  so an unconverged top Ritz value near 1 at any check from step
+  _KRYLOV_PROBE on, or a spent step budget, hands the layer back to the
+  dense solver.
 
 Switching cycles Q = B A^k are genuinely nonreversible. Their SLEM is the
 largest eigenvalue modulus left once the constant vector is deflated
@@ -76,9 +77,10 @@ _KRYLOV_CHECK = 8
 _KRYLOV_MAX_GAP = 32
 # Cap on Krylov steps; the dense solver takes over beyond it.
 _KRYLOV_MAX_STEPS = 300
-# At the first check after _KRYLOV_PROBE steps, a Ritz value of modulus at
-# least _KRYLOV_NEAR_ONE marks a spectrum clustered near 1: Krylov would
-# need hundreds of steps there, so the dense solver takes over.
+# At every Ritz check from step _KRYLOV_PROBE on (the first check falls
+# there), an unconverged top Ritz value of modulus at least _KRYLOV_NEAR_ONE
+# marks a spectrum clustered near 1: Krylov would need hundreds of steps
+# there, so the dense solver takes over.
 _KRYLOV_PROBE = 16
 _KRYLOV_NEAR_ONE = 0.98
 
@@ -95,11 +97,6 @@ class SpectralSummary:
     method: str
 
 
-def _inverse_sqrt_degrees(layer: LayerGraph) -> np.ndarray:
-    require_no_isolated(layer)
-    return 1.0 / np.sqrt(layer.degrees)
-
-
 def _symmetrized(layer: LayerGraph) -> Csr:
     """S = D^-1/2 W D^-1/2 on W's pattern, entry w_ij s_i s_j with s = d^-1/2.
 
@@ -107,7 +104,8 @@ def _symmetrized(layer: LayerGraph) -> Csr:
     at most sqrt(d_i), so nothing overflows where s_i s_j alone would (on
     degrees near 1e-320), and S comes out exactly symmetric.
     """
-    s = _inverse_sqrt_degrees(layer)
+    require_no_isolated(layer)
+    s = 1.0 / np.sqrt(layer.degrees)
     w = layer.csr
     s_row, s_col = s[w.rows], s[w.indices]
     return w.with_data(w.data * np.maximum(s_row, s_col) * np.minimum(s_row, s_col))

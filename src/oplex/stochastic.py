@@ -13,11 +13,14 @@ graph (product_classes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .netcore import Csr, LayerGraph, require_no_isolated
+
+if TYPE_CHECKING:
+    from .switching import SwitchingModel
 
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_RESIDUAL_TOL = 1e-12
@@ -33,15 +36,14 @@ class TransitionMatrix:
 
     from_entries checks a dense array and renormalizes it; a row sum off by
     more than 1e-12 signals an upstream bug and is rejected rather than
-    rescaled. transition_matrix reads a layer. entries is the dense matrix,
-    built on each use, for the dense solvers. matvec_kernel() and classes()
-    are what spectral.eig_moduli_nonsymmetric reads, with entries on its
-    dense fallback, and a switching model offers the same three for its
-    cycle.
+    rescaled. transition_matrix reads a layer. Every matrix question reads
+    only n, entries (dense, built on each use), matvec_kernel() and classes()
+    (the support classification, cached in _classes), so a switching model,
+    which offers the same four for its cycle, is asked them as a matrix is.
     """
 
     csr: Csr
-    _classes: SupportClasses | None = field(default=None, repr=False, compare=False)
+    _classes: SupportClasses | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -55,7 +57,11 @@ class TransitionMatrix:
         return self.csr.matvec_kernel()
 
     def classes(self) -> SupportClasses:
-        return support_classes(self)
+        """Closed classes by breadth-first search on the stored pattern; cached."""
+        if self._classes is None:
+            periods, closed = _closed_classes(self.csr)
+            self._classes = SupportClasses(tuple(periods), self.n - int(closed.sum()))
+        return self._classes
 
     @classmethod
     def from_entries(cls, entries: np.ndarray) -> "TransitionMatrix":
@@ -180,12 +186,9 @@ def _closed_classes(support: Csr) -> tuple[list[int], np.ndarray]:
     return periods, closed
 
 
-def support_classes(m: TransitionMatrix) -> SupportClasses:
-    """Closed classes by breadth-first search on the stored pattern; cached on m."""
-    if m._classes is None:
-        periods, closed = _closed_classes(m.csr)
-        m._classes = SupportClasses(periods=tuple(periods), transient=m.n - int(closed.sum()))
-    return m._classes
+def support_classes(m: TransitionMatrix | SwitchingModel) -> SupportClasses:
+    """Closed classes of m's support: a matrix's or a switching cycle's."""
+    return m.classes()
 
 
 def product_classes(factors: Sequence[TransitionMatrix]) -> SupportClasses:
@@ -214,13 +217,13 @@ def product_classes(factors: Sequence[TransitionMatrix]) -> SupportClasses:
     )
 
 
-def is_primitive(m: TransitionMatrix) -> bool:
+def is_primitive(m: TransitionMatrix | SwitchingModel) -> bool:
     """Primitive iff the support is one aperiodic closed class with no transient node."""
-    classes = support_classes(m)
+    classes = m.classes()
     return classes.converges and classes.transient == 0
 
 
-def require_primitive(m: TransitionMatrix, what: str) -> None:
+def require_primitive(m: TransitionMatrix | SwitchingModel, what: str) -> None:
     """Raise NotPrimitiveError naming `what` unless m is primitive."""
     if not is_primitive(m):
         raise NotPrimitiveError(f"{what} is not primitive")
@@ -232,14 +235,14 @@ def stationary_from_degrees(layer: LayerGraph) -> StationaryDistribution:
     return StationaryDistribution(pi=layer.degrees / (2.0 * layer.total_edge_weight))
 
 
-def stationary_general(m: TransitionMatrix) -> StationaryDistribution:
+def stationary_general(m: TransitionMatrix | SwitchingModel) -> StationaryDistribution:
     """Left fixed vector of an SIA matrix, normalized to sum 1.
 
     Dense linear solve of pi (M - I) = 0 with one equation replaced by
     sum(pi) = 1, then a residual check. The fixed vector is unique, so the
     solve is exact. Intended for nonreversible products where the degree
-    formula does not apply, such as a switching model's formed cycle
-    (SwitchingModel.formed); rejects input that is not SIA.
+    formula does not apply, such as a switching model's cycle; rejects
+    input that is not SIA.
     """
     if not m.classes().converges:
         raise NotPrimitiveError("matrix reaches no consensus (not SIA)")

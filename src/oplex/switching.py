@@ -65,10 +65,9 @@ _MATRIX_FREE_MAX_COST = 12
 class SwitchingModel:
     """The two layers, their transition matrices A and B, and k.
 
-    It answers for the cycle Q = B A^k as a TransitionMatrix does: n,
-    entries, matvec_kernel() and classes() are Q's, factor by factor where
-    matrix_free and Q is not yet formed, else off formed(). _classes and
-    _formed cache them.
+    It answers for the cycle Q = B A^k as a TransitionMatrix does, factor
+    by factor where matrix_free and Q is not yet formed, else off formed().
+    _classes and _formed cache them.
     """
 
     layer1: LayerGraph
@@ -232,7 +231,7 @@ def analyze(model: SwitchingModel, x0: np.ndarray) -> SwitchingOutcome:
     """Decide consensus, oscillation or disagreement exactly, from the cycle's support.
 
     Consensus lands on pi . x0, pi from the power iteration where matrix_free
-    and from the dense solve on formed() otherwise or where it gives up.
+    and from the dense solve on Q otherwise or where it gives up.
     Without consensus Q's SLEM is exactly 1, and no solver runs.
     """
     x = check_opinions(x0, model.n)
@@ -242,7 +241,7 @@ def analyze(model: SwitchingModel, x0: np.ndarray) -> SwitchingOutcome:
     if period == 1:
         pi = _stationary_matrix_free(model) if model.matrix_free else None
         if pi is None:
-            pi = stationary_general(model.formed())
+            pi = stationary_general(model)
         slem = eig_moduli_nonsymmetric(model).slem
     return SwitchingOutcome(
         pi=pi,

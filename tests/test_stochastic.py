@@ -54,6 +54,11 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError, match="nonnegative"):
             TransitionMatrix.from_entries([[1.1, -0.1], [0.5, 0.5]])
 
+    def test_classes_cache_is_no_constructor_argument(self):
+        csr = transition_matrix(triangle_pair()[0]).csr
+        with pytest.raises(TypeError):
+            TransitionMatrix(csr, SupportClasses((1,), 0))
+
     def test_entries_do_not_alias_the_input(self):
         raw = np.array([[0.25, 0.75], [0.5, 0.5]])
         m = TransitionMatrix.from_entries(raw)

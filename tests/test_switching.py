@@ -1,3 +1,4 @@
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,12 +9,13 @@ from test_spectral import ring_plus_chords_model
 
 from oplex import spectral, switching
 from oplex.fixtures import induced_pair, oscillating_pair, sia_pair, triangle_pair
-from oplex.netcore import GeneratorSpec, LayerGraph, build_layer, generate
+from oplex.netcore import GeneratorSpec, LayerGraph, build_layer, generate, load_two_layer_dataset
 from oplex.spectral import _KRYLOV_MIN_N, eig_moduli_nonsymmetric, slem_reversible
 from oplex.stochastic import (
     NotPrimitiveError,
     SupportClasses,
     TransitionMatrix,
+    is_primitive,
     product_classes,
     stationary_general,
     support_classes,
@@ -29,6 +31,7 @@ from oplex.switching import (
 )
 from oplex.verify import INDUCED_PERIODS, period_limits, random_layer, reweight_edge
 
+DATA = Path(__file__).parent / "data"
 X0_TRIANGLE = np.array([1.0, 0.0, 0.0])
 X0_FIVE = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
 
@@ -284,7 +287,7 @@ class TestMatrixFreeCycle:
         outcome = analyze(model, np.linspace(0.0, 1.0, model.n))
         # B A^k is formed once, for the solve and the SLEM alike, and the
         # SLEM is taken on the formed cycle, not factor by factor.
-        assert power == [None] and solved == [model.formed()] and formations == [1]
+        assert power == [None] and solved == [model] and formations == [1]
         assert outcome.slem_cycle == eig_moduli_nonsymmetric(model.formed()).slem
         x = np.linspace(0.0, 1.0, model.n)
         assert np.array_equal(model.matvec_kernel()(x), model.formed().matvec_kernel()(x))
@@ -308,6 +311,42 @@ class TestMatrixFreeCycle:
         assert outcome.status == "consensus"
         assert model.classes() == model.formed().classes()
         assert model.classes() == SupportClasses(periods=(1,), transient=0)
+
+
+class TestMatrixQuestionsTakeTheModel:
+    """is_primitive, support_classes and stationary_general ask a switching
+    model about its cycle just as they ask a matrix."""
+
+    @pytest.mark.parametrize(
+        "pair, primitive", [(oscillating_pair, False), (sia_pair, False), (triangle_pair, True)]
+    )
+    def test_is_primitive(self, pair, primitive):
+        # sia_pair's cycle reaches consensus but keeps transient nodes.
+        assert is_primitive(switching_model(*pair(), k=1)) is primitive
+
+    def test_is_primitive_on_the_contact_cycle(self):
+        layers = load_two_layer_dataset(DATA / "contact_layer_a.txt", DATA / "contact_layer_b.txt", 8)
+        assert is_primitive(switching_model(*layers, k=2))
+
+    def test_matrix_free_cycle_is_never_formed(self, monkeypatch):
+        def refuse(model):
+            raise AssertionError("cycle formed")
+
+        monkeypatch.setattr(SwitchingModel, "formed", refuse)
+        n = _KRYLOV_MIN_N + 100
+        rings = [generate(GeneratorSpec(kind="circulant", n=n, offsets=o)) for o in ((1,), (3,))]
+        model = switching_model(*rings, 1)
+        assert model.matrix_free
+        assert not is_primitive(model)
+        assert model._formed is None
+
+    def test_support_classes(self):
+        model = switching_model(*sia_pair(), k=1)
+        assert support_classes(model) == model.classes()
+
+    def test_stationary_general(self):
+        model = switching_model(*triangle_pair(), k=1)
+        assert np.array_equal(stationary_general(model).pi, stationary_general(model.formed()).pi)
 
 
 class TestNoConsensusRunsNoSolver:

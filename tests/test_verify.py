@@ -3,6 +3,7 @@ import pytest
 
 import oplex.verify as verify
 from oplex.merged import MergedOutcome
+from oplex.spectral import slem_reversible
 
 
 class TestBoundsSuiteDetails:
@@ -65,6 +66,16 @@ class TestGenerators:
                 assert w2.min() >= 0.0
                 # each landed shift moves 8 entries (4 edges, both directions) by eps
                 assert np.abs(w2 - w1).sum() <= 8 * eps * n, (seed, n)
+
+    def test_layer_slem_is_at_least_one_over_n_minus_one(self):
+        # tr P = 0 on a loop-free layer, so the n - 1 eigenvalues other than
+        # 1 sum to -1: the SLEM is at least 1/(n-1) and never 0, which the
+        # decay checks rely on. Checked on the bounds suite's own draws.
+        for idx in range(200):
+            rng = np.random.default_rng(verify.BOUNDS_SUITE_SEED + idx)
+            n = int(rng.integers(4, 21))
+            for layer in (verify.random_layer(rng, n), verify.random_layer(rng, n)):
+                assert slem_reversible(layer).slem >= 1 / (n - 1) - 1e-12, (idx, n)
 
     def test_random_layer_needs_three_nodes(self):
         rng = np.random.default_rng(0)
