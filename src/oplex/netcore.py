@@ -45,10 +45,17 @@ def is_number(value: object) -> bool:
 
 # One CSR product costs about as much as this many dense multiply-adds per
 # stored entry, per row and per call (np.add.reduceat against np.dot, one
-# BLAS thread; see Csr.matvec_cost).
+# BLAS thread; see Csr.matvec_cost). Row-regular patterns are charged
+# reduceat's cost too, though their slab kernel takes about half its time:
+# the cost places the dense/CSR crossover, simulate's block cap and
+# SwitchingModel.matrix_free, and a cost that moved them would change
+# which products run and so the floats every report holds.
 _CSR_ENTRY_COST = 10
 _CSR_ROW_COST = 50
 _CSR_CALL_COST = 10_000
+# Rows of 2 to this many entries, all of one length, are summed by
+# whole-slab adds; reduceat sums longer rows pairwise (see _slab_kernel).
+_SLAB_MAX_ROW = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,17 +154,56 @@ class Csr:
     def matvec_kernel(self) -> Callable[..., np.ndarray]:
         """The product x -> A x, as a function of x and an optional out array.
 
-        Where matvec_cost says a dense product is cheaper, np.dot on a dense
-        copy held by the kernel. Otherwise one np.add.reduceat over the
-        stored entries, which needs every row to hold one.
+        One of three kernels, the first that applies:
+        - np.dot on a dense copy held by the kernel, where matvec_cost says
+          a dense product is cheaper;
+        - the slab kernel (_slab_kernel), where every row holds the same
+          number of entries, 2 to _SLAB_MAX_ROW: circulant and k-regular
+          layers, their transition matrices and their S;
+        - one np.add.reduceat over the stored entries.
+        The last two need every row to hold an entry and give the same
+        floats bit for bit. Without out, a call returns a new array.
         """
         if self.matvec_cost() == self.n * self.n:
             return partial(np.dot, self.dense())
-        starts = self.indptr[:-1]
-        if (starts == self.indptr[1:]).any():
+        counts = np.diff(self.indptr)
+        if not counts.all():
             raise ValueError("the CSR product needs an entry in every row")
         data, indices = self.data, self.indices
+        c = int(counts[0])
+        if 1 < c <= _SLAB_MAX_ROW and (counts == c).all():
+            return _slab_kernel(indices.reshape(-1, c).T, data.reshape(-1, c).T)
+        starts = self.indptr[:-1]
         return lambda x, out=None: np.add.reduceat(data * x[indices], starts, out=out)
+
+
+def _slab_kernel(indices: np.ndarray, data: np.ndarray) -> Callable[..., np.ndarray]:
+    """x -> A x for c entries in every row, 1 < c <= _SLAB_MAX_ROW, given
+    their columns and values as c x n slabs: slab j holds entry j of each row.
+
+    For a row of c < 9 products p_0 .. p_(c-1), np.add.reduceat computes
+    p_0 + (((-0.0 + p_1) + p_2) + ...): the first product plus a sequential
+    sum of the rest (longer rows sum the rest pairwise). -0.0 + p_1 is p_1,
+    so adding whole slabs of products in that order gives reduceat's floats
+    bit for bit, signed zeros included. The products go into a scratch
+    array held by the kernel; a result never does, since callers chain
+    x = apply(x).
+    """
+    cols, vals = np.ascontiguousarray(indices), np.ascontiguousarray(data)
+    # The adds take about 9% less time on a scratch at a 32-byte boundary,
+    # which the heap leaves to chance, so it starts at a 64-byte one.
+    raw = np.empty(vals.size + 8)
+    skip = -raw.ctypes.data % 64 // 8
+    products = raw[skip : skip + vals.size].reshape(vals.shape)
+    first, total, *rest = products
+
+    def apply(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        np.multiply(vals, x[cols], out=products)
+        for p in rest:
+            np.add(total, p, out=total)
+        return np.add(first, total, out=out)
+
+    return apply
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,11 @@
 simulate() iterates x(t+1) = M(t+1) x(t) over a periodic schedule of
 matrices and records the error against the consensus pi . x(0) in both the
 pi-weighted and max norms. Each matvec is a call of the matrix's
-Csr.matvec_kernel: a CSR product for a sparse layer, a dense one where that
-is cheaper (small or dense matrices). It steps in blocks: a block of
+Csr.matvec_kernel, one of three kernels: a dense product where that is
+cheaper (small or dense matrices), else whole-slab adds where every row
+holds the same number of entries, 2 to 8 (circulant and k-regular
+layers), else np.add.reduceat over the stored entries; the last two give
+the same floats. It steps in blocks: a block of
 matvecs goes into a buffer allocated once, at the block cap, and the stall
 test and both error norms are then taken on the whole block at once. A
 block may end inside a period, so the buffer is bounded whatever the

@@ -28,8 +28,10 @@ _KRYLOV_MIN_N nodes, Arnoldi with full reorthogonalization from there
 2011), with the same hand-back to the dense solver. Arnoldi stops on the
 residual alone: for a nonnormal Q it bounds no eigenvalue error. Lanczos
 and Arnoldi share one Krylov loop, which applies the operator through its
-matvec_kernel: for a matrix, the CSR product or a dense one on matrices
-dense enough (Csr.matvec_kernel); for a switching model, its cycle's.
+matvec_kernel: for a matrix, Csr.matvec_kernel (a dense product on
+matrices dense enough, else whole-slab adds where every row holds the same
+number of entries, 2 to 8, else np.add.reduceat); for a switching
+model, its cycle's.
 Ties at modulus 1 mean the chain is not primitive and the SLEM is 1. A
 solver lands within rounding of 1 there, so a SLEM within SLEM_SLACK of 1
 is settled by the support classification: it is exactly 1 for a layer

@@ -18,6 +18,8 @@ from oplex.netcore import (
     load_edge_list,
     load_two_layer_dataset,
 )
+from oplex.spectral import _symmetrized
+from oplex.stochastic import transition_matrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -431,17 +433,132 @@ def test_csr_round_trip_and_mirror(a):
 
 
 @pytest.mark.parametrize(
-    "n, offsets, dense",
-    [(12, (1,), True), (300, (1, 2), False), (300, tuple(range(1, 150)), True)],
-    ids=["small", "sparse", "full"],
+    "spec, dense",
+    [
+        (dict(kind="circulant", n=12, offsets=(1,)), True),
+        (dict(kind="circulant", n=300, offsets=(1, 2)), False),
+        (dict(kind="circulant", n=300, offsets=tuple(range(1, 150))), True),
+        (dict(kind="barabasi-albert", n=300, m=3, seed=1), False),
+    ],
+    ids=["small", "sparse", "full", "irregular"],
 )
-def test_both_product_kernels_match_the_dense_product(n, offsets, dense):
-    csr = generate(GeneratorSpec(kind="circulant", n=n, offsets=offsets)).csr
+def test_both_product_kernels_match_the_dense_product(spec, dense):
+    # "sparse" is row-regular and takes the slab kernel, "irregular" reduceat.
+    csr = generate(GeneratorSpec(**spec)).csr
+    n = csr.n
     assert (csr.matvec_cost() == n * n) == dense
     x = np.random.default_rng(n).random(n)
     expected = csr.dense() @ x
+    tol = 1e-12 * np.diff(csr.indptr).max()
     apply = csr.matvec_kernel()
     out = np.empty(n)
     assert apply(x, out=out) is out
-    assert np.abs(out - expected).max() <= 1e-12 * len(offsets)
-    assert np.abs(apply(x) - expected).max() <= 1e-12 * len(offsets)
+    assert np.abs(out - expected).max() <= tol
+    assert np.abs(apply(x) - expected).max() <= tol
+
+
+def reduceat_product(csr, x):
+    return np.add.reduceat(csr.data * x[csr.indices], csr.indptr[:-1])
+
+
+def bits(v):
+    return v.view(np.uint64)
+
+
+def signed_vector(rng, n):
+    """Signed entries over 30 decades, with +0.0 and -0.0 among them, so
+    that sums taken in another order round differently."""
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-15, 15, n)
+    x[rng.choice(n, n // 5, replace=False)] = 0.0
+    x[rng.choice(n, n // 5, replace=False)] = -0.0
+    return x
+
+
+def row_regular_matrices(spec):
+    """A layer's weights, its transition matrix and its S, then its pattern
+    holding signed values over 20 decades."""
+    layer = generate(GeneratorSpec(**spec))
+    w = layer.csr
+    rng = np.random.default_rng(w.nnz)
+    signed = rng.standard_normal(w.nnz) * 10.0 ** rng.integers(-10, 10, w.nnz)
+    return [w, transition_matrix(layer).csr, _symmetrized(layer), w.with_data(signed)]
+
+
+ROW_REGULAR = {
+    "circulant-1": dict(kind="circulant", n=300, offsets=(1,)),
+    "circulant-2": dict(kind="circulant", n=300, offsets=(1, 2)),
+    "circulant-3": dict(kind="circulant", n=300, offsets=(1, 5, 40)),
+    "circulant-4": dict(kind="circulant", n=300, offsets=(1, 2, 3, 4)),
+    "k-regular-3": dict(kind="k-regular", n=300, k=3, seed=4),
+    "k-regular-5": dict(kind="k-regular", n=300, k=5, seed=5),
+}
+
+
+class TestSlabKernel:
+    """Row-regular patterns of 2 to 8 entries a row take the slab kernel,
+    which must give np.add.reduceat's floats bit for bit."""
+
+    @pytest.mark.parametrize("spec", ROW_REGULAR.values(), ids=ROW_REGULAR.keys())
+    def test_matches_reduceat_bit_for_bit(self, spec):
+        rng = np.random.default_rng(7)
+        for csr in row_regular_matrices(spec):
+            counts = np.diff(csr.indptr)
+            assert 2 <= counts.min() == counts.max() <= 8 and csr.matvec_cost() < csr.n**2
+            apply = csr.matvec_kernel()
+            for _ in range(5):
+                x = signed_vector(rng, csr.n)
+                assert np.array_equal(bits(apply(x)), bits(reduceat_product(csr, x)))
+
+    @pytest.mark.parametrize("spec", ROW_REGULAR.values(), ids=ROW_REGULAR.keys())
+    def test_returns_out_or_a_new_array(self, spec):
+        csr = generate(GeneratorSpec(**spec)).csr
+        apply = csr.matvec_kernel()
+        x = signed_vector(np.random.default_rng(8), csr.n)
+        out = np.empty(csr.n)
+        assert apply(x, out=out) is out
+        first = apply(x)
+        kept = first.copy()
+        second = apply(-x)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(bits(first), bits(kept))
+        assert np.array_equal(bits(out), bits(kept))
+
+    @pytest.mark.parametrize("spec", ROW_REGULAR.values(), ids=ROW_REGULAR.keys())
+    def test_chained_products_match_chained_reduceat(self, spec):
+        # x = apply(x) feeds each result back in, as the switching apply does.
+        csr = transition_matrix(generate(GeneratorSpec(**spec))).csr
+        apply = csr.matvec_kernel()
+        x = y = signed_vector(np.random.default_rng(9), csr.n)
+        for _ in range(50):
+            x = apply(x)
+            y = reduceat_product(csr, y)
+        assert np.array_equal(bits(x), bits(y))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            dict(kind="circulant", n=300, offsets=(150,)),
+            dict(kind="circulant", n=300, offsets=(1, 2, 3, 4, 150)),
+            dict(kind="k-regular", n=300, k=9, seed=6),
+            dict(kind="barabasi-albert", n=300, m=3, seed=1),
+        ],
+        ids=["circulant-1", "circulant-9", "k-regular-9", "irregular"],
+    )
+    def test_other_rows_keep_reduceat(self, spec):
+        # One entry a row needs no sum. From 9 entries on, reduceat sums a
+        # row's tail pairwise, which the sequential slab order does not
+        # reproduce: the kernel must match reduceat on inputs where that
+        # order would not.
+        layer = generate(GeneratorSpec(**spec))
+        rng = np.random.default_rng(10)
+        for csr in (layer.csr, transition_matrix(layer).csr, _symmetrized(layer)):
+            apply = csr.matvec_kernel()
+            x = signed_vector(rng, csr.n)
+            assert np.array_equal(bits(apply(x)), bits(reduceat_product(csr, x)))
+            counts = np.diff(csr.indptr)
+            if counts.min() == counts.max() == 9:
+                p = (csr.data * x[csr.indices]).reshape(csr.n, 9)
+                tail = p[:, 1].copy()
+                for j in range(2, 9):
+                    tail += p[:, j]
+                assert not np.array_equal(bits(p[:, 0] + tail), bits(apply(x)))

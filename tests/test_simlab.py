@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oplex.fixtures import oscillating_pair, triangle_pair
 from oplex.merged import analyze as analyze_merged
 from oplex.merged import merge
-from oplex.netcore import GeneratorSpec, generate
+from oplex.netcore import GeneratorSpec, LayerGraph, generate
 from oplex.simlab import decay_check, fit_rate, simulate
 from oplex.spectral import eig_moduli_nonsymmetric
 from oplex.stochastic import (
@@ -177,6 +177,26 @@ def assert_matches_stepwise(schedule, x0, t_max, tol, pi, record_states):
     return traj
 
 
+def ring_with_chords(n, starts, span):
+    """The ring 0-1-...-(n-1)-0 plus the chords {i, i + span} for i in starts."""
+    i = np.concatenate([np.arange(n), np.asarray(starts)])
+    j = np.concatenate([(np.arange(n) + 1) % n, (np.asarray(starts) + span) % n])
+    return LayerGraph.from_edges(n, i, j, np.ones(i.shape))
+
+
+def assert_matches_stepwise_on_sparse(matrices, period):
+    """Two sparse matrices, the first period - 1 times and then the second.
+    The block cap is 109 steps at n = 300, so at period 200 every block is
+    shorter than a period. The uniform pi only weights the error norms."""
+    n = matrices[0].n
+    schedule = (matrices[0],) * (period - 1) + (matrices[1],)
+    assert all(m.csr.matvec_cost() < n * n for m in schedule)
+    x0 = np.random.default_rng(period).random(n)
+    pi = StationaryDistribution(np.full(n, 1.0 / n))
+    traj = assert_matches_stepwise(schedule, x0, 3000, 1e-6, pi, True)
+    assert traj.steps > 100
+
+
 class TestBlockedStepping:
     """simulate steps in blocks; every result must equal plain stepping bit for bit.
 
@@ -235,20 +255,28 @@ class TestBlockedStepping:
 
     @pytest.mark.parametrize("period", [1, 3, 200])
     def test_matches_stepwise_on_sparse_rings(self, period):
-        # Rings of 300 nodes lie above the dense/CSR crossover, so every
-        # step here is a CSR product. The block cap is 109 steps here, so
-        # at period 200 every block is shorter than a period.
+        # Rings of 300 nodes lie above the dense/CSR crossover, and every
+        # row holds 4 entries, so every step here is a slab product.
         n = 300
         rings = [
             transition_matrix(generate(GeneratorSpec(kind="circulant", n=n, offsets=offsets)))
             for offsets in ((1, 2), (1, 3))
         ]
-        schedule = tuple(rings[0] for _ in range(period - 1)) + (rings[1],)
-        assert all(m.csr.matvec_cost() < n * n for m in schedule)
-        x0 = np.random.default_rng(period).random(n)
-        pi = StationaryDistribution(np.full(n, 1.0 / n))
-        traj = assert_matches_stepwise(schedule, x0, 3000, 1e-6, pi, True)
-        assert traj.steps > 100
+        assert all(set(np.diff(m.csr.indptr)) == {4} for m in rings)
+        assert_matches_stepwise_on_sparse(rings, period)
+
+    @pytest.mark.parametrize("period", [1, 3, 200])
+    def test_matches_stepwise_on_irregular_sparse_layers(self, period):
+        # A 300-ring plus 10 chords: rows of 2 and 3 entries, so every step
+        # here is a reduceat product.
+        n = 300
+        layers = [
+            ring_with_chords(n, range(0, 150, 15), 150),
+            ring_with_chords(n, range(0, 300, 30), 100),
+        ]
+        matrices = [transition_matrix(layer) for layer in layers]
+        assert all(set(np.diff(m.csr.indptr)) == {2, 3} for m in matrices)
+        assert_matches_stepwise_on_sparse(matrices, period)
 
     def test_memory_bounded_when_the_period_exceeds_the_cap(self):
         # A period of 3001 steps on 1000-node rings: the buffer holds one
