@@ -433,23 +433,23 @@ def test_csr_round_trip_and_mirror(a):
 
 
 @pytest.mark.parametrize(
-    "spec, dense",
+    "spec, dense, tol",
     [
-        (dict(kind="circulant", n=12, offsets=(1,)), True),
-        (dict(kind="circulant", n=300, offsets=(1, 2)), False),
-        (dict(kind="circulant", n=300, offsets=tuple(range(1, 150))), True),
-        (dict(kind="barabasi-albert", n=300, m=3, seed=1), False),
+        (dict(kind="circulant", n=12, offsets=(1,)), True, 1e-12),
+        (dict(kind="circulant", n=300, offsets=(1, 2)), False, 2e-12),
+        (dict(kind="circulant", n=300, offsets=tuple(range(1, 150))), True, 149e-12),
+        (dict(kind="barabasi-albert", n=300, m=3, seed=1), False, 1e-12),
     ],
     ids=["small", "sparse", "full", "irregular"],
 )
-def test_both_product_kernels_match_the_dense_product(spec, dense):
+def test_both_product_kernels_match_the_dense_product(spec, dense, tol):
     # "sparse" is row-regular and takes the slab kernel, "irregular" reduceat.
+    # A circulant's bound is 1e-12 per offset.
     csr = generate(GeneratorSpec(**spec)).csr
     n = csr.n
     assert (csr.matvec_cost() == n * n) == dense
     x = np.random.default_rng(n).random(n)
     expected = csr.dense() @ x
-    tol = 1e-12 * np.diff(csr.indptr).max()
     apply = csr.matvec_kernel()
     out = np.empty(n)
     assert apply(x, out=out) is out
