@@ -24,7 +24,6 @@ from .stochastic import (
     is_primitive,
     stationary_from_degrees,
     stationary_general,
-    support_classes,
     transition_matrix,
 )
 from .spectral import (
@@ -36,26 +35,20 @@ from .spectral import (
 from .merged import (
     MergedBoundsReport,
     MergedModel,
-    alpha_stability_sweep,
     merge,
-    merged_perturbation_check,
     slem_bounds,
 )
 from .switching import (
     SwitchingModel,
     SwitchingOutcome,
     analyze,
-    k_stability_sweep,
     rho_star,
     switching_model,
-    switching_perturbation_check,
 )
 from .perturb import (
     PerturbationReport,
     ShiftFamilyFit,
     fit_shift_family,
-    fundamental_matrix,
-    shift_bound_check,
     stationary_shift,
 )
 from .simlab import (
@@ -92,7 +85,6 @@ __all__ = [
     "is_primitive",
     "stationary_from_degrees",
     "stationary_general",
-    "support_classes",
     "transition_matrix",
     "SpectralSummary",
     "eig_moduli_nonsymmetric",
@@ -100,22 +92,16 @@ __all__ = [
     "symmetrize",
     "MergedBoundsReport",
     "MergedModel",
-    "alpha_stability_sweep",
     "merge",
-    "merged_perturbation_check",
     "slem_bounds",
     "SwitchingModel",
     "SwitchingOutcome",
     "analyze",
-    "k_stability_sweep",
     "rho_star",
     "switching_model",
-    "switching_perturbation_check",
     "PerturbationReport",
     "ShiftFamilyFit",
     "fit_shift_family",
-    "fundamental_matrix",
-    "shift_bound_check",
     "stationary_shift",
     "DecayCheckResult",
     "OpinionTrajectory",

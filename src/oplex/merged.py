@@ -9,28 +9,24 @@ lower bound plus, when the two degree sequences coincide, an upper bound by
 the slower layer. analyze puts the verdict on one model together, with
 these claims as its armed checks. It is the one source of the merged
 consensus and the layer-consensus interval: the sweep, `oplex analyze`, the
-bounds suite and the alpha and perturbation checks below all read it.
+bounds suite and the perturbation suite's alpha and edge families all read
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .netcore import Csr, IsolatedNodeError, LayerGraph, require_no_isolated
-from .perturb import ShiftFamilyFit, fit_shift_family
 from .spectral import SLEM_SLACK, slem_reversible
 from .stochastic import (
-    NotPrimitiveError,
     StationaryDistribution,
     TransitionMatrix,
     check_opinions,
     consensus_value,
     is_primitive,
-    layer_consensus,
-    require_primitive,
     stationary_from_degrees,
     transition_matrix,
 )
@@ -194,72 +190,3 @@ def analyze(model: MergedModel, x0: np.ndarray) -> MergedOutcome:
         interval=interval,
         guaranteed=0.0 < model.alpha < 1.0 and any(primitive),
     )
-
-
-@dataclass(frozen=True)
-class AlphaStabilityResult:
-    """Deviations |x_m(inf) - x_1(inf)| across an alpha grid.
-
-    bound_constant is |E2| / min(|E1|, |E2|) * |x2(inf) - x1(inf)|; the
-    deviations must stay under bound_constant * (1 - alpha) pointwise.
-    """
-
-    alphas: np.ndarray
-    deviations: np.ndarray
-    bound_constant: float
-    within_bound: bool
-
-
-def alpha_stability_sweep(
-    layer1: LayerGraph,
-    layer2: LayerGraph,
-    x0: np.ndarray,
-    alphas: Sequence[float],
-) -> AlphaStabilityResult:
-    """How fast the merged consensus approaches layer 1's as alpha -> 1."""
-    x1 = layer_consensus(layer1, x0, "layer1")
-    x2 = consensus_value(stationary_from_degrees(layer2), x0)
-    e1, e2 = layer1.total_edge_weight, layer2.total_edge_weight
-    grid = np.asarray(list(alphas), dtype=float)
-    if ((grid < 0) | (grid > 1)).any():
-        raise ValueError("alpha grid entries must lie in [0, 1]")
-    deviations = np.empty(grid.shape)
-    for i, a in enumerate(grid):
-        value = analyze(merge(layer1, layer2, a), x0).value
-        if value is None:
-            raise NotPrimitiveError("merged transition matrix is not primitive")
-        deviations[i] = abs(value - x1)
-    bound_constant = e2 / min(e1, e2) * abs(x2 - x1)
-    within = bool((deviations <= bound_constant * (1.0 - grid) + 1e-12).all())
-    return AlphaStabilityResult(
-        alphas=grid,
-        deviations=deviations,
-        bound_constant=bound_constant,
-        within_bound=within,
-    )
-
-
-def merged_perturbation_check(
-    layer1: LayerGraph,
-    family: Sequence[LayerGraph],
-    alpha: float,
-    x0: np.ndarray,
-) -> ShiftFamilyFit:
-    """Merged-consensus response when layer 2 is a perturbation of layer 1.
-
-    family is a sequence of perturbed layers, such as a shrinking family;
-    assertion arming and the proportional-decay fit follow fit_shift_family.
-    """
-    x1 = layer_consensus(layer1, x0, "layer1")
-    a_matrix = transition_matrix(layer1)
-    e_norms = []
-    deviations = []
-    for b_layer in family:
-        b_matrix = transition_matrix(b_layer)
-        require_primitive(b_matrix, "perturbed layer's transition matrix")
-        e_norms.append(float(np.abs(a_matrix.entries - b_matrix.entries).max()))
-        value = analyze(merge(layer1, b_layer, alpha), x0).value
-        if value is None:
-            raise NotPrimitiveError("merged transition matrix is not primitive")
-        deviations.append(abs(value - x1))
-    return fit_shift_family(e_norms, deviations)

@@ -186,11 +186,6 @@ def _closed_classes(support: Csr) -> tuple[list[int], np.ndarray]:
     return periods, closed
 
 
-def support_classes(m: TransitionMatrix | SwitchingModel) -> SupportClasses:
-    """Closed classes of m's support: a matrix's or a switching cycle's."""
-    return m.classes()
-
-
 def product_classes(factors: Sequence[TransitionMatrix]) -> SupportClasses:
     """Closed classes of the product Q = F_0 F_1 ... F_(m-1), never formed.
 
@@ -221,12 +216,6 @@ def is_primitive(m: TransitionMatrix | SwitchingModel) -> bool:
     """Primitive iff the support is one aperiodic closed class with no transient node."""
     classes = m.classes()
     return classes.converges and classes.transient == 0
-
-
-def require_primitive(m: TransitionMatrix | SwitchingModel, what: str) -> None:
-    """Raise NotPrimitiveError naming `what` unless m is primitive."""
-    if not is_primitive(m):
-        raise NotPrimitiveError(f"{what} is not primitive")
 
 
 def stationary_from_degrees(layer: LayerGraph) -> StationaryDistribution:
@@ -278,10 +267,3 @@ def consensus_value(pi: StationaryDistribution, x0: np.ndarray) -> float:
     """Consensus opinion pi . x(0); always inside [min x0, max x0]."""
     x = check_opinions(x0, pi.n)
     return float(np.dot(pi.pi, x))
-
-
-def layer_consensus(layer: LayerGraph, x0: np.ndarray, name: str) -> float:
-    """Where one layer's dynamics settles from x0; the layer must be primitive."""
-    require_primitive(transition_matrix(layer), f"{name} transition matrix")
-    return consensus_value(stationary_from_degrees(layer), x0)
-

@@ -24,12 +24,11 @@ has SLEM exactly 1 and takes no solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .netcore import LayerGraph
-from .perturb import ShiftFamilyFit, fit_shift_family
 from .spectral import (
     _KRYLOV_MAX_STEPS,
     _KRYLOV_MIN_N,
@@ -39,19 +38,16 @@ from .spectral import (
 )
 from .stochastic import (
     _STATIONARY_RESIDUAL_TOL,
-    NotPrimitiveError,
     StationaryDistribution,
     SupportClasses,
     TransitionMatrix,
     check_opinions,
     consensus_value,
-    layer_consensus,
     product_classes,
     stationary_general,
     transition_matrix,
 )
 
-_K_RATIO_SLACK = 1.05
 # The matrix-free path costs (k + 1) products per Krylov or power step and a
 # lifted search whose levels grow with k; the formed one about log2(k) dense
 # matrix products plus a dense solve. Timing analyze both ways on pairs of
@@ -252,80 +248,3 @@ def analyze(model: SwitchingModel, x0: np.ndarray) -> SwitchingOutcome:
         slem_cycle=slem,
         rho_star=rho_star(model),
     )
-
-
-@dataclass(frozen=True)
-class KStabilityResult:
-    """Deviations |x_sk(inf) - x_1(inf)| across a k grid.
-
-    Entries for cycles that reach no consensus (not SIA) are NaN and excluded
-    from the fit. fitted_ratio is the geometric ratio of the deviation
-    envelope and must stay within 5% above rho2(A) for the sweep to pass.
-    """
-
-    ks: np.ndarray
-    deviations: np.ndarray
-    converged: np.ndarray
-    fitted_ratio: float | None
-    envelope_constant: float | None
-    rho2_a: float
-    passed: bool
-
-
-def k_stability_sweep(
-    layer1: LayerGraph,
-    layer2: LayerGraph,
-    ks: Sequence[int],
-    x0: np.ndarray,
-) -> KStabilityResult:
-    """How fast the switching consensus approaches layer 1's as k grows."""
-    x1 = layer_consensus(layer1, x0, "layer1")
-    rho_a = slem_reversible(layer1).slem
-    grid = np.asarray(list(ks), dtype=int)
-    deviations = np.full(grid.shape, np.nan)
-    converged = np.zeros(grid.shape, dtype=bool)
-    for idx, k in enumerate(grid):
-        value = analyze(switching_model(layer1, layer2, int(k)), x0).value
-        if value is not None:
-            deviations[idx] = abs(value - x1)
-            converged[idx] = True
-    usable = converged & (deviations > 1e-13)
-    if usable.sum() >= 2:
-        slope, intercept = np.polyfit(grid[usable], np.log(deviations[usable]), 1)
-        fitted_ratio = float(np.exp(slope))
-        envelope = float(np.max(deviations[usable] / rho_a ** grid[usable]))
-        passed = fitted_ratio <= rho_a * _K_RATIO_SLACK
-    else:
-        # All deviations at the numerical floor (e.g. identical layers).
-        fitted_ratio = None
-        envelope = None
-        passed = True
-    return KStabilityResult(
-        ks=grid,
-        deviations=deviations,
-        converged=converged,
-        fitted_ratio=fitted_ratio,
-        envelope_constant=envelope,
-        rho2_a=rho_a,
-        passed=passed,
-    )
-
-
-def switching_perturbation_check(
-    layer1: LayerGraph,
-    family: Sequence[LayerGraph],
-    k: int,
-    x0: np.ndarray,
-) -> ShiftFamilyFit:
-    """Switching-consensus response when layer 2 is each perturbed layer of family."""
-    x1 = layer_consensus(layer1, x0, "layer1")
-    e_norms = []
-    deviations = []
-    for b_layer in family:
-        model = switching_model(layer1, b_layer, k)
-        value = analyze(model, x0).value
-        if value is None:
-            raise NotPrimitiveError(f"cycle matrix for k={k} reaches no consensus (not SIA)")
-        e_norms.append(float(np.abs(model.a.entries - model.b.entries).max()))
-        deviations.append(abs(value - x1))
-    return fit_shift_family(e_norms, deviations)

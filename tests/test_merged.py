@@ -6,18 +6,12 @@ from oplex.fixtures import (
     misaligned_degree_pair,
     triangle_pair,
 )
-from oplex.merged import (
-    MergedOutcome,
-    alpha_stability_sweep,
-    analyze,
-    merge,
-    merged_perturbation_check,
-    slem_bounds,
-)
+from oplex.merged import MergedOutcome, analyze, merge, slem_bounds
 from oplex.netcore import GeneratorSpec, build_layer, generate
 from oplex.spectral import eig_moduli_nonsymmetric
-from oplex.stochastic import NotPrimitiveError, support_classes, transition_matrix
-from oplex.verify import degree_matched_pair, random_layer, reweight_edge
+from oplex.perturb import fit_shift_family
+from oplex.stochastic import consensus_value, stationary_from_degrees, transition_matrix
+from oplex.verify import consensus_deviations, degree_matched_pair, random_layer, reweight_edge
 
 X0_TRIANGLE = np.array([1.0, 0.0, 0.0])
 
@@ -60,8 +54,8 @@ class TestMerge:
         model = merge(*layers, alpha)
         assert not (model.merged_layer.csr.data == 0).any()
         assert np.array_equal(model.merged_layer.csr.indices, ring.csr.indices)
-        assert support_classes(model.transition) == support_classes(transition_matrix(ring))
-        assert support_classes(model.transition).periods == (2,)
+        assert model.transition.classes() == transition_matrix(ring).classes()
+        assert model.transition.classes().periods == (2,)
 
     def test_blend_equals_the_dense_blend(self):
         rng = np.random.default_rng(8)
@@ -201,16 +195,12 @@ class TestMergedConsensus:
 
     def test_identical_layers_give_single_layer_consensus(self):
         layer1, _ = triangle_pair()
-        from oplex.stochastic import consensus_value, stationary_from_degrees
-
         single = consensus_value(stationary_from_degrees(layer1), X0_TRIANGLE)
         merged = analyze(merge(layer1, layer1, 0.7), X0_TRIANGLE).value
         assert merged == pytest.approx(single, abs=1e-15)
 
     def test_equals_convex_combination_of_layer_consensuses(self):
         layer1, layer2 = triangle_pair()
-        from oplex.stochastic import consensus_value, stationary_from_degrees
-
         alpha = 0.3
         x1 = consensus_value(stationary_from_degrees(layer1), X0_TRIANGLE)
         x2 = consensus_value(stationary_from_degrees(layer2), X0_TRIANGLE)
@@ -224,11 +214,11 @@ class TestMergedConsensus:
     def test_rejects_non_primitive_merged_matrix(self):
         a = build_layer(2, [(0, 1, 1)])
         assert analyze(merge(a, a, 0.5), np.array([1.0, 0.0])).value is None
-        # alpha = 0 leaves only the bipartite path: the sweep has no value there
+        # alpha = 0 leaves only the bipartite path: no value there
         tri = build_layer(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
         path = build_layer(3, [(0, 1, 1), (1, 2, 1)])
-        with pytest.raises(NotPrimitiveError, match="merged transition matrix"):
-            alpha_stability_sweep(tri, path, X0_TRIANGLE, [0.5, 0.0])
+        assert analyze(merge(tri, path, 0.5), X0_TRIANGLE).value is not None
+        assert analyze(merge(tri, path, 0.0), X0_TRIANGLE).value is None
 
     def test_matches_simulated_fixpoint_on_random_instances(self):
         for seed in range(8):
@@ -266,8 +256,6 @@ class TestConsensusInterval:
         layer1, layer2 = triangle_pair()
         # node 0 carries more stationary weight in layer 2 (3/8 vs 1/3)
         lo, hi = analyze(merge(layer1, layer2, 0.5), X0_TRIANGLE).interval
-        from oplex.stochastic import consensus_value, stationary_from_degrees
-
         assert hi == pytest.approx(
             consensus_value(stationary_from_degrees(layer2), X0_TRIANGLE)
         )
@@ -372,52 +360,67 @@ class TestSlemBounds:
             slem_bounds(model)
 
 
+def layer1_deviations(layer1, models, x0=X0_TRIANGLE):
+    """|x_m - x_1| for each merged model's consensus x_m, layer 1's x_1."""
+    x1 = consensus_value(stationary_from_degrees(layer1), x0)
+    return consensus_deviations([analyze(model, x0) for model in models], x1)
+
+
 class TestAlphaStability:
     def test_identical_layers_zero_deviation(self):
         layer1, _ = triangle_pair()
-        result = alpha_stability_sweep(layer1, layer1, X0_TRIANGLE, [0.2, 0.5, 0.9])
-        assert np.abs(result.deviations).max() <= 1e-15
-        assert result.within_bound
+        deviations = layer1_deviations(layer1, [merge(layer1, layer1, a) for a in (0.2, 0.5, 0.9)])
+        assert deviations.max() <= 1e-15
 
     def test_alpha_one_endpoint_zero(self):
         layer1, layer2 = triangle_pair()
-        result = alpha_stability_sweep(layer1, layer2, X0_TRIANGLE, [1.0])
-        assert result.deviations[0] <= 1e-15
+        assert layer1_deviations(layer1, [merge(layer1, layer2, 1.0)])[0] <= 1e-15
 
     def test_triangle_family_matches_closed_form(self):
         layer1, layer2 = triangle_pair()
-        alphas = [0.9, 0.99, 0.999]
-        result = alpha_stability_sweep(layer1, layer2, X0_TRIANGLE, alphas)
+        alphas = np.array([0.9, 0.99, 0.999])
+        deviations = layer1_deviations(layer1, [merge(layer1, layer2, a) for a in alphas])
         e1, e2 = layer1.total_edge_weight, layer2.total_edge_weight
         x1, x2 = 1 / 3, 3 / 8
-        for alpha, dev in zip(result.alphas, result.deviations):
+        for alpha, dev in zip(alphas, deviations):
             expected = (1 - alpha) * e2 * abs(x2 - x1) / (
                 alpha * e1 + (1 - alpha) * e2
             )
             assert dev == pytest.approx(expected, abs=1e-14)
-        assert result.within_bound
-        ratios = result.deviations / (1.0 - result.alphas)
+        # under |E2| / min(|E1|, |E2|) |x2 - x1| (1 - alpha)
+        assert (deviations <= e2 / min(e1, e2) * abs(x2 - x1) * (1 - alphas) + 1e-12).all()
+        ratios = deviations / (1.0 - alphas)
         assert ratios.max() / ratios.min() < 1.2  # approximately constant
 
 
 class TestMergedPerturbation:
+    """The merged consensus against layer 1's when layer 2 is a perturbed
+    copy of layer 1, fitted by fit_shift_family."""
+
+    @staticmethod
+    def fit(layer1, family, x0=X0_TRIANGLE):
+        a = transition_matrix(layer1).entries
+        e_norms = [float(np.abs(a - transition_matrix(b).entries).max()) for b in family]
+        models = [merge(layer1, b, 0.5) for b in family]
+        return fit_shift_family(e_norms, layer1_deviations(layer1, models, x0))
+
     def test_identical_layer_gives_zero(self):
         layer1, _ = triangle_pair()
-        fit = merged_perturbation_check(layer1, [layer1], 0.5, X0_TRIANGLE)
+        fit = self.fit(layer1, [layer1])
         assert fit.passed
         assert fit.deviations.max() <= 1e-15
 
     def test_shrinking_edge_reweight_family(self):
         layer1, _ = triangle_pair()
         family = [reweight_edge(layer1, 0, 1, 1 + eps) for eps in (1e-2, 1e-3, 1e-4)]
-        fit = merged_perturbation_check(layer1, family, 0.5, X0_TRIANGLE)
+        fit = self.fit(layer1, family)
         assert fit.armed
         assert fit.passed
         assert abs(fit.slope - 1.0) <= 0.1
 
     def test_disjoint_support_is_report_only(self):
         layer1, layer2 = complementary_cycles_pair()
-        fit = merged_perturbation_check(layer1, [layer2], 0.5, np.array([1, 0, 0, 0, 0.0]))
+        fit = self.fit(layer1, [layer2], np.array([1, 0, 0, 0, 0.0]))
         assert not fit.armed
         assert fit.passed  # nothing armed, nothing failed
         assert fit.e_norms[0] > 0.4

@@ -1,17 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from oplex.perturb import (
-    fit_shift_family,
-    fundamental_matrix,
-    shift_bound_check,
-    stationary_shift,
-)
-from oplex.stochastic import (
-    StationaryDistribution,
-    TransitionMatrix,
-    stationary_general,
-)
+from oplex import perturb
+from oplex.perturb import fit_shift_family, stationary_shift
+from oplex.stochastic import TransitionMatrix, stationary_general
 
 
 def two_state(a: float, b: float) -> TransitionMatrix:
@@ -23,21 +17,37 @@ def random_primitive(rng, n):
     return TransitionMatrix.from_entries(m / m.sum(axis=1, keepdims=True))
 
 
+def shift_through_inverse(p: TransitionMatrix, p_tilde: TransitionMatrix) -> np.ndarray:
+    """pi~ E Z with Z = (I - P + 1 pi')^-1 formed by a dense inverse."""
+    pi = stationary_general(p).pi
+    z = np.linalg.inv(np.eye(p.n) - p.entries + np.outer(np.ones(p.n), pi))
+    return stationary_general(p_tilde).pi @ (p_tilde.entries - p.entries) @ z
+
+
 class TestFundamentalMatrix:
+    """Z = (I - P + 1 pi')^-1 enters only through delta_predicted = pi~ E Z:
+    chains with a known Z give a known shift."""
+
     def test_rank_one_chain_gives_identity(self):
+        # P = 1 pi' has Z = I, so the predicted shift is pi~ E itself.
         pi = np.array([0.3, 0.5, 0.2])
         p = TransitionMatrix.from_entries(np.outer(np.ones(3), pi))
-        z = fundamental_matrix(p, StationaryDistribution(pi=pi))
-        assert np.abs(z - np.eye(3)).max() <= 1e-12
+        p_tilde = TransitionMatrix.from_entries(
+            [[0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [0.1, 0.6, 0.3]]
+        )
+        report = stationary_shift(p, p_tilde)
+        pi_e = stationary_general(p_tilde).pi @ (p_tilde.entries - p.entries)
+        assert np.abs(report.delta_predicted - pi_e).max() <= 1e-12
 
     def test_uniform_two_state_gives_identity(self):
-        p = two_state(0.5, 0.5)
-        z = fundamental_matrix(p, StationaryDistribution(pi=np.array([0.5, 0.5])))
-        assert np.abs(z - np.eye(2)).max() <= 1e-12
+        p, p_tilde = two_state(0.5, 0.5), two_state(0.3, 0.6)
+        report = stationary_shift(p, p_tilde)
+        pi_e = stationary_general(p_tilde).pi @ (p_tilde.entries - p.entries)
+        assert np.abs(report.delta_predicted - pi_e).max() <= 1e-12
 
     def test_two_state_adjugate_oracle(self):
         a, b = 0.4, 0.5
-        p = two_state(a, b)
+        p, p_tilde = two_state(a, b), two_state(0.3, 0.7)
         pi = np.array([b, a]) / (a + b)
         system = np.eye(2) - p.entries + np.outer(np.ones(2), pi)
         det = system[0, 0] * system[1, 1] - system[0, 1] * system[1, 0]
@@ -45,27 +55,29 @@ class TestFundamentalMatrix:
             np.array([[system[1, 1], -system[0, 1]], [-system[1, 0], system[0, 0]]])
             / det
         )
-        z = fundamental_matrix(p, StationaryDistribution(pi=pi))
-        assert np.abs(z - oracle).max() <= 1e-13
-
-    def test_rows_of_z_sum_to_one(self):
-        rng = np.random.default_rng(4)
-        p = random_primitive(rng, 7)
-        z = fundamental_matrix(p, stationary_general(p))
-        assert np.abs(z.sum(axis=1) - 1.0).max() <= 1e-10
-
-    def test_rejects_wrong_pi(self):
-        p = two_state(0.4, 0.5)
-        with pytest.raises(ValueError, match="not stationary"):
-            fundamental_matrix(p, StationaryDistribution(pi=np.array([0.5, 0.5])))
+        pi_tilde = np.array([0.7, 0.3]) / (0.3 + 0.7)
+        expected = pi_tilde @ (p_tilde.entries - p.entries) @ oracle
+        report = stationary_shift(p, p_tilde)
+        assert np.abs(report.delta_predicted - expected).max() <= 1e-13
 
     def test_inverse_residual(self):
+        # The solve against the dense inverse it replaces, on random pairs.
         rng = np.random.default_rng(5)
-        p = random_primitive(rng, 9)
-        pi = stationary_general(p)
-        z = fundamental_matrix(p, pi)
-        system = np.eye(9) - p.entries + np.outer(np.ones(9), pi.pi)
-        assert np.abs(system @ z - np.eye(9)).max() <= 1e-10
+        for _ in range(20):
+            n = int(rng.integers(2, 11))
+            p, p_tilde = random_primitive(rng, n), random_primitive(rng, n)
+            report = stationary_shift(p, p_tilde)
+            gap = np.abs(report.delta_predicted - shift_through_inverse(p, p_tilde)).max()
+            assert gap <= 1e-12
+
+    def test_singular_system_is_a_value_error(self, monkeypatch):
+        # A pi summing to 0 puts the ones vector in the kernel of I - P + 1 pi'.
+        monkeypatch.setattr(
+            perturb, "stationary_general", lambda m: SimpleNamespace(pi=np.array([1.0, -1.0]))
+        )
+        p = two_state(0.5, 0.5)
+        with pytest.raises(ValueError, match="singular"):
+            stationary_shift(p, p)
 
 
 class TestStationaryShift:
@@ -109,9 +121,18 @@ class TestStationaryShift:
 
 
 class TestShiftBoundCheck:
+    """The ratio ||pi~ - pi||_max / ||P~ - P||_max, read off the report as
+    the perturbation suite's two-state check reads it."""
+
+    @staticmethod
+    def ratio(p: TransitionMatrix, p_tilde: TransitionMatrix) -> float:
+        report = stationary_shift(p, p_tilde)
+        return float(np.abs(report.delta_actual).max()) / report.max_norm_e
+
     def test_two_state_ratio(self):
-        ratio = shift_bound_check(two_state(0.5, 0.5), two_state(0.4, 0.5))
-        assert ratio == pytest.approx(5 / 9, abs=1e-9)
+        assert self.ratio(two_state(0.5, 0.5), two_state(0.4, 0.5)) == pytest.approx(
+            5 / 9, abs=1e-9
+        )
 
     def test_shrinking_family_ratio_converges(self):
         p = two_state(0.5, 0.5)
@@ -119,14 +140,9 @@ class TestShiftBoundCheck:
         ratios = []
         for eps in (1e-1, 1e-2, 1e-3, 1e-4):
             p_tilde = TransitionMatrix.from_entries(p.entries + eps * e0)
-            ratios.append(shift_bound_check(p, p_tilde))
+            ratios.append(self.ratio(p, p_tilde))
         spread = max(ratios) - min(ratios)
         assert spread <= 0.1 * max(ratios)
-
-    def test_rejects_zero_perturbation(self):
-        p = two_state(0.4, 0.5)
-        with pytest.raises(ValueError, match="zero perturbation"):
-            shift_bound_check(p, p)
 
 
 class TestFitShiftFamily:

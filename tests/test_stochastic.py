@@ -16,7 +16,6 @@ from oplex.stochastic import (
     is_primitive,
     stationary_from_degrees,
     stationary_general,
-    support_classes,
     transition_matrix,
 )
 
@@ -125,7 +124,7 @@ def _brute_force_classes(support: np.ndarray) -> tuple[list[int], int]:
 @given(random_transition())
 @settings(max_examples=300, deadline=None)
 def test_support_classes_match_brute_force(m):
-    classes = support_classes(m)
+    classes = m.classes()
     assert (sorted(classes.periods), classes.transient) == _brute_force_classes(m.entries > 0)
 
 
@@ -135,15 +134,15 @@ class TestSupportClasses:
         entries = np.eye(6, k=1)
         entries[5, 5] = 1.0
         m = TransitionMatrix.from_entries(entries)
-        assert support_classes(m) == SupportClasses(periods=(1,), transient=5)
-        assert support_classes(m).converges and not is_primitive(m)
+        assert m.classes() == SupportClasses(periods=(1,), transient=5)
+        assert m.classes().converges and not is_primitive(m)
 
     def test_classes_of_different_periods_and_a_transient_node(self):
         # {0, 1} swaps (period 2), {2} absorbs, node 3 feeds both.
         m = TransitionMatrix.from_entries(
             [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0.5, 0, 0.5, 0]]
         )
-        classes = support_classes(m)
+        classes = m.classes()
         assert sorted(classes.periods) == [1, 2] and classes.transient == 1
         assert not classes.converges
 
@@ -151,14 +150,14 @@ class TestSupportClasses:
         w = np.zeros((7, 7))
         for i, j in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]:
             w[i, j] = w[j, i] = 1.0
-        classes = support_classes(transition_matrix(LayerGraph.from_weights(w)))
+        classes = transition_matrix(LayerGraph.from_weights(w)).classes()
         assert classes == SupportClasses(periods=(1, 2), transient=0)
 
     def test_stationary_vector_of_sia_matrix_is_zero_on_transient_nodes(self):
         m = TransitionMatrix.from_entries(
             [[0.5, 0.5, 0, 0], [0.5, 0, 0.5, 0], [0, 0, 0.25, 0.75], [0, 0, 1, 0]]
         )
-        assert support_classes(m) == SupportClasses(periods=(1,), transient=2)
+        assert m.classes() == SupportClasses(periods=(1,), transient=2)
         pi = stationary_general(m).pi
         assert np.abs(pi - [0, 0, 4 / 7, 3 / 7]).max() <= 1e-12
 
@@ -360,7 +359,7 @@ def _dense_bfs_levels(adjacency: np.ndarray, source: int) -> np.ndarray:
 
 def dense_support_classes(entries: np.ndarray) -> SupportClasses:
     """The classification by breadth-first search on the dense support, the
-    same search as support_classes makes on the stored pattern."""
+    same search as TransitionMatrix.classes() makes on the stored pattern."""
     n = entries.shape[0]
     support = entries > 0.0
     symmetric = np.array_equal(support, support.T)
@@ -414,4 +413,4 @@ def structured_transition(draw):
 @given(structured_transition())
 @settings(max_examples=300, deadline=None)
 def test_support_classes_match_the_dense_search(m):
-    assert support_classes(m) == dense_support_classes(m.entries)
+    assert m.classes() == dense_support_classes(m.entries)

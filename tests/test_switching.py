@@ -10,26 +10,26 @@ from test_spectral import ring_plus_chords_model
 from oplex import spectral, switching
 from oplex.fixtures import induced_pair, oscillating_pair, sia_pair, triangle_pair
 from oplex.netcore import GeneratorSpec, LayerGraph, build_layer, generate, load_two_layer_dataset
+from oplex.perturb import fit_shift_family
 from oplex.spectral import _KRYLOV_MIN_N, eig_moduli_nonsymmetric, slem_reversible
 from oplex.stochastic import (
-    NotPrimitiveError,
     SupportClasses,
     TransitionMatrix,
+    consensus_value,
     is_primitive,
     product_classes,
+    stationary_from_degrees,
     stationary_general,
-    support_classes,
     transition_matrix,
 )
-from oplex.switching import (
-    SwitchingModel,
-    analyze,
-    k_stability_sweep,
-    rho_star,
-    switching_model,
-    switching_perturbation_check,
+from oplex.switching import SwitchingModel, analyze, rho_star, switching_model
+from oplex.verify import (
+    INDUCED_PERIODS,
+    consensus_deviations,
+    period_limits,
+    random_layer,
+    reweight_edge,
 )
-from oplex.verify import INDUCED_PERIODS, period_limits, random_layer, reweight_edge
 
 DATA = Path(__file__).parent / "data"
 X0_TRIANGLE = np.array([1.0, 0.0, 0.0])
@@ -123,8 +123,6 @@ class TestAnalyze:
 
     def test_same_layer_any_k_matches_single_layer(self):
         layer1, _ = triangle_pair()
-        from oplex.stochastic import consensus_value, stationary_from_degrees
-
         single = consensus_value(stationary_from_degrees(layer1), X0_TRIANGLE)
         for k in (0, 1, 3):
             outcome = analyze(switching_model(layer1, layer1, k), X0_TRIANGLE)
@@ -225,7 +223,7 @@ def test_matrix_free_verdict_matches_the_formed_cycle(pair):
     with mock.patch.object(SwitchingModel, "matrix_free", True):
         outcome = analyze(model, x0)
     formed = TransitionMatrix.from_entries(model.entries)
-    classes = support_classes(formed)
+    classes = formed.classes()
     assert outcome.period == (classes.periods[0] if len(classes.periods) == 1 else None)
     assert outcome.closed_classes == len(classes.periods)
     assert outcome.transient == classes.transient
@@ -314,7 +312,7 @@ class TestMatrixFreeCycle:
 
 
 class TestMatrixQuestionsTakeTheModel:
-    """is_primitive, support_classes and stationary_general ask a switching
+    """is_primitive, classes() and stationary_general ask a switching
     model about its cycle just as they ask a matrix."""
 
     @pytest.mark.parametrize(
@@ -341,8 +339,11 @@ class TestMatrixQuestionsTakeTheModel:
         assert model._formed is None
 
     def test_support_classes(self):
+        # Classified on the time-expanded graph as on the formed cycle.
         model = switching_model(*sia_pair(), k=1)
-        assert support_classes(model) == model.classes()
+        formed = TransitionMatrix.from_entries(model.entries).classes()
+        with mock.patch.object(SwitchingModel, "matrix_free", True):
+            assert model.classes() == formed
 
     def test_stationary_general(self):
         model = switching_model(*triangle_pair(), k=1)
@@ -460,8 +461,6 @@ class TestSpectralProperties:
 
     def test_non_interpolation_regression(self):
         layer1, layer2 = triangle_pair()
-        from oplex.stochastic import stationary_from_degrees
-
         pi_a = stationary_from_degrees(layer1).pi
         pi_b = stationary_from_degrees(layer2).pi
         pi_cycle = stationary_general(switching_model(layer1, layer2, 1).formed()).pi
@@ -469,66 +468,82 @@ class TestSpectralProperties:
             assert p < min(a, b) or p > max(a, b)
 
 
+def layer1_deviations(layer1, models, x0):
+    """|x_sk - x_1| for each switching model's consensus, NaN where none."""
+    x1 = consensus_value(stationary_from_degrees(layer1), x0)
+    return consensus_deviations([analyze(model, x0) for model in models], x1)
+
+
 class TestKStability:
+    @staticmethod
+    def deviations(layer1, layer2, ks, x0=X0_TRIANGLE):
+        return layer1_deviations(layer1, [switching_model(layer1, layer2, k) for k in ks], x0)
+
     def test_identical_layers_zero(self):
         layer1, _ = triangle_pair()
-        result = k_stability_sweep(layer1, layer1, range(1, 6), X0_TRIANGLE)
-        assert np.nanmax(result.deviations) <= 1e-13
-        assert result.passed
+        assert np.nanmax(self.deviations(layer1, layer1, range(1, 6))) <= 1e-13
 
     def test_triangle_pair_geometric_decay(self):
         layer1, layer2 = triangle_pair()
-        result = k_stability_sweep(layer1, layer2, range(1, 9), X0_TRIANGLE)
-        assert result.converged.all()
-        assert result.passed
-        assert result.fitted_ratio == pytest.approx(0.5, abs=0.05)
-        # envelope: every deviation under constant * rho2(A)^k
-        bound = result.envelope_constant * result.rho2_a ** result.ks
-        assert (result.deviations <= bound + 1e-15).all()
+        ks = np.arange(1, 9)
+        deviations = self.deviations(layer1, layer2, ks)
+        assert not np.isnan(deviations).any()
+        ratio = np.exp(np.polyfit(ks, np.log(deviations), 1)[0])
+        assert ratio <= 1.05 * slem_reversible(layer1).slem
+        assert ratio == pytest.approx(0.5, abs=0.05)
 
     def test_constant_opinions_zero(self):
         layer1, layer2 = triangle_pair()
-        result = k_stability_sweep(layer1, layer2, range(1, 6), np.full(3, 0.4))
-        assert np.nanmax(result.deviations) <= 1e-13
-        assert result.passed
+        assert np.nanmax(self.deviations(layer1, layer2, range(1, 6), np.full(3, 0.4))) <= 1e-13
 
     def test_non_primitive_cycle_excluded(self):
         layer1, layer2 = oscillating_pair()
-        result = k_stability_sweep(layer1, layer2, [1, 2], X0_FIVE)
-        assert not result.converged[0]  # k=1 cycle oscillates
-        assert np.isnan(result.deviations[0])
+        deviations = self.deviations(layer1, layer2, [1, 2], X0_FIVE)
+        assert np.isnan(deviations[0])  # k=1 cycle oscillates
 
 
 class TestSwitchingPerturbation:
+    """The switching consensus against layer 1's when layer 2 is each
+    perturbed layer of a family, fitted by fit_shift_family."""
+
+    @staticmethod
+    def fit(layer1, family, k, x0=X0_TRIANGLE):
+        a = transition_matrix(layer1).entries
+        e_norms = [float(np.abs(a - transition_matrix(b).entries).max()) for b in family]
+        models = [switching_model(layer1, b, k) for b in family]
+        return fit_shift_family(e_norms, layer1_deviations(layer1, models, x0))
+
     def test_identical_layer_zero(self):
         layer1, _ = triangle_pair()
-        fit = switching_perturbation_check(layer1, [layer1], 2, X0_TRIANGLE)
+        fit = self.fit(layer1, [layer1], 2)
         assert fit.passed
         assert fit.deviations.max() <= 1e-15
 
     def test_shrinking_family_proportional(self):
         layer1, _ = triangle_pair()
         family = [reweight_edge(layer1, 0, 1, 1 + eps) for eps in (1e-2, 1e-3, 1e-4)]
-        fit = switching_perturbation_check(layer1, family, 2, X0_TRIANGLE)
+        fit = self.fit(layer1, family, 2)
         assert fit.armed and fit.passed
         assert abs(fit.slope - 1.0) <= 0.1
 
     def test_constant_opinions_zero_for_any_perturbation(self):
         layer1, _ = triangle_pair()
         family = [reweight_edge(layer1, 0, 1, 1.5)]
-        fit = switching_perturbation_check(layer1, family, 1, np.full(3, 0.8))
+        fit = self.fit(layer1, family, 1, np.full(3, 0.8))
         assert fit.passed
         assert fit.deviations.max() <= 1e-14
 
     def test_rejects_non_primitive_layer1(self):
-        from oplex.netcore import build_layer
-
+        # The bipartite path squared has two closed classes: no consensus,
+        # so the family has no deviation and its fit never arms.
         path = build_layer(3, [(0, 1, 1), (1, 2, 1)])
-        with pytest.raises(NotPrimitiveError):
-            switching_perturbation_check(path, [path], 1, X0_TRIANGLE)
+        fit = self.fit(path, [path], 1)
+        assert np.isnan(fit.deviations).all()
+        assert not fit.armed
 
     def test_rejects_non_primitive_cycle_of_primitive_layers(self):
         # Both layers are primitive; their k=1 cycle has period 2.
         layer1, layer2 = oscillating_pair()
-        with pytest.raises(NotPrimitiveError, match="k=1"):
-            switching_perturbation_check(layer1, [layer2], 1, X0_FIVE)
+        fit = self.fit(layer1, [layer2], 1, X0_FIVE)
+        assert np.isnan(fit.deviations).all()
+        assert not fit.armed

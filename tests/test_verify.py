@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -97,3 +99,35 @@ class TestExamplesSuite:
         results = {r.name: r for r in verify.run_examples_suite()}
         for name in ("induced/merged-primitive", "induced/switching-no-consensus"):
             assert results[name].passed, results[name].detail
+
+
+# run_perturbation_suite() as recorded when its four families still ran
+# through drivers in merged.py and switching.py. Other BLAS builds may move
+# the last bits, so numbers match to a relative 1e-9; the shift identity's
+# worst gap is a rounding residue and is only held under 1e-9.
+PERTURBATION_RECORD = [
+    ("perturbation/shift-identity", True, "worst gap 2.95e-16"),
+    ("perturbation/two-state-shift", True, ""),
+    ("perturbation/two-state-ratio", True, "0.5555555555555559"),
+    ("perturbation/alpha-linear", True, "slope 0.9793"),
+    ("perturbation/merged-edge-linear", True, "slope 1.0007147774010403"),
+    ("perturbation/k-geometric", True, "ratio 0.49417537713023424 vs rho2(A) 0.5000000000000002"),
+    ("perturbation/switching-edge-linear", True, "slope 1.000118963143152"),
+]
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]\d+)?")
+
+
+class TestPerturbationSuite:
+    def test_matches_the_record(self):
+        results = verify.run_perturbation_suite()
+        assert [(r.name, r.passed) for r in results] == [
+            (name, passed) for name, passed, _ in PERTURBATION_RECORD
+        ]
+        for result, (name, _, detail) in zip(results, PERTURBATION_RECORD):
+            assert NUMBER.split(result.detail) == NUMBER.split(detail), name
+            got = [float(x) for x in NUMBER.findall(result.detail)]
+            if name == "perturbation/shift-identity":
+                assert got[0] <= 1e-9
+                continue
+            want = [float(x) for x in NUMBER.findall(detail)]
+            assert got == pytest.approx(want, rel=1e-9), name
