@@ -5,8 +5,9 @@ a pair whose switching cycle oscillates although both layers mix on their
 own, a pair whose reducible cycle still reaches consensus, a pair with
 misaligned degrees whose merged SLEM beats both layer SLEMs, two sparse
 cycles that merge into the complete graph, a triangle pair whose cycle
-stationary distribution interpolates neither layer's, and a pair of
+stationary distribution interpolates neither layer's, a pair of
 non-primitive rings whose merge is primitive although switching never
+reaches consensus, and two pairs of non-primitive paths whose switching
 reaches consensus.
 """
 
@@ -84,4 +85,30 @@ def induced_pair() -> tuple[LayerGraph, LayerGraph]:
     """
     layer1 = generate(GeneratorSpec(kind="circulant", n=6, offsets=(1,)))
     layer2 = generate(GeneratorSpec(kind="circulant", n=6, offsets=(2,)))
+    return layer1, layer2
+
+
+def crossed_paths_pair() -> tuple[LayerGraph, LayerGraph]:
+    """Paths 3-0-1-2 and 2-0-1-3: switching induces consensus.
+
+    Neither path is primitive: both are bipartite. At k = 0 the cycle is B
+    alone, of period 2. From k = 1 on, B A^k has one aperiodic closed class
+    holding every node, with pi = (1/3, 1/3, 1/6, 1/6); at k = 1 its SLEM is
+    1/2.
+    """
+    layer1 = build_layer(4, [(3, 0, 1), (0, 1, 1), (1, 2, 1)])
+    layer2 = build_layer(4, [(2, 0, 1), (0, 1, 1), (1, 3, 1)])
+    return layer1, layer2
+
+
+def shifted_paths_pair() -> tuple[LayerGraph, LayerGraph]:
+    """Paths 1-0-2 and 0-1-2: switching induces consensus at every k >= 1.
+
+    Neither path is primitive, and at k = 0 the cycle B has period 2. At odd
+    k the one closed class of B A^k is node 0 alone, so pi = e_0 and nodes 1
+    and 2 are transient; at even k >= 2 it holds every node, with
+    pi = (0.2, 0.4, 0.4).
+    """
+    layer1 = build_layer(3, [(1, 0, 1), (0, 2, 1)])
+    layer2 = build_layer(3, [(0, 1, 1), (1, 2, 1)])
     return layer1, layer2

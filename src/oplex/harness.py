@@ -14,14 +14,10 @@ byte-identical.
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import json
 import sys
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +27,7 @@ from .netcore import (
     GeneratorSpec,
     IsolatedNodeError,
     LayerGraph,
+    check_node_count,
     generate,
     is_integer,
     is_number,
@@ -75,8 +72,7 @@ class ConfigError(ValueError):
     """Invalid experiment config; message carries the offending field path."""
 
 
-@dataclass(frozen=True)
-class XZeroSpec:
+class XZeroSpec(NamedTuple):
     kind: str  # uniform | explicit | uniform-with-overrides
     seed: int | None = None
     values: tuple[float, ...] | None = None
@@ -84,16 +80,14 @@ class XZeroSpec:
     value: float | None = None
 
 
-@dataclass(frozen=True)
-class DatasetSpec:
+class DatasetSpec(NamedTuple):
     path_a: str
     path_b: str
     n: int
     indexing: str = "0-based"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     model_kind: str  # single | merged | switching
     alphas: tuple[float, ...] | None
     ks: tuple[int, ...] | None
@@ -104,7 +98,7 @@ class ExperimentConfig:
     tol: float
     outputs: tuple[str, ...]
     record_opinions: bool
-    raw: dict = field(compare=False)
+    raw: dict
 
 
 def _fail(path: str, message: str) -> None:
@@ -161,6 +155,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 _fail(f"layers.{need}", "required for two-layer-dataset")
         if not is_integer(layers["n"]) or layers["n"] < 1:
             _fail("layers.n", "must be an integer >= 1")
+        try:
+            check_node_count(layers["n"])
+        except ValueError as exc:
+            _fail("layers.n", str(exc))
         indexing = layers.get("indexing", "0-based")
         if indexing not in ("0-based", "1-based"):
             _fail("layers.indexing", "must be '0-based' or '1-based'")
@@ -239,11 +237,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    import json
+
     with Path(path).open() as fh:
         return parse_config(json.load(fh))
 
 
 def config_hash(raw: dict) -> str:
+    import hashlib
+    import json
+
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -287,23 +290,20 @@ def resolve_x0(config: ExperimentConfig, n: int) -> np.ndarray:
     return x
 
 
-@dataclass
-class GridPointResult:
+class GridPointResult(NamedTuple):
     row: dict
     assertions: dict[str, bool]
     trajectory: OpinionTrajectory | None
 
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     all_passed: bool
     summary: dict
     rows: list[dict]
     out_dir: Path | None
 
 
-@dataclass
-class _GridModel:
+class _GridModel(NamedTuple):
     """What one model kind supplies for a grid point; _grid_point does the rest.
 
     columns fills the model's sweep columns (slem, bounds, consensus,
@@ -473,6 +473,8 @@ def run_experiment(
                     name = f"trajectory_{p.row['grid_kind']}_{p.row['grid_value']}.csv"
                     _write_trajectory_csv(_unlinked(out_path / name), p.trajectory, n)
         if "summary" in config.outputs:
+            import json
+
             _unlinked(out_path / "summary.json").write_text(
                 json.dumps(summary, indent=2, sort_keys=True) + "\n"
             )
@@ -537,6 +539,8 @@ def _write_trajectory_csv(path: Path, trajectory: OpinionTrajectory, n: int) -> 
 
 
 def _write_sweep_csv(path: Path, points: Sequence[GridPointResult]) -> None:
+    import csv
+
     rows = [SWEEP_COLUMNS]
     for p in points:
         rows.append([_fmt(p.row[c]) for c in SWEEP_COLUMNS])

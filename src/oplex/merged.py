@@ -15,7 +15,7 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ _DEGREE_MATCH_RTOL = 1e-9
 _INTERVAL_SLACK = 1e-10
 
 
-@dataclass(frozen=True)
-class MergedModel:
+class MergedModel(NamedTuple):
     alpha: float
     layer1: LayerGraph
     layer2: LayerGraph
@@ -79,8 +78,7 @@ def _blend(w1: Csr, w2: Csr, alpha: float) -> Csr:
     return Csr.from_entries(w1.n, rows, cols, terms)
 
 
-@dataclass(frozen=True)
-class MergedBoundsReport:
+class MergedBoundsReport(NamedTuple):
     """SLEM of C with the universal lower and conditional upper bound.
 
     upper_bound is max of the layer SLEMs and is only a proved bound when
@@ -127,8 +125,7 @@ def slem_bounds(model: MergedModel) -> MergedBoundsReport:
     )
 
 
-@dataclass(frozen=True)
-class MergedOutcome:
+class MergedOutcome(NamedTuple):
     """Where the merged dynamics goes, with the model's armed checks.
 
     pi and value are set iff C is primitive; interval, the [min, max] of the

@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,6 +43,24 @@ def is_number(value: object) -> bool:
     return isinstance(value, float) or is_integer(value)
 
 
+# The most nodes a layer may have. A layer's Csr takes n + 1 row offsets and
+# keys its entries i n + j in int64, which overflows past about 3e9 nodes;
+# the cap stays far below that, and far above the 4000 nodes of the largest
+# run in this repository.
+MAX_NODES = 10**6
+# The most uniforms an erdos-renyi layer may draw, one per node pair: about
+# 65000 nodes.
+_MAX_PAIR_DRAWS = 2**31
+
+
+def check_node_count(n: int) -> None:
+    """Reject a node count below 1 or above MAX_NODES, naming it."""
+    if n <= 0:
+        raise ValueError("node count must be positive")
+    if n > MAX_NODES:
+        raise ValueError(f"node count {n} exceeds the cap of {MAX_NODES} nodes")
+
+
 # One CSR product costs about as much as this many dense multiply-adds per
 # stored entry, per row and per call (np.add.reduceat against np.dot, one
 # BLAS thread; see Csr.matvec_cost). Row-regular patterns are charged
@@ -58,8 +76,7 @@ _CSR_CALL_COST = 10_000
 _SLAB_MAX_ROW = 8
 
 
-@dataclass(frozen=True, eq=False)
-class Csr:
+class Csr(NamedTuple):
     """A square matrix in compressed sparse row form (Saad, Iterative Methods
     for Sparse Linear Systems, 2003, section 3.4).
 
@@ -73,7 +90,7 @@ class Csr:
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    rows: np.ndarray = field(repr=False)
+    rows: np.ndarray
 
     @property
     def n(self) -> int:
@@ -203,7 +220,6 @@ def _slab_kernel(indices: np.ndarray, data: np.ndarray) -> Callable[..., np.ndar
     return apply
 
 
-@dataclass(frozen=True)
 class LayerGraph:
     """One undirected weighted layer on nodes 0..n-1, given by its weights W.
 
@@ -215,32 +231,25 @@ class LayerGraph:
     spectral.slem_reversible).
     """
 
-    csr: Csr
-    n: int = field(init=False)
-    degrees: np.ndarray = field(init=False)
-    total_edge_weight: float = field(init=False)
-    _transition: TransitionMatrix | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _spectrum: SpectralSummary | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        w = self.csr
-        degrees = w.row_sums()
+    def __init__(self, csr: Csr) -> None:
+        degrees = csr.row_sums()
         with np.errstate(over="ignore"):  # an overflow is rejected below
             total = 0.5 * float(degrees.sum())
         if not math.isfinite(total):  # also when some degree is not finite
             raise ValueError("weighted degrees and their total must be finite")
-        mirror = w.transpose_positions()
-        if mirror is None or not np.array_equal(w.data[mirror], w.data):
+        mirror = csr.transpose_positions()
+        if mirror is None or not np.array_equal(csr.data[mirror], csr.data):
             raise ValueError("weight matrix must be exactly symmetric")
-        if (w.indices == w.rows).any():
+        if (csr.indices == csr.rows).any():
             raise ValueError("self-loops are not allowed (nonzero diagonal)")
-        if (w.data < 0).any():
+        if (csr.data < 0).any():
             raise ValueError("edge weights must be nonnegative")
-        object.__setattr__(self, "n", w.n)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "total_edge_weight", total)
+        self.csr = csr
+        self.n = csr.n
+        self.degrees = degrees
+        self.total_edge_weight = total
+        self._transition: TransitionMatrix | None = None
+        self._spectrum: SpectralSummary | None = None
 
     @property
     def weights(self) -> np.ndarray:
@@ -274,8 +283,7 @@ def build_layer(n: int, edges: Iterable[tuple[int, int, float]]) -> LayerGraph:
     duplicate unordered pairs, and non-finite or non-positive weights are
     rejected.
     """
-    if n <= 0:
-        raise ValueError("node count must be positive")
+    check_node_count(n)
     seen: dict[tuple[int, int], float] = {}
     for i, j, weight in edges:
         if not (0 <= i < n and 0 <= j < n):
@@ -325,13 +333,18 @@ class GeneratorSpec:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.offsets is not None and not all(is_integer(o) for o in self.offsets):
             raise ValueError(f"offsets must be integers, got {list(self.offsets)!r}")
-        if self.n <= 0:
-            raise ValueError("node count must be positive")
+        check_node_count(self.n)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.kind == "erdos-renyi":
             if self.p is None or not (0 < self.p <= 1):
                 raise ValueError("erdos-renyi requires edge probability 0 < p <= 1")
+            pairs = self.n * (self.n - 1) // 2
+            if pairs > _MAX_PAIR_DRAWS:
+                raise ValueError(
+                    f"erdos-renyi on {self.n} nodes draws one uniform per node pair, "
+                    f"{pairs}, more than the cap of {_MAX_PAIR_DRAWS}"
+                )
         elif self.kind == "barabasi-albert":
             if self.m is None or not (1 <= self.m < self.n):
                 raise ValueError("barabasi-albert requires 1 <= m < n")

@@ -15,8 +15,7 @@ families (verify.run_perturbation_suite).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,8 +29,7 @@ _REGIME_MAX = 0.1
 _SPAN_MIN = 10.0
 
 
-@dataclass(frozen=True)
-class PerturbationReport:
+class PerturbationReport(NamedTuple):
     delta_predicted: np.ndarray
     delta_actual: np.ndarray
     max_norm_e: float
@@ -65,8 +63,7 @@ def stationary_shift(p: TransitionMatrix, p_tilde: TransitionMatrix) -> Perturba
     )
 
 
-@dataclass(frozen=True)
-class ShiftFamilyFit:
+class ShiftFamilyFit(NamedTuple):
     """Log-log fit of consensus (or pi) shifts against perturbation sizes.
 
     armed is False outside the small-perturbation regime (sizes too large or

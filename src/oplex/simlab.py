@@ -25,8 +25,7 @@ positive error series by least squares on the logs.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,8 +43,7 @@ _BLOCK_WORK = 2**22
 _BLOCK_CELLS = 2**15
 
 
-@dataclass(frozen=True)
-class OpinionTrajectory:
+class OpinionTrajectory(NamedTuple):
     """Last opinion state and error series against the consensus pi . x(0).
 
     states has shape (steps+1, n) and is kept only when recorded; the last
@@ -155,8 +153,7 @@ def _error_norms(
     return np.sqrt(e.sum(axis=1)), err_max
 
 
-@dataclass(frozen=True)
-class DecayCheckResult:
+class DecayCheckResult(NamedTuple):
     passed: bool
     margin: float
 

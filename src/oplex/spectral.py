@@ -42,9 +42,7 @@ layer's summary on the layer.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -90,8 +88,7 @@ _KRYLOV_NEAR_ONE = 0.98
 SLEM_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
+class SpectralSummary(NamedTuple):
     """The SLEM and the solver path: "symmetric" or "lanczos" for reversible
     operators, "nonsymmetric" or "arnoldi" for general ones."""
 
@@ -245,6 +242,8 @@ def _slem_dense(m: TransitionMatrix | SwitchingModel) -> float:
     try:
         eigenvalues = np.linalg.eigvals(entries)
     except np.linalg.LinAlgError as exc:
+        import hashlib
+
         digest = hashlib.sha256(entries.tobytes()).hexdigest()
         raise RuntimeError(f"eigenvalue iteration failed for matrix sha256={digest}") from exc
     leading = np.abs(eigenvalues).max()
@@ -272,9 +271,8 @@ def slem_reversible(layer: LayerGraph) -> SpectralSummary:
         slem, method = _second_modulus(np.linalg.eigvalsh(s)), "symmetric"
     if slem is None or (slem >= 1.0 - SLEM_SLACK and not is_primitive(transition_matrix(layer))):
         slem = 1.0
-    summary = SpectralSummary(slem=slem, method=method)
-    object.__setattr__(layer, "_spectrum", summary)
-    return summary
+    layer._spectrum = SpectralSummary(slem=slem, method=method)
+    return layer._spectrum
 
 
 def eig_moduli_nonsymmetric(m: TransitionMatrix | SwitchingModel) -> SpectralSummary:

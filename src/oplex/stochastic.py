@@ -12,8 +12,7 @@ graph (product_classes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +29,6 @@ class NotPrimitiveError(ValueError):
     """An operation requiring a primitive matrix got a non-primitive one."""
 
 
-@dataclass(eq=False)
 class TransitionMatrix:
     """N x N row-stochastic matrix, stored once as a Csr.
 
@@ -42,8 +40,9 @@ class TransitionMatrix:
     which offers the same four for its cycle, is asked them as a matrix is.
     """
 
-    csr: Csr
-    _classes: SupportClasses | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, csr: Csr) -> None:
+        self.csr = csr
+        self._classes: SupportClasses | None = None
 
     @property
     def n(self) -> int:
@@ -80,18 +79,15 @@ class TransitionMatrix:
         return cls(Csr.from_dense(m / sums[:, None]))
 
 
-@dataclass(frozen=True)
 class StationaryDistribution:
     """Probability vector over nodes; the weights behind the consensus value."""
 
-    pi: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = self.pi
-        if (p < 0).any():
+    def __init__(self, pi: np.ndarray) -> None:
+        if (pi < 0).any():
             raise ValueError("stationary distribution entries must be nonnegative")
-        if abs(p.sum() - 1.0) > _ROW_SUM_TOL:
-            raise ValueError(f"stationary distribution sums to {p.sum()!r}, not 1")
+        if abs(pi.sum() - 1.0) > _ROW_SUM_TOL:
+            raise ValueError(f"stationary distribution sums to {pi.sum()!r}, not 1")
+        self.pi = pi
 
     @property
     def n(self) -> int:
@@ -107,8 +103,7 @@ def transition_matrix(layer: LayerGraph) -> TransitionMatrix:
     if layer._transition is None:
         require_no_isolated(layer)
         w = layer.csr
-        m = TransitionMatrix(w.with_data(w.data / layer.degrees[w.rows]))
-        object.__setattr__(layer, "_transition", m)
+        layer._transition = TransitionMatrix(w.with_data(w.data / layer.degrees[w.rows]))
     return layer._transition
 
 
@@ -134,8 +129,7 @@ def _bfs_levels(support: Csr, source: int, backward: bool = False) -> np.ndarray
         level[frontier] = depth
 
 
-@dataclass(frozen=True)
-class SupportClasses:
+class SupportClasses(NamedTuple):
     """Closed classes of the support graph (edge i -> j iff m_ij > 0).
 
     periods has one entry per closed class, in the order found; transient

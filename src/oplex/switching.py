@@ -23,8 +23,7 @@ has SLEM exactly 1 and takes no solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,7 +56,6 @@ from .stochastic import (
 _MATRIX_FREE_MAX_COST = 12
 
 
-@dataclass(frozen=True)
 class SwitchingModel:
     """The two layers, their transition matrices A and B, and k.
 
@@ -66,13 +64,21 @@ class SwitchingModel:
     _classes and _formed cache them.
     """
 
-    layer1: LayerGraph
-    layer2: LayerGraph
-    a: TransitionMatrix
-    b: TransitionMatrix
-    k: int
-    _classes: SupportClasses | None = field(default=None, init=False, repr=False, compare=False)
-    _formed: TransitionMatrix | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        layer1: LayerGraph,
+        layer2: LayerGraph,
+        a: TransitionMatrix,
+        b: TransitionMatrix,
+        k: int,
+    ) -> None:
+        self.layer1 = layer1
+        self.layer2 = layer2
+        self.a = a
+        self.b = b
+        self.k = k
+        self._classes: SupportClasses | None = None
+        self._formed: TransitionMatrix | None = None
 
     @property
     def n(self) -> int:
@@ -98,7 +104,7 @@ class SwitchingModel:
         """Q = B A^k by matrix_power, the one place it is formed; cached."""
         if self._formed is None:
             q = self.b.entries @ np.linalg.matrix_power(self.a.entries, self.k)
-            object.__setattr__(self, "_formed", TransitionMatrix.from_entries(q))
+            self._formed = TransitionMatrix.from_entries(q)
         return self._formed
 
     @property
@@ -129,7 +135,7 @@ class SwitchingModel:
         """
         if self._classes is None:
             q = product_classes(self.schedule[::-1]) if self.matrix_free else self.formed().classes()
-            object.__setattr__(self, "_classes", q)
+            self._classes = q
         return self._classes
 
 
@@ -171,8 +177,7 @@ def _stationary_matrix_free(model: SwitchingModel) -> StationaryDistribution | N
     return None
 
 
-@dataclass(frozen=True)
-class SwitchingOutcome:
+class SwitchingOutcome(NamedTuple):
     """Where the switching dynamics goes, read off the cycle's closed classes.
 
     period is that of the cycle's one closed class, None if it has several;

@@ -1,6 +1,6 @@
 """Regression and property suites shared by the CLI and the test suite.
 
-Three suites: "examples" replays the six hand-built fixtures against
+Three suites: "examples" replays the eight hand-built fixtures against
 frozen expected values; "bounds" samples random layer pairs and checks the
 consensus interval, the SLEM bounds, the product-rate bound, and the
 geometric decay law; "perturbation" checks the exact stationary-shift
@@ -10,8 +10,7 @@ merged and switching verdicts (merged.analyze, switching.analyze).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,8 +41,7 @@ BOUNDS_SUITE_SEED = 987654321
 PERTURBATION_SUITE_SEED = 24680
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -99,6 +97,15 @@ TRIANGLE_PI_CYCLE = np.array([3 / 10, 3 / 10, 2 / 5])
 INDUCED_ALPHAS = (0.25, 0.5, 0.75)
 # closed-class periods of B A^k, k = 0..5: the parity classes never merge
 INDUCED_PERIODS = [(1, 1), (2,), (1, 1), (2,), (1, 1), (2,)]
+
+# Two path pairs, neither layer primitive, whose cycle B A^k reaches
+# consensus at every k >= 1: (transient nodes, pi) for k = 1..5. At k = 0
+# the cycle is B alone, a path, of period 2.
+CROSSED_PATHS_CONSENSUS = [(0, (1 / 3, 1 / 3, 1 / 6, 1 / 6))] * 5
+SHIFTED_PATHS_CONSENSUS = [
+    (2, (1.0, 0.0, 0.0)) if k % 2 else (0, (0.2, 0.4, 0.4)) for k in range(1, 6)
+]
+CROSSED_PATHS_SLEM_K1 = 0.5
 
 
 def period_limits(q: np.ndarray, period: int) -> tuple[np.ndarray, ...]:
@@ -244,6 +251,34 @@ def run_examples_suite() -> list[CheckResult]:
             "induced/switching-no-consensus",
             periods == INDUCED_PERIODS,
             f"closed-class periods for k = 0..5: {periods}",
+        )
+    )
+
+    # Path pairs: switching induces consensus where neither layer has it.
+    ok, runs = True, []
+    for pair, expected in (
+        (fixtures.crossed_paths_pair(), CROSSED_PATHS_CONSENSUS),
+        (fixtures.shifted_paths_pair(), SHIFTED_PATHS_CONSENSUS),
+    ):
+        x0 = np.linspace(0.0, 1.0, pair[0].n)
+        outcomes = [analyze(switching_model(*pair, k), x0) for k in range(len(expected) + 1)]
+        ok &= not any(is_primitive(transition_matrix(layer)) for layer in pair)
+        ok &= outcomes[0].status == "oscillation" and outcomes[0].period == 2
+        for o, (transient, pi) in zip(outcomes[1:], expected):
+            ok &= (
+                o.status == "consensus"
+                and o.transient == transient
+                and np.abs(o.pi.pi - pi).max() <= 1e-12
+            )
+        runs.append(outcomes)
+    slem = runs[0][1].slem_cycle  # the crossed paths' cycle at k = 1
+    ok &= abs(slem - CROSSED_PATHS_SLEM_K1) <= 1e-12
+    transients = [[o.transient for o in outcomes] for outcomes in runs]
+    results.append(
+        _check(
+            "induced/switching-consensus",
+            ok,
+            f"transient nodes for k = 0..5: {transients}, crossed-paths SLEM at k = 1 {slem:.12f}",
         )
     )
     return results

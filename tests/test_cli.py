@@ -169,6 +169,22 @@ class TestSimulateCommand:
         )
         assert "missing_a.txt" in err
 
+    def test_huge_dataset_node_count_exits_two(self, tmp_path, capsys):
+        raw = dict(
+            SMALL_MERGED,
+            layers={
+                "kind": "two-layer-dataset",
+                "path_a": str(DATA / "contact_layer_a.txt"),
+                "path_b": str(DATA / "contact_layer_b.txt"),
+                "n": 99999999999,
+            },
+        )
+        config = write_config(tmp_path, raw)
+        err = assert_bad_input(
+            capsys, ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+        )
+        assert "layers.n: node count 99999999999 exceeds" in err
+
     def test_subnormal_layer_weights_run_cleanly(self, tmp_path, capsys):
         # Layer 2's degrees are about 4e-320, so 1/sqrt(d_i d_j) overflows to
         # inf while w_ij / sqrt(d_i) / sqrt(d_j) is 0.25 in floating point.
@@ -346,6 +362,24 @@ class TestAnalyzeCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["n"] == 8
 
+
+    def test_huge_node_count_exits_two(self, tmp_path, capsys):
+        # Both the given n and an n inferred from a file's labels reach the cap.
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0 99999999998 1\n")
+        for layer1, n_args in (
+            (DATA / "contact_layer_a.txt", ["--n", "99999999999"]),
+            (labels, []),
+        ):
+            argv = [
+                "analyze",
+                "--layer1", str(layer1),
+                "--layer2", str(DATA / "contact_layer_b.txt"),
+                "--mode", "switching",
+                "--k", "3",
+            ]
+            err = assert_bad_input(capsys, argv + n_args)
+            assert "node count 99999999999 exceeds" in err
 
     @pytest.mark.parametrize("n_args", [[], ["--n", "8"]])
     def test_malformed_edge_list_exits_two(self, tmp_path, capsys, n_args):

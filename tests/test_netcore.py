@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oplex.netcore import (
     Csr,
     EdgeListError,
+    MAX_NODES,
     GeneratorSpec,
     LayerGraph,
     _choice_without_replacement,
@@ -194,6 +195,23 @@ class TestGenerators:
     def test_non_integer_or_negative_fields_rejected(self, fields, message):
         with pytest.raises(ValueError, match=message):
             GeneratorSpec.from_dict(fields)
+
+    def test_node_count_cap(self):
+        # Rejected at construction, before any array is sized by n.
+        GeneratorSpec(kind="circulant", n=MAX_NODES, offsets=(1,))
+        with pytest.raises(ValueError, match=f"node count {MAX_NODES + 1} exceeds"):
+            GeneratorSpec(kind="circulant", n=MAX_NODES + 1, offsets=(1,))
+        with pytest.raises(ValueError, match="node count 100000000 exceeds"):
+            GeneratorSpec(kind="erdos-renyi", n=10**8, p=0.5, seed=1)
+        with pytest.raises(ValueError, match="node count 99999999999 exceeds"):
+            build_layer(99999999999, [(0, 1, 1.0)])
+
+    def test_erdos_renyi_draw_cap(self):
+        # 70000 nodes are under the node cap but have 2449965000 pairs, one
+        # uniform each; 65536 nodes have 2147450880, just under 2^31.
+        GeneratorSpec(kind="erdos-renyi", n=65536, p=0.5)
+        with pytest.raises(ValueError, match="erdos-renyi on 70000 nodes .* 2449965000"):
+            GeneratorSpec(kind="erdos-renyi", n=70000, p=0.5)
 
     def test_spec_dict_round_trip(self):
         spec = GeneratorSpec(kind="circulant", n=5, offsets=(2, 3), weight=0.5)

@@ -97,8 +97,19 @@ class TestGenerators:
 class TestExamplesSuite:
     def test_induced_pair_checks_pass(self):
         results = {r.name: r for r in verify.run_examples_suite()}
-        for name in ("induced/merged-primitive", "induced/switching-no-consensus"):
+        for name in (
+            "induced/merged-primitive",
+            "induced/switching-no-consensus",
+            "induced/switching-consensus",
+        ):
             assert results[name].passed, results[name].detail
+
+    def test_switching_consensus_pins_each_k(self, monkeypatch):
+        # The shifted paths alternate between pi = e_0 and (0.2, 0.4, 0.4)
+        # with the parity of k; pinning one of them at every k must fail.
+        monkeypatch.setattr(verify, "SHIFTED_PATHS_CONSENSUS", [(0, (0.2, 0.4, 0.4))] * 5)
+        results = {r.name: r for r in verify.run_examples_suite()}
+        assert not results["induced/switching-consensus"].passed
 
 
 # run_perturbation_suite() as recorded when its four families still ran
