@@ -48,9 +48,9 @@ def is_number(value: object) -> bool:
 # the cap stays far below that, and far above the 4000 nodes of the largest
 # run in this repository.
 MAX_NODES = 10**6
-# The most uniforms an erdos-renyi layer may draw, one per node pair: about
-# 65000 nodes.
-_MAX_PAIR_DRAWS = 2**31
+# The most work units a generator spec may ask for (GeneratorSpec names the
+# unit of each kind): one per node pair is about 65000 nodes.
+_MAX_GENERATOR_WORK = 2**31
 
 
 def check_node_count(n: int) -> None:
@@ -336,23 +336,24 @@ class GeneratorSpec:
         check_node_count(self.n)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        pairs = self.n * (self.n - 1) // 2
         if self.kind == "erdos-renyi":
             if self.p is None or not (0 < self.p <= 1):
                 raise ValueError("erdos-renyi requires edge probability 0 < p <= 1")
-            pairs = self.n * (self.n - 1) // 2
-            if pairs > _MAX_PAIR_DRAWS:
-                raise ValueError(
-                    f"erdos-renyi on {self.n} nodes draws one uniform per node pair, "
-                    f"{pairs}, more than the cap of {_MAX_PAIR_DRAWS}"
-                )
+            self._check_work(pairs, "draws one uniform per node pair")
         elif self.kind == "barabasi-albert":
             if self.m is None or not (1 <= self.m < self.n):
                 raise ValueError("barabasi-albert requires 1 <= m < n")
+            self._check_work(pairs, "sums the degrees of the nodes so far once per node")
         elif self.kind == "k-regular":
             if self.k is None or not (0 < self.k < self.n):
                 raise ValueError("k-regular requires 0 < k < n")
             if (self.k * self.n) % 2 != 0:
                 raise ValueError(f"k-regular infeasible: k*n = {self.k * self.n} is odd")
+            if 2 * self.k > self.n - 1:
+                self._check_work(pairs, f"at k = {self.k} masks every node pair")
+            else:
+                self._check_work(self.n * self.k, f"at k = {self.k} pairs k stubs per node")
         elif self.kind == "circulant":
             if not self.offsets:
                 raise ValueError("circulant requires a nonempty offset set")
@@ -360,8 +361,19 @@ class GeneratorSpec:
                 raise ValueError("circulant offsets must be nonzero mod n")
             if self.weight <= 0:
                 raise ValueError("circulant edge weight must be positive")
+            distances = {min(o % self.n, -o % self.n) for o in self.offsets}
+            self._check_work(self.n * len(distances), "lists n edges per distinct offset")
         else:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+
+    def _check_work(self, units: int, per: str) -> None:
+        """Reject a spec whose generator would do more than _MAX_GENERATOR_WORK
+        units of work, before anything is allocated."""
+        if units > _MAX_GENERATOR_WORK:
+            raise ValueError(
+                f"{self.kind} on {self.n} nodes {per}, {units} in all, "
+                f"more than the cap of {_MAX_GENERATOR_WORK}"
+            )
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorSpec":

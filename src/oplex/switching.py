@@ -60,8 +60,8 @@ class SwitchingModel:
     """The two layers, their transition matrices A and B, and k.
 
     It answers for the cycle Q = B A^k as a TransitionMatrix does, factor
-    by factor where matrix_free and Q is not yet formed, else off formed().
-    _classes and _formed cache them.
+    by factor where matrix_free, else off formed(). _classes and _formed
+    cache them.
     """
 
     def __init__(
@@ -112,9 +112,10 @@ class SwitchingModel:
         return self.formed().entries
 
     def matvec_kernel(self) -> Callable[..., np.ndarray]:
-        """x -> Q x: by formed() once it exists or unless matrix_free, else
-        B (A (... A x)), one product per factor."""
-        if self._formed is not None or not self.matrix_free:
+        """x -> Q x: B (A (... A x)), one product per factor, where
+        matrix_free, else by formed(). Which one never depends on whether
+        Q has been formed, so neither do the floats it gives."""
+        if not self.matrix_free:
             return self.formed().matvec_kernel()
         apply_a, apply_b = self.a.matvec_kernel(), self.b.matvec_kernel()
 
@@ -232,8 +233,10 @@ def analyze(model: SwitchingModel, x0: np.ndarray) -> SwitchingOutcome:
     """Decide consensus, oscillation or disagreement exactly, from the cycle's support.
 
     Consensus lands on pi . x0, pi from the power iteration where matrix_free
-    and from the dense solve on Q otherwise or where it gives up.
-    Without consensus Q's SLEM is exactly 1, and no solver runs.
+    and from the dense solve on Q otherwise or where it gives up; the SLEM
+    is taken on formed() wherever pi came from the dense solve, which has
+    formed Q already. Without consensus Q's SLEM is exactly 1, and no
+    solver runs.
     """
     x = check_opinions(x0, model.n)
     classes = model.classes()
@@ -241,9 +244,10 @@ def analyze(model: SwitchingModel, x0: np.ndarray) -> SwitchingOutcome:
     pi, slem = None, 1.0
     if period == 1:
         pi = _stationary_matrix_free(model) if model.matrix_free else None
+        cycle = model
         if pi is None:
-            pi = stationary_general(model)
-        slem = eig_moduli_nonsymmetric(model).slem
+            pi, cycle = stationary_general(model), model.formed()
+        slem = eig_moduli_nonsymmetric(cycle).slem
     return SwitchingOutcome(
         pi=pi,
         value=None if pi is None else consensus_value(pi, x),

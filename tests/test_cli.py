@@ -45,6 +45,18 @@ def assert_bad_input(capsys, argv):
 
 
 class TestSimulateCommand:
+    def test_generator_past_its_work_cap_exits_two(self, tmp_path, capsys):
+        # Within the node cap, but the complement mask of this k-regular
+        # layer alone would take 931 GiB.
+        raw = {
+            "model": {"kind": "single"},
+            "layers": [{"kind": "k-regular", "n": 10**6, "k": 999998}],
+            "x0": {"kind": "uniform", "seed": 1},
+        }
+        argv = ["simulate", "--config", str(write_config(tmp_path, raw)), "--out", str(tmp_path / "out")]
+        err = assert_bad_input(capsys, argv)
+        assert "layers[0]: k-regular on 1000000 nodes" in err
+
     def test_successful_run_exits_zero(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL_MERGED)
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
@@ -338,15 +350,17 @@ class TestAnalyzeCommand:
         assert report["consensus"] == pytest.approx(0.5)
 
     def test_missing_mode_parameter_exits_two(self, capsys):
-        code = main(
-            [
-                "analyze",
-                "--layer1", str(DATA / "contact_layer_a.txt"),
-                "--layer2", str(DATA / "contact_layer_b.txt"),
-                "--mode", "merged",
-            ]
-        )
-        assert code == 2
+        for mode, needed in (("merged", "--alpha"), ("switching", "--k")):
+            code = main(
+                [
+                    "analyze",
+                    "--layer1", str(DATA / "contact_layer_a.txt"),
+                    "--layer2", str(DATA / "contact_layer_b.txt"),
+                    "--mode", mode,
+                ]
+            )
+            assert code == 2
+            assert f"{mode} mode requires {needed}" in capsys.readouterr().err
 
     def test_infers_n_from_files(self, capsys):
         code = main(

@@ -192,6 +192,51 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=path):
             parse_config(raw)
 
+    @pytest.mark.parametrize(
+        "raw, path",
+        [
+            pytest.param([merged_config()], "^<root>:", id="root-not-object"),
+            pytest.param(merged_config(model={"kind": "blended"}), r"^model\.kind:", id="model-kind"),
+            pytest.param(dataset_config({"kind": "single"}), "^layers: dataset", id="dataset-single"),
+            pytest.param(
+                dict(
+                    dataset_config({"kind": "merged", "alphas": [0.5]}),
+                    layers={"kind": "two-layer-dataset", "path_a": "a.txt", "n": 8},
+                ),
+                r"^layers\.path_b:",
+                id="dataset-field",
+            ),
+            pytest.param(
+                dict(
+                    dataset_config({"kind": "merged", "alphas": [0.5]}),
+                    layers=dict(dataset_config(None)["layers"], indexing="2-based"),
+                ),
+                r"^layers\.indexing:",
+                id="dataset-indexing",
+            ),
+            pytest.param(merged_config(layers="a.txt"), "^layers: must be a list", id="layers-type"),
+            pytest.param(merged_config(x0=[0.5] * 5), "^x0:", id="x0-not-object"),
+            pytest.param(
+                merged_config(x0={"kind": "explicit", "values": []}), r"^x0\.values:", id="x0-values"
+            ),
+            pytest.param(merged_config(outputs=[]), "^outputs:", id="outputs-empty"),
+            pytest.param(
+                merged_config(record_opinions="yes"), "^record_opinions:", id="record-opinions"
+            ),
+            pytest.param(
+                merged_config(
+                    x0={"kind": "uniform-with-overrides", "seed": 1, "nodes": [0, 5], "value": 0.0}
+                ),
+                r"^x0\.nodes: index 5 out of range for n=5",
+                id="x0-override-node",
+            ),
+        ],
+    )
+    def test_rejection_names_the_field(self, raw, path):
+        # The override node is checked against n once the layers are known.
+        with pytest.raises(ConfigError, match=path):
+            resolve_x0(parse_config(raw), 5)
+
 
 class TestX0Resolution:
     def test_uniform_deterministic(self):
@@ -310,6 +355,22 @@ class TestRunExperiment:
         row = result.rows[0]
         assert row["grid_kind"] == "single"
         assert row["consensus"] is not None
+
+    def test_single_layer_not_primitive(self):
+        # The even ring is bipartite: no consensus, so only the simulation
+        # runs and no check is armed.
+        raw = {
+            "model": {"kind": "single"},
+            "layers": [{"kind": "circulant", "n": 8, "offsets": [1]}],
+            "x0": {"kind": "uniform", "seed": 9},
+            "t_max": 2000,
+        }
+        result = run_experiment(raw)
+        row = result.rows[0]
+        assert row["note"] == "layer transition not primitive"
+        assert row["consensus"] is None
+        assert result.summary["grid"][0]["assertions"] == {}
+        assert result.all_passed
 
     def test_outputs_can_be_restricted(self, tmp_path):
         config = merged_config(outputs=["summary"])

@@ -213,6 +213,42 @@ class TestGenerators:
         with pytest.raises(ValueError, match="erdos-renyi on 70000 nodes .* 2449965000"):
             GeneratorSpec(kind="erdos-renyi", n=70000, p=0.5)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (
+                {"kind": "k-regular", "n": 10**6, "k": 999998},
+                "k-regular on 1000000 nodes at k = 999998 masks every node pair, 499999500000",
+            ),
+            (
+                {"kind": "barabasi-albert", "n": 10**6, "m": 5},
+                "barabasi-albert on 1000000 nodes .* 499999500000",
+            ),
+            (
+                {"kind": "circulant", "n": 10**6, "offsets": list(range(1, 5000))},
+                "circulant on 1000000 nodes .* 4999000000",
+            ),
+        ],
+        ids=["k-regular-complement", "barabasi-albert", "circulant"],
+    )
+    def test_generator_work_cap(self, fields, message):
+        # Each spec is within the node cap but asks for more than 2^31 units
+        # of work (the n x n complement mask alone would take 931 GiB); it is
+        # refused at construction, and nothing is generated.
+        with pytest.raises(ValueError, match=message):
+            GeneratorSpec.from_dict(fields)
+
+    def test_generator_work_cap_counts_what_each_kind_does(self):
+        # Under the cap: 2000 stubs per node; 65536 nodes' degree sums; and
+        # offsets 1 and n - 1, one distance, so n edges once.
+        GeneratorSpec(kind="k-regular", n=10**6, k=2000)
+        GeneratorSpec(kind="barabasi-albert", n=65536, m=5)
+        GeneratorSpec(kind="circulant", n=10**6, offsets=(1, 10**6 - 1) * 3000)
+        with pytest.raises(ValueError, match="pairs k stubs per node, 2148000000"):
+            GeneratorSpec(kind="k-regular", n=10**6, k=2148)
+        with pytest.raises(ValueError, match="barabasi-albert on 65537 nodes"):
+            GeneratorSpec(kind="barabasi-albert", n=65537, m=5)
+
     def test_spec_dict_round_trip(self):
         spec = GeneratorSpec(kind="circulant", n=5, offsets=(2, 3), weight=0.5)
         assert GeneratorSpec.from_dict(spec.to_dict()) == spec

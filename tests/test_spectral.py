@@ -466,7 +466,7 @@ class TestKrylov:
         # Krylov paths are plain numpy and no sweep may load scipy.
         script = f"""
 import sys
-import oplex
+from oplex.harness import run_experiment
 config = {{
     "model": {model!r},
     "layers": [
@@ -475,7 +475,7 @@ config = {{
     ],
     "x0": {{"kind": "uniform", "seed": 3}},
 }}
-result = oplex.run_experiment(config)
+result = run_experiment(config)
 assert all(row["slem"] > 0 for row in result.rows)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """

@@ -262,6 +262,18 @@ class TestMatrixFreeCycle:
         assert outcome.value == pytest.approx(pi @ x0, abs=1e-12)
         assert abs(outcome.slem_cycle - eig_moduli_nonsymmetric(formed).slem) <= 1e-10
 
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_verdict_does_not_depend_on_forming_the_cycle_first(self, k):
+        # Reading entries forms Q; the SLEM must still be taken factor by
+        # factor, to the same bits as on a model never formed before analyze.
+        x0 = np.random.default_rng(k).random(600)
+        untouched = analyze(ring_plus_chords_model(600, k, 3), x0)
+        model = ring_plus_chords_model(600, k, 3)
+        model.entries
+        outcome = analyze(model, x0)
+        assert outcome.slem_cycle == untouched.slem_cycle
+        assert outcome.value == untouched.value
+
     def test_slow_mixing_pi_hands_back_to_the_dense_solve(self, monkeypatch):
         # B A on two rings of the same pattern, the second with weights 1..4,
         # mixes so slowly that the power iteration spends its step budget.
@@ -287,8 +299,10 @@ class TestMatrixFreeCycle:
         # SLEM is taken on the formed cycle, not factor by factor.
         assert power == [None] and solved == [model] and formations == [1]
         assert outcome.slem_cycle == eig_moduli_nonsymmetric(model.formed()).slem
+        # Q is formed now, yet the model still applies it factor by factor.
         x = np.linspace(0.0, 1.0, model.n)
-        assert np.array_equal(model.matvec_kernel()(x), model.formed().matvec_kernel()(x))
+        by_factor = model.b.matvec_kernel()(model.a.matvec_kernel()(x))
+        assert np.array_equal(model.matvec_kernel()(x), by_factor)
         formed = TransitionMatrix.from_entries(model.b.entries @ model.a.entries)
         assert np.abs(outcome.pi.pi - stationary_general(formed).pi).max() <= 1e-12
         assert abs(outcome.slem_cycle - eig_moduli_nonsymmetric(formed).slem) <= 1e-10
