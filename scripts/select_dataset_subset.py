@@ -22,7 +22,7 @@ import numpy as np
 from oplex.netcore import Csr, LayerGraph, load_two_layer_dataset
 from oplex.spectral import slem_reversible
 from oplex.stochastic import is_primitive, transition_matrix
-from oplex.switching import switching_model
+from oplex.switching import SwitchingModel
 
 
 def subgraph(layer: LayerGraph, keep: np.ndarray) -> LayerGraph:
@@ -42,7 +42,7 @@ def profile(layer_a: LayerGraph, layer_b: LayerGraph, ks) -> dict | None:
     return {
         "a_primitive": is_primitive(transition_matrix(layer_a)),
         "b_primitive": is_primitive(transition_matrix(layer_b)),
-        "cycles_primitive": all(is_primitive(switching_model(layer_a, layer_b, k)) for k in ks),
+        "cycles_primitive": all(is_primitive(SwitchingModel(layer_a, layer_b, k)) for k in ks),
         "b_slem": slem_reversible(layer_b).slem,
     }
 

@@ -12,11 +12,11 @@ import numpy as np
 
 from .harness import ConfigError, load_config, run_experiment
 from .merged import analyze as analyze_merged
-from .merged import merge
+from .merged import MergedModel
 from .netcore import EdgeListError, load_edge_list, parse_edge_list
 from .stochastic import check_opinions
 from .switching import analyze as analyze_switching
-from .switching import switching_model
+from .switching import SwitchingModel
 from .verify import SUITES
 
 
@@ -110,9 +110,9 @@ def _cmd_analyze(args) -> tuple[int, str]:
         layer2 = load_edge_list(args.layer2, n, args.indexing)
         x0 = check_opinions(_load_x0(args.x0, n), n)
         if args.mode == "merged":
-            model = merge(layer1, layer2, args.alpha)
+            model = MergedModel(layer1, layer2, args.alpha)
         else:
-            model = switching_model(layer1, layer2, args.k)
+            model = SwitchingModel(layer1, layer2, args.k)
     except (OSError, ValueError) as exc:
         print(f"analyze: bad input: {exc}", file=sys.stderr)
         return 2, ""

@@ -22,7 +22,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .merged import analyze as analyze_merged
-from .merged import merge
+from .merged import MergedModel
 from .netcore import (
     GeneratorSpec,
     IsolatedNodeError,
@@ -44,7 +44,7 @@ from .stochastic import (
     transition_matrix,
 )
 from .switching import analyze as analyze_switching
-from .switching import switching_model
+from .switching import SwitchingModel
 
 SWEEP_COLUMNS = [
     "grid_kind",
@@ -322,7 +322,7 @@ class _GridModel(NamedTuple):
 
 
 def _merged_model(layers, alpha, x0) -> _GridModel:
-    model = merge(layers[0], layers[1], alpha)
+    model = MergedModel(layers[0], layers[1], alpha)
     outcome = analyze_merged(model, x0)
     bounds = outcome.bounds
     lo, hi = outcome.interval or (None, None)
@@ -342,7 +342,7 @@ def _merged_model(layers, alpha, x0) -> _GridModel:
 
 
 def _switching_model(layers, k, x0) -> _GridModel:
-    model = switching_model(layers[0], layers[1], k)
+    model = SwitchingModel(layers[0], layers[1], k)
     schedule = model.schedule
     outcome = analyze_switching(model, x0)
     columns = dict(
@@ -430,6 +430,11 @@ def run_experiment(
 ) -> ExperimentResult:
     if isinstance(config, dict):
         config = parse_config(config)
+    # A report directory that cannot be made fails before any work is done.
+    out_path = None
+    if out_dir is not None:
+        out_path = Path(out_dir)
+        out_path.mkdir(parents=True, exist_ok=True)
     layers = build_layers(config)
     n = layers[0].n
     x0 = resolve_x0(config, n)
@@ -461,10 +466,7 @@ def run_experiment(
         "all_passed": bool(all_passed),
     }
 
-    out_path = None
-    if out_dir is not None:
-        out_path = Path(out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
+    if out_path is not None:
         if "sweep" in config.outputs:
             _write_sweep_csv(_unlinked(out_path / "sweep.csv"), points)
         if "trajectories" in config.outputs:

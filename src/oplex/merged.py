@@ -23,7 +23,6 @@ from .netcore import Csr, IsolatedNodeError, LayerGraph, require_no_isolated
 from .spectral import SLEM_SLACK, slem_reversible
 from .stochastic import (
     StationaryDistribution,
-    TransitionMatrix,
     check_opinions,
     consensus_value,
     is_primitive,
@@ -35,33 +34,25 @@ _DEGREE_MATCH_RTOL = 1e-9
 _INTERVAL_SLACK = 1e-10
 
 
-class MergedModel(NamedTuple):
-    alpha: float
-    layer1: LayerGraph
-    layer2: LayerGraph
-    merged_layer: LayerGraph
-    transition: TransitionMatrix
+class MergedModel:
+    """Two layers on a shared node set blended at weight alpha in [0, 1].
 
-
-def merge(layer1: LayerGraph, layer2: LayerGraph, alpha: float) -> MergedModel:
-    """Blend two layers on a shared node set into one model.
-
-    alpha in [0, 1]; the endpoints degenerate to the single layers. Rejects
+    merged_layer has the weights alpha W1 + (1 - alpha) W2 and transition
+    its matrix C; the endpoints degenerate to the single layers. Rejects
     nodes isolated in the blended graph (no averaging neighborhood).
     """
-    if layer1.n != layer2.n:
-        raise ValueError(f"layers have different node counts: {layer1.n} vs {layer2.n}")
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    merged_layer = LayerGraph(_blend(layer1.csr, layer2.csr, alpha))
-    require_no_isolated(merged_layer, "in the merged graph")
-    return MergedModel(
-        alpha=float(alpha),
-        layer1=layer1,
-        layer2=layer2,
-        merged_layer=merged_layer,
-        transition=transition_matrix(merged_layer),
-    )
+
+    def __init__(self, layer1: LayerGraph, layer2: LayerGraph, alpha: float) -> None:
+        if layer1.n != layer2.n:
+            raise ValueError(f"layers have different node counts: {layer1.n} vs {layer2.n}")
+        if not (0.0 <= alpha <= 1.0):
+            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+        self.alpha = float(alpha)
+        self.layer1 = layer1
+        self.layer2 = layer2
+        self.merged_layer = LayerGraph(_blend(layer1.csr, layer2.csr, alpha))
+        require_no_isolated(self.merged_layer, "in the merged graph")
+        self.transition = transition_matrix(self.merged_layer)
 
 
 def _blend(w1: Csr, w2: Csr, alpha: float) -> Csr:

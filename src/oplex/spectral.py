@@ -248,7 +248,7 @@ def _slem_dense(m: TransitionMatrix | SwitchingModel) -> float:
         raise RuntimeError(f"eigenvalue iteration failed for matrix sha256={digest}") from exc
     leading = np.abs(eigenvalues).max()
     if abs(leading - 1.0) > _PERRON_TOL:
-        raise RuntimeError(f"leading eigenvalue modulus {leading!r} is not 1; input not stochastic?")
+        raise RuntimeError(f"leading eigenvalue modulus {float(leading)!r} is not 1; input not stochastic?")
     return _second_modulus(eigenvalues)
 
 

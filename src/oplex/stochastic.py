@@ -74,7 +74,7 @@ class TransitionMatrix:
         if off.max(initial=0.0) > _ROW_SUM_TOL:
             bad = int(off.argmax())
             raise ValueError(
-                f"row {bad} sums to {sums[bad]!r}, more than {_ROW_SUM_TOL} away from 1"
+                f"row {bad} sums to {float(sums[bad])!r}, more than {_ROW_SUM_TOL} away from 1"
             )
         return cls(Csr.from_dense(m / sums[:, None]))
 
@@ -86,7 +86,7 @@ class StationaryDistribution:
         if (pi < 0).any():
             raise ValueError("stationary distribution entries must be nonnegative")
         if abs(pi.sum() - 1.0) > _ROW_SUM_TOL:
-            raise ValueError(f"stationary distribution sums to {pi.sum()!r}, not 1")
+            raise ValueError(f"stationary distribution sums to {float(pi.sum())!r}, not 1")
         self.pi = pi
 
     @property

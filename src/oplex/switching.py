@@ -57,25 +57,23 @@ _MATRIX_FREE_MAX_COST = 12
 
 
 class SwitchingModel:
-    """The two layers, their transition matrices A and B, and k.
+    """The two layers, their transition matrices A and B, and k: k steps on
+    layer 1, then one on layer 2. k = 0 is pure layer-2 dynamics.
 
     It answers for the cycle Q = B A^k as a TransitionMatrix does, factor
     by factor where matrix_free, else off formed(). _classes and _formed
     cache them.
     """
 
-    def __init__(
-        self,
-        layer1: LayerGraph,
-        layer2: LayerGraph,
-        a: TransitionMatrix,
-        b: TransitionMatrix,
-        k: int,
-    ) -> None:
+    def __init__(self, layer1: LayerGraph, layer2: LayerGraph, k: int) -> None:
+        if layer1.n != layer2.n:
+            raise ValueError(f"layers have different node counts: {layer1.n} vs {layer2.n}")
+        if k < 0:
+            raise ValueError(f"steps per cycle k must be >= 0, got {k}")
         self.layer1 = layer1
         self.layer2 = layer2
-        self.a = a
-        self.b = b
+        self.a = transition_matrix(layer1)
+        self.b = transition_matrix(layer2)
         self.k = k
         self._classes: SupportClasses | None = None
         self._formed: TransitionMatrix | None = None
@@ -138,17 +136,6 @@ class SwitchingModel:
             q = product_classes(self.schedule[::-1]) if self.matrix_free else self.formed().classes()
             self._classes = q
         return self._classes
-
-
-def switching_model(layer1: LayerGraph, layer2: LayerGraph, k: int) -> SwitchingModel:
-    """Layers, their matrices A and B, and k; k = 0 is pure layer-2 dynamics."""
-    if layer1.n != layer2.n:
-        raise ValueError(f"layers have different node counts: {layer1.n} vs {layer2.n}")
-    if k < 0:
-        raise ValueError(f"steps per cycle k must be >= 0, got {k}")
-    return SwitchingModel(
-        layer1=layer1, layer2=layer2, a=transition_matrix(layer1), b=transition_matrix(layer2), k=k
-    )
 
 
 def _stationary_matrix_free(model: SwitchingModel) -> StationaryDistribution | None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fixtures
 from .merged import analyze as analyze_merged
-from .merged import MergedOutcome, merge, slem_bounds
+from .merged import MergedModel, MergedOutcome, slem_bounds
 from .netcore import LayerGraph
 from .perturb import fit_shift_family, stationary_shift
 from .simlab import decay_check, simulate
@@ -30,11 +30,11 @@ from .stochastic import (
     transition_matrix,
 )
 from .switching import (
+    SwitchingModel,
     SwitchingOutcome,
     analyze,
     product_rate_checks,
     rho_star,
-    switching_model,
 )
 
 BOUNDS_SUITE_SEED = 987654321
@@ -121,7 +121,7 @@ def run_examples_suite() -> list[CheckResult]:
 
     # Oscillating pair: exact cycle product, period-2 limits, oscillation verdict.
     osc1, osc2 = fixtures.oscillating_pair()
-    model = switching_model(osc1, osc2, k=1)
+    model = SwitchingModel(osc1, osc2, k=1)
     cycle_err = np.abs(model.entries - OSCILLATING_CYCLE).max()
     results.append(
         _check("oscillating/cycle-matrix", cycle_err <= 1e-12, f"max err {cycle_err:.2e}")
@@ -145,7 +145,7 @@ def run_examples_suite() -> list[CheckResult]:
         results.append(_check("oscillating/power-limits", False, "no evidence"))
 
     # SIA pair: a reducible cycle with one aperiodic closed class reaches consensus.
-    sia = analyze(switching_model(*fixtures.sia_pair(), k=1), SIA_X0)
+    sia = analyze(SwitchingModel(*fixtures.sia_pair(), k=1), SIA_X0)
     results.append(
         _check(
             "sia/consensus",
@@ -158,7 +158,7 @@ def run_examples_suite() -> list[CheckResult]:
 
     # Misaligned degrees: merged SLEM strictly above both layer SLEMs.
     mis1, mis2 = fixtures.misaligned_degree_pair()
-    mis_model = merge(mis1, mis2, alpha=0.5)
+    mis_model = MergedModel(mis1, mis2, alpha=0.5)
     report = slem_bounds(mis_model)
     rho_a = slem_reversible(mis1).slem
     rho_b = slem_reversible(mis2).slem
@@ -184,7 +184,7 @@ def run_examples_suite() -> list[CheckResult]:
 
     # Complementary cycles: merging two slow sparse rings gives the complete graph.
     cyc1, cyc2 = fixtures.complementary_cycles_pair()
-    cyc_model = merge(cyc1, cyc2, alpha=0.5)
+    cyc_model = MergedModel(cyc1, cyc2, alpha=0.5)
     off_diag = cyc_model.transition.entries.copy()
     np.fill_diagonal(off_diag, 0.25)
     complete_err = np.abs(off_diag - 0.25).max()
@@ -216,7 +216,7 @@ def run_examples_suite() -> list[CheckResult]:
     tri1, tri2 = fixtures.triangle_pair()
     pi_a = stationary_from_degrees(tri1).pi
     pi_b = stationary_from_degrees(tri2).pi
-    tri_model = switching_model(tri1, tri2, k=1)
+    tri_model = SwitchingModel(tri1, tri2, k=1)
     pi_cycle = stationary_general(tri_model).pi
     pis_ok = (
         np.abs(pi_a - TRIANGLE_PI_A).max() <= 1e-10
@@ -234,7 +234,7 @@ def run_examples_suite() -> list[CheckResult]:
     # switching never reaches consensus.
     ind1, ind2 = fixtures.induced_pair()
     layers_primitive = [is_primitive(transition_matrix(layer)) for layer in (ind1, ind2)]
-    merged_primitive = [is_primitive(merge(ind1, ind2, a).transition) for a in INDUCED_ALPHAS]
+    merged_primitive = [is_primitive(MergedModel(ind1, ind2, a).transition) for a in INDUCED_ALPHAS]
     results.append(
         _check(
             "induced/merged-primitive",
@@ -243,7 +243,7 @@ def run_examples_suite() -> list[CheckResult]:
         )
     )
     periods = [
-        switching_model(ind1, ind2, k).classes().periods
+        SwitchingModel(ind1, ind2, k).classes().periods
         for k in range(len(INDUCED_PERIODS))
     ]
     results.append(
@@ -261,7 +261,7 @@ def run_examples_suite() -> list[CheckResult]:
         (fixtures.shifted_paths_pair(), SHIFTED_PATHS_CONSENSUS),
     ):
         x0 = np.linspace(0.0, 1.0, pair[0].n)
-        outcomes = [analyze(switching_model(*pair, k), x0) for k in range(len(expected) + 1)]
+        outcomes = [analyze(SwitchingModel(*pair, k), x0) for k in range(len(expected) + 1)]
         ok &= not any(is_primitive(transition_matrix(layer)) for layer in pair)
         ok &= outcomes[0].status == "oscillation" and outcomes[0].period == 2
         for o, (transient, pi) in zip(outcomes[1:], expected):
@@ -403,7 +403,7 @@ def run_bounds_suite(n_instances: int = 200, seed: int = BOUNDS_SUITE_SEED) -> l
         x0 = rng.random(n)
         # Both layers are primitive, so the interval check is armed unless C
         # is not primitive, which fails the instance as well.
-        outcome = analyze_merged(merge(layer1, layer2, alpha), x0)
+        outcome = analyze_merged(MergedModel(layer1, layer2, alpha), x0)
         checks = outcome.checks()
         if not checks.get("consensus-in-interval", False):
             fail(
@@ -414,7 +414,7 @@ def run_bounds_suite(n_instances: int = 200, seed: int = BOUNDS_SUITE_SEED) -> l
             fail("bounds/slem-lower", f"instance {idx}: slem {outcome.bounds.slem_c} below 1/(N-1)")
 
         matched1, matched2 = degree_matched_pair(rng, n)
-        matched_report = slem_bounds(merge(matched1, matched2, alpha))
+        matched_report = slem_bounds(MergedModel(matched1, matched2, alpha))
         if not matched_report.degrees_matched:
             fail(
                 "bounds/slem-upper-degree-matched",
@@ -428,7 +428,7 @@ def run_bounds_suite(n_instances: int = 200, seed: int = BOUNDS_SUITE_SEED) -> l
             )
 
         for k in range(6):
-            s_model = switching_model(layer1, layer2, k)
+            s_model = SwitchingModel(layer1, layer2, k)
             star = rho_star(s_model)
             slem_cycle = eig_moduli_nonsymmetric(s_model).slem
             if not product_rate_checks(slem_cycle, star)["slem-under-rho-star"]:
@@ -518,7 +518,7 @@ def run_perturbation_suite(
     # Merged consensus approaches layer 1 linearly in (1 - alpha), under
     # |E2| / min(|E1|, |E2|) |x2 - x1| (1 - alpha).
     alphas = 1.0 - np.array([1e-1, 1e-2, 1e-3, 1e-4])
-    outcomes = [analyze_merged(merge(tri1, tri2, a), x0) for a in alphas]
+    outcomes = [analyze_merged(MergedModel(tri1, tri2, a), x0) for a in alphas]
     deviations = consensus_deviations(outcomes, x1)
     x2 = consensus_value(stationary_from_degrees(tri2), x0)
     e1, e2 = tri1.total_edge_weight, tri2.total_edge_weight
@@ -537,7 +537,7 @@ def run_perturbation_suite(
     family = [reweight_edge(tri1, 0, 1, 1.0 + eps) for eps in (1e-2, 1e-3, 1e-4)]
     a_entries = transition_matrix(tri1).entries
     e_norms = [float(np.abs(a_entries - transition_matrix(b).entries).max()) for b in family]
-    outcomes = [analyze_merged(merge(tri1, b, 0.5), x0) for b in family]
+    outcomes = [analyze_merged(MergedModel(tri1, b, 0.5), x0) for b in family]
     fit = fit_shift_family(e_norms, consensus_deviations(outcomes, x1))
     results.append(
         _check("perturbation/merged-edge-linear", fit.armed and fit.passed, f"slope {fit.slope}")
@@ -547,7 +547,7 @@ def run_perturbation_suite(
     # at most 5% above rho2(A); cycles without consensus drop out.
     ks = np.arange(1, 9)
     rho_a = slem_reversible(tri1).slem
-    outcomes = [analyze(switching_model(tri1, tri2, int(k)), x0) for k in ks]
+    outcomes = [analyze(SwitchingModel(tri1, tri2, int(k)), x0) for k in ks]
     deviations = consensus_deviations(outcomes, x1)
     usable = deviations > 1e-13  # False at NaN
     k_ratio = None
@@ -561,7 +561,7 @@ def run_perturbation_suite(
         )
     )
 
-    outcomes = [analyze(switching_model(tri1, b, 2), x0) for b in family]
+    outcomes = [analyze(SwitchingModel(tri1, b, 2), x0) for b in family]
     fit = fit_shift_family(e_norms, consensus_deviations(outcomes, x1))
     results.append(
         _check(

@@ -18,11 +18,11 @@ from oplex.fixtures import (
     triangle_pair,
 )
 from oplex.harness import run_experiment
-from oplex.merged import merge, slem_bounds
+from oplex.merged import MergedModel, slem_bounds
 from oplex.netcore import GeneratorSpec, generate
 from oplex.spectral import slem_reversible
 from oplex.stochastic import stationary_from_degrees, stationary_general
-from oplex.switching import analyze, switching_model
+from oplex.switching import SwitchingModel, analyze
 from oplex.verify import (
     OSCILLATING_CYCLE,
     OSCILLATING_EVEN_LIMIT,
@@ -42,7 +42,7 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_oscillating_product_and_limits():
     start = time.perf_counter()
-    model = switching_model(*oscillating_pair(), k=1)
+    model = SwitchingModel(*oscillating_pair(), k=1)
     cycle_err = np.abs(model.entries - OSCILLATING_CYCLE).max()
     outcome = analyze(model, np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
     even_err = odd_err = np.inf
@@ -68,7 +68,7 @@ def test_criterion_1_oscillating_product_and_limits():
 
 def test_criterion_2_misaligned_slem_values():
     layer1, layer2 = misaligned_degree_pair()
-    slem_c = slem_bounds(merge(layer1, layer2, 0.5)).slem_c
+    slem_c = slem_bounds(MergedModel(layer1, layer2, 0.5)).slem_c
     rho_a = slem_reversible(layer1).slem
     rho_b = slem_reversible(layer2).slem
     ok = (
@@ -86,7 +86,7 @@ def test_criterion_2_misaligned_slem_values():
 
 def test_criterion_3_complete_graph_merge():
     layer1, layer2 = complementary_cycles_pair()
-    model = merge(layer1, layer2, 0.5)
+    model = MergedModel(layer1, layer2, 0.5)
     expected = (np.ones((5, 5)) - np.eye(5)) / 4
     matrix_err = np.abs(model.transition.entries - expected).max()
     report = slem_bounds(model)
@@ -114,7 +114,7 @@ def test_criterion_4_non_interpolating_stationary():
     layer1, layer2 = triangle_pair()
     pi_a = stationary_from_degrees(layer1).pi
     pi_b = stationary_from_degrees(layer2).pi
-    pi_cycle = stationary_general(switching_model(layer1, layer2, 1).formed()).pi
+    pi_cycle = stationary_general(SwitchingModel(layer1, layer2, 1).formed()).pi
     err = max(
         np.abs(pi_a - [1 / 3, 1 / 3, 1 / 3]).max(),
         np.abs(pi_b - [3 / 8, 3 / 8, 1 / 4]).max(),

@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oplex import harness
 from oplex.cli import main
 from oplex.harness import run_experiment
-from oplex.merged import MergedBoundsReport
-from oplex.netcore import GeneratorSpec, generate
+from oplex.merged import MergedBoundsReport, MergedModel
+from oplex.netcore import GeneratorSpec, generate, load_two_layer_dataset
 
 DATA = Path(__file__).parent / "data"
 
@@ -64,6 +65,21 @@ class TestSimulateCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["all_passed"] is True
         assert (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_out_naming_a_file_exits_two_before_simulating(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate ran before the report directory was made")
+
+        monkeypatch.setattr(harness, "simulate", refuse)
+        raw = {
+            "model": {"kind": "single"},
+            "layers": [{"kind": "circulant", "n": 300, "offsets": [1, 2]}],
+            "x0": {"kind": "uniform", "seed": 1},
+        }
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = ["simulate", "--config", str(write_config(tmp_path, raw)), "--out", str(taken)]
+        assert "File exists" in assert_bad_input(capsys, argv)
 
     def test_config_error_exits_two(self, tmp_path, capsys):
         bad = dict(SMALL_MERGED, model={"kind": "merged", "alphas": []})
@@ -348,6 +364,28 @@ class TestAnalyzeCommand:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["consensus"] == pytest.approx(0.5)
+
+    def test_x0_file_of_the_wrong_length_exits_two(self, tmp_path, capsys):
+        x0_file = tmp_path / "x0.txt"
+        x0_file.write_text("\n".join(["0.5"] * 7))
+        argv = [
+            "analyze",
+            "--layer1", str(DATA / "contact_layer_a.txt"),
+            "--layer2", str(DATA / "contact_layer_b.txt"),
+            "--mode", "merged",
+            "--alpha", "0.5",
+            "--n", "8",
+            "--x0", str(x0_file),
+        ]
+        err = assert_bad_input(capsys, argv)
+        assert r"opinion vector has shape (7,), expected (8,)" in err
+
+    def test_merged_mode_dumps_the_model_transition(self, capsys):
+        argv = ["analyze", *CONTACT_ARGS, "--mode", "merged", "--alpha", "0.5", "--dump"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        layers = load_two_layer_dataset(DATA / "contact_layer_a.txt", DATA / "contact_layer_b.txt", n=8)
+        assert np.array_equal(report["transition"], MergedModel(*layers, 0.5).transition.entries)
 
     def test_missing_mode_parameter_exits_two(self, capsys):
         for mode, needed in (("merged", "--alpha"), ("switching", "--k")):

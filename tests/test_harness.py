@@ -372,6 +372,20 @@ class TestRunExperiment:
         assert result.summary["grid"][0]["assertions"] == {}
         assert result.all_passed
 
+    def test_constant_opinions_arm_no_rate(self, tmp_path):
+        # Every node starts at 0.5: the errors are 0 from the first step, so
+        # no rate can be fitted, and the rate check is not armed.
+        x0 = {"kind": "explicit", "values": [0.5] * 5}
+        result = run_experiment(merged_config(model={"kind": "merged", "alphas": [0.5]}, x0=x0), tmp_path)
+        row = result.rows[0]
+        assert row["converged"] and row["consensus"] == pytest.approx(0.5)
+        assert row["empirical_rate"] is None
+        assert "empirical-rate" not in result.summary["grid"][0]["assertions"]
+        assert result.summary["grid"][0]["assertions"]["simulation-agrees"] is True
+        assert result.all_passed
+        sweep = list(csv.DictReader((tmp_path / "sweep.csv").read_text().splitlines()))
+        assert sweep[0]["empirical_rate"] == ""
+
     def test_outputs_can_be_restricted(self, tmp_path):
         config = merged_config(outputs=["summary"])
         run_experiment(config, tmp_path)

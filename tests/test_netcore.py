@@ -180,6 +180,18 @@ class TestGenerators:
             ({"kind": "circulant", "n": 5, "offsets": [1.5]}, "offsets must be integers"),
             ({"kind": "circulant", "n": 5, "offsets": [1], "weight": float("inf")}, "finite"),
             ({"kind": "k-regular", "n": 10, "k": 2, "p": float("nan")}, "p must be finite"),
+            # and fields of the right type but out of range, or unknown
+            ({"kind": "k-regular", "n": 6, "k": 6}, "^k-regular requires 0 < k < n$"),
+            ({"kind": "circulant", "n": 5, "offsets": []}, "^circulant requires a nonempty offset set$"),
+            (
+                {"kind": "circulant", "n": 5, "offsets": [1], "weight": 0.0},
+                "^circulant edge weight must be positive$",
+            ),
+            (
+                {"kind": "circulant", "n": 5, "offsets": [1], "degree": 2},
+                r"^unknown generator fields \['degree'\]$",
+            ),
+            ({"kind": "circulant", "n": 0, "offsets": [1]}, "^node count must be positive$"),
         ],
         ids=[
             "float-n",
@@ -190,6 +202,11 @@ class TestGenerators:
             "float-offset",
             "infinite-weight",
             "nan-p",
+            "k-at-n",
+            "no-offsets",
+            "zero-weight",
+            "unknown-field",
+            "no-nodes",
         ],
     )
     def test_non_integer_or_negative_fields_rejected(self, fields, message):
@@ -264,6 +281,10 @@ class TestEdgeListLoading:
     def test_one_based_indexing(self):
         layer = load_edge_list(DATA / "one_based_layer.txt", n=2, indexing="1-based")
         assert layer.weights[0, 1] == 3.0
+
+    def test_unknown_indexing_rejected(self):
+        with pytest.raises(ValueError, match="^indexing must be '0-based' or '1-based', got '2-based'$"):
+            load_edge_list(DATA / "one_based_layer.txt", n=2, indexing="2-based")
 
     def test_comments_and_blank_lines(self, tmp_path):
         f = tmp_path / "a.txt"

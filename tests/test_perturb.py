@@ -153,6 +153,10 @@ class TestFitShiftFamily:
         assert fit.slope == pytest.approx(1.0, abs=1e-9)
         assert fit.constant == pytest.approx(3.0, rel=1e-6)
 
+    def test_rejects_misaligned_inputs(self):
+        with pytest.raises(ValueError, match="^perturbation sizes and deviations must align$"):
+            fit_shift_family([1e-2, 1e-3], [1e-2, 1e-3, 1e-4])
+
     def test_zero_family_trivially_passes(self):
         fit = fit_shift_family([1e-2, 1e-3], [0.0, 0.0])
         assert fit.passed and not fit.armed

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oplex.fixtures import oscillating_pair, triangle_pair
 from oplex.merged import analyze as analyze_merged
-from oplex.merged import merge
+from oplex.merged import MergedModel
 from oplex.netcore import GeneratorSpec, LayerGraph, generate
 from oplex.simlab import decay_check, fit_rate, simulate
 from oplex.spectral import eig_moduli_nonsymmetric
@@ -19,7 +19,7 @@ from oplex.stochastic import (
     stationary_from_degrees,
     transition_matrix,
 )
-from oplex.switching import analyze, switching_model
+from oplex.switching import SwitchingModel, analyze
 
 X0 = np.array([1.0, 0.0, 0.0])
 
@@ -42,7 +42,7 @@ class TestSimulate:
 
     def test_merged_triangle_hits_closed_form(self):
         layer1, layer2 = triangle_pair()
-        model = merge(layer1, layer2, 0.5)
+        model = MergedModel(layer1, layer2, 0.5)
         outcome = analyze_merged(model, X0)
         traj = simulate((model.transition,), X0, pi=outcome.pi)
         assert traj.converged
@@ -50,7 +50,7 @@ class TestSimulate:
         assert np.abs(traj.final_state - 4 / 11).max() <= 1e-8
 
     def test_oscillating_switching_never_converges(self):
-        model = switching_model(*oscillating_pair(), k=1)
+        model = SwitchingModel(*oscillating_pair(), k=1)
         x0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
         traj = simulate(model.schedule, x0, t_max=2000)
         assert not traj.converged
@@ -59,20 +59,31 @@ class TestSimulate:
 
     def test_switching_consensus_trajectory(self):
         layer1, layer2 = triangle_pair()
-        model = switching_model(layer1, layer2, 1)
+        model = SwitchingModel(layer1, layer2, 1)
         outcome = analyze(model, X0)
         traj = simulate(model.schedule, X0, pi=outcome.pi)
         assert traj.converged
         assert np.abs(traj.final_state - 3 / 10).max() <= 1e-9
 
     def test_switching_period_composes_to_cycle(self):
-        model = switching_model(*triangle_pair(), k=3)
+        model = SwitchingModel(*triangle_pair(), k=3)
         traj = simulate(model.schedule, X0, t_max=4)
         assert np.abs(traj.final_state - model.entries @ X0).max() <= 1e-14
 
     def test_rejects_empty_schedule(self):
         with pytest.raises(ValueError, match="at least one matrix"):
             simulate((), X0)
+
+    def test_rejects_t_max_below_one(self):
+        matrix, _ = triangle_setup()
+        with pytest.raises(ValueError, match="^t_max must be at least 1$"):
+            simulate((matrix,), X0, t_max=0)
+
+    def test_rejects_pi_of_the_wrong_length(self):
+        matrix, _ = triangle_setup()
+        pi = StationaryDistribution(np.full(4, 0.25))
+        with pytest.raises(ValueError, match=r"^vector length \(3,\) does not match pi length \(4,\)$"):
+            simulate((matrix,), X0, pi=pi)
 
     def test_final_state_kept_without_recording(self):
         matrix, pi = triangle_setup()
@@ -285,7 +296,7 @@ class TestBlockedStepping:
             generate(GeneratorSpec(kind="circulant", n=1000, offsets=offsets))
             for offsets in ((1, 2), (1, 3))
         ]
-        schedule = switching_model(*rings, k=3000).schedule
+        schedule = SwitchingModel(*rings, k=3000).schedule
         x0 = np.random.default_rng(0).random(1000)
         tracemalloc.start()
         try:
@@ -326,6 +337,12 @@ class TestDecayCheck:
         with pytest.raises(ValueError, match="consensus target"):
             decay_check(traj, 0.5)
 
+    def test_rejects_rho_of_one(self):
+        matrix, pi = triangle_setup()
+        traj = simulate((matrix,), X0, pi=pi)
+        with pytest.raises(ValueError, match=r"^rho must lie in \(0, 1\), got 1.0$"):
+            decay_check(traj, 1.0)
+
 
 class TestFitRate:
     def test_exact_geometric_series(self):
@@ -340,7 +357,7 @@ class TestFitRate:
 
     def test_switching_per_cycle_rate_below_cycle_slem(self):
         layer1, layer2 = triangle_pair()
-        model = switching_model(layer1, layer2, 1)
+        model = SwitchingModel(layer1, layer2, 1)
         outcome = analyze(model, X0)
         traj = simulate(model.schedule, X0, pi=outcome.pi)
         per_cycle = traj.errors_max[::2]

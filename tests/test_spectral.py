@@ -15,7 +15,7 @@ from oplex.fixtures import (
 )
 from oplex import spectral
 from oplex.merged import analyze as analyze_merged
-from oplex.merged import merge
+from oplex.merged import MergedModel
 from oplex.netcore import Csr, GeneratorSpec, IsolatedNodeError, LayerGraph, build_layer, generate
 from oplex.spectral import (
     _EIG_TOL,
@@ -31,7 +31,7 @@ from oplex.spectral import (
     symmetrize,
 )
 from oplex.stochastic import TransitionMatrix, transition_matrix
-from oplex.switching import SwitchingModel, switching_model
+from oplex.switching import SwitchingModel
 from oplex.verify import random_layer
 
 
@@ -127,7 +127,7 @@ class TestNonsymmetric:
 
     def test_misaligned_merged_slem(self):
         layer1, layer2 = misaligned_degree_pair()
-        model = merge(layer1, layer2, 0.5)
+        model = MergedModel(layer1, layer2, 0.5)
         summary = eig_moduli_nonsymmetric(model.transition)
         assert summary.slem == pytest.approx(0.6928, abs=1e-3)
 
@@ -177,10 +177,10 @@ class TestExactSlemOne:
         assert slem_reversible(two_triangles).slem == 1.0
 
     def test_cycles_that_are_not_sia(self):
-        oscillating = switching_model(*oscillating_pair(), k=1)
+        oscillating = SwitchingModel(*oscillating_pair(), k=1)
         ring = build_layer(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
         matching = build_layer(4, [(0, 2, 1), (1, 3, 1)])
-        two_classes = switching_model(ring, matching, k=0)
+        two_classes = SwitchingModel(ring, matching, k=0)
         assert eig_moduli_nonsymmetric(oscillating).slem == 1.0
         assert eig_moduli_nonsymmetric(two_classes).slem == 1.0
 
@@ -196,7 +196,7 @@ class TestExactSlemOne:
         rings = [generate(GeneratorSpec(kind="circulant", n=n, offsets=o)) for o in ((1,), (3,))]
         summary = slem_reversible(rings[0])
         assert summary.slem == 1.0 and summary.method == "lanczos"
-        outcome = analyze_merged(merge(*rings, 0.5), np.linspace(0.0, 1.0, n))
+        outcome = analyze_merged(MergedModel(*rings, 0.5), np.linspace(0.0, 1.0, n))
         assert outcome.bounds.slem_c == 1.0 and outcome.note == "merged transition not primitive"
 
     def test_primitive_layer_near_one_keeps_its_value(self):
@@ -236,7 +236,7 @@ class TestRayleigh:
 
         rng = np.random.default_rng(42)
         layer1, layer2 = degree_matched_pair(rng, 10)
-        model = merge(layer1, layer2, 0.4)
+        model = MergedModel(layer1, layer2, 0.4)
         s_c = symmetrize(model.merged_layer)
         lambda2 = np.sort(np.linalg.eigvalsh(s_c))[-2]
         top = np.sqrt(model.merged_layer.degrees)
@@ -270,7 +270,7 @@ def hubs_and_random(n, seed):
     """Barabasi-Albert(5) blended with Erdos-Renyi of mean degree 10 at alpha 0.5."""
     ba = generate(GeneratorSpec(kind="barabasi-albert", n=n, m=5, seed=seed))
     er = generate(GeneratorSpec(kind="erdos-renyi", n=n, p=10.0 / n, seed=seed + 1))
-    return merge(ba, er, 0.5).merged_layer
+    return MergedModel(ba, er, 0.5).merged_layer
 
 
 def ring_plus_chords_model(n, k, seed):
@@ -287,7 +287,7 @@ def ring_plus_chords_model(n, k, seed):
             classes = np.triu(rng.integers(1, 5, size=(n, n)))
             w *= classes + np.triu(classes, 1).T
         layers.append(LayerGraph.from_weights(w))
-    return switching_model(*layers, k)
+    return SwitchingModel(*layers, k)
 
 
 def ring_plus_chords_cycle(n, k, seed):
@@ -315,7 +315,7 @@ class TestKrylov:
         rng = np.random.default_rng(seed)
         layer = denser_layer(rng, n, density, (1, 2) if ring else ())
         if alpha is not None:
-            layer = merge(layer, denser_layer(rng, n, density), alpha).merged_layer
+            layer = MergedModel(layer, denser_layer(rng, n, density), alpha).merged_layer
         slem = _slem_lanczos(layer)
         dense = dense_slem(layer)
         if slem is None:
@@ -329,6 +329,18 @@ class TestKrylov:
         summary = slem_reversible(layer)
         assert summary.method == "lanczos"
         assert abs(summary.slem - dense_slem(layer)) <= 1e-12
+
+    def test_lanczos_out_of_steps_falls_back_to_dense(self, monkeypatch):
+        # 20 steps are too few for this layer, whose spectrum is not near
+        # modulus 1: Lanczos runs out of steps, and eigvalsh takes over.
+        full = slem_reversible(hubs_and_random(600, 11))
+        assert full.method == "lanczos" and full.slem < _KRYLOV_NEAR_ONE
+        monkeypatch.setattr(spectral, "_KRYLOV_MAX_STEPS", 20)
+        layer = hubs_and_random(600, 11)
+        assert _slem_lanczos(layer) is None
+        summary = slem_reversible(layer)
+        assert summary.method == "symmetric"
+        assert summary.slem == pytest.approx(full.slem, abs=1e-12)
 
     def test_slow_ring_falls_back_to_dense(self):
         ring = generate(GeneratorSpec(kind="circulant", n=1000, offsets=(1, 2)))
@@ -386,7 +398,7 @@ class TestKrylov:
         # reducible cycles, slow rings the hand-back to eigvals
         rng = np.random.default_rng(seed)
         layer1, layer2 = (denser_layer(rng, n, density, ring) for ring in rings)
-        cycle = switching_model(layer1, layer2, k)
+        cycle = SwitchingModel(layer1, layer2, k)
         with mock.patch.object(SwitchingModel, "matrix_free", True):
             slem = _slem_arnoldi(cycle)
         dense = dense_cycle_slem(cycle)
@@ -430,7 +442,7 @@ class TestKrylov:
         monkeypatch.setattr(spectral, "_slem_krylov", counted)
         ba = generate(GeneratorSpec(kind="barabasi-albert", n=1000, m=5, seed=1))
         er = generate(GeneratorSpec(kind="erdos-renyi", n=1000, p=0.01, seed=2))
-        layers = [ba, er] + [merge(ba, er, alpha).merged_layer for alpha in (0.25, 0.5, 0.75)]
+        layers = [ba, er] + [MergedModel(ba, er, alpha).merged_layer for alpha in (0.25, 0.5, 0.75)]
         for layer in layers:
             assert abs(_slem_lanczos(layer) - dense_slem(layer)) <= 1e-12
         assert len(applications) < self.RESIDUAL_RULE_APPLICATIONS
@@ -446,7 +458,7 @@ class TestKrylov:
         n = 2 * _KRYLOV_MIN_N
         layer1 = generate(GeneratorSpec(kind="circulant", n=n, offsets=(1,)))
         layer2 = generate(GeneratorSpec(kind="circulant", n=n, offsets=(1, 3)))
-        cycle = switching_model(layer1, layer2, 1)
+        cycle = SwitchingModel(layer1, layer2, 1)
         assert cycle.matrix_free
         assert eig_moduli_nonsymmetric(cycle).slem == pytest.approx(1.0, abs=1e-12)
 

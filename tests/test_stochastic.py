@@ -46,12 +46,28 @@ class TestTransitionMatrix:
             transition_matrix(layer)
 
     def test_rejects_bad_row_sum(self):
-        with pytest.raises(ValueError, match="row 0"):
+        with pytest.raises(ValueError, match="^row 0 sums to 0.9, more than"):
             TransitionMatrix.from_entries([[0.5, 0.4], [0.5, 0.5]])
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError, match="nonnegative"):
             TransitionMatrix.from_entries([[1.1, -0.1], [0.5, 0.5]])
+
+    def test_rejects_non_square_entries(self):
+        with pytest.raises(ValueError, match=r"^transition matrix must be square, got shape \(2, 3\)$"):
+            TransitionMatrix.from_entries(np.full((2, 3), 1 / 3))
+
+    @pytest.mark.parametrize(
+        "pi, message",
+        [
+            ([1.5, -0.5], "^stationary distribution entries must be nonnegative$"),
+            ([0.5, 0.4], "^stationary distribution sums to 0.9, not 1$"),
+        ],
+        ids=["negative-entry", "sum-not-one"],
+    )
+    def test_stationary_distribution_rejects(self, pi, message):
+        with pytest.raises(ValueError, match=message):
+            StationaryDistribution(np.array(pi))
 
     def test_classes_cache_is_no_constructor_argument(self):
         csr = transition_matrix(triangle_pair()[0]).csr

@@ -1,3 +1,4 @@
+import inspect
 from pathlib import Path
 from unittest import mock
 
@@ -9,7 +10,14 @@ from test_spectral import ring_plus_chords_model
 
 from oplex import spectral, switching
 from oplex.fixtures import induced_pair, oscillating_pair, sia_pair, triangle_pair
-from oplex.netcore import GeneratorSpec, LayerGraph, build_layer, generate, load_two_layer_dataset
+from oplex.netcore import (
+    GeneratorSpec,
+    IsolatedNodeError,
+    LayerGraph,
+    build_layer,
+    generate,
+    load_two_layer_dataset,
+)
 from oplex.perturb import fit_shift_family
 from oplex.spectral import _KRYLOV_MIN_N, eig_moduli_nonsymmetric, slem_reversible
 from oplex.stochastic import (
@@ -22,7 +30,7 @@ from oplex.stochastic import (
     stationary_general,
     transition_matrix,
 )
-from oplex.switching import SwitchingModel, analyze, rho_star, switching_model
+from oplex.switching import SwitchingModel, analyze, rho_star
 from oplex.verify import (
     INDUCED_PERIODS,
     consensus_deviations,
@@ -40,39 +48,68 @@ TRIANGLE_CYCLE = np.array(
 )
 
 
+class TestConstructor:
+    def test_takes_only_its_definition(self):
+        layer1, layer2 = triangle_pair()
+        assert list(inspect.signature(SwitchingModel).parameters) == ["layer1", "layer2", "k"]
+        model = SwitchingModel(layer1, layer2, 2)
+        assert (model.layer1, model.layer2, model.k) == (layer1, layer2, 2)
+        # A and B are the layers' own cached transition matrices.
+        assert model.a is transition_matrix(layer1)
+        assert model.b is transition_matrix(layer2)
+
+    def test_rejects_mismatched_sizes(self):
+        layer1, _ = triangle_pair()
+        other = build_layer(2, [(0, 1, 1)])
+        with pytest.raises(ValueError, match="^layers have different node counts: 3 vs 2$"):
+            SwitchingModel(layer1, other, 1)
+
+    def test_rejects_negative_k(self):
+        with pytest.raises(ValueError, match="^steps per cycle k must be >= 0, got -1$"):
+            SwitchingModel(*triangle_pair(), -1)
+
+    @pytest.mark.parametrize("isolated_in", [1, 2])
+    def test_rejects_node_isolated_in_a_layer(self, isolated_in):
+        layers = [build_layer(3, [(0, 1, 1), (1, 2, 1)]), build_layer(3, [(0, 1, 1)])]
+        if isolated_in == 1:
+            layers.reverse()
+        with pytest.raises(IsolatedNodeError, match=r"^node 2 is isolated \(zero weighted degree\)$"):
+            SwitchingModel(*layers, 1)
+
+
 class TestSchedule:
     def test_k1_alternates(self):
-        model = switching_model(*triangle_pair(), k=1)
+        model = SwitchingModel(*triangle_pair(), k=1)
         assert model.schedule == (model.a, model.b)
 
     def test_k0_always_layer2(self):
-        model = switching_model(*triangle_pair(), k=0)
+        model = SwitchingModel(*triangle_pair(), k=0)
         assert model.schedule == (model.b,)
 
     def test_k3_boundary(self):
-        model = switching_model(*triangle_pair(), k=3)
+        model = SwitchingModel(*triangle_pair(), k=3)
         assert model.schedule == (model.a, model.a, model.a, model.b)
 
 
 class TestCycleMatrix:
     def test_triangle_pair_k1(self):
-        model = switching_model(*triangle_pair(), k=1)
+        model = SwitchingModel(*triangle_pair(), k=1)
         assert np.abs(model.entries - TRIANGLE_CYCLE).max() <= 1e-15
 
     def test_k0_is_layer2_matrix(self):
         layer1, layer2 = triangle_pair()
-        model = switching_model(layer1, layer2, k=0)
+        model = SwitchingModel(layer1, layer2, k=0)
         assert np.abs(
             model.entries - transition_matrix(layer2).entries
         ).max() <= 1e-15
 
     def test_oscillating_pair_first_row(self):
-        model = switching_model(*oscillating_pair(), k=1)
+        model = SwitchingModel(*oscillating_pair(), k=1)
         assert np.array_equal(model.entries[0], [0, 0, 0, 1, 0])
 
     def test_cycle_is_product(self):
         layer1, layer2 = triangle_pair()
-        model = switching_model(layer1, layer2, k=3)
+        model = SwitchingModel(layer1, layer2, k=3)
         a = transition_matrix(layer1).entries
         b = transition_matrix(layer2).entries
         assert np.abs(model.entries - b @ np.linalg.matrix_power(a, 3)).max() <= 1e-12
@@ -80,7 +117,7 @@ class TestCycleMatrix:
 
 class TestAnalyze:
     def test_oscillating_pair_period_two(self):
-        model = switching_model(*oscillating_pair(), k=1)
+        model = SwitchingModel(*oscillating_pair(), k=1)
         outcome = analyze(model, X0_FIVE)
         assert outcome.status == "oscillation"
         assert outcome.period == 2 and outcome.closed_classes == 1
@@ -90,7 +127,7 @@ class TestAnalyze:
 
     def test_sia_pair_consensus(self):
         # B A is reducible (nodes 1 and 3 are transient) yet reaches consensus.
-        model = switching_model(*sia_pair(), k=1)
+        model = SwitchingModel(*sia_pair(), k=1)
         outcome = analyze(model, np.array([0.1, 0.9, 0.3, 0.7]))
         assert outcome.status == "consensus"
         assert outcome.value == pytest.approx(0.2, abs=1e-12)
@@ -101,7 +138,7 @@ class TestAnalyze:
         # k = 0 with layer 2 the matching {0-2, 1-3}: B is two swaps.
         layer1 = generate(GeneratorSpec(kind="circulant", n=4, offsets=(1,)))
         layer2 = LayerGraph.from_weights(np.eye(4)[[2, 3, 0, 1]])
-        outcome = analyze(switching_model(layer1, layer2, 0), np.array([0.0, 0.2, 0.6, 1.0]))
+        outcome = analyze(SwitchingModel(layer1, layer2, 0), np.array([0.0, 0.2, 0.6, 1.0]))
         assert outcome.status == "disagreement"
         assert outcome.closed_classes == 2 and outcome.period is None
         assert outcome.value is None
@@ -115,7 +152,7 @@ class TestAnalyze:
             assert np.array_equal(limit, np.linalg.matrix_power(q, r))
 
     def test_triangle_pair_consensus(self):
-        model = switching_model(*triangle_pair(), k=1)
+        model = SwitchingModel(*triangle_pair(), k=1)
         outcome = analyze(model, X0_TRIANGLE)
         assert outcome.status == "consensus"
         assert outcome.value == pytest.approx(3 / 10, abs=1e-12)
@@ -125,7 +162,7 @@ class TestAnalyze:
         layer1, _ = triangle_pair()
         single = consensus_value(stationary_from_degrees(layer1), X0_TRIANGLE)
         for k in (0, 1, 3):
-            outcome = analyze(switching_model(layer1, layer1, k), X0_TRIANGLE)
+            outcome = analyze(SwitchingModel(layer1, layer1, k), X0_TRIANGLE)
             assert outcome.status == "consensus"
             assert outcome.value == pytest.approx(single, abs=1e-12)
 
@@ -170,7 +207,7 @@ def _brute_force_limit(q: np.ndarray) -> tuple[np.ndarray, int, int]:
 @settings(max_examples=200, deadline=None)
 def test_analyze_matches_brute_force_limit(pair):
     layer1, layer2, k = pair
-    model = switching_model(layer1, layer2, k)
+    model = SwitchingModel(layer1, layer2, k)
     x0 = np.linspace(0.0, 1.0, layer1.n)
     outcome = analyze(model, x0)
     limit, period, classes = _brute_force_limit(model.entries)
@@ -218,7 +255,7 @@ def shaped_pair(draw):
 def test_matrix_free_verdict_matches_the_formed_cycle(pair):
     # The matrix-free path, forced at any n, against the support of B A^k formed.
     layer1, layer2, k = pair
-    model = switching_model(layer1, layer2, k)
+    model = SwitchingModel(layer1, layer2, k)
     x0 = np.linspace(0.0, 1.0, model.n)
     with mock.patch.object(SwitchingModel, "matrix_free", True):
         outcome = analyze(model, x0)
@@ -231,7 +268,7 @@ def test_matrix_free_verdict_matches_the_formed_cycle(pair):
     if classes.converges:
         assert np.abs(outcome.pi.pi - stationary_general(formed).pi).max() <= 1e-12
     # Without consensus the SLEM is exactly 1, on either path.
-    for verdict in (outcome, analyze(switching_model(layer1, layer2, k), x0)):
+    for verdict in (outcome, analyze(SwitchingModel(layer1, layer2, k), x0)):
         assert verdict.status == "consensus" or verdict.slem_cycle == 1.0
 
 
@@ -240,7 +277,7 @@ def test_phase_order_decides_the_transient_nodes():
     # 0 and 2 are transient; A B keeps {0, 2} closed and only 1 is transient.
     path = build_layer(3, [(0, 1, 1), (1, 2, 1)])
     triangle = build_layer(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
-    model = switching_model(path, triangle, 1)
+    model = SwitchingModel(path, triangle, 1)
     assert product_classes((model.b, model.a)) == SupportClasses(periods=(1,), transient=2)
     assert product_classes((model.a, model.b)) == SupportClasses(periods=(1,), transient=1)
     with mock.patch.object(SwitchingModel, "matrix_free", True):
@@ -282,7 +319,7 @@ class TestMatrixFreeCycle:
         weights = np.random.default_rng(0).integers(1, 5, size=ring.csr.nnz // 2)
         tails = np.concatenate([np.arange(n), np.arange(n)])
         heads = np.concatenate([(np.arange(n) + 1) % n, (np.arange(n) + 2) % n])
-        model = switching_model(ring, LayerGraph.from_edges(n, tails, heads, weights), 1)
+        model = SwitchingModel(ring, LayerGraph.from_edges(n, tails, heads, weights), 1)
         assert model.matrix_free
         power, solved, formations = [], [], []
         iterate, solve = switching._stationary_matrix_free, switching.stationary_general
@@ -334,11 +371,11 @@ class TestMatrixQuestionsTakeTheModel:
     )
     def test_is_primitive(self, pair, primitive):
         # sia_pair's cycle reaches consensus but keeps transient nodes.
-        assert is_primitive(switching_model(*pair(), k=1)) is primitive
+        assert is_primitive(SwitchingModel(*pair(), k=1)) is primitive
 
     def test_is_primitive_on_the_contact_cycle(self):
         layers = load_two_layer_dataset(DATA / "contact_layer_a.txt", DATA / "contact_layer_b.txt", 8)
-        assert is_primitive(switching_model(*layers, k=2))
+        assert is_primitive(SwitchingModel(*layers, k=2))
 
     def test_matrix_free_cycle_is_never_formed(self, monkeypatch):
         def refuse(model):
@@ -347,20 +384,20 @@ class TestMatrixQuestionsTakeTheModel:
         monkeypatch.setattr(SwitchingModel, "formed", refuse)
         n = _KRYLOV_MIN_N + 100
         rings = [generate(GeneratorSpec(kind="circulant", n=n, offsets=o)) for o in ((1,), (3,))]
-        model = switching_model(*rings, 1)
+        model = SwitchingModel(*rings, 1)
         assert model.matrix_free
         assert not is_primitive(model)
         assert model._formed is None
 
     def test_support_classes(self):
         # Classified on the time-expanded graph as on the formed cycle.
-        model = switching_model(*sia_pair(), k=1)
+        model = SwitchingModel(*sia_pair(), k=1)
         formed = TransitionMatrix.from_entries(model.entries).classes()
         with mock.patch.object(SwitchingModel, "matrix_free", True):
             assert model.classes() == formed
 
     def test_stationary_general(self):
-        model = switching_model(*triangle_pair(), k=1)
+        model = SwitchingModel(*triangle_pair(), k=1)
         assert np.array_equal(stationary_general(model).pi, stationary_general(model.formed()).pi)
 
 
@@ -376,14 +413,14 @@ class TestNoConsensusRunsNoSolver:
         monkeypatch.setattr(spectral, "_slem_dense", refuse)
 
     def test_oscillating_pair(self):
-        model = switching_model(*oscillating_pair(), k=1)
+        model = SwitchingModel(*oscillating_pair(), k=1)
         outcome = analyze(model, np.linspace(0.0, 1.0, model.n))
         assert outcome.status == "oscillation" and outcome.period == 2
         assert outcome.slem_cycle == 1.0
 
     @pytest.mark.parametrize("k", range(len(INDUCED_PERIODS)))
     def test_induced_pair(self, k):
-        model = switching_model(*induced_pair(), k)
+        model = SwitchingModel(*induced_pair(), k)
         outcome = analyze(model, np.linspace(0.0, 1.0, model.n))
         status = "oscillation" if INDUCED_PERIODS[k] == (2,) else "disagreement"
         assert outcome.status == status and outcome.slem_cycle == 1.0
@@ -398,7 +435,7 @@ class TestNoConsensusRunsNoSolver:
         monkeypatch.setattr(SwitchingModel, "formed", refuse)
         n = _KRYLOV_MIN_N + 100
         rings = [generate(GeneratorSpec(kind="circulant", n=n, offsets=o)) for o in ((1,), (3,))]
-        model = switching_model(*rings, k)
+        model = SwitchingModel(*rings, k)
         assert model.matrix_free
         outcome = analyze(model, np.linspace(0.0, 1.0, n))
         assert outcome.status == status and outcome.slem_cycle == 1.0
@@ -406,7 +443,7 @@ class TestNoConsensusRunsNoSolver:
 
 class TestRhoStar:
     def test_triangle_pair_k1(self):
-        model = switching_model(*triangle_pair(), k=1)
+        model = SwitchingModel(*triangle_pair(), k=1)
         # rho2(B)=2/3, rho2(A)=1/2, max d1/d2 = 1/2, max d2/d1 = 3
         assert rho_star(model) == pytest.approx(0.5, abs=1e-12)
         assert eig_moduli_nonsymmetric(model).slem <= rho_star(model)
@@ -415,13 +452,13 @@ class TestRhoStar:
         layer = generate(GeneratorSpec(kind="k-regular", n=30, k=4, seed=3))
         rho_a = slem_reversible(layer).slem
         for k in (0, 1, 2):
-            model = switching_model(layer, layer, k)
+            model = SwitchingModel(layer, layer, k)
             assert rho_star(model) == pytest.approx(rho_a ** (k + 1), abs=1e-12)
 
     def test_k0_same_degrees_gives_layer2_slem(self):
         layer1 = generate(GeneratorSpec(kind="k-regular", n=20, k=4, seed=1))
         layer2 = generate(GeneratorSpec(kind="k-regular", n=20, k=4, seed=2))
-        model = switching_model(layer1, layer2, 0)
+        model = SwitchingModel(layer1, layer2, 0)
         assert rho_star(model) == pytest.approx(
             slem_reversible(layer2).slem, abs=1e-12
         )
@@ -432,7 +469,7 @@ class TestRhoStar:
             n = int(rng.integers(4, 12))
             layer1, layer2 = random_layer(rng, n), random_layer(rng, n)
             for k in range(4):
-                model = switching_model(layer1, layer2, k)
+                model = SwitchingModel(layer1, layer2, k)
                 slem = eig_moduli_nonsymmetric(model).slem
                 assert slem <= rho_star(model) + 1e-9
 
@@ -449,7 +486,7 @@ class TestSpectralProperties:
 
     def test_cycle_decay_envelope(self):
         # ||Q^n - 1 pi'||_max <= 4 c rho^n with c fitted at n = 1
-        model = switching_model(*triangle_pair(), k=1)
+        model = SwitchingModel(*triangle_pair(), k=1)
         pi = stationary_general(model.formed()).pi
         limit = np.outer(np.ones(3), pi)
         rho = eig_moduli_nonsymmetric(model).slem
@@ -462,7 +499,7 @@ class TestSpectralProperties:
             power = power @ q
 
     def test_interleaving_contraction(self):
-        model = switching_model(*triangle_pair(), k=3)
+        model = SwitchingModel(*triangle_pair(), k=3)
         pi = stationary_general(model.formed()).pi
         limit = np.outer(np.ones(3), pi)
         a = model.a.entries
@@ -477,7 +514,7 @@ class TestSpectralProperties:
         layer1, layer2 = triangle_pair()
         pi_a = stationary_from_degrees(layer1).pi
         pi_b = stationary_from_degrees(layer2).pi
-        pi_cycle = stationary_general(switching_model(layer1, layer2, 1).formed()).pi
+        pi_cycle = stationary_general(SwitchingModel(layer1, layer2, 1).formed()).pi
         for p, a, b in zip(pi_cycle, pi_a, pi_b):
             assert p < min(a, b) or p > max(a, b)
 
@@ -491,7 +528,7 @@ def layer1_deviations(layer1, models, x0):
 class TestKStability:
     @staticmethod
     def deviations(layer1, layer2, ks, x0=X0_TRIANGLE):
-        return layer1_deviations(layer1, [switching_model(layer1, layer2, k) for k in ks], x0)
+        return layer1_deviations(layer1, [SwitchingModel(layer1, layer2, k) for k in ks], x0)
 
     def test_identical_layers_zero(self):
         layer1, _ = triangle_pair()
@@ -524,7 +561,7 @@ class TestSwitchingPerturbation:
     def fit(layer1, family, k, x0=X0_TRIANGLE):
         a = transition_matrix(layer1).entries
         e_norms = [float(np.abs(a - transition_matrix(b).entries).max()) for b in family]
-        models = [switching_model(layer1, b, k) for b in family]
+        models = [SwitchingModel(layer1, b, k) for b in family]
         return fit_shift_family(e_norms, layer1_deviations(layer1, models, x0))
 
     def test_identical_layer_zero(self):

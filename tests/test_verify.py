@@ -4,22 +4,57 @@ import numpy as np
 import pytest
 
 import oplex.verify as verify
-from oplex.merged import MergedOutcome
+from oplex import merged
+from oplex.merged import MergedBoundsReport, MergedOutcome
+from oplex.simlab import DecayCheckResult
 from oplex.spectral import slem_reversible
 
 
+def _with_check(cls, name):
+    """cls.checks with the check name forced to fail."""
+    checks = cls.checks
+    return lambda self: {**checks(self), name: False}
+
+
+# For each bounds check: what is patched to make it fail, and how its
+# detail starts. The degree-matched check fails in two ways.
+FORCED_FAILURES = {
+    "consensus-interval": (
+        MergedOutcome, "checks", _with_check(MergedOutcome, "consensus-in-interval"),
+        "bounds/consensus-interval", "instance 0: consensus ",
+    ),
+    "slem-lower": (
+        MergedOutcome, "checks", _with_check(MergedOutcome, "slem-lower-bound"),
+        "bounds/slem-lower", "instance 0: slem ",
+    ),
+    "upper-above": (
+        MergedBoundsReport, "checks", _with_check(MergedBoundsReport, "slem-upper-bound"),
+        "bounds/slem-upper-degree-matched", "instance 0: matched slem ",
+    ),
+    "upper-unmatched": (
+        merged, "degrees_matched", lambda layer1, layer2: False,
+        "bounds/slem-upper-degree-matched", "instance 0: constructed pair not degree-matched",
+    ),
+    "product-rate": (
+        verify, "product_rate_checks", lambda slem, star: {"slem-under-rho-star": False},
+        "bounds/product-rate", "instance 0: k=0 slem ",
+    ),
+    "geometric-decay": (
+        verify, "decay_check", lambda trajectory, rho: DecayCheckResult(False, -1.0),
+        "bounds/geometric-decay", "instance 0: decay margin -1.0",
+    ),
+}  # fmt: skip
+
+
 class TestBoundsSuiteDetails:
-    def test_each_check_keeps_its_own_failure(self, monkeypatch):
-        checks = MergedOutcome.checks
-        monkeypatch.setattr(
-            MergedOutcome,
-            "checks",
-            lambda self: {**checks(self), "consensus-in-interval": False},
-        )
+    @pytest.mark.parametrize("case", FORCED_FAILURES)
+    def test_each_check_keeps_its_own_failure(self, monkeypatch, case):
+        target, attr, replacement, name, detail = FORCED_FAILURES[case]
+        monkeypatch.setattr(target, attr, replacement)
         results = {r.name: r for r in verify.run_bounds_suite(n_instances=3)}
-        interval = results.pop("bounds/consensus-interval")
-        assert not interval.passed
-        assert interval.detail.startswith("instance 0: consensus ")
+        failed = results.pop(name)
+        assert not failed.passed
+        assert failed.detail.startswith(detail)
         assert len(results) == 4
         for result in results.values():
             assert result.passed
