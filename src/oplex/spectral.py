@@ -27,11 +27,14 @@ _KRYLOV_MIN_N nodes, Arnoldi with full reorthogonalization from there
 (Arnoldi 1951; Saad, Numerical Methods for Large Eigenvalue Problems,
 2011), with the same hand-back to the dense solver. Arnoldi stops on the
 residual alone: for a nonnormal Q it bounds no eigenvalue error. Lanczos
-and Arnoldi share one Krylov loop, which applies the operator through its
-matvec_kernel: for a matrix, Csr.matvec_kernel (a dense product on
-matrices dense enough, else whole-slab adds where every row holds the same
-number of entries, 2 to 8, else np.add.reduceat); for a switching
-model, its cycle's.
+and Arnoldi share one Krylov loop. Its Ritz checks solve the small
+projected matrix for its eigenvalues alone (eigvalsh or eigvals) and get
+the residuals from the last components of the outer Ritz vectors, found
+by a recurrence without the eigenvector matrix. The loop applies the
+operator through its matvec_kernel: for a matrix, Csr.matvec_kernel (a
+dense product on matrices dense enough, else whole-slab adds where every
+row holds the same number of entries, 2 to 8, else np.add.reduceat); for
+a switching model, its cycle's.
 Ties at modulus 1 mean the chain is not primitive and the SLEM is 1. A
 solver lands within rounding of 1 there, so a SLEM within SLEM_SLACK of 1
 is settled by the support classification: it is exactly 1 for a layer
@@ -42,6 +45,7 @@ layer's summary on the layer.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -71,8 +75,9 @@ _KRYLOV_TOL = 1e-12
 _EIG_TOL = 1e-14
 # Krylov steps between two Ritz checks: _KRYLOV_CHECK while the ratio of
 # residual to acceptance level has no trend yet, else as many as its decay
-# predicts to reach 1, up to _KRYLOV_MAX_GAP. Each check is a dense eigh of
-# the tridiagonal part of H (Lanczos) or eig of H (Arnoldi).
+# predicts to reach 1, up to _KRYLOV_MAX_GAP. Each check takes the Ritz
+# values from eigvalsh on the tridiagonal part of H (Lanczos) or eigvals on
+# H (Arnoldi), and only the last components of the outer Ritz vectors.
 _KRYLOV_CHECK = 8
 _KRYLOV_MAX_GAP = 32
 # Cap on Krylov steps; the dense solver takes over beyond it.
@@ -83,6 +88,15 @@ _KRYLOV_MAX_STEPS = 300
 # there, so the dense solver takes over.
 _KRYLOV_PROBE = 16
 _KRYLOV_NEAR_ONE = 0.98
+# _last_components scales a Ritz vector down by this factor whenever it
+# grows past it; squares of 300 such components still fit a float.
+_RESCALE = 1e100
+# _last_components trusts its recurrence for a Ritz vector while r / gap,
+# the bound on the vector's angle to the true one, stays below this. On
+# Lanczos runs on rings and random layers, every vector up to 1e-10 agreed
+# with eigh to 3e-12 relative (components above 1e-5), and every failure,
+# a second copy of a double eigenvalue, read 1 or more.
+_BOTTOM_UP_TOL = 1e-6
 
 # Absolute slack when a computed SLEM is compared with a proved bound on it.
 SLEM_SLACK = 1e-9
@@ -162,6 +176,88 @@ def _next_check_gap(last: tuple[int, float] | None, j: int, excess: float) -> in
     return int(np.clip(np.ceil(np.log(excess) / rate), 1, _KRYLOV_MAX_GAP))
 
 
+def _outer(theta: np.ndarray, symmetric: bool) -> np.ndarray:
+    """Indices into theta of the Ritz values the stop rules read: the two
+    lowest and two highest for Lanczos (theta ascending), as _lanczos_excess
+    reads them; the one of largest modulus for Arnoldi."""
+    j = theta.shape[0]
+    if symmetric:
+        return np.arange(j) if j <= 4 else np.array([0, 1, j - 2, j - 1])
+    return np.array([np.argmax(np.abs(theta))])
+
+
+def _last_components(
+    h: np.ndarray, theta: np.ndarray, gaps: np.ndarray, symmetric: bool
+) -> np.ndarray | None:
+    """|s_j| for the unit eigenvectors s of the j x j upper Hessenberg h at its
+    eigenvalues theta, each gaps away from the nearest other eigenvalue of h;
+    None where one of them cannot be trusted.
+
+    Each s comes from the bottom up (Parlett 1980, ch. 7): s_j = 1, and row k
+    of (h - theta) s = 0 gives s_(k-1) from s_k..s_j, down to row 2. It is
+    scaled down by _RESCALE whenever it grows past _RESCALE, so nothing
+    overflows where s_j is tiny (a converged Ritz vector). Row 1 is left
+    over, and its residual r over the norm of s bounds the angle between s
+    and the true eigenvector by r / gap (Davis and Kahan 1970). The
+    recurrence fails where the true eigenvector has a negligible first
+    component (a Ritz vector the start vector does not reach, as where a
+    double eigenvalue gets a second copy from rounding); r / gap above
+    _BOTTOM_UP_TOL gives that away. A symmetric h is read as the tridiagonal
+    of its diagonal and subdiagonal, and its recurrence runs on Python floats;
+    a Hessenberg h takes one dot product a row.
+    """
+    j = h.shape[0]
+    last = []
+    if symmetric:
+        diag, sub = np.diagonal(h).tolist(), np.diagonal(h, -1).tolist() + [0.0]
+        big = _RESCALE**2
+        for t, gap in zip(theta.tolist(), gaps.tolist()):
+            below, s, s_j, norm2 = 0.0, 1.0, 1.0, 1.0
+            for k in range(j - 1, 0, -1):
+                below, s = s, ((t - diag[k]) * s - sub[k] * below) / sub[k - 1]
+                norm2 += s * s
+                if norm2 > big:
+                    below, s, s_j = below / _RESCALE, s / _RESCALE, s_j / _RESCALE
+                    norm2 /= big
+            if abs((diag[0] - t) * s + sub[0] * below) > _BOTTOM_UP_TOL * gap * math.sqrt(norm2):
+                return None
+            last.append(s_j / math.sqrt(norm2))
+        return np.array(last)
+    sub = np.diagonal(h, -1).tolist()
+    for t, gap in zip(theta.tolist(), gaps.tolist()):
+        # real arithmetic for a real Ritz value, complex for one of a pair
+        hc = h if isinstance(t, float) else h.astype(complex)
+        s = np.zeros(j, dtype=hc.dtype)
+        s[-1] = s_k = 1.0
+        for k in range(j - 1, 0, -1):
+            s[k - 1] = s_k = (t * s_k - (hc[k, k:] @ s[k:]).item()) / sub[k - 1]
+            if abs(s_k) > _RESCALE:
+                s[k - 1 :] /= _RESCALE
+                s_k /= _RESCALE
+        norm = math.sqrt(np.vdot(s, s).real)
+        if abs((hc[0] @ s).item() - t * s_k) > _BOTTOM_UP_TOL * gap * norm:
+            return None
+        last.append(abs(s[-1]) / norm)
+    return np.array(last)
+
+
+def _outer_ritz(ritz: np.ndarray, beta: float, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The outer Ritz values of the j x j H (see _outer) and their residuals
+    beta |s_j|: the values from eigvalsh (Lanczos) or eigvals (Arnoldi), the
+    last components from _last_components, or from the eigenvector matrix
+    of eigh or eig where the recurrence cannot be trusted."""
+    theta = np.linalg.eigvalsh(ritz) if symmetric else np.linalg.eigvals(ritz)
+    outer = _outer(theta, symmetric)
+    distance = np.abs(theta[outer, None] - theta)
+    distance[np.arange(outer.shape[0]), outer] = np.inf
+    last = _last_components(ritz, theta[outer], distance.min(axis=1), symmetric)
+    if last is None:
+        theta, vectors = np.linalg.eigh(ritz) if symmetric else np.linalg.eig(ritz)
+        outer = _outer(theta, symmetric)
+        last = np.abs(vectors[-1, outer])
+    return theta[outer], beta * last
+
+
 def _slem_krylov(apply, u: np.ndarray, symmetric: bool) -> float | None:
     """Largest eigenvalue modulus of an operator restricted to the complement of u.
 
@@ -169,15 +265,19 @@ def _slem_krylov(apply, u: np.ndarray, symmetric: bool) -> float | None:
     invariant, so the restriction keeps every other eigenvalue. Each step
     applies the operator to the newest basis vector and orthogonalizes the
     result against u and every earlier basis vector by classical
-    Gram-Schmidt, twice: one pass loses orthogonality where the Krylov space
-    is nearly invariant, two keep it to rounding (Giraud, Langou and
-    Rozloznik 2005). The coefficients fill the Hessenberg H. A symmetric
-    operator makes H tridiagonal (Lanczos): its Ritz values come from eigh
-    and both extremes must converge, to the eigenvalue error that
-    _lanczos_excess bounds. Otherwise (Arnoldi) they come from eig and the
-    one of largest modulus must reach residual _KRYLOV_TOL. Returns None,
-    for a dense solver to take over, when the spectrum is clustered near
-    modulus 1 or the step budget runs out.
+    Gram-Schmidt. One pass loses orthogonality where it cancels most of the
+    vector, so a second pass follows wherever the first left less than
+    1/sqrt(2) of its norm (Daniel, Gragg, Kaufman and Stewart 1976); two
+    keep it to rounding (Giraud, Langou and Rozloznik 2005). The
+    coefficients fill the Hessenberg H. A symmetric operator makes H
+    tridiagonal (Lanczos): its Ritz values come from eigvalsh and both
+    extremes must converge, to the eigenvalue error that _lanczos_excess
+    bounds. Otherwise (Arnoldi) they come from eigvals and the one of
+    largest modulus must reach residual _KRYLOV_TOL. The residuals need only
+    the last components of the outer Ritz vectors, which _last_components
+    takes without the eigenvector matrix. Returns None, for a dense solver
+    to take over, when the spectrum is clustered near modulus 1 or the step
+    budget runs out.
     """
     n = u.shape[0]
     steps = min(_KRYLOV_MAX_STEPS, n - 1)
@@ -192,31 +292,32 @@ def _slem_krylov(apply, u: np.ndarray, symmetric: bool) -> float | None:
     for j in range(1, steps + 1):
         r = apply(basis[j])
         done = basis[: j + 1]
-        h = np.zeros(j + 1)
-        for _ in range(2):
+        before = r @ r
+        h = done @ r
+        r -= done.T @ h
+        beta2 = r @ r
+        if beta2 < 0.5 * before:
             c = done @ r
             r -= done.T @ c
             h += c
+            beta2 = r @ r
         hess[:j, j - 1] = h[1:]
-        hess[j, j - 1] = beta = np.linalg.norm(r)
+        hess[j, j - 1] = beta = math.sqrt(beta2)
         if j == check or beta < _KRYLOV_TOL or j == steps:
+            theta, residuals = _outer_ritz(hess[:j, :j], beta, symmetric)
             if symmetric:
-                # eigh reads the lower triangle: H's diagonal and subdiagonal
-                theta, s = np.linalg.eigh(hess[:j, :j])
                 top = max(abs(theta[0]), abs(theta[-1]))
-                excess = _lanczos_excess(theta, beta * np.abs(s[-1]))
+                excess = _lanczos_excess(theta, residuals)
             else:
-                theta, s = np.linalg.eig(hess[:j, :j])
-                outer = int(np.argmax(np.abs(theta)))
-                top = abs(theta[outer])
-                excess = beta * abs(s[-1, outer]) / _KRYLOV_TOL
+                top = abs(theta[0])
+                excess = residuals[0] / _KRYLOV_TOL
             if excess < 1.0:
                 return float(min(top, 1.0))
             if j >= _KRYLOV_PROBE and top >= _KRYLOV_NEAR_ONE:
                 return None
             check = j + _next_check_gap(last, j, excess)
             last = (j, excess)
-        basis[j + 1] = r / beta
+        np.divide(r, beta, out=basis[j + 1])
     return None
 
 

@@ -54,6 +54,9 @@ from .stochastic import (
 # puts the break-even where k cost(A) + cost(B) is about 14 to 15 dense
 # products at each n (BENCH_14.json, "crossover"); the bound stays below.
 _MATRIX_FREE_MAX_COST = 12
+# Cycles without a new least residual after which the power iteration for pi
+# takes its best iterate as the rounding floor.
+_STATIONARY_WINDOW = 8
 
 
 class SwitchingModel:
@@ -143,26 +146,32 @@ def _stationary_matrix_free(model: SwitchingModel) -> StationaryDistribution | N
     never formed.
 
     A layer's y D^-1 W is (W (y / d))' since W is symmetric, so each left
-    product by a factor is one product by the layer's weights. The iterate
-    is taken once the residual max |y Q - y| has passed the check of
-    stationary_general and stopped falling, at rounding. None if
-    _KRYLOV_MAX_STEPS cycles end first, for the dense solve to take over.
+    product by a factor is one product by the layer's weights. The residual
+    is max |y Q - y|. Once it has passed the check of stationary_general and
+    then failed to fall, the iteration is settled; it runs on until
+    _STATIONARY_WINDOW cycles in a row bring no new least residual, and
+    returns the iterate of least residual. A cycle with complex subdominant
+    eigenvalues has a residual that falls in a zigzag, so its first uptick
+    can come well before rounding. None if the iteration has not settled
+    within _KRYLOV_MAX_STEPS cycles, for the dense solve to take over.
     """
     apply_a, apply_b = model.layer1.csr.matvec_kernel(), model.layer2.csr.matvec_kernel()
     d_a, d_b = model.layer1.degrees, model.layer2.degrees
     y = np.full(model.n, 1.0 / model.n)
-    least, best = np.inf, y
+    least, best, stale, settled = np.inf, y, 0, False
     for _ in range(_KRYLOV_MAX_STEPS):
         z = apply_b(y / d_b)
         for _ in range(model.k):
             z = apply_a(z / d_a)
         residual = np.abs(z - y).max()
-        if residual >= least and least <= _STATIONARY_RESIDUAL_TOL:
-            return StationaryDistribution(pi=best)
         if residual < least:
-            least, best = residual, y
+            least, best, stale = residual, y, 0
+        elif least <= _STATIONARY_RESIDUAL_TOL:
+            stale, settled = stale + 1, True
+            if stale == _STATIONARY_WINDOW:
+                break
         y = z / z.sum()
-    return None
+    return StationaryDistribution(pi=best) if settled else None
 
 
 class SwitchingOutcome(NamedTuple):

@@ -393,14 +393,16 @@ class TestRunExperiment:
         assert (tmp_path / "summary.json").exists()
 
     @staticmethod
-    def count_eigensolver_calls(monkeypatch):
+    def count_eigensolver_calls(monkeypatch, n):
+        # Only dense solves of an n x n operator count: the Krylov Ritz
+        # checks call the same solvers on their small projected matrices.
         calls = {"eigvalsh": 0, "eigvals": 0}
         for name in calls:
             original = getattr(np.linalg, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += np.shape(a) == (n, n)
+                return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
         return calls
@@ -408,7 +410,7 @@ class TestRunExperiment:
     def test_merged_sweep_uses_symmetric_solver_only(self, monkeypatch):
         # Clashing degree sequences: C still takes the symmetric path, and
         # each layer spectrum is solved once for the whole alpha grid.
-        calls = self.count_eigensolver_calls(monkeypatch)
+        calls = self.count_eigensolver_calls(monkeypatch, 30)
         raw = merged_config(
             model={"kind": "merged", "alphas": [0.25, 0.5, 0.75]},
             layers=[
@@ -423,7 +425,7 @@ class TestRunExperiment:
     def test_switching_sweep_uses_krylov_solvers_only(self, monkeypatch):
         # From the Krylov crossover on, the cycles take Arnoldi and the two
         # layer spectra Lanczos: no dense eigensolve anywhere in the sweep.
-        calls = self.count_eigensolver_calls(monkeypatch)
+        calls = self.count_eigensolver_calls(monkeypatch, _KRYLOV_MIN_N)
         raw = merged_config(
             model={"kind": "switching", "ks": [1, 2, 4]},
             layers=[

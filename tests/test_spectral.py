@@ -23,7 +23,9 @@ from oplex.spectral import (
     _KRYLOV_NEAR_ONE,
     _KRYLOV_TOL,
     SLEM_SLACK,
+    _last_components,
     _lanczos_excess,
+    _outer_ritz,
     _slem_arnoldi,
     _slem_lanczos,
     eig_moduli_nonsymmetric,
@@ -424,6 +426,10 @@ class TestKrylov:
     # test_hubs_and_blends_stop_on_the_eigenvalue_error when it stopped only
     # at residual < _KRYLOV_TOL: 151, 137, 125, 136 and 132 steps.
     RESIDUAL_RULE_APPLICATIONS = 681
+    # The same five solves under the eigenvalue error rule, recorded when
+    # each Ritz check still built the whole eigenvector matrix with eigh:
+    # how the check reads the Ritz vectors must not move a stop step.
+    EIGENVALUE_RULE_APPLICATIONS = 533
 
     def test_hubs_and_blends_stop_on_the_eigenvalue_error(self, monkeypatch):
         # the shape of the merged-hubs sweep: BA(1000, 5), ER(1000, 0.01) and
@@ -445,7 +451,8 @@ class TestKrylov:
         layers = [ba, er] + [MergedModel(ba, er, alpha).merged_layer for alpha in (0.25, 0.5, 0.75)]
         for layer in layers:
             assert abs(_slem_lanczos(layer) - dense_slem(layer)) <= 1e-12
-        assert len(applications) < self.RESIDUAL_RULE_APPLICATIONS
+        assert len(applications) == self.EIGENVALUE_RULE_APPLICATIONS
+        assert self.EIGENVALUE_RULE_APPLICATIONS < self.RESIDUAL_RULE_APPLICATIONS
 
     def test_ring_plus_chords_cycle_takes_arnoldi(self):
         cycle = ring_plus_chords_cycle(600, 2, 3)
@@ -536,3 +543,152 @@ class TestLanczosStopRule:
         residuals = np.array(residuals[: theta.shape[0]])
         outer = max(residuals[0], residuals[-1])
         assert _lanczos_excess(theta, residuals) <= outer / _KRYLOV_TOL
+
+
+def gaps_to_the_rest(theta, values):
+    """Distance from each of values to the nearest other entry of theta."""
+    distance = np.abs(np.asarray(values)[:, None] - theta)
+    distance[distance == distance.min(axis=1, keepdims=True)] = np.inf
+    return distance.min(axis=1, initial=np.inf)
+
+
+def krylov_projection(a, j, rng):
+    """The j x j Hessenberg H of j Arnoldi steps on the dense a from a random
+    start, reorthogonalized twice; tridiagonal to rounding for a symmetric a."""
+    n = a.shape[0]
+    basis = np.zeros((j + 1, n))
+    basis[0] = rng.standard_normal(n)
+    basis[0] /= np.linalg.norm(basis[0])
+    h = np.zeros((j + 1, j))
+    for k in range(j):
+        r = a @ basis[k]
+        for _ in range(2):
+            c = basis[: k + 1] @ r
+            r -= c @ basis[: k + 1]
+            h[: k + 1, k] += c
+        h[k + 1, k] = np.linalg.norm(r)
+        basis[k + 1] = r / h[k + 1, k]
+    return h[:j]
+
+
+def with_eigenpair(rng, s, theta, symmetric):
+    """A j x j unreduced tridiagonal (symmetric) or upper Hessenberg matrix
+    with the real eigenpair (theta, s): random off-diagonal entries scaled
+    so each row stays of order 1, then the diagonal solved from h s = theta s."""
+    j = s.shape[0]
+    h = np.zeros((j, j))
+    for k in range(1, j):
+        h[k, k - 1] = rng.uniform(0.5, 1.0) * abs(s[k] / s[k - 1])
+        if symmetric:
+            h[k - 1, k] = h[k, k - 1]
+    if not symmetric:
+        h += np.triu(rng.uniform(-1, 1, (j, j)), 1)
+    off_diagonal = h @ s - np.diag(h) * s
+    h[np.diag_indices(j)] = theta - off_diagonal / s
+    return h
+
+
+class TestRitzLastComponents:
+    """_last_components against the eigenvector matrices it replaces."""
+
+    @staticmethod
+    def check(h, symmetric):
+        # eigh and eig hold each component only to rounding relative to the
+        # whole vector: 1e-10 relative where it is above 1e-5, 1e-13 absolute
+        # below (a converged Ritz vector)
+        theta, vectors = np.linalg.eigh(h) if symmetric else np.linalg.eig(h)
+        outer = spectral._outer(theta, symmetric)
+        last = _last_components(h, theta[outer], gaps_to_the_rest(theta, theta[outer]), symmetric)
+        assert last is not None
+        expected = np.abs(vectors[-1, outer])
+        held = expected > 1e-5
+        np.testing.assert_allclose(last[held], expected[held], rtol=1e-10, atol=0)
+        np.testing.assert_allclose(last, expected, rtol=0, atol=1e-13)
+        return theta[outer]
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 5, 8])
+    def test_random_tridiagonal(self, j):
+        rng = np.random.default_rng(j)
+        for _ in range(5):
+            h = np.diag(rng.uniform(-1, 1, j)) + np.diag(rng.uniform(0.5, 1.0, j - 1), -1)
+            # the strict upper triangle is not read: Lanczos leaves rounding there
+            self.check(h + np.triu(rng.uniform(-1e-3, 1e-3, (j, j)), 1), symmetric=True)
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 5, 8])
+    def test_random_hessenberg(self, j):
+        rng = np.random.default_rng(j)
+        for _ in range(5):
+            h = np.triu(rng.uniform(-1, 1, (j, j)), -1)
+            h[np.arange(1, j), np.arange(j - 1)] = rng.uniform(0.5, 1.0, j - 1)
+            self.check(h, symmetric=False)
+
+    @pytest.mark.parametrize("j", [16, 40, 130])
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["lanczos", "arnoldi"])
+    def test_krylov_projections(self, j, symmetric):
+        # H of j Krylov steps on a random operator on 300 nodes: a symmetric
+        # one with its spectrum spread over [-1, 1], or a general one with
+        # its spectrum filling the unit disc
+        rng = np.random.default_rng(j)
+        a = rng.standard_normal((300, 300)) / np.sqrt(300)
+        if symmetric:
+            q = np.linalg.qr(a)[0]
+            a = (q * rng.uniform(-1, 1, 300)) @ q.T
+        self.check(krylov_projection(a, j, rng), symmetric)
+
+    def test_complex_conjugate_outer_pair(self):
+        # 0.9 times a rotation by 2 pi / 7 beside a spectrum inside the disc
+        # of radius 0.5, in a random basis: the outer Ritz pair is complex
+        rng = np.random.default_rng(3)
+        c, s = np.cos(2 * np.pi / 7), np.sin(2 * np.pi / 7)
+        d = np.zeros((60, 60))
+        d[:2, :2] = 0.9 * np.array([[c, -s], [s, c]])
+        d[2:, 2:] = 0.5 * rng.standard_normal((58, 58)) / np.sqrt(58)
+        q = np.linalg.qr(rng.standard_normal((60, 60)))[0]
+        h = krylov_projection(q @ d @ q.T, 10, rng)
+        outer = self.check(h, symmetric=False)
+        assert abs(outer[0].imag) > 0.1
+        theta = np.linalg.eigvals(h)
+        pair = np.array([outer[0], np.conj(outer[0])])
+        last = _last_components(h, pair, gaps_to_the_rest(theta, pair), False)
+        assert last[1] == pytest.approx(last[0], rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["tridiagonal", "hessenberg"])
+    @pytest.mark.parametrize("s_j", [1e-13, 1e-40, 1e-150, 1e-250])
+    def test_converged_ritz_vector(self, symmetric, s_j):
+        # A Ritz vector that has converged has a tiny last component, and its
+        # recurrence grows by 1 / s_j from the bottom up: past 1e-100 it is
+        # rescaled on the way. eigh and eig hold that component only to
+        # rounding relative to the whole vector, so it is checked against the
+        # exact eigenpair the matrix is built around.
+        rng = np.random.default_rng(7)
+        j, theta = 40, 0.95
+        s = s_j ** (np.arange(j) / (j - 1)) * rng.uniform(0.5, 1.0, j)
+        s[-1] = s_j
+        h = with_eigenpair(rng, s, theta, symmetric)
+        values = np.linalg.eigvalsh(h) if symmetric else np.linalg.eigvals(h).real
+        found = values[[np.argmin(np.abs(values - theta))]]
+        assert found[0] == pytest.approx(theta, abs=1e-12)
+        last = _last_components(h, found, gaps_to_the_rest(values, found), symmetric)
+        assert last is not None
+        assert last[0] == pytest.approx(s_j / np.linalg.norm(s), rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["tridiagonal", "hessenberg"])
+    def test_vector_the_start_does_not_reach_falls_back_to_eigh(self, symmetric):
+        # A diagonal falling from 0.9 to -1 down the matrix, with couplings a
+        # tenth of its steps: the eigenvector of the lowest eigenvalue, which
+        # is also the one of largest modulus, lives at the bottom with a first
+        # component near 1e-40. The recurrence cannot find it from there and
+        # says so; the check then takes the eigenvector matrix of eigh (or of
+        # eig: a tridiagonal is a Hessenberg matrix too).
+        rng = np.random.default_rng(1)
+        j = 40
+        sub = rng.uniform(0.002, 0.01, j - 1)
+        h = np.diag(np.linspace(0.9, -1.0, j)) + np.diag(sub, -1) + np.diag(sub, 1)
+        theta, vectors = np.linalg.eigh(h)
+        assert abs(vectors[0, 0]) < 1e-30 and abs(theta[0]) == np.abs(theta).max()
+        assert _last_components(h, theta[:1], gaps_to_the_rest(theta, theta[:1]), symmetric) is None
+        outer, residuals = _outer_ritz(h, 0.5, symmetric)
+        read = [0, 1, -2, -1] if symmetric else [0]
+        np.testing.assert_allclose(outer, theta[read], rtol=0, atol=1e-14)
+        expected = 0.5 * np.abs(vectors[-1, read])
+        np.testing.assert_allclose(residuals, expected, rtol=1e-10, atol=1e-16)

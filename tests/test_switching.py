@@ -272,6 +272,20 @@ def test_matrix_free_verdict_matches_the_formed_cycle(pair):
         assert verdict.status == "consensus" or verdict.slem_cycle == 1.0
 
 
+def test_matrix_free_pi_runs_past_a_zigzag_to_rounding():
+    # k = 1, layer 1 the paths 0-2-1 and 3-5-4, layer 2 the path 0-1-2-5
+    # plus the edge 3-4. The power iteration's residual falls in a zigzag
+    # (8.9e-13 at cycle 102, 9.1e-13 at 103); stopping at that first uptick
+    # left pi 1.08e-12 from the dense solve.
+    layer1 = build_layer(6, [(0, 2, 1), (2, 1, 1), (3, 5, 1), (5, 4, 1)])
+    layer2 = build_layer(6, [(0, 1, 1), (1, 2, 1), (2, 5, 1), (3, 4, 1)])
+    model = SwitchingModel(layer1, layer2, 1)
+    dense = stationary_general(TransitionMatrix.from_entries(model.entries)).pi
+    pi = switching._stationary_matrix_free(model)
+    assert pi is not None
+    assert np.abs(pi.pi - dense).max() <= 1e-12
+
+
 def test_phase_order_decides_the_transient_nodes():
     # A is the path 0-1-2, B the triangle. In B A node 1 is absorbing and
     # 0 and 2 are transient; A B keeps {0, 2} closed and only 1 is transient.
