@@ -35,7 +35,7 @@ def main() -> int:
     }
     result = run_experiment(config, args.out)
     print(json.dumps(result.summary, indent=2, sort_keys=True))
-    print(f"reports written to {result.out_dir}")
+    print(f"reports written to {args.out}")
     return 0 if result.all_passed else 1
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import ConfigError, load_config, run_experiment
+from .harness import ConfigError, run_experiment
 from .merged import analyze as analyze_merged
 from .merged import MergedModel
 from .netcore import EdgeListError, load_edge_list, parse_edge_list
@@ -70,7 +70,7 @@ def _json(report: dict) -> str:
 
 def _cmd_simulate(args) -> tuple[int, str]:
     try:
-        result = run_experiment(load_config(args.config), args.out)
+        result = run_experiment(json.loads(Path(args.config).read_text()), args.out)
     except (ConfigError, EdgeListError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"simulate: bad input: {exc}", file=sys.stderr)
         return 2, ""

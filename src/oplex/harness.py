@@ -15,7 +15,6 @@ byte-identical.
 from __future__ import annotations
 
 import sys
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -64,7 +63,6 @@ SWEEP_COLUMNS = [
 
 _RATE_SLACK = 1e-6
 _AGREEMENT_TOL = 1e-7
-_FIT_FLOOR = 1e-13
 _WRITE_FIELDS = 2**14
 
 
@@ -89,8 +87,7 @@ class DatasetSpec(NamedTuple):
 
 class ExperimentConfig(NamedTuple):
     model_kind: str  # single | merged | switching
-    alphas: tuple[float, ...] | None
-    ks: tuple[int, ...] | None
+    grid: tuple  # alphas, ks, or (0,) for a single layer
     layer_specs: tuple[GeneratorSpec, ...] | None
     dataset: DatasetSpec | None
     x0: XZeroSpec
@@ -98,7 +95,6 @@ class ExperimentConfig(NamedTuple):
     tol: float
     outputs: tuple[str, ...]
     record_opinions: bool
-    raw: dict
 
 
 def _fail(path: str, message: str) -> None:
@@ -112,25 +108,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(model, dict) or "kind" not in model:
         _fail("model", "must be an object with a 'kind' field")
     kind = model["kind"]
-    alphas = ks = None
-    if kind == "merged":
-        grid = model.get("alphas")
-        if not isinstance(grid, list) or not grid:
-            _fail("model.alphas", "must be a nonempty list")
-        for i, a in enumerate(grid):
-            if not is_number(a) or not (0 <= a <= 1):
-                _fail(f"model.alphas[{i}]", "must be a number in [0, 1]")
-        alphas = tuple(float(a) for a in grid)
-    elif kind == "switching":
-        grid = model.get("ks")
-        if not isinstance(grid, list) or not grid:
-            _fail("model.ks", "must be a nonempty list")
-        for i, k in enumerate(grid):
-            if not is_integer(k) or k < 0:
-                _fail(f"model.ks[{i}]", "must be an integer >= 0")
-        ks = tuple(int(k) for k in grid)
-    elif kind != "single":
+    if not isinstance(kind, str) or kind not in _GRIDS:
         _fail("model.kind", f"unknown model kind {kind!r}")
+    grid = (0,)
+    if kind != "single":
+        field = "alphas" if kind == "merged" else "ks"
+        values = model.get(field)
+        if not isinstance(values, list) or not values:
+            _fail(f"model.{field}", "must be a nonempty list")
+        for i, v in enumerate(values):
+            if kind == "merged" and not (is_number(v) and 0 <= v <= 1):
+                _fail(f"model.alphas[{i}]", "must be a number in [0, 1]")
+            if kind == "switching" and not (is_integer(v) and v >= 0):
+                _fail(f"model.ks[{i}]", "must be an integer >= 0")
+        grid = tuple(float(v) if kind == "merged" else int(v) for v in values)
 
     layers = raw.get("layers")
     layer_specs = dataset = None
@@ -223,8 +214,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         model_kind=kind,
-        alphas=alphas,
-        ks=ks,
+        grid=grid,
         layer_specs=layer_specs,
         dataset=dataset,
         x0=x0,
@@ -232,15 +222,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         tol=float(tol),
         outputs=tuple(outputs),
         record_opinions=record_opinions,
-        raw=raw,
     )
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    import json
-
-    with Path(path).open() as fh:
-        return parse_config(json.load(fh))
 
 
 def config_hash(raw: dict) -> str:
@@ -300,7 +282,6 @@ class ExperimentResult(NamedTuple):
     all_passed: bool
     summary: dict
     rows: list[dict]
-    out_dir: Path | None
 
 
 class _GridModel(NamedTuple):
@@ -364,13 +345,13 @@ def _switching_model(layers, k, x0) -> _GridModel:
     )
 
 
-def _single_model(layer, x0) -> _GridModel:
-    matrix = transition_matrix(layer)
-    slem = slem_reversible(layer).slem
+def _single_model(layers, _, x0) -> _GridModel:
+    matrix = transition_matrix(layers[0])
+    slem = slem_reversible(layers[0]).slem
     consensus = pi = decay_rho = None
     note = ""
     if is_primitive(matrix):
-        pi = stationary_from_degrees(layer)
+        pi = stationary_from_degrees(layers[0])
         consensus = consensus_value(pi, x0)
         decay_rho = slem if slem < 1.0 else None
     else:
@@ -379,8 +360,17 @@ def _single_model(layer, x0) -> _GridModel:
     return _GridModel(columns, {}, (matrix,), pi=pi, rate_bound=slem, decay_rho=decay_rho)
 
 
-def _grid_point(grid_kind, grid_value, build, x0, config) -> GridPointResult:
-    """Build one grid point's model, simulate it, and check it.
+# Each model kind's grid_kind column and the builder of its grid points.
+_GRIDS = {
+    "single": ("single", _single_model),
+    "merged": ("alpha", _merged_model),
+    "switching": ("k", _switching_model),
+}
+
+
+def _grid_point(grid_kind, grid_value, build, layers, x0, config) -> GridPointResult:
+    """Build one grid point's model by build(layers, grid_value, x0),
+    simulate it, and check it.
 
     A node isolated where the model needs a neighborhood makes a degenerate
     grid point: its row carries the error as the note and arms no assertion.
@@ -388,7 +378,7 @@ def _grid_point(grid_kind, grid_value, build, x0, config) -> GridPointResult:
     row = dict.fromkeys(SWEEP_COLUMNS)
     row.update(grid_kind=grid_kind, grid_value=grid_value)
     try:
-        point = build()
+        point = build(layers, grid_value, x0)
     except IsolatedNodeError as exc:
         row.update(converged=False, assertions_pass=True, note=str(exc))
         return GridPointResult(row=row, assertions={}, trajectory=None)
@@ -406,7 +396,7 @@ def _grid_point(grid_kind, grid_value, build, x0, config) -> GridPointResult:
     empirical = None
     if consensus is not None:
         try:
-            empirical = fit_rate(point.rate_errors(trajectory), floor=_FIT_FLOOR)
+            empirical = fit_rate(point.rate_errors(trajectory))
         except ValueError:
             pass  # too few errors above the floor to fit a rate
     if trajectory.converged and empirical is not None:
@@ -425,11 +415,10 @@ def _grid_point(grid_kind, grid_value, build, x0, config) -> GridPointResult:
     return GridPointResult(row=row, assertions=assertions, trajectory=trajectory)
 
 
-def run_experiment(
-    config: ExperimentConfig | dict, out_dir: str | Path | None = None
-) -> ExperimentResult:
-    if isinstance(config, dict):
-        config = parse_config(config)
+def run_experiment(raw: dict, out_dir: str | Path | None = None) -> ExperimentResult:
+    """Run the sweep that the JSON object raw declares, writing its reports
+    to out_dir if given."""
+    config = parse_config(raw)
     # A report directory that cannot be made fails before any work is done.
     out_path = None
     if out_dir is not None:
@@ -439,17 +428,12 @@ def run_experiment(
     n = layers[0].n
     x0 = resolve_x0(config, n)
 
-    if config.model_kind == "merged":
-        grid = [("alpha", a, partial(_merged_model, layers, a, x0)) for a in config.alphas]
-    elif config.model_kind == "switching":
-        grid = [("k", k, partial(_switching_model, layers, k, x0)) for k in config.ks]
-    else:
-        grid = [("single", 0, partial(_single_model, layers[0], x0))]
-    points = [_grid_point(kind, value, build, x0, config) for kind, value, build in grid]
+    grid_kind, build = _GRIDS[config.model_kind]
+    points = [_grid_point(grid_kind, v, build, layers, x0, config) for v in config.grid]
 
     all_passed = all(all(p.assertions.values()) for p in points)
     summary = {
-        "config_hash": config_hash(config.raw),
+        "config_hash": config_hash(raw),
         "model": config.model_kind,
         "n": n,
         "seeds": _collect_seeds(config),
@@ -480,9 +464,7 @@ def run_experiment(
             _unlinked(out_path / "summary.json").write_text(
                 json.dumps(summary, indent=2, sort_keys=True) + "\n"
             )
-    return ExperimentResult(
-        all_passed=all_passed, summary=summary, rows=[p.row for p in points], out_dir=out_path
-    )
+    return ExperimentResult(all_passed=all_passed, summary=summary, rows=[p.row for p in points])
 
 
 def _unlinked(path: Path) -> Path:

@@ -263,10 +263,65 @@ class LayerGraph:
         return cls(Csr.from_dense(w))
 
     @classmethod
-    def from_edges(cls, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> "LayerGraph":
-        """The layer with weight w[e] on edge {i[e], j[e]}; the pairs must be distinct."""
+    def from_edges(
+        cls, n: int, i: Sequence[int], j: Sequence[int], w: Sequence[float]
+    ) -> "LayerGraph":
+        """The layer with weight w[e] on edge {i[e], j[e]}.
+
+        A ValueError names the first edge that breaks a rule of first_bad_edge.
+        """
+        i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+        w = np.asarray(w, dtype=float)
+        fault = first_bad_edge(n, i, j, w)
+        if fault is not None:
+            raise ValueError(fault[1])
         rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
         return cls(Csr.from_entries(n, rows, cols, np.concatenate([w, w])))
+
+
+def first_bad_edge(
+    n: int,
+    i: np.ndarray,
+    j: np.ndarray,
+    w: np.ndarray,
+    base: int = 0,
+    allowed: Sequence[float] | None = None,
+) -> tuple[int, str] | None:
+    """The first edge, in input order, that a layer on n nodes cannot hold,
+    with the message of the rule it breaks; None if there is none.
+
+    Edge e joins the nodes labelled i[e] and j[e], where node 0 is labelled
+    base, and weighs w[e]. Its labels must name two distinct nodes, its
+    weight must be finite and positive (and in allowed, if given), and no
+    earlier edge may join the same two nodes. A node count below 1 or above
+    MAX_NODES raises ValueError.
+    """
+    check_node_count(n)
+    top = base + n - 1
+    # An edge repeats an earlier one iff it is not the first with its key.
+    # Keys are unique among the edges of in-range labels; a key shared with,
+    # or wrapped by, an out-of-range label is harmless, since that edge is
+    # bad itself and its twin comes after it or is bad.
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    keys = lo * n + hi
+    repeat = np.ones(keys.shape, dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    rules = [
+        ((lo < base) | (hi > top), "edge ({a}, {b}) has a node index outside {base}..{top}"),
+        (i == j, "self-loop on node {a} is not allowed"),
+        (~np.isfinite(w), "edge ({a}, {b}) has non-finite weight {x}"),
+        (~(w > 0), "edge ({a}, {b}) has non-positive weight {x}"),
+        (repeat, "duplicate edge ({a}, {b})"),
+    ]
+    if allowed is not None:
+        rules.insert(4, (~np.isin(w, allowed), "weight {x!r} not in allowed set {allowed}"))
+    bad = np.logical_or.reduce([mask for mask, _ in rules])
+    if not bad.any():
+        return None
+    e = int(np.argmax(bad))
+    message = next(text for mask, text in rules if mask[e])
+    labels = dict(a=int(i[e]), b=int(j[e]), x=float(w[e]), base=base, top=top)
+    return e, message.format(allowed=sorted(allowed or ()), **labels)
 
 
 def require_no_isolated(layer: LayerGraph, where: str = "(zero weighted degree)") -> None:
@@ -277,29 +332,10 @@ def require_no_isolated(layer: LayerGraph, where: str = "(zero weighted degree)"
 
 
 def build_layer(n: int, edges: Iterable[tuple[int, int, float]]) -> LayerGraph:
-    """Assemble a layer from an explicit edge list.
-
-    Each entry (i, j, w) with w > 0 sets both (i, j) and (j, i). Self-loops,
-    duplicate unordered pairs, and non-finite or non-positive weights are
-    rejected.
-    """
-    check_node_count(n)
-    seen: dict[tuple[int, int], float] = {}
-    for i, j, weight in edges:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) has a node index outside 0..{n - 1}")
-        if i == j:
-            raise ValueError(f"self-loop on node {i} is not allowed")
-        if not np.isfinite(weight):
-            raise ValueError(f"edge ({i}, {j}) has non-finite weight {weight}")
-        if weight <= 0:
-            raise ValueError(f"edge ({i}, {j}) has non-positive weight {weight}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise ValueError(f"duplicate edge ({i}, {j})")
-        seen[key] = float(weight)
-    pairs = np.array(list(seen), dtype=np.intp).reshape(-1, 2)
-    return LayerGraph.from_edges(n, pairs[:, 0], pairs[:, 1], np.array(list(seen.values())))
+    """Assemble a layer from (i, j, w) triples, under the rules of
+    LayerGraph.from_edges."""
+    i, j, w = list(zip(*edges)) or ([], [], [])
+    return LayerGraph.from_edges(n, i, j, w)
 
 
 @dataclass(frozen=True)
@@ -557,7 +593,8 @@ def parse_edge_list(path: str | Path) -> Iterator[tuple[int, int, int, float]]:
     """Yield (line number, i, j, w) for each edge line of an "i j w" text file.
 
     Node labels are returned as written. Lines starting with '#' and blank
-    lines are skipped; a malformed line raises EdgeListError naming it.
+    lines are skipped; a malformed line, or a label that does not fit in
+    64 bits, raises EdgeListError naming it.
     """
     path = Path(path)
     with path.open() as fh:
@@ -572,6 +609,8 @@ def parse_edge_list(path: str | Path) -> Iterator[tuple[int, int, int, float]]:
                 edge = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError as exc:
                 raise EdgeListError(f"{path}:{lineno}: {exc}") from exc
+            if max(abs(edge[0]), abs(edge[1])) >= 2**63:
+                raise EdgeListError(f"{path}:{lineno}: node label does not fit in 64 bits")
             yield (lineno, *edge)
 
 
@@ -584,30 +623,20 @@ def load_edge_list(
     """Read one layer from a whitespace-separated "i j w" text file.
 
     The lines are read by parse_edge_list. With 1-based indexing, node
-    labels 1..n map to 0..n-1. If allowed_weights is given, any weight
-    outside that set is rejected, naming the offending line.
+    labels 1..n map to 0..n-1. The first edge that breaks a rule of
+    first_bad_edge, or whose weight is outside allowed_weights if given,
+    raises EdgeListError naming its line and its labels as written.
     """
     if indexing not in ("0-based", "1-based"):
         raise ValueError(f"indexing must be '0-based' or '1-based', got {indexing!r}")
-    shift = 1 if indexing == "1-based" else 0
+    base = 1 if indexing == "1-based" else 0
     path = Path(path)
-    edges: list[tuple[int, int, float]] = []
-    for lineno, i, j, weight in parse_edge_list(path):
-        i, j = i - shift, j - shift
-        if not (0 <= i < n and 0 <= j < n):
-            raise EdgeListError(
-                f"{path}:{lineno}: node index out of range for n={n} ({indexing})"
-            )
-        if allowed_weights is not None and weight not in allowed_weights:
-            raise EdgeListError(
-                f"{path}:{lineno}: weight {weight!r} not in allowed set "
-                f"{sorted(allowed_weights)}"
-            )
-        edges.append((i, j, weight))
-    try:
-        return build_layer(n, edges)
-    except ValueError as exc:
-        raise EdgeListError(f"{path}: {exc}") from exc
+    lines, i, j, w = list(zip(*parse_edge_list(path))) or ([], [], [], [])
+    i, j, w = np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(w)
+    fault = first_bad_edge(n, i, j, w, base, allowed_weights)
+    if fault is not None:
+        raise EdgeListError(f"{path}:{lines[fault[0]]}: {fault[1]}")
+    return LayerGraph.from_edges(n, i - base, j - base, w)
 
 
 def load_two_layer_dataset(

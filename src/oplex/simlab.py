@@ -33,6 +33,9 @@ from .stochastic import StationaryDistribution, TransitionMatrix, check_opinions
 
 DEFAULT_TOL = 1e-12
 DEFAULT_T_MAX = 10**6
+# fit_rate ignores errors at or below this: near round-off, log e(t) stops
+# falling geometrically and would bend the fitted line.
+FIT_FLOOR = 1e-13
 # Steps computed past the stop step are wasted. A block is at most as long
 # as the run so far (so short runs waste at most what they use), costs at
 # most _BLOCK_WORK dense multiply-adds as Csr.matvec_cost counts them (a few
@@ -180,16 +183,16 @@ def decay_check(trajectory: OpinionTrajectory, rho: float) -> DecayCheckResult:
     return DecayCheckResult(passed=bool(margin >= 0.0), margin=margin)
 
 
-def fit_rate(errors: Sequence[float], floor: float = 0.0) -> float:
+def fit_rate(errors: Sequence[float]) -> float:
     """Least-squares geometric rate of a decaying error series.
 
-    Fits log e(t) against t over the entries above floor. Requires at least
-    5 usable entries. Drop transients before calling; for per-cycle rates
+    Fits log e(t) against t over the entries above FIT_FLOOR. Requires at
+    least 5 usable entries. Drop transients before calling; for per-cycle rates
     pass the series subsampled at cycle boundaries.
     """
     series = np.asarray(errors, dtype=float)
     index = np.arange(series.shape[0])
-    keep = series > max(floor, 0.0)
+    keep = series > FIT_FLOOR
     if keep.sum() < 5:
         raise ValueError("rate fit needs at least 5 strictly positive error entries")
     slope = np.polyfit(index[keep], np.log(series[keep]), 1)[0]

@@ -218,11 +218,21 @@ def product_rate_checks(slem_cycle: float, star: float) -> dict[str, bool]:
 
 
 def rho_star(model: SwitchingModel) -> float:
-    """rho2(B) * rho2(A)^k * max_i(d1_i/d2_i) * max_i(d2_i/d1_i)."""
+    """rho2(B) * rho2(A)^k * max_i(d1_i/d2_i) * max_i(d2_i/d1_i).
+
+    The degree factor is the same for any scaling of either layer's
+    degrees. Where a ratio overflows (one layer of subnormal weights, say),
+    it is taken on each layer's degrees over their largest.
+    """
     d1, d2 = model.layer1.degrees, model.layer2.degrees
     rho_a = slem_reversible(model.layer1).slem
     rho_b = slem_reversible(model.layer2).slem
-    return float(rho_b * rho_a**model.k * (d1 / d2).max() * (d2 / d1).max())
+    with np.errstate(over="ignore"):
+        up, down = (d1 / d2).max(), (d2 / d1).max()
+        if not np.isfinite(up * down):
+            d1, d2 = d1 / d1.max(), d2 / d2.max()
+            up, down = (d1 / d2).max(), (d2 / d1).max()
+    return float(rho_b * rho_a**model.k * up * down)
 
 
 def analyze(model: SwitchingModel, x0: np.ndarray) -> SwitchingOutcome:

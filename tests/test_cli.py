@@ -510,6 +510,21 @@ class TestAnalyzeCommand:
         assert f"edge ({line[0]}, {line[2]}) has non-finite weight" in err
 
 
+    def test_one_based_self_loop_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 2 1\n3 3 1\n")
+        argv = [
+            "analyze",
+            "--layer1", str(bad),
+            "--layer2", str(bad),
+            "--mode", "merged",
+            "--alpha", "0.5",
+            "--indexing", "1-based",
+        ]
+        err = assert_bad_input(capsys, argv)
+        assert f"{bad}:2: self-loop on node 3 is not allowed" in err
+
+
 class TestVerifyCommand:
     def test_examples_suite_passes(self, capsys):
         code = main(["verify", "--suite", "examples"])

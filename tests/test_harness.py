@@ -58,7 +58,7 @@ class TestConfigValidation:
     def test_valid_config_parses(self):
         config = parse_config(merged_config())
         assert config.model_kind == "merged"
-        assert config.alphas == (0.0, 0.5, 1.0)
+        assert config.grid == (0.0, 0.5, 1.0)
 
     def test_missing_model_reports_path(self):
         with pytest.raises(ConfigError, match="^model:"):

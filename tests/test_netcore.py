@@ -1,4 +1,5 @@
 import hashlib
+import re
 import time
 from pathlib import Path
 
@@ -60,6 +61,26 @@ class TestBuildLayer:
     def test_rejects_overflowing_degrees(self):
         with pytest.raises(ValueError, match="finite"):
             LayerGraph.from_weights(np.full((3, 3), 1e308) - np.diag(np.full(3, 1e308)))
+
+
+class TestFromEdges:
+    @pytest.mark.parametrize(
+        "i, j, message",
+        [
+            ([0, 0, 1], [1, 1, 2], r"^duplicate edge \(0, 1\)$"),
+            ([0, 1], [1, 3], r"^edge \(1, 3\) has a node index outside 0\.\.2$"),
+            ([0, -1], [1, 2], r"^edge \(-1, 2\) has a node index outside 0\.\.2$"),
+        ],
+        ids=["repeated-pair", "out-of-range", "negative-index"],
+    )
+    def test_rejects_a_bad_edge_with_its_rule(self, i, j, message):
+        with pytest.raises(ValueError, match=message):
+            LayerGraph.from_edges(3, i, j, [1.0] * len(i))
+
+    def test_names_the_first_bad_edge_in_input_order(self):
+        # The self-loop comes first; the out-of-range edge and the repeat follow.
+        with pytest.raises(ValueError, match=r"^self-loop on node 2 is not allowed$"):
+            LayerGraph.from_edges(3, [0, 2, 0, 1], [1, 2, 7, 0], [1.0, 1.0, 1.0, 1.0])
 
 
 @st.composite
@@ -302,6 +323,33 @@ class TestEdgeListLoading:
         f.write_text("0 9 1\n")
         with pytest.raises(EdgeListError, match=r":1"):
             load_edge_list(f, n=3)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 2 1\n3 3 1\n", r":2: self-loop on node 3 is not allowed$"),
+            ("1 2 1\n2 1 1\n", r":2: duplicate edge \(2, 1\)$"),
+            ("1 2 1\n0 2 1\n", r":2: edge \(0, 2\) has a node index outside 1\.\.3$"),
+        ],
+        ids=["self-loop", "repeated-pair", "label-zero"],
+    )
+    def test_one_based_error_names_line_and_labels_as_written(self, tmp_path, text, message):
+        f = tmp_path / "a.txt"
+        f.write_text(text)
+        with pytest.raises(EdgeListError, match=f"^{re.escape(str(f))}{message}"):
+            load_edge_list(f, n=3, indexing="1-based")
+
+    def test_label_past_64_bits_names_its_line(self, tmp_path):
+        f = tmp_path / "a.txt"
+        f.write_text("0 1 1\n0 20000000000000000000 1\n")
+        with pytest.raises(EdgeListError, match=r":2: node label does not fit in 64 bits$"):
+            load_edge_list(f, n=3)
+
+    def test_empty_file_loads_as_a_layer_with_no_edges(self, tmp_path):
+        f = tmp_path / "a.txt"
+        f.write_text("")
+        layer = load_edge_list(f, n=3)
+        assert layer.n == 3 and layer.csr.nnz == 0
 
     def test_weight_outside_declared_set(self, tmp_path):
         f = tmp_path / "a.txt"

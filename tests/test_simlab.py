@@ -352,7 +352,7 @@ class TestFitRate:
     def test_triangle_trajectory_rate_below_slem(self):
         matrix, pi = triangle_setup()
         traj = simulate((matrix,), X0, pi=pi)
-        rate = fit_rate(traj.errors_pi, floor=1e-13)
+        rate = fit_rate(traj.errors_pi)
         assert rate <= 0.5 + 1e-6
 
     def test_switching_per_cycle_rate_below_cycle_slem(self):
@@ -361,7 +361,7 @@ class TestFitRate:
         outcome = analyze(model, X0)
         traj = simulate(model.schedule, X0, pi=outcome.pi)
         per_cycle = traj.errors_max[::2]
-        rate = fit_rate(per_cycle[2:], floor=1e-13)
+        rate = fit_rate(per_cycle[2:])
         slem = eig_moduli_nonsymmetric(model).slem
         assert rate <= slem + 1e-6
 

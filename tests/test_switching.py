@@ -477,6 +477,16 @@ class TestRhoStar:
             slem_reversible(layer2).slem, abs=1e-12
         )
 
+    def test_subnormal_layer_weights_keep_the_degree_factor_finite(self):
+        # Layer 2's degrees are about 4e-320, so d1 / d2 overflows to inf,
+        # while max(d1 / d2) max(d2 / d1) is 1 for two regular layers.
+        ring = generate(GeneratorSpec(kind="circulant", n=7, offsets=(1, 2)))
+        tiny = generate(GeneratorSpec(kind="circulant", n=7, offsets=(1, 3), weight=1e-320))
+        unit = generate(GeneratorSpec(kind="circulant", n=7, offsets=(1, 3)))
+        with np.errstate(all="raise"):
+            value = rho_star(SwitchingModel(ring, tiny, 2))
+        assert value == rho_star(SwitchingModel(ring, unit, 2))
+
     def test_bound_holds_on_random_pairs(self):
         for seed in range(10):
             rng = np.random.default_rng(3000 + seed)
