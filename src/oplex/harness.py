@@ -295,7 +295,7 @@ class _GridModel(NamedTuple):
 
     columns: dict
     assertions: dict[str, bool]
-    schedule: tuple[TransitionMatrix, ...]
+    runs: list[tuple[TransitionMatrix, int]]
     pi: StationaryDistribution | None
     rate_bound: float
     rate_errors: Callable[[OpinionTrajectory], np.ndarray] = lambda traj: traj.errors_pi[5:]
@@ -318,13 +318,12 @@ def _merged_model(layers, alpha, x0) -> _GridModel:
         note=outcome.note,
     )
     return _GridModel(
-        columns, outcome.checks(), (model.transition,), pi=outcome.pi, rate_bound=bounds.slem_c
+        columns, outcome.checks(), [(model.transition, 1)], pi=outcome.pi, rate_bound=bounds.slem_c
     )
 
 
 def _switching_model(layers, k, x0) -> _GridModel:
     model = SwitchingModel(layers[0], layers[1], k)
-    schedule = model.schedule
     outcome = analyze_switching(model, x0)
     columns = dict(
         slem=outcome.slem_cycle,
@@ -336,12 +335,12 @@ def _switching_model(layers, k, x0) -> _GridModel:
     return _GridModel(
         columns,
         outcome.checks(),
-        schedule,
+        model.matrix_runs,
         pi=outcome.pi,
         # The proved per-cycle decay bound is rho_star; the cycle SLEM is the
         # asymptotic rate but a finite-window fit may land slightly above it.
         rate_bound=outcome.rho_star,
-        rate_errors=lambda traj: traj.errors_max[:: len(schedule)][2:],
+        rate_errors=lambda traj: traj.errors_max[:: k + 1][2:],
     )
 
 
@@ -357,7 +356,7 @@ def _single_model(layers, _, x0) -> _GridModel:
     else:
         note = "layer transition not primitive"
     columns = dict(slem=slem, bound_armed=False, consensus=consensus, note=note)
-    return _GridModel(columns, {}, (matrix,), pi=pi, rate_bound=slem, decay_rho=decay_rho)
+    return _GridModel(columns, {}, [(matrix, 1)], pi=pi, rate_bound=slem, decay_rho=decay_rho)
 
 
 # Each model kind's grid_kind column and the builder of its grid points.
@@ -385,7 +384,7 @@ def _grid_point(grid_kind, grid_value, build, layers, x0, config) -> GridPointRe
     row.update(point.columns)
     consensus = row["consensus"]
     trajectory = simulate(
-        point.schedule,
+        point.runs,
         x0,
         t_max=config.t_max,
         tol=config.tol,

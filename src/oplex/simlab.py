@@ -1,8 +1,9 @@
 """Trajectory simulation and error-series analysis.
 
 simulate() iterates x(t+1) = M(t+1) x(t) over a periodic schedule of
-matrices and records the error against the consensus pi . x(0) in both the
-pi-weighted and max norms. Each matvec is a call of the matrix's
+matrices, given as runs of a matrix and its repeat count, and records the
+error against the consensus pi . x(0) in both the pi-weighted and max
+norms. Each matvec is a call of the matrix's
 Csr.matvec_kernel, one of three kernels: a dense product where that is
 cheaper (small or dense matrices), else whole-slab adds where every row
 holds the same number of entries, 2 to 8 (circulant and k-regular
@@ -25,6 +26,8 @@ positive error series by least squares on the logs.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -64,7 +67,7 @@ class OpinionTrajectory(NamedTuple):
 
 
 def simulate(
-    schedule: Sequence[TransitionMatrix],
+    runs: Sequence[tuple[TransitionMatrix, int]],
     x0: np.ndarray,
     t_max: int = DEFAULT_T_MAX,
     tol: float = DEFAULT_TOL,
@@ -73,11 +76,14 @@ def simulate(
 ) -> OpinionTrajectory:
     """Run the dynamics until t_max or until the update stalls.
 
-    schedule holds the matrices of one period: step t applies
-    schedule[(t - 1) % len(schedule)]. Stops once the successive-difference
-    max norm stays below tol for one full period. When pi is given, both
-    error norms against the consensus pi . x0 are recorded at every step.
-    The full state history is kept only with record_states.
+    runs holds one period as (matrix, repeats) pairs in the order they act;
+    the period is the repeats' sum, and step t applies the matrix of the run
+    that phase (t - 1) mod period falls in, found through the runs'
+    cumulative ends, so nothing grows with a run's length. Stops once the
+    successive-difference max norm stays below tol for one full period.
+    When pi is given, both error norms against the consensus pi . x0 are
+    recorded at every step. The full state history is kept only with
+    record_states.
 
     Steps run in blocks; the first holds one period, up to the cap, and
     each later one at most as many steps as already taken, up to the cap
@@ -89,12 +95,11 @@ def simulate(
         raise ValueError("t_max must be at least 1")
     if not 0 < tol <= sys.float_info.max:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
-    if not schedule:
+    ends = list(accumulate(r for _, r in runs))
+    if not ends or ends[-1] < 1:
         raise ValueError("schedule must hold at least one matrix")
-    period = len(schedule)
-    distinct = dict.fromkeys(schedule)  # a TransitionMatrix hashes by identity
-    kernel_of = {m: m.csr.matvec_kernel() for m in distinct}
-    kernels = [kernel_of[m] for m in schedule]
+    period = ends[-1]
+    kernels = [m.csr.matvec_kernel() for m, _ in runs]
     x = check_opinions(x0)
     track_errors = pi is not None
     if track_errors:
@@ -103,7 +108,7 @@ def simulate(
         target = float(np.dot(pi.pi, x))  # as consensus_value computes it
 
     n = x.shape[0]
-    work = max(m.csr.matvec_cost() for m in distinct)
+    work = max(m.csr.matvec_cost() for m, _ in runs)
     cap = max(1, min(_BLOCK_WORK // max(work, 1), _BLOCK_CELLS // max(n, 1)))
     buf = np.empty((cap + 1, n))
     buf[0] = x
@@ -115,7 +120,7 @@ def simulate(
     while steps < t_max:
         block = min(max(period, steps), cap, t_max - steps)
         for i in range(1, block + 1):
-            kernels[(steps + i - 1) % period](buf[i - 1], out=buf[i])
+            kernels[bisect_right(ends, (steps + i - 1) % period)](buf[i - 1], out=buf[i])
         change = buf[1 : block + 1] - buf[:block]
         quiet = np.abs(change, out=change).max(axis=1) < tol
         # Length of the quiet run ending at each step of the block, counting

@@ -180,8 +180,9 @@ def _closed_classes(support: Csr) -> tuple[list[int], np.ndarray]:
     return periods, closed
 
 
-def product_classes(factors: Sequence[TransitionMatrix]) -> SupportClasses:
-    """Closed classes of the product Q = F_0 F_1 ... F_(m-1), never formed.
+def product_classes(runs: Sequence[tuple[TransitionMatrix, int]]) -> SupportClasses:
+    """Closed classes of the product Q = F_0 F_1 ... F_(m-1), never formed,
+    its factors given as runs (matrix, repeats) in that order.
 
     Q has an entry (i, j) iff a walk i -> j takes one step along the
     pattern of each factor in turn, so Q's support is read off the
@@ -191,8 +192,8 @@ def product_classes(factors: Sequence[TransitionMatrix]) -> SupportClasses:
     every phase; Q's transient nodes are the phase-0 nodes outside all of
     them. The search costs O(m nnz) per level and needs no product support.
     """
-    n, m = factors[0].n, len(factors)
-    parts = [f.csr for f in factors]
+    parts = [f.csr for f, r in runs for _ in range(r)]
+    n, m = parts[0].n, len(parts)
     starts = np.cumsum([0] + [c.nnz for c in parts])
     lifted = Csr(
         np.concatenate([c.indptr[:-1] + s for c, s in zip(parts, starts)] + [starts[-1:]]),

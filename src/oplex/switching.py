@@ -10,6 +10,11 @@ repaired by enough mixing through A. Per cycle the error contracts by
 rho2(B A^k), itself bounded by rho_star = rho2(B) rho2(A)^k times the two
 degree-ratio alignment factors.
 
+The period is written once, as SwitchingModel.schedule: runs of a layer
+and its repeat count, ((layer 1, k), (layer 2, 1)), in the order they act.
+Every reader folds over the runs and none expands them into k + 1 steps,
+so only the matrix-free lifted search grows with k.
+
 Q is applied factor by factor and never formed where that is cheaper: from
 _KRYLOV_MIN_N nodes on, while k products by A and one by B cost at most
 _MATRIX_FREE_MAX_COST dense products. Its support is then classified on
@@ -23,6 +28,7 @@ has SLEM exactly 1 and takes no solver.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -63,6 +69,12 @@ class SwitchingModel:
     """The two layers, their transition matrices A and B, and k: k steps on
     layer 1, then one on layer 2. k = 0 is pure layer-2 dynamics.
 
+    schedule holds one period as (layer, repeats) runs in the order they
+    act. It holds layers, not matrices, since pi and rho_star read the
+    layers' weights, degrees and SLEMs; matrix_runs puts each layer's
+    transition_matrix, cached on the layer and so the same object as a or
+    b, in its place.
+
     It answers for the cycle Q = B A^k as a TransitionMatrix does, factor
     by factor where matrix_free, else off formed(). _classes and _formed
     cache them.
@@ -78,34 +90,32 @@ class SwitchingModel:
         self.a = transition_matrix(layer1)
         self.b = transition_matrix(layer2)
         self.k = k
+        self.n = layer1.n
+        self.schedule = ((layer1, k), (layer2, 1))
         self._classes: SupportClasses | None = None
         self._formed: TransitionMatrix | None = None
 
     @property
-    def n(self) -> int:
-        return self.a.n
-
-    @property
-    def schedule(self) -> tuple[TransitionMatrix, ...]:
-        """One period: k steps on A, then one on B; built on each use, for a
-        simulation and, reversed, for classes()."""
-        return (self.a,) * self.k + (self.b,)
+    def matrix_runs(self) -> list[tuple[TransitionMatrix, int]]:
+        """schedule with each layer's transition matrix in its place."""
+        return [(transition_matrix(layer), r) for layer, r in self.schedule]
 
     @property
     def matrix_free(self) -> bool:
         """Whether Q is applied factor by factor rather than formed: from
-        _KRYLOV_MIN_N nodes on, where k products by A and one by B cost at
-        most _MATRIX_FREE_MAX_COST dense products (Csr.matvec_cost counts
-        both)."""
+        _KRYLOV_MIN_N nodes on, where one period's products, r for a run of
+        r repeats, cost at most _MATRIX_FREE_MAX_COST dense products
+        (Csr.matvec_cost counts them)."""
         n = self.n
-        cost = self.k * self.a.csr.matvec_cost() + self.b.csr.matvec_cost()
+        cost = sum(r * m.csr.matvec_cost() for m, r in self.matrix_runs)
         return n >= _KRYLOV_MIN_N and cost <= _MATRIX_FREE_MAX_COST * n * n
 
     def formed(self) -> TransitionMatrix:
-        """Q = B A^k by matrix_power, the one place it is formed; cached."""
+        """Q = B A^k, one _stochastic_power per run, the one place it is
+        formed; cached."""
         if self._formed is None:
-            q = self.b.entries @ np.linalg.matrix_power(self.a.entries, self.k)
-            self._formed = TransitionMatrix.from_entries(q)
+            powers = [_stochastic_power(m.entries, r) for m, r in self.matrix_runs[::-1]]
+            self._formed = TransitionMatrix.from_entries(reduce(np.matmul, powers))
         return self._formed
 
     @property
@@ -113,37 +123,61 @@ class SwitchingModel:
         return self.formed().entries
 
     def matvec_kernel(self) -> Callable[..., np.ndarray]:
-        """x -> Q x: B (A (... A x)), one product per factor, where
-        matrix_free, else by formed(). Which one never depends on whether
-        Q has been formed, so neither do the floats it gives."""
+        """x -> Q x: B (A (... A x)), one product per step of the period in
+        the order of the runs, where matrix_free, else by formed(). Which one
+        never depends on whether Q has been formed, so neither do the floats
+        it gives."""
         if not self.matrix_free:
             return self.formed().matvec_kernel()
-        apply_a, apply_b = self.a.matvec_kernel(), self.b.matvec_kernel()
+        runs = [(m.matvec_kernel(), r) for m, r in self.matrix_runs]
 
-        def apply(x, out=None):
-            for _ in range(self.k):
-                x = apply_a(x)
-            return apply_b(x, out=out)
+        def apply(x):
+            for kernel, r in runs:
+                for _ in range(r):
+                    x = kernel(x)
+            return x
 
         return apply
 
     def classes(self) -> SupportClasses:
         """Q's closed classes, cached on the model: off formed()'s support, or
-        where matrix_free on the time-expanded graph of (B, A, ..., A).
+        where matrix_free on the time-expanded graph of the runs reversed,
+        (B, A, ..., A).
 
         B comes first because the row index of B A^k walks through B first;
         the phases taken the other way round classify A^k B, whose
         transient nodes differ.
         """
         if self._classes is None:
-            q = product_classes(self.schedule[::-1]) if self.matrix_free else self.formed().classes()
-            self._classes = q
+            runs = self.matrix_runs[::-1]
+            self._classes = product_classes(runs) if self.matrix_free else self.formed().classes()
         return self._classes
+
+
+def _stochastic_power(m: np.ndarray, r: int) -> np.ndarray:
+    """m^r for a row-stochastic m by square-and-multiply, the rows of each
+    product renormalized. Without that, as in np.linalg.matrix_power, the
+    row sums drift by about r eps and fail TransitionMatrix's 1e-12 check
+    (on the contact layers from r = 10^5 on). m itself is taken as it is,
+    so m^0 = I and m^1 = m keep their bits."""
+    power, square = None, m
+    while r:
+        if r & 1:
+            power = square if power is None else _rows_to_one(power @ square)
+        r >>= 1
+        if r:
+            square = _rows_to_one(square @ square)
+    return np.eye(len(m)) if power is None else power
+
+
+def _rows_to_one(p: np.ndarray) -> np.ndarray:
+    p /= p.sum(axis=1, keepdims=True)
+    return p
 
 
 def _stationary_matrix_free(model: SwitchingModel) -> StationaryDistribution | None:
     """pi of Q by left power iteration y <- y Q from the uniform vector, Q
-    never formed.
+    never formed: y B A ... A, the runs reversed.
 
     A layer's y D^-1 W is (W (y / d))' since W is symmetric, so each left
     product by a factor is one product by the layer's weights. The residual
@@ -155,14 +189,14 @@ def _stationary_matrix_free(model: SwitchingModel) -> StationaryDistribution | N
     can come well before rounding. None if the iteration has not settled
     within _KRYLOV_MAX_STEPS cycles, for the dense solve to take over.
     """
-    apply_a, apply_b = model.layer1.csr.matvec_kernel(), model.layer2.csr.matvec_kernel()
-    d_a, d_b = model.layer1.degrees, model.layer2.degrees
+    runs = [(layer.csr.matvec_kernel(), layer.degrees, r) for layer, r in reversed(model.schedule)]
     y = np.full(model.n, 1.0 / model.n)
     least, best, stale, settled = np.inf, y, 0, False
     for _ in range(_KRYLOV_MAX_STEPS):
-        z = apply_b(y / d_b)
-        for _ in range(model.k):
-            z = apply_a(z / d_a)
+        z = y
+        for apply, degrees, r in runs:
+            for _ in range(r):
+                z = apply(z / degrees)
         residual = np.abs(z - y).max()
         if residual < least:
             least, best, stale = residual, y, 0
@@ -218,21 +252,21 @@ def product_rate_checks(slem_cycle: float, star: float) -> dict[str, bool]:
 
 
 def rho_star(model: SwitchingModel) -> float:
-    """rho2(B) * rho2(A)^k * max_i(d1_i/d2_i) * max_i(d2_i/d1_i).
+    """rho2(B) * rho2(A)^k * max_i(d1_i/d2_i) * max_i(d2_i/d1_i), the SLEM
+    product taken over the runs as rho2(layer)^r.
 
     The degree factor is the same for any scaling of either layer's
     degrees. Where a ratio overflows (one layer of subnormal weights, say),
     it is taken on each layer's degrees over their largest.
     """
     d1, d2 = model.layer1.degrees, model.layer2.degrees
-    rho_a = slem_reversible(model.layer1).slem
-    rho_b = slem_reversible(model.layer2).slem
+    rate = np.prod([slem_reversible(layer).slem ** r for layer, r in model.schedule])
     with np.errstate(over="ignore"):
         up, down = (d1 / d2).max(), (d2 / d1).max()
         if not np.isfinite(up * down):
             d1, d2 = d1 / d1.max(), d2 / d2.max()
             up, down = (d1 / d2).max(), (d2 / d1).max()
-    return float(rho_b * rho_a**model.k * up * down)
+    return float(rate * up * down)
 
 
 def analyze(model: SwitchingModel, x0: np.ndarray) -> SwitchingOutcome:

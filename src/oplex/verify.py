@@ -440,7 +440,7 @@ def run_bounds_suite(n_instances: int = 200, seed: int = BOUNDS_SUITE_SEED) -> l
         a_matrix = transition_matrix(layer1)
         pi = stationary_from_degrees(layer1)
         trajectory = simulate(
-            (a_matrix,),
+            [(a_matrix, 1)],
             x0,
             t_max=20000,
             tol=1e-13,

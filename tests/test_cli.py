@@ -231,6 +231,28 @@ class TestSimulateCommand:
         assert code == 0
         assert json.loads(captured.out)["all_passed"] is True
 
+    def test_huge_k_runs_without_a_traceback(self, tmp_path, capsys):
+        # The switching period is held as two runs, never as its 10^30 + 1
+        # steps one by one, which ended in an OverflowError traceback.
+        raw = {
+            "model": {"kind": "switching", "ks": [10**30]},
+            "layers": {
+                "kind": "two-layer-dataset",
+                "path_a": str(DATA / "contact_layer_a.txt"),
+                "path_b": str(DATA / "contact_layer_b.txt"),
+                "n": 8,
+            },
+            "x0": {"kind": "uniform", "seed": 4},
+            "t_max": 50,
+            "outputs": ["sweep", "summary"],
+        }
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(write_config(tmp_path, raw)), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert code in (0, 1)
+        assert (out / "sweep.csv").exists() and (out / "summary.json").exists()
+
     def test_failed_merged_check_exits_one(self, tmp_path, capsys, monkeypatch):
         # The sweep and `oplex analyze` read the same check definition.
         monkeypatch.setattr(MergedBoundsReport, "checks", lambda self: {"slem-lower-bound": False})
@@ -289,6 +311,16 @@ class TestAnalyzeCommand:
         cycle = np.array(report["cycle"])
         assert cycle.shape == (8, 8)
         assert np.abs(cycle.sum(axis=1) - 1).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [10**5, 10**12, 10**30])
+    def test_switching_huge_k_exits_zero(self, capsys, k):
+        # B A^k stays stochastic to rounding at any k: without renormalized
+        # squaring its row sums drifted past the 1e-12 check from k = 10^5 on.
+        code = main(["analyze", *CONTACT_ARGS, "--mode", "switching", "--k", str(k)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert code == 0
+        assert json.loads(captured.out)["checks"] == {"slem-under-rho-star": True}
 
     def test_switching_k0_reports_oscillation(self, capsys):
         code = main(
@@ -683,8 +715,8 @@ class TestExactSlemOne:
         # The 4-ring A is bipartite, so rho2(A) is exactly 1 and rho_star =
         # rho2(B) for every k; B = K4 makes the cycle mix at rate 1/3. A
         # rounded rho2(A) would drift under the cycle SLEM as it is raised
-        # to the power k, and one schedule period held as a tuple would take
-        # hundreds of MB.
+        # to the power k. The period is held as two runs, so memory does not
+        # grow with k; spelled out as k + 1 matrices it took hundreds of MB.
         ring = tmp_path / "ring.txt"
         ring.write_text("0 1 1\n1 2 1\n2 3 1\n3 0 1\n")
         complete = tmp_path / "k4.txt"

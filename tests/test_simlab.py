@@ -34,7 +34,7 @@ class TestSimulate:
     def test_constant_opinions_already_fixed(self):
         matrix, pi = triangle_setup()
         x0 = np.full(3, 0.5)
-        traj = simulate((matrix,), x0, pi=pi)
+        traj = simulate([(matrix, 1)], x0, pi=pi)
         assert traj.converged
         assert traj.steps == 1
         assert np.array_equal(traj.final_state, x0)
@@ -44,7 +44,7 @@ class TestSimulate:
         layer1, layer2 = triangle_pair()
         model = MergedModel(layer1, layer2, 0.5)
         outcome = analyze_merged(model, X0)
-        traj = simulate((model.transition,), X0, pi=outcome.pi)
+        traj = simulate([(model.transition, 1)], X0, pi=outcome.pi)
         assert traj.converged
         assert outcome.value == pytest.approx(4 / 11, abs=1e-14)
         assert np.abs(traj.final_state - 4 / 11).max() <= 1e-8
@@ -52,7 +52,7 @@ class TestSimulate:
     def test_oscillating_switching_never_converges(self):
         model = SwitchingModel(*oscillating_pair(), k=1)
         x0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-        traj = simulate(model.schedule, x0, t_max=2000)
+        traj = simulate(model.matrix_runs, x0, t_max=2000)
         assert not traj.converged
         assert traj.steps == 2000
         assert analyze(model, x0).status == "oscillation"
@@ -61,33 +61,35 @@ class TestSimulate:
         layer1, layer2 = triangle_pair()
         model = SwitchingModel(layer1, layer2, 1)
         outcome = analyze(model, X0)
-        traj = simulate(model.schedule, X0, pi=outcome.pi)
+        traj = simulate(model.matrix_runs, X0, pi=outcome.pi)
         assert traj.converged
         assert np.abs(traj.final_state - 3 / 10).max() <= 1e-9
 
     def test_switching_period_composes_to_cycle(self):
         model = SwitchingModel(*triangle_pair(), k=3)
-        traj = simulate(model.schedule, X0, t_max=4)
+        traj = simulate(model.matrix_runs, X0, t_max=4)
         assert np.abs(traj.final_state - model.entries @ X0).max() <= 1e-14
 
     def test_rejects_empty_schedule(self):
-        with pytest.raises(ValueError, match="at least one matrix"):
-            simulate((), X0)
+        matrix, _ = triangle_setup()
+        for runs in ((), [(matrix, 0)]):
+            with pytest.raises(ValueError, match="at least one matrix"):
+                simulate(runs, X0)
 
     def test_rejects_t_max_below_one(self):
         matrix, _ = triangle_setup()
         with pytest.raises(ValueError, match="^t_max must be at least 1$"):
-            simulate((matrix,), X0, t_max=0)
+            simulate([(matrix, 1)], X0, t_max=0)
 
     def test_rejects_pi_of_the_wrong_length(self):
         matrix, _ = triangle_setup()
         pi = StationaryDistribution(np.full(4, 0.25))
         with pytest.raises(ValueError, match=r"^vector length \(3,\) does not match pi length \(4,\)$"):
-            simulate((matrix,), X0, pi=pi)
+            simulate([(matrix, 1)], X0, pi=pi)
 
     def test_final_state_kept_without_recording(self):
         matrix, pi = triangle_setup()
-        traj = simulate((matrix,), X0, pi=pi, record_states=False)
+        traj = simulate([(matrix, 1)], X0, pi=pi, record_states=False)
         assert traj.states is None
         assert np.abs(traj.final_state - 1 / 3).max() <= 1e-9
 
@@ -95,12 +97,12 @@ class TestSimulate:
     def test_rejects_tol_that_is_not_positive_and_finite(self, tol):
         matrix, _ = triangle_setup()
         with pytest.raises(ValueError, match="tol must be a positive finite number"):
-            simulate((matrix,), X0, tol=tol)
+            simulate([(matrix, 1)], X0, tol=tol)
 
     def test_rejects_bad_x0(self):
         matrix, pi = triangle_setup()
         with pytest.raises(ValueError, match="outside"):
-            simulate((matrix,), np.array([2.0, 0.0, 0.0]))
+            simulate([(matrix, 1)], np.array([2.0, 0.0, 0.0]))
 
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -116,17 +118,19 @@ class TestSimulate:
             entries / entries.sum(axis=1, keepdims=True)
         )
         x0 = rng.random(n)
-        traj = simulate((matrix,), x0, t_max=200)
+        traj = simulate([(matrix, 1)], x0, t_max=200)
         assert traj.states.min() >= x0.min() - 1e-12
         assert traj.states.max() <= x0.max() + 1e-12
 
 
-def stepwise_simulate(schedule, x0, t_max, tol, pi, record_states):
+def stepwise_simulate(runs, x0, t_max, tol, pi, record_states):
     """One step at a time, both norms per step: the reference for simulate.
 
-    Each step is one call of the matrix's matvec kernel, the one simulate
-    calls, so the states are bit-for-bit those of the same products.
+    The runs are spelled out into one matrix per step of the period. Each
+    step is one call of the matrix's matvec kernel, the one simulate calls,
+    so the states are bit-for-bit those of the same products.
     """
+    schedule = [m for m, r in runs for _ in range(r)]
     period = len(schedule)
     kernels = [m.csr.matvec_kernel() for m in schedule]
     x = check_opinions(x0).copy()
@@ -162,21 +166,26 @@ def stepwise_simulate(schedule, x0, t_max, tol, pi, record_states):
     )
 
 
-def random_schedule(rng, n, period):
-    """Lazy random walks with some zero entries, so mixing speeds vary."""
-    schedule = []
-    for _ in range(period):
+def random_runs(rng, n, period):
+    """One period of the given length as runs of lazy random walks with some
+    zero entries, so mixing speeds vary. The repeats are a random split of
+    the period, with one run of zero repeats put in among them."""
+    cuts = np.sort(rng.choice(np.arange(1, period), size=rng.integers(0, period), replace=False))
+    repeats = np.diff(np.concatenate([[0], cuts, [period]])).tolist()
+    repeats.insert(rng.integers(0, len(repeats) + 1), 0)
+    runs = []
+    for r in repeats:
         entries = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
         entries[np.arange(n), rng.integers(0, n, n)] += 0.05
         laziness = 1.0 - 10.0 ** rng.uniform(-2.0, 0.0)
         entries = laziness * np.eye(n) + (1 - laziness) * entries / entries.sum(axis=1, keepdims=True)
-        schedule.append(TransitionMatrix.from_entries(entries))
-    return tuple(schedule)
+        runs.append((TransitionMatrix.from_entries(entries), r))
+    return runs
 
 
-def assert_matches_stepwise(schedule, x0, t_max, tol, pi, record_states):
-    traj = simulate(schedule, x0, t_max=t_max, tol=tol, pi=pi, record_states=record_states)
-    ref = stepwise_simulate(schedule, x0, t_max, tol, pi, record_states)
+def assert_matches_stepwise(runs, x0, t_max, tol, pi, record_states):
+    traj = simulate(runs, x0, t_max=t_max, tol=tol, pi=pi, record_states=record_states)
+    ref = stepwise_simulate(runs, x0, t_max, tol, pi, record_states)
     assert traj.steps == ref["steps"]
     assert traj.converged == ref["converged"]
     assert np.array_equal(traj.final_state, ref["final_state"])
@@ -196,15 +205,16 @@ def ring_with_chords(n, starts, span):
 
 
 def assert_matches_stepwise_on_sparse(matrices, period):
-    """Two sparse matrices, the first period - 1 times and then the second.
-    The block cap is 109 steps at n = 300, so at period 200 every block is
-    shorter than a period. The uniform pi only weights the error norms."""
+    """Two sparse matrices, the first period - 1 times and then the second;
+    at period 1 the first is a run of zero repeats. The block cap is 109
+    steps at n = 300, so at period 200 every block is shorter than a
+    period. The uniform pi only weights the error norms."""
     n = matrices[0].n
-    schedule = (matrices[0],) * (period - 1) + (matrices[1],)
-    assert all(m.csr.matvec_cost() < n * n for m in schedule)
+    runs = [(matrices[0], period - 1), (matrices[1], 1)]
+    assert all(m.csr.matvec_cost() < n * n for m in matrices)
     x0 = np.random.default_rng(period).random(n)
     pi = StationaryDistribution(np.full(n, 1.0 / n))
-    traj = assert_matches_stepwise(schedule, x0, 3000, 1e-6, pi, True)
+    traj = assert_matches_stepwise(runs, x0, 3000, 1e-6, pi, True)
     assert traj.steps > 100
 
 
@@ -234,7 +244,7 @@ class TestBlockedStepping:
         self, seed, n, period, t_max, stop, with_target, record_states
     ):
         rng = np.random.default_rng(seed)
-        schedule = random_schedule(rng, n, period)
+        runs = random_runs(rng, n, period)
         x0 = rng.random(n)
         weights = rng.random(n) + 0.1
         pi = StationaryDistribution(weights / weights.sum()) if with_target else None
@@ -243,12 +253,12 @@ class TestBlockedStepping:
             # so the stall rule fires at step last or before it.
             j, offset = stop
             last = period * 2**j + min(offset, period - 1)
-            states = stepwise_simulate(schedule, x0, last, 1e-300, None, True)["states"]
+            states = stepwise_simulate(runs, x0, last, 1e-300, None, True)["states"]
             diffs = np.abs(np.diff(states, axis=0)).max(axis=1)
             tol = float(diffs[-period:].max()) * (1 + 1e-9) or 1e-300
         else:
             tol = 10.0**-stop
-        assert_matches_stepwise(schedule, x0, t_max, tol, pi, record_states)
+        assert_matches_stepwise(runs, x0, t_max, tol, pi, record_states)
 
     @pytest.mark.parametrize("n, t_max, converged", [(300, 2000, True), (600, 200, False)])
     def test_matches_stepwise_at_the_block_cap(self, n, t_max, converged):
@@ -259,7 +269,7 @@ class TestBlockedStepping:
         matrix = TransitionMatrix.from_entries(ring / 3)
         pi = StationaryDistribution(np.full(n, 1.0 / n))
         x0 = rng.random(n)
-        traj = assert_matches_stepwise((matrix,), x0, t_max, 1e-4, pi, True)
+        traj = assert_matches_stepwise([(matrix, 1)], x0, t_max, 1e-4, pi, True)
         assert traj.converged == converged
         assert traj.steps > 100
 
@@ -290,42 +300,44 @@ class TestBlockedStepping:
         assert_matches_stepwise_on_sparse(matrices, period)
 
     def test_memory_bounded_when_the_period_exceeds_the_cap(self):
-        # A period of 3001 steps on 1000-node rings: the buffer holds one
-        # capped block (32 steps of 1000 opinions, 256 kB), not a period.
+        # A period of k + 1 steps on 1000-node rings: the buffer holds one
+        # capped block (32 steps of 1000 opinions, 256 kB), not a period,
+        # and the period is held as two runs, not as k + 1 matrices.
         rings = [
             generate(GeneratorSpec(kind="circulant", n=1000, offsets=offsets))
             for offsets in ((1, 2), (1, 3))
         ]
-        schedule = SwitchingModel(*rings, k=3000).schedule
         x0 = np.random.default_rng(0).random(1000)
-        tracemalloc.start()
-        try:
-            traj = simulate(schedule, x0, t_max=6000, record_states=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert traj.steps == 6000
-        assert peak < 4 * 2**20
+        for k in (3000, 4 * 10**6):
+            runs = SwitchingModel(*rings, k=k).matrix_runs
+            tracemalloc.start()
+            try:
+                traj = simulate(runs, x0, t_max=6000, record_states=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert traj.steps == 6000
+            assert peak < 4 * 2**20, k
 
 
 class TestDecayCheck:
     def test_triangle_passes_at_true_rate(self):
         matrix, pi = triangle_setup()
-        traj = simulate((matrix,), X0, pi=pi)
+        traj = simulate([(matrix, 1)], X0, pi=pi)
         result = decay_check(traj, 0.5)
         assert result.passed
         assert result.margin >= 0.0
 
     def test_constant_opinions_pass_vacuously(self):
         matrix, pi = triangle_setup()
-        traj = simulate((matrix,), np.full(3, 0.3), pi=pi)
+        traj = simulate([(matrix, 1)], np.full(3, 0.3), pi=pi)
         assert decay_check(traj, 0.5).passed
 
     def test_eigenvector_start_fails_below_true_rate(self):
         # x0 = 0.5 + eps * (1, -1, 0) decays exactly at rate 1/2
         matrix, pi = triangle_setup()
         x0 = 0.5 + 0.25 * np.array([1.0, -1.0, 0.0])
-        traj = simulate((matrix,), x0, pi=pi)
+        traj = simulate([(matrix, 1)], x0, pi=pi)
         assert decay_check(traj, 0.5).passed
         negative = decay_check(traj, 0.4)
         assert not negative.passed
@@ -333,13 +345,13 @@ class TestDecayCheck:
 
     def test_requires_target(self):
         matrix, _ = triangle_setup()
-        traj = simulate((matrix,), X0)
+        traj = simulate([(matrix, 1)], X0)
         with pytest.raises(ValueError, match="consensus target"):
             decay_check(traj, 0.5)
 
     def test_rejects_rho_of_one(self):
         matrix, pi = triangle_setup()
-        traj = simulate((matrix,), X0, pi=pi)
+        traj = simulate([(matrix, 1)], X0, pi=pi)
         with pytest.raises(ValueError, match=r"^rho must lie in \(0, 1\), got 1.0$"):
             decay_check(traj, 1.0)
 
@@ -351,7 +363,7 @@ class TestFitRate:
 
     def test_triangle_trajectory_rate_below_slem(self):
         matrix, pi = triangle_setup()
-        traj = simulate((matrix,), X0, pi=pi)
+        traj = simulate([(matrix, 1)], X0, pi=pi)
         rate = fit_rate(traj.errors_pi)
         assert rate <= 0.5 + 1e-6
 
@@ -359,7 +371,7 @@ class TestFitRate:
         layer1, layer2 = triangle_pair()
         model = SwitchingModel(layer1, layer2, 1)
         outcome = analyze(model, X0)
-        traj = simulate(model.schedule, X0, pi=outcome.pi)
+        traj = simulate(model.matrix_runs, X0, pi=outcome.pi)
         per_cycle = traj.errors_max[::2]
         rate = fit_rate(per_cycle[2:])
         slem = eig_moduli_nonsymmetric(model).slem

@@ -78,17 +78,24 @@ class TestConstructor:
 
 
 class TestSchedule:
+    """One period is two runs, (layer 1, k) then (layer 2, 1), whatever k is."""
+
     def test_k1_alternates(self):
-        model = SwitchingModel(*triangle_pair(), k=1)
-        assert model.schedule == (model.a, model.b)
+        layer1, layer2 = triangle_pair()
+        model = SwitchingModel(layer1, layer2, k=1)
+        assert model.schedule == ((layer1, 1), (layer2, 1))
+        assert model.matrix_runs == [(model.a, 1), (model.b, 1)]
 
     def test_k0_always_layer2(self):
-        model = SwitchingModel(*triangle_pair(), k=0)
-        assert model.schedule == (model.b,)
+        layer1, layer2 = triangle_pair()
+        model = SwitchingModel(layer1, layer2, k=0)
+        assert model.schedule == ((layer1, 0), (layer2, 1))
 
     def test_k3_boundary(self):
-        model = SwitchingModel(*triangle_pair(), k=3)
-        assert model.schedule == (model.a, model.a, model.a, model.b)
+        layer1, layer2 = triangle_pair()
+        model = SwitchingModel(layer1, layer2, k=3)
+        assert model.schedule == ((layer1, 3), (layer2, 1))
+        assert model.matrix_runs == [(model.a, 3), (model.b, 1)]
 
 
 class TestCycleMatrix:
@@ -113,6 +120,32 @@ class TestCycleMatrix:
         a = transition_matrix(layer1).entries
         b = transition_matrix(layer2).entries
         assert np.abs(model.entries - b @ np.linalg.matrix_power(a, 3)).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_k0_and_k1_keep_the_bits_of_the_plain_product(self, k):
+        # No product is renormalized below k = 2: A^0 = I and A^1 = A are
+        # taken as they are.
+        layer1, layer2 = load_two_layer_dataset(
+            DATA / "contact_layer_a.txt", DATA / "contact_layer_b.txt", 8
+        )
+        a, b = transition_matrix(layer1).entries, transition_matrix(layer2).entries
+        plain = TransitionMatrix.from_entries(b @ np.linalg.matrix_power(a, k))
+        assert np.array_equal(SwitchingModel(layer1, layer2, k).entries, plain.entries)
+
+    @pytest.mark.parametrize("k", [10**5, 10**12, 10**30])
+    def test_huge_k_reaches_the_rank_one_limit(self, k):
+        # A is primitive, so A^k tends to 1 pi_A' with pi_A from A's degrees,
+        # and B A^k to the same, since B's rows sum to 1. np.linalg.matrix_power
+        # lets the row sums of A^k drift by about k eps: from k = 10^5 on the
+        # cycle failed the 1e-12 row-sum check.
+        layer1, layer2 = load_two_layer_dataset(
+            DATA / "contact_layer_a.txt", DATA / "contact_layer_b.txt", 8
+        )
+        assert is_primitive(transition_matrix(layer1))
+        model = SwitchingModel(layer1, layer2, k)
+        assert model.schedule == ((layer1, k), (layer2, 1))
+        pi_a = stationary_from_degrees(layer1).pi
+        assert np.abs(model.entries - pi_a).max() <= 1e-15
 
 
 class TestAnalyze:
@@ -292,8 +325,9 @@ def test_phase_order_decides_the_transient_nodes():
     path = build_layer(3, [(0, 1, 1), (1, 2, 1)])
     triangle = build_layer(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
     model = SwitchingModel(path, triangle, 1)
-    assert product_classes((model.b, model.a)) == SupportClasses(periods=(1,), transient=2)
-    assert product_classes((model.a, model.b)) == SupportClasses(periods=(1,), transient=1)
+    b_a, a_b = [(model.b, 1), (model.a, 1)], [(model.a, 1), (model.b, 1)]
+    assert product_classes(b_a) == SupportClasses(periods=(1,), transient=2)
+    assert product_classes(a_b) == SupportClasses(periods=(1,), transient=1)
     with mock.patch.object(SwitchingModel, "matrix_free", True):
         outcome = analyze(model, np.array([0.1, 0.6, 0.9]))
     assert outcome.transient == 2 and outcome.value == pytest.approx(0.6, abs=1e-12)
@@ -337,18 +371,19 @@ class TestMatrixFreeCycle:
         assert model.matrix_free
         power, solved, formations = [], [], []
         iterate, solve = switching._stationary_matrix_free, switching.stationary_general
-        matrix_power = np.linalg.matrix_power
+        form = switching._stochastic_power
         monkeypatch.setattr(
             switching, "_stationary_matrix_free", lambda m: power.append(iterate(m)) or power[-1]
         )
         monkeypatch.setattr(switching, "stationary_general", lambda m: solved.append(m) or solve(m))
         monkeypatch.setattr(
-            np.linalg, "matrix_power", lambda a, k: formations.append(k) or matrix_power(a, k)
+            switching, "_stochastic_power", lambda m, r: formations.append(r) or form(m, r)
         )
         outcome = analyze(model, np.linspace(0.0, 1.0, model.n))
-        # B A^k is formed once, for the solve and the SLEM alike, and the
-        # SLEM is taken on the formed cycle, not factor by factor.
-        assert power == [None] and solved == [model] and formations == [1]
+        # B A^k is formed once, one power per run (B's, then A's), for the
+        # solve and the SLEM alike, and the SLEM is taken on the formed
+        # cycle, not factor by factor.
+        assert power == [None] and solved == [model] and formations == [1, 1]
         assert outcome.slem_cycle == eig_moduli_nonsymmetric(model.formed()).slem
         # Q is formed now, yet the model still applies it factor by factor.
         x = np.linspace(0.0, 1.0, model.n)
