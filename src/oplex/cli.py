@@ -10,11 +10,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import ConfigError, run_experiment
+from .harness import ConfigError, parse_x0, run_experiment
 from .merged import analyze as analyze_merged
 from .merged import MergedModel
-from .netcore import EdgeListError, load_edge_list, parse_edge_list
-from .stochastic import check_opinions
+from .netcore import EdgeListError, parse_edge_list
 from .switching import analyze as analyze_switching
 from .switching import SwitchingModel
 from .verify import SUITES
@@ -77,23 +76,17 @@ def _cmd_simulate(args) -> tuple[int, str]:
     return (0 if result.all_passed else 1), _json(result.summary)
 
 
-def _infer_n(paths: list[str], indexing: str) -> int:
-    top = 0
-    for path in paths:
-        for _, i, j, _ in parse_edge_list(path):
-            top = max(top, i, j)
-    return top + (0 if indexing == "1-based" else 1)
-
-
-def _load_x0(arg: str, n: int) -> np.ndarray:
+def _x0(arg: str, n: int) -> np.ndarray:
+    """--x0 read as a config's x0: an integer is a uniform seed, anything else
+    names a file of explicit values."""
     try:
-        seed = int(arg)
-    except ValueError:
         try:
-            return np.array([float(v) for v in Path(arg).read_text().split()])
-        except ValueError as exc:
-            raise ValueError(f"{arg}: {exc}") from exc
-    return np.random.default_rng(seed).random(n)
+            raw = {"kind": "uniform", "seed": int(arg)}
+        except ValueError:
+            raw = {"kind": "explicit", "values": [float(v) for v in Path(arg).read_text().split()]}
+        return parse_x0(raw).vector(n)
+    except ValueError as exc:
+        raise ValueError(f"--x0 {arg}: {exc}") from None
 
 
 def _cmd_analyze(args) -> tuple[int, str]:
@@ -103,12 +96,15 @@ def _cmd_analyze(args) -> tuple[int, str]:
     if args.mode == "switching" and args.k is None:
         print("analyze: switching mode requires --k", file=sys.stderr)
         return 2, ""
+    base = 1 if args.indexing == "1-based" else 0
     # Bad files, x0, alpha or k, and isolated nodes all surface as exit 2 here.
     try:
-        n = args.n if args.n is not None else _infer_n([args.layer1, args.layer2], args.indexing)
-        layer1 = load_edge_list(args.layer1, n, args.indexing)
-        layer2 = load_edge_list(args.layer2, n, args.indexing)
-        x0 = check_opinions(_load_x0(args.x0, n), n)
+        edges = [parse_edge_list(args.layer1), parse_edge_list(args.layer2)]
+        n = args.n
+        if n is None:
+            n = max(int(labels.max(initial=0)) for e in edges for labels in (e.i, e.j)) + 1 - base
+        layer1, layer2 = (e.layer(n, base) for e in edges)
+        x0 = _x0(args.x0, n)
         if args.mode == "merged":
             model = MergedModel(layer1, layer2, args.alpha)
         else:

@@ -77,6 +77,21 @@ class XZeroSpec(NamedTuple):
     nodes: tuple[int, ...] | None = None
     value: float | None = None
 
+    def vector(self, n: int) -> np.ndarray:
+        """The initial opinions on n nodes; ConfigError where they do not fit n."""
+        if self.kind == "explicit":
+            x = np.asarray(self.values, dtype=float)
+            if x.shape != (n,):
+                raise ConfigError(f"x0.values: has length {x.shape[0]}, layers have n={n}")
+            return x
+        x = np.random.default_rng(self.seed).random(n)
+        if self.kind == "uniform-with-overrides":
+            for node in self.nodes:
+                if not (0 <= node < n):
+                    raise ConfigError(f"x0.nodes: index {node} out of range for n={n}")
+                x[node] = self.value
+        return x
+
 
 class DatasetSpec(NamedTuple):
     path_a: str
@@ -162,40 +177,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     else:
         _fail("layers", "must be a list of generator specs or a two-layer-dataset object")
 
-    x0_raw = raw.get("x0")
-    if not isinstance(x0_raw, dict) or "kind" not in x0_raw:
-        _fail("x0", "must be an object with a 'kind' field")
-    x0_kind = x0_raw["kind"]
-    if x0_kind in ("uniform", "uniform-with-overrides"):
-        seed = x0_raw.get("seed")
-        if not is_integer(seed) or seed < 0:
-            _fail("x0.seed", "uniform initial opinions require an integer seed >= 0")
-    if x0_kind == "uniform":
-        x0 = XZeroSpec(kind="uniform", seed=seed)
-    elif x0_kind == "explicit":
-        values = x0_raw.get("values")
-        if not isinstance(values, list) or not values:
-            _fail("x0.values", "must be a nonempty list")
-        for i, v in enumerate(values):
-            if not is_number(v) or not (0 <= v <= 1):
-                _fail(f"x0.values[{i}]", "must be a number in [0, 1]")
-        x0 = XZeroSpec(kind="explicit", values=tuple(float(v) for v in values))
-    elif x0_kind == "uniform-with-overrides":
-        nodes = x0_raw.get("nodes")
-        if not isinstance(nodes, list) or not all(is_integer(v) for v in nodes):
-            _fail("x0.nodes", "must be a list of node indices")
-        value = x0_raw.get("value")
-        if not is_number(value) or not (0 <= value <= 1):
-            _fail("x0.value", "override value must be a number in [0, 1]")
-        x0 = XZeroSpec(
-            kind="uniform-with-overrides",
-            seed=seed,
-            nodes=tuple(int(v) for v in nodes),
-            value=float(value),
-        )
-    else:
-        _fail("x0.kind", f"unknown initial-opinion kind {x0_kind!r}")
-
+    x0 = parse_x0(raw.get("x0"))
     t_max = raw.get("t_max", DEFAULT_T_MAX)
     if not is_integer(t_max) or t_max < 1:
         _fail("t_max", "must be an integer >= 1")
@@ -223,6 +205,41 @@ def parse_config(raw: dict) -> ExperimentConfig:
         outputs=tuple(outputs),
         record_opinions=record_opinions,
     )
+
+
+def parse_x0(raw: object) -> XZeroSpec:
+    """A config's x0 section, checked; ConfigError names the field at fault."""
+    if not isinstance(raw, dict) or "kind" not in raw:
+        _fail("x0", "must be an object with a 'kind' field")
+    kind = raw["kind"]
+    if kind in ("uniform", "uniform-with-overrides"):
+        seed = raw.get("seed")
+        if not is_integer(seed) or seed < 0:
+            _fail("x0.seed", "uniform initial opinions require an integer seed >= 0")
+    if kind == "uniform":
+        return XZeroSpec(kind="uniform", seed=seed)
+    if kind == "explicit":
+        values = raw.get("values")
+        if not isinstance(values, list) or not values:
+            _fail("x0.values", "must be a nonempty list")
+        for i, v in enumerate(values):
+            if not is_number(v) or not (0 <= v <= 1):
+                _fail(f"x0.values[{i}]", "must be a number in [0, 1]")
+        return XZeroSpec(kind="explicit", values=tuple(float(v) for v in values))
+    if kind == "uniform-with-overrides":
+        nodes = raw.get("nodes")
+        if not isinstance(nodes, list) or not all(is_integer(v) for v in nodes):
+            _fail("x0.nodes", "must be a list of node indices")
+        value = raw.get("value")
+        if not is_number(value) or not (0 <= value <= 1):
+            _fail("x0.value", "override value must be a number in [0, 1]")
+        return XZeroSpec(
+            kind="uniform-with-overrides",
+            seed=seed,
+            nodes=tuple(int(v) for v in nodes),
+            value=float(value),
+        )
+    _fail("x0.kind", f"unknown initial-opinion kind {kind!r}")
 
 
 def config_hash(raw: dict) -> str:
@@ -257,19 +274,7 @@ def build_layers(config: ExperimentConfig) -> list[LayerGraph]:
 
 
 def resolve_x0(config: ExperimentConfig, n: int) -> np.ndarray:
-    spec = config.x0
-    if spec.kind == "explicit":
-        x = np.asarray(spec.values, dtype=float)
-        if x.shape != (n,):
-            raise ConfigError(f"x0.values: has length {x.shape[0]}, layers have n={n}")
-        return x
-    x = np.random.default_rng(spec.seed).random(n)
-    if spec.kind == "uniform-with-overrides":
-        for node in spec.nodes:
-            if not (0 <= node < n):
-                raise ConfigError(f"x0.nodes: index {node} out of range for n={n}")
-            x[node] = spec.value
-    return x
+    return config.x0.vector(n)
 
 
 class GridPointResult(NamedTuple):

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -589,14 +589,38 @@ def _circulant(n: int, offsets: Sequence[int], weight: float) -> LayerGraph:
     return LayerGraph.from_edges(n, i, j, np.full(i.shape, float(weight)))
 
 
-def parse_edge_list(path: str | Path) -> Iterator[tuple[int, int, int, float]]:
-    """Yield (line number, i, j, w) for each edge line of an "i j w" text file.
+class EdgeList(NamedTuple):
+    """The edge lines of an "i j w" text file, as parse_edge_list reads them:
+    for each, in file order, its line number, its two node labels as written
+    and its weight."""
 
-    Node labels are returned as written. Lines starting with '#' and blank
-    lines are skipped; a malformed line, or a label that does not fit in
-    64 bits, raises EdgeListError naming it.
+    path: Path
+    lines: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
+
+    def layer(self, n: int, base: int = 0, allowed: Sequence[float] | None = None) -> LayerGraph:
+        """The layer on n nodes that these edges make, node 0 labelled base.
+
+        The first edge that breaks a rule of first_bad_edge, or whose weight
+        is outside allowed if given, raises EdgeListError naming its line and
+        its labels as written.
+        """
+        fault = first_bad_edge(n, self.i, self.j, self.w, base, allowed)
+        if fault is not None:
+            raise EdgeListError(f"{self.path}:{self.lines[fault[0]]}: {fault[1]}")
+        return LayerGraph.from_edges(n, self.i - base, self.j - base, self.w)
+
+
+def parse_edge_list(path: str | Path) -> EdgeList:
+    """Read the edge lines of an "i j w" text file in one pass.
+
+    Lines starting with '#' and blank lines are skipped; a malformed line, or
+    a label that does not fit in 64 bits, raises EdgeListError naming it.
     """
     path = Path(path)
+    edges = []
     with path.open() as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -606,12 +630,15 @@ def parse_edge_list(path: str | Path) -> Iterator[tuple[int, int, int, float]]:
             if len(parts) != 3:
                 raise EdgeListError(f"{path}:{lineno}: expected 'i j w', got {line!r}")
             try:
-                edge = int(parts[0]), int(parts[1]), float(parts[2])
+                edge = lineno, int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError as exc:
                 raise EdgeListError(f"{path}:{lineno}: {exc}") from exc
-            if max(abs(edge[0]), abs(edge[1])) >= 2**63:
+            if max(abs(edge[1]), abs(edge[2])) >= 2**63:
                 raise EdgeListError(f"{path}:{lineno}: node label does not fit in 64 bits")
-            yield (lineno, *edge)
+            edges.append(edge)
+    lines, i, j, w = zip(*edges) if edges else ((), (), (), ())
+    lines, i, j = (np.array(c, dtype=np.intp) for c in (lines, i, j))
+    return EdgeList(path, lines, i, j, np.array(w, dtype=float))
 
 
 def load_edge_list(
@@ -620,23 +647,12 @@ def load_edge_list(
     indexing: str = "0-based",
     allowed_weights: Sequence[float] | None = None,
 ) -> LayerGraph:
-    """Read one layer from a whitespace-separated "i j w" text file.
-
-    The lines are read by parse_edge_list. With 1-based indexing, node
-    labels 1..n map to 0..n-1. The first edge that breaks a rule of
-    first_bad_edge, or whose weight is outside allowed_weights if given,
-    raises EdgeListError naming its line and its labels as written.
-    """
+    """Read one layer from a whitespace-separated "i j w" text file, by
+    parse_edge_list and EdgeList.layer. With 1-based indexing, node labels
+    1..n map to 0..n-1."""
     if indexing not in ("0-based", "1-based"):
         raise ValueError(f"indexing must be '0-based' or '1-based', got {indexing!r}")
-    base = 1 if indexing == "1-based" else 0
-    path = Path(path)
-    lines, i, j, w = list(zip(*parse_edge_list(path))) or ([], [], [], [])
-    i, j, w = np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(w)
-    fault = first_bad_edge(n, i, j, w, base, allowed_weights)
-    if fault is not None:
-        raise EdgeListError(f"{path}:{lines[fault[0]]}: {fault[1]}")
-    return LayerGraph.from_edges(n, i - base, j - base, w)
+    return parse_edge_list(path).layer(n, 1 if indexing == "1-based" else 0, allowed_weights)
 
 
 def load_two_layer_dataset(

@@ -260,7 +260,10 @@ def rho_star(model: SwitchingModel) -> float:
     it is taken on each layer's degrees over their largest.
     """
     d1, d2 = model.layer1.degrees, model.layer2.degrees
-    rate = np.prod([slem_reversible(layer).slem ** r for layer, r in model.schedule])
+    # A SLEM, in [0, 1], to any power past 2^64 is 0 or 1, as it is at 2^64.
+    # Python turns an int exponent into a float, which overflows past about
+    # 1.8e308, so r is capped there.
+    rate = np.prod([slem_reversible(layer).slem ** min(r, 2**64) for layer, r in model.schedule])
     with np.errstate(over="ignore"):
         up, down = (d1 / d2).max(), (d2 / d1).max()
         if not np.isfinite(up * down):

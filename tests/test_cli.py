@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oplex import harness
+from oplex import cli, harness, netcore
 from oplex.cli import main
-from oplex.harness import run_experiment
+from oplex.harness import parse_config, resolve_x0, run_experiment
 from oplex.merged import MergedBoundsReport, MergedModel
-from oplex.netcore import GeneratorSpec, generate, load_two_layer_dataset
+from oplex.merged import analyze as analyze_merged
+from oplex.netcore import GeneratorSpec, generate, load_two_layer_dataset, parse_edge_list
 
 DATA = Path(__file__).parent / "data"
 
@@ -232,10 +233,11 @@ class TestSimulateCommand:
         assert json.loads(captured.out)["all_passed"] is True
 
     def test_huge_k_runs_without_a_traceback(self, tmp_path, capsys):
-        # The switching period is held as two runs, never as its 10^30 + 1
-        # steps one by one, which ended in an OverflowError traceback.
+        # The switching period is held as two runs, never as its k + 1 steps
+        # one by one, and rho_star never turns k into a float: either ended
+        # in an OverflowError traceback.
         raw = {
-            "model": {"kind": "switching", "ks": [10**30]},
+            "model": {"kind": "switching", "ks": [10**30, 10**400]},
             "layers": {
                 "kind": "two-layer-dataset",
                 "path_a": str(DATA / "contact_layer_a.txt"),
@@ -312,7 +314,7 @@ class TestAnalyzeCommand:
         assert cycle.shape == (8, 8)
         assert np.abs(cycle.sum(axis=1) - 1).max() <= 1e-12
 
-    @pytest.mark.parametrize("k", [10**5, 10**12, 10**30])
+    @pytest.mark.parametrize("k", [10**5, 10**12, 10**30, pytest.param(10**400, id="1e400")])
     def test_switching_huge_k_exits_zero(self, capsys, k):
         # B A^k stays stochastic to rounding at any k: without renormalized
         # squaring its row sums drifted past the 1e-12 check from k = 10^5 on.
@@ -410,7 +412,7 @@ class TestAnalyzeCommand:
             "--x0", str(x0_file),
         ]
         err = assert_bad_input(capsys, argv)
-        assert r"opinion vector has shape (7,), expected (8,)" in err
+        assert f"--x0 {x0_file}: x0.values: has length 7, layers have n=8" in err
 
     def test_merged_mode_dumps_the_model_transition(self, capsys):
         argv = ["analyze", *CONTACT_ARGS, "--mode", "merged", "--alpha", "0.5", "--dump"]
@@ -446,6 +448,36 @@ class TestAnalyzeCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["n"] == 8
 
+
+    def test_one_parse_per_edge_file(self, capsys, monkeypatch):
+        # Inferring n reads the labels of the parse that builds the layers;
+        # it used to parse each file a second time.
+        paths = [str(DATA / "contact_layer_a.txt"), str(DATA / "contact_layer_b.txt")]
+        parsed = []
+
+        def counting(path):
+            parsed.append(str(path))
+            return parse_edge_list(path)
+
+        monkeypatch.setattr(netcore, "parse_edge_list", counting)
+        monkeypatch.setattr(cli, "parse_edge_list", counting)
+        argv = ["analyze", "--layer1", paths[0], "--layer2", paths[1], "--mode", "switching"]
+        reports = []
+        for n_args in ([], ["--n", "8"]):
+            parsed.clear()
+            assert main(argv + ["--k", "1", "--x0", "3"] + n_args) == 0
+            reports.append(capsys.readouterr().out)
+            assert parsed == paths
+        assert reports[0] == reports[1]
+
+    def test_seed_x0_is_the_config_uniform_x0(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            cli, "analyze_merged", lambda model, x0: seen.append(x0) or analyze_merged(model, x0)
+        )
+        assert main(["analyze", *CONTACT_ARGS, "--mode", "merged", "--alpha", "0.5"]) == 0
+        config = parse_config(dict(SMALL_MERGED, x0={"kind": "uniform", "seed": 3}))
+        assert np.array_equal(seen[0], resolve_x0(config, 8))
 
     def test_huge_node_count_exits_two(self, tmp_path, capsys):
         # Both the given n and an n inferred from a file's labels reach the cap.
@@ -523,7 +555,7 @@ class TestAnalyzeCommand:
             "--x0", str(x0_file),
         ]
         err = assert_bad_input(capsys, argv)
-        assert "x0[0] = nan outside [0, 1]" in err
+        assert f"--x0 {x0_file}: x0.values[0]: must be a number in [0, 1]" in err
         assert "np.float64" not in err
 
     @pytest.mark.parametrize("line", ["2 0 inf", "1 2 nan"])

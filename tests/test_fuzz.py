@@ -1,10 +1,13 @@
-"""Property tests over the two text inputs: edge-list files and sweep configs.
+"""Property tests over the text inputs: edge-list files, sweep configs and
+`--x0` files.
 
 Each edge-list text either loads into the layer that a plain-Python reading
 of the same lines builds, or raises EdgeListError naming the line that the
-reference rejects. Each config dict either parses or raises ConfigError. On
-all such inputs `oplex analyze` and `oplex simulate` exit 0, 1 or 2 and
-print no traceback. The examples are derandomized, so a run is repeatable.
+reference rejects. Each config dict either parses or raises ConfigError. An
+`--x0` file is accepted exactly where a config's explicit x0 of the same
+numbers is. On all such inputs `oplex analyze` and `oplex simulate` exit 0,
+1 or 2 and print no traceback. The examples are derandomized, so a run is
+repeatable.
 """
 
 import contextlib
@@ -21,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oplex.cli import main
-from oplex.harness import ConfigError, parse_config
+from oplex.harness import ConfigError, parse_config, resolve_x0
 from oplex.netcore import EdgeListError, load_edge_list
 
 DATA = Path(__file__).parent / "data"
@@ -262,3 +265,55 @@ def test_analyze_exits_0_1_or_2(extra, at, n_args, indexing, mode):
         argv = ["analyze", "--layer1", str(layer1), "--layer2", str(layer2)]
         argv += ["--indexing", indexing, "--mode", *mode, *n_args]
         assert run_cli(argv) in (0, 1, 2)
+
+
+# x0 file tokens: mostly numbers in [0, 1], now and then out of range,
+# non-finite, not a number, or any text.
+X0_TOKEN = mostly(
+    st.one_of(st.sampled_from(["0", "1", ".5", "1e-3", "0_5"]), st.floats(0, 1).map(repr)),
+    st.one_of(
+        st.sampled_from(["-0.1", "-0.0", "1.5", "nan", "inf", "1e400", "1e-320", "half", "0x1"]),
+        st.text(max_size=4),
+    ),
+)
+
+
+def joined(min_size, max_size):
+    """min_size to max_size tokens, between whitespace of one kind."""
+    tokens = st.lists(X0_TOKEN, min_size=min_size, max_size=max_size)
+    return st.builds(lambda t, sep: sep.join(t), tokens, st.sampled_from([" ", "\n", "\t", " \r\n"]))
+
+
+# Mostly one token per node of the contact layers, now and then any count
+# or any text.
+X0_TEXT = mostly(joined(8, 8), st.one_of(joined(0, 9), st.text()), odds=2)
+
+
+def reference_x0_accepted(text: str) -> bool:
+    """Whether a config takes the numbers the text reads as for 8 nodes."""
+    try:
+        values = [float(token) for token in text.split()]
+    except ValueError:
+        return False
+    config = {
+        "model": {"kind": "merged", "alphas": [0.5]},
+        "layers": {"kind": "two-layer-dataset", "path_a": CONTACT[0], "path_b": CONTACT[1], "n": 8},
+        "x0": {"kind": "explicit", "values": values},
+    }
+    try:
+        resolve_x0(parse_config(config), 8)
+    except ConfigError:
+        return False
+    return True
+
+
+@given(text=X0_TEXT)
+@FUZZ
+def test_x0_file_is_read_as_a_config_reads_its_numbers(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x0.txt"
+        path.write_text(text, encoding="utf-8")
+        argv = ["analyze", "--layer1", CONTACT[0], "--layer2", CONTACT[1], "--n", "8"]
+        code = run_cli(argv + ["--mode", "merged", "--alpha", "0.5", "--x0", str(path)])
+    assert code in (0, 1, 2)
+    assert (code != 2) == reference_x0_accepted(text)

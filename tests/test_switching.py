@@ -497,6 +497,11 @@ class TestRhoStar:
         assert rho_star(model) == pytest.approx(0.5, abs=1e-12)
         assert eig_moduli_nonsymmetric(model).slem <= rho_star(model)
 
+    def test_k_past_the_float_range(self):
+        # slem ** k turned k into a float, which overflows past about 1.8e308.
+        model = SwitchingModel(*triangle_pair(), k=10**400)
+        assert rho_star(model) == 0.0
+
     def test_identical_regular_layers(self):
         layer = generate(GeneratorSpec(kind="k-regular", n=30, k=4, seed=3))
         rho_a = slem_reversible(layer).slem
