@@ -10,6 +10,7 @@ models combine layers by weight blending or by time switching.
 
 from __future__ import annotations
 
+import io
 import math
 import random
 from collections import Counter
@@ -616,26 +617,37 @@ class EdgeList(NamedTuple):
 def parse_edge_list(path: str | Path) -> EdgeList:
     """Read the edge lines of an "i j w" text file in one pass.
 
-    Lines starting with '#' and blank lines are skipped; a malformed line, or
-    a label that does not fit in 64 bits, raises EdgeListError naming it.
+    The file must be UTF-8 throughout: its first byte that is not raises
+    EdgeListError naming its line, before any other fault. Lines end as in
+    text mode ('\n', '\r\n' or '\r'); lines starting with '#' and blank lines
+    are skipped; a malformed line, or a label that does not fit in 64 bits,
+    raises EdgeListError naming it.
     """
     path = Path(path)
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = head.count(b"\n") + 1
+        raise EdgeListError(
+            f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from None
     edges = []
-    with path.open() as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise EdgeListError(f"{path}:{lineno}: expected 'i j w', got {line!r}")
-            try:
-                edge = lineno, int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise EdgeListError(f"{path}:{lineno}: {exc}") from exc
-            if max(abs(edge[1]), abs(edge[2])) >= 2**63:
-                raise EdgeListError(f"{path}:{lineno}: node label does not fit in 64 bits")
-            edges.append(edge)
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise EdgeListError(f"{path}:{lineno}: expected 'i j w', got {line!r}")
+        try:
+            edge = lineno, int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise EdgeListError(f"{path}:{lineno}: {exc}") from exc
+        if max(abs(edge[1]), abs(edge[2])) >= 2**63:
+            raise EdgeListError(f"{path}:{lineno}: node label does not fit in 64 bits")
+        edges.append(edge)
     lines, i, j, w = zip(*edges) if edges else ((), (), (), ())
     lines, i, j = (np.array(c, dtype=np.intp) for c in (lines, i, j))
     return EdgeList(path, lines, i, j, np.array(w, dtype=float))

@@ -11,12 +11,16 @@ layers), else np.add.reduceat over the stored entries; the last two give
 the same floats. It steps in blocks: a block of
 matvecs goes into a buffer allocated once, at the block cap, and the stall
 test and both error norms are then taken on the whole block at once. A
-block may end inside a period, so the buffer is bounded whatever the
-period is. The matvecs are the same ones in the same order as one step at
-a time, and the run is cut at exactly the step where the stall rule fires,
-so every result is bit-for-bit that of plain stepping. The only extra work
-is the matvecs of the last block past that step, at most as many as the
-steps taken and at most a few ms whatever n is.
+block is filled one run at a time: the run the block starts in is found
+once, and each run's kernel is looked up once and applied to the steps
+left in it or in the block, so a single run is one kernel for the whole
+block. A block may end inside a period, so the buffer is bounded whatever
+the period is. The matvecs are the same ones in the same order as one
+step at a time, and the run is cut at exactly the step where the stall
+rule fires, so every result is bit-for-bit that of plain stepping. The
+only extra work is the matvecs of the last block past that step: at most
+max(steps taken, _BLOCK_MIN, period) and at most one capped block, a few
+ms whatever n is.
 decay_check() pins the error series against the geometric bound rho^t
 (pi-norm) and its max-norm corollary with the explicit constant
 1/sqrt(pi_min). fit_rate() recovers the empirical geometric rate of a
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -40,13 +44,17 @@ DEFAULT_T_MAX = 10**6
 # falling geometrically and would bend the fitted line.
 FIT_FLOOR = 1e-13
 # Steps computed past the stop step are wasted. A block is at most as long
-# as the run so far (so short runs waste at most what they use), costs at
-# most _BLOCK_WORK dense multiply-adds as Csr.matvec_cost counts them (a few
-# ms at one BLAS thread) and buffers at most _BLOCK_CELLS opinions (256 kB;
-# with the block's temporaries a few times that, well inside the cache).
-# The bound holds for any period: a block may end inside one.
+# as a period, _BLOCK_MIN steps or the run so far, whichever is longest (so
+# runs past _BLOCK_MIN steps waste at most what they use), costs at most
+# _BLOCK_WORK dense multiply-adds as Csr.matvec_cost counts them (a few ms at
+# one BLAS thread) and buffers at most _BLOCK_CELLS opinions (256 kB; with
+# the block's temporaries a few times that, well inside the cache). The
+# bound holds for any period: a block may end inside one. Each block pays a
+# fixed cost of some 20 numpy calls for the stall test and the error norms,
+# about 24 us on tiny n; _BLOCK_MIN spreads it over at least 64 steps.
 _BLOCK_WORK = 2**22
 _BLOCK_CELLS = 2**15
+_BLOCK_MIN = 64
 
 
 class OpinionTrajectory(NamedTuple):
@@ -77,27 +85,32 @@ def simulate(
     """Run the dynamics until t_max or until the update stalls.
 
     runs holds one period as (matrix, repeats) pairs in the order they act;
-    the period is the repeats' sum, and step t applies the matrix of the run
-    that phase (t - 1) mod period falls in, found through the runs'
-    cumulative ends, so nothing grows with a run's length. Stops once the
+    runs of zero repeats are dropped. The period is the repeats' sum, and
+    step t applies the matrix of the run that phase (t - 1) mod period falls
+    in, so nothing grows with a run's length. Stops once the
     successive-difference max norm stays below tol for one full period.
     When pi is given, both error norms against the consensus pi . x0 are
     recorded at every step. The full state history is kept only with
     record_states.
 
-    Steps run in blocks; the first holds one period, up to the cap, and
-    each later one at most as many steps as already taken, up to the cap
-    that _BLOCK_WORK and _BLOCK_CELLS set. The stop step and every
-    recorded value are those of stepping one at a time; only the matvecs
-    past the stop step in the last block are extra work.
+    Steps run in blocks of max(period, _BLOCK_MIN, steps taken) steps, up
+    to the cap that _BLOCK_WORK and _BLOCK_CELLS set: a short run takes
+    blocks of 64, 64, 128, ... steps. Each block finds the run it starts in
+    through the runs' cumulative ends, then applies each run's kernel to
+    the steps left in that run or in the block, one kernel lookup per run.
+    The stop step and every recorded value are those of stepping one at a
+    time; only the matvecs past the stop step in the last block are extra
+    work, at most max(steps taken, _BLOCK_MIN, period) and at most one
+    capped block.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     if not 0 < tol <= sys.float_info.max:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
-    ends = list(accumulate(r for _, r in runs))
-    if not ends or ends[-1] < 1:
+    runs = [(m, r) for m, r in runs if r > 0]
+    if not runs:
         raise ValueError("schedule must hold at least one matrix")
+    ends = list(accumulate(r for _, r in runs))
     period = ends[-1]
     kernels = [m.csr.matvec_kernel() for m, _ in runs]
     x = check_opinions(x0)
@@ -118,9 +131,21 @@ def simulate(
     quiet_run = 0
     steps = 0
     while steps < t_max:
-        block = min(max(period, steps), cap, t_max - steps)
-        for i in range(1, block + 1):
-            kernels[bisect_right(ends, (steps + i - 1) % period)](buf[i - 1], out=buf[i])
+        block = min(max(period, steps, _BLOCK_MIN), cap, t_max - steps)
+        # Fill the block one run at a time: the kernel of run r acts on the
+        # steps left in it, or in the block if fewer; one run fills it all.
+        rows = iter(buf[1 : block + 1])
+        prev = buf[0]
+        done = 0
+        while done < block:
+            phase = (steps + done) % period
+            r = bisect_right(ends, phase)
+            take = block - done if len(runs) == 1 else min(block - done, ends[r] - phase)
+            kernel = kernels[r]
+            for row in islice(rows, take):
+                kernel(prev, out=row)
+                prev = row
+            done += take
         change = buf[1 : block + 1] - buf[:block]
         quiet = np.abs(change, out=change).max(axis=1) < tol
         # Length of the quiet run ending at each step of the block, counting

@@ -588,6 +588,20 @@ class TestAnalyzeCommand:
         err = assert_bad_input(capsys, argv)
         assert f"{bad}:2: self-loop on node 3 is not allowed" in err
 
+    def test_non_utf8_byte_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"0 1 1\n\xff 2 1\n")
+        argv = [
+            "analyze",
+            "--layer1", str(bad),
+            "--layer2", str(DATA / "contact_layer_b.txt"),
+            "--mode", "merged",
+            "--alpha", "0.5",
+            "--n", "8",
+        ]
+        err = assert_bad_input(capsys, argv)
+        assert f"{bad}:2: byte 0xff is not UTF-8 (invalid start byte)" in err
+
 
 class TestVerifyCommand:
     def test_examples_suite_passes(self, capsys):

@@ -1,11 +1,11 @@
 """Property tests over the text inputs: edge-list files, sweep configs and
 `--x0` files.
 
-Each edge-list text either loads into the layer that a plain-Python reading
-of the same lines builds, or raises EdgeListError naming the line that the
-reference rejects. Each config dict either parses or raises ConfigError. An
-`--x0` file is accepted exactly where a config's explicit x0 of the same
-numbers is. On all such inputs `oplex analyze` and `oplex simulate` exit 0,
+Each edge-list file, text with now and then any bytes, either loads into
+the layer that a plain-Python reading of the same lines builds, or raises
+EdgeListError naming the line that the reference rejects. Each config dict
+either parses or raises ConfigError. An `--x0` file is accepted exactly
+where a config's explicit x0 of the same numbers is. On all such inputs `oplex analyze` and `oplex simulate` exit 0,
 1 or 2 and print no traceback. The examples are derandomized, so a run is
 repeatable.
 """
@@ -63,16 +63,28 @@ WEIGHTS = mostly(
 )
 EDGE_LINE = st.builds(lambda i, j, w: f"{i} {j} {w}", LABELS, LABELS, WEIGHTS)
 OTHER_LINE = st.sampled_from(["", "   ", "# comment", "#0 0 1", "1 2", "1 2 1 1", "\t0\t1\t1"])
-LINES = st.lists(mostly(EDGE_LINE, OTHER_LINE, odds=4), max_size=12)
+# A line of an edge-list file: mostly an edge or another text line, now and
+# then any bytes; mostly ended by "\n", now and then by another line end that
+# text mode reads, or by none.
+LINE = st.tuples(
+    mostly(mostly(EDGE_LINE, OTHER_LINE, odds=4).map(str.encode), st.binary(max_size=6)),
+    mostly(st.just(b"\n"), st.sampled_from([b"\r\n", b"\r", b""]), odds=9),
+)
+FILE = st.lists(LINE, max_size=12).map(lambda lines: b"".join(a + b for a, b in lines))
 ALLOWED = st.sampled_from([None, (1.0,), (1.0, 2.0, 3.0, 4.0)])
 
 
-def reference_layer(lines: list[str], n: int, base: int, allowed) -> np.ndarray | int:
-    """The weight matrix that the lines describe, read one line at a time;
-    else the number of the first line that cannot be read, or else of the
+def reference_layer(data: bytes, n: int, base: int, allowed) -> np.ndarray | int:
+    """The weight matrix that the file's lines describe, read one line at a
+    time; else the number of the line that holds its first byte that is not
+    UTF-8, or else of the first line that cannot be read, or else of the
     first edge line that breaks a rule."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return len(re.findall(rb"\r\n|\r|\n", data[: exc.start])) + 1
     edges = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -97,17 +109,17 @@ def reference_layer(lines: list[str], n: int, base: int, allowed) -> np.ndarray 
 
 
 @given(
-    lines=LINES,
+    data=st.one_of(FILE, st.binary()),
     n=st.integers(1, 9),
     indexing=st.sampled_from(["0-based", "1-based"]),
     allowed=ALLOWED,
 )
 @FUZZ
-def test_edge_list_loads_as_the_reference_reads_it(lines, n, indexing, allowed):
-    expected = reference_layer(lines, n, 1 if indexing == "1-based" else 0, allowed)
+def test_edge_list_loads_as_the_reference_reads_it(data, n, indexing, allowed):
+    expected = reference_layer(data, n, 1 if indexing == "1-based" else 0, allowed)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "layer.txt"
-        path.write_text("".join(line + "\n" for line in lines))
+        path.write_bytes(data)
         if isinstance(expected, int):
             with pytest.raises(EdgeListError, match=f"^{re.escape(str(path))}:{expected}: "):
                 load_edge_list(path, n, indexing, allowed)
@@ -245,7 +257,7 @@ def test_simulate_exits_0_1_or_2(config):
 
 
 @given(
-    extra=st.lists(mostly(EDGE_LINE, OTHER_LINE, odds=4), max_size=3),
+    extra=st.lists(LINE, max_size=3).map(lambda lines: [a + b for a, b in lines]),
     at=st.integers(0, 8),
     n_args=st.sampled_from([[], ["--n", "8"], ["--n", "9"]]),
     indexing=st.sampled_from(["0-based", "1-based"]),
@@ -256,10 +268,10 @@ def test_analyze_exits_0_1_or_2(extra, at, n_args, indexing, mode):
     # Layer 1 is the ring on the 8 nodes of layer 2 with the lines of extra
     # inserted, so a run reads both good and bad input.
     base = 1 if indexing == "1-based" else 0
-    ring = [f"{i + base} {(i + 1) % 8 + base} 1" for i in range(8)]
+    ring = [f"{i + base} {(i + 1) % 8 + base} 1\n".encode() for i in range(8)]
     with tempfile.TemporaryDirectory() as tmp:
         layer1 = Path(tmp) / "layer1.txt"
-        layer1.write_text("".join(line + "\n" for line in ring[:at] + extra + ring[at:]))
+        layer1.write_bytes(b"".join(ring[:at] + extra + ring[at:]))
         layer2 = Path(tmp) / "layer2.txt"
         layer2.write_text("".join(f"{i + base} {j + base} {w}\n" for i, j, w in CONTACT_B))
         argv = ["analyze", "--layer1", str(layer1), "--layer2", str(layer2)]

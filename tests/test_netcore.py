@@ -345,6 +345,22 @@ class TestEdgeListLoading:
         with pytest.raises(EdgeListError, match=r":2: node label does not fit in 64 bits$"):
             load_edge_list(f, n=3)
 
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"0 1 1\n\xff 2 1\n", 2),
+            (b"0 1 1\r\n1 2 1\r\xed\xa0\x80 1 1\n", 3),
+            (b"0 1 1\n" * 5000 + b"0 2 \xc3\n", 5001),
+        ],
+        ids=["lf", "crlf-and-cr", "past-the-first-chunk"],
+    )
+    def test_non_utf8_byte_names_its_line(self, tmp_path, data, line):
+        # Text-mode reads decode in chunks, so the line comes from the bytes.
+        f = tmp_path / "bad.txt"
+        f.write_bytes(data)
+        with pytest.raises(EdgeListError, match=f"^{re.escape(str(f))}:{line}: byte 0x"):
+            load_edge_list(f, n=3)
+
     def test_empty_file_loads_as_a_layer_with_no_edges(self, tmp_path):
         f = tmp_path / "a.txt"
         f.write_text("")

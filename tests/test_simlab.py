@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oplex import simlab
 from oplex.fixtures import oscillating_pair, triangle_pair
 from oplex.merged import analyze as analyze_merged
 from oplex.merged import MergedModel
@@ -167,20 +168,23 @@ def stepwise_simulate(runs, x0, t_max, tol, pi, record_states):
 
 
 def random_runs(rng, n, period):
-    """One period of the given length as runs of lazy random walks with some
-    zero entries, so mixing speeds vary. The repeats are a random split of
-    the period, with one run of zero repeats put in among them."""
+    """One period of the given length as runs of lazy_walk matrices. The
+    repeats are a random split of the period, with one run of zero repeats
+    put in among them."""
     cuts = np.sort(rng.choice(np.arange(1, period), size=rng.integers(0, period), replace=False))
     repeats = np.diff(np.concatenate([[0], cuts, [period]])).tolist()
     repeats.insert(rng.integers(0, len(repeats) + 1), 0)
-    runs = []
-    for r in repeats:
-        entries = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
-        entries[np.arange(n), rng.integers(0, n, n)] += 0.05
-        laziness = 1.0 - 10.0 ** rng.uniform(-2.0, 0.0)
-        entries = laziness * np.eye(n) + (1 - laziness) * entries / entries.sum(axis=1, keepdims=True)
-        runs.append((TransitionMatrix.from_entries(entries), r))
-    return runs
+    return [(lazy_walk(rng, n), r) for r in repeats]
+
+
+def lazy_walk(rng, n):
+    """A lazy random walk on n nodes with some zero entries and a random
+    laziness, so mixing speeds vary."""
+    entries = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+    entries[np.arange(n), rng.integers(0, n, n)] += 0.05
+    laziness = 1.0 - 10.0 ** rng.uniform(-2.0, 0.0)
+    entries = laziness * np.eye(n) + (1 - laziness) * entries / entries.sum(axis=1, keepdims=True)
+    return TransitionMatrix.from_entries(entries)
 
 
 def assert_matches_stepwise(runs, x0, t_max, tol, pi, record_states):
@@ -221,10 +225,10 @@ def assert_matches_stepwise_on_sparse(matrices, period):
 class TestBlockedStepping:
     """simulate steps in blocks; every result must equal plain stepping bit for bit.
 
-    Blocks hold period, period, 2 period, 4 period, ... steps at these sizes,
-    so the "edge" runs pick tol to make the stall rule fire at or just past
-    step period * 2**j: stops on a block edge, and for period >= 2 quiet
-    runs that straddle one.
+    Blocks hold b, b, 2 b, 4 b, ... steps with b = max(period, 64) at these
+    sizes, so the "edge" runs pick tol to make the stall rule fire at or
+    just past step b * 2**j: stops on a block edge, and for period >= 2
+    quiet runs that straddle one.
     """
 
     @given(
@@ -233,7 +237,7 @@ class TestBlockedStepping:
         period=st.integers(min_value=1, max_value=4),
         t_max=st.integers(min_value=1, max_value=700),
         stop=st.one_of(
-            st.tuples(st.integers(0, 7), st.integers(0, 3)),
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
             st.floats(min_value=2.0, max_value=16.0),
         ),
         with_target=st.booleans(),
@@ -252,13 +256,55 @@ class TestBlockedStepping:
             # Steps last - period + 1 .. last are all quiet under this tol,
             # so the stall rule fires at step last or before it.
             j, offset = stop
-            last = period * 2**j + min(offset, period - 1)
+            last = max(period, 64) * 2**j + min(offset, period - 1)
             states = stepwise_simulate(runs, x0, last, 1e-300, None, True)["states"]
             diffs = np.abs(np.diff(states, axis=0)).max(axis=1)
             tol = float(diffs[-period:].max()) * (1 + 1e-9) or 1e-300
         else:
             tol = 10.0**-stop
         assert_matches_stepwise(runs, x0, t_max, tol, pi, record_states)
+
+    @pytest.mark.parametrize("repeats", [(30, 0, 20), (40, 50)])
+    def test_matches_stepwise_when_runs_end_inside_a_block(self, repeats):
+        # Period 50: the first block of 64 steps holds run ends at steps 30
+        # and 50, and its edge at 64 cuts the run of steps 51-80. Period 90:
+        # the first block is one period, with a run end at step 40 inside it.
+        rng = np.random.default_rng(sum(repeats))
+        runs = [(lazy_walk(rng, 12), r) for r in repeats]
+        x0 = rng.random(12)
+        pi = StationaryDistribution(np.full(12, 1.0 / 12))
+        traj = assert_matches_stepwise(runs, x0, 500, 1e-300, pi, True)
+        assert traj.steps == 500
+
+    def test_matches_stepwise_on_a_switching_schedule_at_k_0(self):
+        # At k = 0 the schedule's first run has zero repeats: every step
+        # applies layer 2 alone (layer 1, offsets 1 and 3 on 30 nodes, is
+        # bipartite and would never converge).
+        rings = [
+            generate(GeneratorSpec(kind="circulant", n=30, offsets=offsets))
+            for offsets in ((1, 3), (1, 2))
+        ]
+        runs = SwitchingModel(*rings, k=0).matrix_runs
+        assert [r for _, r in runs] == [0, 1]
+        x0 = np.random.default_rng(0).random(30)
+        pi = StationaryDistribution(np.full(30, 1.0 / 30))
+        traj = assert_matches_stepwise(runs, x0, 5000, 1e-12, pi, True)
+        assert traj.converged and traj.steps > 64
+
+    def test_short_run_takes_three_blocks(self, monkeypatch):
+        # 195 steps at n = 12 fill blocks of 64, 64 and 67 steps; the error
+        # norms are taken once for x(0) and once per block, and the one run
+        # fills each block with one kernel (one islice of its rows).
+        norms, spans = [], []
+        error_norms, islice = simlab._error_norms, simlab.islice
+        monkeypatch.setattr(simlab, "_error_norms", lambda *a: norms.append(1) or error_norms(*a))
+        monkeypatch.setattr(simlab, "islice", lambda *a: spans.append(a[1]) or islice(*a))
+        rng = np.random.default_rng(12)
+        pi = StationaryDistribution(np.full(12, 1.0 / 12))
+        traj = simulate([(lazy_walk(rng, 12), 1)], rng.random(12), 195, 1e-300, pi)
+        assert traj.steps == 195
+        assert len(norms) == 1 + 3
+        assert spans == [64, 64, 67]
 
     @pytest.mark.parametrize("n, t_max, converged", [(300, 2000, True), (600, 200, False)])
     def test_matches_stepwise_at_the_block_cap(self, n, t_max, converged):
