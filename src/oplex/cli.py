@@ -90,11 +90,11 @@ def _x0(arg: str, n: int) -> np.ndarray:
 
 
 def _cmd_analyze(args) -> tuple[int, str]:
-    if args.mode == "merged" and args.alpha is None:
-        print("analyze: merged mode requires --alpha", file=sys.stderr)
-        return 2, ""
-    if args.mode == "switching" and args.k is None:
-        print("analyze: switching mode requires --k", file=sys.stderr)
+    merged = args.mode == "merged"
+    # The mode's one parameter: the blend weight alpha, or k steps on layer 1.
+    name, value = ("alpha", args.alpha) if merged else ("k", args.k)
+    if value is None:
+        print(f"analyze: {args.mode} mode requires --{name}", file=sys.stderr)
         return 2, ""
     base = 1 if args.indexing == "1-based" else 0
     # Bad files, x0, alpha or k, and isolated nodes all surface as exit 2 here.
@@ -105,42 +105,24 @@ def _cmd_analyze(args) -> tuple[int, str]:
             n = max(int(labels.max(initial=0)) for e in edges for labels in (e.i, e.j)) + 1 - base
         layer1, layer2 = (e.layer(n, base) for e in edges)
         x0 = _x0(args.x0, n)
-        if args.mode == "merged":
-            model = MergedModel(layer1, layer2, args.alpha)
-        else:
-            model = SwitchingModel(layer1, layer2, args.k)
+        model = (MergedModel if merged else SwitchingModel)(layer1, layer2, value)
     except (OSError, ValueError) as exc:
         print(f"analyze: bad input: {exc}", file=sys.stderr)
         return 2, ""
 
-    report: dict = {"mode": args.mode, "n": n}
-    if args.mode == "merged":
-        outcome = analyze_merged(model, x0)
-        bounds = outcome.bounds
-        report["alpha"] = args.alpha
-        report["slem"] = bounds.slem_c
-        report["slem_lower_bound"] = bounds.lower_bound
-        report["slem_upper_bound"] = bounds.upper_bound
-        report["degrees_matched"] = bounds.degrees_matched
-        report["interval"] = outcome.interval
-        if args.dump:
-            report["transition"] = model.transition.entries.tolist()
+    outcome = (analyze_merged if merged else analyze_switching)(model, x0)
+    report: dict = {"mode": args.mode, "n": n, name: value}
+    if merged:
+        dump = {"transition": model.transition}
     else:
-        outcome = analyze_switching(model, x0)
-        report["k"] = args.k
-        report["status"] = outcome.status
-        report["slem_cycle"] = outcome.slem_cycle
-        report["rho_star"] = outcome.rho_star
+        report.update(status=outcome.status, transient=outcome.transient)
         if outcome.status != "consensus":
-            report["period"] = outcome.period
-            report["closed_classes"] = outcome.closed_classes
-        report["transient"] = outcome.transient
-        if args.dump:
-            report["cycle"] = model.entries.tolist()
-            report["layer1_transition"] = model.a.entries.tolist()
-            report["layer2_transition"] = model.b.entries.tolist()
+            report.update(period=outcome.period, closed_classes=outcome.closed_classes)
+        dump = {"cycle": model, "layer1_transition": model.a, "layer2_transition": model.b}
+    if args.dump:
+        report.update((key, matrix.entries.tolist()) for key, matrix in dump.items())
     checks = outcome.checks()
-    report.update(consensus=outcome.value, note=outcome.note, checks=checks)
+    report.update(outcome.fields(), checks=checks)
     return (0 if all(checks.values()) else 1), _json(report)
 
 

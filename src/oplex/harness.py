@@ -5,11 +5,11 @@ switching over a k grid), how to obtain the two layers (generators or a
 two-layer dataset), the initial opinions, and stopping parameters. Each
 grid point takes its model's verdict (bounds, predicted consensus, note
 and armed checks) from merged.analyze or switching.analyze, the same one
-`oplex analyze` reports, then simulates a trajectory and arms the checks
-on it; grid points that reach no consensus, or where a node is isolated,
-are recorded with a note, not fatal. All output is deterministic for a
-fixed config (17-significant-digit floats, no timestamps), so reruns are
-byte-identical.
+`oplex analyze` reports under the same names (the outcome's fields()),
+then simulates a trajectory and arms the checks on it; grid points that
+reach no consensus, or where a node is isolated, are recorded with a note,
+not fatal. All output is deterministic for a fixed config
+(17-significant-digit floats, no timestamps), so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -293,9 +293,10 @@ class _GridModel(NamedTuple):
     """What one model kind supplies for a grid point; _grid_point does the rest.
 
     columns fills the model's sweep columns (slem, bounds, consensus,
-    interval, note) and assertions holds its own armed checks. The error
-    series rate_errors(trajectory), transients already dropped, is fitted to
-    a rate that must stay under rate_bound. decay_rho arms the decay law.
+    interval, note), for merged and switching their outcome's fields(), and
+    assertions holds its own armed checks. The error series
+    rate_errors(trajectory), transients already dropped, is fitted to a rate
+    that must stay under rate_bound. decay_rho arms the decay law.
     """
 
     columns: dict
@@ -310,35 +311,15 @@ class _GridModel(NamedTuple):
 def _merged_model(layers, alpha, x0) -> _GridModel:
     model = MergedModel(layers[0], layers[1], alpha)
     outcome = analyze_merged(model, x0)
-    bounds = outcome.bounds
-    lo, hi = outcome.interval or (None, None)
-    columns = dict(
-        slem=bounds.slem_c,
-        bound_lower=bounds.lower_bound,
-        bound_upper=bounds.upper_bound,
-        bound_armed=bounds.degrees_matched,
-        consensus=outcome.value,
-        interval_lo=lo,
-        interval_hi=hi,
-        note=outcome.note,
-    )
-    return _GridModel(
-        columns, outcome.checks(), [(model.transition, 1)], pi=outcome.pi, rate_bound=bounds.slem_c
-    )
+    fields = outcome.fields()
+    return _GridModel(fields, outcome.checks(), [(model.transition, 1)], outcome.pi, fields["slem"])
 
 
 def _switching_model(layers, k, x0) -> _GridModel:
     model = SwitchingModel(layers[0], layers[1], k)
     outcome = analyze_switching(model, x0)
-    columns = dict(
-        slem=outcome.slem_cycle,
-        bound_upper=outcome.rho_star,
-        bound_armed=True,
-        consensus=outcome.value,
-        note=outcome.note,
-    )
     return _GridModel(
-        columns,
+        outcome.fields(),
         outcome.checks(),
         model.matrix_runs,
         pi=outcome.pi,

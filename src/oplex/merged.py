@@ -10,7 +10,8 @@ the slower layer. analyze puts the verdict on one model together, with
 these claims as its armed checks. It is the one source of the merged
 consensus and the layer-consensus interval: the sweep, `oplex analyze`, the
 bounds suite and the perturbation suite's alpha and edge families all read
-it.
+it. MergedOutcome.fields() names its values once, as the sweep's columns
+and the `oplex analyze` keys.
 """
 
 from __future__ import annotations
@@ -82,6 +83,16 @@ class MergedBoundsReport(NamedTuple):
     upper_bound: float | None
     degrees_matched: bool
 
+    def fields(self) -> dict:
+        """The SLEM and its bounds under the sweep's column names; the upper
+        bound is armed where the degrees match."""
+        return dict(
+            slem=self.slem_c,
+            bound_lower=self.lower_bound,
+            bound_upper=self.upper_bound,
+            bound_armed=self.degrees_matched,
+        )
+
     def checks(self) -> dict[str, bool]:
         """Armed SLEM bounds: the lower always, the upper only for matched degrees."""
         out = {"slem-lower-bound": bool(self.slem_c >= self.lower_bound - SLEM_SLACK)}
@@ -133,6 +144,13 @@ class MergedOutcome(NamedTuple):
     @property
     def note(self) -> str:
         return "" if self.pi is not None else "merged transition not primitive"
+
+    def fields(self) -> dict:
+        """The verdict's values under the sweep's column names, as both the
+        sweep row and `oplex analyze` print them."""
+        lo, hi = self.interval or (None, None)
+        verdict = dict(consensus=self.value, interval_lo=lo, interval_hi=hi, note=self.note)
+        return self.bounds.fields() | verdict
 
     def checks(self) -> dict[str, bool]:
         """The SLEM bounds, the consensus inside the interval where both are

@@ -276,8 +276,14 @@ class LayerGraph:
         fault = first_bad_edge(n, i, j, w)
         if fault is not None:
             raise ValueError(fault[1])
-        rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
-        return cls(Csr.from_entries(n, rows, cols, np.concatenate([w, w])))
+        return _checked_edges_layer(n, i, j, w)
+
+
+def _checked_edges_layer(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> LayerGraph:
+    """The layer with weight w[e] on edge {i[e], j[e]}, for edges that
+    first_bad_edge has passed already."""
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    return LayerGraph(Csr.from_entries(n, rows, cols, np.concatenate([w, w])))
 
 
 def first_bad_edge(
@@ -611,7 +617,7 @@ class EdgeList(NamedTuple):
         fault = first_bad_edge(n, self.i, self.j, self.w, base, allowed)
         if fault is not None:
             raise EdgeListError(f"{self.path}:{self.lines[fault[0]]}: {fault[1]}")
-        return LayerGraph.from_edges(n, self.i - base, self.j - base, self.w)
+        return _checked_edges_layer(n, self.i - base, self.j - base, self.w)
 
 
 def parse_edge_list(path: str | Path) -> EdgeList:

@@ -85,7 +85,8 @@ def simulate(
     """Run the dynamics until t_max or until the update stalls.
 
     runs holds one period as (matrix, repeats) pairs in the order they act;
-    runs of zero repeats are dropped. The period is the repeats' sum, and
+    runs of zero repeats are dropped, and a negative repeat count raises
+    ValueError naming its run. The period is the repeats' sum, and
     step t applies the matrix of the run that phase (t - 1) mod period falls
     in, so nothing grows with a run's length. Stops once the
     successive-difference max norm stays below tol for one full period.
@@ -107,6 +108,9 @@ def simulate(
         raise ValueError("t_max must be at least 1")
     if not 0 < tol <= sys.float_info.max:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    for index, (_, r) in enumerate(runs):
+        if r < 0:
+            raise ValueError(f"run {index} has repeat count {r}; repeats must be >= 0")
     runs = [(m, r) for m, r in runs if r > 0]
     if not runs:
         raise ValueError("schedule must hold at least one matrix")

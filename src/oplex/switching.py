@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .netcore import LayerGraph
+from .netcore import LayerGraph, is_integer
 from .spectral import (
     _KRYLOV_MAX_STEPS,
     _KRYLOV_MIN_N,
@@ -83,6 +83,8 @@ class SwitchingModel:
     def __init__(self, layer1: LayerGraph, layer2: LayerGraph, k: int) -> None:
         if layer1.n != layer2.n:
             raise ValueError(f"layers have different node counts: {layer1.n} vs {layer2.n}")
+        if not is_integer(k):
+            raise ValueError(f"steps per cycle k must be an integer, got {k!r}")
         if k < 0:
             raise ValueError(f"steps per cycle k must be >= 0, got {k}")
         self.layer1 = layer1
@@ -241,6 +243,13 @@ class SwitchingOutcome(NamedTuple):
         if self.period is None:
             return f"cycle has {self.closed_classes} closed classes"
         return "" if self.period == 1 else f"cycle oscillates with period {self.period}"
+
+    def fields(self) -> dict:
+        """The verdict's values under the sweep's column names, as both the
+        sweep row and `oplex analyze` print them: rho_star is the upper
+        bound, armed always."""
+        rate = dict(slem=self.slem_cycle, bound_upper=self.rho_star, bound_armed=True)
+        return rate | dict(consensus=self.value, note=self.note)
 
     def checks(self) -> dict[str, bool]:
         return product_rate_checks(self.slem_cycle, self.rho_star)

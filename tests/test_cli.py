@@ -290,7 +290,7 @@ class TestAnalyzeCommand:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["mode"] == "merged"
-        assert report["slem"] >= report["slem_lower_bound"]
+        assert report["slem"] >= report["bound_lower"]
         assert report["consensus"] is not None
 
     def test_switching_mode_with_dump(self, capsys):
@@ -309,7 +309,8 @@ class TestAnalyzeCommand:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "consensus"
-        assert report["slem_cycle"] <= report["rho_star"] + 1e-9
+        assert report["slem"] <= report["bound_upper"] + 1e-9
+        assert report["bound_armed"] is True
         cycle = np.array(report["cycle"])
         assert cycle.shape == (8, 8)
         assert np.abs(cycle.sum(axis=1) - 1).max() <= 1e-12
@@ -619,6 +620,8 @@ class TestVerifyCommand:
 
 # Checks the sweep arms on the simulated trajectory, on top of the model's own.
 SIMULATION_CHECKS = {"empirical-rate", "simulation-agrees", "decay-law"}
+# Sweep columns of the grid point or the simulated trajectory, not of the verdict.
+SWEEP_ONLY_COLUMNS = {"grid_kind", "grid_value", "empirical_rate", "converged", "assertions_pass"}
 
 
 def write_edge_list(path, layer):
@@ -630,7 +633,8 @@ def write_edge_list(path, layer):
 
 class TestSweepAndAnalyzeAgree:
     """A sweep row and `oplex analyze` on the same model read one verdict:
-    the same check names, outcomes, note and consensus."""
+    the same check names and outcomes, and every verdict column of the row
+    under the same key and value in the report."""
 
     def assert_agree(self, capsys, path_a, path_b, n, model, mode_args):
         config = {
@@ -652,8 +656,13 @@ class TestSweepAndAnalyzeAgree:
             if name not in SIMULATION_CHECKS
         }
         assert report["checks"] == model_checks
-        assert report["note"] == point["note"] == result.rows[0]["note"]
-        assert report["consensus"] == result.rows[0]["consensus"]
+        row = result.rows[0]
+        shared = row.keys() & report.keys()
+        assert shared >= {"slem", "bound_upper", "bound_armed", "consensus", "note"}
+        assert {c: report[c] for c in shared} == {c: row[c] for c in shared}
+        # A verdict column analyze does not print is unset for this model.
+        assert all(row[c] is None for c in row.keys() - shared - SWEEP_ONLY_COLUMNS)
+        assert point["note"] == row["note"]
         assert code == (0 if all(model_checks.values()) else 1)
         return report
 
@@ -671,7 +680,7 @@ class TestSweepAndAnalyzeAgree:
         )
         assert ("primitivity-guarantee" in report["checks"]) == (alpha == 0.5)
         assert "consensus-in-interval" not in report["checks"]
-        assert report["interval"] is None
+        assert report["interval_lo"] is None and report["interval_hi"] is None
         assert (report["note"] == "merged transition not primitive") == (alpha == 0.0)
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0])
@@ -688,8 +697,7 @@ class TestSweepAndAnalyzeAgree:
         )
         assert report["checks"]["consensus-in-interval"] is True
         assert ("primitivity-guarantee" in report["checks"]) == (alpha == 0.3)
-        lo, hi = report["interval"]
-        assert lo <= report["consensus"] <= hi
+        assert report["interval_lo"] <= report["consensus"] <= report["interval_hi"]
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_switching_contact_layers(self, capsys, k):
@@ -703,6 +711,20 @@ class TestSweepAndAnalyzeAgree:
         )
         assert report["checks"] == {"slem-under-rho-star": True}
         assert report["note"] == ("cycle oscillates with period 2" if k == 0 else "")
+
+    def test_merged_isolated_node_in_one_layer(self, tmp_path, capsys):
+        # Layer 2 has no SLEM, so the upper bound is unset: empty in the
+        # sweep, null in the report.
+        ring, triangle = TestIsolatedNodeInOneLayer.write_layers(tmp_path)
+        report = self.assert_agree(
+            capsys,
+            ring,
+            triangle,
+            5,
+            {"kind": "merged", "alphas": [0.5]},
+            ["--mode", "merged", "--alpha", "0.5"],
+        )
+        assert report["bound_upper"] is None and report["bound_armed"] is False
 
 
 CONTACT_ARGS = [
@@ -783,7 +805,7 @@ class TestExactSlemOne:
         assert out.returncode == 0, out.stderr
         report = json.loads(out.stdout)
         assert report["checks"] == {"slem-under-rho-star": True}
-        assert report["rho_star"] == pytest.approx(1 / 3, abs=1e-15)
+        assert report["bound_upper"] == pytest.approx(1 / 3, abs=1e-15)
         peak_mb = int(out.stderr.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
         assert peak_mb < 100
 
@@ -811,8 +833,8 @@ class TestIsolatedNodeInOneLayer:
         code = main(argv + ["--mode", "merged", "--alpha", "0.5", "--n", "5"])
         assert code == 0
         report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
-        assert report["slem_upper_bound"] is None
-        assert report["degrees_matched"] is False
+        assert report["bound_upper"] is None
+        assert report["bound_armed"] is False
 
     def test_sweep_leaves_bound_upper_empty(self, tmp_path):
         ring, triangle = self.write_layers(tmp_path)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oplex import netcore
 from oplex.netcore import (
     Csr,
     EdgeListError,
@@ -16,6 +17,7 @@ from oplex.netcore import (
     LayerGraph,
     _choice_without_replacement,
     build_layer,
+    first_bad_edge,
     generate,
     load_edge_list,
     load_two_layer_dataset,
@@ -360,6 +362,17 @@ class TestEdgeListLoading:
         f.write_bytes(data)
         with pytest.raises(EdgeListError, match=f"^{re.escape(str(f))}:{line}: byte 0x"):
             load_edge_list(f, n=3)
+
+    def test_edge_rules_run_once_per_file(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return first_bad_edge(*args, **kwargs)
+
+        monkeypatch.setattr(netcore, "first_bad_edge", counting)
+        load_two_layer_dataset(DATA / "contact_layer_a.txt", DATA / "contact_layer_b.txt", 8)
+        assert calls == [8, 8]
 
     def test_empty_file_loads_as_a_layer_with_no_edges(self, tmp_path):
         f = tmp_path / "a.txt"

@@ -77,6 +77,11 @@ class TestSimulate:
             with pytest.raises(ValueError, match="at least one matrix"):
                 simulate(runs, X0)
 
+    def test_rejects_a_negative_repeat_count(self):
+        a, b = (transition_matrix(layer) for layer in triangle_pair())
+        with pytest.raises(ValueError, match="^run 0 has repeat count -1; repeats must be >= 0$"):
+            simulate([(a, -1), (b, 3)], X0, t_max=5)
+
     def test_rejects_t_max_below_one(self):
         matrix, _ = triangle_setup()
         with pytest.raises(ValueError, match="^t_max must be at least 1$"):

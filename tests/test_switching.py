@@ -68,6 +68,13 @@ class TestConstructor:
         with pytest.raises(ValueError, match="^steps per cycle k must be >= 0, got -1$"):
             SwitchingModel(*triangle_pair(), -1)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, True])
+    def test_rejects_k_that_is_not_an_integer(self, k):
+        # Unchecked, such a k constructs and fails only in analyze, with a
+        # TypeError from the square-and-multiply power.
+        with pytest.raises(ValueError, match=f"^steps per cycle k must be an integer, got {k!r}$"):
+            SwitchingModel(*triangle_pair(), k)
+
     @pytest.mark.parametrize("isolated_in", [1, 2])
     def test_rejects_node_isolated_in_a_layer(self, isolated_in):
         layers = [build_layer(3, [(0, 1, 1), (1, 2, 1)]), build_layer(3, [(0, 1, 1)])]
