@@ -6,9 +6,10 @@ two-layer dataset), the initial opinions, and stopping parameters. Each
 grid point takes its model's verdict (bounds, predicted consensus, note
 and armed checks) from merged.analyze or switching.analyze, the same one
 `oplex analyze` reports under the same names (the outcome's fields()),
-then simulates a trajectory and arms the checks on it; grid points that
-reach no consensus, or where a node is isolated, are recorded with a note,
-not fatal. All output is deterministic for a fixed config
+then simulates a trajectory, arms the checks on it and writes its
+trajectory file, so one grid point's trajectory is held at a time; grid
+points that reach no consensus, or where a node is isolated, are recorded
+with a note, not fatal. All output is deterministic for a fixed config
 (17-significant-digit floats, no timestamps), so reruns are byte-identical.
 """
 
@@ -280,7 +281,6 @@ def resolve_x0(config: ExperimentConfig, n: int) -> np.ndarray:
 class GridPointResult(NamedTuple):
     row: dict
     assertions: dict[str, bool]
-    trajectory: OpinionTrajectory | None
 
 
 class ExperimentResult(NamedTuple):
@@ -353,12 +353,14 @@ _GRIDS = {
 }
 
 
-def _grid_point(grid_kind, grid_value, build, layers, x0, config) -> GridPointResult:
+def _grid_point(grid_kind, grid_value, build, layers, x0, config, traj_dir) -> GridPointResult:
     """Build one grid point's model by build(layers, grid_value, x0),
     simulate it, and check it.
 
     A node isolated where the model needs a neighborhood makes a degenerate
     grid point: its row carries the error as the note and arms no assertion.
+    The trajectory file goes to traj_dir, if given, as soon as the
+    point is checked, so no trajectory outlives its grid point.
     """
     row = dict.fromkeys(SWEEP_COLUMNS)
     row.update(grid_kind=grid_kind, grid_value=grid_value)
@@ -366,7 +368,7 @@ def _grid_point(grid_kind, grid_value, build, layers, x0, config) -> GridPointRe
         point = build(layers, grid_value, x0)
     except IsolatedNodeError as exc:
         row.update(converged=False, assertions_pass=True, note=str(exc))
-        return GridPointResult(row=row, assertions={}, trajectory=None)
+        return GridPointResult(row=row, assertions={})
     row.update(point.columns)
     consensus = row["consensus"]
     trajectory = simulate(
@@ -375,7 +377,7 @@ def _grid_point(grid_kind, grid_value, build, layers, x0, config) -> GridPointRe
         t_max=config.t_max,
         tol=config.tol,
         pi=point.pi,
-        record_states=config.record_opinions and "trajectories" in config.outputs,
+        record_states=config.record_opinions and traj_dir is not None,
     )
     assertions = point.assertions
     empirical = None
@@ -397,7 +399,10 @@ def _grid_point(grid_kind, grid_value, build, layers, x0, config) -> GridPointRe
         converged=trajectory.converged,
         assertions_pass=all(assertions.values()),
     )
-    return GridPointResult(row=row, assertions=assertions, trajectory=trajectory)
+    if traj_dir is not None:
+        name = f"trajectory_{grid_kind}_{grid_value}.csv"
+        _write_trajectory_csv(_unlinked(traj_dir / name), trajectory, x0.shape[0])
+    return GridPointResult(row=row, assertions=assertions)
 
 
 def run_experiment(raw: dict, out_dir: str | Path | None = None) -> ExperimentResult:
@@ -414,7 +419,8 @@ def run_experiment(raw: dict, out_dir: str | Path | None = None) -> ExperimentRe
     x0 = resolve_x0(config, n)
 
     grid_kind, build = _GRIDS[config.model_kind]
-    points = [_grid_point(grid_kind, v, build, layers, x0, config) for v in config.grid]
+    traj_dir = out_path if "trajectories" in config.outputs else None
+    points = [_grid_point(grid_kind, v, build, layers, x0, config, traj_dir) for v in config.grid]
 
     all_passed = all(all(p.assertions.values()) for p in points)
     summary = {
@@ -438,11 +444,6 @@ def run_experiment(raw: dict, out_dir: str | Path | None = None) -> ExperimentRe
     if out_path is not None:
         if "sweep" in config.outputs:
             _write_sweep_csv(_unlinked(out_path / "sweep.csv"), points)
-        if "trajectories" in config.outputs:
-            for p in points:
-                if p.trajectory is not None:
-                    name = f"trajectory_{p.row['grid_kind']}_{p.row['grid_value']}.csv"
-                    _write_trajectory_csv(_unlinked(out_path / name), p.trajectory, n)
         if "summary" in config.outputs:
             import json
 

@@ -24,7 +24,10 @@ ms whatever n is.
 decay_check() pins the error series against the geometric bound rho^t
 (pi-norm) and its max-norm corollary with the explicit constant
 1/sqrt(pi_min). fit_rate() recovers the empirical geometric rate of a
-positive error series by least squares on the logs.
+positive error series by least squares on the logs, as a centered two-pass
+slope. Both read the series _BLOCK_CELLS entries at a time, so once a run
+is simulated the memory they use does not grow with its length; only the
+error series itself does, two floats per step.
 """
 
 from __future__ import annotations
@@ -200,20 +203,25 @@ def decay_check(trajectory: OpinionTrajectory, rho: float) -> DecayCheckResult:
 
     pi-norm: ||e(t)||_pi <= rho^t ||e(0)||_pi. Max norm: ||e(t)||_max <=
     rho^t ||e(0)||_pi / sqrt(pi_min). Both with 1e-12 additive slack;
-    margin is the smallest slack observed (negative means failure).
+    margin is the smallest slack observed (negative means failure). The
+    bounds are built _BLOCK_CELLS steps at a time, so the work memory does
+    not grow with the series.
     """
-    if trajectory.errors_pi is None:
+    errors_pi, errors_max = trajectory.errors_pi, trajectory.errors_max
+    if errors_pi is None:
         raise ValueError("decay check requires a trajectory with a consensus target")
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    t = np.arange(trajectory.errors_pi.shape[0])
-    e0_pi = trajectory.errors_pi[0]
-    bound_pi = rho**t * e0_pi
-    pi_min = float(trajectory.pi.min())
-    bound_max = bound_pi / np.sqrt(pi_min)
-    slack_pi = bound_pi + 1e-12 - trajectory.errors_pi
-    slack_max = bound_max + 1e-12 - trajectory.errors_max
-    margin = float(min(slack_pi.min(), slack_max.min()))
+    e0_pi = errors_pi[0]
+    root_pi_min = np.sqrt(float(trajectory.pi.min()))
+    margin = np.inf
+    for start in range(0, errors_pi.shape[0], _BLOCK_CELLS):
+        chunk = errors_pi[start : start + _BLOCK_CELLS]
+        bound_pi = rho ** np.arange(start, start + chunk.shape[0]) * e0_pi
+        slack_pi = bound_pi + 1e-12 - chunk
+        slack_max = bound_pi / root_pi_min + 1e-12 - errors_max[start : start + _BLOCK_CELLS]
+        margin = min(margin, slack_pi.min(), slack_max.min())
+    margin = float(margin)
     return DecayCheckResult(passed=bool(margin >= 0.0), margin=margin)
 
 
@@ -222,12 +230,30 @@ def fit_rate(errors: Sequence[float]) -> float:
 
     Fits log e(t) against t over the entries above FIT_FLOOR. Requires at
     least 5 usable entries. Drop transients before calling; for per-cycle rates
-    pass the series subsampled at cycle boundaries.
+    pass the series subsampled at cycle boundaries. The slope is the centered
+    sum of (t - mean t)(log e - mean log e) over that of (t - mean t)^2, with
+    the means taken in a first pass (Chan, Golub & LeVeque 1983); both passes
+    read the series _BLOCK_CELLS entries at a time and build nothing longer.
     """
     series = np.asarray(errors, dtype=float)
-    index = np.arange(series.shape[0])
-    keep = series > FIT_FLOOR
-    if keep.sum() < 5:
+
+    def kept():
+        for start in range(0, series.shape[0], _BLOCK_CELLS):
+            chunk = series[start : start + _BLOCK_CELLS]
+            keep = chunk > FIT_FLOOR
+            yield np.flatnonzero(keep) + start, np.log(chunk[keep])
+
+    count = sum_t = sum_y = 0
+    for t, y in kept():
+        count += t.shape[0]
+        sum_t += int(t.sum())
+        sum_y += y.sum()
+    if count < 5:
         raise ValueError("rate fit needs at least 5 strictly positive error entries")
-    slope = np.polyfit(index[keep], np.log(series[keep]), 1)[0]
-    return float(np.exp(slope))
+    mean_t, mean_y = sum_t / count, sum_y / count
+    sxy = sxx = 0.0
+    for t, y in kept():
+        dt = t - mean_t
+        sxy += dt @ (y - mean_y)
+        sxx += dt @ dt
+    return float(np.exp(sxy / sxx))

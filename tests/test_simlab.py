@@ -435,3 +435,108 @@ class TestFitRate:
     def test_rejects_nonpositive_series(self):
         with pytest.raises(ValueError, match="at least 5"):
             fit_rate([0.0] * 10)
+
+
+def polyfit_rate(errors):
+    """The rate as np.polyfit fits it on whole-series arrays: the reference."""
+    series = np.asarray(errors, dtype=float)
+    index = np.arange(series.shape[0])
+    keep = series > simlab.FIT_FLOOR
+    return float(np.exp(np.polyfit(index[keep], np.log(series[keep]), 1)[0]))
+
+
+def whole_series_margin(trajectory, rho):
+    """decay_check's margin from bounds built over the whole series: the reference."""
+    t = np.arange(trajectory.errors_pi.shape[0])
+    bound_pi = rho**t * trajectory.errors_pi[0]
+    bound_max = bound_pi / np.sqrt(float(trajectory.pi.min()))
+    slack_pi = bound_pi + 1e-12 - trajectory.errors_pi
+    slack_max = bound_max + 1e-12 - trajectory.errors_max
+    return float(min(slack_pi.min(), slack_max.min()))
+
+
+def noisy_trajectory(steps, rate=0.9995, seed=0):
+    """errors_pi = rate^t times noise in (0.5, 1], errors_max 1.5 times that,
+    on a uniform pi over 4 nodes: the decay law holds at rho = rate."""
+    rng = np.random.default_rng(seed)
+    errors_pi = rate ** np.arange(steps + 1) * (1.0 - 0.5 * rng.random(steps + 1))
+    errors_pi[0] = 1.0
+    return simlab.OpinionTrajectory(
+        None, np.zeros(4), errors_pi, 1.5 * errors_pi, np.full(4, 0.25), True, steps
+    )
+
+
+CHUNK = simlab._BLOCK_CELLS
+CHUNK_LENGTHS = [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
+
+
+class TestChunkedAgreement:
+    """fit_rate and decay_check read the series in chunks of _BLOCK_CELLS;
+    they must give the whole-series results on every cut."""
+
+    def assert_fit_agrees(self, series):
+        assert fit_rate(series) == pytest.approx(polyfit_rate(series), rel=1e-12, abs=0)
+
+    def test_fit_on_the_slow_ring(self):
+        # The slow-mixing ring circulant(300, [1, 2]) from an opinion wave:
+        # about 34,500 steps, so the series spans two chunks.
+        n = 300
+        layer = generate(GeneratorSpec(kind="circulant", n=n, offsets=(1, 2)))
+        rng = np.random.default_rng(1)
+        x0 = 0.5 + 0.3 * np.cos(2 * np.pi * np.arange(n) / n + 1.0) + rng.uniform(-0.1, 0.1, n)
+        traj = simulate([(transition_matrix(layer), 1)], x0, pi=stationary_from_degrees(layer))
+        assert traj.converged and traj.steps > CHUNK
+        self.assert_fit_agrees(traj.errors_pi[5:])
+
+    def test_fit_on_a_strided_switching_subsample(self):
+        rings = [
+            generate(GeneratorSpec(kind="circulant", n=100, offsets=offsets))
+            for offsets in ((1, 2), (1, 3))
+        ]
+        k = 2
+        model = SwitchingModel(*rings, k)
+        x0 = np.random.default_rng(2).random(100)
+        traj = simulate(model.matrix_runs, x0, pi=analyze(model, x0).pi)
+        per_cycle = traj.errors_max[:: k + 1][2:]
+        assert per_cycle.base is not None and not per_cycle.flags.c_contiguous
+        self.assert_fit_agrees(per_cycle)
+
+    @pytest.mark.parametrize("length", CHUNK_LENGTHS)
+    def test_fit_at_chunk_edges_with_floor_entries(self, length):
+        rng = np.random.default_rng(length)
+        series = 0.9995 ** np.arange(length) * np.exp(0.3 * rng.standard_normal(length))
+        series[::7] = simlab.FIT_FLOOR
+        series[::11] = simlab.FIT_FLOOR / 2
+        series[::13] = 0.0
+        self.assert_fit_agrees(series)
+        strided = np.repeat(series, 3)[1::3]
+        assert np.array_equal(strided, series)
+        self.assert_fit_agrees(strided)
+
+    @pytest.mark.parametrize("length", CHUNK_LENGTHS)
+    def test_decay_margin_is_bit_for_bit(self, length):
+        traj = noisy_trajectory(length - 1)
+        for rho, passed in ((0.9995, True), (0.999, False)):
+            result = decay_check(traj, rho)
+            assert result.margin == whole_series_margin(traj, rho)
+            assert result.passed is passed
+
+
+class TestLongSeriesMemory:
+    # A 10^6-step series takes 8 MB per norm. Whole-series arrays (a mask, an
+    # index, the logs, the bounds) peaked at 70 MB for the fit and 38 MB for
+    # the decay law; chunks of _BLOCK_CELLS stay near 1.5 MB.
+    @pytest.mark.parametrize(
+        "check",
+        [lambda traj: fit_rate(traj.errors_pi[5:]), lambda traj: decay_check(traj, 0.9995)],
+        ids=["fit_rate", "decay_check"],
+    )
+    def test_no_array_as_long_as_the_series(self, check):
+        traj = noisy_trajectory(10**6)
+        tracemalloc.start()
+        try:
+            check(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
