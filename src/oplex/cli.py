@@ -69,7 +69,11 @@ def _json(report: dict) -> str:
 
 def _cmd_simulate(args) -> tuple[int, str]:
     try:
-        result = run_experiment(json.loads(Path(args.config).read_text()), args.out)
+        try:
+            raw = json.loads(Path(args.config).read_text())
+        except RecursionError:  # json.loads recurses once per nesting level
+            raise ConfigError("<root>: nested too deep for the JSON decoder") from None
+        result = run_experiment(raw, args.out)
     except (ConfigError, EdgeListError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"simulate: bad input: {exc}", file=sys.stderr)
         return 2, ""

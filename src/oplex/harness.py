@@ -4,9 +4,10 @@ A config declares the model (single layer, merged over an alpha grid, or
 switching over a k grid), how to obtain the two layers (generators or a
 two-layer dataset), the initial opinions, and stopping parameters. Each
 grid point takes its model's verdict (bounds, predicted consensus, note
-and armed checks) from merged.analyze or switching.analyze, the same one
-`oplex analyze` reports under the same names (the outcome's fields()),
-then simulates a trajectory, arms the checks on it and writes its
+and armed checks) from its outcome: merged.analyze_layer for a single
+layer, merged.analyze or switching.analyze, the last two the same ones
+`oplex analyze` reports under the same names (the outcome's fields()).
+It then simulates a trajectory, arms the checks on it and writes its
 trajectory file, so one grid point's trajectory is held at a time; grid
 points that reach no consensus, or where a node is isolated, are recorded
 with a note, not fatal. All output is deterministic for a fixed config
@@ -22,7 +23,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .merged import analyze as analyze_merged
-from .merged import MergedModel
+from .merged import LayerOutcome, MergedModel, MergedOutcome, analyze_layer
 from .netcore import (
     GeneratorSpec,
     IsolatedNodeError,
@@ -34,17 +35,9 @@ from .netcore import (
     load_two_layer_dataset,
 )
 from .simlab import DEFAULT_T_MAX, DEFAULT_TOL, OpinionTrajectory, decay_check, fit_rate, simulate
-from .spectral import slem_reversible
-from .stochastic import (
-    StationaryDistribution,
-    TransitionMatrix,
-    consensus_value,
-    is_primitive,
-    stationary_from_degrees,
-    transition_matrix,
-)
+from .stochastic import TransitionMatrix, transition_matrix
 from .switching import analyze as analyze_switching
-from .switching import SwitchingModel
+from .switching import SwitchingModel, SwitchingOutcome
 
 SWEEP_COLUMNS = [
     "grid_kind",
@@ -138,6 +131,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
             if kind == "switching" and not (is_integer(v) and v >= 0):
                 _fail(f"model.ks[{i}]", "must be an integer >= 0")
         grid = tuple(float(v) if kind == "merged" else int(v) for v in values)
+        # Each grid point writes its trajectory file under its value, so a
+        # repeat (0 and 0.0 included) would overwrite an earlier point's.
+        first = {}
+        for i, v in enumerate(grid):
+            if first.setdefault(v, i) != i:
+                _fail(f"model.{field}[{i}]", f"repeats model.{field}[{first[v]}] ({v})")
 
     layers = raw.get("layers")
     layer_specs = dataset = None
@@ -292,17 +291,16 @@ class ExperimentResult(NamedTuple):
 class _GridModel(NamedTuple):
     """What one model kind supplies for a grid point; _grid_point does the rest.
 
-    columns fills the model's sweep columns (slem, bounds, consensus,
-    interval, note), for merged and switching their outcome's fields(), and
-    assertions holds its own armed checks. The error series
+    outcome is the model's verdict: its fields() fill the model's sweep
+    columns (slem, bounds, consensus, interval, note), its checks() are the
+    model's own armed checks, and its pi, if set, is the consensus the
+    simulation measures its errors against. The error series
     rate_errors(trajectory), transients already dropped, is fitted to a rate
     that must stay under rate_bound. decay_rho arms the decay law.
     """
 
-    columns: dict
-    assertions: dict[str, bool]
+    outcome: LayerOutcome | MergedOutcome | SwitchingOutcome
     runs: list[tuple[TransitionMatrix, int]]
-    pi: StationaryDistribution | None
     rate_bound: float
     rate_errors: Callable[[OpinionTrajectory], np.ndarray] = lambda traj: traj.errors_pi[5:]
     decay_rho: float | None = None
@@ -311,18 +309,15 @@ class _GridModel(NamedTuple):
 def _merged_model(layers, alpha, x0) -> _GridModel:
     model = MergedModel(layers[0], layers[1], alpha)
     outcome = analyze_merged(model, x0)
-    fields = outcome.fields()
-    return _GridModel(fields, outcome.checks(), [(model.transition, 1)], outcome.pi, fields["slem"])
+    return _GridModel(outcome, [(model.transition, 1)], outcome.bounds.slem_c)
 
 
 def _switching_model(layers, k, x0) -> _GridModel:
     model = SwitchingModel(layers[0], layers[1], k)
     outcome = analyze_switching(model, x0)
     return _GridModel(
-        outcome.fields(),
-        outcome.checks(),
+        outcome,
         model.matrix_runs,
-        pi=outcome.pi,
         # The proved per-cycle decay bound is rho_star; the cycle SLEM is the
         # asymptotic rate but a finite-window fit may land slightly above it.
         rate_bound=outcome.rho_star,
@@ -331,18 +326,10 @@ def _switching_model(layers, k, x0) -> _GridModel:
 
 
 def _single_model(layers, _, x0) -> _GridModel:
-    matrix = transition_matrix(layers[0])
-    slem = slem_reversible(layers[0]).slem
-    consensus = pi = decay_rho = None
-    note = ""
-    if is_primitive(matrix):
-        pi = stationary_from_degrees(layers[0])
-        consensus = consensus_value(pi, x0)
-        decay_rho = slem if slem < 1.0 else None
-    else:
-        note = "layer transition not primitive"
-    columns = dict(slem=slem, bound_armed=False, consensus=consensus, note=note)
-    return _GridModel(columns, {}, [(matrix, 1)], pi=pi, rate_bound=slem, decay_rho=decay_rho)
+    outcome = analyze_layer(layers[0], x0)
+    slem = outcome.slem
+    decay_rho = slem if outcome.pi is not None and slem < 1.0 else None
+    return _GridModel(outcome, [(transition_matrix(layers[0]), 1)], slem, decay_rho=decay_rho)
 
 
 # Each model kind's grid_kind column and the builder of its grid points.
@@ -369,17 +356,18 @@ def _grid_point(grid_kind, grid_value, build, layers, x0, config, traj_dir) -> G
     except IsolatedNodeError as exc:
         row.update(converged=False, assertions_pass=True, note=str(exc))
         return GridPointResult(row=row, assertions={})
-    row.update(point.columns)
-    consensus = row["consensus"]
+    outcome = point.outcome
+    row.update(outcome.fields())
+    consensus = outcome.value
     trajectory = simulate(
         point.runs,
         x0,
         t_max=config.t_max,
         tol=config.tol,
-        pi=point.pi,
+        pi=outcome.pi,
         record_states=config.record_opinions and traj_dir is not None,
     )
-    assertions = point.assertions
+    assertions = outcome.checks()
     empirical = None
     if consensus is not None:
         try:

@@ -12,6 +12,13 @@ consensus and the layer-consensus interval: the sweep, `oplex analyze`, the
 bounds suite and the perturbation suite's alpha and edge families all read
 it. MergedOutcome.fields() names its values once, as the sweep's columns
 and the `oplex analyze` keys.
+
+Both endpoints are single layers, averaged as in DeGroot's model, and
+analyze_layer gives one layer's verdict (its SLEM, and pi and the consensus
+where it is primitive) as a LayerOutcome. It is the one source of it: the
+single-layer sweep row, the ends of the merged interval and the layer
+primitivity behind the guarantee, and the verify suites' layer consensuses
+and geometric-decay law all read it.
 """
 
 from __future__ import annotations
@@ -127,6 +134,38 @@ def slem_bounds(model: MergedModel) -> MergedBoundsReport:
     )
 
 
+class LayerOutcome(NamedTuple):
+    """Where averaging on one layer goes (DeGroot): its SLEM, and pi and the
+    consensus pi . x0, set iff the layer is primitive. A single layer arms no
+    check of its own; its sweep row arms the simulation's."""
+
+    slem: float
+    pi: StationaryDistribution | None
+    value: float | None
+
+    @property
+    def note(self) -> str:
+        return "" if self.pi is not None else "layer transition not primitive"
+
+    def fields(self) -> dict:
+        """The verdict's values under the sweep's column names."""
+        return dict(slem=self.slem, bound_armed=False, consensus=self.value, note=self.note)
+
+    def checks(self) -> dict[str, bool]:
+        return {}
+
+
+def analyze_layer(layer: LayerGraph, x0: np.ndarray) -> LayerOutcome:
+    """One layer's verdict: its SLEM, and pi from the degrees and pi . x0
+    where it is primitive. IsolatedNodeError where a node has no neighbour."""
+    pi = stationary_from_degrees(layer) if is_primitive(transition_matrix(layer)) else None
+    return LayerOutcome(
+        slem=slem_reversible(layer).slem,
+        pi=pi,
+        value=None if pi is None else consensus_value(pi, x0),
+    )
+
+
 class MergedOutcome(NamedTuple):
     """Where the merged dynamics goes, with the model's armed checks.
 
@@ -166,33 +205,31 @@ class MergedOutcome(NamedTuple):
         return out
 
 
-def _layer_primitive(layer: LayerGraph) -> bool:
-    try:
-        return is_primitive(transition_matrix(layer))
-    except IsolatedNodeError:
-        return False  # an isolated node has no averaging neighborhood
-
-
 def analyze(model: MergedModel, x0: np.ndarray) -> MergedOutcome:
     """The merged verdict: SLEM bounds, consensus pi . x0, the layer-consensus
     interval and the primitivity guarantee.
 
     pi comes from the blended degrees, which stays defined when a node is
     isolated in one layer only; pi . x0 equals the convex combination of the
-    layer consensuses weighted by alpha|E1| and (1-alpha)|E2|.
+    layer consensuses weighted by alpha|E1| and (1-alpha)|E2|. The interval's
+    ends and the layers' primitivity come from their own outcomes.
     """
     x = check_opinions(x0, model.merged_layer.n)
-    layers = (model.layer1, model.layer2)
-    primitive = [_layer_primitive(layer) for layer in layers]
+    ends = [_layer_value(layer, x) for layer in (model.layer1, model.layer2)]
     pi = stationary_from_degrees(model.merged_layer) if is_primitive(model.transition) else None
-    interval = None
-    if all(primitive):
-        ends = [consensus_value(stationary_from_degrees(layer), x) for layer in layers]
-        interval = (min(ends), max(ends))
+    primitive = [value is not None for value in ends]
     return MergedOutcome(
         bounds=slem_bounds(model),
         pi=pi,
         value=None if pi is None else consensus_value(pi, x),
-        interval=interval,
+        interval=(min(ends), max(ends)) if all(primitive) else None,
         guaranteed=0.0 < model.alpha < 1.0 and any(primitive),
     )
+
+
+def _layer_value(layer: LayerGraph, x: np.ndarray) -> float | None:
+    """A layer's consensus, None where it has none."""
+    try:
+        return analyze_layer(layer, x).value
+    except IsolatedNodeError:
+        return None  # an isolated node has no averaging neighborhood

@@ -5,7 +5,9 @@ frozen expected values; "bounds" samples random layer pairs and checks the
 consensus interval, the SLEM bounds, the product-rate bound, and the
 geometric decay law; "perturbation" checks the exact stationary-shift
 identity and four small-perturbation scaling laws, which it reads off the
-merged and switching verdicts (merged.analyze, switching.analyze).
+merged and switching verdicts (merged.analyze, switching.analyze). A single
+layer's pi, SLEM and consensus, as the decay law and the perturbation
+families take them, come from its verdict (merged.analyze_layer).
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ import numpy as np
 
 from . import fixtures
 from .merged import analyze as analyze_merged
-from .merged import MergedModel, MergedOutcome, slem_bounds
+from .merged import MergedModel, MergedOutcome, analyze_layer, slem_bounds
 from .netcore import LayerGraph
 from .perturb import fit_shift_family, stationary_shift
 from .simlab import decay_check, simulate
 from .spectral import eig_moduli_nonsymmetric, slem_reversible
 from .stochastic import (
     TransitionMatrix,
-    consensus_value,
     is_primitive,
     stationary_from_degrees,
     stationary_general,
@@ -437,19 +438,11 @@ def run_bounds_suite(n_instances: int = 200, seed: int = BOUNDS_SUITE_SEED) -> l
                     f"instance {idx}: k={k} slem {slem_cycle} above rho* {star}",
                 )
 
-        a_matrix = transition_matrix(layer1)
-        pi = stationary_from_degrees(layer1)
-        trajectory = simulate(
-            [(a_matrix, 1)],
-            x0,
-            t_max=20000,
-            tol=1e-13,
-            pi=pi,
-            record_states=False,
-        )
-        rho_a = slem_reversible(layer1).slem
-        if rho_a < 1.0:
-            check = decay_check(trajectory, rho_a)
+        layer_a = analyze_layer(layer1, x0)
+        runs = [(transition_matrix(layer1), 1)]
+        trajectory = simulate(runs, x0, t_max=20000, tol=1e-13, pi=layer_a.pi, record_states=False)
+        if layer_a.slem < 1.0:
+            check = decay_check(trajectory, layer_a.slem)
             if not check.passed:
                 fail("bounds/geometric-decay", f"instance {idx}: decay margin {check.margin}")
 
@@ -513,14 +506,15 @@ def run_perturbation_suite(
     # consensus from layer 1's.
     tri1, tri2 = fixtures.triangle_pair()
     x0 = np.array([1.0, 0.0, 0.0])
-    x1 = consensus_value(stationary_from_degrees(tri1), x0)
+    layer_a = analyze_layer(tri1, x0)
+    x1 = layer_a.value
 
     # Merged consensus approaches layer 1 linearly in (1 - alpha), under
     # |E2| / min(|E1|, |E2|) |x2 - x1| (1 - alpha).
     alphas = 1.0 - np.array([1e-1, 1e-2, 1e-3, 1e-4])
     outcomes = [analyze_merged(MergedModel(tri1, tri2, a), x0) for a in alphas]
     deviations = consensus_deviations(outcomes, x1)
-    x2 = consensus_value(stationary_from_degrees(tri2), x0)
+    x2 = analyze_layer(tri2, x0).value
     e1, e2 = tri1.total_edge_weight, tri2.total_edge_weight
     bound = e2 / min(e1, e2) * abs(x2 - x1) * (1.0 - alphas) + 1e-12
     slope = np.polyfit(np.log(1.0 - alphas), np.log(deviations), 1)[0]
@@ -546,7 +540,7 @@ def run_perturbation_suite(
     # Switching consensus approaches layer 1 geometrically in k, at a ratio
     # at most 5% above rho2(A); cycles without consensus drop out.
     ks = np.arange(1, 9)
-    rho_a = slem_reversible(tri1).slem
+    rho_a = layer_a.slem
     outcomes = [analyze(SwitchingModel(tri1, tri2, int(k)), x0) for k in ks]
     deviations = consensus_deviations(outcomes, x1)
     usable = deviations > 1e-13  # False at NaN

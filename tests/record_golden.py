@@ -8,6 +8,8 @@ writes them to tests/golden/, one file per report:
 - `oplex analyze --dump` on the contact layers (n = 8, x0 seed 3): switching
   at k = 0, 1 and 2, merged at alpha = 0.5;
 - the switching and merged sweep scripts' reports;
+- a single-layer sweep on the primitive ring circulant(12, [1, 2]) (x0 seed
+  3, opinions recorded), so its decay law is armed;
 - the selection script's extract and report at `--ks 2 3`.
 
 tests/test_golden.py regenerates them in a temporary directory and compares.
@@ -27,6 +29,12 @@ GOLDEN = TESTS / "golden"
 SCRIPTS = TESTS.parent / "scripts"
 LAYER_A = str(TESTS / "data" / "contact_layer_a.txt")
 LAYER_B = str(TESTS / "data" / "contact_layer_b.txt")
+SINGLE_SWEEP = {
+    "model": {"kind": "single"},
+    "layers": [{"kind": "circulant", "n": 12, "offsets": [1, 2]}],
+    "x0": {"kind": "uniform", "seed": 3},
+    "record_opinions": True,
+}
 ANALYZE = ["analyze", "--layer1", LAYER_A, "--layer2", LAYER_B, "--n", "8", "--x0", "3", "--dump"]
 
 
@@ -52,6 +60,8 @@ def _script(name: str, argv: list[str]) -> None:
 
 def record(out: Path) -> None:
     """Write every golden report under out."""
+    from oplex.harness import run_experiment
+
     out.mkdir(parents=True, exist_ok=True)
     for suite in ("examples", "bounds", "perturbation"):
         (out / f"verify_{suite}.txt").write_text(_cli(["verify", "--suite", suite]))
@@ -64,6 +74,7 @@ def record(out: Path) -> None:
     _script("run_switching_sweep.py", [*sweep, "--out", str(out / "switching_sweep")])
     sweep = ["--n", "40", "--alphas", "0.25", "0.5", "0.75"]
     _script("run_merged_sweep.py", [*sweep, "--out", str(out / "merged_sweep")])
+    run_experiment(SINGLE_SWEEP, out / "single_sweep")
     select = ["--layer-a", LAYER_A, "--layer-b", LAYER_B, "--n", "8", "--ks", "2", "3", "--min-size", "4"]
     _script("select_dataset_subset.py", [*select, "--out", str(out / "select_k23")])
 

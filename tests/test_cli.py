@@ -182,6 +182,14 @@ class TestSimulateCommand:
         config.write_bytes(b"\xff\xfe not utf-8")
         assert_bad_input(capsys, ["simulate", "--config", str(config), "--out", str(tmp_path)])
 
+    def test_deeply_nested_config_exits_two(self, tmp_path, capsys):
+        # json.loads recurses once per nesting level, so this raises
+        # RecursionError in the decoder: bad input, not a crash.
+        config = tmp_path / "config.json"
+        config.write_text("[" * 100_000)
+        err = assert_bad_input(capsys, ["simulate", "--config", str(config), "--out", str(tmp_path)])
+        assert err == "simulate: bad input: <root>: nested too deep for the JSON decoder\n"
+
     def test_missing_dataset_file_exits_two(self, tmp_path, capsys):
         raw = dict(
             SMALL_MERGED,

@@ -11,11 +11,13 @@ from oplex.harness import (
     ConfigError,
     _fmt,
     _write_trajectory_csv,
+    build_layers,
     config_hash,
     parse_config,
     resolve_x0,
     run_experiment,
 )
+from oplex.merged import analyze_layer
 from oplex.simlab import OpinionTrajectory
 from oplex.spectral import _KRYLOV_MIN_N
 
@@ -121,6 +123,32 @@ class TestConfigValidation:
         raw = merged_config(model={"kind": "single"})
         with pytest.raises(ConfigError, match="exactly 1"):
             parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            pytest.param(
+                {"kind": "merged", "alphas": [0.5, 0.5, 0.50]},
+                r"^model\.alphas\[1\]: repeats model\.alphas\[0\] \(0\.5\)$",
+                id="alphas",
+            ),
+            pytest.param(
+                {"kind": "merged", "alphas": [0.25, 0, 0.0]},
+                r"^model\.alphas\[2\]: repeats model\.alphas\[1\] \(0\.0\)$",
+                id="alphas-int-and-float",
+            ),
+            pytest.param(
+                {"kind": "switching", "ks": [1, 2, 1]},
+                r"^model\.ks\[2\]: repeats model\.ks\[0\] \(1\)$",
+                id="ks",
+            ),
+        ],
+    )
+    def test_repeated_grid_value_rejected(self, model, message):
+        # Each grid point writes its trajectory file under its grid value, so
+        # a repeat would overwrite the file of the point before it.
+        with pytest.raises(ConfigError, match=message):
+            parse_config(merged_config(model=model))
 
     @pytest.mark.parametrize(
         "raw, path",
@@ -342,6 +370,20 @@ class TestRunExperiment:
         assert not any(row["converged"] for row in result.rows)
         assert result.all_passed
 
+        # A single layer with an isolated node (node 2 of this ER layer) has
+        # no verdict either: a noted row, and no trajectory is simulated.
+        single = {
+            "model": {"kind": "single"},
+            "layers": [{"kind": "erdos-renyi", "n": 50, "p": 0.03, "seed": 1}],
+            "x0": {"kind": "uniform", "seed": 3},
+        }
+        result = run_experiment(single, tmp_path / "single")
+        assert result.summary["grid"][0]["assertions"] == {}
+        assert result.all_passed
+        sweep = (tmp_path / "single" / "sweep.csv").read_text().splitlines()
+        assert sweep[1] == "single,0,,,,,,,,,false,true,node 2 is isolated (zero weighted degree)"
+        assert not list((tmp_path / "single").glob("trajectory_*"))
+
     def test_single_layer_model(self, tmp_path):
         raw = {
             "model": {"kind": "single"},
@@ -372,6 +414,22 @@ class TestRunExperiment:
         assert row["consensus"] is None
         assert result.summary["grid"][0]["assertions"] == {}
         assert result.all_passed
+
+    @pytest.mark.parametrize(
+        "spec, primitive",
+        [
+            pytest.param({"kind": "circulant", "n": 12, "offsets": [1, 2]}, True, id="primitive"),
+            pytest.param({"kind": "circulant", "n": 8, "offsets": [1]}, False, id="bipartite"),
+        ],
+    )
+    def test_single_row_reads_the_layer_outcome(self, spec, primitive):
+        raw = {"model": {"kind": "single"}, "layers": [spec], "x0": {"kind": "uniform", "seed": 3}}
+        result = run_experiment(raw)
+        layer = build_layers(parse_config(raw))[0]
+        fields = analyze_layer(layer, resolve_x0(parse_config(raw), layer.n)).fields()
+        row = result.rows[0]
+        assert {key: row[key] for key in fields} == fields
+        assert (row["consensus"] is not None) is primitive
 
     def test_constant_opinions_arm_no_rate(self, tmp_path):
         # Every node starts at 0.5: the errors are 0 from the first step, so

@@ -8,7 +8,14 @@ from oplex.fixtures import (
     misaligned_degree_pair,
     triangle_pair,
 )
-from oplex.merged import MergedModel, MergedOutcome, analyze, slem_bounds
+from oplex.merged import (
+    LayerOutcome,
+    MergedModel,
+    MergedOutcome,
+    analyze,
+    analyze_layer,
+    slem_bounds,
+)
 from oplex.netcore import GeneratorSpec, IsolatedNodeError, build_layer, generate
 from oplex.spectral import eig_moduli_nonsymmetric
 from oplex.perturb import fit_shift_family
@@ -180,6 +187,30 @@ class TestMergedOutcome:
             analyze(MergedModel(layer1, layer2, 0.5), np.array([1.5, 0.0, 0.0]))
 
 
+class TestLayerOutcome:
+    def test_triangle_verdict(self):
+        layer1, _ = triangle_pair()
+        outcome = analyze_layer(layer1, X0_TRIANGLE)
+        assert outcome.slem == pytest.approx(0.5, abs=1e-14)
+        assert outcome.pi.pi == pytest.approx([1 / 3] * 3, abs=1e-15)
+        assert outcome.value == consensus_value(stationary_from_degrees(layer1), X0_TRIANGLE)
+        assert outcome.fields() == dict(
+            slem=outcome.slem, bound_armed=False, consensus=outcome.value, note=""
+        )
+        assert outcome.checks() == {}
+
+    def test_periodic_layer_has_no_consensus(self):
+        path = build_layer(3, [(0, 1, 1), (1, 2, 1)])  # bipartite, periodic
+        outcome = analyze_layer(path, X0_TRIANGLE)
+        assert outcome == LayerOutcome(slem=1.0, pi=None, value=None)
+        assert outcome.note == "layer transition not primitive"
+        assert outcome.checks() == {}
+
+    def test_isolated_node_raises(self):
+        with pytest.raises(IsolatedNodeError, match="node 2"):
+            analyze_layer(build_layer(3, [(0, 1, 1)]), X0_TRIANGLE)
+
+
 class TestMergedConsensus:
     def test_triangle_pair_closed_form(self):
         layer1, layer2 = triangle_pair()
@@ -269,6 +300,13 @@ class TestConsensusInterval:
         assert hi == pytest.approx(
             consensus_value(stationary_from_degrees(layer2), X0_TRIANGLE)
         )
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    def test_ends_are_the_layer_outcomes(self, alpha):
+        layer1, layer2 = triangle_pair()
+        outcome = analyze(MergedModel(layer1, layer2, alpha), X0_TRIANGLE)
+        ends = [analyze_layer(layer, X0_TRIANGLE).value for layer in (layer1, layer2)]
+        assert outcome.interval == (min(ends), max(ends))
 
     def test_none_when_first_layer_periodic(self):
         path = build_layer(3, [(0, 1, 1), (1, 2, 1)])  # bipartite, periodic
