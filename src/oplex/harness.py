@@ -7,18 +7,20 @@ grid point takes its model's verdict (bounds, predicted consensus, note
 and armed checks) from its outcome: merged.analyze_layer for a single
 layer, merged.analyze or switching.analyze, the last two the same ones
 `oplex analyze` reports under the same names (the outcome's fields()).
-It then simulates a trajectory, arms the checks on it and writes its
-trajectory file, so one grid point's trajectory is held at a time; grid
-points that reach no consensus, or where a node is isolated, are recorded
-with a note, not fatal. All output is deterministic for a fixed config
-(17-significant-digit floats, no timestamps), so reruns are byte-identical.
+It then simulates a trajectory, whose blocks go as they are made to the
+rate fit, the decay law and the trajectory file, so no grid point holds its
+trajectory; grid points that reach no consensus, or where a node is
+isolated, are recorded with a note, not fatal. All output is deterministic
+for a fixed config (17-significant-digit floats, no timestamps), so reruns
+are byte-identical.
 """
 
 from __future__ import annotations
 
+import contextlib
 import sys
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .netcore import (
     is_number,
     load_two_layer_dataset,
 )
-from .simlab import DEFAULT_T_MAX, DEFAULT_TOL, OpinionTrajectory, decay_check, fit_rate, simulate
+from .simlab import DEFAULT_T_MAX, DEFAULT_TOL, DecayCheck, RateFit, simulate
 from .stochastic import TransitionMatrix, transition_matrix
 from .switching import analyze as analyze_switching
 from .switching import SwitchingModel, SwitchingOutcome
@@ -57,7 +59,6 @@ SWEEP_COLUMNS = [
 
 _RATE_SLACK = 1e-6
 _AGREEMENT_TOL = 1e-7
-_WRITE_FIELDS = 2**14
 
 
 class ConfigError(ValueError):
@@ -246,7 +247,10 @@ def config_hash(raw: dict) -> str:
     import hashlib
     import json
 
-    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    try:
+        canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    except RecursionError:  # json.dumps recurses once per nesting level
+        raise ConfigError("<root>: nested too deep for the JSON encoder") from None
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -294,22 +298,23 @@ class _GridModel(NamedTuple):
     outcome is the model's verdict: its fields() fill the model's sweep
     columns (slem, bounds, consensus, interval, note), its checks() are the
     model's own armed checks, and its pi, if set, is the consensus the
-    simulation measures its errors against. The error series
-    rate_errors(trajectory), transients already dropped, is fitted to a rate
-    that must stay under rate_bound. decay_rho arms the decay law.
+    simulation measures its errors against. rate_fit reads the run's errors,
+    transients dropped, and fits a rate that must stay under rate_bound; it
+    is the grid point's own, since it accumulates. decay_rho arms the decay
+    law.
     """
 
     outcome: LayerOutcome | MergedOutcome | SwitchingOutcome
     runs: list[tuple[TransitionMatrix, int]]
     rate_bound: float
-    rate_errors: Callable[[OpinionTrajectory], np.ndarray] = lambda traj: traj.errors_pi[5:]
+    rate_fit: RateFit
     decay_rho: float | None = None
 
 
 def _merged_model(layers, alpha, x0) -> _GridModel:
     model = MergedModel(layers[0], layers[1], alpha)
     outcome = analyze_merged(model, x0)
-    return _GridModel(outcome, [(model.transition, 1)], outcome.bounds.slem_c)
+    return _GridModel(outcome, [(model.transition, 1)], outcome.bounds.slem_c, RateFit())
 
 
 def _switching_model(layers, k, x0) -> _GridModel:
@@ -321,7 +326,7 @@ def _switching_model(layers, k, x0) -> _GridModel:
         # The proved per-cycle decay bound is rho_star; the cycle SLEM is the
         # asymptotic rate but a finite-window fit may land slightly above it.
         rate_bound=outcome.rho_star,
-        rate_errors=lambda traj: traj.errors_max[:: k + 1][2:],
+        rate_fit=RateFit(norm="max", stride=k + 1, skip=2),
     )
 
 
@@ -329,7 +334,9 @@ def _single_model(layers, _, x0) -> _GridModel:
     outcome = analyze_layer(layers[0], x0)
     slem = outcome.slem
     decay_rho = slem if outcome.pi is not None and slem < 1.0 else None
-    return _GridModel(outcome, [(transition_matrix(layers[0]), 1)], slem, decay_rho=decay_rho)
+    return _GridModel(
+        outcome, [(transition_matrix(layers[0]), 1)], slem, RateFit(), decay_rho=decay_rho
+    )
 
 
 # Each model kind's grid_kind column and the builder of its grid points.
@@ -346,8 +353,9 @@ def _grid_point(grid_kind, grid_value, build, layers, x0, config, traj_dir) -> G
 
     A node isolated where the model needs a neighborhood makes a degenerate
     grid point: its row carries the error as the note and arms no assertion.
-    The trajectory file goes to traj_dir, if given, as soon as the
-    point is checked, so no trajectory outlives its grid point.
+    The rate fit, the decay law and the trajectory file in traj_dir, if
+    given, read each block of the run as it is made, so no trajectory is
+    held.
     """
     row = dict.fromkeys(SWEEP_COLUMNS)
     row.update(grid_kind=grid_kind, grid_value=grid_value)
@@ -359,25 +367,32 @@ def _grid_point(grid_kind, grid_value, build, layers, x0, config, traj_dir) -> G
     outcome = point.outcome
     row.update(outcome.fields())
     consensus = outcome.value
-    trajectory = simulate(
-        point.runs,
-        x0,
-        t_max=config.t_max,
-        tol=config.tol,
-        pi=outcome.pi,
-        record_states=config.record_opinions and traj_dir is not None,
-    )
+    readers = []
+    if consensus is not None:
+        readers.append(point.rate_fit)
+    if point.decay_rho is not None:
+        law = DecayCheck(point.decay_rho, outcome.pi)
+        readers.append(law)
+    with contextlib.ExitStack() as files:
+        if traj_dir is not None:
+            path = _unlinked(traj_dir / f"trajectory_{grid_kind}_{grid_value}.csv")
+            fh = files.enter_context(path.open("w", newline="\n"))
+            errors = outcome.pi is not None
+            readers.append(_trajectory_writer(fh, x0.shape[0], errors, config.record_opinions))
+        trajectory = simulate(
+            point.runs, x0, t_max=config.t_max, tol=config.tol, pi=outcome.pi, readers=readers
+        )
     assertions = outcome.checks()
     empirical = None
     if consensus is not None:
         try:
-            empirical = fit_rate(point.rate_errors(trajectory))
+            empirical = point.rate_fit.rate()
         except ValueError:
             pass  # too few errors above the floor to fit a rate
     if trajectory.converged and empirical is not None:
         assertions["empirical-rate"] = bool(empirical <= point.rate_bound + _RATE_SLACK)
     if point.decay_rho is not None:
-        assertions["decay-law"] = decay_check(trajectory, point.decay_rho).passed
+        assertions["decay-law"] = law.result().passed
     if trajectory.converged and consensus is not None:
         assertions["simulation-agrees"] = bool(
             np.abs(trajectory.final_state - consensus).max() <= _AGREEMENT_TOL
@@ -387,9 +402,6 @@ def _grid_point(grid_kind, grid_value, build, layers, x0, config, traj_dir) -> G
         converged=trajectory.converged,
         assertions_pass=all(assertions.values()),
     )
-    if traj_dir is not None:
-        name = f"trajectory_{grid_kind}_{grid_value}.csv"
-        _write_trajectory_csv(_unlinked(traj_dir / name), trajectory, x0.shape[0])
     return GridPointResult(row=row, assertions=assertions)
 
 
@@ -397,7 +409,9 @@ def run_experiment(raw: dict, out_dir: str | Path | None = None) -> ExperimentRe
     """Run the sweep that the JSON object raw declares, writing its reports
     to out_dir if given."""
     config = parse_config(raw)
-    # A report directory that cannot be made fails before any work is done.
+    # A config that cannot be hashed or a report directory that cannot be
+    # made fails before any work is done.
+    digest = config_hash(raw)
     out_path = None
     if out_dir is not None:
         out_path = Path(out_dir)
@@ -412,7 +426,7 @@ def run_experiment(raw: dict, out_dir: str | Path | None = None) -> ExperimentRe
 
     all_passed = all(all(p.assertions.values()) for p in points)
     summary = {
-        "config_hash": config_hash(raw),
+        "config_hash": digest,
         "model": config.model_kind,
         "n": n,
         "seeds": _collect_seeds(config),
@@ -461,39 +475,38 @@ def _collect_seeds(config: ExperimentConfig) -> dict:
     return seeds
 
 
-def _write_trajectory_csv(path: Path, trajectory: OpinionTrajectory, n: int) -> None:
-    """Write t, err_pi, err_max and, when recorded, x_0..x_{n-1} per step.
+def _trajectory_writer(fh: TextIO, n: int, errors: bool, states: bool) -> Callable[..., None]:
+    """Write the trajectory header to fh; return the simulate reader that
+    writes t, err_pi, err_max and, with states, x_0..x_{n-1} per step.
 
     The bytes are those of csv.writer on the _fmt of each value: no field
-    needs quoting, so a row is one %-format of row_fmt. Rows go out in
-    chunks of about _WRITE_FIELDS values, each chunk formatted by one %
-    and written at once, so the text held at once stays small.
+    needs quoting, so a row is one %-format of row_fmt. Each block's rows
+    are formatted by one % and written at once. With neither errors nor
+    states the file is the header alone.
     """
     header = "t,err_pi,err_max"
-    row_fmt = "%d"
-    columns = []
-    if trajectory.errors_pi is not None:
-        row_fmt += ",%.17g,%.17g"
-        columns += [trajectory.errors_pi[:, None], trajectory.errors_max[:, None]]
-    else:
-        row_fmt += ",,"
-    if trajectory.states is not None:
+    row_fmt = "%d" + (",%.17g,%.17g" if errors else ",,")
+    if states:
         header += "".join(f",x_{i}" for i in range(n))
         row_fmt += ",%.17g" * n
-        columns.append(trajectory.states)
+    fh.write(header + "\n")
     row_fmt += "\n"
-    with path.open("w", newline="\n") as fh:
-        fh.write(header + "\n")
-        if not columns:
+    width = 1 + 2 * errors + n * states
+
+    def write(start: int, rows: np.ndarray, errors_pi, errors_max) -> None:
+        if width == 1:
             return
-        rows = trajectory.steps + 1
-        chunk = max(1, _WRITE_FIELDS // (1 + sum(c.shape[1] for c in columns)))
-        for start in range(0, rows, chunk):
-            stop = min(start + chunk, rows)
-            # t rides along as a float column; %d prints its integer value.
-            t = np.arange(start, stop, dtype=float)[:, None]
-            values = np.hstack([t] + [c[start:stop] for c in columns])
-            fh.write((row_fmt * (stop - start)) % tuple(values.ravel().tolist()))
+        # t rides along as a float column; %d prints its integer value.
+        values = np.empty((rows.shape[0], width))
+        values[:, 0] = np.arange(start, start + rows.shape[0])
+        if errors:
+            values[:, 1] = errors_pi
+            values[:, 2] = errors_max
+        if states:
+            values[:, width - n :] = rows
+        fh.write((row_fmt * rows.shape[0]) % tuple(values.ravel().tolist()))
+
+    return write
 
 
 def _write_sweep_csv(path: Path, points: Sequence[GridPointResult]) -> None:

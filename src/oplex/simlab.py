@@ -1,7 +1,7 @@
-"""Trajectory simulation and error-series analysis.
+"""Trajectory simulation and the readers of its error series.
 
 simulate() iterates x(t+1) = M(t+1) x(t) over a periodic schedule of
-matrices, given as runs of a matrix and its repeat count, and records the
+matrices, given as runs of a matrix and its repeat count, and takes the
 error against the consensus pi . x(0) in both the pi-weighted and max
 norms. Each matvec is a call of the matrix's
 Csr.matvec_kernel, one of three kernels: a dense product where that is
@@ -21,13 +21,15 @@ rule fires, so every result is bit-for-bit that of plain stepping. The
 only extra work is the matvecs of the last block past that step: at most
 max(steps taken, _BLOCK_MIN, period) and at most one capped block, a few
 ms whatever n is.
-decay_check() pins the error series against the geometric bound rho^t
-(pi-norm) and its max-norm corollary with the explicit constant
-1/sqrt(pi_min). fit_rate() recovers the empirical geometric rate of a
-positive error series by least squares on the logs, as a centered two-pass
-slope. Both read the series _BLOCK_CELLS entries at a time, so once a run
-is simulated the memory they use does not grow with its length; only the
-error series itself does, two floats per step.
+No series is kept: each block's states (views of the buffer) and its two
+error norms go to the caller's readers as the block is made, and only the
+last state is returned, so a run's memory is one block buffer whatever its
+length. Two readers live here, each reading the errors of a few blocks
+at once (at least 1024 steps, 16 kB). DecayCheck pins the errors against
+the geometric bound rho^t (pi-norm) and its max-norm corollary with the
+explicit constant 1/sqrt(pi_min). RateFit recovers the empirical geometric
+rate of the positive errors by least squares on the logs, merging each
+batch's centered sums into the running ones.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from itertools import accumulate, islice
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from .stochastic import StationaryDistribution, TransitionMatrix, check_opinions
 
 DEFAULT_TOL = 1e-12
 DEFAULT_T_MAX = 10**6
-# fit_rate ignores errors at or below this: near round-off, log e(t) stops
+# RateFit ignores errors at or below this: near round-off, log e(t) stops
 # falling geometrically and would bend the fitted line.
 FIT_FLOOR = 1e-13
 # Steps computed past the stop step are wasted. A block is at most as long
@@ -61,20 +63,23 @@ _BLOCK_MIN = 64
 
 
 class OpinionTrajectory(NamedTuple):
-    """Last opinion state and error series against the consensus pi . x(0).
+    """How a run ended: its last opinion state, step count and convergence.
 
-    states has shape (steps+1, n) and is kept only when recorded; the last
-    state is kept always. errors_pi / errors_max are None when no pi was
-    supplied (non-convergent runs).
+    pi is the stationary vector the errors were taken against, None when no
+    pi was supplied (non-convergent runs). The states and errors along the
+    way went to simulate's readers and are not kept.
     """
 
-    states: np.ndarray | None
     final_state: np.ndarray
-    errors_pi: np.ndarray | None
-    errors_max: np.ndarray | None
     pi: np.ndarray | None
     converged: bool
     steps: int
+
+    @property
+    def states(self) -> None:
+        """No state history is kept, so this is always None; it stays for
+        tools that read the state history's size."""
+        return None
 
 
 def simulate(
@@ -83,7 +88,7 @@ def simulate(
     t_max: int = DEFAULT_T_MAX,
     tol: float = DEFAULT_TOL,
     pi: StationaryDistribution | None = None,
-    record_states: bool = True,
+    readers: Sequence[Callable[..., None]] = (),
 ) -> OpinionTrajectory:
     """Run the dynamics until t_max or until the update stalls.
 
@@ -93,19 +98,22 @@ def simulate(
     step t applies the matrix of the run that phase (t - 1) mod period falls
     in, so nothing grows with a run's length. Stops once the
     successive-difference max norm stays below tol for one full period.
-    When pi is given, both error norms against the consensus pi . x0 are
-    recorded at every step. The full state history is kept only with
-    record_states.
+    Each reader is called as reader(start, rows, errors_pi, errors_max),
+    first for x(0) and then for each block as it is made: rows holds
+    x(start), x(start + 1), ... and the errors are their two norms against
+    the consensus pi . x0, None when no pi is given. rows is a view of the
+    block buffer, valid only during the call; the error arrays are new and
+    may be kept. Nothing else of the run is kept.
 
     Steps run in blocks of max(period, _BLOCK_MIN, steps taken) steps, up
     to the cap that _BLOCK_WORK and _BLOCK_CELLS set: a short run takes
     blocks of 64, 64, 128, ... steps. Each block finds the run it starts in
     through the runs' cumulative ends, then applies each run's kernel to
     the steps left in that run or in the block, one kernel lookup per run.
-    The stop step and every recorded value are those of stepping one at a
-    time; only the matvecs past the stop step in the last block are extra
-    work, at most max(steps taken, _BLOCK_MIN, period) and at most one
-    capped block.
+    The stop step and every value handed to the readers are those of
+    stepping one at a time; only the matvecs past the stop step in the last
+    block are extra work, at most max(steps taken, _BLOCK_MIN, period) and
+    at most one capped block.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
@@ -132,8 +140,13 @@ def simulate(
     cap = max(1, min(_BLOCK_WORK // max(work, 1), _BLOCK_CELLS // max(n, 1)))
     buf = np.empty((cap + 1, n))
     buf[0] = x
-    states = [buf[:1].copy()] if record_states else None
-    errors = [_error_norms(buf[:1], target, pi.pi)] if track_errors else None
+
+    def hand(start: int, rows: np.ndarray) -> None:
+        errors = _error_norms(rows, target, pi.pi) if track_errors else (None, None)
+        for read in readers:
+            read(start, rows, *errors)
+
+    hand(0, buf[:1])
     converged = False
     quiet_run = 0
     steps = 0
@@ -161,10 +174,7 @@ def simulate(
         run = index - np.maximum.accumulate(np.where(quiet, -1 - quiet_run, index))
         stops = np.flatnonzero(run >= period)
         used = int(stops[0]) + 1 if stops.size else block
-        if record_states:
-            states.append(buf[1 : used + 1].copy())
-        if track_errors:
-            errors.append(_error_norms(buf[1 : used + 1], target, pi.pi))
+        hand(steps + 1, buf[1 : used + 1])
         steps += used
         if stops.size:
             converged = True
@@ -172,10 +182,7 @@ def simulate(
         quiet_run = int(run[-1])
         buf[0] = buf[used]
     return OpinionTrajectory(
-        states=np.concatenate(states) if record_states else None,
         final_state=buf[used].copy(),
-        errors_pi=np.concatenate([e[0] for e in errors]) if track_errors else None,
-        errors_max=np.concatenate([e[1] for e in errors]) if track_errors else None,
         pi=None if pi is None else pi.pi,
         converged=converged,
         steps=steps,
@@ -198,62 +205,123 @@ class DecayCheckResult(NamedTuple):
     margin: float
 
 
-def decay_check(trajectory: OpinionTrajectory, rho: float) -> DecayCheckResult:
-    """Verify geometric error decay for a single reversible layer.
+class _ErrorReader:
+    """Base of the simulate readers of the error norms alone.
+
+    Reading a block costs some ten numpy calls whatever its length, and a
+    block may be short (109 steps at n = 300), so the blocks' norms are
+    gathered until they span _BATCH steps and each batch is handed to
+    _read(start, errors_pi, errors_max) at once; _flush() reads what is
+    left. A batch holds two floats a step, 16 kB.
+    """
+
+    _BATCH = 2**10
+
+    def __init__(self) -> None:
+        self._start = 0
+        self._parts: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def __call__(self, start, rows, errors_pi, errors_max) -> None:
+        if errors_pi is None:
+            raise ValueError(f"{type(self).__name__} requires a trajectory with a consensus target")
+        if not self._parts:
+            self._start = start
+        self._parts.append((errors_pi, errors_max))
+        if start + errors_pi.shape[0] - self._start >= self._BATCH:
+            self._flush()
+
+    def _flush(self) -> None:
+        if self._parts:
+            errors_pi, errors_max = (np.concatenate(norm) for norm in zip(*self._parts))
+            self._parts = []
+            self._read(self._start, errors_pi, errors_max)
+
+
+class DecayCheck(_ErrorReader):
+    """Geometric error decay for a single reversible layer, as a simulate reader.
 
     pi-norm: ||e(t)||_pi <= rho^t ||e(0)||_pi. Max norm: ||e(t)||_max <=
-    rho^t ||e(0)||_pi / sqrt(pi_min). Both with 1e-12 additive slack;
-    margin is the smallest slack observed (negative means failure). The
-    bounds are built _BLOCK_CELLS steps at a time, so the work memory does
-    not grow with the series.
+    rho^t ||e(0)||_pi / sqrt(pi_min). Both with 1e-12 additive slack; the
+    margin of result() is the smallest slack observed (negative means
+    failure). Each batch's bounds are built on its global steps t.
     """
-    errors_pi, errors_max = trajectory.errors_pi, trajectory.errors_max
-    if errors_pi is None:
-        raise ValueError("decay check requires a trajectory with a consensus target")
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    e0_pi = errors_pi[0]
-    root_pi_min = np.sqrt(float(trajectory.pi.min()))
-    margin = np.inf
-    for start in range(0, errors_pi.shape[0], _BLOCK_CELLS):
-        chunk = errors_pi[start : start + _BLOCK_CELLS]
-        bound_pi = rho ** np.arange(start, start + chunk.shape[0]) * e0_pi
-        slack_pi = bound_pi + 1e-12 - chunk
-        slack_max = bound_pi / root_pi_min + 1e-12 - errors_max[start : start + _BLOCK_CELLS]
-        margin = min(margin, slack_pi.min(), slack_max.min())
-    margin = float(margin)
-    return DecayCheckResult(passed=bool(margin >= 0.0), margin=margin)
+
+    def __init__(self, rho: float, pi: StationaryDistribution) -> None:
+        if not (0.0 < rho < 1.0):
+            raise ValueError(f"rho must lie in (0, 1), got {rho}")
+        super().__init__()
+        self.rho = rho
+        self.root_pi_min = np.sqrt(float(pi.pi.min()))
+        self.e0_pi = None
+        self.margin = np.inf
+
+    def _read(self, start, errors_pi, errors_max) -> None:
+        if start == 0:
+            self.e0_pi = errors_pi[0]
+        bound_pi = self.rho ** np.arange(start, start + errors_pi.shape[0]) * self.e0_pi
+        slack_pi = bound_pi + 1e-12 - errors_pi
+        slack_max = bound_pi / self.root_pi_min + 1e-12 - errors_max
+        self.margin = min(self.margin, slack_pi.min(), slack_max.min())
+
+    def result(self) -> DecayCheckResult:
+        self._flush()
+        margin = float(self.margin)
+        return DecayCheckResult(passed=bool(margin >= 0.0), margin=margin)
 
 
-def fit_rate(errors: Sequence[float]) -> float:
-    """Least-squares geometric rate of a decaying error series.
+class RateFit(_ErrorReader):
+    """Least-squares geometric rate of a decaying error series, as a simulate reader.
 
-    Fits log e(t) against t over the entries above FIT_FLOOR. Requires at
-    least 5 usable entries. Drop transients before calling; for per-cycle rates
-    pass the series subsampled at cycle boundaries. The slope is the centered
-    sum of (t - mean t)(log e - mean log e) over that of (t - mean t)^2, with
-    the means taken in a first pass (Chan, Golub & LeVeque 1983); both passes
-    read the series _BLOCK_CELLS entries at a time and build nothing longer.
+    Reads one norm ("pi" or "max") at the steps t that are multiples of
+    stride, as the series e(j) at j = t / stride, and drops its first skip
+    entries: the transient. For per-cycle rates pass the period as stride.
+    rate() fits log e(j) against j over the entries above FIT_FLOOR and
+    needs at least 5 of them. Each batch's sums of (j - mean j)(log e -
+    mean log e) and (j - mean j)^2, centered on its own means, are merged
+    into the running ones (Chan, Golub & LeVeque 1983), so nothing grows
+    with the series; the slope is their ratio.
     """
-    series = np.asarray(errors, dtype=float)
 
-    def kept():
-        for start in range(0, series.shape[0], _BLOCK_CELLS):
-            chunk = series[start : start + _BLOCK_CELLS]
-            keep = chunk > FIT_FLOOR
-            yield np.flatnonzero(keep) + start, np.log(chunk[keep])
+    def __init__(self, norm: str = "pi", stride: int = 1, skip: int = 5) -> None:
+        self.norm = ("pi", "max").index(norm)
+        self.stride, self.skip = stride, skip
+        super().__init__()
+        self.count = 0
+        self.mean_j = self.mean_y = self.sjy = self.sjj = 0.0
 
-    count = sum_t = sum_y = 0
-    for t, y in kept():
-        count += t.shape[0]
-        sum_t += int(t.sum())
-        sum_y += y.sum()
-    if count < 5:
-        raise ValueError("rate fit needs at least 5 strictly positive error entries")
-    mean_t, mean_y = sum_t / count, sum_y / count
-    sxy = sxx = 0.0
-    for t, y in kept():
-        dt = t - mean_t
-        sxy += dt @ (y - mean_y)
-        sxx += dt @ dt
-    return float(np.exp(sxy / sxx))
+    def _read(self, start, errors_pi, errors_max) -> None:
+        series = (errors_pi, errors_max)[self.norm]
+        # The batch's first entry on the stride, and its index j in the
+        # series; Python ints, since a stride may pass the int64 range.
+        first = -start % self.stride
+        j0 = (start + first) // self.stride
+        if j0 < self.skip:
+            first += (self.skip - j0) * self.stride
+            j0 = self.skip
+        if first >= series.shape[0]:
+            return
+        picked = series[first :: self.stride]
+        keep = picked > FIT_FLOOR
+        # Entry i of picked is j0 + i; the centered sums do not see the j0.
+        i = np.flatnonzero(keep)
+        m = i.shape[0]
+        if not m:
+            return
+        y = np.log(picked[keep])
+        mean_i, mean_y = i.sum() / m, y.sum() / m
+        di = i - mean_i
+        y -= mean_y
+        count = self.count + m
+        delta_j, delta_y = j0 - self.skip + mean_i - self.mean_j, mean_y - self.mean_y
+        weight = self.count * m / count
+        self.sjy += di @ y + delta_j * delta_y * weight
+        self.sjj += di @ di + delta_j * delta_j * weight
+        self.mean_j += delta_j * m / count
+        self.mean_y += delta_y * m / count
+        self.count = count
+
+    def rate(self) -> float:
+        self._flush()
+        if self.count < 5:
+            raise ValueError("rate fit needs at least 5 strictly positive error entries")
+        return float(np.exp(self.sjy / self.sjj))

@@ -21,7 +21,7 @@ from .merged import analyze as analyze_merged
 from .merged import MergedModel, MergedOutcome, analyze_layer, slem_bounds
 from .netcore import LayerGraph
 from .perturb import fit_shift_family, stationary_shift
-from .simlab import decay_check, simulate
+from .simlab import DecayCheck, simulate
 from .spectral import eig_moduli_nonsymmetric, slem_reversible
 from .stochastic import (
     TransitionMatrix,
@@ -439,10 +439,11 @@ def run_bounds_suite(n_instances: int = 200, seed: int = BOUNDS_SUITE_SEED) -> l
                 )
 
         layer_a = analyze_layer(layer1, x0)
-        runs = [(transition_matrix(layer1), 1)]
-        trajectory = simulate(runs, x0, t_max=20000, tol=1e-13, pi=layer_a.pi, record_states=False)
         if layer_a.slem < 1.0:
-            check = decay_check(trajectory, layer_a.slem)
+            law = DecayCheck(layer_a.slem, layer_a.pi)
+            runs = [(transition_matrix(layer1), 1)]
+            simulate(runs, x0, t_max=20000, tol=1e-13, pi=layer_a.pi, readers=[law])
+            check = law.result()
             if not check.passed:
                 fail("bounds/geometric-decay", f"instance {idx}: decay margin {check.margin}")
 

@@ -190,6 +190,30 @@ class TestSimulateCommand:
         err = assert_bad_input(capsys, ["simulate", "--config", str(config), "--out", str(tmp_path)])
         assert err == "simulate: bad input: <root>: nested too deep for the JSON decoder\n"
 
+    def test_config_nested_too_deep_to_hash_exits_two_before_any_work(self, tmp_path):
+        # A valid config with an extra key nested 988 lists deep: under
+        # `python -m` on Python 3.10 and 3.11 json.loads decodes it, but
+        # config_hash's json.dumps, two calls deeper, recurses past the
+        # limit. That used to end in a traceback (exit 1) after the whole
+        # sweep; it must be bad input found before any work. (Python 3.12
+        # counts C recursion apart and decodes and encodes it: exit 0.)
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({**SMALL_MERGED, "note": None}).replace("null", "[" * 988 + "]" * 988)
+        )
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(config), "--out", str(out)]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.run(
+            [sys.executable, "-m", "oplex.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert "Traceback" not in run.stderr
+        assert run.returncode in (0, 2)
+        if run.returncode == 2:
+            expected = "simulate: bad input: <root>: nested too deep for the JSON encoder\n"
+            assert run.stderr == expected
+            assert not out.exists()
+
     def test_missing_dataset_file_exits_two(self, tmp_path, capsys):
         raw = dict(
             SMALL_MERGED,

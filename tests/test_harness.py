@@ -8,9 +8,10 @@ import pytest
 
 from oplex import harness
 from oplex.harness import (
+    SWEEP_COLUMNS,
     ConfigError,
     _fmt,
-    _write_trajectory_csv,
+    _trajectory_writer,
     build_layers,
     config_hash,
     parse_config,
@@ -18,7 +19,6 @@ from oplex.harness import (
     run_experiment,
 )
 from oplex.merged import analyze_layer
-from oplex.simlab import OpinionTrajectory
 from oplex.spectral import _KRYLOV_MIN_N
 
 DATA = Path(__file__).parent / "data"
@@ -517,6 +517,40 @@ class TestRunExperiment:
             assert not link.samefile(new)  # a truncated file would keep its inode
             assert link.read_bytes() == first[name] == new.read_bytes()
 
+    def test_switching_sweep_at_a_stride_past_int64(self, tmp_path):
+        # At k = 10^30 the rate fit's stride k + 1 passes the int64 range.
+        # Within t_max = 3000 the only step on it is t = 0, so no rate is
+        # fitted and the row is the one the whole-series fit gave.
+        config = {
+            "model": {"kind": "switching", "ks": [10**30]},
+            "layers": [
+                {"kind": "circulant", "n": 20, "offsets": [1, 2]},
+                {"kind": "circulant", "n": 20, "offsets": [1, 3]},
+            ],
+            "x0": {"kind": "uniform", "seed": 5},
+            "t_max": 3000,
+        }
+        result = run_experiment(config, tmp_path)
+        row = result.rows[0]
+        assert row["slem"] == pytest.approx(0.0, abs=1e-15)
+        assert row["consensus"] == pytest.approx(0.5006946957604582, rel=1e-12)
+        fixed = {c: row[c] for c in SWEEP_COLUMNS if c not in ("slem", "consensus")}
+        assert fixed == {
+            "grid_kind": "k",
+            "grid_value": 10**30,
+            "bound_lower": None,
+            "bound_upper": 0.0,
+            "bound_armed": True,
+            "interval_lo": None,
+            "interval_hi": None,
+            "empirical_rate": None,
+            "converged": False,
+            "assertions_pass": True,
+            "note": "",
+        }
+        lines = (tmp_path / f"trajectory_k_{10**30}.csv").read_text().splitlines()
+        assert len(lines) == 1 + 3001
+
     def test_record_opinions_adds_state_columns(self, tmp_path):
         config = merged_config(record_opinions=True)
         run_experiment(config, tmp_path)
@@ -524,19 +558,23 @@ class TestRunExperiment:
         assert "x_0" in header and "x_4" in header
 
     def test_recorded_states_are_released_as_each_point_ends(self, tmp_path, monkeypatch):
-        # Three grid points of 2300 to 3200 steps of 100 opinions. A point's
-        # states are held twice while simulate joins its blocks; each point
-        # must be written and released before the next one runs. Holding
-        # every trajectory to the end of the sweep peaked at 3.9 times the
-        # largest point's states, writing each as it ends at 2.3 times. The
-        # writer is stubbed: under tracemalloc, formatting the 800,000 values
-        # takes seconds, and its chunks do not move the peak.
+        # Three grid points of 2300 to 3200 steps of 100 opinions. No point
+        # holds its states: each block goes to the writer as it is made.
+        # Holding every trajectory to the end of the sweep peaked at 3.9
+        # times the largest point's states, writing each as its point ended
+        # at 2.3 times. The writer's formatting is stubbed: under
+        # tracemalloc, formatting the 800,000 values takes seconds.
         written = []
 
-        def record(path, traj, n):
-            written.append(traj.states.nbytes)
+        def writer(fh, n, errors, states):
+            written.append(0)
 
-        monkeypatch.setattr(harness, "_write_trajectory_csv", record)
+            def count(start, rows, errors_pi, errors_max):
+                written[-1] += rows.nbytes
+
+            return count
+
+        monkeypatch.setattr(harness, "_trajectory_writer", writer)
         config = {
             "model": {"kind": "merged", "alphas": [0.25, 0.5, 0.75]},
             "layers": [
@@ -554,25 +592,52 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         assert result.all_passed
-        assert len(written) == 3
-        assert peak < 3 * max(written)
+        assert len(written) == 3 and min(written) > 1_800_000
+        assert peak < max(written) / 2
+
+    def test_recorded_sweep_peak_does_not_grow_with_the_run(self, tmp_path):
+        # The bipartite ring circulant(256, [1]) never converges, so t_max
+        # sets the run's length: 256 or 1,024 steps of 256 opinions, 0.5 and
+        # 2 MB of states. Blocks reach their cap of 128 steps at step 128,
+        # so both runs fill capped blocks. The real writer formats every
+        # state. Holding the states, the longer run peaked 3.1 MB higher.
+        def traced_peak(t_max):
+            config = {
+                "model": {"kind": "single"},
+                "layers": [{"kind": "circulant", "n": 256, "offsets": [1]}],
+                "x0": {"kind": "uniform", "seed": 1},
+                "t_max": t_max,
+                "record_opinions": True,
+            }
+            tracemalloc.start()
+            try:
+                result = run_experiment(config, tmp_path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.rows[0]["converged"] is False
+            return peak
+
+        traced_peak(128)  # so lazy imports and caches stay out of the peaks
+        short, long = traced_peak(256), traced_peak(1024)
+        assert long < short + 64 * 2**10
 
 
-def csv_module_trajectory(path, traj, n):
+def csv_module_trajectory(path, errors_pi, errors_max, states, n):
     """The trajectory file as csv.writer writes the _fmt rows: the reference."""
     header = ["t", "err_pi", "err_max"]
-    if traj.states is not None:
+    if states is not None:
         header += [f"x_{i}" for i in range(n)]
     rows = [header]
-    if traj.errors_pi is not None or traj.states is not None:
-        for t in range(traj.steps + 1):
+    if errors_pi is not None or states is not None:
+        for t in range(len(errors_pi if errors_pi is not None else states)):
             row = [str(t)]
-            if traj.errors_pi is not None:
-                row += [_fmt(traj.errors_pi[t]), _fmt(traj.errors_max[t])]
+            if errors_pi is not None:
+                row += [_fmt(errors_pi[t]), _fmt(errors_max[t])]
             else:
                 row += ["", ""]
-            if traj.states is not None:
-                row += [_fmt(v) for v in traj.states[t]]
+            if states is not None:
+                row += [_fmt(v) for v in states[t]]
             rows.append(row)
     with path.open("w", newline="\n") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
@@ -584,27 +649,28 @@ class TestTrajectoryWriter:
         [(True, False), (False, True), (True, True), (False, False)],
         ids=["errors", "states-no-target", "errors-and-states", "header-only"],
     )
-    @pytest.mark.parametrize("write_fields", [10, 2**14])
-    def test_matches_csv_writer(self, tmp_path, monkeypatch, errors, states, write_fields):
-        monkeypatch.setattr(harness, "_WRITE_FIELDS", write_fields)
+    @pytest.mark.parametrize("block", [10, 2**14])
+    def test_matches_csv_writer(self, tmp_path, errors, states, block):
+        # The 58 rows go to the writer as simulate hands them over: x(0)
+        # alone, then blocks of up to `block` rows.
         rng = np.random.default_rng(4)
         n, steps = 4, 57
         values = rng.random((steps + 1, n)) * 10.0 ** rng.integers(-300, 3, (steps + 1, n))
         values[:3, 0] = [0.0, 1.0, 1 / 3]
         errors_pi = np.abs(values[:, 1]) if errors else None
         errors_max = np.abs(values[:, 2]) if errors else None
-        traj = OpinionTrajectory(
-            states=values if states else None,
-            final_state=values[-1],
-            errors_pi=errors_pi,
-            errors_max=errors_max,
-            pi=None,
-            converged=True,
-            steps=steps,
-        )
-        _write_trajectory_csv(tmp_path / "bulk.csv", traj, n)
-        csv_module_trajectory(tmp_path / "csv.csv", traj, n)
-        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
+        with (tmp_path / "bulk.csv").open("w", newline="\n") as fh:
+            write = _trajectory_writer(fh, n, errors, states)
+            for start in [0, *range(1, steps + 1, block)]:
+                stop = start + 1 if start == 0 else min(start + block, steps + 1)
+                cut = slice(start, stop)
+                if errors:
+                    write(start, values[cut], errors_pi[cut], errors_max[cut])
+                else:
+                    write(start, values[cut], None, None)
+        reference = tmp_path / "csv.csv"
+        csv_module_trajectory(reference, errors_pi, errors_max, values if states else None, n)
+        assert (tmp_path / "bulk.csv").read_bytes() == reference.read_bytes()
 
 
 class TestConfigHash:

@@ -6,7 +6,7 @@ import pytest
 import oplex.verify as verify
 from oplex import merged
 from oplex.merged import MergedBoundsReport, MergedOutcome
-from oplex.simlab import DecayCheckResult
+from oplex.simlab import DecayCheck, DecayCheckResult
 from oplex.spectral import slem_reversible
 
 
@@ -40,7 +40,7 @@ FORCED_FAILURES = {
         "bounds/product-rate", "instance 0: k=0 slem ",
     ),
     "geometric-decay": (
-        verify, "decay_check", lambda trajectory, rho: DecayCheckResult(False, -1.0),
+        DecayCheck, "result", lambda self: DecayCheckResult(False, -1.0),
         "bounds/geometric-decay", "instance 0: decay margin -1.0",
     ),
 }  # fmt: skip
