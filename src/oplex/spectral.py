@@ -9,32 +9,38 @@ geometric convergence rate, and it needs only the two extreme eigenvalues
 of S once the Perron vector sqrt(pi) is deflated:
 
 - below _KRYLOV_MIN_N nodes, the dense solver eigvalsh on S;
-- from _KRYLOV_MIN_N nodes on, Lanczos with full reorthogonalization on
-  S, held on the layer's CSR pattern (Lanczos 1950; Parlett, The Symmetric
-  Eigenvalue Problem, 1980). It stops on the eigenvalue error, not the
-  residual: an outer Ritz value with residual r and a gap to the rest of
-  the spectrum is within r^2 / gap of an eigenvalue (Kato-Temple), so a
-  wide gap lets it stop long before r reaches _KRYLOV_TOL. A spectrum
-  clustered near modulus 1 (a slow-mixing ring) would take it many steps,
-  so an unconverged top Ritz value near 1 at any check from step
-  _KRYLOV_PROBE on, or a spent step budget, hands the layer back to the
-  dense solver.
+- from _KRYLOV_MIN_N nodes on, thick-restart Lanczos on S, held on the
+  layer's CSR pattern (Lanczos 1950; Wu and Simon, SIAM J. Matrix Anal.
+  Appl. 22, 2000). Its basis holds at most _LANCZOS_BASIS vectors besides
+  sqrt(pi), each orthogonalized against all the others. Once it is full,
+  eigh on the projected T gives every Ritz pair; the outer _LANCZOS_KEEP
+  Ritz vectors of each end replace the basis, and the last residual
+  direction continues it, so T is an arrowhead on the kept Ritz values
+  plus a tridiagonal. It stops on the eigenvalue error, not the residual:
+  an outer Ritz value with residual r and a gap to the rest of the
+  spectrum is within r^2 / gap of an eigenvalue (Kato-Temple), so a wide
+  gap lets it stop long before r reaches _KRYLOV_TOL. A spectrum clustered
+  near modulus 1 (a slow-mixing ring) would take it many restarts, so an
+  unconverged top Ritz value near 1 at any restart from _KRYLOV_PROBE
+  operator applications on, or a spent budget of _LANCZOS_BUDGET
+  applications, hands the layer back to the dense solver.
 
 Switching cycles Q = B A^k are genuinely nonreversible. Their SLEM is the
 largest eigenvalue modulus left once the constant vector is deflated
 (Q 1 = 1 for every stochastic Q): the general dense solver eigvals below
 _KRYLOV_MIN_N nodes, Arnoldi with full reorthogonalization from there
 (Arnoldi 1951; Saad, Numerical Methods for Large Eigenvalue Problems,
-2011), with the same hand-back to the dense solver. Arnoldi stops on the
-residual alone: for a nonnormal Q it bounds no eigenvalue error. Lanczos
-and Arnoldi share one Krylov loop. Its Ritz checks solve the small
-projected matrix for its eigenvalues alone (eigvalsh or eigvals) and get
-the residuals from the last components of the outer Ritz vectors, found
-by a recurrence without the eigenvector matrix. The loop applies the
-operator through its matvec_kernel: for a matrix, Csr.matvec_kernel (a
-dense product on matrices dense enough, else whole-slab adds where every
-row holds the same number of entries, 2 to 8, else np.add.reduceat); for
-a switching model, its cycle's.
+2011), with the same hand-back to the dense solver. Arnoldi is not
+restarted: numpy has no ordered Schur form for Krylov-Schur, so its basis
+grows to _ARNOLDI_MAX_STEPS vectors. It stops on the residual alone: for a
+nonnormal Q it bounds no eigenvalue error. Its Ritz checks solve the
+Hessenberg H for its eigenvalues alone (eigvals) and get the residual from
+the last component of the outer Ritz vector, found by a recurrence without
+the eigenvector matrix. Both loops apply the operator through its
+matvec_kernel: for a matrix, Csr.matvec_kernel (a dense product on
+matrices dense enough, else whole-slab adds where every row holds the same
+number of entries, 2 to 8, else np.add.reduceat); for a switching model,
+its cycle's.
 Ties at modulus 1 mean the chain is not primitive and the SLEM is 1. A
 solver lands within rounding of 1 there, so a SLEM within SLEM_SLACK of 1
 is settled by the support classification: it is exactly 1 for a layer
@@ -73,19 +79,26 @@ _KRYLOV_TOL = 1e-12
 # Parlett 1980, ch. 11). The gap is estimated as the distance to the next
 # Ritz value less that value's own residual.
 _EIG_TOL = 1e-14
-# Krylov steps between two Ritz checks: _KRYLOV_CHECK while the ratio of
+# Lanczos holds at most this many basis vectors besides sqrt(pi), and at
+# each restart keeps the Ritz vectors of the _LANCZOS_KEEP lowest and the
+# _LANCZOS_KEEP highest Ritz values. Its Ritz checks fall at the restarts.
+_LANCZOS_BASIS = 40
+_LANCZOS_KEEP = 8
+# Operator applications Lanczos may spend; the dense solver takes over beyond it.
+_LANCZOS_BUDGET = 3000
+# Arnoldi steps between two Ritz checks: _KRYLOV_CHECK while the ratio of
 # residual to acceptance level has no trend yet, else as many as its decay
 # predicts to reach 1, up to _KRYLOV_MAX_GAP. Each check takes the Ritz
-# values from eigvalsh on the tridiagonal part of H (Lanczos) or eigvals on
-# H (Arnoldi), and only the last components of the outer Ritz vectors.
+# values from eigvals on H, and only the last component of the outer Ritz
+# vector.
 _KRYLOV_CHECK = 8
 _KRYLOV_MAX_GAP = 32
-# Cap on Krylov steps; the dense solver takes over beyond it.
-_KRYLOV_MAX_STEPS = 300
-# At every Ritz check from step _KRYLOV_PROBE on (the first check falls
-# there), an unconverged top Ritz value of modulus at least _KRYLOV_NEAR_ONE
-# marks a spectrum clustered near 1: Krylov would need hundreds of steps
-# there, so the dense solver takes over.
+# Cap on Arnoldi steps, its basis rows; the dense solver takes over beyond it.
+_ARNOLDI_MAX_STEPS = 300
+# At every Ritz check from _KRYLOV_PROBE operator applications on, an
+# unconverged top Ritz value of modulus at least _KRYLOV_NEAR_ONE marks a
+# spectrum clustered near 1: Krylov would need hundreds of steps there, so
+# the dense solver takes over.
 _KRYLOV_PROBE = 16
 _KRYLOV_NEAR_ONE = 0.98
 # _last_components scales a Ritz vector down by this factor whenever it
@@ -93,7 +106,7 @@ _KRYLOV_NEAR_ONE = 0.98
 _RESCALE = 1e100
 # _last_components trusts its recurrence for a Ritz vector while r / gap,
 # the bound on the vector's angle to the true one, stays below this. On
-# Lanczos runs on rings and random layers, every vector up to 1e-10 agreed
+# Krylov runs on rings and random layers, every vector up to 1e-10 agreed
 # with eigh to 3e-12 relative (components above 1e-5), and every failure,
 # a second copy of a double eigenvalue, read 1 or more.
 _BOTTOM_UP_TOL = 1e-6
@@ -176,53 +189,24 @@ def _next_check_gap(last: tuple[int, float] | None, j: int, excess: float) -> in
     return int(np.clip(np.ceil(np.log(excess) / rate), 1, _KRYLOV_MAX_GAP))
 
 
-def _outer(theta: np.ndarray, symmetric: bool) -> np.ndarray:
-    """Indices into theta of the Ritz values the stop rules read: the two
-    lowest and two highest for Lanczos (theta ascending), as _lanczos_excess
-    reads them; the one of largest modulus for Arnoldi."""
-    j = theta.shape[0]
-    if symmetric:
-        return np.arange(j) if j <= 4 else np.array([0, 1, j - 2, j - 1])
-    return np.array([np.argmax(np.abs(theta))])
-
-
-def _last_components(
-    h: np.ndarray, theta: np.ndarray, gaps: np.ndarray, symmetric: bool
-) -> np.ndarray | None:
+def _last_components(h: np.ndarray, theta: np.ndarray, gaps: np.ndarray) -> np.ndarray | None:
     """|s_j| for the unit eigenvectors s of the j x j upper Hessenberg h at its
     eigenvalues theta, each gaps away from the nearest other eigenvalue of h;
     None where one of them cannot be trusted.
 
     Each s comes from the bottom up (Parlett 1980, ch. 7): s_j = 1, and row k
-    of (h - theta) s = 0 gives s_(k-1) from s_k..s_j, down to row 2. It is
-    scaled down by _RESCALE whenever it grows past _RESCALE, so nothing
-    overflows where s_j is tiny (a converged Ritz vector). Row 1 is left
-    over, and its residual r over the norm of s bounds the angle between s
-    and the true eigenvector by r / gap (Davis and Kahan 1970). The
-    recurrence fails where the true eigenvector has a negligible first
-    component (a Ritz vector the start vector does not reach, as where a
-    double eigenvalue gets a second copy from rounding); r / gap above
-    _BOTTOM_UP_TOL gives that away. A symmetric h is read as the tridiagonal
-    of its diagonal and subdiagonal, and its recurrence runs on Python floats;
-    a Hessenberg h takes one dot product a row.
+    of (h - theta) s = 0 gives s_(k-1) from s_k..s_j, one dot product a row,
+    down to row 2. It is scaled down by _RESCALE whenever it grows past
+    _RESCALE, so nothing overflows where s_j is tiny (a converged Ritz
+    vector). Row 1 is left over, and its residual r over the norm of s
+    bounds the angle between s and the true eigenvector by r / gap (Davis
+    and Kahan 1970). The recurrence fails where the true eigenvector has a
+    negligible first component (a Ritz vector the start vector does not
+    reach, as where a double eigenvalue gets a second copy from rounding);
+    r / gap above _BOTTOM_UP_TOL gives that away.
     """
     j = h.shape[0]
     last = []
-    if symmetric:
-        diag, sub = np.diagonal(h).tolist(), np.diagonal(h, -1).tolist() + [0.0]
-        big = _RESCALE**2
-        for t, gap in zip(theta.tolist(), gaps.tolist()):
-            below, s, s_j, norm2 = 0.0, 1.0, 1.0, 1.0
-            for k in range(j - 1, 0, -1):
-                below, s = s, ((t - diag[k]) * s - sub[k] * below) / sub[k - 1]
-                norm2 += s * s
-                if norm2 > big:
-                    below, s, s_j = below / _RESCALE, s / _RESCALE, s_j / _RESCALE
-                    norm2 /= big
-            if abs((diag[0] - t) * s + sub[0] * below) > _BOTTOM_UP_TOL * gap * math.sqrt(norm2):
-                return None
-            last.append(s_j / math.sqrt(norm2))
-        return np.array(last)
     sub = np.diagonal(h, -1).tolist()
     for t, gap in zip(theta.tolist(), gaps.tolist()):
         # real arithmetic for a real Ritz value, complex for one of a pair
@@ -241,79 +225,129 @@ def _last_components(
     return np.array(last)
 
 
-def _outer_ritz(ritz: np.ndarray, beta: float, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The outer Ritz values of the j x j H (see _outer) and their residuals
-    beta |s_j|: the values from eigvalsh (Lanczos) or eigvals (Arnoldi), the
-    last components from _last_components, or from the eigenvector matrix
-    of eigh or eig where the recurrence cannot be trusted."""
-    theta = np.linalg.eigvalsh(ritz) if symmetric else np.linalg.eigvals(ritz)
-    outer = _outer(theta, symmetric)
-    distance = np.abs(theta[outer, None] - theta)
-    distance[np.arange(outer.shape[0]), outer] = np.inf
-    last = _last_components(ritz, theta[outer], distance.min(axis=1), symmetric)
+def _outer_ritz(hess: np.ndarray, beta: float) -> tuple[complex, float]:
+    """The Ritz value of largest modulus of the j x j Hessenberg H and its
+    residual beta |s_j|: the values from eigvals, the last component from
+    _last_components, or from the eigenvector matrix of eig where the
+    recurrence cannot be trusted."""
+    theta = np.linalg.eigvals(hess)
+    outer = np.argmax(np.abs(theta))
+    distance = np.abs(theta[outer] - theta)
+    distance[outer] = np.inf
+    last = _last_components(hess, theta[outer, None], distance.min(keepdims=True))
     if last is None:
-        theta, vectors = np.linalg.eigh(ritz) if symmetric else np.linalg.eig(ritz)
-        outer = _outer(theta, symmetric)
-        last = np.abs(vectors[-1, outer])
-    return theta[outer], beta * last
+        theta, vectors = np.linalg.eig(hess)
+        outer = np.argmax(np.abs(theta))
+        last = np.abs(vectors[-1, outer, None])
+    return theta[outer], beta * last[0]
 
 
-def _slem_krylov(apply, u: np.ndarray, symmetric: bool) -> float | None:
-    """Largest eigenvalue modulus of an operator restricted to the complement of u.
-
-    u is a unit vector with apply(u) = u whose span the operator leaves
-    invariant, so the restriction keeps every other eigenvalue. Each step
-    applies the operator to the newest basis vector and orthogonalizes the
-    result against u and every earlier basis vector by classical
-    Gram-Schmidt. One pass loses orthogonality where it cancels most of the
-    vector, so a second pass follows wherever the first left less than
-    1/sqrt(2) of its norm (Daniel, Gragg, Kaufman and Stewart 1976); two
-    keep it to rounding (Giraud, Langou and Rozloznik 2005). The
-    coefficients fill the Hessenberg H. A symmetric operator makes H
-    tridiagonal (Lanczos): its Ritz values come from eigvalsh and both
-    extremes must converge, to the eigenvalue error that _lanczos_excess
-    bounds. Otherwise (Arnoldi) they come from eigvals and the one of
-    largest modulus must reach residual _KRYLOV_TOL. The residuals need only
-    the last components of the outer Ritz vectors, which _last_components
-    takes without the eigenvector matrix. Returns None, for a dense solver
-    to take over, when the spectrum is clustered near modulus 1 or the step
-    budget runs out.
-    """
-    n = u.shape[0]
-    steps = min(_KRYLOV_MAX_STEPS, n - 1)
-    basis = np.empty((steps + 2, n))
+def _krylov_basis(u: np.ndarray, rows: int) -> np.ndarray:
+    """Room for u and rows + 1 Krylov vectors: u, then the fixed start
+    vector with u projected out, so reruns are bit-for-bit identical."""
+    basis = np.empty((rows + 2, u.shape[0]))
     basis[0] = u
-    # a fixed start vector, so reruns are bit-for-bit identical
-    start = np.random.default_rng(0).standard_normal(n)
+    start = np.random.default_rng(0).standard_normal(u.shape[0])
     start -= (u @ start) * u
     basis[1] = start / np.linalg.norm(start)
+    return basis
+
+
+def _orthogonalize(r: np.ndarray, done: np.ndarray) -> tuple[np.ndarray, float]:
+    """Project the orthonormal rows of done out of r in place, by classical
+    Gram-Schmidt; return the coefficients and the squared norm left.
+
+    One pass loses orthogonality where it cancels most of the vector, so a
+    second pass follows wherever the first left less than 1/sqrt(2) of its
+    norm (Daniel, Gragg, Kaufman and Stewart 1976); two keep it to rounding
+    (Giraud, Langou and Rozloznik 2005).
+    """
+    before = r @ r
+    h = done @ r
+    r -= done.T @ h
+    beta2 = r @ r
+    if beta2 < 0.5 * before:
+        c = done @ r
+        r -= done.T @ c
+        h += c
+        beta2 = r @ r
+    return h, beta2
+
+
+def _restarted_lanczos(apply, u: np.ndarray) -> float | None:
+    """Largest eigenvalue modulus of a symmetric operator restricted to the
+    complement of u, by thick-restart Lanczos (Wu and Simon 2000).
+
+    u is a unit vector with apply(u) = u, so the restriction keeps every
+    other eigenvalue. Each step applies the operator to the newest basis
+    vector and orthogonalizes the result against u and every other basis
+    vector; its diagonal coefficient and norm extend the tridiagonal T. Once
+    the basis holds m = _LANCZOS_BASIS vectors, eigh on T gives every Ritz
+    value theta (ascending) and vector y, with residual beta |y_m|; both
+    extremes must converge, to the eigenvalue error that _lanczos_excess
+    bounds. Otherwise the Ritz vectors of the _LANCZOS_KEEP lowest and
+    highest theta become the basis, and the normalized residual direction,
+    to which each y_i couples by beta y_mi, continues it: T restarts as
+    diag(theta) bordered by that arrowhead row. Returns None, for a dense
+    solver to take over, when the spectrum is clustered near modulus 1 or
+    _LANCZOS_BUDGET operator applications are spent.
+    """
+    m = min(_LANCZOS_BASIS, u.shape[0] - 1)
+    keep = min(_LANCZOS_KEEP, (m - 1) // 2)
+    kept = np.r_[0:keep, m - keep : m]
+    basis = _krylov_basis(u, m)
+    t = np.zeros((m, m))
+    j = 0
+    for applied in range(1, _LANCZOS_BUDGET + 1):
+        r = apply(basis[j + 1])
+        h, beta2 = _orthogonalize(r, basis[: j + 2])
+        t[j, j] = h[j + 1]
+        j += 1
+        beta = math.sqrt(beta2)
+        if j < m and beta >= _KRYLOV_TOL:
+            t[j, j - 1] = beta
+        else:
+            theta, ritz = np.linalg.eigh(t[:j, :j])
+            top = max(abs(theta[0]), abs(theta[-1]))
+            if _lanczos_excess(theta, beta * np.abs(ritz[-1])) < 1.0:
+                return float(min(top, 1.0))
+            if applied >= _KRYLOV_PROBE and top >= _KRYLOV_NEAR_ONE:
+                return None
+            basis[1 : 2 * keep + 1] = ritz[:, kept].T @ basis[1 : m + 1]
+            j = 2 * keep
+            t[:j, :j] = np.diag(theta[kept])
+            t[j, :j] = beta * ritz[-1, kept]
+        np.divide(r, beta, out=basis[j + 1])
+    return None
+
+
+def _arnoldi(apply, u: np.ndarray) -> float | None:
+    """Largest eigenvalue modulus of an operator restricted to the complement
+    of u, by Arnoldi with full reorthogonalization.
+
+    u is a unit vector with apply(u) = u whose span the operator leaves
+    invariant. Each step applies the operator to the newest basis vector
+    and orthogonalizes the result against u and every earlier basis vector;
+    the coefficients fill the Hessenberg H. The Ritz value of largest
+    modulus must reach residual _KRYLOV_TOL. Returns None, for a dense
+    solver to take over, when the spectrum is clustered near modulus 1 or
+    _ARNOLDI_MAX_STEPS steps are spent.
+    """
+    steps = min(_ARNOLDI_MAX_STEPS, u.shape[0] - 1)
+    basis = _krylov_basis(u, steps)
     hess = np.zeros((steps + 1, steps))
     check, last = _KRYLOV_PROBE, None
     for j in range(1, steps + 1):
         r = apply(basis[j])
-        done = basis[: j + 1]
-        before = r @ r
-        h = done @ r
-        r -= done.T @ h
-        beta2 = r @ r
-        if beta2 < 0.5 * before:
-            c = done @ r
-            r -= done.T @ c
-            h += c
-            beta2 = r @ r
+        h, beta2 = _orthogonalize(r, basis[: j + 1])
         hess[:j, j - 1] = h[1:]
         hess[j, j - 1] = beta = math.sqrt(beta2)
         if j == check or beta < _KRYLOV_TOL or j == steps:
-            theta, residuals = _outer_ritz(hess[:j, :j], beta, symmetric)
-            if symmetric:
-                top = max(abs(theta[0]), abs(theta[-1]))
-                excess = _lanczos_excess(theta, residuals)
-            else:
-                top = abs(theta[0])
-                excess = residuals[0] / _KRYLOV_TOL
+            theta, residual = _outer_ritz(hess[:j, :j], beta)
+            excess = residual / _KRYLOV_TOL
             if excess < 1.0:
-                return float(min(top, 1.0))
-            if j >= _KRYLOV_PROBE and top >= _KRYLOV_NEAR_ONE:
+                return float(min(abs(theta), 1.0))
+            if j >= _KRYLOV_PROBE and abs(theta) >= _KRYLOV_NEAR_ONE:
                 return None
             check = j + _next_check_gap(last, j, excess)
             last = (j, excess)
@@ -324,7 +358,7 @@ def _slem_krylov(apply, u: np.ndarray, symmetric: bool) -> float | None:
 def _slem_lanczos(layer: LayerGraph) -> float | None:
     """SLEM by Lanczos on S with sqrt(pi) deflated, S applied from the layer's CSR."""
     apply = _symmetrized(layer).matvec_kernel()
-    return _slem_krylov(apply, _perron_vector(layer, apply), symmetric=True)
+    return _restarted_lanczos(apply, _perron_vector(layer, apply))
 
 
 def _slem_arnoldi(m: TransitionMatrix | SwitchingModel) -> float | None:
@@ -334,7 +368,7 @@ def _slem_arnoldi(m: TransitionMatrix | SwitchingModel) -> float | None:
     ones = np.ones(m.n)
     if np.abs(apply(ones) - ones).max() > _PERRON_TOL:
         raise RuntimeError("Q 1 != 1; input not stochastic?")
-    return _slem_krylov(apply, ones / np.sqrt(m.n), symmetric=False)
+    return _arnoldi(apply, ones / np.sqrt(m.n))
 
 
 def _slem_dense(m: TransitionMatrix | SwitchingModel) -> float:

@@ -34,13 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .netcore import LayerGraph, is_integer
-from .spectral import (
-    _KRYLOV_MAX_STEPS,
-    _KRYLOV_MIN_N,
-    SLEM_SLACK,
-    eig_moduli_nonsymmetric,
-    slem_reversible,
-)
+from .spectral import _KRYLOV_MIN_N, SLEM_SLACK, eig_moduli_nonsymmetric, slem_reversible
 from .stochastic import (
     _STATIONARY_RESIDUAL_TOL,
     StationaryDistribution,
@@ -63,6 +57,8 @@ _MATRIX_FREE_MAX_COST = 12
 # Cycles without a new least residual after which the power iteration for pi
 # takes its best iterate as the rounding floor.
 _STATIONARY_WINDOW = 8
+# Cycles the power iteration for pi may take before the dense solve takes over.
+_STATIONARY_MAX_CYCLES = 300
 
 
 class SwitchingModel:
@@ -189,12 +185,12 @@ def _stationary_matrix_free(model: SwitchingModel) -> StationaryDistribution | N
     returns the iterate of least residual. A cycle with complex subdominant
     eigenvalues has a residual that falls in a zigzag, so its first uptick
     can come well before rounding. None if the iteration has not settled
-    within _KRYLOV_MAX_STEPS cycles, for the dense solve to take over.
+    within _STATIONARY_MAX_CYCLES cycles, for the dense solve to take over.
     """
     runs = [(layer.csr.matvec_kernel(), layer.degrees, r) for layer, r in reversed(model.schedule)]
     y = np.full(model.n, 1.0 / model.n)
     least, best, stale, settled = np.inf, y, 0, False
-    for _ in range(_KRYLOV_MAX_STEPS):
+    for _ in range(_STATIONARY_MAX_CYCLES):
         z = y
         for apply, degrees, r in runs:
             for _ in range(r):

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -34,6 +35,7 @@ from oplex.spectral import (
 )
 from oplex.stochastic import TransitionMatrix, transition_matrix
 from oplex.switching import SwitchingModel
+from oplex.switching import analyze as analyze_switching
 from oplex.verify import random_layer
 
 
@@ -209,6 +211,35 @@ class TestExactSlemOne:
         assert 1.0 - SLEM_SLACK < slem < 1.0
 
 
+class TestSlemSlack:
+    """Every check that reads SLEM_SLACK fails on a SLEM 1e-7 past its bound
+    and passes at the slack's edge, so the slack cannot widen unseen."""
+
+    @staticmethod
+    def checked(check, past):
+        """The named check on a real model whose SLEM is moved past its
+        bound by past, on the side that breaks it."""
+        rings = [generate(GeneratorSpec(kind="circulant", n=9, offsets=(o,))) for o in (1, 2)]
+        x0 = np.linspace(0.0, 1.0, 9)
+        if check == "slem-under-rho-star":
+            outcome = analyze_switching(SwitchingModel(*rings, 2), x0)
+            moved = outcome._replace(slem_cycle=outcome.rho_star + past)
+        else:
+            bounds = analyze_merged(MergedModel(*rings, 0.5), x0).bounds
+            assert bounds.degrees_matched
+            if check == "slem-lower-bound":
+                moved = bounds._replace(slem_c=bounds.lower_bound - past)
+            else:
+                moved = bounds._replace(slem_c=bounds.upper_bound + past)
+        return moved.checks()[check]
+
+    @pytest.mark.parametrize("check", ["slem-lower-bound", "slem-upper-bound", "slem-under-rho-star"])
+    def test_fails_past_the_slack_and_passes_at_its_edge(self, check):
+        assert self.checked(check, 0.0) is True
+        assert self.checked(check, SLEM_SLACK) is True
+        assert self.checked(check, 1e-7) is False
+
+
 class TestRayleigh:
     def test_eigenvector_recovers_eigenvalue(self):
         _, layer2 = triangle_pair()
@@ -302,6 +333,16 @@ def dense_cycle_slem(m):
     return min(float(moduli_general(m)[1]), 1.0)
 
 
+# Layers on which Lanczos restarts several times; the circulant's spectrum is
+# doubly degenerate (lambda_j = lambda_(n-j)) at both ends, SLEM 0.852.
+RESTART_LAYERS = {
+    "barabasi-albert": GeneratorSpec(kind="barabasi-albert", n=600, m=3, seed=4),
+    "erdos-renyi": GeneratorSpec(kind="erdos-renyi", n=600, p=0.02, seed=5),
+    "k-regular": GeneratorSpec(kind="k-regular", n=800, k=3, seed=6),
+    "circulant": GeneratorSpec(kind="circulant", n=601, offsets=(120, 129, 144, 245)),
+}
+
+
 class TestKrylov:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -332,12 +373,48 @@ class TestKrylov:
         assert summary.method == "lanczos"
         assert abs(summary.slem - dense_slem(layer)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "kind, alpha",
+        [(kind, None) for kind in RESTART_LAYERS] + [("blend", alpha) for alpha in (0.25, 0.5, 0.75)],
+        ids=list(RESTART_LAYERS) + ["blend-0.25", "blend-0.5", "blend-0.75"],
+    )
+    def test_restarted_lanczos_matches_eigvalsh(self, kind, alpha):
+        # layers past the crossover whose SLEMs take several restarts of the
+        # 40-vector basis, and blends of the first two
+        if kind == "blend":
+            ba, er = (generate(RESTART_LAYERS[k]) for k in ("barabasi-albert", "erdos-renyi"))
+            layer = MergedModel(ba, er, alpha).merged_layer
+        else:
+            layer = generate(RESTART_LAYERS[kind])
+        assert layer.n >= _KRYLOV_MIN_N
+        slem = _slem_lanczos(layer)
+        dense = dense_slem(layer)
+        assert dense < _KRYLOV_NEAR_ONE
+        assert slem is not None and abs(slem - dense) <= 1e-12
+
+    def test_restarted_lanczos_memory_is_bounded(self):
+        # The 8-regular layer on 2 10^4 nodes has a crowded spectrum edge (the
+        # Kesten-McKay edge 2 sqrt(7) / 8 = 0.6614). Without restarts Lanczos
+        # spent its 300 steps on a 302-row basis (53 MB traced) and handed the
+        # layer to a dense solve of 3.2 GB; restarted, its 42-row basis
+        # resolves it at about 14 MB traced.
+        layer = generate(GeneratorSpec(kind="k-regular", n=20000, k=8, seed=5))
+        tracemalloc.start()
+        try:
+            slem = _slem_lanczos(layer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert slem is not None and 0.6 < slem < 2 * np.sqrt(7) / 8
+        assert peak < 20 * 2**20
+
     def test_lanczos_out_of_steps_falls_back_to_dense(self, monkeypatch):
-        # 20 steps are too few for this layer, whose spectrum is not near
-        # modulus 1: Lanczos runs out of steps, and eigvalsh takes over.
+        # 20 operator applications are too few for this layer, whose
+        # spectrum is not near modulus 1: Lanczos spends its budget before
+        # its basis is full, and eigvalsh takes over.
         full = slem_reversible(hubs_and_random(600, 11))
         assert full.method == "lanczos" and full.slem < _KRYLOV_NEAR_ONE
-        monkeypatch.setattr(spectral, "_KRYLOV_MAX_STEPS", 20)
+        monkeypatch.setattr(spectral, "_LANCZOS_BUDGET", 20)
         layer = hubs_and_random(600, 11)
         assert _slem_lanczos(layer) is None
         summary = slem_reversible(layer)
@@ -422,30 +499,30 @@ class TestKrylov:
                 for slem in (_slem_lanczos(ring), _slem_arnoldi(transition_matrix(ring))):
                     assert slem == pytest.approx(closed_form, abs=1e-11)
 
-    # Operator applications Lanczos took on the five solves of
-    # test_hubs_and_blends_stop_on_the_eigenvalue_error when it stopped only
-    # at residual < _KRYLOV_TOL: 151, 137, 125, 136 and 132 steps.
-    RESIDUAL_RULE_APPLICATIONS = 681
-    # The same five solves under the eigenvalue error rule, recorded when
-    # each Ritz check still built the whole eigenvector matrix with eigh:
-    # how the check reads the Ritz vectors must not move a stop step.
-    EIGENVALUE_RULE_APPLICATIONS = 533
+    # Operator applications the restarted Lanczos takes on the five solves
+    # of test_hubs_and_blends_stop_on_the_eigenvalue_error when it stops
+    # only at residual < _KRYLOV_TOL (_EIG_TOL set to 0): 160, 160, 136, 136
+    # and 136, each a full first basis and then whole restarts.
+    RESIDUAL_RULE_APPLICATIONS = 728
+    # The same five solves under the eigenvalue error rule: 136, 112, 112,
+    # 112 and 112.
+    EIGENVALUE_RULE_APPLICATIONS = 584
 
     def test_hubs_and_blends_stop_on_the_eigenvalue_error(self, monkeypatch):
         # the shape of the merged-hubs sweep: BA(1000, 5), ER(1000, 0.01) and
         # their blends, whose outer gaps (about 2e-3 to 1e-2) let the
         # eigenvalue error rule stop well before the residual reaches 1e-12
         applications = []
-        krylov = spectral._slem_krylov
+        lanczos = spectral._restarted_lanczos
 
-        def counted(apply, u, symmetric):
+        def counted(apply, u):
             def counted_apply(x):
                 applications.append(1)
                 return apply(x)
 
-            return krylov(counted_apply, u, symmetric)
+            return lanczos(counted_apply, u)
 
-        monkeypatch.setattr(spectral, "_slem_krylov", counted)
+        monkeypatch.setattr(spectral, "_restarted_lanczos", counted)
         ba = generate(GeneratorSpec(kind="barabasi-albert", n=1000, m=5, seed=1))
         er = generate(GeneratorSpec(kind="erdos-renyi", n=1000, p=0.01, seed=2))
         layers = [ba, er] + [MergedModel(ba, er, alpha).merged_layer for alpha in (0.25, 0.5, 0.75)]
@@ -589,7 +666,13 @@ def with_eigenpair(rng, s, theta, symmetric):
 
 
 class TestRitzLastComponents:
-    """_last_components against the eigenvector matrices it replaces."""
+    """_last_components against the eigenvector matrices it replaces.
+
+    Arnoldi's H is upper Hessenberg; on a symmetric operator (a cycle of a
+    regular layer alone, say) it is a symmetric tridiagonal to rounding.
+    The symmetric cases hand the recurrence such a tridiagonal and read
+    both ends of its spectrum against eigh.
+    """
 
     @staticmethod
     def check(h, symmetric):
@@ -597,8 +680,12 @@ class TestRitzLastComponents:
         # whole vector: 1e-10 relative where it is above 1e-5, 1e-13 absolute
         # below (a converged Ritz vector)
         theta, vectors = np.linalg.eigh(h) if symmetric else np.linalg.eig(h)
-        outer = spectral._outer(theta, symmetric)
-        last = _last_components(h, theta[outer], gaps_to_the_rest(theta, theta[outer]), symmetric)
+        j = theta.shape[0]
+        if symmetric:
+            outer = np.arange(j) if j <= 4 else np.array([0, 1, j - 2, j - 1])
+        else:
+            outer = np.array([np.argmax(np.abs(theta))])
+        last = _last_components(h, theta[outer], gaps_to_the_rest(theta, theta[outer]))
         assert last is not None
         expected = np.abs(vectors[-1, outer])
         held = expected > 1e-5
@@ -610,9 +697,8 @@ class TestRitzLastComponents:
     def test_random_tridiagonal(self, j):
         rng = np.random.default_rng(j)
         for _ in range(5):
-            h = np.diag(rng.uniform(-1, 1, j)) + np.diag(rng.uniform(0.5, 1.0, j - 1), -1)
-            # the strict upper triangle is not read: Lanczos leaves rounding there
-            self.check(h + np.triu(rng.uniform(-1e-3, 1e-3, (j, j)), 1), symmetric=True)
+            sub = rng.uniform(0.5, 1.0, j - 1)
+            self.check(np.diag(rng.uniform(-1, 1, j)) + np.diag(sub, -1) + np.diag(sub, 1), symmetric=True)
 
     @pytest.mark.parametrize("j", [1, 2, 3, 5, 8])
     def test_random_hessenberg(self, j):
@@ -626,14 +712,18 @@ class TestRitzLastComponents:
     @pytest.mark.parametrize("symmetric", [True, False], ids=["lanczos", "arnoldi"])
     def test_krylov_projections(self, j, symmetric):
         # H of j Krylov steps on a random operator on 300 nodes: a symmetric
-        # one with its spectrum spread over [-1, 1], or a general one with
-        # its spectrum filling the unit disc
+        # one with its spectrum spread over [-1, 1], whose H is taken as the
+        # exact symmetric tridiagonal of its diagonal and subdiagonal, or a
+        # general one with its spectrum filling the unit disc
         rng = np.random.default_rng(j)
         a = rng.standard_normal((300, 300)) / np.sqrt(300)
         if symmetric:
             q = np.linalg.qr(a)[0]
             a = (q * rng.uniform(-1, 1, 300)) @ q.T
-        self.check(krylov_projection(a, j, rng), symmetric)
+        h = krylov_projection(a, j, rng)
+        if symmetric:
+            h = np.tril(h) + np.tril(h, -1).T
+        self.check(h, symmetric)
 
     def test_complex_conjugate_outer_pair(self):
         # 0.9 times a rotation by 2 pi / 7 beside a spectrum inside the disc
@@ -649,7 +739,7 @@ class TestRitzLastComponents:
         assert abs(outer[0].imag) > 0.1
         theta = np.linalg.eigvals(h)
         pair = np.array([outer[0], np.conj(outer[0])])
-        last = _last_components(h, pair, gaps_to_the_rest(theta, pair), False)
+        last = _last_components(h, pair, gaps_to_the_rest(theta, pair))
         assert last[1] == pytest.approx(last[0], rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["tridiagonal", "hessenberg"])
@@ -668,7 +758,7 @@ class TestRitzLastComponents:
         values = np.linalg.eigvalsh(h) if symmetric else np.linalg.eigvals(h).real
         found = values[[np.argmin(np.abs(values - theta))]]
         assert found[0] == pytest.approx(theta, abs=1e-12)
-        last = _last_components(h, found, gaps_to_the_rest(values, found), symmetric)
+        last = _last_components(h, found, gaps_to_the_rest(values, found))
         assert last is not None
         assert last[0] == pytest.approx(s_j / np.linalg.norm(s), rel=1e-10, abs=0)
 
@@ -678,17 +768,16 @@ class TestRitzLastComponents:
         # tenth of its steps: the eigenvector of the lowest eigenvalue, which
         # is also the one of largest modulus, lives at the bottom with a first
         # component near 1e-40. The recurrence cannot find it from there and
-        # says so; the check then takes the eigenvector matrix of eigh (or of
-        # eig: a tridiagonal is a Hessenberg matrix too).
+        # says so; the check then takes the eigenvector matrix of eig, which
+        # agrees with eigh's (symmetric) and with eig's own (hessenberg).
         rng = np.random.default_rng(1)
         j = 40
         sub = rng.uniform(0.002, 0.01, j - 1)
         h = np.diag(np.linspace(0.9, -1.0, j)) + np.diag(sub, -1) + np.diag(sub, 1)
-        theta, vectors = np.linalg.eigh(h)
-        assert abs(vectors[0, 0]) < 1e-30 and abs(theta[0]) == np.abs(theta).max()
-        assert _last_components(h, theta[:1], gaps_to_the_rest(theta, theta[:1]), symmetric) is None
-        outer, residuals = _outer_ritz(h, 0.5, symmetric)
-        read = [0, 1, -2, -1] if symmetric else [0]
-        np.testing.assert_allclose(outer, theta[read], rtol=0, atol=1e-14)
-        expected = 0.5 * np.abs(vectors[-1, read])
-        np.testing.assert_allclose(residuals, expected, rtol=1e-10, atol=1e-16)
+        theta, vectors = np.linalg.eigh(h) if symmetric else np.linalg.eig(h)
+        low = np.argmax(np.abs(theta))
+        assert abs(vectors[0, low]) < 1e-30 and theta[low] == theta.min()
+        assert _last_components(h, theta[[low]], gaps_to_the_rest(theta, theta[[low]])) is None
+        outer, residual = _outer_ritz(h, 0.5)
+        assert outer == pytest.approx(theta[low], rel=0, abs=1e-14)
+        assert residual == pytest.approx(0.5 * abs(vectors[-1, low]), rel=1e-10, abs=1e-16)
