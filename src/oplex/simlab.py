@@ -65,13 +65,11 @@ _BLOCK_MIN = 64
 class OpinionTrajectory(NamedTuple):
     """How a run ended: its last opinion state, step count and convergence.
 
-    pi is the stationary vector the errors were taken against, None when no
-    pi was supplied (non-convergent runs). The states and errors along the
-    way went to simulate's readers and are not kept.
+    The states and errors along the way went to simulate's readers and are
+    not kept.
     """
 
     final_state: np.ndarray
-    pi: np.ndarray | None
     converged: bool
     steps: int
 
@@ -183,7 +181,6 @@ def simulate(
         buf[0] = buf[used]
     return OpinionTrajectory(
         final_state=buf[used].copy(),
-        pi=None if pi is None else pi.pi,
         converged=converged,
         steps=steps,
     )

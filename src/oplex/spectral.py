@@ -11,36 +11,36 @@ of S once the Perron vector sqrt(pi) is deflated:
 - below _KRYLOV_MIN_N nodes, the dense solver eigvalsh on S;
 - from _KRYLOV_MIN_N nodes on, thick-restart Lanczos on S, held on the
   layer's CSR pattern (Lanczos 1950; Wu and Simon, SIAM J. Matrix Anal.
-  Appl. 22, 2000). Its basis holds at most _LANCZOS_BASIS vectors besides
-  sqrt(pi), each orthogonalized against all the others. Once it is full,
-  eigh on the projected T gives every Ritz pair; the outer _LANCZOS_KEEP
-  Ritz vectors of each end replace the basis, and the last residual
-  direction continues it, so T is an arrowhead on the kept Ritz values
-  plus a tridiagonal. It stops on the eigenvalue error, not the residual:
-  an outer Ritz value with residual r and a gap to the rest of the
-  spectrum is within r^2 / gap of an eigenvalue (Kato-Temple), so a wide
-  gap lets it stop long before r reaches _KRYLOV_TOL. A spectrum clustered
-  near modulus 1 (a slow-mixing ring) would take it many restarts, so an
-  unconverged top Ritz value near 1 at any restart from _KRYLOV_PROBE
-  operator applications on, or a spent budget of _LANCZOS_BUDGET
-  applications, hands the layer back to the dense solver.
+  Appl. 22, 2000). It stops on the eigenvalue error, not the residual: an
+  outer Ritz value with residual r and a gap to the rest of the spectrum
+  is within r^2 / gap of an eigenvalue (Kato-Temple), so a wide gap lets
+  it stop long before r reaches _KRYLOV_TOL.
 
 Switching cycles Q = B A^k are genuinely nonreversible. Their SLEM is the
 largest eigenvalue modulus left once the constant vector is deflated
 (Q 1 = 1 for every stochastic Q): the general dense solver eigvals below
-_KRYLOV_MIN_N nodes, Arnoldi with full reorthogonalization from there
-(Arnoldi 1951; Saad, Numerical Methods for Large Eigenvalue Problems,
-2011), with the same hand-back to the dense solver. Arnoldi is not
-restarted: numpy has no ordered Schur form for Krylov-Schur, so its basis
-grows to _ARNOLDI_MAX_STEPS vectors. It stops on the residual alone: for a
-nonnormal Q it bounds no eigenvalue error. Its Ritz checks solve the
-Hessenberg H for its eigenvalues alone (eigvals) and get the residual from
-the last component of the outer Ritz vector, found by a recurrence without
-the eigenvector matrix. Both loops apply the operator through its
-matvec_kernel: for a matrix, Csr.matvec_kernel (a dense product on
-matrices dense enough, else whole-slab adds where every row holds the same
-number of entries, 2 to 8, else np.add.reduceat); for a switching model,
-its cycle's.
+_KRYLOV_MIN_N nodes, thick-restart Arnoldi from there (Arnoldi 1951;
+Morgan, Math. Comp. 65, 1996). It stops on the residual alone: for a
+nonnormal Q it bounds no eigenvalue error.
+
+Both Krylov loops share one restart scheme. The basis holds at most
+_KRYLOV_BASIS vectors besides the deflated one, each orthogonalized
+against all the others. Once it is full, the projected matrix (Lanczos'
+tridiagonal T by eigh, Arnoldi's H by eig) gives every Ritz pair; the
+Ritz vectors of _KRYLOV_KEEP Ritz values at each end (Lanczos) or of
+largest modulus (Arnoldi) replace the basis, and the last residual
+direction continues it. The projected matrix restarts as the kept block
+bordered by the residual's couplings: diag(theta) for Lanczos, Q^T H Q on
+an orthonormal basis Q of the kept Ritz vectors for Arnoldi, which keeps a
+complex pair as its real and imaginary parts. A spectrum clustered near
+modulus 1 (a slow-mixing ring) would take many restarts, so an unconverged
+top Ritz value near 1 at any restart, or a spent budget of _KRYLOV_BUDGET
+operator applications, hands the operator back to the dense solver. Both
+loops apply the operator through its matvec_kernel: for a matrix,
+Csr.matvec_kernel (a dense product on matrices dense enough, else
+whole-slab adds where every row holds the same number of entries, 2 to 8,
+else np.add.reduceat); for a switching model, its cycle's.
+
 Ties at modulus 1 mean the chain is not primitive and the SLEM is 1. A
 solver lands within rounding of 1 there, so a SLEM within SLEM_SLACK of 1
 is settled by the support classification: it is exactly 1 for a layer
@@ -79,37 +79,18 @@ _KRYLOV_TOL = 1e-12
 # Parlett 1980, ch. 11). The gap is estimated as the distance to the next
 # Ritz value less that value's own residual.
 _EIG_TOL = 1e-14
-# Lanczos holds at most this many basis vectors besides sqrt(pi), and at
-# each restart keeps the Ritz vectors of the _LANCZOS_KEEP lowest and the
-# _LANCZOS_KEEP highest Ritz values. Its Ritz checks fall at the restarts.
-_LANCZOS_BASIS = 40
-_LANCZOS_KEEP = 8
-# Operator applications Lanczos may spend; the dense solver takes over beyond it.
-_LANCZOS_BUDGET = 3000
-# Arnoldi steps between two Ritz checks: _KRYLOV_CHECK while the ratio of
-# residual to acceptance level has no trend yet, else as many as its decay
-# predicts to reach 1, up to _KRYLOV_MAX_GAP. Each check takes the Ritz
-# values from eigvals on H, and only the last component of the outer Ritz
-# vector.
-_KRYLOV_CHECK = 8
-_KRYLOV_MAX_GAP = 32
-# Cap on Arnoldi steps, its basis rows; the dense solver takes over beyond it.
-_ARNOLDI_MAX_STEPS = 300
-# At every Ritz check from _KRYLOV_PROBE operator applications on, an
-# unconverged top Ritz value of modulus at least _KRYLOV_NEAR_ONE marks a
-# spectrum clustered near 1: Krylov would need hundreds of steps there, so
-# the dense solver takes over.
-_KRYLOV_PROBE = 16
+# Both Krylov loops hold at most _KRYLOV_BASIS basis vectors besides the
+# deflated vector, and at each restart keep the Ritz vectors of
+# _KRYLOV_KEEP Ritz values: for Lanczos the lowest and the highest, for
+# Arnoldi those of largest modulus. Their Ritz checks fall at the restarts.
+_KRYLOV_BASIS = 40
+_KRYLOV_KEEP = 8
+# Operator applications either loop may spend; the dense solver takes over beyond it.
+_KRYLOV_BUDGET = 3000
+# At every restart, an unconverged top Ritz value of modulus at least
+# _KRYLOV_NEAR_ONE marks a spectrum clustered near 1: Krylov would need many
+# restarts there, so the dense solver takes over.
 _KRYLOV_NEAR_ONE = 0.98
-# _last_components scales a Ritz vector down by this factor whenever it
-# grows past it; squares of 300 such components still fit a float.
-_RESCALE = 1e100
-# _last_components trusts its recurrence for a Ritz vector while r / gap,
-# the bound on the vector's angle to the true one, stays below this. On
-# Krylov runs on rings and random layers, every vector up to 1e-10 agreed
-# with eigh to 3e-12 relative (components above 1e-5), and every failure,
-# a second copy of a double eigenvalue, read 1 or more.
-_BOTTOM_UP_TOL = 1e-6
 
 # Absolute slack when a computed SLEM is compared with a proved bound on it.
 SLEM_SLACK = 1e-9
@@ -179,69 +160,6 @@ def _lanczos_excess(theta: np.ndarray, residuals: np.ndarray) -> float:
     return float(excess)
 
 
-def _next_check_gap(last: tuple[int, float] | None, j: int, excess: float) -> int:
-    """Steps until the next Ritz check: where the geometric decay of the
-    residual / target ratio since the last check reaches 1, within
-    1.._KRYLOV_MAX_GAP."""
-    if last is None or excess >= last[1]:
-        return _KRYLOV_CHECK
-    rate = np.log(last[1] / excess) / (j - last[0])
-    return int(np.clip(np.ceil(np.log(excess) / rate), 1, _KRYLOV_MAX_GAP))
-
-
-def _last_components(h: np.ndarray, theta: np.ndarray, gaps: np.ndarray) -> np.ndarray | None:
-    """|s_j| for the unit eigenvectors s of the j x j upper Hessenberg h at its
-    eigenvalues theta, each gaps away from the nearest other eigenvalue of h;
-    None where one of them cannot be trusted.
-
-    Each s comes from the bottom up (Parlett 1980, ch. 7): s_j = 1, and row k
-    of (h - theta) s = 0 gives s_(k-1) from s_k..s_j, one dot product a row,
-    down to row 2. It is scaled down by _RESCALE whenever it grows past
-    _RESCALE, so nothing overflows where s_j is tiny (a converged Ritz
-    vector). Row 1 is left over, and its residual r over the norm of s
-    bounds the angle between s and the true eigenvector by r / gap (Davis
-    and Kahan 1970). The recurrence fails where the true eigenvector has a
-    negligible first component (a Ritz vector the start vector does not
-    reach, as where a double eigenvalue gets a second copy from rounding);
-    r / gap above _BOTTOM_UP_TOL gives that away.
-    """
-    j = h.shape[0]
-    last = []
-    sub = np.diagonal(h, -1).tolist()
-    for t, gap in zip(theta.tolist(), gaps.tolist()):
-        # real arithmetic for a real Ritz value, complex for one of a pair
-        hc = h if isinstance(t, float) else h.astype(complex)
-        s = np.zeros(j, dtype=hc.dtype)
-        s[-1] = s_k = 1.0
-        for k in range(j - 1, 0, -1):
-            s[k - 1] = s_k = (t * s_k - (hc[k, k:] @ s[k:]).item()) / sub[k - 1]
-            if abs(s_k) > _RESCALE:
-                s[k - 1 :] /= _RESCALE
-                s_k /= _RESCALE
-        norm = math.sqrt(np.vdot(s, s).real)
-        if abs((hc[0] @ s).item() - t * s_k) > _BOTTOM_UP_TOL * gap * norm:
-            return None
-        last.append(abs(s[-1]) / norm)
-    return np.array(last)
-
-
-def _outer_ritz(hess: np.ndarray, beta: float) -> tuple[complex, float]:
-    """The Ritz value of largest modulus of the j x j Hessenberg H and its
-    residual beta |s_j|: the values from eigvals, the last component from
-    _last_components, or from the eigenvector matrix of eig where the
-    recurrence cannot be trusted."""
-    theta = np.linalg.eigvals(hess)
-    outer = np.argmax(np.abs(theta))
-    distance = np.abs(theta[outer] - theta)
-    distance[outer] = np.inf
-    last = _last_components(hess, theta[outer, None], distance.min(keepdims=True))
-    if last is None:
-        theta, vectors = np.linalg.eig(hess)
-        outer = np.argmax(np.abs(theta))
-        last = np.abs(vectors[-1, outer, None])
-    return theta[outer], beta * last[0]
-
-
 def _krylov_basis(u: np.ndarray, rows: int) -> np.ndarray:
     """Room for u and rows + 1 Krylov vectors: u, then the fixed start
     vector with u projected out, so reruns are bit-for-bit identical."""
@@ -282,23 +200,23 @@ def _restarted_lanczos(apply, u: np.ndarray) -> float | None:
     other eigenvalue. Each step applies the operator to the newest basis
     vector and orthogonalizes the result against u and every other basis
     vector; its diagonal coefficient and norm extend the tridiagonal T. Once
-    the basis holds m = _LANCZOS_BASIS vectors, eigh on T gives every Ritz
+    the basis holds m = _KRYLOV_BASIS vectors, eigh on T gives every Ritz
     value theta (ascending) and vector y, with residual beta |y_m|; both
     extremes must converge, to the eigenvalue error that _lanczos_excess
-    bounds. Otherwise the Ritz vectors of the _LANCZOS_KEEP lowest and
+    bounds. Otherwise the Ritz vectors of the _KRYLOV_KEEP lowest and
     highest theta become the basis, and the normalized residual direction,
     to which each y_i couples by beta y_mi, continues it: T restarts as
     diag(theta) bordered by that arrowhead row. Returns None, for a dense
     solver to take over, when the spectrum is clustered near modulus 1 or
-    _LANCZOS_BUDGET operator applications are spent.
+    _KRYLOV_BUDGET operator applications are spent.
     """
-    m = min(_LANCZOS_BASIS, u.shape[0] - 1)
-    keep = min(_LANCZOS_KEEP, (m - 1) // 2)
+    m = min(_KRYLOV_BASIS, u.shape[0] - 1)
+    keep = min(_KRYLOV_KEEP, (m - 1) // 2)
     kept = np.r_[0:keep, m - keep : m]
     basis = _krylov_basis(u, m)
     t = np.zeros((m, m))
     j = 0
-    for applied in range(1, _LANCZOS_BUDGET + 1):
+    for _ in range(_KRYLOV_BUDGET):
         r = apply(basis[j + 1])
         h, beta2 = _orthogonalize(r, basis[: j + 2])
         t[j, j] = h[j + 1]
@@ -311,7 +229,7 @@ def _restarted_lanczos(apply, u: np.ndarray) -> float | None:
             top = max(abs(theta[0]), abs(theta[-1]))
             if _lanczos_excess(theta, beta * np.abs(ritz[-1])) < 1.0:
                 return float(min(top, 1.0))
-            if applied >= _KRYLOV_PROBE and top >= _KRYLOV_NEAR_ONE:
+            if top >= _KRYLOV_NEAR_ONE:
                 return None
             basis[1 : 2 * keep + 1] = ritz[:, kept].T @ basis[1 : m + 1]
             j = 2 * keep
@@ -323,34 +241,55 @@ def _restarted_lanczos(apply, u: np.ndarray) -> float | None:
 
 def _arnoldi(apply, u: np.ndarray) -> float | None:
     """Largest eigenvalue modulus of an operator restricted to the complement
-    of u, by Arnoldi with full reorthogonalization.
+    of u, by thick-restart Arnoldi (Morgan, Math. Comp. 65, 1996).
 
     u is a unit vector with apply(u) = u whose span the operator leaves
     invariant. Each step applies the operator to the newest basis vector
-    and orthogonalizes the result against u and every earlier basis vector;
-    the coefficients fill the Hessenberg H. The Ritz value of largest
-    modulus must reach residual _KRYLOV_TOL. Returns None, for a dense
-    solver to take over, when the spectrum is clustered near modulus 1 or
-    _ARNOLDI_MAX_STEPS steps are spent.
+    and orthogonalizes the result against u and every other basis vector;
+    the coefficients fill a column of H. Once the basis holds
+    m = _KRYLOV_BASIS vectors, eig on H gives every Ritz value theta and
+    vector y, with residual beta |y_m|; the one of largest modulus must
+    reach residual _KRYLOV_TOL. Otherwise the Ritz vectors of the
+    _KRYLOV_KEEP largest moduli, a conjugate pair whole (its two moduli are
+    bit-equal) and as its real and imaginary parts, span an invariant
+    subspace of H. Their orthonormal basis Q, from qr, makes V Q the new
+    basis, continued by the normalized residual direction: H restarts as
+    G = Q^T H Q, exact to rounding since H Q = Q G, bordered by the row
+    beta Q[m-1, :] (a Krylov-Schur decomposition with G not triangular;
+    Stewart 2001). Returns None, for a dense solver to take over, when the
+    spectrum is clustered near modulus 1 or _KRYLOV_BUDGET operator
+    applications are spent.
     """
-    steps = min(_ARNOLDI_MAX_STEPS, u.shape[0] - 1)
-    basis = _krylov_basis(u, steps)
-    hess = np.zeros((steps + 1, steps))
-    check, last = _KRYLOV_PROBE, None
-    for j in range(1, steps + 1):
-        r = apply(basis[j])
-        h, beta2 = _orthogonalize(r, basis[: j + 1])
-        hess[:j, j - 1] = h[1:]
-        hess[j, j - 1] = beta = math.sqrt(beta2)
-        if j == check or beta < _KRYLOV_TOL or j == steps:
-            theta, residual = _outer_ritz(hess[:j, :j], beta)
-            excess = residual / _KRYLOV_TOL
-            if excess < 1.0:
-                return float(min(abs(theta), 1.0))
-            if j >= _KRYLOV_PROBE and abs(theta) >= _KRYLOV_NEAR_ONE:
+    m = min(_KRYLOV_BASIS, u.shape[0] - 1)
+    keep = min(_KRYLOV_KEEP, (m - 1) // 2)
+    basis = _krylov_basis(u, m)
+    hess = np.zeros((m, m))
+    j = 0
+    for _ in range(_KRYLOV_BUDGET):
+        r = apply(basis[j + 1])
+        h, beta2 = _orthogonalize(r, basis[: j + 2])
+        hess[: j + 1, j] = h[1:]
+        j += 1
+        beta = math.sqrt(beta2)
+        if j < m and beta >= _KRYLOV_TOL:
+            hess[j, j - 1] = beta
+        else:
+            theta, ritz = np.linalg.eig(hess[:j, :j])
+            moduli = np.abs(theta)
+            outer = np.argmax(moduli)
+            if beta * abs(ritz[-1, outer]) < _KRYLOV_TOL:
+                return float(min(moduli[outer], 1.0))
+            if moduli[outer] >= _KRYLOV_NEAR_ONE:
                 return None
-            check = j + _next_check_gap(last, j, excess)
-            last = (j, excess)
+            chosen = (moduli >= np.sort(moduli)[-keep]) & (theta.imag >= 0)
+            y = ritz[:, chosen]
+            q = np.linalg.qr(np.hstack((y.real, y.imag[:, theta[chosen].imag > 0])))[0]
+            j = q.shape[1]
+            basis[1 : j + 1] = q.T @ basis[1 : m + 1]
+            hess[:j, :j] = q.T @ hess @ q
+            # below the border, a restart that kept more vectors left entries
+            hess[j:] = 0.0
+            hess[j, :j] = beta * q[-1]
         np.divide(r, beta, out=basis[j + 1])
     return None
 

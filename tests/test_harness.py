@@ -643,6 +643,50 @@ def csv_module_trajectory(path, errors_pi, errors_max, states, n):
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
+class TestSimulationSlacks:
+    """simulation-agrees and empirical-rate each fail on a run just past
+    their slack and pass inside it, so neither slack can widen unseen."""
+
+    CONFIG = {
+        "model": {"kind": "single"},
+        "layers": [{"kind": "circulant", "n": 12, "offsets": [1, 2]}],
+        "x0": {"kind": "uniform", "seed": 3},
+    }
+
+    # _AGREEMENT_TOL is 1e-7 and _RATE_SLACK 1e-6; the amounts past them are
+    # literals, so a wider slack fails the test instead of moving with it.
+    @pytest.mark.parametrize("off, passes", [(1.5e-7, False), (0.9e-7, True)])
+    def test_last_state_off_the_consensus(self, monkeypatch, off, passes):
+        # the run ends on the consensus, but for one node off it by off
+        simulate = harness.simulate
+
+        def moved(runs, x0, **kwargs):
+            trajectory = simulate(runs, x0, **kwargs)
+            last = np.full_like(trajectory.final_state, kwargs["pi"].pi @ x0)
+            last[0] += off
+            return trajectory._replace(final_state=last)
+
+        monkeypatch.setattr(harness, "simulate", moved)
+        point = run_experiment(self.CONFIG).summary["grid"][0]
+        assert point["converged"]
+        assert point["assertions"]["simulation-agrees"] is passes
+
+    @pytest.mark.parametrize("excess, passes", [(2e-6, False), (0.5e-6, True)])
+    def test_fitted_rate_above_its_bound(self, monkeypatch, excess, passes):
+        # the rate fit reports the layer's SLEM, the rate's bound, plus excess
+        kind, build = harness._GRIDS["single"]
+
+        def fitted(layers, value, x0):
+            point = build(layers, value, x0)
+            point.rate_fit.rate = lambda: point.rate_bound + excess
+            return point
+
+        monkeypatch.setitem(harness._GRIDS, "single", (kind, fitted))
+        result = run_experiment(self.CONFIG)
+        assert result.rows[0]["empirical_rate"] == result.rows[0]["slem"] + excess
+        assert result.summary["grid"][0]["assertions"]["empirical-rate"] is passes
+
+
 class TestTrajectoryWriter:
     @pytest.mark.parametrize(
         "errors, states",

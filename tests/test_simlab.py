@@ -151,7 +151,7 @@ class TestSimulate:
         matrix, pi = triangle_setup()
         traj = simulate([(matrix, 1)], X0, pi=pi)
         assert traj.states is None
-        assert traj._fields == ("final_state", "pi", "converged", "steps")
+        assert traj._fields == ("final_state", "converged", "steps")
         assert np.abs(traj.final_state - 1 / 3).max() <= 1e-9
 
     @pytest.mark.parametrize("tol", [0.0, float("inf"), float("nan")])

@@ -24,9 +24,7 @@ from oplex.spectral import (
     _KRYLOV_NEAR_ONE,
     _KRYLOV_TOL,
     SLEM_SLACK,
-    _last_components,
     _lanczos_excess,
-    _outer_ritz,
     _slem_arnoldi,
     _slem_lanczos,
     eig_moduli_nonsymmetric,
@@ -414,7 +412,7 @@ class TestKrylov:
         # its basis is full, and eigvalsh takes over.
         full = slem_reversible(hubs_and_random(600, 11))
         assert full.method == "lanczos" and full.slem < _KRYLOV_NEAR_ONE
-        monkeypatch.setattr(spectral, "_LANCZOS_BUDGET", 20)
+        monkeypatch.setattr(spectral, "_KRYLOV_BUDGET", 20)
         layer = hubs_and_random(600, 11)
         assert _slem_lanczos(layer) is None
         summary = slem_reversible(layer)
@@ -537,6 +535,81 @@ class TestKrylov:
         assert summary.method == "arnoldi"
         assert abs(summary.slem - dense_cycle_slem(cycle)) <= 1e-11
 
+    @staticmethod
+    def counted_arnoldi(apply, u):
+        """_arnoldi's SLEM and the operator applications it took."""
+        applications = []
+
+        def counted_apply(x):
+            applications.append(1)
+            return apply(x)
+
+        return spectral._arnoldi(counted_apply, u), len(applications)
+
+    @pytest.mark.parametrize("k, seed", [(1, 7), (1, 11), (2, 6), (2, 7), (4, 40), (4, 62)])
+    def test_restarted_arnoldi_matches_eigvals(self, k, seed):
+        # contact cycles past the crossover whose SLEMs take at least two
+        # restarts of the 40-vector basis: a restart keeps at least 8
+        # vectors, so a second one has come once more than 2 * 40 - 8
+        # operator applications are spent
+        cycle = ring_plus_chords_cycle(600, k, seed)
+        apply = cycle.matvec_kernel()
+        slem, applied = self.counted_arnoldi(apply, np.ones(600) / np.sqrt(600))
+        assert applied > 2 * spectral._KRYLOV_BASIS - spectral._KRYLOV_KEEP
+        assert abs(slem - dense_cycle_slem(cycle)) <= 1e-12
+
+    def test_restarted_arnoldi_keeps_a_complex_outer_pair(self):
+        # 0.9 times a rotation by 2 pi / 7 beside a random bulk of spectral
+        # radius 0.85, in a random orthonormal basis of the complement of u:
+        # the outer Ritz pair is complex, and each restart keeps it as the
+        # real and imaginary parts of its Ritz vector
+        n = 600
+        rng = np.random.default_rng(7)
+        u = np.ones(n) / np.sqrt(n)
+        start = rng.standard_normal((n, n))
+        start[:, 0] = u
+        complement = np.linalg.qr(start)[0][:, 1:]
+        c, s = np.cos(2 * np.pi / 7), np.sin(2 * np.pi / 7)
+        bulk = rng.standard_normal((n - 3, n - 3))
+        d = np.zeros((n - 1, n - 1))
+        d[:2, :2] = 0.9 * np.array([[c, -s], [s, c]])
+        d[2:, 2:] = 0.85 * bulk / np.abs(np.linalg.eigvals(bulk)).max()
+        a = np.outer(u, u) + complement @ d @ complement.T
+        slem, applied = self.counted_arnoldi(lambda x: a @ x, u)
+        assert applied > 2 * spectral._KRYLOV_BASIS
+        assert abs(slem - 0.9) <= 1e-12
+
+    def test_restarted_arnoldi_memory_is_bounded(self):
+        # The k = 1 cycle of two random regular layers on 5000 nodes: without
+        # restarts Arnoldi spent its 300 steps on a 302-row basis (16.1 MB
+        # traced), reached residual 7.7e-9 and handed the cycle to a dense
+        # eigvals of 40 s. Restarted, its 42-row basis resolves it at about
+        # 4.4 MB traced, to the value that dense eigvals gave.
+        layers = [generate(GeneratorSpec(kind="k-regular", n=5000, k=k, seed=s)) for k, s in ((8, 5), (6, 12))]
+        cycle = SwitchingModel(*layers, 1)
+        assert cycle.matrix_free
+        tracemalloc.start()
+        try:
+            slem = _slem_arnoldi(cycle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert slem is not None and abs(slem - 0.14916366023189767) <= 1e-12
+        assert peak < 8 * 2**20
+
+    def test_arnoldi_out_of_steps_falls_back_to_dense(self, monkeypatch):
+        # 20 operator applications are too few for this cycle, whose
+        # spectrum is not near modulus 1: Arnoldi spends its budget before
+        # its basis is full, and eigvals takes over.
+        cycle = ring_plus_chords_cycle(600, 2, 3)
+        full = eig_moduli_nonsymmetric(cycle)
+        assert full.method == "arnoldi" and full.slem < _KRYLOV_NEAR_ONE
+        monkeypatch.setattr(spectral, "_KRYLOV_BUDGET", 20)
+        assert _slem_arnoldi(cycle) is None
+        summary = eig_moduli_nonsymmetric(cycle)
+        assert summary.method == "nonsymmetric"
+        assert summary.slem == pytest.approx(full.slem, abs=1e-12)
+
     def test_cycle_of_even_rings_has_slem_one(self):
         # both layers bipartite on the same classes: B A keeps each class
         n = 2 * _KRYLOV_MIN_N
@@ -621,163 +694,3 @@ class TestLanczosStopRule:
         outer = max(residuals[0], residuals[-1])
         assert _lanczos_excess(theta, residuals) <= outer / _KRYLOV_TOL
 
-
-def gaps_to_the_rest(theta, values):
-    """Distance from each of values to the nearest other entry of theta."""
-    distance = np.abs(np.asarray(values)[:, None] - theta)
-    distance[distance == distance.min(axis=1, keepdims=True)] = np.inf
-    return distance.min(axis=1, initial=np.inf)
-
-
-def krylov_projection(a, j, rng):
-    """The j x j Hessenberg H of j Arnoldi steps on the dense a from a random
-    start, reorthogonalized twice; tridiagonal to rounding for a symmetric a."""
-    n = a.shape[0]
-    basis = np.zeros((j + 1, n))
-    basis[0] = rng.standard_normal(n)
-    basis[0] /= np.linalg.norm(basis[0])
-    h = np.zeros((j + 1, j))
-    for k in range(j):
-        r = a @ basis[k]
-        for _ in range(2):
-            c = basis[: k + 1] @ r
-            r -= c @ basis[: k + 1]
-            h[: k + 1, k] += c
-        h[k + 1, k] = np.linalg.norm(r)
-        basis[k + 1] = r / h[k + 1, k]
-    return h[:j]
-
-
-def with_eigenpair(rng, s, theta, symmetric):
-    """A j x j unreduced tridiagonal (symmetric) or upper Hessenberg matrix
-    with the real eigenpair (theta, s): random off-diagonal entries scaled
-    so each row stays of order 1, then the diagonal solved from h s = theta s."""
-    j = s.shape[0]
-    h = np.zeros((j, j))
-    for k in range(1, j):
-        h[k, k - 1] = rng.uniform(0.5, 1.0) * abs(s[k] / s[k - 1])
-        if symmetric:
-            h[k - 1, k] = h[k, k - 1]
-    if not symmetric:
-        h += np.triu(rng.uniform(-1, 1, (j, j)), 1)
-    off_diagonal = h @ s - np.diag(h) * s
-    h[np.diag_indices(j)] = theta - off_diagonal / s
-    return h
-
-
-class TestRitzLastComponents:
-    """_last_components against the eigenvector matrices it replaces.
-
-    Arnoldi's H is upper Hessenberg; on a symmetric operator (a cycle of a
-    regular layer alone, say) it is a symmetric tridiagonal to rounding.
-    The symmetric cases hand the recurrence such a tridiagonal and read
-    both ends of its spectrum against eigh.
-    """
-
-    @staticmethod
-    def check(h, symmetric):
-        # eigh and eig hold each component only to rounding relative to the
-        # whole vector: 1e-10 relative where it is above 1e-5, 1e-13 absolute
-        # below (a converged Ritz vector)
-        theta, vectors = np.linalg.eigh(h) if symmetric else np.linalg.eig(h)
-        j = theta.shape[0]
-        if symmetric:
-            outer = np.arange(j) if j <= 4 else np.array([0, 1, j - 2, j - 1])
-        else:
-            outer = np.array([np.argmax(np.abs(theta))])
-        last = _last_components(h, theta[outer], gaps_to_the_rest(theta, theta[outer]))
-        assert last is not None
-        expected = np.abs(vectors[-1, outer])
-        held = expected > 1e-5
-        np.testing.assert_allclose(last[held], expected[held], rtol=1e-10, atol=0)
-        np.testing.assert_allclose(last, expected, rtol=0, atol=1e-13)
-        return theta[outer]
-
-    @pytest.mark.parametrize("j", [1, 2, 3, 5, 8])
-    def test_random_tridiagonal(self, j):
-        rng = np.random.default_rng(j)
-        for _ in range(5):
-            sub = rng.uniform(0.5, 1.0, j - 1)
-            self.check(np.diag(rng.uniform(-1, 1, j)) + np.diag(sub, -1) + np.diag(sub, 1), symmetric=True)
-
-    @pytest.mark.parametrize("j", [1, 2, 3, 5, 8])
-    def test_random_hessenberg(self, j):
-        rng = np.random.default_rng(j)
-        for _ in range(5):
-            h = np.triu(rng.uniform(-1, 1, (j, j)), -1)
-            h[np.arange(1, j), np.arange(j - 1)] = rng.uniform(0.5, 1.0, j - 1)
-            self.check(h, symmetric=False)
-
-    @pytest.mark.parametrize("j", [16, 40, 130])
-    @pytest.mark.parametrize("symmetric", [True, False], ids=["lanczos", "arnoldi"])
-    def test_krylov_projections(self, j, symmetric):
-        # H of j Krylov steps on a random operator on 300 nodes: a symmetric
-        # one with its spectrum spread over [-1, 1], whose H is taken as the
-        # exact symmetric tridiagonal of its diagonal and subdiagonal, or a
-        # general one with its spectrum filling the unit disc
-        rng = np.random.default_rng(j)
-        a = rng.standard_normal((300, 300)) / np.sqrt(300)
-        if symmetric:
-            q = np.linalg.qr(a)[0]
-            a = (q * rng.uniform(-1, 1, 300)) @ q.T
-        h = krylov_projection(a, j, rng)
-        if symmetric:
-            h = np.tril(h) + np.tril(h, -1).T
-        self.check(h, symmetric)
-
-    def test_complex_conjugate_outer_pair(self):
-        # 0.9 times a rotation by 2 pi / 7 beside a spectrum inside the disc
-        # of radius 0.5, in a random basis: the outer Ritz pair is complex
-        rng = np.random.default_rng(3)
-        c, s = np.cos(2 * np.pi / 7), np.sin(2 * np.pi / 7)
-        d = np.zeros((60, 60))
-        d[:2, :2] = 0.9 * np.array([[c, -s], [s, c]])
-        d[2:, 2:] = 0.5 * rng.standard_normal((58, 58)) / np.sqrt(58)
-        q = np.linalg.qr(rng.standard_normal((60, 60)))[0]
-        h = krylov_projection(q @ d @ q.T, 10, rng)
-        outer = self.check(h, symmetric=False)
-        assert abs(outer[0].imag) > 0.1
-        theta = np.linalg.eigvals(h)
-        pair = np.array([outer[0], np.conj(outer[0])])
-        last = _last_components(h, pair, gaps_to_the_rest(theta, pair))
-        assert last[1] == pytest.approx(last[0], rel=1e-10, abs=0)
-
-    @pytest.mark.parametrize("symmetric", [True, False], ids=["tridiagonal", "hessenberg"])
-    @pytest.mark.parametrize("s_j", [1e-13, 1e-40, 1e-150, 1e-250])
-    def test_converged_ritz_vector(self, symmetric, s_j):
-        # A Ritz vector that has converged has a tiny last component, and its
-        # recurrence grows by 1 / s_j from the bottom up: past 1e-100 it is
-        # rescaled on the way. eigh and eig hold that component only to
-        # rounding relative to the whole vector, so it is checked against the
-        # exact eigenpair the matrix is built around.
-        rng = np.random.default_rng(7)
-        j, theta = 40, 0.95
-        s = s_j ** (np.arange(j) / (j - 1)) * rng.uniform(0.5, 1.0, j)
-        s[-1] = s_j
-        h = with_eigenpair(rng, s, theta, symmetric)
-        values = np.linalg.eigvalsh(h) if symmetric else np.linalg.eigvals(h).real
-        found = values[[np.argmin(np.abs(values - theta))]]
-        assert found[0] == pytest.approx(theta, abs=1e-12)
-        last = _last_components(h, found, gaps_to_the_rest(values, found))
-        assert last is not None
-        assert last[0] == pytest.approx(s_j / np.linalg.norm(s), rel=1e-10, abs=0)
-
-    @pytest.mark.parametrize("symmetric", [True, False], ids=["tridiagonal", "hessenberg"])
-    def test_vector_the_start_does_not_reach_falls_back_to_eigh(self, symmetric):
-        # A diagonal falling from 0.9 to -1 down the matrix, with couplings a
-        # tenth of its steps: the eigenvector of the lowest eigenvalue, which
-        # is also the one of largest modulus, lives at the bottom with a first
-        # component near 1e-40. The recurrence cannot find it from there and
-        # says so; the check then takes the eigenvector matrix of eig, which
-        # agrees with eigh's (symmetric) and with eig's own (hessenberg).
-        rng = np.random.default_rng(1)
-        j = 40
-        sub = rng.uniform(0.002, 0.01, j - 1)
-        h = np.diag(np.linspace(0.9, -1.0, j)) + np.diag(sub, -1) + np.diag(sub, 1)
-        theta, vectors = np.linalg.eigh(h) if symmetric else np.linalg.eig(h)
-        low = np.argmax(np.abs(theta))
-        assert abs(vectors[0, low]) < 1e-30 and theta[low] == theta.min()
-        assert _last_components(h, theta[[low]], gaps_to_the_rest(theta, theta[[low]])) is None
-        outer, residual = _outer_ritz(h, 0.5)
-        assert outer == pytest.approx(theta[low], rel=0, abs=1e-14)
-        assert residual == pytest.approx(0.5 * abs(vectors[-1, low]), rel=1e-10, abs=1e-16)
